@@ -24,6 +24,7 @@ from . import rationals as rat
 from .equivariant import beta_g_proximity, check_equinormal, compute_ug, \
     deepest_orbits_coincide, enumerate_partition_proximities, \
     is_action_compatible, is_g_invariant, nu_proximity, semigroup_upgrade
+from .errors import InternalCheckFailure
 from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
     check_action_continuity, classify, saturate_uniformity
 from .metricprox import FiniteMetric, PseudometricFamily, is_isometric, \
@@ -845,5 +846,10 @@ def _run_sigma_family(result, seed, max_group):
                 # Worst-case matrices must stay pseudometrics (trap check).
                 for si, s in enumerate(subs):
                     for i in range(len(fam.members)):
-                        sup_pseudometric(fam, germ, s, i)
-                        result.record(True, f"{label}/sup{si}.{i}", None)
+                        try:
+                            sup_pseudometric(fam, germ, s, i)
+                        except InternalCheckFailure as exc:
+                            result.record(False, f"{label}/sup{si}.{i}",
+                                          str(exc))
+                        else:
+                            result.record(True, f"{label}/sup{si}.{i}", None)

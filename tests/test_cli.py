@@ -23,6 +23,14 @@ def test_validate_good_fixture(capsys):
     assert "B1: pass" in out
 
 
+def test_validate_twelve_points_at_the_cap(capsys):
+    # The axiom oracle runs exhaustively on all 4**12 subset pairs.
+    code, out, _ = run(capsys, "validate", fixture("twelve_points.json"))
+    assert code == 0
+    for name in ("P1", "P2", "P3", "P4", "P5"):
+        assert f"  {name}: pass" in out
+
+
 def test_validate_bad_table_exits_2_naming_triple(capsys):
     code, _, err = run(capsys, "validate", fixture("bad_table.json"))
     assert code == 2
