@@ -293,6 +293,23 @@ class GActionGerm:
             mask ^= low
         return out
 
+    def level_translates(self, level_index):
+        """For chain level V: trans[m] = mask of V.m for every subset mask m.
+
+        Each entry is the one without the lowest bit of m, ORed with that
+        point's translate mask, so the table costs one OR per subset.
+        """
+        key = ("trans", level_index)
+        cache = self.__dict__.setdefault("_masks", {})
+        if key not in cache:
+            lem = self.level_elem_masks(level_index)
+            trans = [0] * (1 << self.carrier.n)
+            for m in range(1, len(trans)):
+                low = m & -m
+                trans[m] = trans[m ^ low] | lem[low.bit_length() - 1]
+            cache[key] = tuple(trans)
+        return cache[key]
+
     def set_translate_mask(self, subset_indices, mask):
         """Translate a carrier mask by an arbitrary set of group indices."""
         out = 0
@@ -527,28 +544,31 @@ def check_action_continuity(a, u):
     True iff for all g0, x0 and basis eps there are a chain level V and a
     basis delta with (g0 V) . delta(x0) inside eps(g0 x0).  Returns the
     first violating (g0, x0, eps index) otherwise.
+
+    The inclusion is tested as V . delta(x0) inside g0^{-1} eps(g0 x0), so
+    the translates V . delta(x0) are built once per call, and each
+    (g0, x0, eps) costs one pulled-back target and at most
+    |levels| * |basis| subset tests.
     """
     if u.carrier != a.carrier:
         raise CarrierMismatch("uniformity is not over the action's carrier")
     group = a.group
     n = a.carrier.n
-    levels = a.ne.levels
+    moved = [[a.translate_mask(li, delta.image_masks[x0])
+              for li in range(len(a.ne.levels)) for delta in u.basis]
+             for x0 in range(n)]
     for g0 in range(group.order):
         p0 = a.act[g0]
+        back = a.act[group.inv[g0]]
         for x0 in range(n):
             for k, eps in enumerate(u.basis):
                 target = eps.image_masks[p0[x0]]
-                ok = False
-                for li in range(len(levels)):
-                    v0 = frozenset(group.mul[g0][v] for v in levels[li])
-                    for delta in u.basis:
-                        moved = a.set_translate_mask(v0, delta.image_masks[x0])
-                        if moved | target == target:
-                            ok = True
-                            break
-                    if ok:
-                        break
-                if not ok:
+                pulled = 0
+                while target:
+                    low = target & -target
+                    pulled |= 1 << back[low.bit_length() - 1]
+                    target ^= low
+                if not any(m | pulled == pulled for m in moved[x0]):
                     return False, (group.names[g0], a.carrier.elements[x0], k)
     return True, None
 

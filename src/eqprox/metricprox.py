@@ -328,11 +328,7 @@ def metric_g_proximity(m, a):
             if m.dist[i][j] == 0:
                 zero_of[i] |= 1 << j
     for li in range(len(a.ne.levels)):
-        trans = [0] * N
-        lem = a.level_elem_masks(li)
-        for mask in range(1, N):
-            low = mask & -mask
-            trans[mask] = trans[mask ^ low] | lem[low.bit_length() - 1]
+        trans = a.level_translates(li)
         ilem = a.level_inverse_elem_masks(li)
         for mask in range(N):
             hull = 0

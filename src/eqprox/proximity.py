@@ -101,6 +101,44 @@ def _reverse_bits(x, width):
         x.to_bytes(width // 8, "big").translate(_REVERSED_BYTES), "little")
 
 
+@lru_cache(maxsize=None)
+def _delta_swap_mask(n, i, j):
+    """Bit p set iff p < 2**n has bit i set and bit j clear (i < j): the
+    lower position of each pair that trades places when index bits i and
+    j are exchanged; its partner is (2**j - 2**i) higher."""
+    lo = _low_half_masks(n)
+    return lo[j] & ~lo[i]
+
+
+def _index_bit_swaps(perm):
+    """Delta swaps (shift, mask) that carry bit p of a 2**n-bit integer to
+    the subset index sigma(p), where sigma moves bit k of p to bit perm[k].
+
+    perm is written as at most n - 1 transpositions of index bits, applied
+    in order; each moves the positions of one index bit pair with a single
+    masked swap (Warren, *Hacker's Delight*, ch. 7).
+    """
+    n = len(perm)
+    at = list(range(n))  # at[k]: where index bit k has been moved so far
+    swaps = []
+    for k in range(n):
+        src, dst = at[k], perm[k]
+        if src != dst:
+            other = at.index(dst)
+            at[k], at[other] = dst, src
+            i, j = min(src, dst), max(src, dst)
+            swaps.append(((1 << j) - (1 << i), _delta_swap_mask(n, i, j)))
+    return swaps
+
+
+def _permute_index_bits(x, swaps):
+    """Apply the delta swaps of _index_bit_swaps to the bits of x."""
+    for shift, mask in swaps:
+        t = (x ^ (x >> shift)) & mask
+        x ^= t | (t << shift)
+    return x
+
+
 class Prox:
     """A materialized proximity table over all subset pairs of a carrier.
 

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 from eqprox.cli import main
+from eqprox.gaction import GActionGerm
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -29,6 +30,29 @@ def test_validate_twelve_points_at_the_cap(capsys):
     assert code == 0
     for name in ("P1", "P2", "P3", "P4", "P5"):
         assert f"  {name}: pass" in out
+
+
+def test_equinormal_twelve_points_at_the_cap(capsys):
+    # The separation scan goes row by row over all 2**12 subsets.
+    code, out, _ = run(capsys, "equinormal", fixture("twelve_points_s3.json"))
+    assert code == 0
+    assert "equinormal: yes" in out
+    assert "pi-disjoint pairs admit pi-disjoint neighborhoods: pass" in out
+
+
+def test_equinormal_exits_1_when_a_mask_route_disagrees(capsys, monkeypatch):
+    # Pulling point 0 back to the whole carrier breaks the inverse route,
+    # so the pairs split off from point 0 are no longer witnessed.
+    real = GActionGerm.level_inverse_elem_masks
+
+    def corrupt(self, level_index):
+        masks = real(self, level_index)
+        return ((1 << self.carrier.n) - 1,) + masks[1:]
+
+    monkeypatch.setattr(GActionGerm, "level_inverse_elem_masks", corrupt)
+    code, out, _ = run(capsys, "equinormal", fixture("s3_generators.json"))
+    assert code == 1
+    assert "pi-disjoint pairs admit pi-disjoint neighborhoods: FAIL" in out
 
 
 def test_validate_bad_table_exits_2_naming_triple(capsys):

@@ -260,6 +260,20 @@ def test_equinormal_on_standard_instances():
         assert rep.equinormal and rep.agree and rep.separation_ok
 
 
+def test_separation_scan_fails_when_a_mask_route_is_corrupt(monkeypatch):
+    # On the discrete germ {0} and {1} have disjoint translates; once the
+    # inverse route pulls point 0 back to every point, no partner of {0}
+    # but the empty set is witnessed.
+    a = z3_rotation(levels=[frozenset({0})])
+    masks = a.level_inverse_elem_masks(0)
+    corrupt = (masks[0] | 0b110,) + masks[1:]
+    monkeypatch.setattr(a, "level_inverse_elem_masks", lambda li: corrupt)
+    rep = check_equinormal(a)
+    assert not rep.separation_ok
+    assert "pi-disjoint pairs admit pi-disjoint neighborhoods: FAIL" \
+        in rep.lines()
+
+
 def test_equinormal_axiom_checker_catches_corruption():
     a = z2_swap_fixing_c()
     dpi = beta_g_proximity(a)

@@ -118,6 +118,25 @@ def test_translate_is_action_of_products():
             translate_set(a, v, translate_set(a, w, subset))
 
 
+def test_level_translates_match_translate_mask():
+    s3, perms = FiniteGroup.from_permutations([(1, 0, 2, 4, 3, 5),
+                                               (1, 2, 0, 4, 5, 3)])
+    a3 = next(h for h in s3.subgroups() if len(h) == 3)
+    germs = [
+        z3_rotation(),
+        z3_rotation(levels=[frozenset({0})]),
+        GActionGerm(s3, NeighborhoodBase(s3, [range(6), a3, {s3.e}]),
+                    Carrier(range(6)), perms),
+    ]
+    for a in germs:
+        for li, level in enumerate(a.ne.levels):
+            trans = a.level_translates(li)
+            assert len(trans) == 1 << a.carrier.n
+            for m, t in enumerate(trans):
+                assert t == a.translate_mask(li, m)
+                assert t == a.set_translate_mask(level, m)
+
+
 def test_classify_trivial_group():
     g = FiniteGroup.cyclic(2)
     c = Carrier(range(3))

@@ -1,11 +1,12 @@
 import random
+from itertools import permutations
 
 import pytest
 
 from eqprox.errors import ResourceCap
-from eqprox.proximity import P1_P5, Prox, _reverse_bits, _transpose, \
-    check_axioms, closure, dominates, from_uniformity, is_separated, \
-    separated_reflection
+from eqprox.proximity import P1_P5, Prox, _index_bit_swaps, \
+    _permute_index_bits, _reverse_bits, _transpose, check_axioms, closure, \
+    dominates, from_uniformity, is_separated, separated_reflection
 from eqprox.setrel import Carrier, Rel, diagonal, full_relation
 from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis
 
@@ -182,6 +183,29 @@ def test_reverse_bits_matches_string_reversal():
         values += [rng.getrandbits(N) for _ in range(20)]
         for x in values:
             assert _reverse_bits(x, N) == int(format(x, f"0{N}b")[::-1], 2)
+
+
+def permute_per_bit(x, perm):
+    """Move each bit p of x to the subset index perm makes of p."""
+    n = len(perm)
+    out = 0
+    for p in range(1 << n):
+        if x >> p & 1:
+            out |= 1 << sum(1 << perm[k] for k in range(n) if p >> k & 1)
+    return out
+
+
+def test_delta_swaps_match_per_bit_index_permutation():
+    rng = random.Random(23)
+    perms = [q for n in range(1, 5) for q in permutations(range(n))]
+    perms += [tuple(rng.sample(range(n), n)) for n in range(5, 9)
+              for _ in range(6)]
+    for perm in perms:
+        swaps = _index_bit_swaps(perm)
+        assert len(swaps) <= len(perm) - 1
+        N = 1 << len(perm)
+        for x in [0, (1 << N) - 1] + [rng.getrandbits(N) for _ in range(4)]:
+            assert _permute_index_bits(x, swaps) == permute_per_bit(x, perm)
 
 
 def test_separated_reflection_collapses_near_points():
