@@ -11,6 +11,12 @@ translate-nearness relation computed by nu_proximity.  The two sides are
 computed through independent code paths precisely so that this equality is
 a meaningful machine check rather than a tautology of shared code.
 
+Translate nearness and the maximal group proximity are built from point
+masks: each (level, entourage) pair gives a union-preserving map of
+subsets, tabulated from its n point values, and each row is ANDed with
+the intersectors of its entry, Theta(levels * |basis| * 2**n) operations
+on 2**n-bit integers in all.
+
 The group-action scans work on whole rows of the 2**n-bit tables.
 Equinormality runs the axiom check on the translate-overlap table, then
 a separation scan that, for each row and chain level, compares two bitsets
@@ -28,9 +34,9 @@ from . import setrel
 from .errors import CarrierMismatch, InternalCheckFailure, PreconditionFailure
 from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify, \
     check_action_continuity, _group_indices
-from .proximity import P1_P5, Prox, _index_bit_swaps, _intersectors, \
-    _permute_index_bits, _submask_table, check_axioms, from_uniformity, \
-    is_separated
+from .proximity import P1_P5, Prox, _and_intersectors, _index_bit_swaps, \
+    _intersectors, _join_table, _permute_index_bits, _submask_table, \
+    check_axioms, from_uniformity, is_separated
 from .uniformity import UnifBase, totally_bounded, validate_basis
 
 
@@ -92,13 +98,29 @@ def _level_pullback(a, level_index, mask):
     return out
 
 
+def _overlap_pullbacks(a, level_index):
+    """t[m] = V^{-1}V.m for every subset mask m: the points whose
+    V-translate meets V.m, as the join table of the n point values."""
+    return _join_table([_level_pullback(a, level_index, t)
+                        for t in a.level_elem_masks(level_index)])
+
+
 def nu_proximity(a, u):
     """Translate nearness: A and B are near when at every chain level the
     level translates are near in the proximity induced by u.
 
+    For level V and entourage eps, VA is near VB iff B meets
+    V^{-1} eps(V A).  That map of A is a composite of three
+    union-preserving maps (translate, entourage image, level pullback), so
+    its table over all 2**n subsets is the join table of its n point
+    values.  Each (level, eps) pair costs n pullbacks plus one OR per
+    subset and one AND of 2**n-bit integers per row: Theta(levels * |basis|
+    * 2**n) operations on 2**n-bit integers in all.
+
     All chain levels are evaluated; by monotonicity of translation the
     deepest level alone gives the same table, and that reduction is
-    asserted rather than assumed.
+    asserted rather than assumed: the deepest level's table is kept apart
+    and compared with the AND over the whole chain.
     """
     report = validate_basis(u)
     if not report.ok():
@@ -109,20 +131,20 @@ def nu_proximity(a, u):
     n = carrier.n
     N = 1 << n
     full_bits = (1 << N) - 1
-    levels = range(len(a.ne.levels))
 
-    def rows_for(level_list):
-        rows = [full_bits] * N
-        for li in level_list:
-            trans = a.level_translates(li)
-            for eps in u.basis:
-                for m in range(N):
-                    pull = _level_pullback(a, li, eps.image_mask(trans[m]))
-                    rows[m] &= _intersectors(pull, n)
+    def and_level(li, rows):
+        lem = a.level_elem_masks(li)
+        for eps in u.basis:
+            pull = _join_table([_level_pullback(a, li, eps.image_mask(t))
+                                for t in lem])
+            _and_intersectors(rows, pull, n)
         return rows
 
-    rows = rows_for(list(levels))
-    reduced = rows_for([len(a.ne.levels) - 1])
+    deepest = len(a.ne.levels) - 1
+    reduced = and_level(deepest, [full_bits] * N)
+    rows = list(reduced)
+    for li in range(deepest):
+        and_level(li, rows)
     if rows != reduced:
         raise InternalCheckFailure(
             "translate nearness differs between the full chain and the "
@@ -132,16 +154,19 @@ def nu_proximity(a, u):
 
 def beta_g_proximity(a):
     """The maximal group proximity on a finite discrete carrier:
-    A and B are near when their translates overlap at every chain level."""
+    A and B are near when their translates overlap at every chain level.
+
+    VA meets VB iff B meets V^{-1}VA, and A -> V^{-1}VA preserves unions,
+    so each level's pullbacks are the join table of n point pullbacks,
+    one OR per subset; each row then takes one AND of 2**n-bit integers
+    per level: Theta(levels * 2**n) such operations in all.
+    """
     carrier = a.carrier
     n = carrier.n
     N = 1 << n
-    full_bits = (1 << N) - 1
-    rows = [full_bits] * N
+    rows = [(1 << N) - 1] * N
     for li in range(len(a.ne.levels)):
-        trans = a.level_translates(li)
-        for m in range(N):
-            rows[m] &= _intersectors(_level_pullback(a, li, trans[m]), n)
+        _and_intersectors(rows, _overlap_pullbacks(a, li), n)
     return Prox(carrier, rows)
 
 
@@ -160,11 +185,7 @@ def is_g_invariant(p, a):
     rows = p.rows
     group = a.group
     for g in range(group.order):
-        perm = a.act[g]
-        maskmap = [0] * N
-        for m in range(1, N):
-            low = m & -m
-            maskmap[m] = maskmap[m ^ low] | (1 << perm[low.bit_length() - 1])
+        maskmap = _join_table([1 << x for x in a.act[g]])
         swaps = _index_bit_swaps(a.act[group.inv[g]])
         for am in range(N):
             viol = rows[am] & ~_permute_index_bits(rows[maskmap[am]], swaps)
@@ -185,10 +206,9 @@ def is_action_compatible(p, a):
     fulln = N - 1
     disjoint_or = [0] * N
     for li in range(len(a.ne.levels)):
-        trans = a.level_translates(li)
+        pull = _overlap_pullbacks(a, li)
         for m in range(N):
-            pull = _level_pullback(a, li, trans[m])
-            disjoint_or[m] |= table[fulln ^ pull]
+            disjoint_or[m] |= table[fulln ^ pull[m]]
     for am in range(N):
         viol = ~p.rows[am] & full_bits & ~disjoint_or[am]
         if viol:
@@ -344,18 +364,18 @@ def _separation_ok(a):
     n = a.carrier.n
     N = 1 << n
     table = _submask_table(n)
-    routes = [(li, a.level_translates(li), a.level_elem_masks(li))
-              for li in range(len(a.ne.levels))]
+    routes = [(a.level_translates(li), a.level_elem_masks(li),
+               _overlap_pullbacks(a, li)) for li in range(len(a.ne.levels))]
     for am in range(N):
         disjoint = witnessed = 0
-        for li, trans, lem in routes:
+        for trans, lem, pull in routes:
             t = trans[am]
             free = 0
             for x in range(n):
                 if not lem[x] & t:
                     free |= 1 << x
             disjoint |= table[free]
-            witnessed |= table[(N - 1) ^ _level_pullback(a, li, t)]
+            witnessed |= table[(N - 1) ^ pull[am]]
         if disjoint & ~witnessed:
             return False
     return True
@@ -372,6 +392,18 @@ def is_massive(a, u):
     return ok
 
 
+def set_partitions(items):
+    """Every partition of the list items into blocks (lists), each once."""
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [head]] + part[i + 1:]
+        yield [[head]] + part
+
+
 def enumerate_partition_proximities(carrier):
     """All proximities on a finite carrier, via set partitions.
 
@@ -383,31 +415,12 @@ def enumerate_partition_proximities(carrier):
     """
     els = carrier.elements
     n = carrier.n
-
-    def partitions(items):
-        if not items:
-            yield []
-            return
-        head, rest = items[0], items[1:]
-        for part in partitions(rest):
-            for i in range(len(part)):
-                yield part[:i] + [part[i] + [head]] + part[i + 1:]
-            yield [[head]] + part
-
-    for part in partitions(list(els)):
+    for part in set_partitions(list(els)):
         blocks = tuple(sorted((frozenset(b) for b in part),
                               key=lambda b: min(carrier.index[x] for x in b)))
-        block_mask = {}
-        for b in blocks:
-            m = carrier.subset_mask(b)
-            block_mask[b] = m
-        sat = [0] * (1 << n)
-        for a in range(1, 1 << n):
-            low = a & -a
-            el = els[low.bit_length() - 1]
-            blk = next(m for b, m in block_mask.items() if el in b)
-            sat[a] = sat[a ^ low] | blk
-        rows = [_intersectors(sat[a], n) if a else 0 for a in range(1 << n)]
+        block_of = {x: carrier.subset_mask(b) for b in blocks for x in b}
+        sat = _join_table([block_of[x] for x in els])
+        rows = [_intersectors(s, n) for s in sat]
         yield blocks, Prox(carrier, rows)
 
 

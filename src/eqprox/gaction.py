@@ -20,6 +20,7 @@ from itertools import combinations
 
 from . import setrel
 from .errors import CarrierMismatch
+from .proximity import _join_table
 from .uniformity import UnifBase
 
 DEFAULT_MAX_GROUP = 48
@@ -296,18 +297,13 @@ class GActionGerm:
     def level_translates(self, level_index):
         """For chain level V: trans[m] = mask of V.m for every subset mask m.
 
-        Each entry is the one without the lowest bit of m, ORed with that
-        point's translate mask, so the table costs one OR per subset.
+        Translation preserves unions, so the table is the join table of the
+        point translate masks, one OR per subset.
         """
         key = ("trans", level_index)
         cache = self.__dict__.setdefault("_masks", {})
         if key not in cache:
-            lem = self.level_elem_masks(level_index)
-            trans = [0] * (1 << self.carrier.n)
-            for m in range(1, len(trans)):
-                low = m & -m
-                trans[m] = trans[m ^ low] | lem[low.bit_length() - 1]
-            cache[key] = tuple(trans)
+            cache[key] = tuple(_join_table(self.level_elem_masks(level_index)))
         return cache[key]
 
     def set_translate_mask(self, subset_indices, mask):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import setrel
 from .errors import CarrierMismatch, InternalCheckFailure, PreconditionFailure
 from .gaction import classify, _group_indices
-from .proximity import Prox, _intersectors
+from .proximity import Prox, _and_intersectors, _join_table
 from .uniformity import UnifBase, refines
 
 
@@ -318,8 +318,7 @@ def metric_g_proximity(m, a):
     carrier = m.carrier
     n = carrier.n
     N = 1 << n
-    full_bits = (1 << N) - 1
-    rows = [full_bits] * N
+    rows = [(1 << N) - 1] * N
     # Zero-distance hull per point; for a genuine metric this is the point
     # itself, for a pseudometric its kernel class.
     zero_of = [0] * n
@@ -327,22 +326,11 @@ def metric_g_proximity(m, a):
         for j in range(n):
             if m.dist[i][j] == 0:
                 zero_of[i] |= 1 << j
+    hull = _join_table(zero_of)
     for li in range(len(a.ne.levels)):
-        trans = a.level_translates(li)
-        ilem = a.level_inverse_elem_masks(li)
-        for mask in range(N):
-            hull = 0
-            mm = trans[mask]
-            while mm:
-                low = mm & -mm
-                hull |= zero_of[low.bit_length() - 1]
-                mm ^= low
-            # B is near A at this level iff VB meets the zero hull of VA,
-            # i.e. B meets its pullback through the level.
-            pull = 0
-            while hull:
-                low = hull & -hull
-                pull |= ilem[low.bit_length() - 1]
-                hull ^= low
-            rows[mask] &= _intersectors(pull, n)
+        # B is near A at this level iff VB meets the zero hull of VA,
+        # i.e. B meets its pullback through the level.
+        pullback = _join_table(a.level_inverse_elem_masks(li))
+        _and_intersectors(
+            rows, [pullback[hull[t]] for t in a.level_translates(li)], n)
     return Prox(carrier, rows)

@@ -50,10 +50,35 @@ def _submask_table(n):
     return tuple(table)
 
 
+def _join_table(point_masks):
+    """table[m] = OR of point_masks[x] over the points x of m, for every
+    subset mask m of the n = len(point_masks) points.
+
+    A union-preserving map of the subset lattice is fixed by its n point
+    values.  The table is built by doubling: adjoining point i appends a
+    copy of the table so far with that point's mask ORed in, one OR per
+    subset.
+    """
+    table = [0]
+    for p in point_masks:
+        table += [m | p for m in table]
+    return table
+
+
 def _intersectors(mask, n):
     """Bitmask over subset indices b with b & mask != 0."""
     full_bits = (1 << (1 << n)) - 1
     return full_bits ^ _submask_table(n)[((1 << n) - 1) ^ mask]
+
+
+def _and_intersectors(rows, masks, n):
+    """rows[m] &= _intersectors(masks[m], n) for every subset mask m, in
+    place: afterwards B is near A only if B meets masks[A]."""
+    N = 1 << n
+    full_bits = (1 << N) - 1
+    table = _submask_table(n)
+    for m in range(N):
+        rows[m] &= full_bits ^ table[(N - 1) ^ masks[m]]
 
 
 @lru_cache(maxsize=None)
@@ -435,16 +460,9 @@ def from_uniformity(u):
     carrier = u.carrier
     n = carrier.n
     N = 1 << n
-    full_bits = (1 << N) - 1
-    rows = [full_bits] * N
+    rows = [(1 << N) - 1] * N
     for eps in u.basis:
-        imgs = eps.image_masks
-        img = [0] * N
-        for a in range(1, N):
-            low = a & -a
-            img[a] = img[a ^ low] | imgs[low.bit_length() - 1]
-        for a in range(N):
-            rows[a] &= _intersectors(img[a], n)
+        _and_intersectors(rows, _join_table(eps.image_masks), n)
     return Prox(carrier, rows)
 
 

@@ -23,14 +23,16 @@ from fractions import Fraction
 from . import rationals as rat
 from .equivariant import beta_g_proximity, check_equinormal, compute_ug, \
     deepest_orbits_coincide, enumerate_partition_proximities, \
-    is_action_compatible, is_g_invariant, nu_proximity, semigroup_upgrade
+    is_action_compatible, is_g_invariant, nu_proximity, semigroup_upgrade, \
+    set_partitions
 from .errors import InternalCheckFailure
 from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
     check_action_continuity, classify, saturate_uniformity
 from .metricprox import FiniteMetric, PseudometricFamily, is_isometric, \
     metric_g_proximity, metric_uniformity, xi_report, \
     sup_pseudometric
-from .proximity import P1_P5, Prox, check_axioms, dominates, from_uniformity
+from .proximity import P1_P5, Prox, _intersectors, _join_table, \
+    check_axioms, dominates, from_uniformity
 from .setrel import Carrier, Rel, diagonal, full_relation
 from .uniformity import UnifBase, discrete_basis, is_hausdorff, \
     refinement_equivalent, validate_basis
@@ -147,17 +149,6 @@ def germ_chains(group):
 # Entourage basis pools
 
 
-def _partitions(items):
-    if not items:
-        yield []
-        return
-    head, rest = items[0], items[1:]
-    for part in _partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [head]] + part[i + 1:]
-        yield [[head]] + part
-
-
 def equivalence_rel(carrier, blocks):
     pairs = []
     for block in blocks:
@@ -169,7 +160,7 @@ def equivalence_rel(carrier, blocks):
 
 def _all_equivalences(carrier):
     out = []
-    for part in _partitions(list(carrier.elements)):
+    for part in set_partitions(list(carrier.elements)):
         out.append(equivalence_rel(carrier, part))
     out.sort(key=lambda r: (len(r.pairs), sorted(map(r._pair_key, r.pairs))))
     return out
@@ -523,26 +514,13 @@ def _graph_proximity(carrier, rng):
     graph is transitive, which random graphs routinely violate, so these
     exercise the P5/P5' agreement in both directions."""
     n = carrier.n
-    els = carrier.elements
     adj = [1 << i for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.4:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    del els
-
-    def hull(mask):
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= adj[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    from .proximity import _intersectors
-    rows = [_intersectors(hull(a), n) if a else 0 for a in range(1 << n)]
-    return Prox(carrier, rows)
+    return Prox(carrier, [_intersectors(h, n) for h in _join_table(adj)])
 
 
 def _random_valid_basis(carrier, rng):

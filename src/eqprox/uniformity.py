@@ -161,23 +161,22 @@ def totally_bounded(u):
 
 
 def _small_sets(eps):
-    """Masks of the maximal eps-small subsets, in mask order."""
-    carrier = eps.carrier
-    n = carrier.n
-    imgs = eps.image_masks
-    small = []
+    """Masks of the maximal eps-small subsets, in mask order.
+
+    A is small iff A minus its lowest point x is small and A lies in both
+    eps(x) and eps^-1(x).  Small sets are closed under subsets, so a small
+    set is maximal iff no one-point extension of it is small: O(n * 2**n)
+    lookups in all.
+    """
+    n = eps.carrier.n
+    both = [i & p for i, p in zip(eps.image_masks, eps.preimage_masks)]
+    small = bytearray(1 << n)
+    small[0] = 1
     for a in range(1, 1 << n):
-        rest, ok = a, True
-        while rest:
-            low = rest & -rest
-            if a & ~imgs[low.bit_length() - 1]:
-                ok = False
-                break
-            rest ^= low
-        if ok:
-            small.append(a)
-    maximal = [a for a in small if not any(b != a and b | a == b for b in small)]
-    return maximal
+        low = a & -a
+        small[a] = small[a ^ low] and not a & ~both[low.bit_length() - 1]
+    return [a for a in range(1, 1 << n) if small[a]
+            and not any(small[a | 1 << x] for x in range(n) if not a >> x & 1)]
 
 
 def _min_small_cover(eps):

@@ -1,14 +1,20 @@
-"""The scalar group-action scans, kept as references for the bitset ones.
+"""Earlier group-action scans, kept as references for the current ones.
 
 These are the loop-per-bit ``is_g_invariant``, ``check_action_continuity``
 and equinormal pair scan that ``eqprox.equivariant`` and ``eqprox.gaction``
-used before their scans became whole-row integer operations.  The bodies
+used before their scans became whole-row integer operations, and the
+``nu_proximity``, ``beta_g_proximity``, ``is_action_compatible`` and
+``_separation_ok`` that pulled every subset back through a level one point
+at a time before they were built from point-mask join tables.  The bodies
 are kept unchanged, so that ``test_equivariant_differential.py`` compares
-the production scans with the originals, verdict and witness alike.  This
-is test-only code: nothing under ``src/`` may import it.
+the production code with the originals, tables, verdicts and witnesses
+alike.  This is test-only code: nothing under ``src/`` may import it.
 """
 
-from eqprox.errors import CarrierMismatch
+from eqprox.errors import CarrierMismatch, InternalCheckFailure, \
+    PreconditionFailure
+from eqprox.proximity import Prox, _intersectors, _submask_table
+from eqprox.uniformity import validate_basis
 
 
 def is_g_invariant_reference(p, a):
@@ -100,3 +106,122 @@ def _find_pi_disjoint_neighborhoods(a, am, bm):
     if _pi_disjoint(a, am, bm):
         return am, bm
     return None
+
+
+# The per-subset pullback versions, before the join tables.
+
+def _level_pullback(a, level_index, mask):
+    """V^{-1} m: points whose V-translate meets m."""
+    out = 0
+    masks = a.level_inverse_elem_masks(level_index)
+    while mask:
+        low = mask & -mask
+        out |= masks[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def nu_proximity_reference(a, u):
+    """Translate nearness: A and B are near when at every chain level the
+    level translates are near in the proximity induced by u.
+
+    All chain levels are evaluated; by monotonicity of translation the
+    deepest level alone gives the same table, and that reduction is
+    asserted rather than assumed.
+    """
+    report = validate_basis(u)
+    if not report.ok():
+        raise PreconditionFailure(
+            f"input basis fails condition {report.failures()[0]}",
+            witness=report)
+    carrier = a.carrier
+    n = carrier.n
+    N = 1 << n
+    full_bits = (1 << N) - 1
+    levels = range(len(a.ne.levels))
+
+    def rows_for(level_list):
+        rows = [full_bits] * N
+        for li in level_list:
+            trans = a.level_translates(li)
+            for eps in u.basis:
+                for m in range(N):
+                    pull = _level_pullback(a, li, eps.image_mask(trans[m]))
+                    rows[m] &= _intersectors(pull, n)
+        return rows
+
+    rows = rows_for(list(levels))
+    reduced = rows_for([len(a.ne.levels) - 1])
+    if rows != reduced:
+        raise InternalCheckFailure(
+            "translate nearness differs between the full chain and the "
+            "deepest level; the chain is not descending")
+    return Prox(carrier, rows)
+
+
+def beta_g_proximity_reference(a):
+    """The maximal group proximity on a finite discrete carrier:
+    A and B are near when their translates overlap at every chain level."""
+    carrier = a.carrier
+    n = carrier.n
+    N = 1 << n
+    full_bits = (1 << N) - 1
+    rows = [full_bits] * N
+    for li in range(len(a.ne.levels)):
+        trans = a.level_translates(li)
+        for m in range(N):
+            rows[m] &= _intersectors(_level_pullback(a, li, trans[m]), n)
+    return Prox(carrier, rows)
+
+
+def is_action_compatible_reference(p, a):
+    """Whether every far pair has disjoint translates at some chain level."""
+    carrier = a.carrier
+    n = carrier.n
+    N = 1 << n
+    full_bits = (1 << N) - 1
+    table = _submask_table(n)
+    fulln = N - 1
+    disjoint_or = [0] * N
+    for li in range(len(a.ne.levels)):
+        trans = a.level_translates(li)
+        for m in range(N):
+            pull = _level_pullback(a, li, trans[m])
+            disjoint_or[m] |= table[fulln ^ pull]
+    for am in range(N):
+        viol = ~p.rows[am] & full_bits & ~disjoint_or[am]
+        if viol:
+            b = (viol & -viol).bit_length() - 1
+            return False, (carrier.mask_subset(am), carrier.mask_subset(b))
+    return True, None
+
+
+def separation_ok_reference(a):
+    """Whether every pi-disjoint pair is witnessed, scanned as whole rows.
+
+    For row A and level V, the pi-disjoint partners are the submasks of
+    {x : Vx misses VA}, read through level_elem_masks; the partners whose
+    canonical neighborhood pair (A, B) is disjoint are the submasks of the
+    complement of the pullback V^{-1}VA, read through
+    level_inverse_elem_masks.  The scan costs Theta(levels * n * 2**n)
+    mask operations and one 2**n-bit OR per row and level, where a pair by
+    pair scan costs Theta(levels * n * 4**n).
+    """
+    n = a.carrier.n
+    N = 1 << n
+    table = _submask_table(n)
+    routes = [(li, a.level_translates(li), a.level_elem_masks(li))
+              for li in range(len(a.ne.levels))]
+    for am in range(N):
+        disjoint = witnessed = 0
+        for li, trans, lem in routes:
+            t = trans[am]
+            free = 0
+            for x in range(n):
+                if not lem[x] & t:
+                    free |= 1 << x
+            disjoint |= table[free]
+            witnessed |= table[(N - 1) ^ _level_pullback(a, li, t)]
+        if disjoint & ~witnessed:
+            return False
+    return True

@@ -2,7 +2,11 @@ import json
 from pathlib import Path
 
 from eqprox.cli import main
+from eqprox.document import load_instance
+from eqprox.equivariant import compute_ug, nu_proximity
 from eqprox.gaction import GActionGerm
+from eqprox.proximity import from_uniformity
+from eqprox.uniformity import discrete_basis
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -38,6 +42,31 @@ def test_equinormal_twelve_points_at_the_cap(capsys):
     assert code == 0
     assert "equinormal: yes" in out
     assert "pi-disjoint pairs admit pi-disjoint neighborhoods: pass" in out
+
+
+def rows_hex(p):
+    return [format(r, "x") for r in p.rows]
+
+
+def test_betag_twelve_points_at_the_cap(capsys):
+    # The maximal group proximity is nu over the discrete basis.
+    path = fixture("twelve_points_s3.json")
+    code, out, _ = run(capsys, "betag", path, "--json")
+    assert code == 0
+    germ = load_instance(path).germ
+    expected = nu_proximity(germ, discrete_basis(germ.carrier))
+    assert json.loads(out)["rows_hex"] == rows_hex(expected)
+
+
+def test_nu_twelve_points_at_the_cap(capsys):
+    # The headline identity at the cap: translate nearness equals the
+    # proximity of the derived bracket basis.
+    path = fixture("twelve_points_s3_orbits.json")
+    code, out, _ = run(capsys, "nu", path, "--json")
+    assert code == 0
+    inst = load_instance(path)
+    expected = from_uniformity(compute_ug(inst.germ, inst.uniformity))
+    assert json.loads(out)["rows_hex"] == rows_hex(expected)
 
 
 def test_equinormal_exits_1_when_a_mask_route_disagrees(capsys, monkeypatch):

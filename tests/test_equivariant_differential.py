@@ -1,23 +1,36 @@
-"""The bitset group-action scans against the scalar references.
+"""The bitset group-action scans and the join-table proximities against
+the scalar references.
 
-``is_g_invariant`` and ``check_action_continuity`` must return the
-reference's verdict and first witness; the equinormal separation scan must
-return the reference pair scan's verdict.  Failing inputs are included on
-purpose, so that witnesses, not only verdicts, are compared.
+``is_g_invariant``, ``check_action_continuity`` and
+``is_action_compatible`` must return the reference's verdict and first
+witness; the equinormal separation scans must return the reference scans'
+verdicts; ``nu_proximity`` and ``beta_g_proximity`` must return the
+reference's tables, or raise the same error.  Failing inputs are included
+on purpose, so that witnesses, not only verdicts, are compared.
 """
 
 import random
+from pathlib import Path
 
-from equivariant_reference import check_action_continuity_reference, \
-    equinormal_separation_reference, is_g_invariant_reference
+import pytest
+from equivariant_reference import beta_g_proximity_reference, \
+    check_action_continuity_reference, equinormal_separation_reference, \
+    is_action_compatible_reference, is_g_invariant_reference, \
+    nu_proximity_reference, separation_ok_reference
 
-from eqprox.equivariant import beta_g_proximity, check_equinormal, \
-    enumerate_partition_proximities, is_g_invariant
+from eqprox.document import load_instance
+from eqprox.equivariant import _separation_ok, beta_g_proximity, \
+    check_equinormal, enumerate_partition_proximities, is_action_compatible, \
+    is_g_invariant, nu_proximity
+from eqprox.errors import InternalCheckFailure, PreconditionFailure
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
     check_action_continuity, saturate_uniformity
 from eqprox.proximity import Prox, from_uniformity
 from eqprox.setrel import Carrier
 from eqprox.suite import _random_valid_basis, iter_family
+from eqprox.uniformity import discrete_basis
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def assert_same_invariance(p, a):
@@ -28,6 +41,33 @@ def assert_same_invariance(p, a):
 def assert_same_continuity(a, u):
     assert check_action_continuity(a, u) == \
         check_action_continuity_reference(a, u), (a, u.basis)
+
+
+def nu_or_error(nu, a, u):
+    try:
+        return nu(a, u).rows
+    except PreconditionFailure as err:
+        return "precondition", str(err)
+
+
+def assert_same_nu(a, u):
+    assert nu_or_error(nu_proximity, a, u) == \
+        nu_or_error(nu_proximity_reference, a, u), (a, u.basis)
+
+
+def assert_same_compatibility(p, a):
+    assert is_action_compatible(p, a) == \
+        is_action_compatible_reference(p, a), (a, p.rows)
+
+
+def assert_same_germ_tables(a, rng):
+    """betag, the separation scan and the compatibility verdicts and
+    witnesses of betag and of one corrupted copy of it."""
+    bg = beta_g_proximity(a)
+    assert bg.rows == beta_g_proximity_reference(a).rows, a
+    assert _separation_ok(a) == separation_ok_reference(a), a
+    assert_same_compatibility(bg, a)
+    assert_same_compatibility(flip_one_bit(bg, rng), a)
 
 
 def random_germ(rng, n):
@@ -97,3 +137,57 @@ def test_random_non_invariant_tables_match_reference():
             assert_same_invariance(Prox(a.carrier, rows, normalize=False), a)
             # One flipped bit of an invariant table fails deep in the scan.
             assert_same_invariance(flip_one_bit(beta_g_proximity(a), rng), a)
+
+
+def test_join_table_proximities_match_reference_on_suite_germs():
+    rng = random.Random(33)
+    germs = {}
+    for _label, germ, u in iter_family(max_n=4, seed=0):
+        assert_same_nu(germ, u)
+        assert_same_compatibility(from_uniformity(u), germ)
+        key = (id(germ.group), germ.ne.levels, germ.carrier.n, germ.act)
+        germs[key] = germ
+    for germ in germs.values():
+        assert_same_nu(germ, discrete_basis(germ.carrier))
+        assert_same_germ_tables(germ, rng)
+
+
+def test_join_table_proximities_match_reference_on_random_actions():
+    rng = random.Random(34)
+    for n in range(1, 9):
+        for _ in range(5):
+            a = random_germ(rng, n)
+            u = _random_valid_basis(a.carrier, rng)
+            for basis in (u, saturate_uniformity(a, u),
+                          discrete_basis(a.carrier)):
+                assert_same_nu(a, basis)
+                assert_same_compatibility(from_uniformity(basis), a)
+            assert_same_germ_tables(a, rng)
+
+
+@pytest.mark.parametrize("name", ["twelve_points_s3.json",
+                                  "twelve_points_s3_orbits.json"])
+def test_join_table_proximities_match_reference_at_the_cap(name):
+    inst = load_instance(str(FIXTURES / name))
+    a = inst.germ
+    bases = [discrete_basis(a.carrier)]
+    if inst.uniformity is not None:
+        bases.append(inst.uniformity)
+    for u in bases:
+        nu = nu_proximity(a, u)
+        assert nu.rows == nu_proximity_reference(a, u).rows
+        assert_same_compatibility(nu, a)
+    assert_same_germ_tables(a, random.Random(35))
+
+
+@pytest.mark.parametrize("nu", [nu_proximity, nu_proximity_reference])
+def test_nu_traps_a_chain_that_is_not_descending(nu):
+    # A valid germ whose chain is then overwritten by the ascending
+    # ({e}, G): the identity level keeps the swapped points apart, the
+    # whole group does not, so the full chain and the deepest level differ.
+    g = FiniteGroup.cyclic(2)
+    a = GActionGerm(g, NeighborhoodBase(g, [frozenset({0, 1})]),
+                    Carrier(["a", "b"]), [(0, 1), (1, 0)])
+    a.ne.levels = (frozenset({g.e}), frozenset(range(g.order)))
+    with pytest.raises(InternalCheckFailure, match="not descending"):
+        nu(a, discrete_basis(a.carrier))

@@ -4,9 +4,10 @@ from itertools import permutations
 import pytest
 
 from eqprox.errors import ResourceCap
-from eqprox.proximity import P1_P5, Prox, _index_bit_swaps, \
-    _permute_index_bits, _reverse_bits, _transpose, check_axioms, closure, \
-    dominates, from_uniformity, is_separated, separated_reflection
+from eqprox.proximity import P1_P5, Prox, _and_intersectors, \
+    _index_bit_swaps, _join_table, _permute_index_bits, _reverse_bits, \
+    _transpose, check_axioms, closure, dominates, from_uniformity, \
+    is_separated, separated_reflection
 from eqprox.setrel import Carrier, Rel, diagonal, full_relation
 from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis
 
@@ -162,6 +163,34 @@ def test_refinement_invariance_of_induced_proximity():
 def test_axiom_check_resource_cap():
     with pytest.raises(ResourceCap):
         check_axioms(Prox.overlap(Carrier(range(4))), cap=3)
+
+
+def test_join_table_matches_per_subset_union():
+    rng = random.Random(20)
+    for n in range(0, 9):
+        for _ in range(3):
+            points = [rng.getrandbits(12) for _ in range(n)]
+            expected = []
+            for m in range(1 << n):
+                out = 0
+                for x in range(n):
+                    if m >> x & 1:
+                        out |= points[x]
+                expected.append(out)
+            assert _join_table(points) == expected
+
+
+def test_and_intersectors_matches_per_bit_meets():
+    rng = random.Random(19)
+    for n in range(0, 7):
+        N = 1 << n
+        rows = [rng.getrandbits(N) for _ in range(N)]
+        masks = [rng.getrandbits(n) for _ in range(N)]
+        expected = [sum(1 << b for b in range(N)
+                        if rows[a] >> b & 1 and b & masks[a])
+                    for a in range(N)]
+        _and_intersectors(rows, masks, n)
+        assert rows == expected
 
 
 def test_transpose_matches_per_bit_transpose():

@@ -6,9 +6,11 @@ import pytest
 from eqprox.errors import CarrierMismatch
 from eqprox.proximity import from_uniformity, check_axioms
 from eqprox.setrel import Carrier, Rel, diagonal, full_relation
-from eqprox.uniformity import UnifBase, basis_intersection, discrete_basis, \
-    indiscrete_basis, induced_topology, is_hausdorff, refinement_equivalent, \
-    refines, totally_bounded, validate_basis
+from eqprox.suite import basis_pool
+from eqprox.uniformity import UnifBase, _min_small_cover, _small_sets, \
+    basis_intersection, discrete_basis, indiscrete_basis, induced_topology, \
+    is_hausdorff, refinement_equivalent, refines, totally_bounded, \
+    validate_basis
 
 
 def brute_open_sets(u):
@@ -165,3 +167,34 @@ def test_totally_bounded_minimal_cover_matches_brute_force():
         for part in covers[k]:
             assert all((x, y) in eps.pairs for x in part for y in part)
         assert frozenset().union(*covers[k]) == frozenset(c.elements)
+
+
+def small_sets_by_pairwise_filter(eps):
+    """The maximal eps-small sets, by testing every small set against every
+    other one for a strict superset."""
+    n = eps.carrier.n
+    small = [a for a in range(1, 1 << n)
+             if all(a & ~eps.image_masks[x] == 0
+                    for x in range(n) if a >> x & 1)]
+    return [a for a in small if not any(b != a and b | a == b for b in small)]
+
+
+def test_maximal_small_sets_match_pairwise_filter():
+    rng = random.Random(5)
+    for n in range(1, 6):
+        c = Carrier(range(n))
+        entourages = {eps for u in basis_pool(c, rng) for eps in u.basis}
+        # Non-reflexive relations too: points without a loop are in no
+        # small set.
+        entourages.update(
+            Rel(c, [(x, y) for x in range(n) for y in range(n)
+                     if rng.random() < 0.6]) for _ in range(10))
+        for eps in entourages:
+            assert _small_sets(eps) == small_sets_by_pairwise_filter(eps)
+
+
+def test_indiscrete_twelve_points_has_one_maximal_small_set():
+    c = Carrier(range(12))
+    eps = full_relation(c)
+    assert _small_sets(eps) == [c.full_mask]
+    assert _min_small_cover(eps) == (frozenset(c.elements),)
