@@ -3,7 +3,8 @@
 Commands: validate, ug, nu, betag, equinormal, massive, rat (far | tower |
 claim), suite.  Exit codes: 0 all checks pass, 1 a mathematical check
 failed (a counterexample is printed), 2 input or parse error, 3 resource
-cap exceeded.  Output is deterministic: identical inputs (and seed, for
+cap exceeded, 4 internal error (a bug trap fired: a defect in eqprox, not
+in the input).  Output is deterministic: identical inputs (and seed, for
 the suite) give byte-identical reports.
 """
 
@@ -12,12 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import rationals as rat
 from .document import load_instance, rel_to_json, subset_to_json
 from .equivariant import beta_g_proximity, check_equinormal, compute_ug, \
     is_massive, nu_proximity
-from .errors import DocumentError, PreconditionFailure, ResourceCap
+from .errors import DocumentError, InternalCheckFailure, \
+    PreconditionFailure, ResourceCap
 from .gaction import classify
 from .proximity import P1_P5, check_axioms, from_uniformity, is_separated
 from .suite import run_suite
@@ -27,6 +30,7 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _emit_json(payload):
@@ -231,7 +235,9 @@ def cmd_suite(args):
     return EXIT_OK if report.ok else EXIT_MATH
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="eqprox",
         description="Finite-instance computations for group-aware "
@@ -304,6 +310,9 @@ def main(argv=None):
     except ResourceCap as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except InternalCheckFailure as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

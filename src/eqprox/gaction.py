@@ -16,12 +16,14 @@ I/O edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 from . import setrel
 from .errors import CarrierMismatch
 from .proximity import _join_table
-from .uniformity import UnifBase
+from .uniformity import UnifBase, _first_uncovered
 
 DEFAULT_MAX_GROUP = 48
 
@@ -256,34 +258,32 @@ class GActionGerm:
         self.carrier = carrier
         self.act = act
 
-    def level_elem_masks(self, level_index):
-        """For chain level V: masks of the point translates {v.x : v in V}."""
-        key = ("lem", level_index)
+    def _cached(self, key, build):
+        """build(), computed once per germ and key."""
         cache = self.__dict__.setdefault("_masks", {})
         if key not in cache:
-            n = self.carrier.n
-            masks = [0] * n
-            for v in self.ne.levels[level_index]:
-                p = self.act[v]
-                for x in range(n):
-                    masks[x] |= 1 << p[x]
-            cache[key] = tuple(masks)
+            cache[key] = build()
         return cache[key]
+
+    def level_elem_masks(self, level_index):
+        """For chain level V: masks of the point translates {v.x : v in V}."""
+        return self._cached(("lem", level_index), lambda: self._point_masks(
+            self.ne.levels[level_index]))
 
     def level_inverse_elem_masks(self, level_index):
         """Masks of {v^{-1}.x : v in V}, used to pull sets back through a level."""
-        key = ("ilem", level_index)
-        cache = self.__dict__.setdefault("_masks", {})
-        if key not in cache:
-            n = self.carrier.n
-            inv = self.group.inv
-            masks = [0] * n
-            for v in self.ne.levels[level_index]:
-                p = self.act[inv[v]]
-                for x in range(n):
-                    masks[x] |= 1 << p[x]
-            cache[key] = tuple(masks)
-        return cache[key]
+        inv = self.group.inv
+        return self._cached(("ilem", level_index), lambda: self._point_masks(
+            inv[v] for v in self.ne.levels[level_index]))
+
+    def _point_masks(self, elems):
+        n = self.carrier.n
+        masks = [0] * n
+        for v in elems:
+            p = self.act[v]
+            for x in range(n):
+                masks[x] |= 1 << p[x]
+        return tuple(masks)
 
     def translate_mask(self, level_index, mask):
         out = 0
@@ -300,11 +300,28 @@ class GActionGerm:
         Translation preserves unions, so the table is the join table of the
         point translate masks, one OR per subset.
         """
-        key = ("trans", level_index)
-        cache = self.__dict__.setdefault("_masks", {})
-        if key not in cache:
-            cache[key] = tuple(_join_table(self.level_elem_masks(level_index)))
-        return cache[key]
+        return self._cached(("trans", level_index), lambda: tuple(
+            _join_table(self.level_elem_masks(level_index))))
+
+    def push_table(self, u):
+        """push[g][k] = g.eps_k as pair bits (`Rel.pair_bits`), for every
+        group element g and entourage eps_k of the basis u.
+
+        Theta(|G| * |basis| * n**2) bit operations, once per germ and basis
+        value: each g moves the n*n pair cells, and each pushed entourage
+        is the OR of its moved cells.
+        """
+        def build():
+            n = self.carrier.n
+            cells = [[c for c in range(n * n) if eps.pair_bits >> c & 1]
+                     for eps in u.basis]
+            table = []
+            for p in self.act:
+                moved = [1 << p[c // n] * n + p[c % n] for c in range(n * n)]
+                table.append(tuple(sum(map(moved.__getitem__, cs))
+                                   for cs in cells))
+            return tuple(table)
+        return self._cached(("push", u), build)
 
     def set_translate_mask(self, subset_indices, mask):
         """Translate a carrier mask by an arbitrary set of group indices."""
@@ -394,144 +411,108 @@ def classify(a, u):
     Failure witnesses are the first violating tuples in the fixed scan
     order (basis index, chain level, group index, carrier index), so they
     are reproducible.
+
+    The quantifiers run on the push table of the setting
+    (`GActionGerm.push_table`, Theta(|G| * |basis| * n**2) bit operations),
+    one AND of packed pair bits per containment test: saturated asks each
+    g.eps to contain a basis entourage, quasibounded ORs the table over
+    each chain level, and (uniform) equicontinuity ANDs it over the group
+    into the pairs that every translate keeps in eps.  The report is kept
+    on the germ per basis value, so a repeated setting is a lookup.
     """
     if u.carrier != a.carrier:
         raise CarrierMismatch("uniformity is not over the action's carrier")
-    group = a.group
+    return a._cached(("cls", u), lambda: _classify(a, u))
+
+
+def _classify(a, u):
     n = a.carrier.n
     basis = u.basis
-    levels = a.ne.levels
+    bits = [eps.pair_bits for eps in basis]
+    push = a.push_table(u)
+    deepest = len(a.ne.levels) - 1
     witnesses = {}
 
-    saturated = True
-    for g in range(group.order):
-        for k, eps in enumerate(basis):
-            geps = a.push_rel(g, eps)
-            if not any(geps.contains(d) for d in basis):
-                saturated = False
-                witnesses["saturated"] = (group.names[g], k)
-                break
-        if not saturated:
+    for g, row in enumerate(push):
+        k = _first_uncovered(row, bits)
+        if k is not None:
+            witnesses["saturated"] = (a.group.names[g], k)
             break
 
     # Boundedness at a chain level is antitone in the level, so the deepest
     # level decides; witnesses come from there.
-    bounded = True
     for k, eps in enumerate(basis):
-        if not _bounded_at(a, len(levels) - 1, eps):
-            bounded = False
-            witnesses["bounded"] = (k,) + _bounded_witness(a, len(levels) - 1, eps)
+        wit = _bounded_witness(a, deepest, eps)
+        if wit is not None:
+            witnesses["bounded"] = (k,) + wit
             break
 
-    quasibounded = True
-    for k, eps in enumerate(basis):
-        if not any(_quasibounded_at(a, li, delta, eps)
-                   for li in range(len(levels)) for delta in basis):
-            quasibounded = False
-            witnesses["quasibounded"] = (
-                (k,) + _quasibounded_witness(a, len(levels) - 1, basis[0], eps))
-            break
+    spread = [s for level in a.ne.levels
+              for s in _fold(or_, (push[v] for v in level))]
+    k = _first_uncovered(bits, spread)
+    if k is not None:
+        witnesses["quasibounded"] = (k,) + _quasibounded_witness(
+            a, deepest, basis[0], basis[k])
 
-    equicontinuous = True
+    kept = _fold(and_, push)
     for x0 in range(n):
-        for k, eps in enumerate(basis):
-            if not any(_equicontinuous_at(a, x0, delta, eps)
-                       for delta in basis):
-                equicontinuous = False
-                witnesses["equicontinuous"] = (a.carrier.elements[x0], k)
-                break
-        if not equicontinuous:
+        k = _first_uncovered([core >> x0 * n for core in kept],
+                             [delta.image_masks[x0] for delta in basis])
+        if k is not None:
+            witnesses["equicontinuous"] = (a.carrier.elements[x0], k)
             break
 
-    uniformly_equicontinuous = True
-    for k, eps in enumerate(basis):
-        if not any(_uec_at(a, delta, eps) for delta in basis):
-            uniformly_equicontinuous = False
-            witnesses["uniformly_equicontinuous"] = (k,)
-            break
+    k = _first_uncovered(kept, bits)
+    if k is not None:
+        witnesses["uniformly_equicontinuous"] = (k,)
 
     continuous, cwit = check_action_continuity(a, u)
     if not continuous:
         witnesses["action_continuous"] = cwit
 
     return ClassificationReport(
-        saturated=saturated,
-        bounded=bounded,
-        quasibounded=quasibounded,
-        equicontinuous=equicontinuous,
-        uniformly_equicontinuous=uniformly_equicontinuous,
+        saturated="saturated" not in witnesses,
+        bounded="bounded" not in witnesses,
+        quasibounded="quasibounded" not in witnesses,
+        equicontinuous="equicontinuous" not in witnesses,
+        uniformly_equicontinuous="uniformly_equicontinuous" not in witnesses,
         action_continuous=continuous,
         witnesses=witnesses,
     )
 
 
-def _bounded_at(a, level_index, eps):
-    imgs = eps.image_masks
-    for v in sorted(a.ne.levels[level_index]):
-        p = a.act[v]
-        for x in range(a.carrier.n):
-            if not imgs[p[x]] >> x & 1:
-                return False
-    return True
+def _fold(op, rows):
+    """Entrywise op over equal-length rows of integers."""
+    return [reduce(op, col) for col in zip(*rows)]
 
 
 def _bounded_witness(a, level_index, eps):
+    """The first (v, x) with (v.x, x) outside eps, v in the chain level
+    and x in index order, or None when the level is eps-bounded."""
     imgs = eps.image_masks
     for v in sorted(a.ne.levels[level_index]):
         p = a.act[v]
         for x in range(a.carrier.n):
             if not imgs[p[x]] >> x & 1:
                 return (a.group.names[v], a.carrier.elements[x])
-    return ()
-
-
-def _quasibounded_at(a, level_index, delta, eps):
-    imgs = eps.image_masks
-    for v in sorted(a.ne.levels[level_index]):
-        p = a.act[v]
-        for x, y in delta.pairs:
-            i, j = a.carrier.index[x], a.carrier.index[y]
-            if not imgs[p[i]] >> p[j] & 1:
-                return False
-    return True
+    return None
 
 
 def _quasibounded_witness(a, level_index, delta, eps):
-    imgs = eps.image_masks
-    idx = a.carrier.index
-    pairs = sorted(delta.pairs, key=delta._pair_key)
+    """The first (v, x, y) with (v.x, v.y) outside eps, v in the chain
+    level and (x, y) in delta in index order, or None when v.delta lies
+    inside eps for every v in the level."""
+    n = a.carrier.n
+    els = a.carrier.elements
     for v in sorted(a.ne.levels[level_index]):
         p = a.act[v]
-        for x, y in pairs:
-            if not imgs[p[idx[x]]] >> p[idx[y]] & 1:
-                return (a.group.names[v], x, y)
-    return ()
-
-
-def _equicontinuous_at(a, x0, delta, eps):
-    nbhd = delta.image_masks[x0]
-    imgs = eps.image_masks
-    for g in range(a.group.order):
-        p = a.act[g]
-        m = nbhd
-        while m:
-            low = m & -m
-            x = low.bit_length() - 1
-            if not imgs[p[x0]] >> p[x] & 1:
-                return False
-            m ^= low
-    return True
-
-
-def _uec_at(a, delta, eps):
-    imgs = eps.image_masks
-    idx = a.carrier.index
-    for g in range(a.group.order):
-        p = a.act[g]
-        for x, y in delta.pairs:
-            if not imgs[p[idx[x]]] >> p[idx[y]] & 1:
-                return False
-    return True
+        cells = delta.pair_bits
+        while cells:
+            i, j = divmod((cells & -cells).bit_length() - 1, n)
+            if not eps.pair_bits >> p[i] * n + p[j] & 1:
+                return (a.group.names[v], els[i], els[j])
+            cells &= cells - 1
+    return None
 
 
 def check_action_continuity(a, u):
@@ -541,31 +522,29 @@ def check_action_continuity(a, u):
     basis delta with (g0 V) . delta(x0) inside eps(g0 x0).  Returns the
     first violating (g0, x0, eps index) otherwise.
 
-    The inclusion is tested as V . delta(x0) inside g0^{-1} eps(g0 x0), so
-    the translates V . delta(x0) are built once per call, and each
-    (g0, x0, eps) costs one pulled-back target and at most
-    |levels| * |basis| subset tests.
+    The inclusion is tested as V . delta(x0) inside g0^{-1} eps(g0 x0): the
+    translates V . delta(x0) are built once, and the target is row x0 of
+    g0^{-1}.eps in the push table (`GActionGerm.push_table`, shared with
+    `classify`), so each (g0, x0) costs at most |basis| * |levels| *
+    |basis| subset tests.  The result is kept on the germ per basis value.
     """
     if u.carrier != a.carrier:
         raise CarrierMismatch("uniformity is not over the action's carrier")
-    group = a.group
+    return a._cached(("cont", u), lambda: _action_continuity(a, u))
+
+
+def _action_continuity(a, u):
     n = a.carrier.n
+    push = a.push_table(u)
     moved = [[a.translate_mask(li, delta.image_masks[x0])
               for li in range(len(a.ne.levels)) for delta in u.basis]
              for x0 in range(n)]
-    for g0 in range(group.order):
-        p0 = a.act[g0]
-        back = a.act[group.inv[g0]]
+    for g0 in range(a.group.order):
+        pulled = push[a.group.inv[g0]]
         for x0 in range(n):
-            for k, eps in enumerate(u.basis):
-                target = eps.image_masks[p0[x0]]
-                pulled = 0
-                while target:
-                    low = target & -target
-                    pulled |= 1 << back[low.bit_length() - 1]
-                    target ^= low
-                if not any(m | pulled == pulled for m in moved[x0]):
-                    return False, (group.names[g0], a.carrier.elements[x0], k)
+            k = _first_uncovered([b >> x0 * n for b in pulled], moved[x0])
+            if k is not None:
+                return False, (a.group.names[g0], a.carrier.elements[x0], k)
     return True, None
 
 
@@ -574,14 +553,15 @@ def saturate_uniformity(a, u):
 
     The resulting basis generates the coarsest saturated refinement built
     from u: each new entourage is invariant under every translation, and
-    the four basis conditions survive the intersection.
+    the four basis conditions survive the intersection.  The intersections
+    are the ANDs of the push table over the group (the table is shared
+    with `classify`).
     """
     if u.carrier != a.carrier:
         raise CarrierMismatch("uniformity is not over the action's carrier")
-    out = []
-    for eps in u.basis:
-        pairs = set(eps.pairs)
-        for g in range(a.group.order):
-            pairs &= a.push_rel(g, eps).pairs
-        out.append(setrel.Rel(u.carrier, pairs))
-    return UnifBase(u.carrier, out)
+    els = u.carrier.elements
+    cells = [(x, y) for x in els for y in els]
+    return UnifBase(u.carrier, [
+        setrel.Rel(u.carrier, (cell for c, cell in enumerate(cells)
+                               if bits >> c & 1))
+        for bits in _fold(and_, a.push_table(u))])

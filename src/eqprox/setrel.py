@@ -103,6 +103,16 @@ class Rel:
             masks[idx[y]] |= 1 << idx[x]
         return tuple(masks)
 
+    @cached_property
+    def pair_bits(self):
+        """The relation packed into one n*n-bit integer: bit i*n + j is the
+        pair (e_i, e_j), so containment of two relations is one AND."""
+        n = self.carrier.n
+        bits = 0
+        for i, m in enumerate(self.image_masks):
+            bits |= m << i * n
+        return bits
+
     def image_mask(self, mask):
         """Mask form of image_of_set: successors of any element in `mask`."""
         out = 0

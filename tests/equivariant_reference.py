@@ -5,15 +5,21 @@ and equinormal pair scan that ``eqprox.equivariant`` and ``eqprox.gaction``
 used before their scans became whole-row integer operations, and the
 ``nu_proximity``, ``beta_g_proximity``, ``is_action_compatible`` and
 ``_separation_ok`` that pulled every subset back through a level one point
-at a time before they were built from point-mask join tables.  The bodies
-are kept unchanged, so that ``test_equivariant_differential.py`` compares
+at a time before they were built from point-mask join tables, and the
+``classify`` (with its helpers) and ``validate_basis`` that tested
+containment on ``Rel`` pair sets before they worked on packed pair bits;
+``classify_reference`` reads continuity from the scalar
+``check_action_continuity_reference`` above.  The bodies are kept
+unchanged, so that ``test_equivariant_differential.py`` compares
 the production code with the originals, tables, verdicts and witnesses
 alike.  This is test-only code: nothing under ``src/`` may import it.
 """
 
+from eqprox import setrel
 from eqprox.errors import CarrierMismatch, InternalCheckFailure, \
     PreconditionFailure
-from eqprox.proximity import Prox, _intersectors, _submask_table
+from eqprox.gaction import ClassificationReport
+from eqprox.proximity import AxiomReport, Prox, _intersectors, _submask_table
 from eqprox.uniformity import validate_basis
 
 
@@ -225,3 +231,190 @@ def separation_ok_reference(a):
         if disjoint & ~witnessed:
             return False
     return True
+
+
+def classify_reference(a, u):
+    """Decide all action/uniformity verdicts by exhaustive quantifier search.
+
+    Failure witnesses are the first violating tuples in the fixed scan
+    order (basis index, chain level, group index, carrier index), so they
+    are reproducible.
+    """
+    if u.carrier != a.carrier:
+        raise CarrierMismatch("uniformity is not over the action's carrier")
+    group = a.group
+    n = a.carrier.n
+    basis = u.basis
+    levels = a.ne.levels
+    witnesses = {}
+
+    saturated = True
+    for g in range(group.order):
+        for k, eps in enumerate(basis):
+            geps = a.push_rel(g, eps)
+            if not any(geps.contains(d) for d in basis):
+                saturated = False
+                witnesses["saturated"] = (group.names[g], k)
+                break
+        if not saturated:
+            break
+
+    # Boundedness at a chain level is antitone in the level, so the deepest
+    # level decides; witnesses come from there.
+    bounded = True
+    for k, eps in enumerate(basis):
+        if not _bounded_at_reference(a, len(levels) - 1, eps):
+            bounded = False
+            witnesses["bounded"] = (k,) + _bounded_witness_reference(a, len(levels) - 1, eps)
+            break
+
+    quasibounded = True
+    for k, eps in enumerate(basis):
+        if not any(_quasibounded_at_reference(a, li, delta, eps)
+                   for li in range(len(levels)) for delta in basis):
+            quasibounded = False
+            witnesses["quasibounded"] = (
+                (k,) + _quasibounded_witness_reference(a, len(levels) - 1, basis[0], eps))
+            break
+
+    equicontinuous = True
+    for x0 in range(n):
+        for k, eps in enumerate(basis):
+            if not any(_equicontinuous_at_reference(a, x0, delta, eps)
+                       for delta in basis):
+                equicontinuous = False
+                witnesses["equicontinuous"] = (a.carrier.elements[x0], k)
+                break
+        if not equicontinuous:
+            break
+
+    uniformly_equicontinuous = True
+    for k, eps in enumerate(basis):
+        if not any(_uec_at_reference(a, delta, eps) for delta in basis):
+            uniformly_equicontinuous = False
+            witnesses["uniformly_equicontinuous"] = (k,)
+            break
+
+    continuous, cwit = check_action_continuity_reference(a, u)
+    if not continuous:
+        witnesses["action_continuous"] = cwit
+
+    return ClassificationReport(
+        saturated=saturated,
+        bounded=bounded,
+        quasibounded=quasibounded,
+        equicontinuous=equicontinuous,
+        uniformly_equicontinuous=uniformly_equicontinuous,
+        action_continuous=continuous,
+        witnesses=witnesses,
+    )
+
+
+def _bounded_at_reference(a, level_index, eps):
+    imgs = eps.image_masks
+    for v in sorted(a.ne.levels[level_index]):
+        p = a.act[v]
+        for x in range(a.carrier.n):
+            if not imgs[p[x]] >> x & 1:
+                return False
+    return True
+
+
+def _bounded_witness_reference(a, level_index, eps):
+    imgs = eps.image_masks
+    for v in sorted(a.ne.levels[level_index]):
+        p = a.act[v]
+        for x in range(a.carrier.n):
+            if not imgs[p[x]] >> x & 1:
+                return (a.group.names[v], a.carrier.elements[x])
+    return ()
+
+
+def _quasibounded_at_reference(a, level_index, delta, eps):
+    imgs = eps.image_masks
+    for v in sorted(a.ne.levels[level_index]):
+        p = a.act[v]
+        for x, y in delta.pairs:
+            i, j = a.carrier.index[x], a.carrier.index[y]
+            if not imgs[p[i]] >> p[j] & 1:
+                return False
+    return True
+
+
+def _quasibounded_witness_reference(a, level_index, delta, eps):
+    imgs = eps.image_masks
+    idx = a.carrier.index
+    pairs = sorted(delta.pairs, key=delta._pair_key)
+    for v in sorted(a.ne.levels[level_index]):
+        p = a.act[v]
+        for x, y in pairs:
+            if not imgs[p[idx[x]]] >> p[idx[y]] & 1:
+                return (a.group.names[v], x, y)
+    return ()
+
+
+def _equicontinuous_at_reference(a, x0, delta, eps):
+    nbhd = delta.image_masks[x0]
+    imgs = eps.image_masks
+    for g in range(a.group.order):
+        p = a.act[g]
+        m = nbhd
+        while m:
+            low = m & -m
+            x = low.bit_length() - 1
+            if not imgs[p[x0]] >> p[x] & 1:
+                return False
+            m ^= low
+    return True
+
+
+def _uec_at_reference(a, delta, eps):
+    imgs = eps.image_masks
+    idx = a.carrier.index
+    for g in range(a.group.order):
+        p = a.act[g]
+        for x, y in delta.pairs:
+            if not imgs[p[idx[x]]] >> p[idx[y]] & 1:
+                return False
+    return True
+
+
+def validate_basis_reference(u):
+    """Check the four basis conditions; failures carry the offending entourages."""
+    diag = setrel.diagonal(u.carrier).pairs
+    basis = u.basis
+    results = {}
+
+    results["B1"] = (True, None)
+    for k, eps in enumerate(basis):
+        missing = diag - eps.pairs
+        if missing:
+            results["B1"] = (False, (k, min(missing, key=eps._pair_key)))
+            break
+
+    results["B2"] = (True, None)
+    for k, eps in enumerate(basis):
+        inv = setrel.invert(eps)
+        if not any(inv.contains(d) for d in basis):
+            results["B2"] = (False, (k,))
+            break
+
+    results["B3"] = (True, None)
+    done = False
+    for i, eps in enumerate(basis):
+        for j, delta in enumerate(basis):
+            meet = eps.pairs & delta.pairs
+            if not any(g.pairs <= meet for g in basis):
+                results["B3"] = (False, (i, j))
+                done = True
+                break
+        if done:
+            break
+
+    results["B4"] = (True, None)
+    for k, eps in enumerate(basis):
+        if not any(eps.contains(setrel.compose(d, d)) for d in basis):
+            results["B4"] = (False, (k,))
+            break
+
+    return AxiomReport(results)

@@ -1,9 +1,12 @@
 import json
 from pathlib import Path
 
-from eqprox.cli import main
+import pytest
+
+from eqprox.cli import EXIT_INTERNAL, build_parser, main
 from eqprox.document import load_instance
 from eqprox.equivariant import compute_ug, nu_proximity
+from eqprox.errors import InternalCheckFailure
 from eqprox.gaction import GActionGerm
 from eqprox.proximity import from_uniformity
 from eqprox.uniformity import discrete_basis
@@ -210,3 +213,32 @@ def test_suite_negative_control_betag(capsys):
                        "--filter", "betag", "--inject", "betag")
     assert code == 1
     assert "first counterexample" in out
+
+
+def test_one_parser_serves_consecutive_commands(capsys):
+    assert build_parser() is build_parser()
+    code1, out1, _ = run(capsys, "nu", fixture("z3_rotation.json"),
+                         "--sets", "A", "B")
+    code2, out2, _ = run(capsys, "ug", fixture("z3_rotation.json"), "--json")
+    assert code1 == code2 == 0
+    assert out1.strip() == "near"
+    assert json.loads(out2)["what"] == "ug"
+    with pytest.raises(SystemExit) as exc:
+        main(["nu", fixture("z3_rotation.json"), "--sets", "A"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code3, out3, _ = run(capsys, "nu", fixture("z3_rotation.json"),
+                         "--sets", "A", "B", "--json")
+    assert code3 == 0
+    assert json.loads(out3)["verdict"] == "near"
+
+
+def test_bug_trap_exits_4_not_as_a_failed_check(capsys, monkeypatch):
+    def trap(a, u):
+        raise InternalCheckFailure("planted trap")
+
+    monkeypatch.setattr("eqprox.cli.nu_proximity", trap)
+    code, out, err = run(capsys, "nu", fixture("z3_rotation.json"))
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert err.strip() == "internal error: planted trap"

@@ -14,21 +14,25 @@ from pathlib import Path
 
 import pytest
 from equivariant_reference import beta_g_proximity_reference, \
-    check_action_continuity_reference, equinormal_separation_reference, \
-    is_action_compatible_reference, is_g_invariant_reference, \
-    nu_proximity_reference, separation_ok_reference
+    check_action_continuity_reference, classify_reference, \
+    equinormal_separation_reference, is_action_compatible_reference, \
+    is_g_invariant_reference, nu_proximity_reference, \
+    separation_ok_reference, validate_basis_reference
 
 from eqprox.document import load_instance
 from eqprox.equivariant import _separation_ok, beta_g_proximity, \
-    check_equinormal, enumerate_partition_proximities, is_action_compatible, \
-    is_g_invariant, nu_proximity
+    check_equinormal, compute_ug, enumerate_partition_proximities, \
+    is_action_compatible, is_g_invariant, nu_proximity
 from eqprox.errors import InternalCheckFailure, PreconditionFailure
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
-    check_action_continuity, saturate_uniformity
+    check_action_continuity, classify, saturate_uniformity
+from eqprox.metricprox import FiniteMetric, metric_uniformity
 from eqprox.proximity import Prox, from_uniformity
-from eqprox.setrel import Carrier
-from eqprox.suite import _random_valid_basis, iter_family
-from eqprox.uniformity import discrete_basis
+from eqprox.setrel import Carrier, Rel
+from eqprox.suite import _metric_matrices, _random_valid_basis, \
+    curated_actions, germ_chains, iter_family, suite_groups
+from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis, \
+    validate_basis
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -41,6 +45,24 @@ def assert_same_invariance(p, a):
 def assert_same_continuity(a, u):
     assert check_action_continuity(a, u) == \
         check_action_continuity_reference(a, u), (a, u.basis)
+
+
+def basis_report(validate, u):
+    rep = validate(u)
+    return [(name, rep.passed(name), rep.counterexample(name))
+            for name in rep.names]
+
+
+def assert_same_basis_report(u):
+    assert basis_report(validate_basis, u) == \
+        basis_report(validate_basis_reference, u), u.basis
+
+
+def assert_same_setting(a, u):
+    """Basis report, classification and continuity, witnesses included."""
+    assert_same_basis_report(u)
+    assert classify(a, u) == classify_reference(a, u), (a, u.basis)
+    assert_same_continuity(a, u)
 
 
 def nu_or_error(nu, a, u):
@@ -78,6 +100,8 @@ def random_germ(rng, n):
         group, perms = FiniteGroup.from_permutations(gens, max_size=12)
     except ValueError:
         group, perms = FiniteGroup.from_permutations(gens[:1])
+    if group.order > 12:  # past the cap of FiniteGroup.subgroups
+        return random_germ(rng, n)
     normal = [h for h in group.subgroups() if group.is_normal(h)]
     levels = [frozenset(range(group.order))]
     while rng.random() < 0.6:
@@ -87,6 +111,19 @@ def random_germ(rng, n):
         levels.append(rng.choice(smaller))
     return GActionGerm(group, NeighborhoodBase(group, levels),
                        Carrier(range(n)), perms)
+
+
+def with_random_upper_levels(a, rng):
+    """The germ with its chain replaced by random supersets of its deepest
+    level, descending.  A superset of a normal subgroup is always a valid
+    level, and most of these are not closed under inverses."""
+    group = a.group
+    levels = [a.ne.deepest]
+    for _ in range(rng.randint(1, 2)):
+        extra = {g for g in range(group.order) if rng.random() < 0.4}
+        levels.insert(0, levels[0] | extra)
+    return GActionGerm(group, NeighborhoodBase(group, levels), a.carrier,
+                       a.act)
 
 
 def flip_one_bit(p, rng):
@@ -191,3 +228,83 @@ def test_nu_traps_a_chain_that_is_not_descending(nu):
     a.ne.levels = (frozenset({g.e}), frozenset(range(g.order)))
     with pytest.raises(InternalCheckFailure, match="not descending"):
         nu(a, discrete_basis(a.carrier))
+
+
+def random_relation_list(rng, carrier):
+    """One to four random relations, most of them reflexive and many of
+    them symmetric, so that the list fails B1, B2, B3 or B4 first, or none
+    of them."""
+    els = carrier.elements
+    symmetric = rng.random() < 0.6
+    rels = []
+    for _ in range(rng.randint(1, 4)):
+        p = rng.random()
+        pairs = {(x, y) for x in els for y in els if rng.random() < p}
+        if rng.random() < 0.9:
+            pairs |= {(x, x) for x in els}
+        if symmetric:
+            pairs |= {(y, x) for x, y in pairs}
+        rels.append(Rel(carrier, pairs))
+    return UnifBase(carrier, rels)
+
+
+def test_classification_matches_reference_on_suite_germs():
+    derived = 0
+    for _label, germ, u in iter_family(max_n=4, seed=0):
+        assert_same_setting(germ, u)
+        if validate_basis(u).ok() and classify(germ, u).quasibounded:
+            assert_same_setting(germ, compute_ug(germ, u))
+            derived += 1
+    assert derived > 100
+
+
+def test_classification_matches_reference_on_metric_uniformities():
+    groups = [g for g in suite_groups(6) if g[0] in ("Z2", "Z4", "S3")]
+    for n in (1, 2, 3):
+        carrier = Carrier(range(n))
+        for matrix in _metric_matrices(n):
+            metric = FiniteMetric(carrier, matrix)
+            u = metric_uniformity(metric)
+            for gname, group, gens in groups:
+                for act in curated_actions(gname, group, gens, n):
+                    for levels in germ_chains(group):
+                        germ = GActionGerm(group, NeighborhoodBase(
+                            group, levels), carrier, act)
+                        assert_same_setting(germ, u)
+                        # A rebuilt, equal basis reads the kept report.
+                        assert classify(germ, metric_uniformity(metric)) == \
+                            classify_reference(germ, u)
+
+
+def test_classification_matches_reference_on_random_actions():
+    rng = random.Random(36)
+    for n in range(1, 9):
+        for _ in range(5):
+            a = random_germ(rng, n)
+            u = _random_valid_basis(a.carrier, rng)
+            for germ in (a, with_random_upper_levels(a, rng)):
+                for basis in (u, saturate_uniformity(germ, u),
+                              discrete_basis(a.carrier),
+                              indiscrete_basis(a.carrier)):
+                    assert_same_setting(germ, basis)
+                if n <= 6:
+                    assert_same_setting(
+                        germ, random_relation_list(rng, a.carrier))
+
+
+def test_basis_reports_match_reference_on_failing_relation_lists():
+    rng = random.Random(37)
+    first_failures = dict.fromkeys(("B1", "B2", "B3", "B4"), 0)
+    for n in range(1, 6):
+        carrier = Carrier(range(n))
+        germs = [random_germ(rng, n) for _ in range(3)]
+        for _ in range(150):
+            u = random_relation_list(rng, carrier)
+            assert_same_basis_report(u)
+            failures = validate_basis(u).failures()
+            if failures:
+                first_failures[failures[0]] += 1
+            a = rng.choice(germs)
+            assert classify(a, u) == classify_reference(a, u), (a, u.basis)
+    assert all(count >= 10 for count in first_failures.values()), \
+        first_failures

@@ -137,6 +137,42 @@ def test_level_translates_match_translate_mask():
                 assert t == a.set_translate_mask(level, m)
 
 
+def test_push_table_matches_push_rel():
+    s3, perms = FiniteGroup.from_permutations([(1, 0, 2, 4, 3, 5),
+                                               (1, 2, 0, 4, 5, 3)])
+    c = Carrier(range(6))
+    a = GActionGerm(s3, NeighborhoodBase(s3, [range(6)]), c, perms)
+    path = Rel(c, [(x, y) for x in range(6) for y in range(6)
+                   if abs(x - y) <= 1])
+    halves = Rel(c, [(x, y) for x in range(6) for y in range(6)
+                     if (x < 3) == (y < 3)])
+    step = Rel(c, [(0, 1), (1, 3), (4, 4), (5, 2)])
+    u = UnifBase(c, [path, halves, step, diagonal(c)])
+    push = a.push_table(u)
+    assert len(push) == s3.order
+    for g in range(s3.order):
+        assert push[g] == tuple(a.push_rel(g, eps).pair_bits
+                                for eps in u.basis)
+
+
+def test_classification_is_kept_per_basis_value():
+    from eqprox.equivariant import compute_ug
+    from eqprox.suite import _corrupt_basis
+    a = z3_rotation()
+    u = UnifBase(a.carrier, [full_relation(a.carrier)])
+    same = UnifBase(a.carrier, [Rel(a.carrier, r.pairs) for r in u.basis])
+    assert same is not u
+    assert classify(a, same) == classify(a, u)
+    assert check_action_continuity(a, same) == check_action_continuity(a, u)
+    ug = compute_ug(a, discrete_basis(a.carrier))
+    assert validate_basis(ug).ok()
+    # The corrupted copy is a new basis value, so it is checked afresh.
+    bad = _corrupt_basis(ug)
+    assert "B1" in validate_basis(bad).failures()
+    assert not classify(a, bad).bounded
+    assert classify(a, ug).bounded
+
+
 def test_classify_trivial_group():
     g = FiniteGroup.cyclic(2)
     c = Carrier(range(3))
@@ -230,6 +266,17 @@ def test_saturation_always_refines_the_input():
         out = saturate_uniformity(a, u)
         from eqprox.uniformity import refines
         assert refines(out, u)
+
+
+def test_saturation_is_the_intersection_of_all_translates():
+    from eqprox.suite import iter_family
+    for _label, germ, u in iter_family(max_n=3, seed=1):
+        out = saturate_uniformity(germ, u)
+        for eps, sat in zip(u.basis, out.basis):
+            pairs = set(eps.pairs)
+            for g in range(germ.group.order):
+                pairs &= germ.push_rel(g, eps).pairs
+            assert sat.pairs == pairs
 
 
 def test_bounded_and_saturated_implies_quasibounded_and_saturated():

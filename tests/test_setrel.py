@@ -111,3 +111,19 @@ def test_rel_equality_is_extensional():
     c = Carrier(range(2))
     assert Rel(c, [(0, 1), (0, 1)]) == Rel(c, [(0, 1)])
     assert Rel(c, [(0, 1)]) != Rel(c, [(1, 0)])
+
+
+def test_pair_bits_matches_brute_force():
+    rng = random.Random(7)
+    for n in range(1, 7):
+        c = Carrier([f"e{i}" for i in range(n)])
+        els = c.elements
+        for p in (0.0, 0.3, 0.7, 1.0):
+            r = random_rel(c, rng, p)
+            bits = r.pair_bits
+            assert bits >> n * n == 0
+            for i in range(n):
+                for j in range(n):
+                    assert (bits >> i * n + j & 1) == \
+                        ((els[i], els[j]) in r.pairs)
+
