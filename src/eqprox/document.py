@@ -91,10 +91,11 @@ def _build(doc):
         if "neighborhood_base" not in doc:
             raise DocumentError("a group requires a neighborhood_base")
         levels = []
-        for li, level in enumerate(doc["neighborhood_base"]):
+        for li, level in enumerate(_typed(doc["neighborhood_base"], list,
+                                          "neighborhood_base")):
             ids = []
-            for name in level:
-                if name not in group.name_index:
+            for name in _typed(level, list, f"neighborhood_base level {li}"):
+                if not _known(name, group.name_index):
                     raise DocumentError(
                         f"neighborhood_base level {li}: unknown element {name!r}")
                 ids.append(group.name_index[name])
@@ -111,11 +112,11 @@ def _build(doc):
     uniformity = None
     if "uniformity" in doc:
         basis = []
-        for k, ent in enumerate(doc["uniformity"]):
+        for k, ent in enumerate(_typed(doc["uniformity"], list, "uniformity")):
             pairs = []
-            for pair in ent:
+            for pair in _typed(ent, list, f"uniformity entourage {k}"):
                 if (not isinstance(pair, list) or len(pair) != 2
-                        or any(p not in carrier.index for p in pair)):
+                        or not all(_known(p, carrier.index) for p in pair)):
                     raise DocumentError(
                         f"uniformity entourage {k}: bad pair {pair!r}")
                 pairs.append(tuple(pair))
@@ -127,7 +128,8 @@ def _build(doc):
     metric = None
     if "metric" in doc:
         try:
-            rows = [[_rational(v) for v in row] for row in doc["metric"]]
+            rows = [[_rational(v) for v in _typed(row, list, "row")]
+                    for row in _typed(doc["metric"], list, "the matrix")]
             metric = FiniteMetric(carrier, rows)
         except (ValueError, DocumentError) as exc:
             raise DocumentError(f"metric: {exc}") from None
@@ -135,19 +137,34 @@ def _build(doc):
     order = None
     if "order" in doc:
         try:
-            order = OrderedCarrier(carrier, doc["order"])
+            order = OrderedCarrier(carrier,
+                                   _typed(doc["order"], list, "order"))
         except ValueError as exc:
             raise DocumentError(f"order: {exc}") from None
 
     subsets = {}
-    for name, members in doc.get("subsets", {}).items():
-        bad = [m for m in members if m not in carrier.index]
+    subsets_doc = _typed(doc.get("subsets", {}), dict, "subsets")
+    for name, members in subsets_doc.items():
+        bad = [m for m in _typed(members, list, f"subset {name!r}")
+               if not _known(m, carrier.index)]
         if bad:
             raise DocumentError(f"subset {name!r}: unknown element {bad[0]!r}")
         subsets[name] = frozenset(members)
 
     return Instance(carrier=carrier, germ=germ, uniformity=uniformity,
                     metric=metric, order=order, subsets=subsets)
+
+
+def _typed(value, kind, what):
+    if not isinstance(value, kind):
+        article = "a list" if kind is list else "an object"
+        raise DocumentError(f"{what} must be {article}, got {value!r}")
+    return value
+
+
+def _known(name, index):
+    # Only strings name keys; a list or object would raise in `in`.
+    return isinstance(name, str) and name in index
 
 
 def _rational(v):
@@ -200,13 +217,15 @@ def _build_group_action(doc, carrier):
         raise DocumentError("group.elements must be a list of strings")
     index = {nm: i for i, nm in enumerate(names)}
     table = gdoc["table"]
-    if len(table) != len(names) or any(len(row) != len(names) for row in table):
+    if (not isinstance(table, list) or len(table) != len(names)
+            or any(not isinstance(row, list) or len(row) != len(names)
+                   for row in table)):
         raise DocumentError("group.table must be square over group.elements")
     mul = []
     for row in table:
         out = []
         for v in row:
-            if v not in index:
+            if not _known(v, index):
                 raise DocumentError(f"group.table: unknown element {v!r}")
             out.append(index[v])
         mul.append(out)
@@ -217,7 +236,7 @@ def _build_group_action(doc, carrier):
 
     if "action" not in doc:
         raise DocumentError("a table-given group requires an explicit action")
-    act_spec = doc["action"]
+    act_spec = _typed(doc["action"], dict, "action")
     act = [None] * group.order
     for name, images in act_spec.items():
         if name not in index:
@@ -231,7 +250,7 @@ def _build_group_action(doc, carrier):
 
 def _perm(images, carrier, where):
     if (not isinstance(images, list) or len(images) != carrier.n
-            or any(x not in carrier.index for x in images)):
+            or not all(_known(x, carrier.index) for x in images)):
         raise DocumentError(f"{where}: must be a permutation of the carrier")
     p = tuple(carrier.index[x] for x in images)
     if sorted(p) != list(range(carrier.n)):
@@ -240,8 +259,7 @@ def _perm(images, carrier, where):
 
 
 def rel_to_json(rel):
-    pairs = sorted(rel.pairs, key=rel._pair_key)
-    return [[x, y] for x, y in pairs]
+    return [[x, y] for x, y in rel._ordered_pairs()]
 
 
 def subset_to_json(carrier, subset):

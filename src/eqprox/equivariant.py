@@ -45,17 +45,18 @@ def bracket_entourage(a, group_subset, eps):
     if eps.carrier != a.carrier:
         raise CarrierMismatch("entourage is not over the action's carrier")
     ids = _group_indices(a.group, group_subset)
-    carrier = a.carrier
-    n = carrier.n
-    els = carrier.elements
-    vx = [a.set_translate_mask(ids, 1 << x) for x in range(n)]
-    pairs = []
-    for x in range(n):
-        hit = eps.image_mask(vx[x])
-        for y in range(n):
-            if vx[y] & hit:
-                pairs.append((els[x], els[y]))
-    return setrel.Rel(carrier, pairs)
+    return _bracket(a.carrier, [a.set_translate_mask(ids, 1 << x)
+                                for x in range(a.carrier.n)], eps)
+
+
+def _bracket(carrier, vx, eps):
+    """[V, eps] from the point translates vx[x] = V.x: row x holds the y
+    whose translate V.y meets eps(V.x)."""
+    masks = []
+    for t in vx:
+        hit = eps.image_mask(t)
+        masks.append(sum(1 << y for y, ty in enumerate(vx) if ty & hit))
+    return setrel.Rel.from_masks(carrier, masks)
 
 
 def compute_ug(a, u):
@@ -76,8 +77,8 @@ def compute_ug(a, u):
         raise PreconditionFailure(
             "uniformity is not quasibounded",
             witness=cls.witnesses.get("quasibounded"))
-    levels = a.ne.levels
-    basis = [bracket_entourage(a, v, eps) for v in levels for eps in u.basis]
+    basis = [_bracket(a.carrier, a.level_elem_masks(li), eps)
+             for li in range(len(a.ne.levels)) for eps in u.basis]
     out = UnifBase(u.carrier, basis)
     check = validate_basis(out)
     if not check.ok():

@@ -248,7 +248,7 @@ class GActionGerm:
         for g in range(group.order):
             for h in range(group.order):
                 gh = group.mul[g][h]
-                composed = tuple(act[g][act[h][x]] for x in range(n))
+                composed = tuple(map(act[g].__getitem__, act[h]))
                 if composed != act[gh]:
                     raise ValueError(
                         "action law fails at pair "
@@ -337,12 +337,10 @@ class GActionGerm:
 
     def push_rel(self, g, rel):
         """The translated entourage g.eps = {(g x, g y) : (x, y) in eps}."""
-        p = self.act[g]
-        els = self.carrier.elements
-        idx = self.carrier.index
-        return setrel.Rel(
-            self.carrier,
-            ((els[p[idx[x]]], els[p[idx[y]]]) for x, y in rel.pairs))
+        masks = [0] * self.carrier.n
+        for x, m in enumerate(rel.image_masks):
+            masks[self.act[g][x]] = self.set_translate_mask((g,), m)
+        return setrel.Rel.from_masks(self.carrier, masks)
 
     def __repr__(self):
         return (f"GActionGerm(group={self.group.order}, n={self.carrier.n}, "
@@ -555,13 +553,13 @@ def saturate_uniformity(a, u):
     from u: each new entourage is invariant under every translation, and
     the four basis conditions survive the intersection.  The intersections
     are the ANDs of the push table over the group (the table is shared
-    with `classify`).
+    with `classify`), cut back into image masks.
     """
     if u.carrier != a.carrier:
         raise CarrierMismatch("uniformity is not over the action's carrier")
-    els = u.carrier.elements
-    cells = [(x, y) for x in els for y in els]
+    n = u.carrier.n
+    full = u.carrier.full_mask
     return UnifBase(u.carrier, [
-        setrel.Rel(u.carrier, (cell for c, cell in enumerate(cells)
-                               if bits >> c & 1))
+        setrel.Rel.from_masks(u.carrier,
+                              [bits >> i * n & full for i in range(n)])
         for bits in _fold(and_, a.push_table(u))])

@@ -1,7 +1,9 @@
 """Finite metric and pseudometric spaces under a group action.
 
 Distances are exact rationals, so entourage thresholds can enumerate the
-finitely many matrix values instead of juggling tolerances.  The basis of
+finitely many matrix values instead of juggling tolerances.  Each metric
+ranks its distinct values, and the checks work on that integer rank
+matrix; the rationals are kept for documents and output.  The basis of
 a (pseudo)metric uniformity consists of the sublevel relations d <= r at
 each distinct positive value r, together with the kernel relation d = 0
 (the diagonal, for a genuine metric).
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from . import setrel
 from .errors import CarrierMismatch, InternalCheckFailure, PreconditionFailure
@@ -48,9 +51,15 @@ def _validate_pseudometric(carrier, dist):
 
 
 class FiniteMetric:
-    """An exact rational metric on a carrier (pseudometric with pseudo=True)."""
+    """An exact rational metric on a carrier (pseudometric with pseudo=True).
 
-    __slots__ = ("carrier", "dist", "pseudo")
+    ``values`` lists the distinct distances in increasing order, 0 first,
+    and ``rank[i][j]`` is the index of ``dist[i][j]`` in it.  Every
+    comparison of distances is a comparison of ranks; the rationals
+    themselves are kept for output.
+    """
+
+    __slots__ = ("carrier", "dist", "pseudo", "values", "rank", "_uniformity")
 
     def __init__(self, carrier, dist, pseudo=False):
         dist = tuple(tuple(Fraction(v) for v in row) for row in dist)
@@ -66,23 +75,14 @@ class FiniteMetric:
         self.carrier = carrier
         self.dist = dist
         self.pseudo = pseudo
+        self.values = tuple(sorted({v for row in dist for v in row}))
+        index = {v: k for k, v in enumerate(self.values)}
+        self.rank = tuple(tuple(index[v] for v in row) for row in dist)
+        self._uniformity = None  # metric_uniformity's basis, once built
 
     def d(self, x, y):
         idx = self.carrier.index
         return self.dist[idx[x]][idx[y]]
-
-    def set_distance(self, a, b):
-        """min distance over the product; None when either set is empty."""
-        idx = self.carrier.index
-        ai = [idx[x] for x in a]
-        bi = [idx[y] for y in b]
-        if not ai or not bi:
-            return None
-        return min(self.dist[i][j] for i in ai for j in bi)
-
-    def positive_values(self):
-        vals = {v for row in self.dist for v in row if v > 0}
-        return tuple(sorted(vals))
 
     def __repr__(self):
         return f"FiniteMetric(n={self.carrier.n}, pseudo={self.pseudo})"
@@ -102,8 +102,7 @@ class PseudometricFamily:
         for m in members:
             if m.carrier != carrier:
                 raise CarrierMismatch("family members live on different carriers")
-        top = max((v for m in members for row in m.dist for v in row),
-                  default=Fraction(0))
+        top = max(m.values[-1] for m in members)
         if bound is None:
             bound = top
         bound = Fraction(bound)
@@ -114,25 +113,24 @@ class PseudometricFamily:
         self.bound = bound
 
 
-def _sublevel(carrier, dist, r):
-    els = carrier.elements
-    n = carrier.n
-    return setrel.Rel(carrier, ((els[i], els[j]) for i in range(n)
-                                for j in range(n) if dist[i][j] <= r))
+def _sublevels(m):
+    """The entourages {rank <= k} for every k, from the kernel {d = 0} up."""
+    return [setrel.Rel.from_masks(m.carrier, [
+        sum(1 << j for j, r in enumerate(row) if r <= k) for row in m.rank])
+        for k in range(len(m.values))]
 
 
 def metric_uniformity(m):
     """Sublevel basis of a finite (pseudo)metric.
 
-    One entourage {d <= r} per distinct positive value r, plus the kernel
-    {d = 0} (which is the diagonal when d is a metric, playing the
-    below-minimum threshold level).
+    One entourage {d <= r} per distinct value r, built as the mask rows
+    of rank <= k: the first is the kernel {d = 0} (the diagonal when d is
+    a metric, playing the below-minimum threshold level).  The basis is
+    kept on the metric, so every caller shares one object.
     """
-    carrier = m.carrier
-    basis = [_sublevel(carrier, m.dist, Fraction(0))]
-    for r in m.positive_values():
-        basis.append(_sublevel(carrier, m.dist, r))
-    return UnifBase(carrier, basis)
+    if m._uniformity is None:
+        m._uniformity = UnifBase(m.carrier, _sublevels(m))
+    return m._uniformity
 
 
 def sup_pseudometric(fam, a, group_subset, member_index):
@@ -149,10 +147,9 @@ def sup_pseudometric(fam, a, group_subset, member_index):
     if a.carrier != fam.carrier:
         raise CarrierMismatch("action and family carriers differ")
     n = a.carrier.n
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = max(m.dist[a.act[g][i]][a.act[g][j]] for g in ids)
+    rank = m.rank
+    out = [[m.values[max(rank[a.act[g][i]][a.act[g][j]] for g in ids)]
+            for j in range(n)] for i in range(n)]
     try:
         return FiniteMetric(a.carrier, out, pseudo=True)
     except ValueError as exc:
@@ -160,23 +157,13 @@ def sup_pseudometric(fam, a, group_subset, member_index):
             f"sup over translates destroyed the pseudometric axioms: {exc}")
 
 
-def _family_kernel(carrier, metrics):
-    els = carrier.elements
-    n = carrier.n
-    return setrel.Rel(
-        carrier,
-        ((els[i], els[j]) for i in range(n) for j in range(n)
-         if all(m.dist[i][j] == 0 for m in metrics)))
-
-
 def family_uniformity(fam):
-    """Sublevel basis of a pseudometric family, with the family kernel."""
-    carrier = fam.carrier
-    basis = [_family_kernel(carrier, fam.members)]
-    for m in fam.members:
-        for r in (Fraction(0),) + m.positive_values():
-            basis.append(_sublevel(carrier, m.dist, r))
-    return UnifBase(carrier, basis)
+    """Sublevel basis of a pseudometric family, with the family kernel
+    (rank 0 in every member) first."""
+    levels = [_sublevels(m) for m in fam.members]
+    kernel = reduce(setrel.intersect, (level[0] for level in levels))
+    return UnifBase(fam.carrier,
+                    [kernel] + [eps for level in levels for eps in level])
 
 
 def xi_uniformity(fam, a, subsets_of_group):
@@ -291,13 +278,11 @@ def _acts_equicontinuously(a, u, subset_ids):
 
 def is_isometric(m, a):
     """Whether every group element acts by distance-preserving maps."""
-    n = m.carrier.n
-    for g in range(a.group.order):
-        p = a.act[g]
-        for i in range(n):
-            for j in range(n):
-                if m.dist[p[i]][p[j]] != m.dist[i][j]:
-                    return False
+    rank = m.rank
+    for p in a.act:
+        for i, row in enumerate(rank):
+            if tuple(map(rank[p[i]].__getitem__, p)) != row:
+                return False
     return True
 
 
@@ -319,13 +304,10 @@ def metric_g_proximity(m, a):
     n = carrier.n
     N = 1 << n
     rows = [(1 << N) - 1] * N
-    # Zero-distance hull per point; for a genuine metric this is the point
-    # itself, for a pseudometric its kernel class.
-    zero_of = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if m.dist[i][j] == 0:
-                zero_of[i] |= 1 << j
+    # Zero-distance hull per point (rank 0); for a genuine metric this is
+    # the point itself, for a pseudometric its kernel class.
+    zero_of = [sum(1 << j for j, k in enumerate(row) if not k)
+               for row in m.rank]
     hull = _join_table(zero_of)
     for li in range(len(a.ne.levels)):
         # B is near A at this level iff VB meets the zero hull of VA,

@@ -374,11 +374,11 @@ def check_axioms(p, cap=AXIOM_CHECK_CAP):
     results["P5"] = (True, None)
     done = False
     for a in range(N):
-        faror = ~rows[a] & full_bits
+        far = faror = ~rows[a] & full_bits
         while faror:
             low = faror & -faror
             b = low.bit_length() - 1
-            if not (~rows[a] & full_bits) & cutb[b]:
+            if not far & cutb[b]:
                 results["P5"] = (False, (subset(a), subset(b)))
                 done = True
                 break

@@ -167,16 +167,6 @@ class RatSet:
                     out.append(c)
         return RatSet(out)
 
-    def contains_value(self, q):
-        q = Fraction(q)
-        for a in self.atoms:
-            if a[0] == "pt":
-                if a[1] == q:
-                    return True
-            elif a[1] < q < a[2]:
-                return True
-        return False
-
     def components(self):
         """Fused maximal convex pieces as (lo, lo_closed, hi, hi_closed)."""
         comps = []

@@ -4,13 +4,16 @@ Everything downstream (entourages, proximities, orbit translates) reduces to
 boolean algebra over subsets of a small finite carrier.  Subsets are encoded
 as bitmasks, little-endian in the carrier's element order: bit i of a mask
 stands for ``elements[i]``, so subset k of ``2**n`` is the same set on every
-run.  Relations are stored extensionally as frozen pair sets; equality is
-extensional by construction.
+run.  A relation is stored as one image mask per element (bit j of mask
+i is the pair (e_i, e_j)), so relational algebra is a few integer
+operations per row and equality is extensional by construction; the
+pair set is derived only when asked for.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import and_, or_
 
 from .errors import CarrierMismatch
 
@@ -24,7 +27,7 @@ class Carrier:
     which test fixtures and reported witnesses depend on.
     """
 
-    __slots__ = ("elements", "index", "__dict__")
+    __slots__ = ("elements", "index", "n", "full_mask", "__dict__")
 
     def __init__(self, elements, max_size=DEFAULT_MAX_CARRIER):
         elements = tuple(elements)
@@ -37,14 +40,8 @@ class Carrier:
                 f"carrier size {len(elements)} exceeds the cap {max_size}")
         self.elements = elements
         self.index = {e: i for i, e in enumerate(elements)}
-
-    @property
-    def n(self):
-        return len(self.elements)
-
-    @property
-    def full_mask(self):
-        return (1 << self.n) - 1
+        self.n = len(elements)
+        self.full_mask = (1 << self.n) - 1
 
     def subset_mask(self, subset):
         """Encode an iterable of elements as a bitmask."""
@@ -73,45 +70,72 @@ class Carrier:
 
 
 class Rel:
-    """A binary relation on a carrier, stored as a frozen set of ordered pairs."""
+    """A binary relation on a carrier, stored as n image masks.
 
-    __slots__ = ("carrier", "pairs", "__dict__")
+    ``image_masks[i]`` is the mask of {y : (e_i, y) in R}; equality and
+    hashing compare the masks, and the pair set is derived on demand.
+    """
+
+    __slots__ = ("carrier", "image_masks", "_hash", "_bits", "__dict__")
 
     def __init__(self, carrier, pairs):
-        pairs = frozenset(pairs)
+        idx = carrier.index
+        masks = [0] * carrier.n
         for x, y in pairs:
-            if x not in carrier.index or y not in carrier.index:
+            if x not in idx or y not in idx:
                 raise ValueError(f"pair ({x!r}, {y!r}) is not over the carrier")
+            masks[idx[x]] |= 1 << idx[y]
         self.carrier = carrier
-        self.pairs = pairs
+        self.image_masks = tuple(masks)
+        self._hash = self._bits = None
+
+    @classmethod
+    def from_masks(cls, carrier, masks):
+        """The relation with the given image masks, one per carrier element."""
+        masks = tuple(masks)
+        if (len(masks) != carrier.n or min(masks) < 0
+                or max(masks) > carrier.full_mask):
+            raise ValueError("image masks must be n masks over the carrier")
+        rel = cls.__new__(cls)
+        rel.carrier = carrier
+        rel.image_masks = masks
+        rel._hash = rel._bits = None
+        return rel
+
+    def _ordered_pairs(self):
+        """The pairs in (index of x, index of y) order."""
+        els = self.carrier.elements
+        for i, m in enumerate(self.image_masks):
+            while m:
+                low = m & -m
+                yield els[i], els[low.bit_length() - 1]
+                m ^= low
 
     @cached_property
-    def image_masks(self):
-        """Per-element successor sets: image_masks[i] = mask of {y : (e_i, y) in R}."""
-        idx = self.carrier.index
-        masks = [0] * self.carrier.n
-        for x, y in self.pairs:
-            masks[idx[x]] |= 1 << idx[y]
-        return tuple(masks)
+    def pairs(self):
+        """The relation as a frozen set of ordered pairs."""
+        return frozenset(self._ordered_pairs())
 
     @cached_property
     def preimage_masks(self):
         """Per-element predecessor sets: preimage_masks[i] = mask of {x : (x, e_i) in R}."""
-        idx = self.carrier.index
         masks = [0] * self.carrier.n
-        for x, y in self.pairs:
-            masks[idx[y]] |= 1 << idx[x]
+        for i, m in enumerate(self.image_masks):
+            bit = 1 << i
+            while m:
+                low = m & -m
+                masks[low.bit_length() - 1] |= bit
+                m ^= low
         return tuple(masks)
 
-    @cached_property
+    @property
     def pair_bits(self):
         """The relation packed into one n*n-bit integer: bit i*n + j is the
         pair (e_i, e_j), so containment of two relations is one AND."""
-        n = self.carrier.n
-        bits = 0
-        for i, m in enumerate(self.image_masks):
-            bits |= m << i * n
-        return bits
+        if self._bits is None:
+            n = self.carrier.n
+            self._bits = sum(m << i * n for i, m in enumerate(self.image_masks))
+        return self._bits
 
     def image_mask(self, mask):
         """Mask form of image_of_set: successors of any element in `mask`."""
@@ -125,18 +149,20 @@ class Rel:
 
     def contains(self, other):
         _check_same_carrier(self, other)
-        return other.pairs <= self.pairs
+        return not other.pair_bits & ~self.pair_bits
 
     def __eq__(self, other):
-        return (isinstance(other, Rel) and self.carrier == other.carrier
-                and self.pairs == other.pairs)
+        return (isinstance(other, Rel)
+                and self.image_masks == other.image_masks
+                and self.carrier == other.carrier)
 
     def __hash__(self):
-        return hash((self.carrier, self.pairs))
+        if self._hash is None:
+            self._hash = hash((self.carrier, self.image_masks))
+        return self._hash
 
     def __repr__(self):
-        pairs = sorted(self.pairs, key=self._pair_key)
-        return f"Rel({pairs!r})"
+        return f"Rel({list(self._ordered_pairs())!r})"
 
     def _pair_key(self, pair):
         idx = self.carrier.index
@@ -150,40 +176,23 @@ def _check_same_carrier(r, s):
 
 def diagonal(carrier):
     """The identity relation {(x, x)}."""
-    return Rel(carrier, ((e, e) for e in carrier.elements))
+    return Rel.from_masks(carrier, (1 << i for i in range(carrier.n)))
 
 
 def full_relation(carrier):
     """The all-pairs relation X x X."""
-    els = carrier.elements
-    return Rel(carrier, ((x, y) for x in els for y in els))
+    return Rel.from_masks(carrier, (carrier.full_mask,) * carrier.n)
 
 
 def compose(r, s):
     """Relational composition: {(x, z) : exists y with (x,y) in r and (y,z) in s}."""
     _check_same_carrier(r, s)
-    carrier = r.carrier
-    els = carrier.elements
-    s_imgs = s.image_masks
-    pairs = set()
-    for i in range(carrier.n):
-        out = r.image_masks[i]
-        z_mask = 0
-        while out:
-            low = out & -out
-            z_mask |= s_imgs[low.bit_length() - 1]
-            out ^= low
-        x = els[i]
-        while z_mask:
-            low = z_mask & -z_mask
-            pairs.add((x, els[low.bit_length() - 1]))
-            z_mask ^= low
-    return Rel(carrier, pairs)
+    return Rel.from_masks(r.carrier, map(s.image_mask, r.image_masks))
 
 
 def invert(r):
     """The converse relation {(y, x) : (x, y) in r}."""
-    return Rel(r.carrier, ((y, x) for x, y in r.pairs))
+    return Rel.from_masks(r.carrier, r.preimage_masks)
 
 
 def image_of_set(r, subset):
@@ -194,14 +203,9 @@ def image_of_set(r, subset):
 
 def intersect(r, s):
     _check_same_carrier(r, s)
-    return Rel(r.carrier, r.pairs & s.pairs)
+    return Rel.from_masks(r.carrier, map(and_, r.image_masks, s.image_masks))
 
 
 def union(r, s):
     _check_same_carrier(r, s)
-    return Rel(r.carrier, r.pairs | s.pairs)
-
-
-def map_rel(r, perm):
-    """Push a relation forward along a carrier permutation given as an element map."""
-    return Rel(r.carrier, ((perm[x], perm[y]) for x, y in r.pairs))
+    return Rel.from_masks(r.carrier, map(or_, r.image_masks, s.image_masks))

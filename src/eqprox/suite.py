@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from . import rationals as rat
 from .equivariant import beta_g_proximity, check_equinormal, compute_ug, \
@@ -177,13 +178,12 @@ def _random_partition(carrier, rng):
 
 
 def _random_reflexive_superset(carrier, base, rng, p=0.35):
-    els = carrier.elements
-    pairs = set(base.pairs)
-    for x in els:
-        for y in els:
-            if x != y and (x, y) not in pairs and rng.random() < p:
-                pairs.add((x, y))
-    return Rel(carrier, pairs)
+    masks = list(base.image_masks)
+    for i in range(carrier.n):
+        for j in range(carrier.n):
+            if i != j and not masks[i] >> j & 1 and rng.random() < p:
+                masks[i] |= 1 << j
+    return Rel.from_masks(carrier, masks)
 
 
 def basis_pool(carrier, rng):
@@ -196,7 +196,7 @@ def basis_pool(carrier, rng):
     seen = set()
 
     def add(basis):
-        key = tuple(sorted((frozenset(r.pairs) for r in basis), key=sorted))
+        key = tuple(sorted(basis, key=attrgetter("image_masks")))
         if key not in seen:
             seen.add(key)
             pool.append(UnifBase(carrier, basis))
@@ -207,7 +207,7 @@ def basis_pool(carrier, rng):
         want = 6 if n == 4 else 4
         while len(keep) < min(want, len(eqs)):
             cand = _random_partition(carrier, rng)
-            if all(cand.pairs != k.pairs for k in keep):
+            if cand not in keep:
                 keep.append(cand)
         eqs = keep
     for theta in eqs:
@@ -217,7 +217,7 @@ def basis_pool(carrier, rng):
     for theta in eqs:
         for _ in range(per_theta):
             eps = _random_reflexive_superset(carrier, theta, rng)
-            if eps.pairs != theta.pairs:
+            if eps != theta:
                 add([theta, eps])
     return pool
 
@@ -317,14 +317,12 @@ def iter_family(max_n=5, seed=0, max_group=6):
                     seen = set()
                     for bi, u in enumerate(pools[n]):
                         label = f"{gname}/n{n}/act{ai}/chain{ci}/basis{bi}"
-                        key = tuple(frozenset(r.pairs) for r in u.basis)
-                        if key not in seen:
-                            seen.add(key)
+                        if u.basis not in seen:
+                            seen.add(u.basis)
                             yield label, germ, u
                         sat = saturate_uniformity(germ, u)
-                        skey = tuple(frozenset(r.pairs) for r in sat.basis)
-                        if skey not in seen:
-                            seen.add(skey)
+                        if sat.basis not in seen:
+                            seen.add(sat.basis)
                             yield label + "s", germ, sat
 
 
@@ -332,10 +330,10 @@ def _corrupt_basis(u):
     """Drop the lexicographically least diagonal pair from the first
     entourage: a deterministic defect that any sound comparison catches at
     the least nonempty subset pair."""
-    first = u.basis[0]
-    victim = min(((x, y) for x, y in first.pairs if x == y),
-                 key=first._pair_key)
-    basis = [Rel(u.carrier, first.pairs - {victim})] + list(u.basis[1:])
+    masks = list(u.basis[0].image_masks)
+    i = next(i for i, m in enumerate(masks) if m >> i & 1)
+    masks[i] ^= 1 << i
+    basis = [Rel.from_masks(u.carrier, masks)] + list(u.basis[1:])
     return UnifBase(u.carrier, basis)
 
 

@@ -12,6 +12,8 @@ refinement.  The four basis conditions checked are:
 
 from __future__ import annotations
 
+from functools import reduce
+
 from . import setrel
 from .errors import CarrierMismatch
 from .proximity import AxiomReport
@@ -22,7 +24,7 @@ class UnifBase:
     bases can serve as negative fixtures; run validate_basis to check (it
     keeps its report on the basis)."""
 
-    __slots__ = ("carrier", "basis", "_report")
+    __slots__ = ("carrier", "basis", "_report", "_hash")
 
     def __init__(self, carrier, basis):
         basis = tuple(basis)
@@ -34,6 +36,7 @@ class UnifBase:
         self.carrier = carrier
         self.basis = basis
         self._report = None  # validate_basis's report, once computed
+        self._hash = None
 
     def __eq__(self, other):
         # Listwise equality only; semantic equality is refinement_equivalent.
@@ -41,7 +44,10 @@ class UnifBase:
                 and self.basis == other.basis)
 
     def __hash__(self):
-        return hash((self.carrier, self.basis))
+        # Cached: germ caches look bases up by value on every call.
+        if self._hash is None:
+            self._hash = hash((self.carrier, self.basis))
+        return self._hash
 
     def __repr__(self):
         return f"UnifBase({len(self.basis)} entourages, n={self.carrier.n})"
@@ -103,7 +109,7 @@ def _first_uncovered(targets, parts):
     """Index of the first target bit set that contains none of the parts,
     or None; targets may be a lazy iterable."""
     return next((k for k, t in enumerate(targets)
-                 if all(p & ~t for p in parts)), None)
+                 if all(map((~t).__and__, parts))), None)
 
 
 def induced_topology(u):
@@ -145,10 +151,7 @@ def refinement_equivalent(u1, u2):
 
 def basis_intersection(u):
     """The intersection of all basis entourages (the smallest filter element)."""
-    pairs = set(u.basis[0].pairs)
-    for eps in u.basis[1:]:
-        pairs &= eps.pairs
-    return setrel.Rel(u.carrier, pairs)
+    return reduce(setrel.intersect, u.basis)
 
 
 def is_hausdorff(u):

@@ -99,6 +99,28 @@ def test_validate_bad_chain_exits_2_naming_levels(capsys):
     assert "levels 0 and 1" in err
 
 
+@pytest.mark.parametrize("name, field, value, message", [
+    ("z3_rotation.json", "action", None, "action must be an object"),
+    ("z3_rotation.json", "neighborhood_base", None,
+     "neighborhood_base must be a list"),
+    ("z3_rotation.json", "uniformity", None, "uniformity must be a list"),
+    ("z3_rotation.json", "uniformity", [None],
+     "uniformity entourage 0 must be a list"),
+    ("z4_metric.json", "metric", None, "metric: the matrix must be a list"),
+    ("z3_rotation.json", "subsets", None, "subsets must be an object"),
+])
+def test_null_document_field_exits_2_naming_it(tmp_path, capsys, name, field,
+                                               value, message):
+    doc = json.loads(Path(fixture(name)).read_text(encoding="utf-8"))
+    doc[field] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "Traceback" not in err
+    assert message in err
+
+
 def test_validate_bad_basis_exits_1_with_counterexample(capsys):
     code, out, _ = run(capsys, "validate", fixture("bad_basis.json"))
     assert code == 1

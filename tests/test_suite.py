@@ -14,3 +14,15 @@ def test_sigma_trap_is_recorded_as_a_labelled_failure(monkeypatch):
     assert label.startswith("sigma/") and "/sup" in label
     assert detail == "sup over translates broke"
     assert not report.ok
+
+
+def test_corrupt_basis_drops_the_least_diagonal_pair_of_the_first_entourage():
+    carrier = suite.Carrier(range(4))
+    full = [(x, y) for x in range(4) for y in range(4)]
+    for drop in ([], [(0, 0)], [(0, 0), (1, 1)]):
+        first = suite.Rel(carrier, [p for p in full if p not in drop])
+        u = suite.UnifBase(carrier, [first, suite.full_relation(carrier)])
+        least = min(p for p in first.pairs if p[0] == p[1])
+        bad = suite._corrupt_basis(u)
+        assert bad.basis[0].pairs == first.pairs - {least}
+        assert bad.basis[1:] == u.basis[1:]
