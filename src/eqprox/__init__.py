@@ -13,7 +13,7 @@ from .gaction import ClassificationReport, FiniteGroup, GActionGerm, \
     NeighborhoodBase, check_action_continuity, classify, \
     saturate_uniformity, translate_set
 from .equivariant import beta_g_proximity, bracket_entourage, \
-    check_equinormal, compute_ug, is_massive, nu_proximity, verify_tgprox
+    check_equinormal, compute_ug, is_massive, nu_proximity
 
 __all__ = [
     "Carrier", "Rel", "compose", "diagonal", "full_relation", "image_of_set",
@@ -25,5 +25,4 @@ __all__ = [
     "check_action_continuity", "classify", "saturate_uniformity",
     "translate_set", "beta_g_proximity", "bracket_entourage",
     "check_equinormal", "compute_ug", "is_massive", "nu_proximity",
-    "verify_tgprox",
 ]

@@ -173,6 +173,8 @@ def _rational(v):
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
+        if "e" in v or "E" in v:  # exponents can ask for a huge integer
+            raise DocumentError(f"bad rational {v!r}")
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):

@@ -15,7 +15,10 @@ Translate nearness and the maximal group proximity are built from point
 masks: each (level, entourage) pair gives a union-preserving map of
 subsets, tabulated from its n point values, and each row is ANDed with
 the intersectors of its entry, Theta(levels * |basis| * 2**n) operations
-on 2**n-bit integers in all.
+on 2**n-bit integers in all.  The point values pull back through V^{-1}
+by the germ's inverse point masks (`level_inverse_elem_masks`); the
+bracket side reads only the forward point masks, so the two sides of the
+identity share no pullback code.
 
 The group-action scans work on whole rows of the 2**n-bit tables.
 Equinormality runs the axiom check on the translate-overlap table, then
@@ -33,10 +36,11 @@ from dataclasses import dataclass
 from . import setrel
 from .errors import CarrierMismatch, InternalCheckFailure, PreconditionFailure
 from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify, \
-    check_action_continuity, _group_indices
+    _group_indices
 from .proximity import P1_P5, Prox, _and_intersectors, _index_bit_swaps, \
     _intersectors, _join_table, _permute_index_bits, _submask_table, \
-    check_axioms, from_uniformity, is_separated
+    check_axioms
+from .setrel import _join_mask
 from .uniformity import UnifBase, totally_bounded, validate_basis
 
 
@@ -45,8 +49,7 @@ def bracket_entourage(a, group_subset, eps):
     if eps.carrier != a.carrier:
         raise CarrierMismatch("entourage is not over the action's carrier")
     ids = _group_indices(a.group, group_subset)
-    return _bracket(a.carrier, [a.set_translate_mask(ids, 1 << x)
-                                for x in range(a.carrier.n)], eps)
+    return _bracket(a.carrier, a._point_masks(ids), eps)
 
 
 def _bracket(carrier, vx, eps):
@@ -88,21 +91,11 @@ def compute_ug(a, u):
     return out
 
 
-def _level_pullback(a, level_index, mask):
-    """V^{-1} m: points whose V-translate meets m."""
-    out = 0
-    masks = a.level_inverse_elem_masks(level_index)
-    while mask:
-        low = mask & -mask
-        out |= masks[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def _overlap_pullbacks(a, level_index):
     """t[m] = V^{-1}V.m for every subset mask m: the points whose
     V-translate meets V.m, as the join table of the n point values."""
-    return _join_table([_level_pullback(a, level_index, t)
+    inv = a.level_inverse_elem_masks(level_index)
+    return _join_table([_join_mask(inv, t)
                         for t in a.level_elem_masks(level_index)])
 
 
@@ -114,9 +107,10 @@ def nu_proximity(a, u):
     V^{-1} eps(V A).  That map of A is a composite of three
     union-preserving maps (translate, entourage image, level pullback), so
     its table over all 2**n subsets is the join table of its n point
-    values.  Each (level, eps) pair costs n pullbacks plus one OR per
-    subset and one AND of 2**n-bit integers per row: Theta(levels * |basis|
-    * 2**n) operations on 2**n-bit integers in all.
+    values, each pulled back through the inverse point masks.  Each
+    (level, eps) pair costs n pullbacks plus one OR per subset and one AND
+    of 2**n-bit integers per row: Theta(levels * |basis| * 2**n)
+    operations on 2**n-bit integers in all.
 
     All chain levels are evaluated; by monotonicity of translation the
     deepest level alone gives the same table, and that reduction is
@@ -135,8 +129,9 @@ def nu_proximity(a, u):
 
     def and_level(li, rows):
         lem = a.level_elem_masks(li)
+        inv = a.level_inverse_elem_masks(li)
         for eps in u.basis:
-            pull = _join_table([_level_pullback(a, li, eps.image_mask(t))
+            pull = _join_table([_join_mask(inv, eps.image_mask(t))
                                 for t in lem])
             _and_intersectors(rows, pull, n)
         return rows
@@ -237,80 +232,6 @@ def semigroup_upgrade(p, a):
                 return False, (carrier.mask_subset(am), carrier.mask_subset(b))
             faror ^= low
     return True, None
-
-
-@dataclass(frozen=True)
-class GProximityReport:
-    """Outcome of verifying the derived-proximity identity on one instance."""
-
-    equal: bool
-    mismatch: tuple | None
-    nu: Prox
-    derived: Prox
-    g_invariant: bool
-    invariance_witness: tuple | None
-    compatible: bool
-    compatibility_witness: tuple | None
-    separated: bool
-
-    @property
-    def ok(self):
-        return self.equal and self.g_invariant and self.compatible
-
-    def lines(self):
-        out = [
-            "translate-nearness equals derived-basis proximity: "
-            + ("pass" if self.equal else f"FAIL at {self.mismatch}"),
-            "invariance under every translation: "
-            + ("pass" if self.g_invariant else f"FAIL at {self.invariance_witness}"),
-            "far pairs have disjoint translates at some level: "
-            + ("pass" if self.compatible else f"FAIL at {self.compatibility_witness}"),
-            f"separated (distinct points far): {'yes' if self.separated else 'no'}",
-        ]
-        return out
-
-
-def verify_tgprox(a, u):
-    """Verify, over all subset pairs, that the translate-nearness relation
-    equals the proximity induced by the derived bracket basis, and that it
-    is an invariant, action-compatible proximity.
-
-    The hypotheses (quasibounded and saturated uniformity, continuous
-    action) are enforced; violations raise with the classifier's witness.
-    """
-    cls = classify(a, u)
-    if not cls.pi_uniform:
-        missing = "quasibounded" if not cls.quasibounded else "saturated"
-        raise PreconditionFailure(
-            f"uniformity is not {missing}",
-            witness=cls.witnesses.get(missing))
-    cont, cwit = check_action_continuity(a, u)
-    if not cont:
-        raise PreconditionFailure("action is not continuous", witness=cwit)
-
-    nu = nu_proximity(a, u)
-    derived = from_uniformity(compute_ug(a, u))
-    mismatch = None
-    if nu.rows != derived.rows:
-        for am, (r1, r2) in enumerate(zip(nu.rows, derived.rows)):
-            diff = r1 ^ r2
-            if diff:
-                b = (diff & -diff).bit_length() - 1
-                mismatch = (a.carrier.mask_subset(am), a.carrier.mask_subset(b))
-                break
-    inv, invw = is_g_invariant(nu, a)
-    comp, compw = is_action_compatible(nu, a)
-    return GProximityReport(
-        equal=mismatch is None,
-        mismatch=mismatch,
-        nu=nu,
-        derived=derived,
-        g_invariant=inv,
-        invariance_witness=invw,
-        compatible=comp,
-        compatibility_witness=compw,
-        separated=is_separated(nu),
-    )
 
 
 @dataclass(frozen=True)
@@ -459,21 +380,9 @@ def deepest_orbits_coincide(a, subgroup):
     the orbit of its intersection with the subgroup.  When these coincide
     the translate-overlap proximity cannot tell the two groups apart.
     """
-    group = a.group
-    H = _group_indices(group, subgroup)
     deep = a.ne.deepest
-    inter = deep & H
-    n = a.carrier.n
-    for x in range(n):
-        full = 0
-        part = 0
-        for v in deep:
-            full |= 1 << a.act[v][x]
-        for v in inter:
-            part |= 1 << a.act[v][x]
-        if full != part:
-            return False
-    return True
+    inter = deep & _group_indices(a.group, subgroup)
+    return a._point_masks(deep) == a._point_masks(inter)
 
 
 def betag_on_subgroup_agrees(a, subgroup):

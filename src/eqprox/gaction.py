@@ -11,6 +11,11 @@ instructive failure cases for continuity and separatedness.
 
 Group elements are handled by index internally; names only appear at the
 I/O edge.
+
+A germ keeps, per chain level V, the point masks of V.x and of V^{-1}.x.
+The translate V.m or the pullback V^{-1}.m of one subset mask is the OR
+of the point masks over m (`setrel._join_mask`); `level_translates`
+tabulates V.m for scans that need every subset.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from operator import and_, or_
 from . import setrel
 from .errors import CarrierMismatch
 from .proximity import _join_table
+from .setrel import _join_mask
 from .uniformity import UnifBase, _first_uncovered
 
 DEFAULT_MAX_GROUP = 48
@@ -285,15 +291,6 @@ class GActionGerm:
                 masks[x] |= 1 << p[x]
         return tuple(masks)
 
-    def translate_mask(self, level_index, mask):
-        out = 0
-        masks = self.level_elem_masks(level_index)
-        while mask:
-            low = mask & -mask
-            out |= masks[low.bit_length() - 1]
-            mask ^= low
-        return out
-
     def level_translates(self, level_index):
         """For chain level V: trans[m] = mask of V.m for every subset mask m.
 
@@ -325,21 +322,15 @@ class GActionGerm:
 
     def set_translate_mask(self, subset_indices, mask):
         """Translate a carrier mask by an arbitrary set of group indices."""
-        out = 0
-        for v in subset_indices:
-            p = self.act[v]
-            m = mask
-            while m:
-                low = m & -m
-                out |= 1 << p[low.bit_length() - 1]
-                m ^= low
-        return out
+        return _join_mask(self._point_masks(subset_indices), mask)
 
     def push_rel(self, g, rel):
         """The translated entourage g.eps = {(g x, g y) : (x, y) in eps}."""
+        p = self.act[g]
+        moved = self._point_masks((g,))
         masks = [0] * self.carrier.n
         for x, m in enumerate(rel.image_masks):
-            masks[self.act[g][x]] = self.set_translate_mask((g,), m)
+            masks[p[x]] = _join_mask(moved, m)
         return setrel.Rel.from_masks(self.carrier, masks)
 
     def __repr__(self):
@@ -424,7 +415,6 @@ def classify(a, u):
 
 
 def _classify(a, u):
-    n = a.carrier.n
     basis = u.basis
     bits = [eps.pair_bits for eps in basis]
     push = a.push_table(u)
@@ -453,12 +443,9 @@ def _classify(a, u):
             a, deepest, basis[0], basis[k])
 
     kept = _fold(and_, push)
-    for x0 in range(n):
-        k = _first_uncovered([core >> x0 * n for core in kept],
-                             [delta.image_masks[x0] for delta in basis])
-        if k is not None:
-            witnesses["equicontinuous"] = (a.carrier.elements[x0], k)
-            break
+    wit = _equicontinuity_witness(a, basis, kept)
+    if wit is not None:
+        witnesses["equicontinuous"] = wit
 
     k = _first_uncovered(kept, bits)
     if k is not None:
@@ -482,6 +469,23 @@ def _classify(a, u):
 def _fold(op, rows):
     """Entrywise op over equal-length rows of integers."""
     return [reduce(op, col) for col in zip(*rows)]
+
+
+def _equicontinuity_witness(a, basis, kept):
+    """The first (x0, k) in index order such that no basis delta has
+    {x0} x delta(x0) inside kept[k], or None.
+
+    kept[k] holds, as pair bits, the pairs of eps_k that a set of
+    translates keeps in eps_k: the AND of the push-table entries of the
+    set's inverses.  None means the set acts equicontinuously.
+    """
+    n = a.carrier.n
+    for x0 in range(n):
+        k = _first_uncovered([core >> x0 * n for core in kept],
+                             [delta.image_masks[x0] for delta in basis])
+        if k is not None:
+            return (a.carrier.elements[x0], k)
+    return None
 
 
 def _bounded_witness(a, level_index, eps):
@@ -524,18 +528,15 @@ def check_action_continuity(a, u):
     translates V . delta(x0) are built once, and the target is row x0 of
     g0^{-1}.eps in the push table (`GActionGerm.push_table`, shared with
     `classify`), so each (g0, x0) costs at most |basis| * |levels| *
-    |basis| subset tests.  The result is kept on the germ per basis value.
+    |basis| subset tests.  `classify` keeps the verdict in its report.
     """
     if u.carrier != a.carrier:
         raise CarrierMismatch("uniformity is not over the action's carrier")
-    return a._cached(("cont", u), lambda: _action_continuity(a, u))
-
-
-def _action_continuity(a, u):
     n = a.carrier.n
     push = a.push_table(u)
-    moved = [[a.translate_mask(li, delta.image_masks[x0])
-              for li in range(len(a.ne.levels)) for delta in u.basis]
+    lems = [a.level_elem_masks(li) for li in range(len(a.ne.levels))]
+    moved = [[_join_mask(lem, delta.image_masks[x0])
+              for lem in lems for delta in u.basis]
              for x0 in range(n)]
     for g0 in range(a.group.order):
         pulled = push[a.group.inv[g0]]

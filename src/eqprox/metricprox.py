@@ -18,11 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import and_
 
 from . import setrel
 from .errors import CarrierMismatch, InternalCheckFailure, PreconditionFailure
-from .gaction import classify, _group_indices
+from .gaction import classify, _equicontinuity_witness, _fold, \
+    _group_indices
 from .proximity import Prox, _and_intersectors, _join_table
+from .setrel import _join_mask
 from .uniformity import UnifBase, refines
 
 
@@ -249,31 +252,13 @@ def xi_report(fam, a, subsets_of_group):
 
 
 def _acts_equicontinuously(a, u, subset_ids):
-    """Equicontinuity of a fixed set of group elements, at basis level."""
-    n = a.carrier.n
-    for x0 in range(n):
-        for eps in u.basis:
-            imgs = eps.image_masks
-            good = False
-            for delta in u.basis:
-                nbhd = delta.image_masks[x0]
-                ok = True
-                for g in subset_ids:
-                    p = a.act[g]
-                    m = nbhd
-                    while m and ok:
-                        low = m & -m
-                        if not imgs[p[x0]] >> p[low.bit_length() - 1] & 1:
-                            ok = False
-                        m ^= low
-                    if not ok:
-                        break
-                if ok:
-                    good = True
-                    break
-            if not good:
-                return False
-    return True
+    """Equicontinuity of a fixed set of group elements, at basis level:
+    the check `classify` runs, on the AND of the push-table entries
+    g^{-1}.eps over the g in the set."""
+    push = a.push_table(u)
+    inv = a.group.inv
+    kept = _fold(and_, (push[inv[g]] for g in subset_ids))
+    return _equicontinuity_witness(a, u.basis, kept) is None
 
 
 def is_isometric(m, a):
@@ -308,11 +293,12 @@ def metric_g_proximity(m, a):
     # the point itself, for a pseudometric its kernel class.
     zero_of = [sum(1 << j for j, k in enumerate(row) if not k)
                for row in m.rank]
-    hull = _join_table(zero_of)
     for li in range(len(a.ne.levels)):
         # B is near A at this level iff VB meets the zero hull of VA,
-        # i.e. B meets its pullback through the level.
-        pullback = _join_table(a.level_inverse_elem_masks(li))
-        _and_intersectors(
-            rows, [pullback[hull[t]] for t in a.level_translates(li)], n)
+        # i.e. B meets its pullback through the level.  A -> V^{-1} hull(VA)
+        # preserves unions, so its table joins its n point values.
+        inv = a.level_inverse_elem_masks(li)
+        _and_intersectors(rows, _join_table([
+            _join_mask(inv, _join_mask(zero_of, t))
+            for t in a.level_elem_masks(li)]), n)
     return Prox(carrier, rows)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CarrierMismatch, ResourceCap
+from .setrel import _join_mask
 
 AXIOM_CHECK_CAP = 12
 
@@ -305,7 +306,6 @@ def check_axioms(p, cap=AXIOM_CHECK_CAP):
     if n > cap:
         raise ResourceCap(f"axiom check needs carrier size <= {cap}, got {n}")
     N = 1 << n
-    full = N - 1
     full_bits = (1 << N) - 1
     rows = p.rows
     subset = carrier.mask_subset
@@ -387,17 +387,10 @@ def check_axioms(p, cap=AXIOM_CHECK_CAP):
             break
 
     # P5': every far pair has disjoint strong neighborhoods.  Searched
-    # independently of P5 through the submask table.
-    table = _submask_table(n)
-    reach = [0] * N
-    for b in range(N):
-        m = sn[b]
-        acc = 0
-        while m:
-            low = m & -m
-            acc |= table[full ^ (low.bit_length() - 1)]
-            m ^= low
-        reach[b] = acc
+    # independently of P5 through the submask table: reach[b] is the OR of
+    # the submask rows of the complements of b's strong neighborhoods.
+    complement_submasks = _submask_table(n)[::-1]
+    reach = [_join_mask(complement_submasks, m) for m in sn]
     results["P5prime"] = (True, None)
     done = False
     for a in range(N):

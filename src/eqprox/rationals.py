@@ -587,7 +587,12 @@ def endpoint_completeness_counterexample(a, b, factor=4, pad=1):
 
 
 def parse_fraction(text):
+    """A rational "p/q", "p" or decimal "d.d"; exponent notation is refused
+    before `Fraction` could build a huge integer from it."""
     text = text.strip()
+    if "e" in text or "E" in text:
+        raise DocumentError(f"bad rational {text!r}: exponents are not "
+                            "supported, write p/q")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -616,13 +621,12 @@ def _split_atoms(text):
     return [p.strip() for p in parts if p.strip()]
 
 
-def _parse_endpoint(text, low_side):
+def _parse_endpoint(text):
     text = text.strip()
     if text == "-inf":
         return NEG_INF
     if text == "inf":
         return POS_INF
-    del low_side
     return parse_fraction(text)
 
 
@@ -640,8 +644,8 @@ def parse_ratset(text):
             inner = part[1:-1].split(",")
             if len(inner) != 2:
                 raise DocumentError(f"interval needs two endpoints: {part!r}")
-            lo = _parse_endpoint(inner[0], True)
-            hi = _parse_endpoint(inner[1], False)
+            lo = _parse_endpoint(inner[0])
+            hi = _parse_endpoint(inner[1])
             if not lo < hi:
                 raise DocumentError(f"empty or inverted interval: {part!r}")
             atoms.append(_iv(lo, hi))

@@ -139,13 +139,7 @@ class Rel:
 
     def image_mask(self, mask):
         """Mask form of image_of_set: successors of any element in `mask`."""
-        out = 0
-        imgs = self.image_masks
-        while mask:
-            low = mask & -mask
-            out |= imgs[low.bit_length() - 1]
-            mask ^= low
-        return out
+        return _join_mask(self.image_masks, mask)
 
     def contains(self, other):
         _check_same_carrier(self, other)
@@ -167,6 +161,18 @@ class Rel:
     def _pair_key(self, pair):
         idx = self.carrier.index
         return (idx[pair[0]], idx[pair[1]])
+
+
+def _join_mask(point_masks, mask):
+    """The OR of point_masks[x] over the points x of `mask`: the image of
+    one subset under the union-preserving map with those point values
+    (the whole table of such images is `proximity._join_table`)."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= point_masks[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def _check_same_carrier(r, s):

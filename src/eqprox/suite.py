@@ -22,13 +22,13 @@ from fractions import Fraction
 from operator import attrgetter
 
 from . import rationals as rat
-from .equivariant import beta_g_proximity, check_equinormal, compute_ug, \
-    deepest_orbits_coincide, enumerate_partition_proximities, \
-    is_action_compatible, is_g_invariant, nu_proximity, semigroup_upgrade, \
-    set_partitions
+from .equivariant import beta_g_proximity, betag_on_subgroup_agrees, \
+    check_equinormal, compute_ug, deepest_orbits_coincide, \
+    enumerate_partition_proximities, is_action_compatible, is_g_invariant, \
+    nu_proximity, semigroup_upgrade, set_partitions
 from .errors import InternalCheckFailure
-from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
-    check_action_continuity, classify, saturate_uniformity
+from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify, \
+    saturate_uniformity
 from .metricprox import FiniteMetric, PseudometricFamily, is_isometric, \
     metric_g_proximity, metric_uniformity, xi_report, \
     sup_pseudometric
@@ -388,7 +388,6 @@ def _run_main_family(res, want, max_n, seed, max_group, inject):
         if not validate_basis(u).ok():
             continue
         cls = classify(germ, u)
-        continuous, _ = check_action_continuity(germ, u)
         if want["gprox"]:
             # Composite-verdict inclusion: equiuniform is the stronger notion.
             res["gprox"].record(not cls.equiuniform or cls.pi_uniform,
@@ -401,7 +400,7 @@ def _run_main_family(res, want, max_n, seed, max_group, inject):
             if want["maximality"] and germ.carrier.n <= 4:
                 germ_candidates[germ_key] = _g_proximity_candidates(germ)
 
-        if not (cls.pi_uniform and continuous):
+        if not (cls.pi_uniform and cls.action_continuous):
             continue
 
         nu = nu_proximity(germ, u)
@@ -428,20 +427,21 @@ def _run_main_family(res, want, max_n, seed, max_group, inject):
             if ok and not refinement_equivalent(u, checked_ug):
                 ok, detail = False, "not refinement-equivalent under pi-uniformity"
             res["ugclaims"].record(ok, label, detail)
+        base_gprox = want["gprox"] and cls.equiuniform
+        maximality = want["maximality"] and germ.carrier.n <= 4
+        delta_u = from_uniformity(u) if base_gprox or maximality else None
         if want["gprox"]:
             inv, invw = is_g_invariant(nu, germ)
             comp, compw = is_action_compatible(nu, germ)
             res["gprox"].record(inv and comp, label, invw or compw)
-            if cls.equiuniform:
-                du = from_uniformity(u)
-                inv2, w2 = is_g_invariant(du, germ)
-                comp2, w22 = is_action_compatible(du, germ)
+            if base_gprox:
+                inv2, w2 = is_g_invariant(delta_u, germ)
+                comp2, w22 = is_action_compatible(delta_u, germ)
                 res["gprox"].record(inv2 and comp2, label + "/base", w2 or w22)
         if want["semigr"]:
             ok, wit = semigroup_upgrade(nu, germ)
             res["semigr"].record(ok, label, wit)
-        if want["maximality"] and germ.carrier.n <= 4:
-            delta_u = from_uniformity(u)
+        if maximality:
             for ri, rho in enumerate(germ_candidates[germ_key]):
                 if dominates(delta_u, rho):
                     res["maximality"].record(
@@ -481,14 +481,9 @@ def _per_germ_checks(res, want, label, germ, inject):
                 continue
             if not deepest_orbits_coincide(germ, h):
                 continue
-            agree, _full, _restr = _betag_subgroup(germ, h)
+            agree, _full, _restr = betag_on_subgroup_agrees(germ, sorted(h))
             res["densesub"].record(
                 agree, f"{label}/H={sorted(group.names[i] for i in h)}", None)
-
-
-def _betag_subgroup(germ, h):
-    from .equivariant import betag_on_subgroup_agrees
-    return betag_on_subgroup_agrees(germ, sorted(h))
 
 
 def _first_mismatch(p1, p2):
@@ -761,33 +756,37 @@ def _metric_matrices(n):
 
 def _run_metric_family(result, max_group):
     groups = [g for g in suite_groups(max_group) if g[0] in ("Z2", "Z4", "S3")]
+    # Chains and actions are validated once; each matrix gets fresh germs,
+    # so the germ caches do not grow with the number of matrices.
+    chains = {gname: [NeighborhoodBase(group, levels)
+                      for levels in germ_chains(group)]
+              for gname, group, _gens in groups}
     for n in (1, 2, 3, 4):
         carrier = Carrier(range(n))
+        settings = [(f"{gname}/act{ai}/chain{ci}", group, ne, act)
+                    for gname, group, gens in groups
+                    for ai, act in enumerate(
+                        curated_actions(gname, group, gens, n))
+                    for ci, ne in enumerate(chains[gname])]
         for mi, matrix in enumerate(_metric_matrices(n)):
             metric = FiniteMetric(carrier, matrix)
             u = metric_uniformity(metric)
-            for gname, group, gens in groups:
-                chains = germ_chains(group)
-                for ai, act in enumerate(curated_actions(gname, group, gens, n)):
-                    for ci, levels in enumerate(chains):
-                        germ = GActionGerm(
-                            group, NeighborhoodBase(group, levels), carrier, act)
-                        cls = classify(germ, u)
-                        if cls.uniformly_equicontinuous and is_isometric(metric, germ):
-                            # Isometric actions must pass without hypotheses.
-                            if not cls.pi_uniform:
-                                result.record(
-                                    False,
-                                    f"metric/n{n}/m{mi}/{gname}/act{ai}/chain{ci}",
-                                    "isometric action not pi-uniform")
-                                continue
-                        if not cls.pi_uniform:
-                            continue
-                        label = f"metric/n{n}/m{mi}/{gname}/act{ai}/chain{ci}"
-                        mg = metric_g_proximity(metric, germ)
-                        derived = from_uniformity(compute_ug(germ, u))
-                        result.record(_first_mismatch(mg, derived) is None,
-                                      label, _first_mismatch(mg, derived))
+            for name, group, ne, act in settings:
+                label = f"metric/n{n}/m{mi}/{name}"
+                germ = GActionGerm(group, ne, carrier, act)
+                cls = classify(germ, u)
+                if cls.uniformly_equicontinuous and is_isometric(metric, germ):
+                    # Isometric actions must pass without hypotheses.
+                    if not cls.pi_uniform:
+                        result.record(False, label,
+                                      "isometric action not pi-uniform")
+                        continue
+                if not cls.pi_uniform:
+                    continue
+                mg = metric_g_proximity(metric, germ)
+                derived = from_uniformity(compute_ug(germ, u))
+                mismatch = _first_mismatch(mg, derived)
+                result.record(mismatch is None, label, mismatch)
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,27 @@ at a time before they were built from point-mask join tables, and the
 ``classify`` (with its helpers) and ``validate_basis`` that tested
 containment on ``Rel`` pair sets before they worked on packed pair bits;
 ``classify_reference`` reads continuity from the scalar
-``check_action_continuity_reference`` above.  The bodies are kept
-unchanged, so that ``test_equivariant_differential.py`` compares
-the production code with the originals, tables, verdicts and witnesses
-alike.  This is test-only code: nothing under ``src/`` may import it.
+``check_action_continuity_reference`` above.  The last section keeps the
+point-at-a-time translates and pullbacks (``GActionGerm.translate_mask``,
+``set_translate_mask`` and ``push_rel`` as functions of the germ, the
+continuity scan, ``nu_proximity`` and the overlap pullbacks that used
+them, ``bracket_entourage``, ``deepest_orbits_coincide`` and the scalar
+``_acts_equicontinuously``) from before translates and pullbacks went
+through the one mask helper ``setrel._join_mask``.
+The bodies are kept unchanged, methods taking the germ as ``a``, so
+that ``test_equivariant_differential.py`` compares the production code
+with the originals, tables, verdicts and witnesses alike.  This is
+test-only code: nothing under ``src/`` may import it.
 """
 
 from eqprox import setrel
 from eqprox.errors import CarrierMismatch, InternalCheckFailure, \
     PreconditionFailure
-from eqprox.gaction import ClassificationReport
-from eqprox.proximity import AxiomReport, Prox, _intersectors, _submask_table
-from eqprox.uniformity import validate_basis
+from eqprox.equivariant import _bracket
+from eqprox.gaction import ClassificationReport, _group_indices
+from eqprox.proximity import AxiomReport, Prox, _and_intersectors, \
+    _intersectors, _join_table, _submask_table
+from eqprox.uniformity import _first_uncovered, validate_basis
 
 
 def is_g_invariant_reference(p, a):
@@ -70,7 +79,7 @@ def check_action_continuity_reference(a, u):
                 for li in range(len(levels)):
                     v0 = frozenset(group.mul[g0][v] for v in levels[li])
                     for delta in u.basis:
-                        moved = a.set_translate_mask(v0, delta.image_masks[x0])
+                        moved = set_translate_mask(a, v0, delta.image_masks[x0])
                         if moved | target == target:
                             ok = True
                             break
@@ -100,7 +109,7 @@ def equinormal_separation_reference(a):
 
 def _pi_disjoint(a, am, bm):
     for li in range(len(a.ne.levels)):
-        if not a.translate_mask(li, am) & a.translate_mask(li, bm):
+        if not translate_mask(a, li, am) & translate_mask(a, li, bm):
             return True
     return False
 
@@ -251,7 +260,7 @@ def classify_reference(a, u):
     saturated = True
     for g in range(group.order):
         for k, eps in enumerate(basis):
-            geps = a.push_rel(g, eps)
+            geps = push_rel(a, g, eps)
             if not any(geps.contains(d) for d in basis):
                 saturated = False
                 witnesses["saturated"] = (group.names[g], k)
@@ -418,3 +427,169 @@ def validate_basis_reference(u):
             break
 
     return AxiomReport(results)
+
+
+# The point-at-a-time translates and pullbacks, before the one mask
+# helper.
+
+def translate_mask(a, level_index, mask):
+    out = 0
+    masks = a.level_elem_masks(level_index)
+    while mask:
+        low = mask & -mask
+        out |= masks[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def set_translate_mask(a, subset_indices, mask):
+    """Translate a carrier mask by an arbitrary set of group indices."""
+    out = 0
+    for v in subset_indices:
+        p = a.act[v]
+        m = mask
+        while m:
+            low = m & -m
+            out |= 1 << p[low.bit_length() - 1]
+            m ^= low
+    return out
+
+
+def push_rel(a, g, rel):
+    """The translated entourage g.eps = {(g x, g y) : (x, y) in eps}."""
+    masks = [0] * a.carrier.n
+    for x, m in enumerate(rel.image_masks):
+        masks[a.act[g][x]] = set_translate_mask(a, (g,), m)
+    return setrel.Rel.from_masks(a.carrier, masks)
+
+
+def action_continuity_translate_reference(a, u):
+    """``check_action_continuity`` with the translates of delta(x0) built
+    one mask at a time."""
+    n = a.carrier.n
+    push = a.push_table(u)
+    moved = [[translate_mask(a, li, delta.image_masks[x0])
+              for li in range(len(a.ne.levels)) for delta in u.basis]
+             for x0 in range(n)]
+    for g0 in range(a.group.order):
+        pulled = push[a.group.inv[g0]]
+        for x0 in range(n):
+            k = _first_uncovered([b >> x0 * n for b in pulled], moved[x0])
+            if k is not None:
+                return False, (a.group.names[g0], a.carrier.elements[x0], k)
+    return True, None
+
+
+def overlap_pullbacks_reference(a, level_index):
+    """t[m] = V^{-1}V.m for every subset mask m: the points whose
+    V-translate meets V.m, as the join table of the n point values."""
+    return _join_table([_level_pullback(a, level_index, t)
+                        for t in a.level_elem_masks(level_index)])
+
+
+def nu_proximity_point_pullback_reference(a, u):
+    """Translate nearness: A and B are near when at every chain level the
+    level translates are near in the proximity induced by u.
+
+    For level V and entourage eps, VA is near VB iff B meets
+    V^{-1} eps(V A).  That map of A is a composite of three
+    union-preserving maps (translate, entourage image, level pullback), so
+    its table over all 2**n subsets is the join table of its n point
+    values.  Each (level, eps) pair costs n pullbacks plus one OR per
+    subset and one AND of 2**n-bit integers per row: Theta(levels * |basis|
+    * 2**n) operations on 2**n-bit integers in all.
+
+    All chain levels are evaluated; by monotonicity of translation the
+    deepest level alone gives the same table, and that reduction is
+    asserted rather than assumed: the deepest level's table is kept apart
+    and compared with the AND over the whole chain.
+    """
+    report = validate_basis(u)
+    if not report.ok():
+        raise PreconditionFailure(
+            f"input basis fails condition {report.failures()[0]}",
+            witness=report)
+    carrier = a.carrier
+    n = carrier.n
+    N = 1 << n
+    full_bits = (1 << N) - 1
+
+    def and_level(li, rows):
+        lem = a.level_elem_masks(li)
+        for eps in u.basis:
+            pull = _join_table([_level_pullback(a, li, eps.image_mask(t))
+                                for t in lem])
+            _and_intersectors(rows, pull, n)
+        return rows
+
+    deepest = len(a.ne.levels) - 1
+    reduced = and_level(deepest, [full_bits] * N)
+    rows = list(reduced)
+    for li in range(deepest):
+        and_level(li, rows)
+    if rows != reduced:
+        raise InternalCheckFailure(
+            "translate nearness differs between the full chain and the "
+            "deepest level; the chain is not descending")
+    return Prox(carrier, rows)
+
+
+def bracket_entourage_reference(a, group_subset, eps):
+    """The entourage [V, eps] of pairs whose V-translates meet eps."""
+    if eps.carrier != a.carrier:
+        raise CarrierMismatch("entourage is not over the action's carrier")
+    ids = _group_indices(a.group, group_subset)
+    return _bracket(a.carrier, [set_translate_mask(a, ids, 1 << x)
+                                for x in range(a.carrier.n)], eps)
+
+
+def deepest_orbits_coincide_reference(a, subgroup):
+    """Whether the subgroup meets every deepest-level orbit relation.
+
+    Compares, point by point, the orbit of the deepest chain level with
+    the orbit of its intersection with the subgroup.  When these coincide
+    the translate-overlap proximity cannot tell the two groups apart.
+    """
+    group = a.group
+    H = _group_indices(group, subgroup)
+    deep = a.ne.deepest
+    inter = deep & H
+    n = a.carrier.n
+    for x in range(n):
+        full = 0
+        part = 0
+        for v in deep:
+            full |= 1 << a.act[v][x]
+        for v in inter:
+            part |= 1 << a.act[v][x]
+        if full != part:
+            return False
+    return True
+
+
+def acts_equicontinuously_reference(a, u, subset_ids):
+    """Equicontinuity of a fixed set of group elements, at basis level."""
+    n = a.carrier.n
+    for x0 in range(n):
+        for eps in u.basis:
+            imgs = eps.image_masks
+            good = False
+            for delta in u.basis:
+                nbhd = delta.image_masks[x0]
+                ok = True
+                for g in subset_ids:
+                    p = a.act[g]
+                    m = nbhd
+                    while m and ok:
+                        low = m & -m
+                        if not imgs[p[x0]] >> p[low.bit_length() - 1] & 1:
+                            ok = False
+                        m ^= low
+                    if not ok:
+                        break
+                if ok:
+                    good = True
+                    break
+            if not good:
+                return False
+    return True

@@ -207,6 +207,32 @@ def test_rat_claim(capsys):
     assert code == 2 and "not convex" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("claim", "{1e5000}", "(0,1e5001)"),
+    ("tower", "{1e5000}"),
+    ("far", "{0}", "(0,1E3)"),
+])
+def test_rat_exponent_literal_exits_2(capsys, argv):
+    # Exponents are not part of the p/q grammar; 1e5000 would otherwise
+    # build an integer too long to print.
+    code, _, err = run(capsys, "rat", *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert "exponents are not supported" in err
+
+
+@pytest.mark.parametrize("literal", ["1e5000", "1E5000"])
+def test_document_exponent_rational_exits_2(tmp_path, capsys, literal):
+    doc = json.loads(Path(fixture("z4_metric.json")).read_text(
+        encoding="utf-8"))
+    doc["metric"][0][1] = doc["metric"][1][0] = literal
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert f"bad rational '{literal}'" in err
+
+
 def test_suite_filter_and_determinism(capsys):
     code, out1, _ = run(capsys, "suite", "--max-n", "2", "--seed", "7",
                         "--filter", "tgprox,betag")
@@ -233,6 +259,13 @@ def test_suite_negative_control_bracket(capsys):
 def test_suite_negative_control_betag(capsys):
     code, out, _ = run(capsys, "suite", "--max-n", "2",
                        "--filter", "betag", "--inject", "betag")
+    assert code == 1
+    assert "first counterexample" in out
+
+
+def test_suite_negative_control_nu(capsys):
+    code, out, _ = run(capsys, "suite", "--max-n", "2",
+                       "--filter", "tgprox", "--inject", "nu")
     assert code == 1
     assert "first counterexample" in out
 

@@ -5,10 +5,11 @@ import pytest
 from eqprox.equivariant import beta_g_proximity, betag_on_subgroup_agrees, \
     bracket_entourage, check_equinormal, compute_ug, deepest_orbits_coincide, \
     enumerate_partition_proximities, is_action_compatible, is_g_invariant, \
-    is_massive, nu_proximity, semigroup_upgrade, subgroup_germ, verify_tgprox
+    is_massive, nu_proximity, semigroup_upgrade, subgroup_germ
 from eqprox.errors import PreconditionFailure
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify
-from eqprox.proximity import Prox, check_axioms, dominates, from_uniformity
+from eqprox.proximity import Prox, check_axioms, dominates, from_uniformity, \
+    is_separated
 from eqprox.setrel import Carrier, Rel, diagonal, full_relation
 from eqprox.uniformity import UnifBase, discrete_basis, refinement_equivalent, \
     validate_basis
@@ -180,27 +181,20 @@ def test_nu_shortcut_agrees_with_full_scan_when_saturated():
 
 
 def test_verify_tgprox_on_good_instances():
+    # The checks of the suite's tgprox and gprox blocks on two pi-uniform
+    # settings with continuous actions: translate nearness equals the
+    # derived-basis proximity and is an invariant, compatible proximity.
+    for a in (z3_rotation(levels=[frozenset({0})]), z2_swap_fixing_c()):
+        u = discrete_basis(a.carrier)
+        cls = classify(a, u)
+        assert cls.pi_uniform and cls.action_continuous
+        nu = nu_proximity(a, u)
+        assert nu == from_uniformity(compute_ug(a, u))
+        assert is_g_invariant(nu, a) == (True, None)
+        assert is_action_compatible(nu, a) == (True, None)
+    # The discrete germ keeps distinct points far.
     a = z3_rotation(levels=[frozenset({0})])
-    rep = verify_tgprox(a, discrete_basis(a.carrier))
-    assert rep.ok and rep.equal and rep.separated
-    b = z2_swap_fixing_c()
-    rep2 = verify_tgprox(b, discrete_basis(b.carrier))
-    assert rep2.ok
-
-
-def test_verify_tgprox_precondition_error_not_false_verdict():
-    # Swap of 0 and 2 with a partition entourage the swap does not respect:
-    # the single-entourage basis is valid but not saturated.
-    g = FiniteGroup.cyclic(2)
-    c = Carrier(range(3))
-    swap = GActionGerm(g, NeighborhoodBase(g, [frozenset({0})]), c,
-                       [(0, 1, 2), (2, 1, 0)])
-    theta = Rel(c, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)])
-    u = UnifBase(c, [theta])
-    assert validate_basis(u).ok()
-    assert not classify(swap, u).saturated
-    with pytest.raises(PreconditionFailure):
-        verify_tgprox(swap, u)
+    assert is_separated(nu_proximity(a, discrete_basis(a.carrier)))
 
 
 def test_nu_equals_derived_even_without_continuity():

@@ -5,7 +5,9 @@ the scalar references.
 ``is_action_compatible`` must return the reference's verdict and first
 witness; the equinormal separation scans must return the reference scans'
 verdicts; ``nu_proximity`` and ``beta_g_proximity`` must return the
-reference's tables, or raise the same error.  Failing inputs are included
+reference's tables, or raise the same error.  Translates and pullbacks
+through the germ's point masks, and the functions built on them, must
+agree with the point-at-a-time references.  Failing inputs are included
 on purpose, so that witnesses, not only verdicts, are compared.
 """
 
@@ -13,22 +15,30 @@ import random
 from pathlib import Path
 
 import pytest
-from equivariant_reference import beta_g_proximity_reference, \
-    check_action_continuity_reference, classify_reference, \
+from equivariant_reference import _level_pullback, \
+    action_continuity_translate_reference, \
+    acts_equicontinuously_reference, beta_g_proximity_reference, \
+    bracket_entourage_reference, check_action_continuity_reference, \
+    classify_reference, deepest_orbits_coincide_reference, \
     equinormal_separation_reference, is_action_compatible_reference, \
-    is_g_invariant_reference, nu_proximity_reference, \
-    separation_ok_reference, validate_basis_reference
+    is_g_invariant_reference, nu_proximity_point_pullback_reference, \
+    nu_proximity_reference, overlap_pullbacks_reference, push_rel, \
+    separation_ok_reference, set_translate_mask, translate_mask, \
+    validate_basis_reference
 
 from eqprox.document import load_instance
-from eqprox.equivariant import _separation_ok, beta_g_proximity, \
-    check_equinormal, compute_ug, enumerate_partition_proximities, \
+from eqprox.equivariant import _overlap_pullbacks, _separation_ok, \
+    beta_g_proximity, bracket_entourage, check_equinormal, compute_ug, \
+    deepest_orbits_coincide, enumerate_partition_proximities, \
     is_action_compatible, is_g_invariant, nu_proximity
 from eqprox.errors import InternalCheckFailure, PreconditionFailure
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
     check_action_continuity, classify, saturate_uniformity
-from eqprox.metricprox import FiniteMetric, metric_uniformity
+from eqprox.metricprox import FiniteMetric, PseudometricFamily, \
+    _acts_equicontinuously, family_uniformity, metric_uniformity, \
+    xi_uniformity
 from eqprox.proximity import Prox, from_uniformity
-from eqprox.setrel import Carrier, Rel
+from eqprox.setrel import Carrier, Rel, _join_mask
 from eqprox.suite import _metric_matrices, _random_valid_basis, \
     curated_actions, germ_chains, iter_family, suite_groups
 from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis, \
@@ -308,3 +318,127 @@ def test_basis_reports_match_reference_on_failing_relation_lists():
             assert classify(a, u) == classify_reference(a, u), (a, u.basis)
     assert all(count >= 10 for count in first_failures.values()), \
         first_failures
+
+
+def assert_same_germ_masks(a, rng):
+    """Translates and pullbacks through the point masks, the translate
+    table, set translates, overlap pullbacks and the deepest-orbit test
+    against the point-at-a-time references."""
+    group = a.group
+    N = 1 << a.carrier.n
+    subset = frozenset(g for g in range(group.order) if rng.random() < 0.5)
+    for li, level in enumerate(a.ne.levels):
+        trans = a.level_translates(li)
+        lem = a.level_elem_masks(li)
+        inv = a.level_inverse_elem_masks(li)
+        for m in range(N):
+            assert trans[m] == _join_mask(lem, m) == \
+                translate_mask(a, li, m), (a, li, m)
+            assert _join_mask(inv, m) == _level_pullback(a, li, m), (a, li, m)
+            for ids in (level, subset):
+                assert a.set_translate_mask(ids, m) == \
+                    set_translate_mask(a, ids, m), (a, ids, m)
+        assert _overlap_pullbacks(a, li) == \
+            overlap_pullbacks_reference(a, li), (a, li)
+    if group.order <= 12:  # the cap of FiniteGroup.subgroups
+        for h in group.subgroups():
+            assert deepest_orbits_coincide(a, h) == \
+                deepest_orbits_coincide_reference(a, h), (a, h)
+
+
+def assert_same_setting_masks(a, u):
+    """Continuity, translate nearness, brackets and pushed entourages
+    against the point-at-a-time references."""
+    assert check_action_continuity(a, u) == \
+        action_continuity_translate_reference(a, u), (a, u.basis)
+    assert nu_or_error(nu_proximity, a, u) == \
+        nu_or_error(nu_proximity_point_pullback_reference, a, u), (a, u.basis)
+    for eps in u.basis:
+        for level in a.ne.levels:
+            assert bracket_entourage(a, level, eps) == \
+                bracket_entourage_reference(a, level, eps), (a, level, eps)
+        for g in range(a.group.order):
+            assert a.push_rel(g, eps) == push_rel(a, g, eps), (a, g, eps)
+
+
+def test_point_mask_translates_match_reference_on_suite_germs():
+    rng = random.Random(38)
+    germs = {}
+    for _label, germ, u in iter_family(max_n=4, seed=0):
+        assert_same_setting_masks(germ, u)
+        key = (id(germ.group), germ.ne.levels, germ.carrier.n, germ.act)
+        germs[key] = germ
+    for germ in germs.values():
+        assert_same_germ_masks(germ, rng)
+        assert_same_setting_masks(germ, discrete_basis(germ.carrier))
+
+
+def test_point_mask_translates_match_reference_on_random_actions():
+    rng = random.Random(39)
+    for n in range(1, 9):
+        for _ in range(5):
+            a = random_germ(rng, n)
+            u = _random_valid_basis(a.carrier, rng)
+            for germ in (a, with_random_upper_levels(a, rng)):
+                assert_same_germ_masks(germ, rng)
+                for basis in (u, saturate_uniformity(germ, u),
+                              discrete_basis(a.carrier)):
+                    assert_same_setting_masks(germ, basis)
+
+
+def sigma_settings():
+    """The (family, germ) settings of the suite's sigma family at n = 3
+    and 4, drawn as `_run_sigma_family` draws them at seed 0."""
+    rng = random.Random(4)
+    for n in (3, 4):
+        carrier = Carrier(range(n))
+        matrices = list(_metric_matrices(n))
+        for gname, group, gens in suite_groups(6):
+            chains = germ_chains(group)
+            actions = curated_actions(gname, group, gens, n)
+            for _ in range(6):
+                members = [rng.choice(matrices)]
+                if rng.random() < 0.5:
+                    members.append(rng.choice(matrices))
+                fam = PseudometricFamily(carrier, members)
+                act = actions[rng.randrange(len(actions))]
+                levels = chains[rng.randrange(len(chains))]
+                yield fam, GActionGerm(group, NeighborhoodBase(group, levels),
+                                       carrier, act)
+
+
+def assert_same_equicontinuity_on_subsets(a, u):
+    """`_acts_equicontinuously` against the reference on every nonempty
+    set of group elements; returns the verdicts."""
+    k = a.group.order
+    verdicts = []
+    for bits in range(1, 1 << k):
+        ids = [g for g in range(k) if bits >> g & 1]
+        verdict = _acts_equicontinuously(a, u, ids)
+        assert verdict == acts_equicontinuously_reference(a, u, ids), \
+            (a, u.basis, ids)
+        verdicts.append(verdict)
+    # On the whole group the check is classify's.
+    assert verdicts[-1] == classify(a, u).equicontinuous, (a, u.basis)
+    return verdicts
+
+
+def test_acts_equicontinuously_matches_reference_on_sigma_settings():
+    settings = 0
+    for fam, a in sigma_settings():
+        whole = frozenset(range(a.group.order))
+        for u in (family_uniformity(fam), xi_uniformity(fam, a, [whole])):
+            assert_same_equicontinuity_on_subsets(a, u)
+        settings += 1
+    assert settings == 48
+
+
+def test_acts_equicontinuously_matches_reference_on_suite_germs():
+    # The sigma families are metrics, so the diagonal is a basis entourage
+    # and every set acts equicontinuously there; the main family's bases
+    # give both verdicts.
+    verdicts = set()
+    for _label, germ, u in iter_family(max_n=3, seed=0):
+        verdicts.update(assert_same_equicontinuity_on_subsets(germ, u))
+    assert verdicts == {False, True}
+

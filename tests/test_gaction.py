@@ -1,8 +1,9 @@
 import pytest
+from equivariant_reference import translate_mask
 
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
     check_action_continuity, classify, saturate_uniformity, translate_set
-from eqprox.setrel import Carrier, Rel, diagonal, full_relation
+from eqprox.setrel import Carrier, Rel, _join_mask, diagonal, full_relation
 from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis, \
     refinement_equivalent, validate_basis
 
@@ -128,13 +129,30 @@ def test_level_translates_match_translate_mask():
         GActionGerm(s3, NeighborhoodBase(s3, [range(6), a3, {s3.e}]),
                     Carrier(range(6)), perms),
     ]
+    # Brute force with Python sets: V.A = {v.x}, and V^{-1}.A the points
+    # with some v.x in A.
     for a in germs:
+        c = a.carrier
         for li, level in enumerate(a.ne.levels):
             trans = a.level_translates(li)
-            assert len(trans) == 1 << a.carrier.n
-            for m, t in enumerate(trans):
-                assert t == a.translate_mask(li, m)
-                assert t == a.set_translate_mask(level, m)
+            lem = a.level_elem_masks(li)
+            inv = a.level_inverse_elem_masks(li)
+            assert len(trans) == 1 << c.n
+            assert lem == tuple(c.subset_mask({a.act[v][x] for v in level})
+                                for x in range(c.n))
+            assert inv == tuple(
+                c.subset_mask({x for x in range(c.n)
+                               if any(a.act[v][x] == y for v in level)})
+                for y in range(c.n))
+            for m in range(1 << c.n):
+                subset = {x for x in range(c.n) if m >> x & 1}
+                moved = {a.act[v][x] for v in level for x in subset}
+                back = {x for x in range(c.n)
+                        if any(a.act[v][x] in subset for v in level)}
+                assert trans[m] == _join_mask(lem, m) == \
+                    c.subset_mask(moved) == translate_mask(a, li, m)
+                assert a.set_translate_mask(level, m) == c.subset_mask(moved)
+                assert _join_mask(inv, m) == c.subset_mask(back)
 
 
 def test_push_table_matches_push_rel():

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from eqprox.errors import CarrierMismatch
-from eqprox.setrel import Carrier, Rel, compose, diagonal, full_relation, \
-    image_of_set, invert
+from eqprox.setrel import Carrier, Rel, _join_mask, compose, diagonal, \
+    full_relation, image_of_set, invert
 
 
 def brute_compose(r, s):
@@ -127,3 +127,21 @@ def test_pair_bits_matches_brute_force():
                     assert (bits >> i * n + j & 1) == \
                         ((els[i], els[j]) in r.pairs)
 
+
+
+def test_join_mask_is_the_union_of_point_sets():
+    # Every tuple of point masks over three points, then random ones up to
+    # six points, against the union of Python sets.
+    def union(points, mask):
+        return set().union(*({y for y in range(8) if points[x] >> y & 1}
+                             for x in range(len(points)) if mask >> x & 1))
+
+    tuples = [(p0, p1, p2) for p0 in range(8) for p1 in range(8)
+              for p2 in range(8)]
+    rng = random.Random(22)
+    tuples += [tuple(rng.getrandbits(6) for _ in range(n))
+               for n in range(7) for _ in range(20)]
+    for points in tuples:
+        for mask in range(1 << len(points)):
+            expected = sum(1 << y for y in union(points, mask))
+            assert _join_mask(points, mask) == expected, (points, mask)

@@ -26,3 +26,26 @@ def test_corrupt_basis_drops_the_least_diagonal_pair_of_the_first_entourage():
         bad = suite._corrupt_basis(u)
         assert bad.basis[0].pairs == first.pairs - {least}
         assert bad.basis[1:] == u.basis[1:]
+
+
+def test_metric_family_labels_name_the_failing_setting(monkeypatch):
+    # Chains and actions are built once per n; the label must still name
+    # the matrix, action and chain of the setting that failed.
+    real = suite.metric_g_proximity
+    group = suite.FiniteGroup.cyclic(2)
+    chain = suite.germ_chains(group)[2]
+
+    def corrupt_one_setting(metric, germ):
+        mg = real(metric, germ)
+        if (germ.carrier.n == 3 and germ.ne.levels == chain
+                and germ.act[1] != (0, 1, 2)):
+            return suite._corrupt_prox(mg)
+        return mg
+
+    monkeypatch.setattr(suite, "metric_g_proximity", corrupt_one_setting)
+    report = suite.run_suite(max_group=2, filters=["metric"])
+    (metric,) = report.results
+    assert metric.failure == ("metric/n3/m0/Z2/act1/chain2",
+                              (frozenset({0}), frozenset({0})))
+    # All 8 matrices at n = 3 fail in that setting, and nothing else.
+    assert (metric.checked, metric.passed) == (639, 639 - 8)
