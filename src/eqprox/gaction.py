@@ -324,15 +324,6 @@ class GActionGerm:
         """Translate a carrier mask by an arbitrary set of group indices."""
         return _join_mask(self._point_masks(subset_indices), mask)
 
-    def push_rel(self, g, rel):
-        """The translated entourage g.eps = {(g x, g y) : (x, y) in eps}."""
-        p = self.act[g]
-        moved = self._point_masks((g,))
-        masks = [0] * self.carrier.n
-        for x, m in enumerate(rel.image_masks):
-            masks[p[x]] = _join_mask(moved, m)
-        return setrel.Rel.from_masks(self.carrier, masks)
-
     def __repr__(self):
         return (f"GActionGerm(group={self.group.order}, n={self.carrier.n}, "
                 f"chain={[len(v) for v in self.ne.levels]})")

@@ -9,6 +9,10 @@ checks cheap integer algebra even when the quantifiers range over all
 matrix: it transposes it by block swaps and reverses rows and columns a
 byte at a time (Warren, *Hacker's Delight*, ch. 7), so its table work is
 Theta(n * 4**n) bit operations carried out on whole 2**n-bit integers.
+Tables repeat rows: one induced by a basis often holds only a few dozen
+distinct rows among its 2**n.  So the axioms that read a row only through
+its value are decided once per distinct row, and the far-pair searches
+visit one pair per distinct (row, column) combination.
 
 The axioms checked are the classical ones:
 
@@ -296,10 +300,18 @@ def check_axioms(p, cap=AXIOM_CHECK_CAP):
     * The strong-neighborhood tables of P5 and P5' are bit reversals of
       complemented rows and columns, done a byte at a time through a
       256-entry table (``_reverse_bits``).
+    * P6 ANDs each point row once with the bits of the other singletons.
 
-    Building these tables costs Theta(n * 4**n) bit operations, done as
-    Theta(n * 2**n) integer operations on 2**n-bit integers.  The far-pair
-    searches of P5 and P5' still visit each far pair.
+    P1, P2 and the transpose cost Theta(n * 2**n) integer operations on
+    2**n-bit integers.  P4, P5 and P5' read row A only through its value,
+    so they are decided once per distinct row value, and their first
+    violation in index order is still found: it falls on the first copy
+    of its row.  For the same reason the far-pair searches visit B only at
+    the first copy of each distinct (row, column) pair.  With r distinct
+    rows and c distinct such pairs, they cost Theta(r * 2**n) integer
+    operations for the tables plus at most r * c far-pair tests; a table
+    with all rows distinct (the finest one, ``Prox.overlap``) still visits
+    every far pair.
     """
     carrier = p.carrier
     n = carrier.n
@@ -338,6 +350,21 @@ def check_axioms(p, cap=AXIOM_CHECK_CAP):
     else:
         results["P3"] = (True, None)
 
+    # P4, P5 and P5' read row a only through its value rows[a] and tables
+    # indexed by b, so a later copy of a row value passes exactly when its
+    # first copy does: they run over first copies only.  rep[a] is the
+    # first index holding rows[a] and crep[b] the first holding cols[b].
+    # The far-pair verdict for (a, b) reads b only through rows[b] and
+    # cols[b], so the searches visit only the bits of `searched`, the
+    # first index of each distinct (row, column) pair.
+    first, cfirst, pfirst = {}, {}, {}
+    rep = [first.setdefault(row, a) for a, row in enumerate(rows)]
+    crep = [cfirst.setdefault(col, b) for b, col in enumerate(cols)]
+    for b, pair in enumerate(zip(rep, crep)):
+        pfirst.setdefault(pair, b)
+    searched = sum(1 << b for b in pfirst.values())
+    firsts = first.values()
+
     # P4: near(A, BuC) iff near(A,B) or near(A,C).  Equivalent to: the row is
     # determined by its singleton bits (all-near if the empty bit is set).
     # With the empty bit clear, the row must be the intersectors of the
@@ -345,7 +372,7 @@ def check_axioms(p, cap=AXIOM_CHECK_CAP):
     # which the union law breaks, split as (s minus its lowest point, that
     # point).
     results["P4"] = (True, None)
-    for a in range(N):
+    for a in firsts:
         row = rows[a]
         if row & 1:
             if row != full_bits:
@@ -364,17 +391,22 @@ def check_axioms(p, cap=AXIOM_CHECK_CAP):
             results["P4"] = (False, (subset(a), subset(s ^ low), subset(low)))
             break
 
-    # Strong-neighborhood masks, shared by P5 and P5'.
+    # Strong-neighborhood masks, shared by P5 and P5', built for first
+    # copies and spread to every index by the representative lists, so the
+    # far-pair loops read them with one plain list index.
     #   sn[a]   = {a1 : A is far from X \ A1}, the reversed complement of row a
     #   cutb[b] = {c  : X \ C is far from B}, the reversed complement of column b
-    sn = [_reverse_bits(~row & full_bits, N) for row in rows]
-    cutb = [_reverse_bits(~col & full_bits, N) for col in cols]
+    sn = {a: _reverse_bits(~rows[a] & full_bits, N) for a in firsts}
+    cut_of = {b: _reverse_bits(~cols[b] & full_bits, N)
+              for b in cfirst.values()}
+    cutb = [cut_of[b] for b in crep]
 
     # P5: every far pair admits a cut set C with A far C and X\C far B.
     results["P5"] = (True, None)
     done = False
-    for a in range(N):
-        far = faror = ~rows[a] & full_bits
+    for a in firsts:
+        far = ~rows[a] & full_bits
+        faror = far & searched
         while faror:
             low = faror & -faror
             b = low.bit_length() - 1
@@ -390,15 +422,17 @@ def check_axioms(p, cap=AXIOM_CHECK_CAP):
     # independently of P5 through the submask table: reach[b] is the OR of
     # the submask rows of the complements of b's strong neighborhoods.
     complement_submasks = _submask_table(n)[::-1]
-    reach = [_join_mask(complement_submasks, m) for m in sn]
+    reach_of = {a: _join_mask(complement_submasks, sn[a]) for a in firsts}
+    reach = [reach_of[a] for a in rep]
     results["P5prime"] = (True, None)
     done = False
-    for a in range(N):
-        faror = ~rows[a] & full_bits
+    for a in firsts:
+        sna = sn[a]
+        faror = ~rows[a] & searched
         while faror:
             low = faror & -faror
             b = low.bit_length() - 1
-            if not sn[a] & reach[b]:
+            if not sna & reach[b]:
                 results["P5prime"] = (False, (subset(a), subset(b)))
                 done = True
                 break
@@ -407,16 +441,9 @@ def check_axioms(p, cap=AXIOM_CHECK_CAP):
             break
 
     # P6: distinct points are far.
-    results["P6"] = (True, None)
-    done = False
-    for i in range(n):
-        for j in range(n):
-            if i != j and rows[1 << i] >> (1 << j) & 1:
-                results["P6"] = (False, (subset(1 << i), subset(1 << j)))
-                done = True
-                break
-        if done:
-            break
+    near_points = _first_near_points(rows, n)
+    results["P6"] = ((True, None) if near_points is None else
+                     (False, tuple(subset(1 << i) for i in near_points)))
 
     return AxiomReport(results)
 
@@ -459,14 +486,21 @@ def from_uniformity(u):
     return Prox(carrier, rows)
 
 
+def _first_near_points(rows, n):
+    """The first pair (i, j) of distinct points with {i} near {j}, i before
+    j in index order, or None.  Each point row is ANDed once with the bits
+    of the other singletons."""
+    singletons = sum(1 << (1 << j) for j in range(n))
+    for i in range(n):
+        near = rows[1 << i] & singletons & ~(1 << (1 << i))
+        if near:
+            return i, ((near & -near).bit_length() - 1).bit_length() - 1
+    return None
+
+
 def is_separated(p):
     """Whether distinct points are always far (axiom P6 alone)."""
-    n = p.carrier.n
-    for i in range(n):
-        for j in range(n):
-            if i != j and p.rows[1 << i] >> (1 << j) & 1:
-                return False
-    return True
+    return _first_near_points(p.rows, p.carrier.n) is None
 
 
 @dataclass(frozen=True)

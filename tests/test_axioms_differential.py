@@ -8,7 +8,8 @@ import random
 
 from axioms_reference import check_axioms_reference
 
-from eqprox.proximity import Prox, check_axioms, from_uniformity
+from eqprox.proximity import Prox, _intersectors, check_axioms, \
+    from_uniformity
 from eqprox.setrel import Carrier
 from eqprox.suite import _graph_proximity, _random_valid_basis, basis_pool
 
@@ -78,3 +79,75 @@ def test_single_bit_flips_match_reference():
             rows = list(p.rows)
             rows[a] ^= 1 << b
             assert_same_report(Prox(p.carrier, rows, normalize=False))
+
+
+def class_map_table(rng, n, k):
+    """A table whose N rows take at most k values, assigned to the indices
+    by a random class map.  Values are P4-shaped rows (the intersectors of a
+    random mask, sometimes with a few bits flipped), all-near rows or random
+    rows, so every axiom gets both passing and failing tables."""
+    N = 1 << n
+    full_bits = (1 << N) - 1
+    values = []
+    for _ in range(k):
+        roll = rng.random()
+        if roll < 0.6:
+            row = _intersectors(rng.getrandbits(n), n)
+            if rng.random() < 0.3:
+                row ^= 1 << rng.randrange(1, N)
+        elif roll < 0.75:
+            row = full_bits
+        else:
+            row = rng.getrandbits(N)
+        values.append(row)
+    return [values[rng.randrange(k)] for _ in range(N)]
+
+
+def repeated_value_indices(rows):
+    """Index lists of the row values that occur more than once."""
+    where = {}
+    for a, row in enumerate(rows):
+        where.setdefault(row, []).append(a)
+    return [idx for idx in where.values() if len(idx) > 1]
+
+
+def flipped(rows, a, rng):
+    rows = list(rows)
+    rows[a] ^= 1 << rng.randrange(len(rows))
+    return rows
+
+
+def repeated_row_tables(rng, sizes, per_size):
+    """Class-map tables and valid tables, each also with one bit flipped in
+    the first and in the last copy of a repeated row value."""
+    for n in sizes:
+        carrier = Carrier(range(n))
+        bases = basis_pool(carrier, rng)
+        for t in range(per_size):
+            rows = (class_map_table(rng, n, rng.randint(1, 6)) if t % 2 else
+                    list(from_uniformity(bases[t % len(bases)]).rows))
+            yield carrier, rows
+            for idx in repeated_value_indices(rows)[:3]:
+                yield carrier, flipped(rows, idx[-1], rng)
+                yield carrier, flipped(rows, idx[0], rng)
+
+
+def test_repeated_rows_match_reference():
+    rng = random.Random(16)
+    for carrier, rows in repeated_row_tables(rng, range(1, 8), 16):
+        assert_same_report(Prox(carrier, rows, normalize=False))
+
+
+def test_one_repeated_value_matches_reference():
+    rng = random.Random(17)
+    for n in range(1, 8):
+        carrier = Carrier(range(n))
+        N = 1 << n
+        values = [0, (1 << N) - 1, (1 << N) - 2, rng.getrandbits(N),
+                  _intersectors(rng.getrandbits(n), n)]
+        for value in values:
+            rows = [value] * N
+            assert_same_report(Prox(carrier, rows, normalize=False))
+            for a in (0, N - 1):
+                assert_same_report(
+                    Prox(carrier, flipped(rows, a, rng), normalize=False))

@@ -353,12 +353,13 @@ def assert_same_setting_masks(a, u):
         action_continuity_translate_reference(a, u), (a, u.basis)
     assert nu_or_error(nu_proximity, a, u) == \
         nu_or_error(nu_proximity_point_pullback_reference, a, u), (a, u.basis)
-    for eps in u.basis:
+    push = a.push_table(u)
+    for k, eps in enumerate(u.basis):
         for level in a.ne.levels:
             assert bracket_entourage(a, level, eps) == \
                 bracket_entourage_reference(a, level, eps), (a, level, eps)
         for g in range(a.group.order):
-            assert a.push_rel(g, eps) == push_rel(a, g, eps), (a, g, eps)
+            assert push[g][k] == push_rel(a, g, eps).pair_bits, (a, g, eps)
 
 
 def test_point_mask_translates_match_reference_on_suite_germs():

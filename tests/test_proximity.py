@@ -5,7 +5,7 @@ import pytest
 
 from eqprox.errors import ResourceCap
 from eqprox.proximity import P1_P5, Prox, _and_intersectors, \
-    _index_bit_swaps, _join_table, _permute_index_bits, _reverse_bits, \
+    _first_near_points, _index_bit_swaps, _join_table, _permute_index_bits, _reverse_bits, \
     _transpose, check_axioms, closure, dominates, from_uniformity, \
     is_separated, separated_reflection
 from eqprox.setrel import Carrier, Rel, diagonal, full_relation
@@ -235,6 +235,34 @@ def test_delta_swaps_match_per_bit_index_permutation():
         N = 1 << len(perm)
         for x in [0, (1 << N) - 1] + [rng.getrandbits(N) for _ in range(4)]:
             assert _permute_index_bits(x, swaps) == permute_per_bit(x, perm)
+
+
+def first_near_points_per_bit(rows, n):
+    """The P6 double loop: the first i, then the first j != i, with {i}
+    near {j}."""
+    for i in range(n):
+        for j in range(n):
+            if i != j and rows[1 << i] >> (1 << j) & 1:
+                return i, j
+    return None
+
+
+def test_first_near_points_matches_double_loop():
+    rng = random.Random(24)
+    for n in range(1, 7):
+        N = 1 << n
+        for _ in range(60):
+            rows = [rng.getrandbits(N) for _ in range(N)]
+            # Clear most singleton bits so that the first near pair, if any,
+            # falls anywhere in the (i, j) order.
+            for i in range(n):
+                for j in range(n):
+                    if rng.random() < 0.85:
+                        rows[1 << i] &= ~(1 << (1 << j))
+            want = first_near_points_per_bit(rows, n)
+            assert _first_near_points(rows, n) == want, (n, rows)
+            p = Prox(Carrier(range(n)), rows, normalize=False)
+            assert is_separated(p) == (want is None)
 
 
 def test_separated_reflection_collapses_near_points():
