@@ -37,6 +37,24 @@ def _emit_json(payload):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _emit_table_json(payload):
+    """`_emit_json` for a payload with a proximity table, byte for byte.
+
+    Every key but `rows_hex` goes through `json.dumps` with an empty list
+    in its place.  The list is then written as one join of its strings:
+    they hold hex digits only, which JSON never escapes.  The empty-list
+    line is found exactly, since `json.dumps` escapes every newline inside
+    a string, so a newline followed by two spaces and a quote can only
+    start a top-level key.  A table has 2**n >= 2 rows, so the list is
+    never empty.  The pieces go to stdout in order, so the multi-megabyte
+    text at n = 12 is never copied into one string.
+    """
+    text = json.dumps({**payload, "rows_hex": []}, indent=2, sort_keys=True)
+    head, tail = text.split('\n  "rows_hex": []', 1)
+    rows = '",\n    "'.join(payload["rows_hex"])
+    print(head, '\n  "rows_hex": [\n    "', rows, '"\n  ]', tail, sep="")
+
+
 def _resolve_sets(instance, names):
     out = []
     for name in names:
@@ -144,7 +162,7 @@ def cmd_compute(args):
     if args.json:
         payload = {"schema": 1, "what": args.what}
         payload.update(_prox_json(prox))
-        _emit_json(payload)
+        _emit_table_json(payload)
     else:
         carrier = prox.carrier
         print(f"proximity on {list(carrier.elements)}; "

@@ -200,17 +200,30 @@ def _build_group_action(doc, carrier):
             group, elem_perms = FiniteGroup.from_permutations(perms)
         except ValueError as exc:
             raise DocumentError(f"group.generators: {exc}") from None
-        # Re-label the generator elements with their given names.
+        # Re-label the generator elements with their given names; no
+        # given name may be lost or land on a second element.
+        index = {p: i for i, p in enumerate(elem_perms)}
         rename = {}
         for name, p in zip(names, perms):
-            i = elem_perms.index(tuple(p))
-            if i != group.e:
-                rename[i] = name
-        new_names = tuple(rename.get(i, nm) for i, nm in enumerate(group.names))
-        if len(set(new_names)) != len(new_names):
-            raise DocumentError("group.generators: duplicate generator permutations")
-        group = FiniteGroup(new_names, group.mul)
-        return group, elem_perms
+            i = index[p]
+            if i == group.e and name != "e":
+                raise DocumentError(
+                    f"group.generators: {name!r} is the identity permutation")
+            if name == "e" and i != group.e:
+                raise DocumentError(
+                    "group.generators: 'e' is reserved for the identity")
+            if i in rename:
+                raise DocumentError(
+                    f"group.generators: {rename[i]!r} and {name!r} are the "
+                    "same permutation")
+            rename[i] = name
+        for i, name in rename.items():
+            j = group.name_index.get(name, i)
+            if j != i and j not in rename:
+                raise DocumentError(
+                    f"group.generators: {name!r} already names another element")
+        return group.renamed(rename.get(i, nm) for i, nm in
+                             enumerate(group.names)), elem_perms
 
     if "elements" not in gdoc or "table" not in gdoc:
         raise DocumentError("group needs either generators or elements+table")

@@ -20,6 +20,7 @@ tabulates V.m for scans that need every subset.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -39,9 +40,18 @@ class FiniteGroup:
 
     Associativity, identity and inverses are validated at construction;
     errors name the offending triple.
+
+    `gens` is a generating set of the table: greedy in index order, each
+    index not yet in the closure of the earlier ones under the product
+    (no group law is assumed).  Associativity is decided by Light's test
+    (Clifford & Preston, The Algebraic Theory of Semigroups, vol. 1):
+    the middle elements b with (ab)c = a(bc) for all a, c are closed
+    under the product, so checking b over `gens` decides the table in
+    k^2 * |gens| steps.  Only when that test fails does the full k^3 scan
+    run, so the reported triple is the first one in (a, b, c) order.
     """
 
-    __slots__ = ("names", "mul", "inv", "e", "name_index")
+    __slots__ = ("names", "mul", "inv", "e", "name_index", "gens")
 
     def __init__(self, names, mul, max_size=DEFAULT_MAX_GROUP):
         names = tuple(names)
@@ -64,13 +74,15 @@ class FiniteGroup:
                 break
         if e is None:
             raise ValueError("table has no identity element")
-        for a in range(k):
-            for b in range(k):
-                for c in range(k):
-                    if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                        raise ValueError(
-                            "table is not associative at triple "
-                            f"({names[a]!r}, {names[b]!r}, {names[c]!r})")
+        gens = _generators(mul)
+        if not _light_test(mul, gens):
+            for a in range(k):
+                for b in range(k):
+                    for c in range(k):
+                        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                            raise ValueError(
+                                "table is not associative at triple "
+                                f"({names[a]!r}, {names[b]!r}, {names[c]!r})")
         inv = [None] * k
         for a in range(k):
             for b in range(k):
@@ -84,6 +96,17 @@ class FiniteGroup:
         self.inv = tuple(inv)
         self.e = e
         self.name_index = {nm: i for i, nm in enumerate(names)}
+        self.gens = gens
+
+    def renamed(self, names):
+        """The same validated group with new element names."""
+        names = tuple(names)
+        if len(names) != self.order or len(set(names)) != len(names):
+            raise ValueError("group element names must be distinct")
+        out = copy(self)
+        out.names = names
+        out.name_index = {nm: i for i, nm in enumerate(names)}
+        return out
 
     @property
     def order(self):
@@ -101,8 +124,8 @@ class FiniteGroup:
         composition and return (group, permutation per element index).
 
         Elements are discovered breadth-first from the identity, so the
-        numbering is deterministic.  Names are the one-line images joined
-        with dots, the identity being "e".
+        numbering is deterministic.  Names are "p" followed by the
+        one-line images, the identity being "e".
         """
         perms = [tuple(p) for p in perms]
         if not perms:
@@ -119,7 +142,7 @@ class FiniteGroup:
             nxt = []
             for q in frontier:
                 for p in perms:
-                    r = tuple(q[p[i]] for i in range(d))
+                    r = tuple(map(q.__getitem__, p))
                     if r not in found:
                         if len(found) >= max_size:
                             raise ValueError(
@@ -133,7 +156,7 @@ class FiniteGroup:
         for i, p in enumerate(order):
             for j, q in enumerate(order):
                 # p then q as functions acting on the left: (p*q)(x) = p(q(x))
-                mul[i][j] = found[tuple(p[q[x]] for x in range(d))]
+                mul[i][j] = found[tuple(map(p.__getitem__, q))]
 
         def name(p):
             return "e" if p == ident else "p" + "".join(str(x) for x in p)
@@ -186,6 +209,47 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
+def _generators(mul):
+    """A generating set of the table `mul` under its product, greedy in
+    index order: each index not yet in the closure of the earlier ones.
+
+    The closure is built as for any groupoid: every member is multiplied
+    on both sides with every member found up to it, so no group law is
+    assumed.
+    """
+    inside = [False] * len(mul)
+    closed = []
+    gens = []
+    for g in range(len(mul)):
+        if inside[g]:
+            continue
+        gens.append(g)
+        inside[g] = True
+        closed.append(g)
+        i = len(closed) - 1
+        while i < len(closed):
+            x = closed[i]
+            row = mul[x]
+            for y in closed[:i + 1]:
+                for z in (row[y], mul[y][x]):
+                    if not inside[z]:
+                        inside[z] = True
+                        closed.append(z)
+            i += 1
+    return tuple(gens)
+
+
+def _light_test(mul, gens):
+    """Whether (a.b).c == a.(b.c) for every b in gens and all a, c, one
+    comparison of tuple rows per (a, b)."""
+    for b in gens:
+        right = mul[b]
+        for row in mul:
+            if mul[row[b]] != tuple(map(row.__getitem__, right)):
+                return False
+    return True
+
+
 class NeighborhoodBase:
     """A descending chain of identity neighborhoods in a finite group.
 
@@ -233,7 +297,12 @@ class GActionGerm:
     """A finite group acting on a carrier, together with an identity germ.
 
     `act` maps each group element index to a permutation of carrier
-    indices; the homomorphism law and bijectivity are validated.
+    indices; the homomorphism law and bijectivity are validated.  The law
+    act[gh] = act[g] o act[h] is checked for g in the group's generating
+    set `gens` and every h: the g it holds for (for all h) are closed
+    under the product, by associativity, so it then holds for every g.
+    Only when that check fails does the full (g, h) scan run, so the
+    reported pair is the first one in index order.
     """
 
     __slots__ = ("group", "ne", "carrier", "act", "__dict__")
@@ -251,14 +320,16 @@ class GActionGerm:
                     f"action of {group.names[g]!r} is not a carrier permutation")
         if act[group.e] != tuple(range(n)):
             raise ValueError("identity must act as the identity permutation")
-        for g in range(group.order):
-            for h in range(group.order):
-                gh = group.mul[g][h]
-                composed = tuple(map(act[g].__getitem__, act[h]))
-                if composed != act[gh]:
-                    raise ValueError(
-                        "action law fails at pair "
-                        f"({group.names[g]!r}, {group.names[h]!r})")
+        if not all(tuple(map(act[g].__getitem__, act[h])) == act[gh]
+                   for g in group.gens for h, gh in enumerate(group.mul[g])):
+            for g in range(group.order):
+                for h in range(group.order):
+                    gh = group.mul[g][h]
+                    composed = tuple(map(act[g].__getitem__, act[h]))
+                    if composed != act[gh]:
+                        raise ValueError(
+                            "action law fails at pair "
+                            f"({group.names[g]!r}, {group.names[h]!r})")
         self.group = group
         self.ne = ne
         self.carrier = carrier

@@ -1,9 +1,11 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from eqprox.cli import EXIT_INTERNAL, build_parser, main
+from eqprox.cli import EXIT_INTERNAL, _emit_table_json, _prox_json, \
+    build_parser, main
 from eqprox.document import load_instance
 from eqprox.equivariant import compute_ug, nu_proximity
 from eqprox.errors import InternalCheckFailure
@@ -72,6 +74,44 @@ def test_nu_twelve_points_at_the_cap(capsys):
     assert json.loads(out)["rows_hex"] == rows_hex(expected)
 
 
+@pytest.mark.parametrize("what, name", [
+    ("betag", "twelve_points_s3.json"),
+    ("nu", "twelve_points_s3_orbits.json"),
+])
+def test_table_json_at_the_cap_is_the_table_payload(capsys, what, name):
+    # The hand-joined rows_hex text parses, and as the whole payload.
+    path = fixture(name)
+    code, out, _ = run(capsys, what, path, "--json")
+    assert code == 0
+    germ = load_instance(path).germ
+    expected = nu_proximity(germ, discrete_basis(germ.carrier)
+                            if what == "betag" else
+                            load_instance(path).uniformity)
+    payload = {"schema": 1, "what": what, **_prox_json(expected)}
+    assert json.loads(out) == payload
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+ODD_NAMES = ['"', "\\", "\n", "caf\u00e9", "\u96ea", '"rows_hex": []',
+             '\n  "rows_hex": []', "x,\n", "\t"]
+
+
+def test_table_json_writer_matches_json_dumps(capsys):
+    rng = random.Random(5)
+    for n in range(1, 13):
+        k = min(n, len(ODD_NAMES))
+        names = rng.sample(ODD_NAMES, k) + [f"x{i}" for i in range(k, n)]
+        # Random rows, not a proximity: the writer only formats them.
+        rows = [0] + [rng.getrandbits(1 << n) for _ in range((1 << n) - 1)]
+        payload = {"schema": 1, "what": "nu", "carrier": names,
+                   "subset_indexing": "little-endian bitmask",
+                   "rows_hex": [format(r, "x") for r in rows],
+                   "separated": bool(n % 2)}
+        _emit_table_json(payload)
+        assert capsys.readouterr().out == \
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_equinormal_exits_1_when_a_mask_route_disagrees(capsys, monkeypatch):
     # Pulling point 0 back to the whole carrier breaks the inverse route,
     # so the pairs split off from point 0 are no longer witnessed.
@@ -119,6 +159,37 @@ def test_null_document_field_exits_2_naming_it(tmp_path, capsys, name, field,
     assert code == 2
     assert "Traceback" not in err
     assert message in err
+
+
+SWAP, CYC, IDENT = ["2", "1", "3"], ["2", "3", "1"], ["1", "2", "3"]
+
+
+@pytest.mark.parametrize("gens, message", [
+    ({"a": SWAP, "b": SWAP, "c": CYC}, "'a' and 'b' are the same permutation"),
+    ({"e": SWAP, "r": CYC}, "'e' is reserved for the identity"),
+    ({"i": IDENT, "s": SWAP, "r": CYC}, "'i' is the identity permutation"),
+    ({"p102": CYC, "t": ["1", "3", "2"]},
+     "'p102' already names another element"),
+])
+def test_generator_names_are_never_lost(tmp_path, capsys, gens, message):
+    doc = json.loads(Path(fixture("s3_generators.json")).read_text("utf-8"))
+    doc["group"]["generators"] = gens
+    doc["neighborhood_base"] = [sorted(gens)]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "betag", str(path), "--sets", "A", "B")
+    assert (code, out) == (2, "")
+    assert err == f"input error: group.generators: {message}\n"
+
+
+def test_generator_named_e_may_be_the_identity(tmp_path, capsys):
+    doc = json.loads(Path(fixture("s3_generators.json")).read_text("utf-8"))
+    doc["group"]["generators"]["e"] = IDENT
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_instance(str(path)).germ.group.names[:3] == ("e", "r", "s")
+    code, out, _ = run(capsys, "betag", str(path), "--sets", "A", "B")
+    assert (code, out) == (0, "far\n")
 
 
 def test_validate_bad_basis_exits_1_with_counterexample(capsys):
