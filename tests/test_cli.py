@@ -192,6 +192,41 @@ def test_generator_named_e_may_be_the_identity(tmp_path, capsys):
     assert (code, out) == (0, "far\n")
 
 
+def _write_with_order(tmp_path, order):
+    doc = json.loads(Path(fixture("z3_rotation.json")).read_text("utf-8"))
+    doc["order"] = order
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_validate_reports_a_valid_order(tmp_path, capsys):
+    code, out, _ = run(capsys, "validate",
+                       _write_with_order(tmp_path, ["2", "0", "1"]))
+    assert code == 0
+    assert out.endswith("\norder: ok\n")
+
+
+ORDER_NOT_A_CHAIN = "order: order must list every carrier element exactly once"
+
+
+@pytest.mark.parametrize("order, message", [
+    (["0", "1", "7"], ORDER_NOT_A_CHAIN),
+    (["0", "1", "1"], ORDER_NOT_A_CHAIN),
+    (["0", "1"], ORDER_NOT_A_CHAIN),
+    (["0", "1", "2", "0"], ORDER_NOT_A_CHAIN),
+    (["0", 1, "2"], ORDER_NOT_A_CHAIN),
+    ([["0"], "1", "2"], ORDER_NOT_A_CHAIN),
+    ("012", "order: order must be a list, got '012'"),
+    (None, "order: order must be a list, got None"),
+    ({"0": 0}, "order: order must be a list, got {'0': 0}"),
+])
+def test_bad_order_exits_2_with_its_message(tmp_path, capsys, order, message):
+    code, out, err = run(capsys, "validate", _write_with_order(tmp_path, order))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"
+
+
 def test_validate_bad_basis_exits_1_with_counterexample(capsys):
     code, out, _ = run(capsys, "validate", fixture("bad_basis.json"))
     assert code == 1
