@@ -2,27 +2,25 @@
 actions, with exhaustive verification oracles and a symbolic model of the
 ordered rationals."""
 
-from .setrel import Carrier, Rel, compose, diagonal, full_relation, \
-    image_of_set, invert
-from .proximity import AxiomReport, Prox, check_axioms, closure, dominates, \
+from .setrel import Carrier, Rel, compose, diagonal, full_relation, invert
+from .proximity import AxiomReport, Prox, check_axioms, dominates, \
     from_uniformity, is_separated
 from .uniformity import UnifBase, discrete_basis, indiscrete_basis, \
     induced_topology, is_hausdorff, refinement_equivalent, refines, \
     totally_bounded, validate_basis
 from .gaction import ClassificationReport, FiniteGroup, GActionGerm, \
-    NeighborhoodBase, check_action_continuity, classify, \
-    saturate_uniformity, translate_set
+    NeighborhoodBase, check_action_continuity, classify, saturate_uniformity
 from .equivariant import beta_g_proximity, bracket_entourage, \
     check_equinormal, compute_ug, is_massive, nu_proximity
 
 __all__ = [
-    "Carrier", "Rel", "compose", "diagonal", "full_relation", "image_of_set",
-    "invert", "AxiomReport", "Prox", "check_axioms", "closure", "dominates",
-    "from_uniformity", "is_separated", "UnifBase", "discrete_basis",
-    "indiscrete_basis", "induced_topology", "is_hausdorff",
-    "refinement_equivalent", "refines", "totally_bounded", "validate_basis",
-    "ClassificationReport", "FiniteGroup", "GActionGerm", "NeighborhoodBase",
+    "Carrier", "Rel", "compose", "diagonal", "full_relation", "invert",
+    "AxiomReport", "Prox", "check_axioms", "dominates", "from_uniformity",
+    "is_separated", "UnifBase", "discrete_basis", "indiscrete_basis",
+    "induced_topology", "is_hausdorff", "refinement_equivalent", "refines",
+    "totally_bounded", "validate_basis", "ClassificationReport",
+    "FiniteGroup", "GActionGerm", "NeighborhoodBase",
     "check_action_continuity", "classify", "saturate_uniformity",
-    "translate_set", "beta_g_proximity", "bracket_entourage",
-    "check_equinormal", "compute_ug", "is_massive", "nu_proximity",
+    "beta_g_proximity", "bracket_entourage", "check_equinormal",
+    "compute_ug", "is_massive", "nu_proximity",
 ]

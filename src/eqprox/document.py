@@ -17,7 +17,6 @@ from fractions import Fraction
 from .errors import DocumentError, ResourceCap
 from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase
 from .metricprox import FiniteMetric
-from .ordered import OrderedCarrier
 from .setrel import Carrier, Rel
 from .uniformity import UnifBase
 
@@ -28,7 +27,7 @@ class Instance:
     germ: GActionGerm | None
     uniformity: UnifBase | None
     metric: FiniteMetric | None
-    order: OrderedCarrier | None
+    order: tuple | None
     subsets: dict
 
     def require_germ(self):
@@ -136,11 +135,11 @@ def _build(doc):
 
     order = None
     if "order" in doc:
-        try:
-            order = OrderedCarrier(carrier,
-                                   _typed(doc["order"], list, "order"))
-        except ValueError as exc:
-            raise DocumentError(f"order: {exc}") from None
+        order = tuple(_typed(doc["order"], list, "order: order"))
+        if (not all(isinstance(x, str) for x in order)
+                or sorted(order) != sorted(carrier.elements)):
+            raise DocumentError(
+                "order: order must list every carrier element exactly once")
 
     subsets = {}
     subsets_doc = _typed(doc.get("subsets", {}), dict, "subsets")

@@ -125,7 +125,8 @@ class FiniteGroup:
 
         Elements are discovered breadth-first from the identity, so the
         numbering is deterministic.  Names are "p" followed by the
-        one-line images, the identity being "e".
+        one-line images, the identity being "e"; above degree 10 the
+        images are joined with "." so that no two names coincide.
         """
         perms = [tuple(p) for p in perms]
         if not perms:
@@ -158,8 +159,10 @@ class FiniteGroup:
                 # p then q as functions acting on the left: (p*q)(x) = p(q(x))
                 mul[i][j] = found[tuple(map(p.__getitem__, q))]
 
+        sep = "." if d > 10 else ""
+
         def name(p):
-            return "e" if p == ident else "p" + "".join(str(x) for x in p)
+            return "e" if p == ident else "p" + sep.join(map(str, p))
 
         return cls(tuple(name(p) for p in order), mul), tuple(order)
 
@@ -391,20 +394,9 @@ class GActionGerm:
             return tuple(table)
         return self._cached(("push", u), build)
 
-    def set_translate_mask(self, subset_indices, mask):
-        """Translate a carrier mask by an arbitrary set of group indices."""
-        return _join_mask(self._point_masks(subset_indices), mask)
-
     def __repr__(self):
         return (f"GActionGerm(group={self.group.order}, n={self.carrier.n}, "
                 f"chain={[len(v) for v in self.ne.levels]})")
-
-
-def translate_set(a, group_subset, subset):
-    """VA = {v.x : v in V, x in A} with V given by group element names or indices."""
-    ids = _group_indices(a.group, group_subset)
-    mask = a.carrier.subset_mask(subset)
-    return a.carrier.mask_subset(a.set_translate_mask(ids, mask))
 
 
 def _group_indices(group, subset):

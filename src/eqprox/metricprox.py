@@ -83,10 +83,6 @@ class FiniteMetric:
         self.rank = tuple(tuple(index[v] for v in row) for row in dist)
         self._uniformity = None  # metric_uniformity's basis, once built
 
-    def d(self, x, y):
-        idx = self.carrier.index
-        return self.dist[idx[x]][idx[y]]
-
     def __repr__(self):
         return f"FiniteMetric(n={self.carrier.n}, pseudo={self.pseudo})"
 

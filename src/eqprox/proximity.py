@@ -30,7 +30,6 @@ relation satisfying P1-P4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CarrierMismatch, ResourceCap
@@ -172,21 +171,18 @@ def _permute_index_bits(x, swaps):
 class Prox:
     """A materialized proximity table over all subset pairs of a carrier.
 
-    Construction only normalizes the empty row (nothing is near the empty
-    set); every other defect is representable so that deliberately broken
-    relations can serve as negative fixtures for check_axioms.
+    The rows are stored as given, defects included, so that deliberately
+    broken relations can serve as negative fixtures for check_axioms.
     """
 
     __slots__ = ("carrier", "rows")
 
-    def __init__(self, carrier, rows, normalize=True):
-        rows = list(rows)
+    def __init__(self, carrier, rows):
+        rows = tuple(rows)
         if len(rows) != 1 << carrier.n:
             raise ValueError("row count must be 2**n")
-        if normalize:
-            rows[0] = 0
         self.carrier = carrier
-        self.rows = tuple(rows)
+        self.rows = rows
 
     @classmethod
     def from_predicate(cls, carrier, pred):
@@ -218,9 +214,6 @@ class Prox:
     def near(self, a, b):
         am = self.carrier.subset_mask(a)
         bm = self.carrier.subset_mask(b)
-        return bool(self.rows[am] >> bm & 1)
-
-    def near_masks(self, am, bm):
         return bool(self.rows[am] >> bm & 1)
 
     def __eq__(self, other):
@@ -448,17 +441,6 @@ def check_axioms(p, cap=AXIOM_CHECK_CAP):
     return AxiomReport(results)
 
 
-def closure(p, subset):
-    """Points near the given set: cl(A) = {x : near({x}, A)}."""
-    carrier = p.carrier
-    am = carrier.subset_mask(subset)
-    out = 0
-    for i in range(carrier.n):
-        if p.rows[1 << i] >> am & 1:
-            out |= 1 << i
-    return carrier.mask_subset(out)
-
-
 def dominates(p1, p2):
     """True iff near_1(A, B) implies near_2(A, B) for all subset pairs.
 
@@ -501,50 +483,3 @@ def _first_near_points(rows, n):
 def is_separated(p):
     """Whether distinct points are always far (axiom P6 alone)."""
     return _first_near_points(p.rows, p.carrier.n) is None
-
-
-@dataclass(frozen=True)
-class SeparatedReflection:
-    """A proximity pushed down to its point-nearness quotient."""
-
-    blocks: tuple
-    quotient_carrier: object
-    quotient: Prox
-
-
-def separated_reflection(p):
-    """Quotient by the point-nearness classes x ~ y iff near({x},{y}).
-
-    Point nearness is an equivalence for any relation satisfying P1-P5
-    (that is the caller's responsibility).  Blocks are ordered by their
-    least member, and block nearness is inherited from the unions.
-    """
-    from .setrel import Carrier
-
-    carrier = p.carrier
-    n = carrier.n
-    assigned = {}
-    blocks = []
-    for i, x in enumerate(carrier.elements):
-        if x in assigned:
-            continue
-        block = [x]
-        assigned[x] = len(blocks)
-        for j in range(i + 1, n):
-            y = carrier.elements[j]
-            if y not in assigned and p.rows[1 << i] >> (1 << j) & 1:
-                block.append(y)
-                assigned[y] = len(blocks)
-        blocks.append(frozenset(block))
-    blocks = tuple(blocks)
-    qcarrier = Carrier(range(len(blocks)))
-
-    def lift(subset):
-        out = set()
-        for q in subset:
-            out |= blocks[q]
-        return frozenset(out)
-
-    quotient = Prox.from_predicate(
-        qcarrier, lambda a, b: p.near(lift(a), lift(b)))
-    return SeparatedReflection(blocks, qcarrier, quotient)

@@ -144,10 +144,6 @@ class RatSet:
         hi = hi if isinstance(hi, _Infinity) else Fraction(hi)
         return cls([_iv(lo, hi)])
 
-    @classmethod
-    def empty(cls):
-        return cls()
-
     @property
     def is_empty(self):
         return not self.atoms

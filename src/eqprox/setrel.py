@@ -13,7 +13,7 @@ pair set is derived only when asked for.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import and_, or_
+from operator import and_
 
 from .errors import CarrierMismatch
 
@@ -53,11 +53,6 @@ class Carrier:
     def mask_subset(self, mask):
         """Decode a bitmask back to a frozenset of elements."""
         return frozenset(self.elements[i] for i in range(self.n) if mask >> i & 1)
-
-    def subsets(self):
-        """All subsets in the fixed enumeration order (index 0 is empty)."""
-        for mask in range(1 << self.n):
-            yield self.mask_subset(mask)
 
     def __eq__(self, other):
         return isinstance(other, Carrier) and self.elements == other.elements
@@ -138,7 +133,7 @@ class Rel:
         return self._bits
 
     def image_mask(self, mask):
-        """Mask form of image_of_set: successors of any element in `mask`."""
+        """Successors of any element in `mask`, as a mask."""
         return _join_mask(self.image_masks, mask)
 
     def contains(self, other):
@@ -201,17 +196,6 @@ def invert(r):
     return Rel.from_masks(r.carrier, r.preimage_masks)
 
 
-def image_of_set(r, subset):
-    """Union of successor sets over `subset`: {y : exists a in subset, (a,y) in r}."""
-    carrier = r.carrier
-    return carrier.mask_subset(r.image_mask(carrier.subset_mask(subset)))
-
-
 def intersect(r, s):
     _check_same_carrier(r, s)
     return Rel.from_masks(r.carrier, map(and_, r.image_masks, s.image_masks))
-
-
-def union(r, s):
-    _check_same_carrier(r, s)
-    return Rel.from_masks(r.carrier, map(or_, r.image_masks, s.image_masks))

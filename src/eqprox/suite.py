@@ -340,7 +340,7 @@ def _corrupt_basis(u):
 def _corrupt_prox(p):
     rows = list(p.rows)
     rows[1] ^= 1 << 1
-    return Prox(p.carrier, rows, normalize=False)
+    return Prox(p.carrier, rows)
 
 
 def run_suite(max_n=5, seed=0, max_group=6, filters=None, inject=None):

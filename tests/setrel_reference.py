@@ -142,11 +142,6 @@ def intersect_reference(r, s):
     return RelReference(r.carrier, r.pairs & s.pairs)
 
 
-def union_reference(r, s):
-    _check_same_carrier_reference(r, s)
-    return RelReference(r.carrier, r.pairs | s.pairs)
-
-
 def positive_values_reference(m):
     vals = {v for row in m.dist for v in row if v > 0}
     return tuple(sorted(vals))

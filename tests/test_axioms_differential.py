@@ -65,7 +65,7 @@ def test_random_row_tables_match_reference():
                     rows[a] = (1 << N) - 1
                 elif roll < 0.6:
                     rows[a] &= ~1
-            assert_same_report(Prox(carrier, rows, normalize=False))
+            assert_same_report(Prox(carrier, rows))
 
 
 def test_single_bit_flips_match_reference():
@@ -78,7 +78,7 @@ def test_single_bit_flips_match_reference():
         for a, b in cells:
             rows = list(p.rows)
             rows[a] ^= 1 << b
-            assert_same_report(Prox(p.carrier, rows, normalize=False))
+            assert_same_report(Prox(p.carrier, rows))
 
 
 def class_map_table(rng, n, k):
@@ -135,7 +135,7 @@ def repeated_row_tables(rng, sizes, per_size):
 def test_repeated_rows_match_reference():
     rng = random.Random(16)
     for carrier, rows in repeated_row_tables(rng, range(1, 8), 16):
-        assert_same_report(Prox(carrier, rows, normalize=False))
+        assert_same_report(Prox(carrier, rows))
 
 
 def test_one_repeated_value_matches_reference():
@@ -147,7 +147,7 @@ def test_one_repeated_value_matches_reference():
                   _intersectors(rng.getrandbits(n), n)]
         for value in values:
             rows = [value] * N
-            assert_same_report(Prox(carrier, rows, normalize=False))
+            assert_same_report(Prox(carrier, rows))
             for a in (0, N - 1):
                 assert_same_report(
-                    Prox(carrier, flipped(rows, a, rng), normalize=False))
+                    Prox(carrier, flipped(rows, a, rng)))

@@ -41,6 +41,16 @@ def test_validate_twelve_points_at_the_cap(capsys):
         assert f"  {name}: pass" in out
 
 
+def test_validate_twelve_point_generator_document(capsys):
+    # c = (x0 x11 x1) and t = (x1 x11); two of the other elements have
+    # images starting 1, 11 and 11, 1, which need a separator in their names.
+    code, out, err = run(capsys, "validate",
+                         fixture("twelve_points_s3_generators.json"))
+    assert (code, err) == (0, "")
+    assert out == ("document: ok\ngroup: ok (order 6)\n"
+                   "neighborhood_base: ok (2 levels)\naction: ok\n")
+
+
 def test_equinormal_twelve_points_at_the_cap(capsys):
     # The separation scan goes row by row over all 2**12 subsets.
     code, out, _ = run(capsys, "equinormal", fixture("twelve_points_s3.json"))

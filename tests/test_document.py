@@ -29,6 +29,16 @@ def test_load_generator_group():
     assert len(inst.germ.ne.levels) == 2
 
 
+def test_order_is_the_listed_tuple():
+    doc = json.loads(Path(fixture("z3_rotation.json")).read_text())
+    doc["order"] = ["2", "0", "1"]
+    assert load_instance(doc).order == ("2", "0", "1")
+    assert load_instance(fixture("z3_rotation.json")).order is None
+    doc["order"] = ["2", "0", "0"]
+    with pytest.raises(DocumentError, match="^order: order must list every"):
+        load_instance(doc)
+
+
 def test_metric_instance_and_derived_uniformity():
     inst = load_instance(fixture("z4_metric.json"))
     assert inst.metric is not None

@@ -275,7 +275,7 @@ def test_equinormal_axiom_checker_catches_corruption():
     am = a.carrier.subset_mask({"a"})
     bm = a.carrier.subset_mask({"a", "c"})
     rows[am] &= ~(1 << bm)  # break P1/P2 deliberately
-    corrupted = Prox(a.carrier, rows, normalize=False)
+    corrupted = Prox(a.carrier, rows)
     rep = check_axioms(corrupted)
     assert not rep.ok(("P1", "P2", "P3", "P4", "P5"))
 

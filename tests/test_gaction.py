@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from equivariant_reference import push_rel, translate_mask
 
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
-    check_action_continuity, classify, saturate_uniformity, translate_set
+    check_action_continuity, classify, saturate_uniformity
 from eqprox.setrel import Carrier, Rel, _join_mask, diagonal, full_relation
 from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis, \
     refinement_equivalent, validate_basis
@@ -45,6 +47,34 @@ def test_from_permutations_closure():
     j = perms.index((1, 2, 0))
     composed = tuple((1, 0, 2)[(1, 2, 0)[x]] for x in range(3))
     assert perms[g.mul[i][j]] == composed
+
+
+def test_permutation_names_are_distinct_above_degree_ten():
+    # Names join the images with "." above degree 10, where images 1, 11
+    # and 11, 1 would otherwise both read "111".  Each group permutes at
+    # most four points, always 1 and d - 1, so it stays under the order
+    # cap and often has two elements whose joined images coincide.
+    rng = random.Random(11)
+    for d in (11, 12):
+        for _ in range(40):
+            moved = list(dict.fromkeys(rng.sample(range(d), 2) + [1, d - 1]))
+            gens = []
+            for _ in range(rng.choice((1, 2))):
+                shuffled = rng.sample(moved, len(moved))
+                p = list(range(d))
+                for x, y in zip(moved, shuffled):
+                    p[x] = y
+                gens.append(tuple(p))
+            g, perms = FiniteGroup.from_permutations(gens)
+            assert len(set(g.names)) == g.order
+            for name, p in zip(g.names, perms):
+                if name != "e":
+                    assert name == "p" + ".".join(map(str, p))
+
+
+def test_permutation_names_up_to_degree_ten_have_no_separator():
+    g, perms = FiniteGroup.from_permutations([tuple(range(9, -1, -1))])
+    assert g.names == ("e", "p9876543210")
 
 
 def test_from_permutations_respects_cap():
@@ -93,30 +123,32 @@ def test_action_validation():
                     [(1, 0), (0, 1)])
 
 
+# A set V of group indices translates a carrier mask m to V.m, the join of
+# the point masks of V over m (the translates bracket_entourage reads).
+
 def test_translate_set_examples():
-    a = z3_rotation()
-    assert translate_set(a, {"e"}, {0, 2}) == frozenset({0, 2})
-    assert translate_set(a, {"e", "g"}, frozenset()) == frozenset()
-    assert translate_set(a, {"e", "g"}, {0}) == frozenset({0, 1})
+    a = z3_rotation()  # indices 0, 1, 2 are e, g, g2; g adds 1 mod 3
+    e, eg = a._point_masks({0}), a._point_masks({0, 1})
+    assert _join_mask(e, 0b101) == 0b101
+    assert _join_mask(eg, 0) == 0
+    assert _join_mask(eg, 0b001) == 0b011
 
 
 def test_translate_monotone_in_both_arguments():
     a = z3_rotation()
-    assert translate_set(a, {"e"}, {0}) <= translate_set(a, {"e", "g"}, {0})
-    assert translate_set(a, {"e", "g"}, {0}) <= \
-        translate_set(a, {"e", "g"}, {0, 2})
+    e, eg = a._point_masks({0}), a._point_masks({0, 1})
+    assert _join_mask(e, 0b001) & ~_join_mask(eg, 0b001) == 0
+    assert _join_mask(eg, 0b001) & ~_join_mask(eg, 0b101) == 0
 
 
 def test_translate_is_action_of_products():
     a = z3_rotation()
     g = a.group
-    v = {"e", "g"}
-    w = {"g"}
-    vw = {g.names[g.mul[g.name_index[x]][g.name_index[y]]]
-          for x in v for y in w}
-    for subset in ({0}, {0, 1}, {1, 2}):
-        assert translate_set(a, vw, subset) == \
-            translate_set(a, v, translate_set(a, w, subset))
+    v, w = {0, 1}, {1}
+    vw = {g.mul[x][y] for x in v for y in w}
+    for m in (0b001, 0b011, 0b110):
+        assert _join_mask(a._point_masks(vw), m) == _join_mask(
+            a._point_masks(v), _join_mask(a._point_masks(w), m))
 
 
 def test_level_translates_match_translate_mask():
@@ -151,7 +183,8 @@ def test_level_translates_match_translate_mask():
                         if any(a.act[v][x] in subset for v in level)}
                 assert trans[m] == _join_mask(lem, m) == \
                     c.subset_mask(moved) == translate_mask(a, li, m)
-                assert a.set_translate_mask(level, m) == c.subset_mask(moved)
+                assert _join_mask(a._point_masks(level), m) == \
+                    c.subset_mask(moved)
                 assert _join_mask(inv, m) == c.subset_mask(back)
 
 

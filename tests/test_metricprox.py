@@ -87,7 +87,7 @@ def test_sup_pseudometric_s3_example():
     germ = GActionGerm(g, NeighborhoodBase(g, [frozenset(range(6))]), c, perms)
     fam = PseudometricFamily(c, [m])
     out = sup_pseudometric(fam, germ, set(g.names), 0)
-    assert out.d(0, 1) == F(2)
+    assert out.dist[0][1] == F(2)
 
 
 def test_sup_pseudometric_monotone_in_the_subset():

@@ -1,0 +1,82 @@
+"""Every function, class and method of the library has a caller in the
+library.
+
+A definition counts as reached when its name is read anywhere in another
+module of the package (``__init__`` aside, whose re-exports reach
+nothing) or anywhere in its own module besides the definition.  Matching
+by name can miss dead code (an unrelated name may shadow it) but never
+flags live code.  Dunder methods are reached by the interpreter and are
+not collected.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "eqprox"
+
+# Builders kept for the tests of other code, one line of reason each.
+ALLOWED = {
+    "Prox.from_predicate": "materializes fixture relations from a predicate",
+    "Prox.overlap": "the finest proximity, a fixture and oracle",
+    "Prox.nonempty_pairs": "the coarsest proximity, a fixture and oracle",
+    "FiniteGroup.symmetric": "S_m fixtures for group and action tests",
+    "indiscrete_basis": "the coarsest uniformity, a fixture and oracle",
+    "bracket_entourage": "production side of the bracket differential test",
+}
+
+
+def definitions(tree):
+    """(qualified name, name) for module-level functions and classes and
+    the non-dunder methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def names_read(tree):
+    """Every identifier the module reads: names, attributes, imported
+    names and string constants (for getattr-style lookups)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append(node.value)
+    return out
+
+
+def unreached():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    reads = {mod: names_read(tree) for mod, tree in trees.items()}
+    dead = []
+    for mod, tree in trees.items():
+        if mod == "__init__":
+            continue
+        elsewhere = {name for other, names in reads.items()
+                     if other not in (mod, "__init__") for name in names}
+        own = set(reads[mod])
+        for qualified, name in definitions(tree):
+            if name not in elsewhere and name not in own:
+                dead.append(f"{mod}.{qualified}")
+    return dead
+
+
+def test_every_definition_has_a_library_caller():
+    dead = [d for d in unreached() if d.split(".", 1)[1] not in ALLOWED]
+    assert dead == []
+
+
+def test_allowlist_names_only_unreached_definitions():
+    reached_anyway = set(ALLOWED) - {d.split(".", 1)[1] for d in unreached()}
+    assert reached_anyway == set()

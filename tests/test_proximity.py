@@ -3,12 +3,16 @@ from itertools import permutations
 
 import pytest
 
+from eqprox.equivariant import beta_g_proximity, \
+    enumerate_partition_proximities, nu_proximity
 from eqprox.errors import ResourceCap
+from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase
+from eqprox.metricprox import FiniteMetric, metric_g_proximity
 from eqprox.proximity import P1_P5, Prox, _and_intersectors, \
     _first_near_points, _index_bit_swaps, _join_table, _permute_index_bits, _reverse_bits, \
-    _transpose, check_axioms, closure, dominates, from_uniformity, \
-    is_separated, separated_reflection
+    _transpose, check_axioms, dominates, from_uniformity, is_separated
 from eqprox.setrel import Carrier, Rel, diagonal, full_relation
+from eqprox.suite import _random_valid_basis
 from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis
 
 
@@ -41,7 +45,7 @@ def test_corrupted_symmetry_is_caught_with_counterexample():
     am = c.subset_mask({0})
     bm = c.subset_mask({0, 1})
     rows[am] &= ~(1 << bm)  # delete one direction of a symmetric pair
-    broken = Prox(c, rows, normalize=False)
+    broken = Prox(c, rows)
     rep = check_axioms(broken)
     assert not rep.passed("P2") or not rep.passed("P1")
     for name in rep.failures():
@@ -52,10 +56,54 @@ def test_p3_violation_needs_raw_rows():
     c = Carrier(range(2))
     rows = [0] * 4
     rows[0] = 0b10  # empty set near {0}
-    broken = Prox(c, rows, normalize=False)
-    assert not check_axioms(broken).passed("P3")
-    normalized = Prox(c, rows)  # default construction clears the empty row
-    assert check_axioms(normalized).passed("P3")
+    rep = check_axioms(Prox(c, rows))
+    assert not rep.passed("P3")
+    assert rep.counterexample("P3") == (frozenset(), frozenset({0}))
+
+
+def seeded_germs(rng, n):
+    """Germs of a group of one or two random permutations of n points:
+    the indiscrete chain [G] and the discrete chain [G, {e}]."""
+    gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.choice((1, 2)))]
+    try:
+        group, perms = FiniteGroup.from_permutations(gens, max_size=24)
+    except ValueError:
+        group, perms = FiniteGroup.from_permutations(gens[:1])
+    whole = frozenset(range(group.order))
+    return [GActionGerm(group, NeighborhoodBase(group, levels),
+                        Carrier(range(n)), perms)
+            for levels in ([whole], [whole, frozenset({group.e})])]
+
+
+def invariant_metrics(a, rng):
+    """A metric with one off-diagonal value and a pseudometric vanishing
+    exactly on the orbits; every permutation of the group preserves both."""
+    n = a.carrier.n
+    orbit = [frozenset(p[x] for p in a.act) for x in range(n)]
+    far = rng.randint(1, 5)
+    return [FiniteMetric(a.carrier, [[0 if x == y else far for y in range(n)]
+                                     for x in range(n)]),
+            FiniteMetric(a.carrier, [[0 if y in orbit[x] else far
+                                      for y in range(n)] for x in range(n)],
+                         pseudo=True)]
+
+
+def test_tables_keep_the_empty_row_clear():
+    # Prox stores rows as given, so every builder clears the empty row
+    # itself: nothing is near the empty set.
+    rng = random.Random(41)
+    for n in range(1, 7):
+        c = Carrier(range(n))
+        tables = [Prox.overlap(c), Prox.nonempty_pairs(c)]
+        tables += [p for _blocks, p in enumerate_partition_proximities(c)]
+        for _ in range(3):
+            u = _random_valid_basis(c, rng)
+            tables.append(from_uniformity(u))
+            for a in seeded_germs(rng, n):
+                tables += [nu_proximity(a, u), beta_g_proximity(a)]
+                tables += [metric_g_proximity(m, a)
+                           for m in invariant_metrics(a, rng)]
+        assert [p for p in tables if p.rows[0]] == [], n
 
 
 def test_p4_violation_counterexample_is_concrete():
@@ -64,7 +112,7 @@ def test_p4_violation_counterexample_is_concrete():
     rows = list(p.rows)
     am = c.subset_mask({0})
     rows[am] &= ~(1 << c.subset_mask({0, 1}))  # near singletons, far union
-    broken = Prox(c, rows, normalize=False)
+    broken = Prox(c, rows)
     rep = check_axioms(broken)
     assert not rep.passed("P4")
     a, b, cc = rep.counterexample("P4")
@@ -100,24 +148,6 @@ def test_p5_p5prime_agree_on_random_graph_relations():
             rep = check_axioms(p)
             assert rep.ok(("P1", "P2", "P3", "P4"))
             assert rep.passed("P5") == rep.passed("P5prime")
-
-
-def test_closure_examples():
-    c = Carrier(range(3))
-    assert closure(Prox.overlap(c), {0, 2}) == frozenset({0, 2})
-    assert closure(Prox.overlap(c), frozenset()) == frozenset()
-    c2 = Carrier(["a", "b"])
-    assert closure(Prox.nonempty_pairs(c2), {"a"}) == frozenset({"a", "b"})
-
-
-def test_closure_monotone():
-    c = Carrier(range(4))
-    rng = random.Random(9)
-    p = Prox.overlap(c)
-    for _ in range(30):
-        a = frozenset(e for e in c.elements if rng.random() < 0.4)
-        b = a | frozenset(e for e in c.elements if rng.random() < 0.4)
-        assert closure(p, a) <= closure(p, b)
 
 
 def test_dominates_examples_and_partial_order():
@@ -261,18 +291,5 @@ def test_first_near_points_matches_double_loop():
                         rows[1 << i] &= ~(1 << (1 << j))
             want = first_near_points_per_bit(rows, n)
             assert _first_near_points(rows, n) == want, (n, rows)
-            p = Prox(Carrier(range(n)), rows, normalize=False)
+            p = Prox(Carrier(range(n)), rows)
             assert is_separated(p) == (want is None)
-
-
-def test_separated_reflection_collapses_near_points():
-    c = Carrier(range(3))
-    # Points 0 and 1 are glued, 2 stays apart.
-    blocks = {0: {0, 1}, 1: {0, 1}, 2: {2}}
-    p = Prox.from_predicate(
-        c, lambda a, b: any(y in blocks[x] for x in a for y in b))
-    assert not is_separated(p)
-    refl = separated_reflection(p)
-    assert refl.blocks == (frozenset({0, 1}), frozenset({2}))
-    assert is_separated(refl.quotient)
-    assert check_axioms(refl.quotient).ok()

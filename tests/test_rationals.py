@@ -100,7 +100,7 @@ def test_bonding_functoriality_exhaustive_over_small_grid():
 
 
 def test_saturate_examples():
-    assert saturate(Chain((F(1, 2),)), RatSet.empty()).is_empty
+    assert saturate(Chain((F(1, 2),)), RatSet()).is_empty
     assert saturate(Chain((F(1, 2),)), RatSet.point(0)) == \
         RatSet.interval(NEG_INF, F(1, 2))
     f01 = Chain((F(0), F(1)))
@@ -140,7 +140,7 @@ def test_decide_far_spec_fixtures():
 
 
 def test_decide_far_empty_sets_are_far():
-    v = decide_far(RatSet.empty(), RatSet.point(0))
+    v = decide_far(RatSet(), RatSet.point(0))
     assert v.far and v.witness == Chain(())
 
 
