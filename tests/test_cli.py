@@ -323,6 +323,15 @@ def test_rat_claim(capsys):
     assert code == 2 and "not convex" in err
 
 
+@pytest.mark.parametrize("a, o, message", [
+    ("{0}", "(0,1),(2,3)", "target set (0,1),(2,3) is not convex"),
+    ("{5}", "(0,1)", "{5} is not contained in (0,1)"),
+])
+def test_rat_claim_precondition_messages(capsys, a, o, message):
+    code, out, err = run(capsys, "rat", "claim", a, o)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("claim", "{1e5000}", "(0,1e5001)"),
     ("tower", "{1e5000}"),
