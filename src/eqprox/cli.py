@@ -198,8 +198,11 @@ def cmd_rat(args):
         tower = rat.build_tower(chains)
         dot = rat.tower_dot(tower)
         if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(dot)
+            try:
+                with open(args.dot, "w", encoding="utf-8") as fh:
+                    fh.write(dot)
+            except OSError as exc:
+                raise DocumentError(f"cannot write {args.dot}: {exc}") from None
         if args.json:
             _emit_json({
                 "schema": 1, "what": "tower",
@@ -220,11 +223,10 @@ def cmd_rat(args):
     if args.ratcmd == "claim":
         a = rat.parse_ratset(args.a)
         o = rat.parse_ratset(args.o)
-        if not o.is_convex:
-            raise DocumentError(f"target set {o} is not convex")
-        if not a.issubset(o):
-            raise DocumentError(f"{a} is not contained in {o}")
-        claim = rat.check_ordcomp_claim(a, o)
+        try:
+            claim = rat.check_ordcomp_claim(a, o)
+        except PreconditionFailure as exc:
+            raise DocumentError(str(exc)) from None
         if args.json:
             _emit_json({"schema": 1, "what": "claim",
                         "witness": None if claim.alarm else str(claim.witness),

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import DocumentError, ResourceCap
 from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase
 from .metricprox import FiniteMetric
-from .setrel import Carrier, Rel
+from .setrel import DEFAULT_MAX_CARRIER, Carrier, Rel
 from .uniformity import UnifBase
 
 
@@ -75,10 +75,10 @@ def _build(doc):
     if (not isinstance(carrier_names, list) or not carrier_names
             or not all(isinstance(x, str) for x in carrier_names)):
         raise DocumentError("carrier must be a nonempty list of strings")
-    if len(carrier_names) > 12:
+    if len(carrier_names) > DEFAULT_MAX_CARRIER:
         raise ResourceCap(
             f"carrier size {len(carrier_names)} exceeds the exhaustive-check "
-            "cap of 12")
+            f"cap of {DEFAULT_MAX_CARRIER}")
     try:
         carrier = Carrier(carrier_names)
     except ValueError as exc:

@@ -38,8 +38,8 @@ from .errors import CarrierMismatch, InternalCheckFailure, PreconditionFailure
 from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify, \
     _group_indices
 from .proximity import P1_P5, Prox, _and_intersectors, _index_bit_swaps, \
-    _intersectors, _join_table, _permute_index_bits, _submask_table, \
-    check_axioms
+    _join_table, _permute_index_bits, _submask_table, check_axioms, \
+    meets_table
 from .setrel import _join_mask
 from .uniformity import UnifBase, totally_bounded, validate_basis
 
@@ -89,14 +89,6 @@ def compute_ug(a, u):
             "derived bracket basis fails condition "
             f"{check.failures()[0]}: {check.counterexample(check.failures()[0])}")
     return out
-
-
-def _overlap_pullbacks(a, level_index):
-    """t[m] = V^{-1}V.m for every subset mask m: the points whose
-    V-translate meets V.m, as the join table of the n point values."""
-    inv = a.level_inverse_elem_masks(level_index)
-    return _join_table([_join_mask(inv, t)
-                        for t in a.level_elem_masks(level_index)])
 
 
 def nu_proximity(a, u):
@@ -153,17 +145,14 @@ def beta_g_proximity(a):
     A and B are near when their translates overlap at every chain level.
 
     VA meets VB iff B meets V^{-1}VA, and A -> V^{-1}VA preserves unions,
-    so each level's pullbacks are the join table of n point pullbacks,
-    one OR per subset; each row then takes one AND of 2**n-bit integers
-    per level: Theta(levels * 2**n) such operations in all.
+    so each level is one map of `meets_table` given by its n point
+    pullbacks.  The table is kept on the germ: the compatibility and
+    separation verdicts read it too.
     """
-    carrier = a.carrier
-    n = carrier.n
-    N = 1 << n
-    rows = [(1 << N) - 1] * N
-    for li in range(len(a.ne.levels)):
-        _and_intersectors(rows, _overlap_pullbacks(a, li), n)
-    return Prox(carrier, rows)
+    return a._cached(("betag",), lambda: meets_table(a.carrier, [
+        [_join_mask(a.level_inverse_elem_masks(li), t)
+         for t in a.level_elem_masks(li)]
+        for li in range(len(a.ne.levels))]))
 
 
 def is_g_invariant(p, a):
@@ -193,20 +182,12 @@ def is_g_invariant(p, a):
 
 
 def is_action_compatible(p, a):
-    """Whether every far pair has disjoint translates at some chain level."""
+    """Whether every far pair has disjoint translates at some chain level,
+    that is, is far in the maximal group proximity."""
     carrier = a.carrier
-    n = carrier.n
-    N = 1 << n
-    full_bits = (1 << N) - 1
-    table = _submask_table(n)
-    fulln = N - 1
-    disjoint_or = [0] * N
-    for li in range(len(a.ne.levels)):
-        pull = _overlap_pullbacks(a, li)
-        for m in range(N):
-            disjoint_or[m] |= table[fulln ^ pull[m]]
-    for am in range(N):
-        viol = ~p.rows[am] & full_bits & ~disjoint_or[am]
+    bg = beta_g_proximity(a).rows
+    for am, row in enumerate(p.rows):
+        viol = bg[am] & ~row
         if viol:
             b = (viol & -viol).bit_length() - 1
             return False, (carrier.mask_subset(am), carrier.mask_subset(b))
@@ -277,28 +258,27 @@ def _separation_ok(a):
 
     For row A and level V, the pi-disjoint partners are the submasks of
     {x : Vx misses VA}, read through level_elem_masks; the partners whose
-    canonical neighborhood pair (A, B) is disjoint are the submasks of the
-    complement of the pullback V^{-1}VA, read through
+    canonical neighborhood pair (A, B) is disjoint are the pairs far from
+    A in the maximal group proximity, whose table pulls back through
     level_inverse_elem_masks.  The scan costs Theta(levels * n * 2**n)
     mask operations and one 2**n-bit OR per row and level, where a pair by
     pair scan costs Theta(levels * n * 4**n).
     """
     n = a.carrier.n
-    N = 1 << n
     table = _submask_table(n)
-    routes = [(a.level_translates(li), a.level_elem_masks(li),
-               _overlap_pullbacks(a, li)) for li in range(len(a.ne.levels))]
-    for am in range(N):
-        disjoint = witnessed = 0
-        for trans, lem, pull in routes:
+    bg = beta_g_proximity(a).rows
+    routes = [(a.level_translates(li), a.level_elem_masks(li))
+              for li in range(len(a.ne.levels))]
+    for am, near in enumerate(bg):
+        disjoint = 0
+        for trans, lem in routes:
             t = trans[am]
             free = 0
             for x in range(n):
                 if not lem[x] & t:
                     free |= 1 << x
             disjoint |= table[free]
-            witnessed |= table[(N - 1) ^ pull[am]]
-        if disjoint & ~witnessed:
+        if disjoint & near:
             return False
     return True
 
@@ -336,14 +316,11 @@ def enumerate_partition_proximities(carrier):
     their block saturations intersect.  Yields (blocks, prox) pairs.
     """
     els = carrier.elements
-    n = carrier.n
     for part in set_partitions(list(els)):
         blocks = tuple(sorted((frozenset(b) for b in part),
                               key=lambda b: min(carrier.index[x] for x in b)))
         block_of = {x: carrier.subset_mask(b) for b in blocks for x in b}
-        sat = _join_table([block_of[x] for x in els])
-        rows = [_intersectors(s, n) for s in sat]
-        yield blocks, Prox(carrier, rows)
+        yield blocks, meets_table(carrier, [[block_of[x] for x in els]])
 
 
 def subgroup_germ(a, subgroup):

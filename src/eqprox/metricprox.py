@@ -24,7 +24,7 @@ from . import setrel
 from .errors import CarrierMismatch, InternalCheckFailure, PreconditionFailure
 from .gaction import classify, _equicontinuity_witness, _fold, \
     _group_indices
-from .proximity import Prox, _and_intersectors, _join_table
+from .proximity import meets_table
 from .setrel import _join_mask
 from .uniformity import UnifBase, refines
 
@@ -281,20 +281,13 @@ def metric_g_proximity(m, a):
         raise PreconditionFailure(
             f"metric uniformity is not {missing}",
             witness=cls.witnesses.get(missing))
-    carrier = m.carrier
-    n = carrier.n
-    N = 1 << n
-    rows = [(1 << N) - 1] * N
     # Zero-distance hull per point (rank 0); for a genuine metric this is
     # the point itself, for a pseudometric its kernel class.
     zero_of = [sum(1 << j for j, k in enumerate(row) if not k)
                for row in m.rank]
-    for li in range(len(a.ne.levels)):
-        # B is near A at this level iff VB meets the zero hull of VA,
-        # i.e. B meets its pullback through the level.  A -> V^{-1} hull(VA)
-        # preserves unions, so its table joins its n point values.
-        inv = a.level_inverse_elem_masks(li)
-        _and_intersectors(rows, _join_table([
-            _join_mask(inv, _join_mask(zero_of, t))
-            for t in a.level_elem_masks(li)]), n)
-    return Prox(carrier, rows)
+    # B is near A at a level iff VB meets the zero hull of VA, i.e. B meets
+    # its pullback through the level: one map of meets_table per level.
+    return meets_table(m.carrier, [
+        [_join_mask(a.level_inverse_elem_masks(li), _join_mask(zero_of, t))
+         for t in a.level_elem_masks(li)]
+        for li in range(len(a.ne.levels))])

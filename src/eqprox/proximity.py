@@ -85,6 +85,19 @@ def _and_intersectors(rows, masks, n):
         rows[m] &= full_bits ^ table[(N - 1) ^ masks[m]]
 
 
+def meets_table(carrier, maps):
+    """The table with near(A, B) iff B meets f(A) for every f in maps,
+    each f a union-preserving map given by its n point values: one join
+    table and one AND per row for each map, Theta(|maps| * 2**n)
+    operations on 2**n-bit integers."""
+    n = carrier.n
+    N = 1 << n
+    rows = [(1 << N) - 1] * N
+    for values in maps:
+        _and_intersectors(rows, _join_table(values), n)
+    return Prox(carrier, rows)
+
+
 @lru_cache(maxsize=None)
 def _low_half_masks(n):
     """masks[j] = 2**n-bit integer with bit p set iff bit j of p is clear."""
@@ -200,16 +213,12 @@ class Prox:
     @classmethod
     def overlap(cls, carrier):
         """near(A, B) iff A and B intersect (the discrete/finest proximity)."""
-        n = carrier.n
-        return cls(carrier, [_intersectors(a, n) for a in range(1 << n)])
+        return meets_table(carrier, [[1 << x for x in range(carrier.n)]])
 
     @classmethod
     def nonempty_pairs(cls, carrier):
         """near(A, B) iff both are nonempty (the indiscrete/coarsest proximity)."""
-        n = carrier.n
-        full_bits = (1 << (1 << n)) - 1
-        row = full_bits ^ 1
-        return cls(carrier, [0] + [row] * ((1 << n) - 1))
+        return meets_table(carrier, [[carrier.full_mask] * carrier.n])
 
     def near(self, a, b):
         am = self.carrier.subset_mask(a)
@@ -459,13 +468,7 @@ def from_uniformity(u):
     any filter element contains a basis element, which then also meets
     A x B, so the generated filter gives the same verdict.
     """
-    carrier = u.carrier
-    n = carrier.n
-    N = 1 << n
-    rows = [(1 << N) - 1] * N
-    for eps in u.basis:
-        _and_intersectors(rows, _join_table(eps.image_masks), n)
-    return Prox(carrier, rows)
+    return meets_table(u.carrier, [eps.image_masks for eps in u.basis])
 
 
 def _first_near_points(rows, n):

@@ -29,7 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DocumentError, InternalCheckFailure, PreconditionFailure
+from .errors import DocumentError, InternalCheckFailure, \
+    PreconditionFailure, ResourceCap
+
+# The union closure of k chains can have 2**k - 1 levels, and the bonding
+# maps grow with the square of the level count.
+TOWER_LEVEL_CAP = 64
 
 
 class _Infinity:
@@ -427,7 +432,8 @@ def build_tower(chains):
     validate surjectivity, monotonicity and functoriality.
 
     The validations guard the construction itself; a failure is an
-    internal error.
+    internal error.  A closure of more than TOWER_LEVEL_CAP levels raises
+    ResourceCap before any bonding map is built.
     """
     family = {Chain.of(c.points) if isinstance(c, Chain) else Chain.of(c)
               for c in chains}
@@ -437,6 +443,9 @@ def build_tower(chains):
     while changed:
         changed = False
         for f in list(family):
+            if len(family) > TOWER_LEVEL_CAP:
+                raise ResourceCap(
+                    f"tower needs more than {TOWER_LEVEL_CAP} levels")
             for g in list(family):
                 u = f.union(g)
                 if u not in family:

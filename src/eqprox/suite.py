@@ -26,15 +26,16 @@ from .equivariant import beta_g_proximity, betag_on_subgroup_agrees, \
     check_equinormal, compute_ug, deepest_orbits_coincide, \
     enumerate_partition_proximities, is_action_compatible, is_g_invariant, \
     nu_proximity, semigroup_upgrade, set_partitions
-from .errors import InternalCheckFailure
+from .errors import InternalCheckFailure, ResourceCap
 from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify, \
     saturate_uniformity
 from .metricprox import FiniteMetric, PseudometricFamily, is_isometric, \
     metric_g_proximity, metric_uniformity, xi_report, \
     sup_pseudometric
-from .proximity import P1_P5, Prox, _intersectors, _join_table, \
-    check_axioms, dominates, from_uniformity
-from .setrel import Carrier, Rel, diagonal, full_relation
+from .proximity import P1_P5, Prox, check_axioms, dominates, \
+    from_uniformity, meets_table
+from .setrel import DEFAULT_MAX_CARRIER, Carrier, Rel, diagonal, \
+    full_relation
 from .uniformity import UnifBase, discrete_basis, is_hausdorff, \
     refinement_equivalent, validate_basis
 
@@ -350,9 +351,8 @@ def run_suite(max_n=5, seed=0, max_group=6, filters=None, inject=None):
     deterministic defect ("bracket", "nu" or "betag") to prove the suite
     catches corruption.
     """
-    if max_n > 12:
-        from .errors import ResourceCap
-        raise ResourceCap("the family carrier cap is 12")
+    if max_n > DEFAULT_MAX_CARRIER:
+        raise ResourceCap(f"the family carrier cap is {DEFAULT_MAX_CARRIER}")
     if filters:
         unknown = set(filters) - set(INVARIANTS)
         if unknown:
@@ -513,7 +513,7 @@ def _graph_proximity(carrier, rng):
             if rng.random() < 0.4:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return Prox(carrier, [_intersectors(h, n) for h in _join_table(adj)])
+    return meets_table(carrier, [adj])
 
 
 def _random_valid_basis(carrier, rng):

@@ -12,8 +12,8 @@ containment on ``Rel`` pair sets before they worked on packed pair bits;
 ``check_action_continuity_reference`` above.  The last section keeps the
 point-at-a-time translates and pullbacks (``GActionGerm.translate_mask``,
 ``set_translate_mask`` and ``push_rel`` as functions of the germ, the
-continuity scan, ``nu_proximity`` and the overlap pullbacks that used
-them, ``bracket_entourage``, ``deepest_orbits_coincide`` and the scalar
+continuity scan and the ``nu_proximity`` that used them,
+``bracket_entourage``, ``deepest_orbits_coincide`` and the scalar
 ``_acts_equicontinuously``) from before translates and pullbacks went
 through the one mask helper ``setrel._join_mask``.
 The bodies are kept unchanged, methods taking the germ as ``a``, so
@@ -478,13 +478,6 @@ def action_continuity_translate_reference(a, u):
             if k is not None:
                 return False, (a.group.names[g0], a.carrier.elements[x0], k)
     return True, None
-
-
-def overlap_pullbacks_reference(a, level_index):
-    """t[m] = V^{-1}V.m for every subset mask m: the points whose
-    V-translate meets V.m, as the join table of the n point values."""
-    return _join_table([_level_pullback(a, level_index, t)
-                        for t in a.level_elem_masks(level_index)])
 
 
 def nu_proximity_point_pullback_reference(a, u):

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,27 @@ def test_rat_tower_dot(tmp_path, capsys):
     assert dot.count('"L') > 9  # 1 + 3 + 5 nodes plus edges
     assert "digraph tower" in dot
     assert "threads: 5" in out
+
+
+def test_rat_tower_dot_write_error_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.dot"
+    code, out, err = run(capsys, "rat", "tower", "{0}", "--dot", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
+def test_rat_tower_level_cap_bounds_time(capsys):
+    # k singleton chains close under union to 2**k - 1 levels: six give
+    # 63, within the cap of 64; seven give 127 and stop at the cap.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "rat", "tower", *(f"{{{i}}}" for i in range(6)))
+    assert code == 0 and out.count("level ") == 63
+    code, out, err = run(capsys, "rat", "tower",
+                         *(f"{{{i}}}" for i in range(7)))
+    assert (code, out) == (3, "")
+    assert err == "resource cap: tower needs more than 64 levels\n"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_rat_claim(capsys):

@@ -22,15 +22,14 @@ from equivariant_reference import _level_pullback, \
     classify_reference, deepest_orbits_coincide_reference, \
     equinormal_separation_reference, is_action_compatible_reference, \
     is_g_invariant_reference, nu_proximity_point_pullback_reference, \
-    nu_proximity_reference, overlap_pullbacks_reference, push_rel, \
-    separation_ok_reference, set_translate_mask, translate_mask, \
-    validate_basis_reference
+    nu_proximity_reference, push_rel, separation_ok_reference, \
+    set_translate_mask, translate_mask, validate_basis_reference
 
 from eqprox.document import load_instance
-from eqprox.equivariant import _overlap_pullbacks, _separation_ok, \
-    beta_g_proximity, bracket_entourage, check_equinormal, compute_ug, \
-    deepest_orbits_coincide, enumerate_partition_proximities, \
-    is_action_compatible, is_g_invariant, nu_proximity
+from eqprox.equivariant import _separation_ok, beta_g_proximity, \
+    bracket_entourage, check_equinormal, compute_ug, deepest_orbits_coincide, \
+    enumerate_partition_proximities, is_action_compatible, is_g_invariant, \
+    nu_proximity
 from eqprox.errors import InternalCheckFailure, PreconditionFailure
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
     check_action_continuity, classify, saturate_uniformity
@@ -322,8 +321,8 @@ def test_basis_reports_match_reference_on_failing_relation_lists():
 
 def assert_same_germ_masks(a, rng):
     """Translates and pullbacks through the point masks, the translate
-    table, set translates, overlap pullbacks and the deepest-orbit test
-    against the point-at-a-time references."""
+    table, set translates, the maximal group proximity and the
+    deepest-orbit test against the point-at-a-time references."""
     group = a.group
     N = 1 << a.carrier.n
     subset = frozenset(g for g in range(group.order) if rng.random() < 0.5)
@@ -338,8 +337,8 @@ def assert_same_germ_masks(a, rng):
             for ids in (level, subset):
                 assert _join_mask(a._point_masks(ids), m) == \
                     set_translate_mask(a, ids, m), (a, ids, m)
-        assert _overlap_pullbacks(a, li) == \
-            overlap_pullbacks_reference(a, li), (a, li)
+    assert beta_g_proximity(a).rows == \
+        beta_g_proximity_reference(a).rows, a
     if group.order <= 12:  # the cap of FiniteGroup.subgroups
         for h in group.subgroups():
             assert deepest_orbits_coincide(a, h) == \

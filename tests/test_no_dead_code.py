@@ -1,12 +1,13 @@
 """Every function, class and method of the library has a caller in the
-library.
+library, and every name a library module imports is read in it.
 
 A definition counts as reached when its name is read anywhere in another
 module of the package (``__init__`` aside, whose re-exports reach
 nothing) or anywhere in its own module besides the definition.  Matching
 by name can miss dead code (an unrelated name may shadow it) but never
 flags live code.  Dunder methods are reached by the interpreter and are
-not collected.
+not collected.  The import check leaves out ``__init__``, whose imports
+are re-exports, and ``__future__`` features.
 """
 
 import ast
@@ -80,3 +81,27 @@ def test_every_definition_has_a_library_caller():
 def test_allowlist_names_only_unreached_definitions():
     reached_anyway = set(ALLOWED) - {d.split(".", 1)[1] for d in unreached()}
     assert reached_anyway == set()
+
+
+def unread_imports():
+    """module.name for every name a module imports and never loads."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in loaded:
+                        unread.append(f"{path.stem}.{bound}")
+    return unread
+
+
+def test_every_imported_name_is_read():
+    assert unread_imports() == []

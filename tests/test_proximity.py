@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,8 +10,9 @@ from eqprox.errors import ResourceCap
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase
 from eqprox.metricprox import FiniteMetric, metric_g_proximity
 from eqprox.proximity import P1_P5, Prox, _and_intersectors, \
-    _first_near_points, _index_bit_swaps, _join_table, _permute_index_bits, _reverse_bits, \
-    _transpose, check_axioms, dominates, from_uniformity, is_separated
+    _first_near_points, _index_bit_swaps, _join_table, _permute_index_bits, \
+    _reverse_bits, _transpose, check_axioms, dominates, from_uniformity, \
+    is_separated, meets_table
 from eqprox.setrel import Carrier, Rel, diagonal, full_relation
 from eqprox.suite import _random_valid_basis
 from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis
@@ -221,6 +223,31 @@ def test_and_intersectors_matches_per_bit_meets():
                     for a in range(N)]
         _and_intersectors(rows, masks, n)
         assert rows == expected
+
+
+def test_meets_table_matches_per_pair_meets():
+    # Carrier refuses the empty set; the table reads only carrier.n, so a
+    # stand-in covers n = 0.
+    rng = random.Random(22)
+    for n in range(0, 7):
+        carrier = Carrier(range(n)) if n else SimpleNamespace(n=0)
+        N = 1 << n
+        for count in range(4):
+            maps = [[rng.getrandbits(n) for _ in range(n)]
+                    for _ in range(count)]
+
+            def image(f, a):
+                out = 0
+                for x in range(n):
+                    if a >> x & 1:
+                        out |= f[x]
+                return out
+            expected = [sum(1 << b for b in range(N)
+                            if all(b & image(f, a) for f in maps))
+                        for a in range(N)]
+            p = meets_table(carrier, maps)
+            assert p.carrier is carrier
+            assert list(p.rows) == expected, (n, maps)
 
 
 def test_transpose_matches_per_bit_transpose():
