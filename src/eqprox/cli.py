@@ -17,12 +17,13 @@ from functools import cache
 
 from . import rationals as rat
 from .document import load_instance, rel_to_json, subset_to_json
-from .equivariant import beta_g_proximity, check_equinormal, compute_ug, \
-    is_massive, nu_proximity
+from .equivariant import beta_g_maps, beta_g_proximity, check_descending, \
+    check_equinormal, compute_ug, is_massive, nu_maps, nu_proximity
 from .errors import DocumentError, InternalCheckFailure, \
     PreconditionFailure, ResourceCap
 from .gaction import classify
-from .proximity import P1_P5, check_axioms, from_uniformity, is_separated
+from .proximity import P1_P5, _first_near_points, check_axioms, \
+    from_uniformity, is_separated, meets, meets_points
 from .suite import run_suite
 from .uniformity import validate_basis
 
@@ -123,12 +124,15 @@ def cmd_compute(args):
                 print(f"  [{k}] {rel_to_json(r)}")
         return EXIT_OK
 
-    if args.what == "nu":
-        u = instance.require_uniformity()
-        prox = nu_proximity(germ, u)
-    elif args.what == "betag":
-        prox = beta_g_proximity(germ)
-    elif args.what == "equinormal":
+    if args.what in ("nu", "betag"):
+        if args.json and not args.sets:
+            prox = (nu_proximity(germ, instance.require_uniformity())
+                    if args.what == "nu" else beta_g_proximity(germ))
+            _emit_table_json({"schema": 1, "what": args.what,
+                              **_prox_json(prox)})
+            return EXIT_OK
+        return _query(args, instance, germ)
+    if args.what == "equinormal":
         rep = check_equinormal(germ)
         if args.json:
             _emit_json({"schema": 1, "what": "equinormal",
@@ -148,34 +152,51 @@ def cmd_compute(args):
     else:  # pragma: no cover - argparse restricts choices
         raise DocumentError(f"unknown computation {args.what!r}")
 
+
+def _entry_reader(what, germ, u):
+    """read(entry) = entry(maps) on the maps defining the `nu` table (u
+    its uniformity) or the `betag` table, for an entry that is one pair's
+    verdict (`meets`) or the point block (`meets_points`).  `nu` evaluates
+    the entry over the whole chain and over the deepest level, which must
+    agree (`check_descending`)."""
+    if what == "nu":
+        levels = nu_maps(germ, u)
+        maps = [f for level in levels for f in level]
+        return lambda entry: check_descending(entry(maps), entry(levels[-1]))
+    maps = beta_g_maps(germ)
+    return lambda entry: entry(maps)
+
+
+def _query(args, instance, germ):
+    """A plain or `--sets` request for `nu` or `betag`: it prints only the
+    point block or one verdict, so it reads those entries of the table
+    without building it."""
+    read = _entry_reader(args.what, germ, instance.require_uniformity()
+                         if args.what == "nu" else None)
+    carrier = germ.carrier
     if args.sets:
-        a, b = _resolve_sets(instance, args.sets)
-        near = prox.near(a, b)
+        a, b = map(carrier.subset_mask, _resolve_sets(instance, args.sets))
+        verdict = "near" if read(lambda fs: meets(fs, a, b)) else "far"
         if args.json:
             _emit_json({"schema": 1, "what": args.what,
-                        "sets": list(args.sets),
-                        "verdict": "near" if near else "far"})
+                        "sets": list(args.sets), "verdict": verdict})
         else:
-            print("near" if near else "far")
+            print(verdict)
         return EXIT_OK
 
-    if args.json:
-        payload = {"schema": 1, "what": args.what}
-        payload.update(_prox_json(prox))
-        _emit_table_json(payload)
-    else:
-        carrier = prox.carrier
-        print(f"proximity on {list(carrier.elements)}; "
-              f"separated: {'yes' if is_separated(prox) else 'no'}")
-        print("point nearness classes:")
-        seen = set()
-        for i, x in enumerate(carrier.elements):
-            if x in seen:
-                continue
-            cls = [y for j, y in enumerate(carrier.elements)
-                   if prox.rows[1 << i] >> (1 << j) & 1 or i == j]
-            seen.update(cls)
-            print(f"  {subset_to_json(carrier, cls)}")
+    points = read(lambda fs: meets_points(fs, carrier.n))
+    separated = _first_near_points(points) is None
+    print(f"proximity on {list(carrier.elements)}; "
+          f"separated: {'yes' if separated else 'no'}")
+    print("point nearness classes:")
+    seen = set()
+    for i, x in enumerate(carrier.elements):
+        if x in seen:
+            continue
+        cls = [y for j, y in enumerate(carrier.elements)
+               if points[i] >> j & 1 or i == j]
+        seen.update(cls)
+        print(f"  {subset_to_json(carrier, cls)}")
     return EXIT_OK
 
 

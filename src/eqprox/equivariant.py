@@ -13,12 +13,14 @@ a meaningful machine check rather than a tautology of shared code.
 
 Translate nearness and the maximal group proximity are built from point
 masks: each (level, entourage) pair gives a union-preserving map of
-subsets, tabulated from its n point values, and each row is ANDed with
-the intersectors of its entry, Theta(levels * |basis| * 2**n) operations
-on 2**n-bit integers in all.  The point values pull back through V^{-1}
-by the germ's inverse point masks (`level_inverse_elem_masks`); the
-bracket side reads only the forward point masks, so the two sides of the
-identity share no pullback code.
+subsets, given by its n point values (`nu_maps`, `beta_g_maps`).  The
+table tabulates each map and ANDs each row with the intersectors of its
+entry, Theta(levels * |basis| * 2**n) operations on 2**n-bit integers in
+all; one entry or the point block is read from the point values alone
+(`proximity.meets`, `meets_points`).  The point values pull back through
+V^{-1} by the germ's inverse point masks (`level_inverse_elem_masks`);
+the bracket side reads only the forward point masks, so the two sides of
+the identity share no pullback code.
 
 The group-action scans work on whole rows of the 2**n-bit tables.
 Equinormality runs the axiom check on the translate-overlap table, then
@@ -37,9 +39,8 @@ from . import setrel
 from .errors import CarrierMismatch, InternalCheckFailure, PreconditionFailure
 from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify, \
     _group_indices
-from .proximity import P1_P5, Prox, _and_intersectors, _index_bit_swaps, \
-    _join_table, _permute_index_bits, _submask_table, check_axioms, \
-    meets_table
+from .proximity import P1_P5, Prox, _index_bit_swaps, _join_table, \
+    _permute_index_bits, _submask_table, check_axioms, meets_table
 from .setrel import _join_mask
 from .uniformity import UnifBase, totally_bounded, validate_basis
 
@@ -91,68 +92,78 @@ def compute_ug(a, u):
     return out
 
 
-def nu_proximity(a, u):
-    """Translate nearness: A and B are near when at every chain level the
-    level translates are near in the proximity induced by u.
+def nu_maps(a, u):
+    """The maps defining translate nearness, one list per chain level.
 
     For level V and entourage eps, VA is near VB iff B meets
     V^{-1} eps(V A).  That map of A is a composite of three
     union-preserving maps (translate, entourage image, level pullback), so
-    its table over all 2**n subsets is the join table of its n point
-    values, each pulled back through the inverse point masks.  Each
-    (level, eps) pair costs n pullbacks plus one OR per subset and one AND
-    of 2**n-bit integers per row: Theta(levels * |basis| * 2**n)
-    operations on 2**n-bit integers in all.
-
-    All chain levels are evaluated; by monotonicity of translation the
-    deepest level alone gives the same table, and that reduction is
-    asserted rather than assumed: the deepest level's table is kept apart
-    and compared with the AND over the whole chain.
+    it is given by its n point values V^{-1} eps(V x), each pulled back
+    through the inverse point masks.  The basis must be valid.
     """
     report = validate_basis(u)
     if not report.ok():
         raise PreconditionFailure(
             f"input basis fails condition {report.failures()[0]}",
             witness=report)
-    carrier = a.carrier
-    n = carrier.n
-    N = 1 << n
-    full_bits = (1 << N) - 1
-
-    def and_level(li, rows):
+    levels = []
+    for li in range(len(a.ne.levels)):
         lem = a.level_elem_masks(li)
         inv = a.level_inverse_elem_masks(li)
-        for eps in u.basis:
-            pull = _join_table([_join_mask(inv, eps.image_mask(t))
-                                for t in lem])
-            _and_intersectors(rows, pull, n)
-        return rows
+        levels.append([[_join_mask(inv, eps.image_mask(t)) for t in lem]
+                       for eps in u.basis])
+    return levels
 
-    deepest = len(a.ne.levels) - 1
-    reduced = and_level(deepest, [full_bits] * N)
-    rows = list(reduced)
-    for li in range(deepest):
-        and_level(li, rows)
-    if rows != reduced:
+
+def check_descending(full, deepest):
+    """Return translate nearness over the whole chain after checking it
+    against the deepest level's alone: by monotonicity of translation the
+    two agree, and that reduction is asserted rather than assumed."""
+    if full != deepest:
         raise InternalCheckFailure(
             "translate nearness differs between the full chain and the "
             "deepest level; the chain is not descending")
-    return Prox(carrier, rows)
+    return full
+
+
+def nu_proximity(a, u):
+    """Translate nearness: A and B are near when at every chain level the
+    level translates are near in the proximity induced by u.
+
+    The table of the `nu_maps`: each (level, eps) pair costs n pullbacks
+    plus one join table and one AND of 2**n-bit integers per row,
+    Theta(levels * |basis| * 2**n) operations on 2**n-bit integers in all.
+    The deepest level's table is kept apart, and the whole chain's is its
+    AND with the table of the other levels (`check_descending`).
+    """
+    carrier = a.carrier
+    levels = nu_maps(a, u)
+    deepest = meets_table(carrier, levels[-1]).rows
+    upper = meets_table(carrier, [f for maps in levels[:-1] for f in maps])
+    return Prox(carrier, check_descending(
+        tuple(r & d for r, d in zip(upper.rows, deepest)), deepest))
+
+
+def beta_g_maps(a):
+    """The maps defining the maximal group proximity, one per chain level.
+
+    VA meets VB iff B meets V^{-1}VA, and A -> V^{-1}VA preserves unions,
+    so each level is one map given by its n point pullbacks V^{-1}Vx.
+    """
+    return [[_join_mask(a.level_inverse_elem_masks(li), t)
+             for t in a.level_elem_masks(li)]
+            for li in range(len(a.ne.levels))]
 
 
 def beta_g_proximity(a):
     """The maximal group proximity on a finite discrete carrier:
     A and B are near when their translates overlap at every chain level.
 
-    VA meets VB iff B meets V^{-1}VA, and A -> V^{-1}VA preserves unions,
-    so each level is one map of `meets_table` given by its n point
-    pullbacks.  The table is kept on the germ: the compatibility and
-    separation verdicts read it too.
+    The table of the `beta_g_maps`, kept on the germ: the compatibility
+    and separation verdicts read it too.
     """
-    return a._cached(("betag",), lambda: meets_table(a.carrier, [
-        [_join_mask(a.level_inverse_elem_masks(li), t)
-         for t in a.level_elem_masks(li)]
-        for li in range(len(a.ne.levels))]))
+    return a._cached(("betag",),
+                     lambda: meets_table(a.carrier, beta_g_maps(a)))
 
 
 def is_g_invariant(p, a):

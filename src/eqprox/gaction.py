@@ -124,7 +124,9 @@ class FiniteGroup:
         composition and return (group, permutation per element index).
 
         Elements are discovered breadth-first from the identity, so the
-        numbering is deterministic.  Names are "p" followed by the
+        numbering is deterministic.  The product table is filled along the
+        edges the search finds: k * len(perms) compositions and k**2
+        lookups for a closure of k elements.  Names are "p" followed by the
         one-line images, the identity being "e"; above degree 10 the
         images are joined with "." so that no two names coincide.
         """
@@ -138,26 +140,34 @@ class FiniteGroup:
         ident = tuple(range(d))
         found = {ident: 0}
         order = [ident]
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for q in frontier:
-                for p in perms:
-                    r = tuple(map(q.__getitem__, p))
-                    if r not in found:
-                        if len(found) >= max_size:
-                            raise ValueError(
-                                f"permutation closure exceeds the cap {max_size}")
-                        found[r] = len(order)
-                        order.append(r)
-                        nxt.append(r)
-            frontier = nxt
+        # `order` is also the search queue.  right[i][s] is the element
+        # i*perms[s]; each element j > 0 is first found from parent[j] by
+        # the generator gen[j], so j = parent[j]*perms[gen[j]].
+        right = []
+        parent, gen = [0], [0]
+        for i, q in enumerate(order):
+            row = []
+            for s, p in enumerate(perms):
+                r = tuple(map(q.__getitem__, p))
+                if r not in found:
+                    if len(found) >= max_size:
+                        raise ValueError(
+                            f"permutation closure exceeds the cap {max_size}")
+                    found[r] = len(order)
+                    order.append(r)
+                    parent.append(i)
+                    gen.append(s)
+                row.append(found[r])
+            right.append(row)
+        # p then q as functions acting on the left: (p*q)(x) = p(q(x)), and
+        # i*j = (i*parent[j])*perms[gen[j]] along the tree of first finds.
         k = len(order)
-        mul = [[0] * k for _ in range(k)]
-        for i, p in enumerate(order):
-            for j, q in enumerate(order):
-                # p then q as functions acting on the left: (p*q)(x) = p(q(x))
-                mul[i][j] = found[tuple(map(p.__getitem__, q))]
+        mul = []
+        for i in range(k):
+            row = [i]
+            for j in range(1, k):
+                row.append(right[row[parent[j]]][gen[j]])
+            mul.append(row)
 
         sep = "." if d > 10 else ""
 

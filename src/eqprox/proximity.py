@@ -89,13 +89,29 @@ def meets_table(carrier, maps):
     """The table with near(A, B) iff B meets f(A) for every f in maps,
     each f a union-preserving map given by its n point values: one join
     table and one AND per row for each map, Theta(|maps| * 2**n)
-    operations on 2**n-bit integers."""
+    operations on 2**n-bit integers.  `meets` and `meets_points` read
+    entries of the same table from the point values, without it."""
     n = carrier.n
     N = 1 << n
     rows = [(1 << N) - 1] * N
     for values in maps:
         _and_intersectors(rows, _join_table(values), n)
     return Prox(carrier, rows)
+
+
+def meets(maps, a, b):
+    """near(A, B) in `meets_table` over the same maps, for subset masks a
+    and b: one table entry, read from the point values directly."""
+    return all(b & _join_mask(f, a) for f in maps)
+
+
+def meets_points(maps, n):
+    """The point block of `meets_table` over the same maps: bit j of entry
+    i says whether {x_i} is near {x_j}, the AND of f[i] over the maps."""
+    points = [(1 << n) - 1] * n
+    for f in maps:
+        points = [p & v for p, v in zip(points, f)]
+    return points
 
 
 @lru_cache(maxsize=None)
@@ -443,7 +459,7 @@ def check_axioms(p, cap=AXIOM_CHECK_CAP):
             break
 
     # P6: distinct points are far.
-    near_points = _first_near_points(rows, n)
+    near_points = _first_near_points(_point_block(rows, n))
     results["P6"] = ((True, None) if near_points is None else
                      (False, tuple(subset(1 << i) for i in near_points)))
 
@@ -471,18 +487,24 @@ def from_uniformity(u):
     return meets_table(u.carrier, [eps.image_masks for eps in u.basis])
 
 
-def _first_near_points(rows, n):
+def _point_block(rows, n):
+    """The point block of a table: bit j of entry i is bit 2**j of row
+    2**i, whether {x_i} is near {x_j}."""
+    return [sum((rows[1 << i] >> (1 << j) & 1) << j for j in range(n))
+            for i in range(n)]
+
+
+def _first_near_points(points):
     """The first pair (i, j) of distinct points with {i} near {j}, i before
-    j in index order, or None.  Each point row is ANDed once with the bits
-    of the other singletons."""
-    singletons = sum(1 << (1 << j) for j in range(n))
-    for i in range(n):
-        near = rows[1 << i] & singletons & ~(1 << (1 << i))
+    j in index order, or None, from a point block (`_point_block`,
+    `meets_points`)."""
+    for i, row in enumerate(points):
+        near = row & ~(1 << i)
         if near:
-            return i, ((near & -near).bit_length() - 1).bit_length() - 1
+            return i, (near & -near).bit_length() - 1
     return None
 
 
 def is_separated(p):
     """Whether distinct points are always far (axiom P6 alone)."""
-    return _first_near_points(p.rows, p.carrier.n) is None
+    return _first_near_points(_point_block(p.rows, p.carrier.n)) is None

@@ -6,8 +6,11 @@ Light's test on a generating set and the action law through the
 generators: the k^3 triple scan and the (g, h) pair scan over every
 element.  They are kept unchanged, as functions returning what the
 constructors store, so that ``test_group_differential.py`` compares the
-constructors with the originals, verdict and message alike.  This is
-test-only code: nothing under ``src/`` may import it.
+constructors with the originals, verdict and message alike.  The
+breadth-first closure of ``FiniteGroup.from_permutations``, from before
+its product table was filled along the closure's edges, is kept the same
+way for its element order, names and cap error.  This is test-only code:
+nothing under ``src/`` may import it.
 """
 
 from eqprox.gaction import DEFAULT_MAX_GROUP
@@ -76,3 +79,31 @@ def action_reference(group, ne, carrier, act):
                     "action law fails at pair "
                     f"({group.names[g]!r}, {group.names[h]!r})")
     return act
+
+
+def permutation_closure_reference(perms, max_size=DEFAULT_MAX_GROUP):
+    """(names, permutation per element) of the closure, frontier by
+    frontier from the identity, or the cap's ValueError."""
+    perms = [tuple(p) for p in perms]
+    d = len(perms[0])
+    ident = tuple(range(d))
+    found = {ident: 0}
+    order = [ident]
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for q in frontier:
+            for p in perms:
+                r = tuple(map(q.__getitem__, p))
+                if r not in found:
+                    if len(found) >= max_size:
+                        raise ValueError(
+                            f"permutation closure exceeds the cap {max_size}")
+                    found[r] = len(order)
+                    order.append(r)
+                    nxt.append(r)
+        frontier = nxt
+    sep = "." if d > 10 else ""
+    names = tuple("e" if p == ident else "p" + sep.join(map(str, p))
+                  for p in order)
+    return names, tuple(order)

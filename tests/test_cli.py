@@ -103,6 +103,53 @@ def test_table_json_at_the_cap_is_the_table_payload(capsys, what, name):
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def twelve_point_documents(tmp_path):
+    """The two 12-point fixtures with eight seeded subsets each; the one
+    without a uniformity gets the diagonal basis."""
+    rng = random.Random(6)
+    for name in ("twelve_points_s3.json", "twelve_points_s3_orbits.json"):
+        doc = json.loads(Path(fixture(name)).read_text(encoding="utf-8"))
+        carrier = doc["carrier"]
+        doc.setdefault("uniformity", [[[x, x] for x in carrier]])
+        doc["subsets"] = {f"S{k}": rng.sample(carrier, rng.randint(1, 3))
+                          for k in range(8)}
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        yield str(path), carrier, sorted(doc["subsets"])
+
+
+@pytest.mark.parametrize("what", ["nu", "betag"])
+def test_queries_at_the_cap_read_the_json_table(tmp_path, capsys, what):
+    # Plain output and `--sets` read the maps; `--json` builds the table.
+    verdicts = set()
+    for path, carrier, names in twelve_point_documents(tmp_path):
+        code, out, _ = run(capsys, what, path, "--json")
+        assert code == 0
+        table = json.loads(out)
+        rows = [int(h, 16) for h in table["rows_hex"]]
+        inst = load_instance(path)
+        lines = [f"proximity on {carrier}; separated: "
+                 f"{'yes' if table['separated'] else 'no'}",
+                 "point nearness classes:"]
+        seen = set()
+        for i, x in enumerate(carrier):
+            if x not in seen:
+                cls = [y for j, y in enumerate(carrier)
+                       if i == j or rows[1 << i] >> (1 << j) & 1]
+                seen.update(cls)
+                lines.append(f"  {cls}")
+        assert run(capsys, what, path) == (0, "\n".join(lines) + "\n", "")
+        for a in names:
+            for b in names:
+                am, bm = (inst.carrier.subset_mask(inst.subsets[s])
+                          for s in (a, b))
+                verdict = "near" if rows[am] >> bm & 1 else "far"
+                verdicts.add(verdict)
+                assert run(capsys, what, path, "--sets", a, b) == \
+                    (0, verdict + "\n", ""), (path, a, b)
+    assert verdicts == {"near", "far"}
+
+
 ODD_NAMES = ['"', "\\", "\n", "caf\u00e9", "\u96ea", '"rows_hex": []',
              '\n  "rows_hex": []', "x,\n", "\t"]
 
@@ -435,12 +482,19 @@ def test_one_parser_serves_consecutive_commands(capsys):
     assert json.loads(out3)["verdict"] == "near"
 
 
-def test_bug_trap_exits_4_not_as_a_failed_check(capsys, monkeypatch):
+@pytest.mark.parametrize("target, flags", [
+    ("nu_proximity", ["--json"]),
+    ("nu_maps", []),
+    ("nu_maps", ["--sets", "A", "B"]),
+], ids=["table-json", "query-plain", "query-sets"])
+def test_bug_trap_exits_4_not_as_a_failed_check(capsys, monkeypatch, target,
+                                                flags):
+    # `--json` builds the table; plain output and `--sets` read the maps.
     def trap(a, u):
         raise InternalCheckFailure("planted trap")
 
-    monkeypatch.setattr("eqprox.cli.nu_proximity", trap)
-    code, out, err = run(capsys, "nu", fixture("z3_rotation.json"))
+    monkeypatch.setattr(f"eqprox.cli.{target}", trap)
+    code, out, err = run(capsys, "nu", fixture("z3_rotation.json"), *flags)
     assert code == EXIT_INTERNAL == 4
     assert out == ""
     assert err.strip() == "internal error: planted trap"

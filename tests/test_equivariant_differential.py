@@ -5,10 +5,12 @@ the scalar references.
 ``is_action_compatible`` must return the reference's verdict and first
 witness; the equinormal separation scans must return the reference scans'
 verdicts; ``nu_proximity`` and ``beta_g_proximity`` must return the
-reference's tables, or raise the same error.  Translates and pullbacks
-through the germ's point masks, and the functions built on them, must
-agree with the point-at-a-time references.  Failing inputs are included
-on purpose, so that witnesses, not only verdicts, are compared.
+reference's tables, or raise the same error, and the entries that plain
+and ``--sets`` requests read from the defining maps must be those tables'
+entries.  Translates and pullbacks through the germ's point masks, and
+the functions built on them, must agree with the point-at-a-time
+references.  Failing inputs are included on purpose, so that witnesses,
+not only verdicts, are compared.
 """
 
 import random
@@ -25,6 +27,7 @@ from equivariant_reference import _level_pullback, \
     nu_proximity_reference, push_rel, separation_ok_reference, \
     set_translate_mask, translate_mask, validate_basis_reference
 
+from eqprox.cli import _entry_reader
 from eqprox.document import load_instance
 from eqprox.equivariant import _separation_ok, beta_g_proximity, \
     bracket_entourage, check_equinormal, compute_ug, deepest_orbits_coincide, \
@@ -36,7 +39,8 @@ from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
 from eqprox.metricprox import FiniteMetric, PseudometricFamily, \
     _acts_equicontinuously, family_uniformity, metric_uniformity, \
     xi_uniformity
-from eqprox.proximity import Prox, from_uniformity
+from eqprox.proximity import Prox, _point_block, from_uniformity, meets, \
+    meets_points
 from eqprox.setrel import Carrier, Rel, _join_mask
 from eqprox.suite import _metric_matrices, _random_valid_basis, \
     curated_actions, germ_chains, iter_family, suite_groups
@@ -226,17 +230,91 @@ def test_join_table_proximities_match_reference_at_the_cap(name):
     assert_same_germ_tables(a, random.Random(35))
 
 
-@pytest.mark.parametrize("nu", [nu_proximity, nu_proximity_reference])
+def nu_point_block(a, u):
+    """The point block of plain `nu` output, read from the maps."""
+    return _entry_reader("nu", a, u)(
+        lambda fs: meets_points(fs, a.carrier.n))
+
+
+def nu_sets_entry(a, u):
+    """The `nu --sets` verdict on the first two points, from the maps."""
+    return _entry_reader("nu", a, u)(lambda fs: meets(fs, 0b01, 0b10))
+
+
+@pytest.mark.parametrize("nu", [nu_proximity, nu_proximity_reference,
+                                nu_point_block, nu_sets_entry])
 def test_nu_traps_a_chain_that_is_not_descending(nu):
     # A valid germ whose chain is then overwritten by the ascending
     # ({e}, G): the identity level keeps the swapped points apart, the
-    # whole group does not, so the full chain and the deepest level differ.
+    # whole group does not, so the full chain and the deepest level differ,
+    # on the table, on the point block and on the two points' verdict.
     g = FiniteGroup.cyclic(2)
     a = GActionGerm(g, NeighborhoodBase(g, [frozenset({0, 1})]),
                     Carrier(["a", "b"]), [(0, 1), (1, 0)])
     a.ne.levels = (frozenset({g.e}), frozenset(range(g.order)))
     with pytest.raises(InternalCheckFailure, match="not descending"):
         nu(a, discrete_basis(a.carrier))
+
+
+def assert_entries_read_the_table(what, a, u, table):
+    """The entry reader of the plain and `--sets` requests against the
+    table: every (A, B) verdict and the point block, or the same
+    precondition message."""
+    try:
+        rows = table().rows
+    except PreconditionFailure as err:
+        with pytest.raises(PreconditionFailure) as got:
+            _entry_reader(what, a, u)
+        assert str(got.value) == str(err), (a, u.basis)
+        return "precondition"
+    read = _entry_reader(what, a, u)
+    n = a.carrier.n
+    assert read(lambda fs: meets_points(fs, n)) == _point_block(rows, n), \
+        (what, a)
+    N = 1 << n
+    for am in range(N):
+        for bm in range(N):
+            assert read(lambda fs: meets(fs, am, bm)) == \
+                bool(rows[am] >> bm & 1), (what, a, am, bm)
+    return "table"
+
+
+def assert_same_entries(a, u):
+    """`nu` and `betag` entries against their tables; returns the `nu`
+    outcome."""
+    assert_entries_read_the_table("betag", a, None,
+                                  lambda: beta_g_proximity(a))
+    return assert_entries_read_the_table("nu", a, u,
+                                         lambda: nu_proximity(a, u))
+
+
+def test_entries_read_the_tables_on_suite_germs():
+    germs = {}
+    quasibounded = set()
+    for _label, germ, u in iter_family(max_n=4, seed=0):
+        assert assert_entries_read_the_table(
+            "nu", germ, u, lambda: nu_proximity(germ, u)) == "table"
+        quasibounded.add(classify(germ, u).quasibounded)
+        key = (id(germ.group), germ.ne.levels, germ.carrier.n, germ.act)
+        germs[key] = germ
+    assert quasibounded == {False, True}
+    for germ in germs.values():
+        assert_same_entries(germ, discrete_basis(germ.carrier))
+
+
+def test_entries_read_the_tables_on_random_actions():
+    rng = random.Random(40)
+    outcomes = set()
+    for n in range(1, 6):
+        for _ in range(5):
+            a = random_germ(rng, n)
+            u = _random_valid_basis(a.carrier, rng)
+            for germ in (a, with_random_upper_levels(a, rng)):
+                for basis in (u, saturate_uniformity(germ, u),
+                              discrete_basis(a.carrier),
+                              random_relation_list(rng, a.carrier)):
+                    outcomes.add(assert_same_entries(germ, basis))
+    assert outcomes == {"precondition", "table"}
 
 
 def random_relation_list(rng, carrier):

@@ -11,7 +11,8 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
-from group_reference import action_reference, finite_group_reference
+from group_reference import action_reference, finite_group_reference, \
+    permutation_closure_reference
 
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
     _generators, _light_test
@@ -212,11 +213,57 @@ def test_renamed_keeps_the_validated_table():
         group.renamed(["a"] * group.order)
 
 
-def test_from_permutations_products_match_composition():
-    perms = [(1, 0, 2, 3), (1, 2, 3, 0)]
-    group, elems = FiniteGroup.from_permutations(perms)
+def random_generators(rng, d):
+    """One to four permutations of 0..d-1, each moving at most four
+    points, with an identity or a repeated generator now and then."""
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if roll < 0.15:
+            gens.append(tuple(range(d)))
+        elif roll < 0.3 and gens:
+            gens.append(rng.choice(gens))
+        else:
+            moved = rng.sample(range(d), min(d, rng.randint(2, 4)))
+            images = list(range(d))
+            for x, y in zip(moved, rng.sample(moved, len(moved))):
+                images[x] = y
+            gens.append(tuple(images))
+    return gens
+
+
+def closure_outcome(perms, cap):
+    """"cap" or "closed", after comparing `from_permutations` with the
+    frontier-by-frontier closure (element order, names, cap error) and
+    its product table with composition."""
+    try:
+        want = permutation_closure_reference(perms, cap)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            FiniteGroup.from_permutations(perms, max_size=cap)
+        assert str(got.value) == str(err), perms
+        return "cap"
+    group, elems = FiniteGroup.from_permutations(perms, max_size=cap)
+    assert (group.names, elems) == want, perms
     index = {p: i for i, p in enumerate(elems)}
-    assert sorted(elems) == sorted(permutations(range(4)))
+    d = len(perms[0])
     for i, p in enumerate(elems):
         for j, q in enumerate(elems):
-            assert group.mul[i][j] == index[tuple(p[q[x]] for x in range(4))]
+            assert group.mul[i][j] == \
+                index[tuple(p[q[x]] for x in range(d))], (perms, i, j)
+    return "closed"
+
+
+def test_from_permutations_products_match_composition():
+    # S4, then random generator sets of degree at most 12, some of them
+    # past their cap.
+    perms = [(1, 0, 2, 3), (1, 2, 3, 0)]
+    assert closure_outcome(perms, 48) == "closed"
+    assert sorted(FiniteGroup.from_permutations(perms)[1]) == \
+        sorted(permutations(range(4)))
+    rng = random.Random(41)
+    outcomes = Counter(
+        closure_outcome(random_generators(rng, rng.randint(1, 12)),
+                        rng.choice((6, 24, 48)))
+        for _ in range(300))
+    assert outcomes["cap"] >= 30 and outcomes["closed"] >= 100, outcomes

@@ -11,8 +11,8 @@ from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase
 from eqprox.metricprox import FiniteMetric, metric_g_proximity
 from eqprox.proximity import P1_P5, Prox, _and_intersectors, \
     _first_near_points, _index_bit_swaps, _join_table, _permute_index_bits, \
-    _reverse_bits, _transpose, check_axioms, dominates, from_uniformity, \
-    is_separated, meets_table
+    _point_block, _reverse_bits, _transpose, check_axioms, dominates, \
+    from_uniformity, is_separated, meets, meets_points, meets_table
 from eqprox.setrel import Carrier, Rel, diagonal, full_relation
 from eqprox.suite import _random_valid_basis
 from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis
@@ -227,7 +227,8 @@ def test_and_intersectors_matches_per_bit_meets():
 
 def test_meets_table_matches_per_pair_meets():
     # Carrier refuses the empty set; the table reads only carrier.n, so a
-    # stand-in covers n = 0.
+    # stand-in covers n = 0.  `meets` and `meets_points` must read the
+    # table's entries and point block from the same maps.
     rng = random.Random(22)
     for n in range(0, 7):
         carrier = Carrier(range(n)) if n else SimpleNamespace(n=0)
@@ -248,6 +249,12 @@ def test_meets_table_matches_per_pair_meets():
             p = meets_table(carrier, maps)
             assert p.carrier is carrier
             assert list(p.rows) == expected, (n, maps)
+            for a in range(N):
+                for b in range(N):
+                    assert meets(maps, a, b) == bool(expected[a] >> b & 1), \
+                        (n, maps, a, b)
+            assert meets_points(maps, n) == _point_block(expected, n), \
+                (n, maps)
 
 
 def test_transpose_matches_per_bit_transpose():
@@ -317,6 +324,7 @@ def test_first_near_points_matches_double_loop():
                     if rng.random() < 0.85:
                         rows[1 << i] &= ~(1 << (1 << j))
             want = first_near_points_per_bit(rows, n)
-            assert _first_near_points(rows, n) == want, (n, rows)
+            assert _first_near_points(_point_block(rows, n)) == want, \
+                (n, rows)
             p = Prox(Carrier(range(n)), rows)
             assert is_separated(p) == (want is None)
