@@ -217,11 +217,10 @@ def cmd_rat(args):
     if args.ratcmd == "tower":
         chains = [rat.parse_chain(c) for c in args.chains]
         tower = rat.build_tower(chains)
-        dot = rat.tower_dot(tower)
         if args.dot:
             try:
                 with open(args.dot, "w", encoding="utf-8") as fh:
-                    fh.write(dot)
+                    fh.write(rat.tower_dot(tower))
             except OSError as exc:
                 raise DocumentError(f"cannot write {args.dot}: {exc}") from None
         if args.json:

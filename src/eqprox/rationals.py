@@ -25,6 +25,7 @@ being assumed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -302,16 +303,6 @@ class OrbitSpace:
     chain: Chain
     cells: tuple
 
-    def cell_index_of_value(self, q):
-        q = Fraction(q)
-        for i, cell in enumerate(self.cells):
-            if cell[0] == "pt":
-                if cell[1] == q:
-                    return i
-            elif cell[1] < q < cell[2]:
-                return i
-        raise InternalCheckFailure("cells do not partition the rationals")
-
     def labels(self):
         return tuple(fmt_atom(c) for c in self.cells)
 
@@ -329,29 +320,24 @@ def orbit_space(chain):
     return OrbitSpace(chain, tuple(cells))
 
 
-def _cell_representative(cell):
-    if cell[0] == "pt":
-        return cell[1]
-    lo, hi = cell[1], cell[2]
-    if isinstance(lo, _Infinity) and isinstance(hi, _Infinity):
-        return Fraction(0)
-    if isinstance(lo, _Infinity):
-        return hi - 1
-    if isinstance(hi, _Infinity):
-        return lo + 1
-    return (lo + hi) / 2
-
-
 def bonding_map(fbig, fsmall):
     """Index map sending each cell of the finer orbit space to the unique
-    cell of the coarser one containing it."""
+    cell of the coarser one containing it.
+
+    Cell 2k of a chain is the gap below its point k and cell 2k+1 that
+    point, so a point t of the finer chain with k coarser points below it
+    lies in cell 2k + hit, and the gap above t in cell 2(k + hit), where
+    hit says whether t is itself a coarser point."""
     if not fsmall.issubset(fbig):
         raise PreconditionFailure(
             f"chain {fsmall} is not included in {fbig}")
-    big = orbit_space(fbig)
-    small = orbit_space(fsmall)
-    return tuple(small.cell_index_of_value(_cell_representative(c))
-                 for c in big.cells)
+    small = fsmall.points
+    out = [0]
+    for t in fbig.points:
+        k = bisect_left(small, t)
+        hit = small[k:k + 1] == (t,)
+        out += (2 * k + hit, 2 * (k + hit))
+    return tuple(out)
 
 
 def saturate(chain, ratset):
@@ -405,8 +391,9 @@ class Tower:
     maps: dict
 
     def top_index(self):
-        for i, f in enumerate(self.levels):
-            if all(g.issubset(f) for g in self.levels):
+        n = len(self.levels)
+        for i in range(n):
+            if all((i, j) in self.maps for j in range(n)):
                 return i
         raise InternalCheckFailure("directed tower has no top level")
 
@@ -414,44 +401,29 @@ class Tower:
         """Compatible cell choices, one per level.  The top level (which
         exists after directed closure) determines every thread."""
         top = self.top_index()
-        spaces = [orbit_space(f) for f in self.levels]
-        out = []
-        for c in range(len(spaces[top].cells)):
-            thread = []
-            for j in range(len(self.levels)):
-                if j == top:
-                    thread.append(c)
-                else:
-                    thread.append(self.maps[(top, j)][c])
-            out.append(tuple(thread))
-        return tuple(out)
+        return tuple(zip(*(self.maps[(top, j)]
+                           for j in range(len(self.levels)))))
 
 
 def build_tower(chains):
     """Close a family of chains under union, build all bonding maps, and
     validate surjectivity, monotonicity and functoriality.
 
-    The validations guard the construction itself; a failure is an
-    internal error.  A closure of more than TOWER_LEVEL_CAP levels raises
+    The closure takes one input chain at a time: a union-closed family
+    stays union-closed after adding c and every union with c.  The
+    validations guard the construction itself; a failure is an internal
+    error.  A closure of more than TOWER_LEVEL_CAP levels raises
     ResourceCap before any bonding map is built.
     """
-    family = {Chain.of(c.points) if isinstance(c, Chain) else Chain.of(c)
-              for c in chains}
-    if not family:
-        family = {Chain(())}
-    changed = True
-    while changed:
-        changed = False
-        for f in list(family):
-            if len(family) > TOWER_LEVEL_CAP:
-                raise ResourceCap(
-                    f"tower needs more than {TOWER_LEVEL_CAP} levels")
-            for g in list(family):
-                u = f.union(g)
-                if u not in family:
-                    family.add(u)
-                    changed = True
-    levels = tuple(sorted(family, key=lambda f: (len(f), f.points)))
+    family = set()
+    for c in chains:
+        c = Chain.of(c.points if isinstance(c, Chain) else c)
+        family |= {c} | {f.union(c) for f in family}
+        if len(family) > TOWER_LEVEL_CAP:
+            raise ResourceCap(
+                f"tower needs more than {TOWER_LEVEL_CAP} levels")
+    levels = tuple(sorted(family or {Chain(())},
+                          key=lambda f: (len(f), f.points)))
     maps = {}
     for i, f in enumerate(levels):
         for j, g in enumerate(levels):
@@ -462,21 +434,22 @@ def build_tower(chains):
 
 
 def _validate_tower(levels, maps):
+    """Each map is onto and monotone, and each map (i, j) composed with a
+    map (j, k) out of its target equals the map (i, k)."""
     for (i, j), m in maps.items():
-        small = orbit_space(levels[j])
-        if set(m) != set(range(len(small.cells))):
+        if set(m) != set(range(2 * len(levels[j]) + 1)):
             raise InternalCheckFailure(
                 f"bonding {levels[i]} -> {levels[j]} is not surjective")
         if any(m[k] > m[k + 1] for k in range(len(m) - 1)):
             raise InternalCheckFailure(
                 f"bonding {levels[i]} -> {levels[j]} is not monotone")
-    for (i, j) in maps:
-        for (j2, k) in maps:
-            if j2 != j or (i, k) not in maps:
-                continue
-            direct = maps[(i, k)]
-            composed = tuple(maps[(j, k)][c] for c in maps[(i, j)])
-            if direct != composed:
+    outs = {}
+    for j, k in maps:
+        outs.setdefault(j, []).append(k)
+    for (i, j), m in maps.items():
+        for k in outs.get(j, ()):
+            if (i, k) in maps and \
+                    maps[(i, k)] != tuple(maps[(j, k)][c] for c in m):
                 raise InternalCheckFailure(
                     f"bonding maps do not compose through {levels[j]}")
 
@@ -505,16 +478,11 @@ def tower_dot(tower):
 
 def _covers(tower, i, j):
     """Whether level i covers level j in the inclusion order (no level
-    strictly between)."""
-    fi, fj = tower.levels[i], tower.levels[j]
-    if not (fj.issubset(fi) and fi != fj):
-        return False
-    for k, fk in enumerate(tower.levels):
-        if k in (i, j):
-            continue
-        if fj.issubset(fk) and fk.issubset(fi) and fk != fi and fk != fj:
-            return False
-    return True
+    strictly between), read from which bonding maps exist."""
+    maps = tower.maps
+    return (i != j and (i, j) in maps
+            and not any((i, k) in maps and (k, j) in maps
+                        for k in range(len(tower.levels)) if k not in (i, j)))
 
 
 @dataclass(frozen=True)
@@ -660,7 +628,8 @@ def parse_ratset(text):
 
 
 def parse_chain(text):
-    """Grammar: "{t1,t2,...}" with strictly increasing rationals; "{}" empty."""
+    """Grammar: "{t1,t2,...}" with rationals in any order, sorted and with
+    repeats dropped ("{1,0,1}" is the chain {0,1}); "{}" empty."""
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise DocumentError(f"chain must be braced: {text!r}")

@@ -372,6 +372,36 @@ def test_rat_tower_dot_write_error_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+def test_rat_tower_builds_dot_text_only_for_dot(capsys, monkeypatch, flags):
+    def unused(tower):
+        raise AssertionError("tower_dot called without --dot")
+
+    monkeypatch.setattr("eqprox.rationals.tower_dot", unused)
+    code, out, err = run(capsys, "rat", "tower", "{0}", "{1}", *flags)
+    assert (code, err) == (0, "")
+    assert "threads" in out
+
+
+def test_rat_tower_bug_trap_exits_4(capsys, monkeypatch):
+    # A bonding map onto one cell is not surjective onto {0}'s three.
+    monkeypatch.setattr("eqprox.rationals.bonding_map",
+                        lambda fbig, fsmall: (0,) * (2 * len(fbig) + 1))
+    code, out, err = run(capsys, "rat", "tower", "{0}", "{1}")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == "internal error: bonding {0} -> {0} is not surjective\n"
+
+
+def test_rat_tower_chain_text_is_sorted_and_deduplicated(capsys):
+    code, out, err = run(capsys, "rat", "tower", "{1,0}", "{0,0}")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == [
+        "level 0: F={0}  cells=['(-inf,0)', '{0}', '(0,inf)']",
+        "level 1: F={0,1}  cells=['(-inf,0)', '{0}', '(0,1)', '{1}', "
+        "'(1,inf)']",
+    ]
+
+
 def test_rat_tower_level_cap_bounds_time(capsys):
     # k singleton chains close under union to 2**k - 1 levels: six give
     # 63, within the cap of 64; seven give 127 and stop at the cap.

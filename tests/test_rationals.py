@@ -3,11 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from eqprox.errors import DocumentError, PreconditionFailure
-from eqprox.rationals import Chain, NEG_INF, POS_INF, RatSet, bonding_map, \
-    build_tower, check_ordcomp_claim, decide_far, \
-    endpoint_completeness_counterexample, orbit_space, parse_chain, \
-    parse_fraction, parse_ratset, saturate, tower_dot
+from eqprox.errors import DocumentError, InternalCheckFailure, \
+    PreconditionFailure
+from eqprox.rationals import Chain, NEG_INF, POS_INF, RatSet, \
+    _validate_tower, bonding_map, build_tower, check_ordcomp_claim, \
+    decide_far, endpoint_completeness_counterexample, orbit_space, \
+    parse_chain, parse_fraction, parse_ratset, saturate, tower_dot
 
 
 def test_infinity_ordering():
@@ -155,6 +156,26 @@ def test_build_tower_counts_and_threads():
 def test_build_tower_computes_directed_closure():
     t = build_tower([Chain((F(0),)), Chain((F(1),))])
     assert Chain((F(0), F(1))) in t.levels
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((0, 0, 0, 0, 0, 0, 0), "bonding {0,1,2} -> {0,1} is not surjective"),
+    ((0, 1, 3, 2, 4, 4, 4), "bonding {0,1,2} -> {0,1} is not monotone"),
+    ((0, 0, 1, 2, 3, 4, 4), "bonding maps do not compose through {0,1}"),
+])
+def test_validate_tower_traps_on_corrupted_maps(bad, message):
+    # Levels {0} < {0,1} < {0,1,2}; the true map {0,1,2} -> {0,1} is
+    # (0, 1, 2, 3, 4, 4, 4).  The third corruption is onto and monotone,
+    # so only the composition with {0,1} -> {0} can catch it.
+    tower = build_tower([Chain((F(0),)), Chain((F(0), F(1))),
+                         Chain((F(0), F(1), F(2)))])
+    assert tower.maps[(2, 1)] == (0, 1, 2, 3, 4, 4, 4)
+    _validate_tower(tower.levels, tower.maps)
+    maps = dict(tower.maps)
+    maps[(2, 1)] = bad
+    with pytest.raises(InternalCheckFailure) as info:
+        _validate_tower(tower.levels, maps)
+    assert str(info.value) == message
 
 
 def test_tower_dot_grammar():
