@@ -333,6 +333,35 @@ def test_equinormal_and_massive(capsys):
     assert code == 0 and "massive: yes" in out
 
 
+Z2_NOT_QUASIBOUNDED = {
+    # g swaps 0 and 1, so it moves the entourage pair (0, 2) to (1, 2),
+    # which the entourage lacks.
+    "schema": 1, "carrier": ["0", "1", "2"],
+    "group": {"elements": ["e", "g"], "table": [["e", "g"], ["g", "e"]]},
+    "action": {"e": ["0", "1", "2"], "g": ["1", "0", "2"]},
+    "neighborhood_base": [["e", "g"]],
+    "uniformity": [[["0", "0"], ["1", "1"], ["2", "2"],
+                    ["0", "2"], ["2", "0"]]],
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+@pytest.mark.parametrize("what", ["massive", "ug"])
+def test_massive_and_ug_exit_paths(tmp_path, capsys, what, flags):
+    doc = tmp_path / "z2.json"
+    doc.write_text(json.dumps(Z2_NOT_QUASIBOUNDED))
+    assert run(capsys, what, str(doc), *flags) == (
+        1, "", "precondition failed: uniformity is not quasibounded\n"
+               "witness: (0, 'g', '0', '2')\n")
+    code, out, err = run(capsys, what, fixture("bad_basis.json"), *flags)
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "precondition failed: input basis fails condition B1\n")
+    assert run(capsys, what, fixture("twelve_points_s3_generators.json"),
+               *flags) == (2, "", "input error: instance has neither a "
+                                  "uniformity nor a metric\n")
+
+
 def test_metric_instance_nu(capsys):
     code, out, _ = run(capsys, "nu", fixture("z4_metric.json"),
                        "--sets", "A", "B")
