@@ -7,7 +7,7 @@ from .proximity import AxiomReport, Prox, check_axioms, dominates, \
     from_uniformity, is_separated
 from .uniformity import UnifBase, discrete_basis, indiscrete_basis, \
     induced_topology, is_hausdorff, refinement_equivalent, refines, \
-    totally_bounded, validate_basis
+    validate_basis
 from .gaction import ClassificationReport, FiniteGroup, GActionGerm, \
     NeighborhoodBase, check_action_continuity, classify, saturate_uniformity
 from .equivariant import beta_g_proximity, bracket_entourage, \
@@ -18,7 +18,7 @@ __all__ = [
     "AxiomReport", "Prox", "check_axioms", "dominates", "from_uniformity",
     "is_separated", "UnifBase", "discrete_basis", "indiscrete_basis",
     "induced_topology", "is_hausdorff", "refinement_equivalent", "refines",
-    "totally_bounded", "validate_basis", "ClassificationReport",
+    "validate_basis", "ClassificationReport",
     "FiniteGroup", "GActionGerm", "NeighborhoodBase",
     "check_action_continuity", "classify", "saturate_uniformity",
     "beta_g_proximity", "bracket_entourage", "check_equinormal",

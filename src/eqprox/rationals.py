@@ -17,15 +17,16 @@ All arithmetic is exact (fractions.Fraction); no floats anywhere.
 
 The principal engineering decision is the witness search space for
 decide_far: chains are drawn from the endpoint set of the two inputs.  Any
-witness found is sound because saturations shrink as chains grow; the
-completeness of the endpoint restriction is backed by a bounded
-falsification search (endpoint_completeness_counterexample) instead of
-being assumed.
+witness found is sound because saturations shrink as chains grow.  The
+restriction is complete by a lemma: every set is a union of cells of the
+chain of its own endpoints, so the chain of all endpoints of A and B
+saturates each of them to itself and separates them whenever they are
+disjoint.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -36,6 +37,10 @@ from .errors import DocumentError, InternalCheckFailure, \
 # The union closure of k chains can have 2**k - 1 levels, and the bonding
 # maps grow with the square of the level count.
 TOWER_LEVEL_CAP = 64
+
+# Every chain over 12 endpoints: two suite sets of at most three atoms each
+# have at most that many, so each of their far searches ends within the cap.
+FAR_CHAIN_CAP = 4096
 
 
 class _Infinity:
@@ -153,9 +158,6 @@ class RatSet:
     @property
     def is_empty(self):
         return not self.atoms
-
-    def union(self, other):
-        return RatSet(self.atoms + other.atoms)
 
     def intersects(self, other):
         return any(_atoms_intersect(a, b) for a in self.atoms for b in other.atoms)
@@ -341,10 +343,23 @@ def bonding_map(fbig, fsmall):
 
 
 def saturate(chain, ratset):
-    """Union of the stabilizer cells that meet the set."""
+    """Union of the stabilizer cells that meet the set.
+
+    A point q with k chain points below it lies in cell 2k + hit (as in
+    bonding_map), and an open interval (lo, hi) meets the cells from the
+    gap above the chain points <= lo to the gap below the first point
+    >= hi."""
+    pts = chain.points
+    hit = set()
+    for atom in ratset.atoms:
+        if atom[0] == "pt":
+            k = bisect_left(pts, atom[1])
+            hit.add(2 * k + (pts[k:k + 1] == (atom[1],)))
+        else:
+            hit.update(range(2 * bisect_right(pts, atom[1]),
+                             2 * bisect_left(pts, atom[2]) + 1))
     cells = orbit_space(chain).cells
-    hit = [c for c in cells if ratset.intersects(RatSet([c]))]
-    return RatSet(hit)
+    return RatSet([cells[i] for i in hit])
 
 
 @dataclass(frozen=True)
@@ -361,24 +376,31 @@ class FarVerdict:
 def decide_far(a, b):
     """Decide farness in the maximal group proximity of the model.
 
-    Intersecting sets are near.  Otherwise chains over the combined
-    endpoint set are searched by size and then lexicographically; the first
-    chain with disjoint saturations is returned as witness (and
-    re-verified).  If no endpoint chain separates, the verdict is near.
+    Intersecting sets are near.  Disjoint sets are far, since the chain of
+    all their endpoints separates them; the witness is the first chain
+    over those endpoints, by size and then lexicographically, with
+    disjoint saturations (re-verified).  The search raises ResourceCap
+    after FAR_CHAIN_CAP chains, and InternalCheckFailure if no endpoint
+    chain separates.
     """
     if a.intersects(b):
         return FarVerdict(False, None)
     pool = sorted(set(a.endpoints()) | set(b.endpoints()))
-    for size in range(len(pool) + 1):
-        for combo in combinations(pool, size):
-            chain = Chain(combo)
-            sa, sb = saturate(chain, a), saturate(chain, b)
-            if not sa.intersects(sb):
-                # Re-verify soundness through the other intersection path.
-                if not sa.intersection(sb).is_empty:
-                    raise InternalCheckFailure("witness re-verification failed")
-                return FarVerdict(True, chain)
-    return FarVerdict(False, None)
+    combos = (c for size in range(len(pool) + 1)
+              for c in combinations(pool, size))
+    for tried, combo in enumerate(combos):
+        if tried == FAR_CHAIN_CAP:
+            raise ResourceCap(
+                f"far search needs more than {FAR_CHAIN_CAP} chains")
+        chain = Chain(combo)
+        sa, sb = saturate(chain, a), saturate(chain, b)
+        if not sa.intersects(sb):
+            # Re-verify soundness through the other intersection path.
+            if not sa.intersection(sb).is_empty:
+                raise InternalCheckFailure("witness re-verification failed")
+            return FarVerdict(True, chain)
+    raise InternalCheckFailure(
+        f"the endpoint chain does not separate disjoint sets {a} and {b}")
 
 
 @dataclass(frozen=True)
@@ -518,41 +540,6 @@ def check_ordcomp_claim(a, o):
             if saturate(chain, a).issubset(o):
                 return ClaimResult(chain)
     return ClaimResult(None)
-
-
-def endpoint_completeness_counterexample(a, b, factor=4, pad=1):
-    """Bounded falsification of the endpoint-restricted witness search.
-
-    For disjoint sets whose full endpoint chain fails to separate, checks
-    the maximal chain over a refinement grid (denominators up to `factor`
-    times the largest input denominator, values spanning the endpoint
-    hull).  Saturations shrink as chains grow, so if the maximal grid
-    chain does not separate, no chain over the grid does; if it does
-    separate, the endpoint restriction is incomplete and the grid chain is
-    returned as the counterexample.
-    """
-    if a.intersects(b):
-        return None
-    pool = sorted(set(a.endpoints()) | set(b.endpoints()))
-    full = Chain(tuple(pool))
-    if not saturate(full, a).intersects(saturate(full, b)):
-        return None
-    if not pool:
-        return None
-    maxden = max(q.denominator for q in pool)
-    lo = min(pool) - pad
-    hi = max(pool) + pad
-    grid = set()
-    for den in range(1, factor * maxden + 1):
-        num = int(lo * den)
-        while Fraction(num, den) <= hi:
-            if Fraction(num, den) >= lo:
-                grid.add(Fraction(num, den))
-            num += 1
-    chain = Chain(tuple(sorted(grid)))
-    if not saturate(chain, a).intersects(saturate(chain, b)):
-        return chain
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -157,62 +157,3 @@ def basis_intersection(u):
 def is_hausdorff(u):
     """Separation criterion: the basis intersection is exactly the diagonal."""
     return basis_intersection(u) == setrel.diagonal(u.carrier)
-
-
-def totally_bounded(u):
-    """Total boundedness with witnesses: a minimum-size cover of the carrier
-    by eps-small sets for each entourage.
-
-    On a finite carrier the verdict is always True; the witnesses are the
-    interesting part.  A set S is eps-small when S x S is inside eps, so a
-    minimum cover is found among the maximal small sets by exact search.
-    """
-    covers = {}
-    for k, eps in enumerate(u.basis):
-        covers[k] = _min_small_cover(eps)
-    return True, covers
-
-
-def _small_sets(eps):
-    """Masks of the maximal eps-small subsets, in mask order.
-
-    A is small iff A minus its lowest point x is small and A lies in both
-    eps(x) and eps^-1(x).  Small sets are closed under subsets, so a small
-    set is maximal iff no one-point extension of it is small: O(n * 2**n)
-    lookups in all.
-    """
-    n = eps.carrier.n
-    both = [i & p for i, p in zip(eps.image_masks, eps.preimage_masks)]
-    small = bytearray(1 << n)
-    small[0] = 1
-    for a in range(1, 1 << n):
-        low = a & -a
-        small[a] = small[a ^ low] and not a & ~both[low.bit_length() - 1]
-    return [a for a in range(1, 1 << n) if small[a]
-            and not any(small[a | 1 << x] for x in range(n) if not a >> x & 1)]
-
-
-def _min_small_cover(eps):
-    carrier = eps.carrier
-    full = carrier.full_mask
-    candidates = _small_sets(eps)
-    best = None
-
-    def search(uncovered, chosen):
-        nonlocal best
-        if best is not None and len(chosen) >= len(best):
-            return
-        if not uncovered:
-            best = list(chosen)
-            return
-        low = uncovered & -uncovered
-        for c in candidates:
-            if c & low:
-                search(uncovered & ~c, chosen + [c])
-
-    search(full, [])
-    if best is None:
-        # Reflexive entourages always admit the singleton cover; a missing
-        # diagonal pair leaves some point uncoverable.
-        return None
-    return tuple(carrier.mask_subset(c) for c in best)

@@ -10,16 +10,18 @@ positions and level indices.  They are kept unchanged but for a
 ``_reference`` suffix (the two ``Tower`` methods as functions of the
 tower), so that ``test_rationals_differential.py`` compares the current
 code with the originals: levels, maps, threads, DOT text and the
-validator's first failure.  This is test-only code: nothing under
-``src/`` may import it.
+validator's first failure.  ``saturate_reference`` is the body of
+``rationals.saturate`` from before it located cells by bisection: it tests
+every cell of the orbit space against the set.  This is test-only code:
+nothing under ``src/`` may import it.
 """
 
 from fractions import Fraction
 
 from eqprox.errors import InternalCheckFailure, PreconditionFailure, \
     ResourceCap
-from eqprox.rationals import TOWER_LEVEL_CAP, Chain, Tower, _Infinity, \
-    orbit_space
+from eqprox.rationals import TOWER_LEVEL_CAP, Chain, RatSet, Tower, \
+    _Infinity, orbit_space
 
 
 def cell_index_of_value_reference(space, q):
@@ -170,3 +172,10 @@ def threads_reference(tower):
                 thread.append(tower.maps[(top, j)][c])
         out.append(tuple(thread))
     return tuple(out)
+
+
+def saturate_reference(chain, ratset):
+    """Union of the stabilizer cells that meet the set."""
+    cells = orbit_space(chain).cells
+    hit = [c for c in cells if ratset.intersects(RatSet([c]))]
+    return RatSet(hit)

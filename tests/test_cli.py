@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from eqprox import rationals as rat
 from eqprox.cli import EXIT_INTERNAL, _emit_table_json, _prox_json, \
     build_parser, main
 from eqprox.document import load_instance
@@ -374,6 +375,37 @@ def test_rat_far_and_near(capsys):
     assert code == 0 and out.strip() == "far, witness F={0}"
     code, out, _ = run(capsys, "rat", "far", "(0,1)", "(1/2,2)")
     assert code == 0 and out.strip() == "near"
+
+
+def test_rat_far_chain_cap_bounds_time(capsys):
+    # Two interleaved 7-point sets have 14 endpoints, and no chain of
+    # fewer than 7 of them separates: the first witness, {0,2,...,12}, is
+    # the 7,555th chain, so the search stops at the cap of 4,096.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rat", "far",
+                         ",".join(f"{{{k}}}" for k in range(0, 14, 2)),
+                         ",".join(f"{{{k}}}" for k in range(1, 14, 2)))
+    assert (code, out) == (3, "")
+    assert err == "resource cap: far search needs more than 4096 chains\n"
+    assert time.perf_counter() - start < 2.0
+
+
+def test_rat_far_large_pool_with_an_early_witness(capsys):
+    # 15 endpoints, but the 15th chain tried already separates.
+    code, out, _ = run(capsys, "rat", "far",
+                       "(0,1),(2,3),(4,5),(6,7),(8,9),(10,11),(12,13)",
+                       "{20}")
+    assert (code, out) == (0, "far, witness F={13}\n")
+
+
+def test_rat_far_bug_trap_exits_4(capsys, monkeypatch):
+    everything = rat.RatSet.interval(rat.NEG_INF, rat.POS_INF)
+    monkeypatch.setattr("eqprox.rationals.saturate",
+                        lambda chain, ratset: everything)
+    code, out, err = run(capsys, "rat", "far", "{0}", "{1}")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.startswith("internal error: the endpoint chain does not "
+                          "separate disjoint sets")
 
 
 def test_rat_far_grammar_error(capsys):

@@ -4,11 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from eqprox.errors import DocumentError, InternalCheckFailure, \
-    PreconditionFailure
+    PreconditionFailure, ResourceCap
 from eqprox.rationals import Chain, NEG_INF, POS_INF, RatSet, \
     _validate_tower, bonding_map, build_tower, check_ordcomp_claim, \
-    decide_far, endpoint_completeness_counterexample, orbit_space, \
-    parse_chain, parse_fraction, parse_ratset, saturate, tower_dot
+    decide_far, orbit_space, parse_chain, parse_fraction, parse_ratset, \
+    saturate, tower_dot
 
 
 def test_infinity_ordering():
@@ -209,7 +209,10 @@ def test_claim_preconditions():
         check_ordcomp_claim(RatSet.point(5), parse_ratset("(0,1)"))
 
 
-def test_endpoint_completeness_bounded_falsification():
+def test_endpoint_chain_saturates_disjoint_sets_to_themselves():
+    # The lemma that makes decide_far's endpoint search complete: each set
+    # is a union of cells of the chain of all endpoints, so that chain
+    # saturates it to itself and separates disjoint sets.
     rng = random.Random(77)
     checked = 0
     for _ in range(400):
@@ -225,5 +228,27 @@ def test_endpoint_completeness_bounded_falsification():
         if a.intersects(b):
             continue
         checked += 1
-        assert endpoint_completeness_counterexample(a, b) is None
+        full = Chain.of(a.endpoints() + b.endpoints())
+        assert saturate(full, a) == a and saturate(full, b) == b
+        assert decide_far(a, b).far
     assert checked > 50
+
+
+def test_decide_far_traps_an_endpoint_chain_that_does_not_separate(
+        monkeypatch):
+    everything = RatSet.interval(NEG_INF, POS_INF)
+    monkeypatch.setattr("eqprox.rationals.saturate",
+                        lambda chain, ratset: everything)
+    with pytest.raises(InternalCheckFailure, match="does not separate"):
+        decide_far(RatSet.point(0), RatSet.point(1))
+
+
+def test_far_chain_cap_counts_the_chains_tried(monkeypatch):
+    # The empty chain does not separate {0} from {1}; {0}, the second
+    # chain tried, does.
+    monkeypatch.setattr("eqprox.rationals.FAR_CHAIN_CAP", 2)
+    assert decide_far(RatSet.point(0), RatSet.point(1)).witness == \
+        Chain((F(0),))
+    monkeypatch.setattr("eqprox.rationals.FAR_CHAIN_CAP", 1)
+    with pytest.raises(ResourceCap, match="more than 1 chains"):
+        decide_far(RatSet.point(0), RatSet.point(1))

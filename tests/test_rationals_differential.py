@@ -7,7 +7,8 @@ each map only with the maps out of its target, and `_covers` and
 agree with the originals kept in `rationals_reference.py`: maps and
 precondition messages, levels, map tables in insertion order, threads,
 DOT text, the cap error, and the validator's first failure on corrupted
-map tables.
+map tables.  `saturate` locates cells by bisection and must give the same
+atoms as the cell-by-cell scan.
 """
 
 import random
@@ -17,11 +18,11 @@ from itertools import combinations
 import pytest
 from rationals_reference import _covers_reference, \
     _validate_tower_reference, bonding_map_reference, build_tower_reference, \
-    threads_reference, tower_dot_reference
+    saturate_reference, threads_reference, tower_dot_reference
 
 from eqprox.errors import ResourceCap
-from eqprox.rationals import Chain, _covers, _validate_tower, bonding_map, \
-    build_tower, tower_dot
+from eqprox.rationals import NEG_INF, POS_INF, Chain, RatSet, _covers, \
+    _validate_tower, bonding_map, build_tower, saturate, tower_dot
 
 GRID = (F(-3, 2), F(-1), F(-1, 2), F(0), F(1, 2), F(1))
 GRID_CHAINS = [Chain(c) for k in range(len(GRID) + 1)
@@ -44,6 +45,21 @@ def test_bonding_map_on_every_pair_of_grid_chains():
             assert got == outcome(bonding_map_reference, big, small)
             nested += got[0] == "ok"
     assert nested == 3 ** len(GRID)
+
+
+def test_saturate_on_every_grid_chain():
+    # Atoms with endpoints on, between and outside the chain points.
+    values = sorted({F(k, 4) for k in range(-8, 7)} | set(GRID))
+    ends = [NEG_INF] + values + [POS_INF]
+    atoms = [("pt", q) for q in values] + [
+        ("iv", lo, hi) for lo, hi in combinations(ends, 2)]
+    rng = random.Random(11)
+    sets = [RatSet([a]) for a in atoms] + [
+        RatSet(rng.sample(atoms, rng.randint(2, 4))) for _ in range(150)]
+    for chain in GRID_CHAINS:
+        for s in sets:
+            assert saturate(chain, s).atoms == \
+                saturate_reference(chain, s).atoms
 
 
 def assert_same_tower(chains):

@@ -1,3 +1,8 @@
+import random
+import time
+
+import pytest
+
 from eqprox import suite
 from eqprox.errors import InternalCheckFailure
 
@@ -49,3 +54,31 @@ def test_metric_family_labels_name_the_failing_setting(monkeypatch):
                               (frozenset({0}), frozenset({0})))
     # All 8 matrices at n = 3 fail in that setting, and nothing else.
     assert (metric.checked, metric.passed) == (639, 639 - 8)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sorted_equivalences_run_from_diagonal_to_full_relation(n):
+    # basis_pool keeps these two ends without sorting all Bell(n).
+    carrier = suite.Carrier(range(n))
+    eqs = suite._all_equivalences(carrier)
+    assert eqs[0] == suite.diagonal(carrier)
+    assert eqs[-1] == suite.full_relation(carrier)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_basis_pool_takes_every_equivalence_up_to_three_points(n):
+    carrier = suite.Carrier(range(n))
+    pool = suite.basis_pool(carrier, random.Random(0))
+    assert [u.basis[0] for u in pool if len(u.basis) == 1] == \
+        suite._all_equivalences(carrier)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_basis_pool_builds_at_twelve_points(seed):
+    carrier = suite.Carrier(range(12))
+    start = time.perf_counter()
+    pool = suite.basis_pool(carrier, random.Random(seed))
+    assert time.perf_counter() - start < 1.0
+    assert pool[0].basis == (suite.diagonal(carrier),)
+    assert pool[1].basis == (suite.full_relation(carrier),)
+    assert all(suite.validate_basis(u).ok() for u in pool)
