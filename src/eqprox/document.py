@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import DocumentError, ResourceCap
 from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase
-from .metricprox import FiniteMetric
+from .metricprox import FiniteMetric, metric_uniformity
 from .setrel import DEFAULT_MAX_CARRIER, Carrier, Rel
 from .uniformity import UnifBase
 
@@ -40,7 +40,6 @@ class Instance:
         if self.uniformity is not None:
             return self.uniformity
         if self.metric is not None:
-            from .metricprox import metric_uniformity
             return metric_uniformity(self.metric)
         raise DocumentError("instance has neither a uniformity nor a metric")
 

@@ -26,7 +26,7 @@ from .gaction import classify, _equicontinuity_witness, _fold, \
     _group_indices
 from .proximity import meets_table
 from .setrel import _join_mask
-from .uniformity import UnifBase, refines
+from .uniformity import UnifBase, induced_topology, refines
 
 
 def _validate_pseudometric(carrier, dist):
@@ -210,8 +210,6 @@ def xi_report(fam, a, subsets_of_group):
     (3) if some subset contains the identity, the derived uniformity
         refines the base one.
     """
-    from .uniformity import induced_topology
-
     base = family_uniformity(fam)
     xi = xi_uniformity(fam, a, subsets_of_group)
     ids = [sorted(_group_indices(a.group, s)) for s in subsets_of_group]

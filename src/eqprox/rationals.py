@@ -9,14 +9,15 @@ stabilizer of a finite chain F = {t1 < ... < tm} acts with exactly the
 
 (ultrahomogeneity: an order automorphism fixing F can move a point to any
 other point of the same cell).  Saturating a set under the stabilizer
-therefore means taking the union of the cells it meets, and farness of two
-sets in the maximal group proximity becomes a finite search for a chain
-whose saturations are disjoint.
+therefore means taking the union of the cells it meets.  Farness of two
+sets in the maximal group proximity, and a saturation of A inside a convex
+O (farness of A from the complement of O), become one finite search for a
+chain no cell of which meets both sets; saturate re-verifies its witness.
 
 All arithmetic is exact (fractions.Fraction); no floats anywhere.
 
-The principal engineering decision is the witness search space for
-decide_far: chains are drawn from the endpoint set of the two inputs.  Any
+The principal engineering decision is the witness search space of that
+search: chains are drawn from the endpoint set of the two inputs.  Any
 witness found is sound because saturations shrink as chains grow.  The
 restriction is complete by a lemma: every set is a union of cells of the
 chain of its own endpoints, so the chain of all endpoints of A and B
@@ -117,18 +118,6 @@ def _atoms_intersect(a, b):
     return lo < hi
 
 
-def _atom_intersection(a, b):
-    if a[0] == "pt" and b[0] == "pt":
-        return a if a[1] == b[1] else None
-    if a[0] == "pt":
-        a, b = b, a
-    if b[0] == "pt":
-        return b if a[1] < b[1] < a[2] else None
-    lo = a[1] if a[1] > b[1] else b[1]
-    hi = a[2] if a[2] < b[2] else b[2]
-    return _iv(lo, hi) if lo < hi else None
-
-
 class RatSet:
     """A finite union of rational points and open rational intervals.
 
@@ -161,15 +150,6 @@ class RatSet:
 
     def intersects(self, other):
         return any(_atoms_intersect(a, b) for a in self.atoms for b in other.atoms)
-
-    def intersection(self, other):
-        out = []
-        for a in self.atoms:
-            for b in other.atoms:
-                c = _atom_intersection(a, b)
-                if c is not None:
-                    out.append(c)
-        return RatSet(out)
 
     def components(self):
         """Fused maximal convex pieces as (lo, lo_closed, hi, hi_closed)."""
@@ -282,12 +262,6 @@ class Chain:
     def of(cls, values):
         return cls(tuple(sorted({Fraction(v) for v in values})))
 
-    def issubset(self, other):
-        return set(self.points) <= set(other.points)
-
-    def union(self, other):
-        return Chain.of(self.points + other.points)
-
     def __len__(self):
         return len(self.points)
 
@@ -330,36 +304,59 @@ def bonding_map(fbig, fsmall):
     point, so a point t of the finer chain with k coarser points below it
     lies in cell 2k + hit, and the gap above t in cell 2(k + hit), where
     hit says whether t is itself a coarser point."""
-    if not fsmall.issubset(fbig):
-        raise PreconditionFailure(
-            f"chain {fsmall} is not included in {fbig}")
     small = fsmall.points
     out = [0]
+    hits = 0
     for t in fbig.points:
         k = bisect_left(small, t)
         hit = small[k:k + 1] == (t,)
+        hits += hit
         out += (2 * k + hit, 2 * (k + hit))
+    if hits != len(small):
+        raise PreconditionFailure(
+            f"chain {fsmall} is not included in {fbig}")
     return tuple(out)
 
 
 def saturate(chain, ratset):
-    """Union of the stabilizer cells that meet the set.
+    """Union of the stabilizer cells that meet the set, by definition:
+    each cell against each atom, sharing no code with _cells_hit."""
+    return RatSet([c for c in orbit_space(chain).cells
+                   if any(_atoms_intersect(c, x) for x in ratset.atoms)])
+
+
+def _cells_hit(points, s):
+    """Indices of the cells of the chain with these points that meet s.
 
     A point q with k chain points below it lies in cell 2k + hit (as in
     bonding_map), and an open interval (lo, hi) meets the cells from the
     gap above the chain points <= lo to the gap below the first point
     >= hi."""
-    pts = chain.points
     hit = set()
-    for atom in ratset.atoms:
+    for atom in s.atoms:
         if atom[0] == "pt":
-            k = bisect_left(pts, atom[1])
-            hit.add(2 * k + (pts[k:k + 1] == (atom[1],)))
+            k = bisect_left(points, atom[1])
+            hit.add(2 * k + (points[k:k + 1] == (atom[1],)))
         else:
-            hit.update(range(2 * bisect_right(pts, atom[1]),
-                             2 * bisect_left(pts, atom[2]) + 1))
-    cells = orbit_space(chain).cells
-    return RatSet([cells[i] for i in hit])
+            hit.update(range(2 * bisect_right(points, atom[1]),
+                             2 * bisect_left(points, atom[2]) + 1))
+    return hit
+
+
+def _separating_chain(a, b):
+    """The first chain over the endpoints of a and b, by size and then
+    lexicographically, no cell of which meets both sets; None if no such
+    chain exists.  Raises ResourceCap after FAR_CHAIN_CAP chains."""
+    pool = sorted(set(a.endpoints()) | set(b.endpoints()))
+    combos = (c for size in range(len(pool) + 1)
+              for c in combinations(pool, size))
+    for tried, combo in enumerate(combos):
+        if tried == FAR_CHAIN_CAP:
+            raise ResourceCap(
+                f"far search needs more than {FAR_CHAIN_CAP} chains")
+        if _cells_hit(combo, a).isdisjoint(_cells_hit(combo, b)):
+            return Chain(combo)
+    return None
 
 
 @dataclass(frozen=True)
@@ -378,29 +375,20 @@ def decide_far(a, b):
 
     Intersecting sets are near.  Disjoint sets are far, since the chain of
     all their endpoints separates them; the witness is the first chain
-    over those endpoints, by size and then lexicographically, with
-    disjoint saturations (re-verified).  The search raises ResourceCap
-    after FAR_CHAIN_CAP chains, and InternalCheckFailure if no endpoint
-    chain separates.
+    over those endpoints, by size and then lexicographically, no cell of
+    which meets both sets (saturate re-verifies it).  The search raises
+    ResourceCap after FAR_CHAIN_CAP chains, and InternalCheckFailure if no
+    endpoint chain separates.
     """
     if a.intersects(b):
         return FarVerdict(False, None)
-    pool = sorted(set(a.endpoints()) | set(b.endpoints()))
-    combos = (c for size in range(len(pool) + 1)
-              for c in combinations(pool, size))
-    for tried, combo in enumerate(combos):
-        if tried == FAR_CHAIN_CAP:
-            raise ResourceCap(
-                f"far search needs more than {FAR_CHAIN_CAP} chains")
-        chain = Chain(combo)
-        sa, sb = saturate(chain, a), saturate(chain, b)
-        if not sa.intersects(sb):
-            # Re-verify soundness through the other intersection path.
-            if not sa.intersection(sb).is_empty:
-                raise InternalCheckFailure("witness re-verification failed")
-            return FarVerdict(True, chain)
-    raise InternalCheckFailure(
-        f"the endpoint chain does not separate disjoint sets {a} and {b}")
+    chain = _separating_chain(a, b)
+    if chain is None:
+        raise InternalCheckFailure(
+            f"the endpoint chain does not separate disjoint sets {a} and {b}")
+    if saturate(chain, a).intersects(saturate(chain, b)):
+        raise InternalCheckFailure("witness re-verification failed")
+    return FarVerdict(True, chain)
 
 
 @dataclass(frozen=True)
@@ -431,26 +419,31 @@ def build_tower(chains):
     """Close a family of chains under union, build all bonding maps, and
     validate surjectivity, monotonicity and functoriality.
 
-    The closure takes one input chain at a time: a union-closed family
-    stays union-closed after adding c and every union with c.  The
-    validations guard the construction itself; a failure is an internal
-    error.  A closure of more than TOWER_LEVEL_CAP levels raises
+    Chains are bit masks over the sorted input points: union is OR and
+    inclusion g & ~f == 0.  The closure takes one input chain at a time: a
+    union-closed family stays union-closed after adding c and every union
+    with c.  The validations guard the construction itself; a failure is
+    an internal error.  A closure of more than TOWER_LEVEL_CAP levels raises
     ResourceCap before any bonding map is built.
     """
+    chains = [Chain.of(getattr(c, "points", c)) for c in chains]
+    top = sorted({t for c in chains for t in c.points})
+    bit = {t: 1 << k for k, t in enumerate(top)}
     family = set()
     for c in chains:
-        c = Chain.of(c.points if isinstance(c, Chain) else c)
-        family |= {c} | {f.union(c) for f in family}
+        m = sum(bit[t] for t in c.points)
+        family |= {m} | {f | m for f in family}
         if len(family) > TOWER_LEVEL_CAP:
             raise ResourceCap(
                 f"tower needs more than {TOWER_LEVEL_CAP} levels")
-    levels = tuple(sorted(family or {Chain(())},
-                          key=lambda f: (len(f), f.points)))
+    masks = sorted(family or {0}, key=lambda f: (
+        f.bit_count(), [k for k in range(len(top)) if f >> k & 1]))
+    levels = tuple(Chain(tuple(t for t in top if f & bit[t])) for f in masks)
     maps = {}
-    for i, f in enumerate(levels):
-        for j, g in enumerate(levels):
-            if g.issubset(f):
-                maps[(i, j)] = bonding_map(f, g)
+    for i, f in enumerate(masks):
+        for j, g in enumerate(masks):
+            if not g & ~f:
+                maps[(i, j)] = bonding_map(levels[i], levels[j])
     _validate_tower(levels, maps)
     return Tower(levels, maps)
 
@@ -525,21 +518,31 @@ def check_ordcomp_claim(a, o):
     """Find a chain whose stabilizer saturation of A stays inside the
     convex set O containing A.
 
-    The chain endpoints of O always work (cells at or inside O's endpoints
-    are contained in O), so exhaustion of the endpoint subsets without a
+    It is the far search of A and the complement of O.  The chain of O's
+    endpoints always works (its cells at or inside them lie in O), so no
     witness is a model-level alarm rather than a normal outcome.
     """
     if not o.is_convex:
         raise PreconditionFailure(f"target set {o} is not convex")
     if not a.issubset(o):
         raise PreconditionFailure(f"{a} is not contained in {o}")
-    pool = sorted(set(a.endpoints()) | set(o.endpoints()))
-    for size in range(len(pool) + 1):
-        for combo in combinations(pool, size):
-            chain = Chain(combo)
-            if saturate(chain, a).issubset(o):
-                return ClaimResult(chain)
-    return ClaimResult(None)
+    chain = _separating_chain(a, _outside(o))
+    if chain is not None and not saturate(chain, a).issubset(o):
+        raise InternalCheckFailure("witness re-verification failed")
+    return ClaimResult(chain)
+
+
+def _outside(o):
+    """The complement of a convex set: the rays below and above its one
+    component and each end point it leaves out; the whole line if it is
+    empty."""
+    if o.is_empty:
+        return RatSet([_iv(NEG_INF, POS_INF)])
+    (lo, lo_in, hi, hi_in), = o.components()
+    atoms = [_iv(NEG_INF, lo), _iv(hi, POS_INF)]
+    atoms += [_pt(t) for t, t_in in ((lo, lo_in), (hi, hi_in))
+              if not (t_in or isinstance(t, _Infinity))]
+    return RatSet(atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,38 @@ positions and level indices.  They are kept unchanged but for a
 ``_reference`` suffix (the two ``Tower`` methods as functions of the
 tower), so that ``test_rationals_differential.py`` compares the current
 code with the originals: levels, maps, threads, DOT text and the
-validator's first failure.  ``saturate_reference`` is the body of
-``rationals.saturate`` from before it located cells by bisection: it tests
-every cell of the orbit space against the set.  This is test-only code:
-nothing under ``src/`` may import it.
+validator's first failure.  ``chain_issubset_reference`` and
+``chain_union_reference`` are the bodies of the ``Chain.issubset`` and
+``Chain.union`` methods these functions called.  ``saturate_reference``
+is the body of ``rationals.saturate`` from before it located cells by
+bisection: it tests every cell of the orbit space against the set.
+
+``decide_far_reference`` and ``check_ordcomp_claim_reference`` are the
+chain-by-chain searches from before both became one search over cell
+indices: each tried chain is built as a ``Chain``, its saturations as
+``RatSet``s (by ``saturate_by_bisection_reference``, the bisection body of
+``rationals.saturate`` from that time), and a far witness is re-checked
+through ``ratset_intersection_reference`` (``RatSet.intersection`` with
+``_atom_intersection_reference``).  They too are kept unchanged but for
+the suffix.  This is test-only code: nothing under ``src/`` may import it.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import combinations
 
 from eqprox.errors import InternalCheckFailure, PreconditionFailure, \
     ResourceCap
-from eqprox.rationals import TOWER_LEVEL_CAP, Chain, RatSet, Tower, \
-    _Infinity, orbit_space
+from eqprox.rationals import FAR_CHAIN_CAP, TOWER_LEVEL_CAP, Chain, \
+    ClaimResult, FarVerdict, RatSet, Tower, _Infinity, _iv, orbit_space
+
+
+def chain_issubset_reference(f, g):
+    return set(f.points) <= set(g.points)
+
+
+def chain_union_reference(f, g):
+    return Chain.of(f.points + g.points)
 
 
 def cell_index_of_value_reference(space, q):
@@ -51,7 +71,7 @@ def _cell_representative_reference(cell):
 def bonding_map_reference(fbig, fsmall):
     """Index map sending each cell of the finer orbit space to the unique
     cell of the coarser one containing it."""
-    if not fsmall.issubset(fbig):
+    if not chain_issubset_reference(fsmall, fbig):
         raise PreconditionFailure(
             f"chain {fsmall} is not included in {fbig}")
     big = orbit_space(fbig)
@@ -80,7 +100,7 @@ def build_tower_reference(chains):
                 raise ResourceCap(
                     f"tower needs more than {TOWER_LEVEL_CAP} levels")
             for g in list(family):
-                u = f.union(g)
+                u = chain_union_reference(f, g)
                 if u not in family:
                     family.add(u)
                     changed = True
@@ -88,7 +108,7 @@ def build_tower_reference(chains):
     maps = {}
     for i, f in enumerate(levels):
         for j, g in enumerate(levels):
-            if g.issubset(f):
+            if chain_issubset_reference(g, f):
                 maps[(i, j)] = bonding_map_reference(f, g)
     _validate_tower_reference(levels, maps)
     return Tower(levels, maps)
@@ -140,19 +160,20 @@ def _covers_reference(tower, i, j):
     """Whether level i covers level j in the inclusion order (no level
     strictly between)."""
     fi, fj = tower.levels[i], tower.levels[j]
-    if not (fj.issubset(fi) and fi != fj):
+    if not (chain_issubset_reference(fj, fi) and fi != fj):
         return False
     for k, fk in enumerate(tower.levels):
         if k in (i, j):
             continue
-        if fj.issubset(fk) and fk.issubset(fi) and fk != fi and fk != fj:
+        if chain_issubset_reference(fj, fk) and \
+                chain_issubset_reference(fk, fi) and fk != fi and fk != fj:
             return False
     return True
 
 
 def top_index_reference(tower):
     for i, f in enumerate(tower.levels):
-        if all(g.issubset(f) for g in tower.levels):
+        if all(chain_issubset_reference(g, f) for g in tower.levels):
             return i
     raise InternalCheckFailure("directed tower has no top level")
 
@@ -179,3 +200,97 @@ def saturate_reference(chain, ratset):
     cells = orbit_space(chain).cells
     hit = [c for c in cells if ratset.intersects(RatSet([c]))]
     return RatSet(hit)
+
+
+def saturate_by_bisection_reference(chain, ratset):
+    """Union of the stabilizer cells that meet the set.
+
+    A point q with k chain points below it lies in cell 2k + hit (as in
+    bonding_map), and an open interval (lo, hi) meets the cells from the
+    gap above the chain points <= lo to the gap below the first point
+    >= hi."""
+    pts = chain.points
+    hit = set()
+    for atom in ratset.atoms:
+        if atom[0] == "pt":
+            k = bisect_left(pts, atom[1])
+            hit.add(2 * k + (pts[k:k + 1] == (atom[1],)))
+        else:
+            hit.update(range(2 * bisect_right(pts, atom[1]),
+                             2 * bisect_left(pts, atom[2]) + 1))
+    cells = orbit_space(chain).cells
+    return RatSet([cells[i] for i in hit])
+
+
+def _atom_intersection_reference(a, b):
+    if a[0] == "pt" and b[0] == "pt":
+        return a if a[1] == b[1] else None
+    if a[0] == "pt":
+        a, b = b, a
+    if b[0] == "pt":
+        return b if a[1] < b[1] < a[2] else None
+    lo = a[1] if a[1] > b[1] else b[1]
+    hi = a[2] if a[2] < b[2] else b[2]
+    return _iv(lo, hi) if lo < hi else None
+
+
+def ratset_intersection_reference(self, other):
+    out = []
+    for a in self.atoms:
+        for b in other.atoms:
+            c = _atom_intersection_reference(a, b)
+            if c is not None:
+                out.append(c)
+    return RatSet(out)
+
+
+def decide_far_reference(a, b):
+    """Decide farness in the maximal group proximity of the model.
+
+    Intersecting sets are near.  Disjoint sets are far, since the chain of
+    all their endpoints separates them; the witness is the first chain
+    over those endpoints, by size and then lexicographically, with
+    disjoint saturations (re-verified).  The search raises ResourceCap
+    after FAR_CHAIN_CAP chains, and InternalCheckFailure if no endpoint
+    chain separates.
+    """
+    if a.intersects(b):
+        return FarVerdict(False, None)
+    pool = sorted(set(a.endpoints()) | set(b.endpoints()))
+    combos = (c for size in range(len(pool) + 1)
+              for c in combinations(pool, size))
+    for tried, combo in enumerate(combos):
+        if tried == FAR_CHAIN_CAP:
+            raise ResourceCap(
+                f"far search needs more than {FAR_CHAIN_CAP} chains")
+        chain = Chain(combo)
+        sa, sb = (saturate_by_bisection_reference(chain, a),
+                  saturate_by_bisection_reference(chain, b))
+        if not sa.intersects(sb):
+            # Re-verify soundness through the other intersection path.
+            if not ratset_intersection_reference(sa, sb).is_empty:
+                raise InternalCheckFailure("witness re-verification failed")
+            return FarVerdict(True, chain)
+    raise InternalCheckFailure(
+        f"the endpoint chain does not separate disjoint sets {a} and {b}")
+
+
+def check_ordcomp_claim_reference(a, o):
+    """Find a chain whose stabilizer saturation of A stays inside the
+    convex set O containing A.
+
+    The chain endpoints of O always work (cells at or inside O's endpoints
+    are contained in O), so exhaustion of the endpoint subsets without a
+    witness is a model-level alarm rather than a normal outcome.
+    """
+    if not o.is_convex:
+        raise PreconditionFailure(f"target set {o} is not convex")
+    if not a.issubset(o):
+        raise PreconditionFailure(f"{a} is not contained in {o}")
+    pool = sorted(set(a.endpoints()) | set(o.endpoints()))
+    for size in range(len(pool) + 1):
+        for combo in combinations(pool, size):
+            chain = Chain(combo)
+            if saturate_by_bisection_reference(chain, a).issubset(o):
+                return ClaimResult(chain)
+    return ClaimResult(None)

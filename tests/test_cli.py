@@ -399,13 +399,27 @@ def test_rat_far_large_pool_with_an_early_witness(capsys):
 
 
 def test_rat_far_bug_trap_exits_4(capsys, monkeypatch):
-    everything = rat.RatSet.interval(rat.NEG_INF, rat.POS_INF)
-    monkeypatch.setattr("eqprox.rationals.saturate",
-                        lambda chain, ratset: everything)
+    monkeypatch.setattr("eqprox.rationals._cells_hit",
+                        lambda points, s: set(range(2 * len(points) + 1)))
     code, out, err = run(capsys, "rat", "far", "{0}", "{1}")
     assert (code, out) == (EXIT_INTERNAL, "")
     assert err.startswith("internal error: the endpoint chain does not "
                           "separate disjoint sets")
+
+
+@pytest.mark.parametrize("argv", [
+    ("far", "{0}", "{1}"),
+    ("claim", "{0},(0,1),{1}", "(-1,2)"),
+], ids=["far", "claim"])
+def test_rat_witness_reverification_trap_exits_4(capsys, monkeypatch, argv):
+    # The search finds a witness on cell indices; saturate, which here
+    # claims every cell, is the independent check that rejects it.
+    everything = rat.RatSet.interval(rat.NEG_INF, rat.POS_INF)
+    monkeypatch.setattr("eqprox.rationals.saturate",
+                        lambda chain, ratset: everything)
+    code, out, err = run(capsys, "rat", *argv)
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == "internal error: witness re-verification failed\n"
 
 
 def test_rat_far_grammar_error(capsys):

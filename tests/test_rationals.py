@@ -92,7 +92,8 @@ def test_bonding_functoriality_exhaustive_over_small_grid():
     for big in chains:
         for mid in chains:
             for small in chains:
-                if not (small.issubset(mid) and mid.issubset(big)):
+                if not set(small.points) <= set(mid.points) <= \
+                        set(big.points):
                     continue
                 direct = bonding_map(big, small)
                 step1 = bonding_map(big, mid)
@@ -236,11 +237,28 @@ def test_endpoint_chain_saturates_disjoint_sets_to_themselves():
 
 def test_decide_far_traps_an_endpoint_chain_that_does_not_separate(
         monkeypatch):
+    monkeypatch.setattr("eqprox.rationals._cells_hit",
+                        lambda points, s: set(range(2 * len(points) + 1)))
+    with pytest.raises(InternalCheckFailure, match="does not separate"):
+        decide_far(RatSet.point(0), RatSet.point(1))
+
+
+def test_decide_far_traps_a_witness_that_saturate_rejects(monkeypatch):
     everything = RatSet.interval(NEG_INF, POS_INF)
     monkeypatch.setattr("eqprox.rationals.saturate",
                         lambda chain, ratset: everything)
-    with pytest.raises(InternalCheckFailure, match="does not separate"):
+    with pytest.raises(InternalCheckFailure,
+                       match="^witness re-verification failed$"):
         decide_far(RatSet.point(0), RatSet.point(1))
+
+
+def test_claim_traps_a_witness_that_saturate_rejects(monkeypatch):
+    everything = RatSet.interval(NEG_INF, POS_INF)
+    monkeypatch.setattr("eqprox.rationals.saturate",
+                        lambda chain, ratset: everything)
+    with pytest.raises(InternalCheckFailure,
+                       match="^witness re-verification failed$"):
+        check_ordcomp_claim(RatSet.point(0), parse_ratset("(-1,1)"))
 
 
 def test_far_chain_cap_counts_the_chains_tried(monkeypatch):

@@ -7,8 +7,17 @@ each map only with the maps out of its target, and `_covers` and
 agree with the originals kept in `rationals_reference.py`: maps and
 precondition messages, levels, map tables in insertion order, threads,
 DOT text, the cap error, and the validator's first failure on corrupted
-map tables.  `saturate` locates cells by bisection and must give the same
-atoms as the cell-by-cell scan.
+map tables.  `saturate` must give the same atoms as the cell-by-cell scan.
+
+`decide_far` and `check_ordcomp_claim` share one search over cell indices
+(`_separating_chain`, which locates cells by bisection in `_cells_hit`);
+a claim searches A against `_outside(o)`, the complement of O.  Each must
+give the verdict, witness or exception of the chain-by-chain searches kept
+in `rationals_reference.py`.  A claim's pool drops the points at which O
+is split into atoms inside itself, which cannot change the first witness:
+a first witness holding such a point p can trade it for the nearest
+endpoint of A below p or for the lower end of O, a smaller chain of the
+same size that also separates.
 """
 
 import random
@@ -18,11 +27,15 @@ from itertools import combinations
 import pytest
 from rationals_reference import _covers_reference, \
     _validate_tower_reference, bonding_map_reference, build_tower_reference, \
-    saturate_reference, threads_reference, tower_dot_reference
+    check_ordcomp_claim_reference, decide_far_reference, saturate_reference, \
+    threads_reference, tower_dot_reference
 
+from eqprox import suite
 from eqprox.errors import ResourceCap
-from eqprox.rationals import NEG_INF, POS_INF, Chain, RatSet, _covers, \
-    _validate_tower, bonding_map, build_tower, saturate, tower_dot
+from eqprox.rationals import NEG_INF, POS_INF, Chain, RatSet, _cells_hit, \
+    _covers, _outside, _validate_tower, bonding_map, build_tower, \
+    check_ordcomp_claim, decide_far, orbit_space, parse_ratset, saturate, \
+    tower_dot
 
 GRID = (F(-3, 2), F(-1), F(-1, 2), F(0), F(1, 2), F(1))
 GRID_CHAINS = [Chain(c) for k in range(len(GRID) + 1)
@@ -168,3 +181,130 @@ def test_validator_verdict_on_corrupted_map_tables():
                      next(word for word in TRAPS if word in got[1]))
     assert verdicts >= {"ok", *TRAPS}
 
+
+def member(s, q):
+    return any(a[1] == q if a[0] == "pt" else a[1] < q < a[2]
+               for a in s.atoms)
+
+
+def samples(*sets_and_chains):
+    """Rationals that meet every nonempty intersection of cells and sets
+    with these endpoints: the endpoints, the midpoints between them and
+    one point beyond each end."""
+    vals = sorted({v for x in sets_and_chains for v in (
+        x.points if isinstance(x, Chain) else x.endpoints())})
+    if not vals:
+        return [F(0)]
+    mids = [(p + q) / 2 for p, q in zip(vals, vals[1:])]
+    return vals + mids + [vals[0] - 1, vals[-1] + 1]
+
+
+GRID_SETS_RNG = random.Random(17)
+GRID_VALUES = sorted({F(k, 4) for k in range(-8, 7)} | set(GRID))
+GRID_ATOMS = [("pt", q) for q in GRID_VALUES] + [
+    ("iv", lo, hi) for lo, hi in
+    combinations([NEG_INF] + GRID_VALUES + [POS_INF], 2)]
+GRID_SETS = [RatSet()] + [RatSet([a]) for a in GRID_ATOMS] + [
+    RatSet(GRID_SETS_RNG.sample(GRID_ATOMS, GRID_SETS_RNG.randint(2, 4)))
+    for _ in range(40)]
+
+
+def test_cells_hit_are_the_cells_meeting_the_set():
+    for chain in GRID_CHAINS:
+        cells = orbit_space(chain).cells
+        for s in GRID_SETS:
+            qs = [q for q in samples(chain, s) if member(s, q)]
+            want = {i for i, c in enumerate(cells)
+                    if any(member(RatSet([c]), q) for q in qs)}
+            assert _cells_hit(chain.points, s) == want
+
+
+def convex_targets(rng):
+    """Convex sets from the suite's generator, convex unions of at most
+    four grid atoms, grid intervals split into atoms at up to two inner
+    points, and the edge cases."""
+    out = [suite._random_convex(rng) for _ in range(200)]
+    for _ in range(1000):
+        o = RatSet(rng.sample(GRID_ATOMS, rng.randint(0, 4)))
+        if o.is_convex:
+            out.append(o)
+    ends = [NEG_INF] + GRID_VALUES + [POS_INF]
+    for _ in range(150):
+        lo, hi = sorted(rng.sample(ends, 2))
+        cuts = sorted(v for v in rng.sample(GRID_VALUES, 2) if lo < v < hi)
+        bounds = [lo, *cuts, hi]
+        atoms = [("iv", p, q) for p, q in zip(bounds, bounds[1:])]
+        atoms += [("pt", v) for v in cuts]
+        atoms += [("pt", v) for v in (lo, hi)
+                  if v in GRID_VALUES and rng.random() < 0.5]
+        out.append(RatSet(atoms))
+    out += [parse_ratset(t) for t in (
+        "{}", "{0}", "(-inf,inf)", "(-inf,0)", "(-inf,0),{0}", "(0,inf)",
+        "{0},(0,inf)", "(0,1)", "{0},(0,1),{1}", "(0,1/2),{1/2},(1/2,1)",
+        "(-inf,0),{0},(0,inf)", "{0},(0,1),{1},(1,2)")]
+    return out
+
+
+def test_outside_is_the_complement_of_a_convex_set():
+    rng = random.Random(19)
+    everything = RatSet.interval(NEG_INF, POS_INF)
+    for o in convex_targets(rng):
+        out = _outside(o)
+        assert not out.intersects(o)
+        assert RatSet(o.atoms + out.atoms) == everything
+        for q in samples(o, out):
+            assert member(o, q) != member(out, q)
+
+
+def test_decide_far_against_the_chain_by_chain_search():
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(3000):
+        a, b = suite._random_ratset(rng, 4), suite._random_ratset(rng, 4)
+        got = outcome(decide_far, a, b)
+        assert got == outcome(decide_far_reference, a, b)
+        verdicts.add(got[1].far)
+    assert verdicts == {False, True}
+
+
+def test_decide_far_at_the_cap_against_the_chain_by_chain_search():
+    # No chain of fewer than 7 of the 14 endpoints separates these.
+    a = RatSet([("pt", F(k)) for k in range(0, 14, 2)])
+    b = RatSet([("pt", F(k)) for k in range(1, 14, 2)])
+    got = outcome(decide_far, a, b)
+    assert got == outcome(decide_far_reference, a, b)
+    assert got == ("ResourceCap", "far search needs more than 4096 chains")
+
+
+def test_claims_against_the_chain_by_chain_search():
+    rng = random.Random(23)
+    verdicts = set()
+    for o in convex_targets(rng):
+        inside = [c for c in GRID_ATOMS if RatSet([c]).issubset(o)]
+        subsets = [suite._random_subset_of(o, rng), RatSet()]
+        subsets += [RatSet(rng.sample(inside, min(len(inside), k)))
+                    for k in (1, 2, 3)]
+        # Sets that are not inside O, or targets that are not convex.
+        subsets.append(RatSet(rng.sample(GRID_ATOMS, 2)))
+        for a in subsets:
+            for target in (o, RatSet(o.atoms + (("pt", F(7)),))):
+                got = outcome(check_ordcomp_claim, a, target)
+                assert got == outcome(check_ordcomp_claim_reference, a,
+                                      target)
+                verdicts.add(got[0] if got[0] != "ok" else
+                             len(got[1].witness))
+    assert {"PreconditionFailure", 0, 1, 2} <= verdicts
+
+
+def test_claim_shares_the_far_chain_cap(monkeypatch):
+    # Pool {-1, 0, 1}: the empty chain and {-1} leave {0} free to reach
+    # the complement of (-1,1); {0}, the third chain tried, does not.
+    a, o = RatSet.point(0), parse_ratset("(-1,1)")
+    monkeypatch.setattr("eqprox.rationals.FAR_CHAIN_CAP", 3)
+    assert check_ordcomp_claim(a, o).witness == Chain((F(0),))
+    monkeypatch.setattr("eqprox.rationals.FAR_CHAIN_CAP", 2)
+    with pytest.raises(ResourceCap, match="more than 2 chains"):
+        check_ordcomp_claim(a, o)
+    monkeypatch.setattr("eqprox.rationals.FAR_CHAIN_CAP", 1)
+    with pytest.raises(ResourceCap, match="more than 1 chains"):
+        check_ordcomp_claim(a, o)
