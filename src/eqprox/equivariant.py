@@ -70,6 +70,12 @@ def compute_ug(a, u):
     hypotheses the output must itself pass the basis conditions (the
     square condition is exactly what quasiboundedness buys), so a failure
     there is an internal error, not an input error.
+
+    The preconditions are checked for each germ, since quasiboundedness
+    reads the group elements.  The brackets read only u and the level
+    point masks V_i.x, so a derived basis that passed its check is kept on
+    u, keyed by the tuple of those masks, and another germ or call with
+    the same masks gets the same object back.
     """
     report = validate_basis(u)
     if not report.ok():
@@ -81,14 +87,20 @@ def compute_ug(a, u):
         raise PreconditionFailure(
             "uniformity is not quasibounded",
             witness=cls.witnesses.get("quasibounded"))
-    basis = [_bracket(a.carrier, a.level_elem_masks(li), eps)
-             for li in range(len(a.ne.levels)) for eps in u.basis]
-    out = UnifBase(u.carrier, basis)
-    check = validate_basis(out)
-    if not check.ok():
-        raise InternalCheckFailure(
-            "derived bracket basis fails condition "
-            f"{check.failures()[0]}: {check.counterexample(check.failures()[0])}")
+    key = tuple(a.level_elem_masks(li) for li in range(len(a.ne.levels)))
+    if u._derived is None:
+        u._derived = {}
+    out = u._derived.get(key)
+    if out is None:
+        out = UnifBase(u.carrier, [_bracket(a.carrier, lem, eps)
+                                   for lem in key for eps in u.basis])
+        check = validate_basis(out)
+        if not check.ok():
+            name = check.failures()[0]
+            raise InternalCheckFailure(
+                f"derived bracket basis fails condition {name}: "
+                f"{check.counterexample(name)}")
+        u._derived[key] = out
     return out
 
 

@@ -28,7 +28,7 @@ from operator import and_, or_
 
 from . import setrel
 from .errors import CarrierMismatch
-from .proximity import _join_table
+from .proximity import _join_table, _submask_table
 from .setrel import _join_mask
 from .uniformity import UnifBase, _first_uncovered
 
@@ -588,26 +588,33 @@ def check_action_continuity(a, u):
     basis delta with (g0 V) . delta(x0) inside eps(g0 x0).  Returns the
     first violating (g0, x0, eps index) otherwise.
 
-    The inclusion is tested as V . delta(x0) inside g0^{-1} eps(g0 x0): the
-    translates V . delta(x0) are built once, and the target is row x0 of
-    g0^{-1}.eps in the push table (`GActionGerm.push_table`, shared with
-    `classify`), so each (g0, x0) costs at most |basis| * |levels| *
-    |basis| subset tests.  `classify` keeps the verdict in its report.
+    The inclusion is tested as V . delta(x0) inside g0^{-1} eps(g0 x0),
+    whose target is row x0 of g0^{-1}.eps in the push table
+    (`GActionGerm.push_table`, shared with `classify`).  For each x0 the
+    translates V . delta(x0) are built once and folded into one 2**n-bit
+    up-set table: bit full ^ t is set iff some translate lies inside t
+    (the OR of their disjoint-set rows of `_submask_table`).  Each
+    (g0, x0, eps) is then one shift and AND.  `classify` keeps the verdict
+    in its report.
     """
     if u.carrier != a.carrier:
         raise CarrierMismatch("uniformity is not over the action's carrier")
     n = a.carrier.n
+    full = a.carrier.full_mask
     push = a.push_table(u)
+    table = _submask_table(n)
     lems = [a.level_elem_masks(li) for li in range(len(a.ne.levels))]
-    moved = [[_join_mask(lem, delta.image_masks[x0])
-              for lem in lems for delta in u.basis]
-             for x0 in range(n)]
+    inside = [reduce(or_, (table[full ^ _join_mask(lem, delta.image_masks[x0])]
+                           for lem in lems for delta in u.basis))
+              for x0 in range(n)]
     for g0 in range(a.group.order):
         pulled = push[a.group.inv[g0]]
         for x0 in range(n):
-            k = _first_uncovered([b >> x0 * n for b in pulled], moved[x0])
-            if k is not None:
-                return False, (a.group.names[g0], a.carrier.elements[x0], k)
+            up, shift = inside[x0], x0 * n
+            for k, b in enumerate(pulled):
+                if not up >> (full ^ (b >> shift & full)) & 1:
+                    return False, (a.group.names[g0], a.carrier.elements[x0],
+                                   k)
     return True, None
 
 

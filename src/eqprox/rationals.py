@@ -276,7 +276,6 @@ class Chain:
 class OrbitSpace:
     """The 2m+1 alternating stabilizer cells of a chain, in order."""
 
-    chain: Chain
     cells: tuple
 
     def labels(self):
@@ -287,13 +286,13 @@ def orbit_space(chain):
     """Cells of the chain stabilizer: rays, points and gaps in order."""
     pts = chain.points
     if not pts:
-        return OrbitSpace(chain, (_iv(NEG_INF, POS_INF),))
+        return OrbitSpace((_iv(NEG_INF, POS_INF),))
     cells = [_iv(NEG_INF, pts[0])]
     for i, t in enumerate(pts):
         cells.append(_pt(t))
         hi = pts[i + 1] if i + 1 < len(pts) else POS_INF
         cells.append(_iv(t, hi))
-    return OrbitSpace(chain, tuple(cells))
+    return OrbitSpace(tuple(cells))
 
 
 def bonding_map(fbig, fsmall):

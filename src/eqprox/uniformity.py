@@ -22,9 +22,11 @@ from .proximity import AxiomReport
 class UnifBase:
     """A nonempty list of entourages.  Stored unvalidated so that broken
     bases can serve as negative fixtures; run validate_basis to check (it
-    keeps its report on the basis)."""
+    keeps its report on the basis).  `compute_ug` keeps the bracket bases
+    derived from this one in a dict keyed by the chain's level point
+    masks, made on first use."""
 
-    __slots__ = ("carrier", "basis", "_report", "_hash")
+    __slots__ = ("carrier", "basis", "_report", "_hash", "_derived")
 
     def __init__(self, carrier, basis):
         basis = tuple(basis)
@@ -37,6 +39,7 @@ class UnifBase:
         self.basis = basis
         self._report = None  # validate_basis's report, once computed
         self._hash = None
+        self._derived = None  # compute_ug's bracket bases, once one is built
 
     def __eq__(self, other):
         # Listwise equality only; semantic equality is refinement_equivalent.

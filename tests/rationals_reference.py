@@ -12,9 +12,7 @@ tower), so that ``test_rationals_differential.py`` compares the current
 code with the originals: levels, maps, threads, DOT text and the
 validator's first failure.  ``chain_issubset_reference`` and
 ``chain_union_reference`` are the bodies of the ``Chain.issubset`` and
-``Chain.union`` methods these functions called.  ``saturate_reference``
-is the body of ``rationals.saturate`` from before it located cells by
-bisection: it tests every cell of the orbit space against the set.
+``Chain.union`` methods these functions called.
 
 ``decide_far_reference`` and ``check_ordcomp_claim_reference`` are the
 chain-by-chain searches from before both became one search over cell
@@ -193,13 +191,6 @@ def threads_reference(tower):
                 thread.append(tower.maps[(top, j)][c])
         out.append(tuple(thread))
     return tuple(out)
-
-
-def saturate_reference(chain, ratset):
-    """Union of the stabilizer cells that meet the set."""
-    cells = orbit_space(chain).cells
-    hit = [c for c in cells if ratset.intersects(RatSet([c]))]
-    return RatSet(hit)
 
 
 def saturate_by_bisection_reference(chain, ratset):

@@ -1,16 +1,19 @@
 import random
 
 import pytest
+from equivariant_reference import bracket_entourage_reference
 
+from eqprox import equivariant
 from eqprox.equivariant import beta_g_proximity, betag_on_subgroup_agrees, \
     bracket_entourage, check_equinormal, compute_ug, deepest_orbits_coincide, \
     enumerate_partition_proximities, is_action_compatible, is_g_invariant, \
     is_massive, nu_proximity, semigroup_upgrade, subgroup_germ
-from eqprox.errors import PreconditionFailure
+from eqprox.errors import InternalCheckFailure, PreconditionFailure
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify
 from eqprox.proximity import Prox, check_axioms, dominates, from_uniformity, \
     is_separated
 from eqprox.setrel import Carrier, Rel, diagonal, full_relation
+from eqprox.suite import iter_family
 from eqprox.uniformity import UnifBase, discrete_basis, refinement_equivalent, \
     validate_basis
 
@@ -144,6 +147,64 @@ def test_compute_ug_rejects_invalid_basis():
     broken = UnifBase(a.carrier, [Rel(a.carrier, [(0, 0)])])
     with pytest.raises(PreconditionFailure):
         compute_ug(a, broken)
+
+
+def test_compute_ug_checks_quasiboundedness_per_germ_on_a_kept_basis():
+    # Z2 by s = (01)(23) and the Klein group by (01) and (23) have the same
+    # orbit masks, so the same derived-basis key; only s keeps the pairs
+    # (0,2) and (1,3) together, so only Z2 makes u quasibounded.
+    c = Carrier(range(4))
+    germs = []
+    for perms in ([(1, 0, 3, 2)], [(1, 0, 2, 3), (0, 1, 3, 2)]):
+        g, act = FiniteGroup.from_permutations(perms)
+        germs.append(GActionGerm(g, NeighborhoodBase(g, [range(g.order)]), c,
+                                 act))
+    z2, klein = germs
+    assert z2.level_elem_masks(0) == klein.level_elem_masks(0)
+    u = UnifBase(c, [Rel(c, set(diagonal(c).pairs)
+                         | {(0, 2), (2, 0), (1, 3), (3, 1)})])
+    derived = compute_ug(z2, u)
+    assert validate_basis(derived).ok()
+    with pytest.raises(PreconditionFailure,
+                       match="^uniformity is not quasibounded$"):
+        compute_ug(klein, u)
+    assert compute_ug(z2, u) is derived
+
+
+def test_kept_derived_bases_are_fresh_bracket_bases():
+    # Every setting of the main family at max_n = 4, twice: the bracket
+    # bases built from scratch by the point-at-a-time reference equal the
+    # kept basis, whether it was built for this germ or an earlier one.
+    kept_from_other_germs = 0
+    for _label, germ, u in iter_family(max_n=4, seed=0):
+        if not (validate_basis(u).ok() and classify(germ, u).quasibounded):
+            continue
+        key = tuple(germ.level_elem_masks(li)
+                    for li in range(len(germ.ne.levels)))
+        kept_from_other_germs += u._derived is not None and key in u._derived
+        out = compute_ug(germ, u)
+        assert compute_ug(germ, u) is out
+        assert out.basis == tuple(
+            bracket_entourage_reference(germ, level, eps)
+            for level in germ.ne.levels for eps in u.basis), (germ, u.basis)
+    assert kept_from_other_germs > 1000
+
+
+def test_derived_basis_trap_runs_on_each_new_key(monkeypatch):
+    # A bracket that loses the diagonal breaks B1 of the derived basis.
+    # A key built before the break is served as kept; a new key is built
+    # and checked, and a basis that failed its check is not kept.
+    coarse = z3_rotation()
+    fine = z3_rotation(levels=[frozenset({0})])
+    u = discrete_basis(coarse.carrier)
+    before = compute_ug(coarse, u)
+    monkeypatch.setattr(equivariant, "_bracket",
+                        lambda carrier, vx, eps: Rel(carrier, []))
+    assert compute_ug(coarse, u) is before
+    for _ in range(2):
+        with pytest.raises(InternalCheckFailure,
+                           match="derived bracket basis fails condition B1"):
+            compute_ug(fine, u)
 
 
 def test_nu_discrete_germ_equals_induced_proximity():

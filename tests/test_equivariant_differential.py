@@ -169,6 +169,8 @@ def test_random_permutation_actions_match_reference():
             u = _random_valid_basis(a.carrier, rng)
             assert_same_continuity(a, u)
             assert_same_continuity(a, saturate_uniformity(a, u))
+            # No basis condition is assumed: lists failing B1 to B4 too.
+            assert_same_continuity(a, random_relation_list(rng, a.carrier))
             bg = beta_g_proximity(a)
             assert_same_invariance(bg, a)
             assert_same_invariance(from_uniformity(u), a)
@@ -333,6 +335,36 @@ def random_relation_list(rng, carrier):
             pairs |= {(y, x) for x, y in pairs}
         rels.append(Rel(carrier, pairs))
     return UnifBase(carrier, rels)
+
+
+def drop_last_pair(u):
+    """u with the last off-diagonal pair, in index order, dropped from its
+    first entourage: on the fixtures a continuity witness late in the
+    scan."""
+    first = u.basis[0]
+    index = u.carrier.index
+    last = max((p for p in first.pairs if p[0] != p[1]),
+               key=lambda p: (index[p[0]], index[p[1]]))
+    return UnifBase(u.carrier,
+                    [Rel(u.carrier, first.pairs - {last}), *u.basis[1:]])
+
+
+@pytest.mark.parametrize("name", ["twelve_points_s3.json",
+                                  "twelve_points_s3_orbits.json",
+                                  "twelve_points_s3_generators.json"])
+def test_continuity_matches_reference_at_the_cap(name):
+    inst = load_instance(str(FIXTURES / name))
+    rng = random.Random(42)
+    a = inst.germ
+    passing = [indiscrete_basis(a.carrier)]
+    if inst.uniformity is not None:
+        passing.append(inst.uniformity)
+    bases = passing + [drop_last_pair(u) for u in passing]
+    bases += [discrete_basis(a.carrier)]
+    bases += [random_relation_list(rng, a.carrier) for _ in range(3)]
+    for germ in (a, with_random_upper_levels(a, rng)):
+        for u in bases:
+            assert_same_continuity(germ, u)
 
 
 def test_classification_matches_reference_on_suite_germs():

@@ -1,0 +1,62 @@
+"""Check the default-scale suite reports against perfbench/digests.json.
+
+For every recorded suite seed this runs the suite's four per-family
+`run_suite` calls at the full (default `eqprox suite`) scale, as
+perfbench/record_digests.py does, and compares the digest of each family's
+invariants and of the merged report with the recorded ones.  The digest
+file is only read.  Run it from any directory:
+
+    python3 tools/check_suite_digests.py
+
+It prints one line per seed and exits 1 if any digest differs.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+sys.path.insert(0, BENCH_DIR)
+
+from common import SUITE_SCALES, bootstrap, digest, family_filters, \
+    load_digests  # noqa: E402
+from record_digests import merged_report  # noqa: E402
+
+SCALE = "full"
+
+
+def seed_digests(seed):
+    """Each family's invariants digest and the merged report's, by name."""
+    from eqprox.suite import run_suite
+    cfg = SUITE_SCALES[SCALE]
+    out = {}
+    invariants = []
+    for fam in cfg["families"]:
+        part = run_suite(filters=list(family_filters(fam)),
+                         max_n=cfg["max_n"], max_group=cfg["max_group"],
+                         seed=seed).to_json()
+        out[fam] = digest(part["invariants"])
+        invariants.extend(part["invariants"])
+    out["report"] = digest(merged_report(seed, cfg["max_n"], cfg["max_group"],
+                                         invariants))
+    return out
+
+
+def main():
+    bootstrap()
+    recorded = load_digests()[SCALE]
+    bad = 0
+    for seed in sorted(recorded, key=int):
+        got = seed_digests(int(seed))
+        diff = sorted(k for k in recorded[seed] if got.get(k) != recorded[seed][k])
+        print(f"{SCALE} seed {seed}: " + ("ok" if not diff else
+                                          "DIFFERS in " + ", ".join(diff)),
+              flush=True)
+        bad += bool(diff)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
