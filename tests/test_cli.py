@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -567,6 +568,24 @@ def test_suite_negative_control_nu(capsys):
                        "--filter", "tgprox", "--inject", "nu")
     assert code == 1
     assert "first counterexample" in out
+
+
+@pytest.mark.parametrize("inject, sha256", [
+    ("bracket",
+     "0235b643dc9dbd4d3b44be8b7dd31fa03c604ea817f5e3bedeb7281b83e6e92d"),
+    ("nu", "ef2e2bea1a6483232c832dac1bce583f2fcd7b0e96c54ac51687c7311e985a2d"),
+    ("betag",
+     "a916078babe7d31da9322b0c05ce261961b2d814321eaf1c67bf207f33a2e39c"),
+])
+def test_injected_suite_report_is_pinned(capsys, inject, sha256):
+    # The counterexamples of an injected run pass through the beta_G,
+    # translate-nearness and semigroup paths, so their report pins those
+    # paths on inputs the uninjected digests never reach.
+    code, out, err = run(capsys, "suite", "--json", "--max-n", "3",
+                         "--filter", "tgprox,betag,ugclaims,gprox,semigr,"
+                         "maximality,equinormal,densesub", "--inject", inject)
+    assert (code, err) == (1, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_one_parser_serves_consecutive_commands(capsys):
