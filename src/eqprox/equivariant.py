@@ -12,11 +12,12 @@ computed through independent code paths precisely so that this equality is
 a meaningful machine check rather than a tautology of shared code.
 
 Translate nearness and the maximal group proximity are built from point
-masks: each (level, entourage) pair gives a union-preserving map of
-subsets, given by its n point values (`nu_maps`, `beta_g_maps`).  The
-table tabulates each map and ANDs each row with the intersectors of its
-entry, Theta(levels * |basis| * 2**n) operations on 2**n-bit integers in
-all; one entry or the point block is read from the point values alone
+masks: each (level, entourage) pair of nu, and the deepest level of
+beta_G, gives a union-preserving map of subsets, given by its n point
+values (`nu_maps`, `beta_g_maps`).  The table tabulates each map and ANDs
+each row with the intersectors of its entry, Theta(levels * |basis| *
+2**n) operations on 2**n-bit integers for nu and Theta(2**n) for beta_G;
+one entry or the point block is read from the point values alone
 (`proximity.meets`, `meets_points`).  The point values pull back through
 V^{-1} by the germ's inverse point masks (`level_inverse_elem_masks`);
 the bracket side reads only the forward point masks, so the two sides of
@@ -24,10 +25,10 @@ the identity share no pullback code.
 
 The group-action scans work on whole rows of the 2**n-bit tables.
 Equinormality runs the axiom check on the translate-overlap table, then
-a separation scan that, for each row and chain level, compares two bitsets
-built from the two mask routes (forward translates and inverse pullbacks).
-The scan costs Theta(levels * n * 2**n) mask operations, so the axiom
-check dominates.  Invariance permutes each row's bit positions by delta
+a separation scan that, for each row, compares two bitsets built from the
+two mask routes (forward translates and inverse pullbacks) at the deepest
+level.  The scan costs Theta(n * 2**n) mask operations, so the axiom check
+dominates.  Invariance permutes each row's bit positions by delta
 swaps, at most n - 1 per row and group element.
 """
 
@@ -157,22 +158,22 @@ def nu_proximity(a, u):
 
 
 def beta_g_maps(a):
-    """The maps defining the maximal group proximity, one per chain level.
+    """The map defining the maximal group proximity, as a list of one.
 
     VA meets VB iff B meets V^{-1}VA, and A -> V^{-1}VA preserves unions,
-    so each level is one map given by its n point pullbacks V^{-1}Vx.
+    so it is given by its n point pullbacks V^{-1}Vx.  Overlap at every
+    level is overlap at the deepest, the only level read.
     """
-    return [[_join_mask(a.level_inverse_elem_masks(li), t)
-             for t in a.level_elem_masks(li)]
-            for li in range(len(a.ne.levels))]
+    inv = a.level_inverse_elem_masks(a.deep)
+    return [[_join_mask(inv, t) for t in a.level_elem_masks(a.deep)]]
 
 
 def beta_g_proximity(a):
     """The maximal group proximity on a finite discrete carrier:
     A and B are near when their translates overlap at every chain level.
 
-    The table of the `beta_g_maps`, kept on the germ: the compatibility
-    and separation verdicts read it too.
+    The table of the one `beta_g_maps` map, kept on the germ: the
+    compatibility and separation verdicts read it too.
     """
     return a._cached(("betag",),
                      lambda: meets_table(a.carrier, beta_g_maps(a)))
@@ -219,7 +220,9 @@ def is_action_compatible(p, a):
 
 def semigroup_upgrade(p, a):
     """The strengthened compatibility: every far pair has translates that
-    are far (not merely disjoint) at some chain level."""
+    are far (not merely disjoint) at some chain level.  Every level is
+    scanned: p need not satisfy P4, so farness need not pass down to the
+    deepest level's smaller translates."""
     carrier = a.carrier
     n = carrier.n
     N = 1 << n
@@ -279,29 +282,26 @@ def check_equinormal(a):
 def _separation_ok(a):
     """Whether every pi-disjoint pair is witnessed, scanned as whole rows.
 
-    For row A and level V, the pi-disjoint partners are the submasks of
-    {x : Vx misses VA}, read through level_elem_masks; the partners whose
+    Disjointness of translates is antitone in V, so the pi-disjoint
+    partners of row A are those at the deepest level V: the submasks of
+    {x : Vx misses VA}, read through level_elem_masks.  The partners whose
     canonical neighborhood pair (A, B) is disjoint are the pairs far from
     A in the maximal group proximity, whose table pulls back through
-    level_inverse_elem_masks.  The scan costs Theta(levels * n * 2**n)
-    mask operations and one 2**n-bit OR per row and level, where a pair by
-    pair scan costs Theta(levels * n * 4**n).
+    level_inverse_elem_masks.  The scan costs Theta(n * 2**n) mask
+    operations and one 2**n-bit AND per row, where a pair by pair scan
+    costs Theta(n * 4**n).
     """
     n = a.carrier.n
     table = _submask_table(n)
-    bg = beta_g_proximity(a).rows
-    routes = [(a.level_translates(li), a.level_elem_masks(li))
-              for li in range(len(a.ne.levels))]
-    for am, near in enumerate(bg):
-        disjoint = 0
-        for trans, lem in routes:
-            t = trans[am]
-            free = 0
-            for x in range(n):
-                if not lem[x] & t:
-                    free |= 1 << x
-            disjoint |= table[free]
-        if disjoint & near:
+    trans = a.level_translates(a.deep)
+    lem = a.level_elem_masks(a.deep)
+    for am, near in enumerate(beta_g_proximity(a).rows):
+        t = trans[am]
+        free = 0
+        for x in range(n):
+            if not lem[x] & t:
+                free |= 1 << x
+        if table[free] & near:
             return False
     return True
 

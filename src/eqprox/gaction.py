@@ -12,6 +12,11 @@ instructive failure cases for continuity and separatedness.
 Group elements are handled by index internally; names only appear at the
 I/O edge.
 
+The chain is validated as descending, so its deepest level generates the
+identity neighbourhoods and decides every "for some V" quantifier that a
+smaller V can only help; the germ names that level once, by its index
+`deep`.
+
 A germ keeps, per chain level V, the point masks of V.x and of V^{-1}.x.
 The translate V.m or the pullback V^{-1}.m of one subset mask is the OR
 of the point masks over m (`setrel._join_mask`); `level_translates`
@@ -318,7 +323,7 @@ class GActionGerm:
     reported pair is the first one in index order.
     """
 
-    __slots__ = ("group", "ne", "carrier", "act", "__dict__")
+    __slots__ = ("group", "ne", "carrier", "act", "deep", "__dict__")
 
     def __init__(self, group, ne, carrier, act):
         if ne.group is not group:
@@ -347,6 +352,7 @@ class GActionGerm:
         self.ne = ne
         self.carrier = carrier
         self.act = act
+        self.deep = len(ne.levels) - 1
 
     def _cached(self, key, build):
         """build(), computed once per germ and key."""
@@ -462,14 +468,14 @@ def classify(a, u):
     """Decide all action/uniformity verdicts by exhaustive quantifier search.
 
     Failure witnesses are the first violating tuples in the fixed scan
-    order (basis index, chain level, group index, carrier index), so they
-    are reproducible.
+    order (basis index, group index, carrier index), so they are
+    reproducible; the chain quantifiers read the deepest level (`deep`).
 
     The quantifiers run on the push table of the setting
     (`GActionGerm.push_table`, Theta(|G| * |basis| * n**2) bit operations),
     one AND of packed pair bits per containment test: saturated asks each
     g.eps to contain a basis entourage, quasibounded ORs the table over
-    each chain level, and (uniform) equicontinuity ANDs it over the group
+    the deepest level, and (uniform) equicontinuity ANDs it over the group
     into the pairs that every translate keeps in eps.  The report is kept
     on the germ per basis value, so a repeated setting is a lookup.
     """
@@ -482,7 +488,6 @@ def _classify(a, u):
     basis = u.basis
     bits = [eps.pair_bits for eps in basis]
     push = a.push_table(u)
-    deepest = len(a.ne.levels) - 1
     witnesses = {}
 
     for g, row in enumerate(push):
@@ -491,20 +496,17 @@ def _classify(a, u):
             witnesses["saturated"] = (a.group.names[g], k)
             break
 
-    # Boundedness at a chain level is antitone in the level, so the deepest
-    # level decides; witnesses come from there.
     for k, eps in enumerate(basis):
-        wit = _bounded_witness(a, deepest, eps)
+        wit = _bounded_witness(a, eps)
         if wit is not None:
             witnesses["bounded"] = (k,) + wit
             break
 
-    spread = [s for level in a.ne.levels
-              for s in _fold(or_, (push[v] for v in level))]
+    spread = _fold(or_, (push[v] for v in a.ne.levels[a.deep]))
     k = _first_uncovered(bits, spread)
     if k is not None:
         witnesses["quasibounded"] = (k,) + _quasibounded_witness(
-            a, deepest, basis[0], basis[k])
+            a, basis[0], basis[k])
 
     kept = _fold(and_, push)
     wit = _equicontinuity_witness(a, basis, kept)
@@ -552,11 +554,11 @@ def _equicontinuity_witness(a, basis, kept):
     return None
 
 
-def _bounded_witness(a, level_index, eps):
-    """The first (v, x) with (v.x, x) outside eps, v in the chain level
-    and x in index order, or None when the level is eps-bounded."""
+def _bounded_witness(a, eps):
+    """The first (v, x) with (v.x, x) outside eps, v in the deepest level
+    and x in index order, or None when that level is eps-bounded."""
     imgs = eps.image_masks
-    for v in sorted(a.ne.levels[level_index]):
+    for v in sorted(a.ne.levels[a.deep]):
         p = a.act[v]
         for x in range(a.carrier.n):
             if not imgs[p[x]] >> x & 1:
@@ -564,13 +566,13 @@ def _bounded_witness(a, level_index, eps):
     return None
 
 
-def _quasibounded_witness(a, level_index, delta, eps):
-    """The first (v, x, y) with (v.x, v.y) outside eps, v in the chain
+def _quasibounded_witness(a, delta, eps):
+    """The first (v, x, y) with (v.x, v.y) outside eps, v in the deepest
     level and (x, y) in delta in index order, or None when v.delta lies
-    inside eps for every v in the level."""
+    inside eps for every v in that level."""
     n = a.carrier.n
     els = a.carrier.elements
-    for v in sorted(a.ne.levels[level_index]):
+    for v in sorted(a.ne.levels[a.deep]):
         p = a.act[v]
         cells = delta.pair_bits
         while cells:
@@ -586,7 +588,8 @@ def check_action_continuity(a, u):
 
     True iff for all g0, x0 and basis eps there are a chain level V and a
     basis delta with (g0 V) . delta(x0) inside eps(g0 x0).  Returns the
-    first violating (g0, x0, eps index) otherwise.
+    first violating (g0, x0, eps index) otherwise.  A smaller V only
+    helps, so the deepest level decides and is the only one built.
 
     The inclusion is tested as V . delta(x0) inside g0^{-1} eps(g0 x0),
     whose target is row x0 of g0^{-1}.eps in the push table
@@ -603,9 +606,9 @@ def check_action_continuity(a, u):
     full = a.carrier.full_mask
     push = a.push_table(u)
     table = _submask_table(n)
-    lems = [a.level_elem_masks(li) for li in range(len(a.ne.levels))]
+    lem = a.level_elem_masks(a.deep)
     inside = [reduce(or_, (table[full ^ _join_mask(lem, delta.image_masks[x0])]
-                           for lem in lems for delta in u.basis))
+                           for delta in u.basis))
               for x0 in range(n)]
     for g0 in range(a.group.order):
         pulled = push[a.group.inv[g0]]

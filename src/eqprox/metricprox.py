@@ -206,7 +206,8 @@ def xi_report(fam, a, subsets_of_group):
     (1) if every subset acts equicontinuously, the derived uniformity
         induces the same topology;
     (2) if every subset A has a chain level V and a family subset B with
-        A.V inside B, the derived uniformity is quasibounded;
+        A.V inside B, the derived uniformity is quasibounded (A.V shrinks
+        with V, so the deepest level decides);
     (3) if some subset contains the identity, the derived uniformity
         refines the base one.
     """
@@ -221,18 +222,9 @@ def xi_report(fam, a, subsets_of_group):
                   else "fail")
 
     group = a.group
-    hyp2 = True
-    for s in ids:
-        sset = frozenset(s)
-        found = False
-        for level in a.ne.levels:
-            av = group.product_set(sset, level)
-            if any(av <= frozenset(t) for t in ids):
-                found = True
-                break
-        if not found:
-            hyp2 = False
-            break
+    deep = a.ne.levels[a.deep]
+    hyp2 = all(any(group.product_set(s, deep) <= frozenset(t) for t in ids)
+               for s in ids)
     concl2 = "n/a"
     if hyp2:
         concl2 = "pass" if classify(a, xi).quasibounded else "fail"
@@ -268,6 +260,8 @@ def is_isometric(m, a):
 def metric_g_proximity(m, a):
     """A and B are near when no chain level pushes their translates a
     positive distance apart: near(A, B) iff d(VA, VB) = 0 for every level V.
+    d(VA, VB) only grows as V shrinks, so the deepest level decides, and
+    the table has one map.
 
     Requires the sublevel uniformity to be quasibounded and saturated; the
     classifier witness is surfaced otherwise.
@@ -283,9 +277,8 @@ def metric_g_proximity(m, a):
     # the point itself, for a pseudometric its kernel class.
     zero_of = [sum(1 << j for j, k in enumerate(row) if not k)
                for row in m.rank]
-    # B is near A at a level iff VB meets the zero hull of VA, i.e. B meets
-    # its pullback through the level: one map of meets_table per level.
-    return meets_table(m.carrier, [
-        [_join_mask(a.level_inverse_elem_masks(li), _join_mask(zero_of, t))
-         for t in a.level_elem_masks(li)]
-        for li in range(len(a.ne.levels))])
+    # B is near A iff VB meets the zero hull of VA, i.e. B meets its
+    # pullback through the deepest level V.
+    inv = a.level_inverse_elem_masks(a.deep)
+    return meets_table(m.carrier, [[_join_mask(inv, _join_mask(zero_of, t))
+                                    for t in a.level_elem_masks(a.deep)]])

@@ -342,17 +342,17 @@ def _cells_hit(points, s):
     return hit
 
 
-def _separating_chain(a, b):
+def _separating_chain(a, b, search):
     """The first chain over the endpoints of a and b, by size and then
-    lexicographically, no cell of which meets both sets; None if no such
-    chain exists.  Raises ResourceCap after FAR_CHAIN_CAP chains."""
+    lexicographically, no cell of which meets both sets, or None.  Raises
+    ResourceCap, naming the `search`, after FAR_CHAIN_CAP chains."""
     pool = sorted(set(a.endpoints()) | set(b.endpoints()))
     combos = (c for size in range(len(pool) + 1)
               for c in combinations(pool, size))
     for tried, combo in enumerate(combos):
         if tried == FAR_CHAIN_CAP:
             raise ResourceCap(
-                f"far search needs more than {FAR_CHAIN_CAP} chains")
+                f"{search} search needs more than {FAR_CHAIN_CAP} chains")
         if _cells_hit(combo, a).isdisjoint(_cells_hit(combo, b)):
             return Chain(combo)
     return None
@@ -381,7 +381,7 @@ def decide_far(a, b):
     """
     if a.intersects(b):
         return FarVerdict(False, None)
-    chain = _separating_chain(a, b)
+    chain = _separating_chain(a, b, "far")
     if chain is None:
         raise InternalCheckFailure(
             f"the endpoint chain does not separate disjoint sets {a} and {b}")
@@ -525,7 +525,7 @@ def check_ordcomp_claim(a, o):
         raise PreconditionFailure(f"target set {o} is not convex")
     if not a.issubset(o):
         raise PreconditionFailure(f"{a} is not contained in {o}")
-    chain = _separating_chain(a, _outside(o))
+    chain = _separating_chain(a, _outside(o), "claim")
     if chain is not None and not saturate(chain, a).issubset(o):
         raise InternalCheckFailure("witness re-verification failed")
     return ClaimResult(chain)

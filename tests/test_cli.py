@@ -498,6 +498,14 @@ def test_rat_claim(capsys):
     assert code == 2 and "not convex" in err
 
 
+def test_rat_claim_chain_cap_names_the_claim(capsys, monkeypatch):
+    # The third chain over {-1, 0, 1}, {0}, keeps {0} inside (-1,1).
+    monkeypatch.setattr("eqprox.rationals.FAR_CHAIN_CAP", 2)
+    code, out, err = run(capsys, "rat", "claim", "{0}", "(-1,1)")
+    assert (code, out) == (3, "")
+    assert err == "resource cap: claim search needs more than 2 chains\n"
+
+
 @pytest.mark.parametrize("a, o, message", [
     ("{0}", "(0,1),(2,3)", "target set (0,1),(2,3) is not convex"),
     ("{5}", "(0,1)", "{5} is not contained in (0,1)"),

@@ -95,12 +95,25 @@ def assert_same_compatibility(p, a):
         is_action_compatible_reference(p, a), (a, p.rows)
 
 
+def with_corrupt_pullbacks(a):
+    """A copy of the germ whose inverse point masks pull point 0 back to
+    the whole carrier at every level, so that the two mask routes of the
+    separation scan can disagree."""
+    b = GActionGerm(a.group, a.ne, a.carrier, a.act)
+    b.level_inverse_elem_masks = lambda li: \
+        (a.carrier.full_mask,) + a.level_inverse_elem_masks(li)[1:]
+    return b
+
+
 def assert_same_germ_tables(a, rng):
-    """betag, the separation scan and the compatibility verdicts and
-    witnesses of betag and of one corrupted copy of it."""
+    """betag, the separation scan (also with corrupt pullbacks) and the
+    compatibility verdicts and witnesses of betag and of one corrupted
+    copy of it."""
     bg = beta_g_proximity(a)
     assert bg.rows == beta_g_proximity_reference(a).rows, a
     assert _separation_ok(a) == separation_ok_reference(a), a
+    bad = with_corrupt_pullbacks(a)
+    assert _separation_ok(bad) == separation_ok_reference(bad), a
     assert_same_compatibility(bg, a)
     assert_same_compatibility(flip_one_bit(bg, rng), a)
 

@@ -134,6 +134,14 @@ def test_xi_report_cases():
     assert rep2.ok()
     assert rep2.quasibounded == "n/a"  # {e}.V = G is not inside {e}
     assert rep2.refinement == "pass"
+    # Below G the chain (G, {e}) reaches {e}, and {e}.{e} lies in {e}.
+    g = germ.group
+    deep = GActionGerm(g, NeighborhoodBase(g, [frozenset(range(4)),
+                                               frozenset({g.e})]),
+                       germ.carrier, germ.act)
+    rep3 = xi_report(fam, deep, [frozenset({g.e})])
+    assert rep3.ok()
+    assert rep3.quasibounded == "pass"
 
 
 def test_metric_g_proximity_discrete_germ():
