@@ -172,10 +172,11 @@ def beta_g_proximity(a):
     """The maximal group proximity on a finite discrete carrier:
     A and B are near when their translates overlap at every chain level.
 
-    The table of the one `beta_g_maps` map, kept on the germ: the
-    compatibility and separation verdicts read it too.
+    The table of the one `beta_g_maps` map, kept per deepest level and
+    shared by every chain of the action: the compatibility and separation
+    verdicts read it too.
     """
-    return a._cached(("betag",),
+    return a._cached(("betag", a.ne.levels[a.deep]),
                      lambda: meets_table(a.carrier, beta_g_maps(a)))
 
 

@@ -321,13 +321,17 @@ class GActionGerm:
     under the product, by associativity, so it then holds for every g.
     Only when that check fails does the full (g, h) scan run, so the
     reported pair is the first one in index order.
+
+    The cache of tables and verdicts (`_cached`) belongs to the action,
+    not to the chain: its keys hold level and basis values, never a chain
+    position, so `on_chain` rebinds the chain and keeps the cache.
     """
 
-    __slots__ = ("group", "ne", "carrier", "act", "deep", "__dict__")
+    __slots__ = ("group", "ne", "carrier", "act", "deep", "_cache",
+                 "__dict__")
 
     def __init__(self, group, ne, carrier, act):
-        if ne.group is not group:
-            raise ValueError("neighborhood chain belongs to a different group")
+        deep = _deepest_index(group, ne)
         act = tuple(tuple(p) for p in act)
         if len(act) != group.order:
             raise ValueError("need one permutation per group element")
@@ -352,25 +356,38 @@ class GActionGerm:
         self.ne = ne
         self.carrier = carrier
         self.act = act
-        self.deep = len(ne.levels) - 1
+        self.deep = deep
+        self._cache = {}
+
+    def on_chain(self, ne):
+        """This action with the chain ne of the same group in place of its
+        own, sharing this germ's cache.  The action law is not checked
+        again; a chain of another group raises as the constructor does."""
+        deep = _deepest_index(self.group, ne)
+        out = copy(self)
+        out.ne = ne
+        out.deep = deep
+        return out
 
     def _cached(self, key, build):
-        """build(), computed once per germ and key."""
-        cache = self.__dict__.setdefault("_masks", {})
+        """build(), computed once per key for all the germs that share this
+        cache; a key names every level and basis value that build reads."""
+        cache = self._cache
         if key not in cache:
             cache[key] = build()
         return cache[key]
 
     def level_elem_masks(self, level_index):
         """For chain level V: masks of the point translates {v.x : v in V}."""
-        return self._cached(("lem", level_index), lambda: self._point_masks(
-            self.ne.levels[level_index]))
+        level = self.ne.levels[level_index]
+        return self._cached(("lem", level), lambda: self._point_masks(level))
 
     def level_inverse_elem_masks(self, level_index):
         """Masks of {v^{-1}.x : v in V}, used to pull sets back through a level."""
+        level = self.ne.levels[level_index]
         inv = self.group.inv
-        return self._cached(("ilem", level_index), lambda: self._point_masks(
-            inv[v] for v in self.ne.levels[level_index]))
+        return self._cached(("ilem", level), lambda: self._point_masks(
+            inv[v] for v in level))
 
     def _point_masks(self, elems):
         n = self.carrier.n
@@ -387,32 +404,43 @@ class GActionGerm:
         Translation preserves unions, so the table is the join table of the
         point translate masks, one OR per subset.
         """
-        return self._cached(("trans", level_index), lambda: tuple(
+        level = self.ne.levels[level_index]
+        return self._cached(("trans", level), lambda: tuple(
             _join_table(self.level_elem_masks(level_index))))
 
     def push_table(self, u):
         """push[g][k] = g.eps_k as pair bits (`Rel.pair_bits`), for every
         group element g and entourage eps_k of the basis u.
 
-        Theta(|G| * |basis| * n**2) bit operations, once per germ and basis
-        value: each g moves the n*n pair cells, and each pushed entourage
-        is the OR of its moved cells.
+        Theta(|G| * |basis| * n**2) bit operations, once per action and
+        basis value: each g moves the n*n pair cells, and each pushed
+        entourage is the OR of its moved cells.  The table does not read
+        the chain.
         """
-        def build():
-            n = self.carrier.n
-            cells = [[c for c in range(n * n) if eps.pair_bits >> c & 1]
-                     for eps in u.basis]
-            table = []
-            for p in self.act:
-                moved = [1 << p[c // n] * n + p[c % n] for c in range(n * n)]
-                table.append(tuple(sum(map(moved.__getitem__, cs))
-                                   for cs in cells))
-            return tuple(table)
-        return self._cached(("push", u), build)
+        return self._cached(("push", u), lambda: _push_table(self, u))
 
     def __repr__(self):
         return (f"GActionGerm(group={self.group.order}, n={self.carrier.n}, "
                 f"chain={[len(v) for v in self.ne.levels]})")
+
+
+def _deepest_index(group, ne):
+    """The index of the deepest level of ne, a chain that must be of group."""
+    if ne.group is not group:
+        raise ValueError("neighborhood chain belongs to a different group")
+    return len(ne.levels) - 1
+
+
+def _push_table(a, u):
+    """The table that `GActionGerm.push_table` keeps."""
+    n = a.carrier.n
+    cells = [[c for c in range(n * n) if eps.pair_bits >> c & 1]
+             for eps in u.basis]
+    table = []
+    for p in a.act:
+        moved = [1 << p[c // n] * n + p[c % n] for c in range(n * n)]
+        table.append(tuple(sum(map(moved.__getitem__, cs)) for cs in cells))
+    return tuple(table)
 
 
 def _group_indices(group, subset):
@@ -477,11 +505,13 @@ def classify(a, u):
     g.eps to contain a basis entourage, quasibounded ORs the table over
     the deepest level, and (uniform) equicontinuity ANDs it over the group
     into the pairs that every translate keeps in eps.  The report is kept
-    on the germ per basis value, so a repeated setting is a lookup.
+    per deepest level and basis value, shared by every chain of the action
+    (`GActionGerm.on_chain`), so a repeated setting is a lookup.
     """
     if u.carrier != a.carrier:
         raise CarrierMismatch("uniformity is not over the action's carrier")
-    return a._cached(("cls", u), lambda: _classify(a, u))
+    return a._cached(("cls", a.ne.levels[a.deep], u),
+                     lambda: _classify(a, u))
 
 
 def _classify(a, u):

@@ -305,18 +305,24 @@ class SuiteReport:
 def iter_family(max_n=5, seed=0, max_group=6):
     """The main instance family: every standard group, curated actions on
     carriers up to max_n, all subgroup chains, pooled bases and their
-    saturations.  Yields (label, germ, basis)."""
+    saturations.  Yields (label, germ, basis).
+
+    Each group's chains are validated once, and each action once: its
+    germs over the chains are one germ rebound by `on_chain`, so they
+    share one cache and a verdict that reads only the deepest level and
+    the basis is computed once per action."""
     rng = random.Random(seed)
     pools = {n: basis_pool(Carrier(range(n)), rng) for n in range(1, max_n + 1)}
     for gname, group, gens in suite_groups(max_group):
-        chains = germ_chains(group)
+        chains = [NeighborhoodBase(group, levels)
+                  for levels in germ_chains(group)]
         for n in range(1, max_n + 1):
             carrier = Carrier(range(n))
             actions = curated_actions(gname, group, gens, n)
             for ai, act in enumerate(actions):
-                for ci, levels in enumerate(chains):
-                    germ = GActionGerm(group, NeighborhoodBase(group, levels),
-                                       carrier, act)
+                base = GActionGerm(group, chains[0], carrier, act)
+                for ci, ne in enumerate(chains):
+                    germ = base.on_chain(ne)
                     seen = set()
                     for bi, u in enumerate(pools[n]):
                         label = f"{gname}/n{n}/act{ai}/chain{ci}/basis{bi}"
@@ -759,37 +765,41 @@ def _metric_matrices(n):
 
 def _run_metric_family(result, max_group):
     groups = [g for g in suite_groups(max_group) if g[0] in ("Z2", "Z4", "S3")]
-    # Chains and actions are validated once; each matrix gets fresh germs,
-    # so the germ caches do not grow with the number of matrices.
+    # Chains are validated once.  Each matrix gets one fresh germ per
+    # (group, action), rebound to every chain by `on_chain`: the chains of
+    # an action share its cache within a matrix, and the caches do not
+    # grow with the number of matrices.
     chains = {gname: [NeighborhoodBase(group, levels)
                       for levels in germ_chains(group)]
               for gname, group, _gens in groups}
     for n in (1, 2, 3, 4):
         carrier = Carrier(range(n))
-        settings = [(f"{gname}/act{ai}/chain{ci}", group, ne, act)
-                    for gname, group, gens in groups
-                    for ai, act in enumerate(
-                        curated_actions(gname, group, gens, n))
-                    for ci, ne in enumerate(chains[gname])]
+        actions = [(f"{gname}/act{ai}", group, chains[gname], act)
+                   for gname, group, gens in groups
+                   for ai, act in enumerate(
+                       curated_actions(gname, group, gens, n))]
         for mi, matrix in enumerate(_metric_matrices(n)):
             metric = FiniteMetric(carrier, matrix)
             u = metric_uniformity(metric)
-            for name, group, ne, act in settings:
-                label = f"metric/n{n}/m{mi}/{name}"
-                germ = GActionGerm(group, ne, carrier, act)
-                cls = classify(germ, u)
-                if cls.uniformly_equicontinuous and is_isometric(metric, germ):
-                    # Isometric actions must pass without hypotheses.
+            for name, group, nes, act in actions:
+                base = GActionGerm(group, nes[0], carrier, act)
+                for ci, ne in enumerate(nes):
+                    label = f"metric/n{n}/m{mi}/{name}/chain{ci}"
+                    germ = base.on_chain(ne)
+                    cls = classify(germ, u)
+                    if (cls.uniformly_equicontinuous
+                            and is_isometric(metric, germ)):
+                        # Isometric actions must pass without hypotheses.
+                        if not cls.pi_uniform:
+                            result.record(False, label,
+                                          "isometric action not pi-uniform")
+                            continue
                     if not cls.pi_uniform:
-                        result.record(False, label,
-                                      "isometric action not pi-uniform")
                         continue
-                if not cls.pi_uniform:
-                    continue
-                mg = metric_g_proximity(metric, germ)
-                derived = from_uniformity(compute_ug(germ, u))
-                mismatch = _first_mismatch(mg, derived)
-                result.record(mismatch is None, label, mismatch)
+                    mg = metric_g_proximity(metric, germ)
+                    derived = from_uniformity(compute_ug(germ, u))
+                    mismatch = _first_mismatch(mg, derived)
+                    result.record(mismatch is None, label, mismatch)
 
 
 # ---------------------------------------------------------------------------

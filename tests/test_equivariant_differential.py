@@ -259,16 +259,83 @@ def nu_sets_entry(a, u):
 @pytest.mark.parametrize("nu", [nu_proximity, nu_proximity_reference,
                                 nu_point_block, nu_sets_entry])
 def test_nu_traps_a_chain_that_is_not_descending(nu):
-    # A valid germ whose chain is then overwritten by the ascending
-    # ({e}, G): the identity level keeps the swapped points apart, the
-    # whole group does not, so the full chain and the deepest level differ,
-    # on the table, on the point block and on the two points' verdict.
+    # A valid germ rebound to a valid chain whose levels are then
+    # overwritten by the ascending ({e}, G): the identity level keeps the
+    # swapped points apart, the whole group does not, so the full chain
+    # and the deepest level differ, on the table, on the point block and
+    # on the two points' verdict.
     g = FiniteGroup.cyclic(2)
-    a = GActionGerm(g, NeighborhoodBase(g, [frozenset({0, 1})]),
-                    Carrier(["a", "b"]), [(0, 1), (1, 0)])
-    a.ne.levels = (frozenset({g.e}), frozenset(range(g.order)))
+    whole = frozenset(range(g.order))
+    a = GActionGerm(g, NeighborhoodBase(g, [whole]), Carrier(["a", "b"]),
+                    [(0, 1), (1, 0)])
+    ascending = NeighborhoodBase(g, [whole])
+    ascending.levels = (frozenset({g.e}), whole)
+    a = a.on_chain(ascending)
+    assert a.deep == 1
     with pytest.raises(InternalCheckFailure, match="not descending"):
         nu(a, discrete_basis(a.carrier))
+
+
+def ug_or_error(a, u):
+    try:
+        return compute_ug(a, u).basis
+    except PreconditionFailure as err:
+        return str(err)
+
+
+def assert_same_as_fresh(shared, fresh, u):
+    """The germ that shares its action's cache against a fresh germ on the
+    same chain: the classification with its witnesses, the maximal group
+    proximity, the derived basis and the point-mask tables of every
+    level."""
+    assert classify(shared, u) == classify(fresh, u), (shared, u.basis)
+    assert beta_g_proximity(shared).rows == beta_g_proximity(fresh).rows, \
+        shared
+    assert ug_or_error(shared, u) == ug_or_error(fresh, u), (shared, u.basis)
+    for li in range(len(shared.ne.levels)):
+        assert shared.level_elem_masks(li) == fresh.level_elem_masks(li)
+        assert shared.level_inverse_elem_masks(li) == \
+            fresh.level_inverse_elem_masks(li)
+        assert shared.level_translates(li) == fresh.level_translates(li)
+
+
+def test_shared_cache_matches_fresh_germs_on_suite_germs():
+    fresh = {}
+    for _label, germ, u in iter_family(max_n=4, seed=0):
+        key = (id(germ.group), germ.ne.levels, germ.carrier.n, germ.act)
+        if key not in fresh:
+            fresh[key] = GActionGerm(germ.group, germ.ne, germ.carrier,
+                                     germ.act)
+        assert_same_as_fresh(germ, fresh[key], u)
+
+
+def test_shared_cache_keeps_the_verdicts_of_each_deepest_level():
+    # Z2 swapping two points: the whole group moves each point off the
+    # diagonal, the identity level does not, so on the discrete basis only
+    # the chain ending at {e} is bounded, though both chains share a cache.
+    g = FiniteGroup.cyclic(2)
+    c = Carrier(["a", "b"])
+    base = GActionGerm(g, NeighborhoodBase(g, [frozenset(range(g.order))]),
+                       c, [(0, 1), (1, 0)])
+    trivial = base.on_chain(NeighborhoodBase(g, [frozenset({g.e})]))
+    assert trivial._cache is base._cache
+    u = discrete_basis(c)
+    assert not classify(base, u).bounded
+    assert classify(trivial, u).bounded
+    assert beta_g_proximity(trivial).rows != beta_g_proximity(base).rows
+
+
+def test_on_chain_rejects_a_chain_of_another_group():
+    g, other = FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)
+    c = Carrier(["a", "b"])
+    ne = NeighborhoodBase(other, [frozenset({other.e})])
+    with pytest.raises(ValueError) as built:
+        GActionGerm(g, ne, c, [(0, 1), (1, 0)])
+    base = GActionGerm(g, NeighborhoodBase(g, [frozenset({g.e})]), c,
+                       [(0, 1), (1, 0)])
+    with pytest.raises(ValueError) as rebound:
+        base.on_chain(ne)
+    assert str(rebound.value) == str(built.value)
 
 
 def assert_entries_read_the_table(what, a, u, table):

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from eqprox import suite
+from eqprox import gaction, suite
 from eqprox.errors import InternalCheckFailure
 
 
@@ -82,3 +82,29 @@ def test_basis_pool_builds_at_twelve_points(seed):
     assert pool[0].basis == (suite.diagonal(carrier),)
     assert pool[1].basis == (suite.full_relation(carrier),)
     assert all(suite.validate_basis(u).ok() for u in pool)
+
+
+def test_main_family_classifies_each_setting_value_once(monkeypatch):
+    # The chains of an action share one germ cache, so a classification is
+    # computed once per (action, deepest level, basis) and a push table
+    # once per (action, basis), however many chains reach them.
+    runs = {"classify": [], "push": []}
+    real_classify, real_push = gaction._classify, gaction._push_table
+
+    def classify(a, u):
+        runs["classify"].append((id(a.group), a.act, a.ne.levels[a.deep], u))
+        return real_classify(a, u)
+
+    def push_table(a, u):
+        runs["push"].append((id(a.group), a.act, u))
+        return real_push(a, u)
+
+    monkeypatch.setattr(gaction, "_classify", classify)
+    monkeypatch.setattr(gaction, "_push_table", push_table)
+    report = suite.run_suite(max_n=3, filters=["tgprox", "betag", "ugclaims",
+                                               "gprox", "semigr", "maximality",
+                                               "equinormal", "densesub"])
+    assert report.ok
+    for name, keys in runs.items():
+        assert keys, name
+        assert len(keys) == len(set(keys)), name

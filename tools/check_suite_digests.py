@@ -8,13 +8,15 @@ file is only read.  Run it from any directory:
 
     python3 tools/check_suite_digests.py
 
-It prints one line per seed and exits 1 if any digest differs.
+It prints one line per seed, the verdict followed by each family's CPU
+seconds, and exits 1 if any digest differs.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import time
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -28,20 +30,24 @@ SCALE = "full"
 
 
 def seed_digests(seed):
-    """Each family's invariants digest and the merged report's, by name."""
+    """Each family's invariants digest and the merged report's, by name,
+    and each family's CPU seconds, by name."""
     from eqprox.suite import run_suite
     cfg = SUITE_SCALES[SCALE]
     out = {}
+    cpu = {}
     invariants = []
     for fam in cfg["families"]:
+        start = time.process_time()
         part = run_suite(filters=list(family_filters(fam)),
                          max_n=cfg["max_n"], max_group=cfg["max_group"],
                          seed=seed).to_json()
+        cpu[fam] = time.process_time() - start
         out[fam] = digest(part["invariants"])
         invariants.extend(part["invariants"])
     out["report"] = digest(merged_report(seed, cfg["max_n"], cfg["max_group"],
                                          invariants))
-    return out
+    return out, cpu
 
 
 def main():
@@ -49,11 +55,11 @@ def main():
     recorded = load_digests()[SCALE]
     bad = 0
     for seed in sorted(recorded, key=int):
-        got = seed_digests(int(seed))
+        got, cpu = seed_digests(int(seed))
         diff = sorted(k for k in recorded[seed] if got.get(k) != recorded[seed][k])
-        print(f"{SCALE} seed {seed}: " + ("ok" if not diff else
-                                          "DIFFERS in " + ", ".join(diff)),
-              flush=True)
+        verdict = "ok" if not diff else "DIFFERS in " + ", ".join(diff)
+        times = ", ".join(f"{fam} {s:.1f} s" for fam, s in cpu.items())
+        print(f"{SCALE} seed {seed}: {verdict}  {times}", flush=True)
         bad += bool(diff)
     return 1 if bad else 0
 
