@@ -8,9 +8,10 @@ checks cheap integer algebra even when the quantifiers range over all
 ``8**n`` subset triples.  The axiom oracle treats the table as a bit
 matrix: it transposes it by block swaps and reverses rows and columns a
 byte at a time (Warren, *Hacker's Delight*, ch. 7), so its table work is
-Theta(n * 4**n) bit operations carried out on whole 2**n-bit integers.
-Tables repeat rows: one induced by a basis often holds only a few dozen
-distinct rows among its 2**n.  So the axioms that read a row only through
+at most Theta(n * 4**n) bit operations carried out on whole 2**n-bit
+integers.  Tables repeat rows: one induced by a basis often holds only a
+few dozen distinct rows among its 2**n.  So symmetry is decided from the
+distinct rows when they are few, the axioms that read a row only through
 its value are decided once per distinct row, and the far-pair searches
 visit one pair per distinct (row, column) combination.
 
@@ -123,24 +124,46 @@ def _low_half_masks(n):
 
 
 def _transpose(rows, n):
-    """Columns of a 2**n x 2**n bit matrix given by its row integers.
+    """A 2**m x 2**n bit matrix, given by its 2**m row integers (m <= n),
+    with each aligned 2**m x 2**m block transposed; with m = n, the
+    columns of the matrix.
 
-    Bit c of column r is bit r of row c.  Round j swaps, between rows r and
-    r | 2**j (bit j of r clear), the bits whose column has bit j clear in
-    the lower row with their partners 2**j higher in the upper row; after
-    all n rounds every bit has had its row and column indices exchanged.
+    Bit c*2**m + i of result k is bit c*2**m + k of row i.  Round j swaps,
+    between rows r and r | 2**j (bit j of r clear), the bits whose column
+    has bit j clear in the lower row with their partners 2**j higher in the
+    upper row; after m rounds every bit has had its row index and the low
+    m bits of its column index exchanged.
     """
     cols = list(rows)
-    N = 1 << n
-    for j, lo in enumerate(_low_half_masks(n)):
+    M = len(rows)
+    for j, lo in enumerate(_low_half_masks(n)[:M.bit_length() - 1]):
         s = 1 << j
-        for r in range(N):
+        for r in range(M):
             if r & s:
                 continue
             t = ((cols[r] >> s) ^ cols[r | s]) & lo
             cols[r | s] ^= t
             cols[r] ^= t << s
     return cols
+
+
+def _symmetric_by_classes(rows, rep, firsts, n):
+    """Whether the table is symmetric, decided from its distinct rows (by
+    their first indices ``firsts`` and each index's first copy ``rep``) as
+    `check_axioms` says; False, undecided, when the rows padded to a power
+    of two are more than half of the 2**n rows."""
+    m = (len(firsts) - 1).bit_length()
+    M = 1 << m
+    if 2 * M > 1 << n:
+        return False
+    pad = [0] * (M - len(firsts))
+    t = _transpose([rows[f] for f in firsts] + pad, n)
+    low, width = M - 1, (1 << M) - 1
+    sig = [t[b & low] >> (b & ~low) & width for b in range(1 << n)]
+    if sig != [sig[a] for a in rep]:
+        return False
+    q = [sig[f] for f in firsts] + pad
+    return _transpose(q, m) == q
 
 
 # _REVERSED_BYTES[b] is the byte b with its 8 bits in reverse order.
@@ -311,25 +334,44 @@ def check_axioms(p, cap=AXIOM_CHECK_CAP):
     so each quantifier over subsets becomes a whole-integer operation
     (Warren, *Hacker's Delight*, ch. 7):
 
-    * P2 compares each row with the matching column of the transpose,
-      built in place by n rounds of block swaps (``_transpose``).
+    * P1 ORs each row with the sets that miss its index, one row of the
+      reversed submask table; the row passes when the OR is full.
+    * P2 is decided from the r distinct rows v_0..v_{r-1} (first copies
+      f_0..f_{r-1}) when r, padded to a power of two R, is at most half
+      of the rows (``_symmetric_by_classes``).  One block transpose of
+      the padded rows gives each index b its signature K_b = {k : v_k
+      holds b}.  The table is symmetric iff (S) K_b = K_{f_k} for every
+      b in the class of v_k, so every row is a union of classes, and
+      (Q) the r x r matrix with rows K_{f_l} is symmetric, which one more
+      block transpose at width R decides: symmetry makes K_b the set of
+      k with f_k in row b, so S, and Q is symmetry at the first copies;
+      conversely S and Q carry bit b of row a to bit a of row b through
+      the first copies of both rows.  A symmetric table is its own
+      transpose.  Otherwise the rows are compared with the columns of the
+      full transpose, n rounds of block swaps, which also gives the first
+      asymmetric pair.
     * P4 compares each row with the intersectors of the points it is near;
       the lowest differing bit is the first violation.
     * The strong-neighborhood tables of P5 and P5' are bit reversals of
       complemented rows and columns, done a byte at a time through a
       256-entry table (``_reverse_bits``).
+    * P5' reads, for each row A, the OR of the submasks of X \\ C over the
+      strong neighborhoods C of A.  C is one iff X \\ C is far from A, so
+      the OR is the down-closure of the far sets of A: n shift-ORs.
     * P6 ANDs each point row once with the bits of the other singletons.
 
-    P1, P2 and the transpose cost Theta(n * 2**n) integer operations on
+    P1 and the representative list cost Theta(2**n) integer operations on
     2**n-bit integers.  P4, P5 and P5' read row A only through its value,
     so they are decided once per distinct row value, and their first
     violation in index order is still found: it falls on the first copy
     of its row.  For the same reason the far-pair searches visit B only at
     the first copy of each distinct (row, column) pair.  With r distinct
-    rows and c distinct such pairs, they cost Theta(r * 2**n) integer
-    operations for the tables plus at most r * c far-pair tests; a table
-    with all rows distinct (the finest one, ``Prox.overlap``) still visits
-    every far pair.
+    rows and c distinct such pairs, the tables cost Theta(n * r) integer
+    operations, P2 on the class path Theta(r * log r + 2**n), and the
+    searches at most r * c far-pair tests (c = r on a symmetric table).
+    A table with more than half of its rows distinct, or an asymmetric
+    one, also pays the full transpose, Theta(n * 2**n); one with all rows
+    distinct (the finest, ``Prox.overlap``) still visits every far pair.
     """
     carrier = p.carrier
     n = carrier.n
@@ -342,31 +384,16 @@ def check_axioms(p, cap=AXIOM_CHECK_CAP):
 
     results = {}
 
-    # P1: intersecting pairs must be near.
+    # P1: intersecting pairs must be near.  misses[a] holds the sets
+    # disjoint from a, so a row passes when it holds every other set.
+    misses = _submask_table(n)[::-1]
     results["P1"] = (True, None)
-    for a in range(N):
-        viol = _intersectors(a, n) & ~rows[a] & full_bits
+    for a, row in enumerate(rows):
+        viol = full_bits ^ (row | misses[a])
         if viol:
             b = (viol & -viol).bit_length() - 1
             results["P1"] = (False, (subset(a), subset(b)))
             break
-
-    # P2: symmetry, against the transposed table.
-    cols = _transpose(rows, n)
-    results["P2"] = (True, None)
-    for a in range(N):
-        viol = rows[a] & ~cols[a] & full_bits
-        if viol:
-            b = (viol & -viol).bit_length() - 1
-            results["P2"] = (False, (subset(a), subset(b)))
-            break
-
-    # P3: the empty set is near nothing.
-    if rows[0]:
-        b = (rows[0] & -rows[0]).bit_length() - 1
-        results["P3"] = (False, (frozenset(), subset(b)))
-    else:
-        results["P3"] = (True, None)
 
     # P4, P5 and P5' read row a only through its value rows[a] and tables
     # indexed by b, so a later copy of a row value passes exactly when its
@@ -375,13 +402,36 @@ def check_axioms(p, cap=AXIOM_CHECK_CAP):
     # The far-pair verdict for (a, b) reads b only through rows[b] and
     # cols[b], so the searches visit only the bits of `searched`, the
     # first index of each distinct (row, column) pair.
-    first, cfirst, pfirst = {}, {}, {}
+    first = {}
     rep = [first.setdefault(row, a) for a, row in enumerate(rows)]
-    crep = [cfirst.setdefault(col, b) for b, col in enumerate(cols)]
-    for b, pair in enumerate(zip(rep, crep)):
-        pfirst.setdefault(pair, b)
-    searched = sum(1 << b for b in pfirst.values())
-    firsts = first.values()
+    firsts = list(first.values())
+
+    # P2: symmetry.  A symmetric table is its own transpose: its columns,
+    # their first copies and its (row, column) pairs are its rows.
+    results["P2"] = (True, None)
+    if _symmetric_by_classes(rows, rep, firsts, n):
+        cols, crep = rows, rep
+        searched = sum(1 << a for a in firsts)
+    else:
+        cols = _transpose(rows, n)
+        for a in range(N):
+            viol = rows[a] & ~cols[a] & full_bits
+            if viol:
+                b = (viol & -viol).bit_length() - 1
+                results["P2"] = (False, (subset(a), subset(b)))
+                break
+        cfirst, pfirst = {}, {}
+        crep = [cfirst.setdefault(col, b) for b, col in enumerate(cols)]
+        for b, pair in enumerate(zip(rep, crep)):
+            pfirst.setdefault(pair, b)
+        searched = sum(1 << b for b in pfirst.values())
+
+    # P3: the empty set is near nothing.
+    if rows[0]:
+        b = (rows[0] & -rows[0]).bit_length() - 1
+        results["P3"] = (False, (frozenset(), subset(b)))
+    else:
+        results["P3"] = (True, None)
 
     # P4: near(A, BuC) iff near(A,B) or near(A,C).  Equivalent to: the row is
     # determined by its singleton bits (all-near if the empty bit is set).
@@ -415,8 +465,8 @@ def check_axioms(p, cap=AXIOM_CHECK_CAP):
     #   sn[a]   = {a1 : A is far from X \ A1}, the reversed complement of row a
     #   cutb[b] = {c  : X \ C is far from B}, the reversed complement of column b
     sn = {a: _reverse_bits(~rows[a] & full_bits, N) for a in firsts}
-    cut_of = {b: _reverse_bits(~cols[b] & full_bits, N)
-              for b in cfirst.values()}
+    cut_of = sn if cols is rows else {
+        b: _reverse_bits(~cols[b] & full_bits, N) for b in cfirst.values()}
     cutb = [cut_of[b] for b in crep]
 
     # P5: every far pair admits a cut set C with A far C and X\C far B.
@@ -437,10 +487,15 @@ def check_axioms(p, cap=AXIOM_CHECK_CAP):
             break
 
     # P5': every far pair has disjoint strong neighborhoods.  Searched
-    # independently of P5 through the submask table: reach[b] is the OR of
-    # the submask rows of the complements of b's strong neighborhoods.
-    complement_submasks = _submask_table(n)[::-1]
-    reach_of = {a: _join_mask(complement_submasks, sn[a]) for a in firsts}
+    # independently of P5: reach[b] is the down-closure of the sets far
+    # from B, which is the OR of the submask rows of the complements of
+    # B's strong neighborhoods.
+    reach_of = {}
+    for a in firsts:
+        down = ~rows[a] & full_bits
+        for j, lo in enumerate(_low_half_masks(n)):
+            down |= down >> (1 << j) & lo
+        reach_of[a] = down
     reach = [reach_of[a] for a in rep]
     results["P5prime"] = (True, None)
     done = False

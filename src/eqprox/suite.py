@@ -479,7 +479,10 @@ def _per_germ_checks(res, want, label, germ, inject):
         ok, wit = semigroup_upgrade(bg, germ)
         res["semigr"].record(ok, label + "/betag", wit)
     if want["equinormal"]:
-        rep = check_equinormal(germ)
+        # The report reads the action at the deepest level only, so the
+        # chains sharing this germ's cache share one report per level.
+        rep = germ._cached(("equinormal", germ.ne.levels[germ.deep]),
+                           lambda: check_equinormal(germ))
         res["equinormal"].record(rep.equinormal and rep.agree, label, None)
     if want["densesub"]:
         group = germ.group

@@ -7,9 +7,10 @@ counterexample for counterexample, in the same axiom order.
 import random
 
 from axioms_reference import check_axioms_reference
+from test_proximity import distinct_rows, union_of_classes_table
 
-from eqprox.proximity import Prox, _intersectors, check_axioms, \
-    from_uniformity
+from eqprox.proximity import Prox, _intersectors, _symmetric_by_classes, \
+    _transpose, check_axioms, from_uniformity, meets_table
 from eqprox.setrel import Carrier
 from eqprox.suite import _graph_proximity, _random_valid_basis, basis_pool
 
@@ -151,3 +152,63 @@ def test_one_repeated_value_matches_reference():
             for a in (0, N - 1):
                 assert_same_report(
                     Prox(carrier, flipped(rows, a, rng)))
+
+
+def takes_class_path(rows, n):
+    """Whether check_axioms decides P2 from the distinct rows alone."""
+    return _symmetric_by_classes(rows, *distinct_rows(rows), n)
+
+
+def block_relation_table(rng, carrier, k):
+    """near(A, B) iff B meets the blocks related to a block A meets, for
+    a random partition into at most k blocks and a random reflexive block
+    relation, symmetric or not.  P1, P3 and P4 hold, and the table has at
+    most 2**k distinct rows."""
+    n = carrier.n
+    block = [rng.randrange(k) for _ in range(n)]
+    members = [sum(1 << x for x in range(n) if block[x] == c)
+               for c in range(k)]
+    related = [[c == d or rng.random() < 0.4 for d in range(k)]
+               for c in range(k)]
+    point_masks = [sum(members[d] for d in range(k) if related[block[x]][d])
+                   for x in range(n)]
+    return meets_table(carrier, [point_masks])
+
+
+def test_asymmetric_repeated_rows_match_reference():
+    # The class path says no on these, so the transposed table gives the
+    # P2 witness and the columns of the P5 and P5' searches.
+    rng = random.Random(18)
+    seen = 0
+    for n in range(2, 8):
+        carrier = Carrier(range(n))
+        N = 1 << n
+        for _ in range(25):
+            p = block_relation_table(rng, carrier, rng.randint(1, n - 1))
+            for rows in (list(p.rows), flipped(p.rows, rng.randrange(N), rng),
+                         class_map_table(rng, n, rng.randint(2, 6))):
+                if 2 * len(set(rows)) > N or rows == _transpose(rows, n):
+                    continue
+                assert not takes_class_path(rows, n)
+                assert_same_report(Prox(carrier, rows))
+                seen += 1
+    assert seen > 200, seen
+
+
+def test_half_and_one_more_distinct_rows_match_reference():
+    # N/2 distinct rows is the largest count decided from the rows; one
+    # more pads to N rows and takes the transpose.
+    rng = random.Random(19)
+    for n in range(1, 8):
+        carrier = Carrier(range(n))
+        N = 1 << n
+        for r in (N // 2, N // 2 + 1):
+            for t in range(6):
+                rows = union_of_classes_table(rng, n, r, t % 3 != 2)
+                assert len(set(rows)) == r
+                symmetric = rows == _transpose(rows, n)
+                assert takes_class_path(rows, n) == \
+                    (symmetric and r == N // 2)
+                assert_same_report(Prox(carrier, rows))
+                assert_same_report(
+                    Prox(carrier, flipped(rows, rng.randrange(N), rng)))

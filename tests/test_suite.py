@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from eqprox import gaction, suite
+from eqprox import equivariant, gaction, suite
 from eqprox.errors import InternalCheckFailure
 
 
@@ -86,10 +86,14 @@ def test_basis_pool_builds_at_twelve_points(seed):
 
 def test_main_family_classifies_each_setting_value_once(monkeypatch):
     # The chains of an action share one germ cache, so a classification is
-    # computed once per (action, deepest level, basis) and a push table
-    # once per (action, basis), however many chains reach them.
-    runs = {"classify": [], "push": []}
+    # computed once per (action, deepest level, basis), a push table once
+    # per (action, basis) and the equinormal axiom check once per β_G
+    # table, however many chains reach them.  The tables are kept in the
+    # lists, so their ids are never reused.
+    runs = {"classify": [], "push": [], "axioms": []}
     real_classify, real_push = gaction._classify, gaction._push_table
+    real_axioms, real_betag = equivariant.check_axioms, suite.beta_g_proximity
+    tables, betag_tables = [], []
 
     def classify(a, u):
         runs["classify"].append((id(a.group), a.act, a.ne.levels[a.deep], u))
@@ -99,8 +103,19 @@ def test_main_family_classifies_each_setting_value_once(monkeypatch):
         runs["push"].append((id(a.group), a.act, u))
         return real_push(a, u)
 
+    def check_axioms(p):
+        tables.append(p)
+        runs["axioms"].append(id(p))
+        return real_axioms(p)
+
+    def beta_g_proximity(a):
+        betag_tables.append(real_betag(a))
+        return betag_tables[-1]
+
     monkeypatch.setattr(gaction, "_classify", classify)
+    monkeypatch.setattr(equivariant, "check_axioms", check_axioms)
     monkeypatch.setattr(gaction, "_push_table", push_table)
+    monkeypatch.setattr(suite, "beta_g_proximity", beta_g_proximity)
     report = suite.run_suite(max_n=3, filters=["tgprox", "betag", "ugclaims",
                                                "gprox", "semigr", "maximality",
                                                "equinormal", "densesub"])
@@ -108,3 +123,5 @@ def test_main_family_classifies_each_setting_value_once(monkeypatch):
     for name, keys in runs.items():
         assert keys, name
         assert len(keys) == len(set(keys)), name
+    # Every β_G table the chains reach is checked, under its own level.
+    assert set(runs["axioms"]) == {id(p) for p in betag_tables}
