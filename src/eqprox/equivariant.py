@@ -29,7 +29,10 @@ a separation scan that, for each row, compares two bitsets built from the
 two mask routes (forward translates and inverse pullbacks) at the deepest
 level.  The scan costs Theta(n * 2**n) mask operations, so the axiom check
 dominates.  Invariance permutes each row's bit positions by delta
-swaps, at most n - 1 per row and group element.
+swaps, at most n - 1 per row and generator of the group: the first
+element that breaks invariance is always a generator.  The semigroup
+upgrade ANDs each row's far sets with one pullback per level of the row
+of its translate, the OR of the preimage masks of the translate map.
 """
 
 from __future__ import annotations
@@ -183,22 +186,32 @@ def beta_g_proximity(a):
 def is_g_invariant(p, a):
     """Whether near(A, B) implies near(gA, gB) for every group element.
 
-    For each g and row A, the row of gA is carried back to the set of B
+    The g that keep nearness are closed under the product (the action law
+    holds), and each index outside the group's generating set `gens` lies
+    in the closure of the indices before it.  So the first g in index
+    order that breaks nearness is a generator, and only the generators are
+    scanned, once per distinct permutation other than the identity.  For
+    each such g and row A, the row of gA is carried back to the set of B
     with near(gA, gB) by permuting its bit positions with the subset-index
     permutation of g^{-1}: at most n - 1 delta swaps of one 2**n-bit
-    integer.  The violators are the bits of row A outside it, and the
-    witness is the first (g, A, B) in ascending order.
+    integer, so 2**n rows of at most n - 1 swaps per generator.  The
+    violators are the bits of row A outside it, and the witness is the
+    first (g, A, B) in ascending order.
     """
+    _check_carrier(p, a)
     carrier = a.carrier
-    n = carrier.n
-    N = 1 << n
     rows = p.rows
     group = a.group
-    for g in range(group.order):
-        maskmap = _join_table([1 << x for x in a.act[g]])
+    seen = {tuple(range(carrier.n))}
+    for g in group.gens:
+        perm = a.act[g]
+        if perm in seen:
+            continue
+        seen.add(perm)
+        maskmap = _join_table([1 << x for x in perm])
         swaps = _index_bit_swaps(a.act[group.inv[g]])
-        for am in range(N):
-            viol = rows[am] & ~_permute_index_bits(rows[maskmap[am]], swaps)
+        for am, row in enumerate(rows):
+            viol = row & ~_permute_index_bits(rows[maskmap[am]], swaps)
             if viol:
                 b = (viol & -viol).bit_length() - 1
                 return False, (group.names[g], carrier.mask_subset(am),
@@ -209,6 +222,7 @@ def is_g_invariant(p, a):
 def is_action_compatible(p, a):
     """Whether every far pair has disjoint translates at some chain level,
     that is, is far in the maximal group proximity."""
+    _check_carrier(p, a)
     carrier = a.carrier
     bg = beta_g_proximity(a).rows
     for am, row in enumerate(p.rows):
@@ -223,23 +237,45 @@ def semigroup_upgrade(p, a):
     """The strengthened compatibility: every far pair has translates that
     are far (not merely disjoint) at some chain level.  Every level is
     scanned: p need not satisfy P4, so farness need not pass down to the
-    deepest level's smaller translates."""
+    deepest level's smaller translates.
+
+    The scan runs on whole rows.  At level V, B is near A's translate
+    exactly when VB is in row VA, so the B with near(VA, VB) are the
+    pullback of that row through the translate map m -> Vm: the OR of the
+    preimage masks of the translates in the row.  The violators of row A
+    are its far sets that lie in the pullback at every level, and the
+    witness is the first (A, B) in ascending order.  A pullback is
+    computed once per level and row value within the call.
+    """
+    _check_carrier(p, a)
     carrier = a.carrier
-    n = carrier.n
-    N = 1 << n
-    full_bits = (1 << N) - 1
     rows = p.rows
-    level_trans = [a.level_translates(li) for li in range(len(a.ne.levels))]
-    for am in range(N):
-        faror = ~rows[am] & full_bits
-        while faror:
-            low = faror & -faror
-            b = low.bit_length() - 1
-            if not any(not rows[trans[am]] >> trans[b] & 1
-                       for trans in level_trans):
-                return False, (carrier.mask_subset(am), carrier.mask_subset(b))
-            faror ^= low
+    full_bits = (1 << len(rows)) - 1
+    levels = []
+    for li in range(len(a.ne.levels)):
+        trans = a.level_translates(li)
+        preimage = {}
+        for m, t in enumerate(trans):
+            preimage[t] = preimage.get(t, 0) | 1 << m
+        levels.append((trans, tuple(preimage.items()), {}))
+    for am, row in enumerate(rows):
+        viol = ~row & full_bits
+        for trans, preimage, pulled in levels:
+            if not viol:
+                break
+            r = rows[trans[am]]
+            if r not in pulled:
+                pulled[r] = sum(mask for t, mask in preimage if r >> t & 1)
+            viol &= pulled[r]
+        if viol:
+            b = (viol & -viol).bit_length() - 1
+            return False, (carrier.mask_subset(am), carrier.mask_subset(b))
     return True, None
+
+
+def _check_carrier(p, a):
+    if p.carrier != a.carrier:
+        raise CarrierMismatch("proximity is not over the action's carrier")
 
 
 @dataclass(frozen=True)

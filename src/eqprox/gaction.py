@@ -318,9 +318,10 @@ class GActionGerm:
     indices; the homomorphism law and bijectivity are validated.  The law
     act[gh] = act[g] o act[h] is checked for g in the group's generating
     set `gens` and every h: the g it holds for (for all h) are closed
-    under the product, by associativity, so it then holds for every g.
-    Only when that check fails does the full (g, h) scan run, so the
-    reported pair is the first one in index order.
+    under the product, by associativity.  Each index outside `gens` lies
+    in the closure of the indices before it, so the first g in index order
+    that breaks the law is a generator, and the first failing pair of the
+    `gens` scan is the first one of the full (g, h) scan.
 
     The cache of tables and verdicts (`_cached`) belongs to the action,
     not to the chain: its keys hold level and basis values, never a chain
@@ -342,16 +343,12 @@ class GActionGerm:
                     f"action of {group.names[g]!r} is not a carrier permutation")
         if act[group.e] != tuple(range(n)):
             raise ValueError("identity must act as the identity permutation")
-        if not all(tuple(map(act[g].__getitem__, act[h])) == act[gh]
-                   for g in group.gens for h, gh in enumerate(group.mul[g])):
-            for g in range(group.order):
-                for h in range(group.order):
-                    gh = group.mul[g][h]
-                    composed = tuple(map(act[g].__getitem__, act[h]))
-                    if composed != act[gh]:
-                        raise ValueError(
-                            "action law fails at pair "
-                            f"({group.names[g]!r}, {group.names[h]!r})")
+        for g in group.gens:
+            for h, gh in enumerate(group.mul[g]):
+                if tuple(map(act[g].__getitem__, act[h])) != act[gh]:
+                    raise ValueError(
+                        "action law fails at pair "
+                        f"({group.names[g]!r}, {group.names[h]!r})")
         self.group = group
         self.ne = ne
         self.carrier = carrier

@@ -1,14 +1,17 @@
 import random
+from collections import Counter
 
 import pytest
 from equivariant_reference import bracket_entourage_reference
+from test_equivariant_differential import flip_one_bit
 
 from eqprox import equivariant
 from eqprox.equivariant import beta_g_proximity, betag_on_subgroup_agrees, \
     bracket_entourage, check_equinormal, compute_ug, deepest_orbits_coincide, \
     enumerate_partition_proximities, is_action_compatible, is_g_invariant, \
     is_massive, nu_proximity, semigroup_upgrade, subgroup_germ
-from eqprox.errors import InternalCheckFailure, PreconditionFailure
+from eqprox.errors import CarrierMismatch, InternalCheckFailure, \
+    PreconditionFailure
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify
 from eqprox.proximity import Prox, check_axioms, dominates, from_uniformity, \
     is_separated
@@ -306,6 +309,109 @@ def test_g_invariance_witness_on_asymmetric_relation():
     ok, witness = is_g_invariant(skew, a)
     assert not ok
     assert witness is not None
+
+
+@pytest.mark.parametrize("scan", [is_g_invariant, is_action_compatible,
+                                  semigroup_upgrade])
+@pytest.mark.parametrize("elements", [["a", "b"], ["a", "b", "c", "d"],
+                                      ["a", "c", "b"]])
+def test_group_action_scans_reject_a_table_over_another_carrier(
+        scan, elements):
+    # Two and four points would index past or short of the germ's rows;
+    # three points in another order would name the wrong elements.
+    a = z2_swap_fixing_c()
+    with pytest.raises(CarrierMismatch, match="action's carrier"):
+        scan(Prox.overlap(Carrier(elements)), a)
+
+
+def semigroup_upgrade_oracle(p, a):
+    """The strengthened compatibility read literally: each chain level V
+    is applied to the points of A through the action to give VA, and
+    every far pair (A, B) in ascending order is tried against every
+    level."""
+    c = a.carrier
+    n = c.n
+
+    def translate(level, m):
+        return sum({1 << a.act[v][x] for v in level for x in range(n)
+                    if m >> x & 1})
+
+    trans = [[translate(level, m) for m in range(1 << n)]
+             for level in a.ne.levels]
+    for am in range(1 << n):
+        for bm in range(1 << n):
+            if p.rows[am] >> bm & 1:
+                continue
+            if all(p.rows[t[am]] >> t[bm] & 1 for t in trans):
+                return False, (c.mask_subset(am), c.mask_subset(bm))
+    return True, None
+
+
+def test_semigroup_upgrade_matches_oracle_on_suite_germs():
+    # Every germ of the family, with beta_G and every distinct nu table,
+    # each as it is and with one bit flipped.
+    rng = random.Random(51)
+    tables = {}
+    for _label, germ, u in iter_family(max_n=4, seed=0):
+        key = (id(germ.group), germ.ne.levels, germ.carrier.n, germ.act)
+        nus = tables.setdefault(key, (germ, {beta_g_proximity(germ).rows}))[1]
+        nus.add(nu_proximity(germ, u).rows)
+    outcomes = Counter()
+    for germ, rows in tables.values():
+        for r in sorted(rows):
+            p = Prox(germ.carrier, r)
+            for q in (p, flip_one_bit(p, rng), flip_one_bit(p, rng)):
+                want = semigroup_upgrade_oracle(q, germ)
+                assert semigroup_upgrade(q, germ) == want, (germ, q.rows)
+                outcomes[want[0]] += 1
+    assert outcomes[True] >= 1000 and outcomes[False] >= 40, outcomes
+
+
+def test_semigroup_upgrade_matches_oracle_on_tables_without_p4():
+    # Random rows break P4 on most carriers, so farness of a pair need not
+    # pass to the smaller translates of a deeper level.  A deepest level
+    # that fixes every point separates each far pair by itself, so only
+    # germs whose deepest level moves a point are drawn.
+    rng = random.Random(52)
+    germs = {}
+    for _label, germ, _u in iter_family(max_n=4, seed=0):
+        moved = any(m != 1 << x for x, m in
+                    enumerate(germ.level_elem_masks(germ.deep)))
+        if moved:
+            germs[(id(germ.group), germ.ne.levels, germ.carrier.n,
+                   germ.act)] = germ
+    outcomes = Counter()
+    for germ in germs.values():
+        N = 1 << germ.carrier.n
+        for density in (0.02, 0.02, 0.1, 0.5, 0.9):
+            rows = [sum(1 << b for b in range(N) if rng.random() < density)
+                    for _ in range(N)]
+            p = Prox(germ.carrier, rows)
+            want = semigroup_upgrade_oracle(p, germ)
+            assert semigroup_upgrade(p, germ) == want, (germ, rows)
+            outcomes[want[0]] += 1
+            outcomes["P4"] += check_axioms(p).ok(("P4",))
+    assert outcomes[True] >= 30 and outcomes[False] >= 40, outcomes
+    assert outcomes["P4"] * 4 < outcomes[True] + outcomes[False], outcomes
+
+
+def test_semigroup_upgrade_reads_the_upper_level():
+    # Z4 rotating four points, chain (Z4, {0, 2}).  The table is near
+    # everywhere except ({0}, {1}) and (X, X) for the whole carrier X.  At
+    # the deepest level {0} and {1} become {0, 2} and {1, 3}, which are
+    # near; only the upper level, which makes both X, separates them.
+    g = FiniteGroup.cyclic(4)
+    c = Carrier(range(4))
+    act = [tuple((x + k) % 4 for x in range(4)) for k in range(4)]
+    whole, half = frozenset(range(4)), frozenset({0, 2})
+    far = {(frozenset({0}), frozenset({1})), (whole, whole)}
+    p = Prox.from_predicate(c, lambda s, t: (s, t) not in far)
+    two = GActionGerm(g, NeighborhoodBase(g, [whole, half]), c, act)
+    deep = two.on_chain(NeighborhoodBase(g, [half]))
+    assert semigroup_upgrade(p, two) == semigroup_upgrade_oracle(p, two) \
+        == (True, None)
+    assert semigroup_upgrade(p, deep) == semigroup_upgrade_oracle(p, deep) \
+        == (False, (frozenset({0}), frozenset({1})))
 
 
 def test_equinormal_on_standard_instances():

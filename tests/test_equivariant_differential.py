@@ -27,6 +27,7 @@ from equivariant_reference import _level_pullback, \
     nu_proximity_reference, push_rel, separation_ok_reference, \
     set_translate_mask, translate_mask, validate_basis_reference
 
+from eqprox import equivariant
 from eqprox.cli import _entry_reader
 from eqprox.document import load_instance
 from eqprox.equivariant import _separation_ok, beta_g_proximity, \
@@ -202,6 +203,88 @@ def test_random_non_invariant_tables_match_reference():
             assert_same_invariance(Prox(a.carrier, rows), a)
             # One flipped bit of an invariant table fails deep in the scan.
             assert_same_invariance(flip_one_bit(beta_g_proximity(a), rng), a)
+
+
+def z6_germs():
+    """Z6 by its multiplication table, element 3a + b standing for (a, b)
+    in Z2 x Z3, so that its generating set is (0, 1, 3).  It acts through
+    its Z2 quotient (on 2 and 4 points), its Z3 quotient (on 3 points) and
+    both (on 5 points), on chains ending at e, at Z3, at Z2 and at the
+    whole group.  The quotient actions are not faithful: one generator
+    acts as the identity."""
+    mul = [[3 * ((i // 3 + j // 3) % 2) + (i + j) % 3 for j in range(6)]
+           for i in range(6)]
+    group = FiniteGroup([f"{i // 3}{i % 3}" for i in range(6)], mul)
+    assert group.gens == (0, 1, 3)
+    whole = frozenset(range(6))
+    chains = [[whole], [whole, {0}], [whole, {0, 1, 2}], [whole, {0, 3}]]
+
+    def act(i, n):
+        a, b = divmod(i, 3)
+        two = [x ^ a for x in range(4)]
+        three = [2 + (x + b) % 3 for x in range(3)]
+        return {2: two[:2], 4: two, 3: [x - 2 for x in three],
+                5: two[:2] + three}[n]
+
+    for n in (2, 3, 4, 5):
+        for levels in chains:
+            yield GActionGerm(group, NeighborhoodBase(group, levels),
+                              Carrier(range(n)),
+                              [act(i, n) for i in range(6)])
+
+
+def s4_germs():
+    """S4 from two permutation generators, acting on 4 points and on 5
+    points with the last fixed, on chains ending at e, at the Klein four
+    group and at S4."""
+    group, elems = FiniteGroup.from_permutations([(1, 0, 2, 3), (1, 2, 3, 0)])
+    klein = {elems.index(p) for p in
+             [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]}
+    whole = frozenset(range(group.order))
+    for n in (4, 5):
+        act = [p + tuple(range(4, n)) for p in elems]
+        for levels in ([whole], [whole, {group.e}], [whole, klein]):
+            yield GActionGerm(group, NeighborhoodBase(group, levels),
+                              Carrier(range(n)), act)
+
+
+def test_quotient_and_permutation_group_actions_match_reference():
+    rng = random.Random(36)
+    for a in list(z6_germs()) + list(s4_germs()):
+        bg = beta_g_proximity(a)
+        assert_same_invariance(bg, a)
+        for _ in range(3):
+            assert_same_invariance(flip_one_bit(bg, rng), a)
+        N = 1 << a.carrier.n
+        assert_same_invariance(
+            Prox(a.carrier, [rng.getrandbits(N) for _ in range(N)]), a)
+        for _blocks, rho in enumerate_partition_proximities(a.carrier):
+            assert_same_invariance(rho, a)
+
+
+def test_invariance_scans_each_distinct_generator_permutation_once(
+        monkeypatch):
+    # Z2 x Z2 acting on two points by the sum of its coordinates has two
+    # generators with one permutation; the Z6 quotient actions have a
+    # generator acting as the identity.
+    mul = [[i ^ j for j in range(4)] for i in range(4)]
+    klein = FiniteGroup(["e", "a", "b", "ab"], mul)
+    assert klein.gens == (0, 1, 2)
+    summed = GActionGerm(klein, NeighborhoodBase(klein, [frozenset({0})]),
+                         Carrier(range(2)),
+                         [(0, 1), (1, 0), (1, 0), (0, 1)])
+    calls = []
+    swaps = equivariant._index_bit_swaps
+    monkeypatch.setattr(equivariant, "_index_bit_swaps",
+                        lambda perm: calls.append(perm) or swaps(perm))
+    counts = []
+    for a in [summed] + list(z6_germs()) + list(s4_germs()):
+        calls.clear()
+        assert is_g_invariant(beta_g_proximity(a), a) == (True, None)
+        moved = {a.act[g] for g in a.group.gens} - {tuple(range(a.carrier.n))}
+        assert len(calls) == len(moved), a
+        counts.append(len(calls))
+    assert counts[0] == 1 and min(counts) == 1 and max(counts) == 2, counts
 
 
 def test_join_table_proximities_match_reference_on_suite_germs():

@@ -3,7 +3,9 @@
 `FiniteGroup` decides associativity by Light's test on a generating set
 and `GActionGerm` checks the action law on the generators only; both
 must give the verdict and the message of the k^3 triple scan and the
-(g, h) pair scan kept in `group_reference.py`.
+(g, h) pair scan kept in `group_reference.py`.  The action law message is
+also compared with the law read literally (`law_failure`) on renumbered
+groups, where the generators are not the first indices.
 """
 
 import random
@@ -189,6 +191,61 @@ def test_actions_match_full_scan(kind, n_points):
         assert got == want, bad
         kinds[want[0] if want[0] == "ok" else want[1].split(" ")[0]] += 1
     assert kinds["ok"] >= 10 and kinds["action"] >= 10, kinds
+
+
+def law_failure(group, act):
+    """The action law read literally: the message naming the first (g, h)
+    in index order with act[gh] != act[g] o act[h], or None."""
+    for g in range(group.order):
+        for h in range(group.order):
+            composed = tuple(act[g][x] for x in act[h])
+            if composed != tuple(act[group.mul[g][h]]):
+                return ("action law fails at pair "
+                        f"({group.names[g]!r}, {group.names[h]!r})")
+    return None
+
+
+def test_action_law_message_matches_the_pair_oracle():
+    # Valid actions of Z2-Z6 (regular, h -> gh), S3 and S4 (on 3 and 4
+    # points) with their elements renumbered at random, so that the
+    # identity and the generators sit anywhere; then one or two elements
+    # other than the identity are moved off the law.
+    rng = random.Random(24)
+    actions = [(cyclic_table(k), cyclic_table(k)) for k in range(2, 7)]
+    for perms in ([(1, 0, 2), (1, 2, 0)], [(1, 0, 2, 3), (1, 2, 3, 0)]):
+        group, elems = FiniteGroup.from_permutations(perms)
+        actions.append((group.mul, elems))
+    kinds = Counter()
+    for _ in range(400):
+        mul, elems = rng.choice(actions)
+        k = len(mul)
+        s = rng.sample(range(k), k)
+        table = [[0] * k for _ in range(k)]
+        act = [None] * k
+        for a in range(k):
+            act[s[a]] = list(elems[a])
+            for b in range(k):
+                table[s[a]][s[b]] = s[mul[a][b]]
+        group = FiniteGroup([f"x{i}" for i in range(k)], table)
+        n = len(act[0])
+        others = [g for g in range(k) if g != group.e]
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            g = rng.choice(others)
+            pick = rng.random()
+            if pick < 0.4:
+                x, y = rng.sample(range(n), 2)
+                act[g][x], act[g][y] = act[g][y], act[g][x]
+            elif pick < 0.7:
+                act[g] = list(act[rng.randrange(k)])
+            else:
+                rng.shuffle(act[g])
+        want = law_failure(group, act)
+        got = verdict(GActionGerm, group,
+                      NeighborhoodBase(group, [frozenset(range(k))]),
+                      Carrier(range(n)), act)
+        assert got[1] == want if want else got[0] == "ok", (table, act)
+        kinds["law" if want else "ok"] += 1
+    assert kinds["ok"] >= 50 and kinds["law"] >= 200, kinds
 
 
 def test_groups_at_the_cap():
