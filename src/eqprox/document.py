@@ -17,6 +17,7 @@ from fractions import Fraction
 from .errors import DocumentError, ResourceCap
 from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase
 from .metricprox import FiniteMetric, metric_uniformity
+from .rationals import parse_fraction
 from .setrel import DEFAULT_MAX_CARRIER, Carrier, Rel
 from .uniformity import UnifBase
 
@@ -171,11 +172,9 @@ def _rational(v):
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        if "e" in v or "E" in v:  # exponents can ask for a huge integer
-            raise DocumentError(f"bad rational {v!r}")
         try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
+            return parse_fraction(v)
+        except DocumentError:
             raise DocumentError(f"bad rational {v!r}") from None
     raise DocumentError(f"rationals must be strings or integers, got {v!r}")
 

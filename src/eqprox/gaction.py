@@ -325,7 +325,17 @@ class GActionGerm:
 
     The cache of tables and verdicts (`_cached`) belongs to the action,
     not to the chain: its keys hold level and basis values, never a chain
-    position, so `on_chain` rebinds the chain and keeps the cache.
+    position, so `on_chain` rebinds the chain and keeps the cache.  The
+    library keys are ("lem"|"ilem"|"trans", level), ("push", u),
+    ("cls", deepest level, u), ("betag", deepest level) and the suite's
+    ("equinormal", deepest level).  The suite's main family adds one key
+    per scan (`suite._once`), the scan function followed by the values it
+    reads: (saturate_uniformity, u), (nu_proximity, u, level masks),
+    (is_g_invariant, rows), (is_action_compatible, rows, deepest masks),
+    (semigroup_upgrade, rows, level masks), (from_uniformity, u),
+    (refinement_equivalent, u, v), (dominates, rows, rows) and the
+    G-proximity candidates per deepest masks; "level masks" is the tuple
+    of every level's forward point masks.
     """
 
     __slots__ = ("group", "ne", "carrier", "act", "deep", "_cache",

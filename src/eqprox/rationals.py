@@ -27,6 +27,7 @@ disjoint.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -548,13 +549,23 @@ def _outside(o):
 # Command-line grammar
 
 
+# ASCII digits only: `Fraction` would also take other Unicode digits, and
+# digit-group underscores or spaces around "/" on some Python versions.
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+
 def parse_fraction(text):
-    """A rational "p/q", "p" or decimal "d.d"; exponent notation is refused
-    before `Fraction` could build a huge integer from it."""
-    text = text.strip()
+    """A rational "p/q", "p" or decimal "d.d" in ASCII digits with an
+    optional sign, between optional ASCII whitespace.  Exponent notation
+    is refused by name, before `Fraction` could build a huge integer from
+    it; the document reader takes the same grammar."""
+    text = text.strip(" \t\n\r\f\v")
     if "e" in text or "E" in text:
         raise DocumentError(f"bad rational {text!r}: exponents are not "
                             "supported, write p/q")
+    if not _RATIONAL.fullmatch(text):
+        raise DocumentError(f"bad rational {text!r}: write p/q, p or a "
+                            "decimal in ASCII digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

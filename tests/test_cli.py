@@ -529,6 +529,28 @@ def test_rat_exponent_literal_exits_2(capsys, argv):
     assert "exponents are not supported" in err
 
 
+@pytest.mark.parametrize("literal", ["1_000", "\u0661"])
+def test_rat_literal_off_the_ascii_grammar_exits_2(capsys, literal):
+    # `Fraction` reads both (the first from Python 3.11 on); the grammar
+    # is ASCII digits without separators on every version.
+    code, out, err = run(capsys, "rat", "far", "{" + literal + "}", "{1}")
+    assert (code, out) == (2, "")
+    assert f"bad rational {literal!r}" in err
+
+
+@pytest.mark.parametrize("literal", ["1_000", "\u0661"])
+def test_document_rational_off_the_ascii_grammar_exits_2(tmp_path, capsys,
+                                                         literal):
+    doc = json.loads(Path(fixture("z4_metric.json")).read_text(
+        encoding="utf-8"))
+    doc["metric"][0][1] = doc["metric"][1][0] = literal
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert f"bad rational {literal!r}" in err
+
+
 @pytest.mark.parametrize("literal", ["1e5000", "1E5000"])
 def test_document_exponent_rational_exits_2(tmp_path, capsys, literal):
     doc = json.loads(Path(fixture("z4_metric.json")).read_text(

@@ -1,10 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from eqprox.document import load_instance
 from eqprox.errors import DocumentError
+from test_rationals import OFF_GRAMMAR
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -77,6 +79,26 @@ def test_rational_strings_only():
     doc["metric"][0][1] = 1.0
     with pytest.raises(DocumentError, match="rationals must be strings"):
         load_instance(doc)
+
+
+def _metric_doc(entry):
+    doc = json.loads(Path(fixture("z4_metric.json")).read_text())
+    doc["metric"][0][1] = doc["metric"][1][0] = entry
+    return doc
+
+
+@pytest.mark.parametrize("literal", OFF_GRAMMAR)
+def test_rationals_off_the_grammar_are_refused(literal):
+    # The document reader shares `rationals.parse_fraction`'s grammar.
+    message = "metric: bad rational " + repr(literal)
+    with pytest.raises(DocumentError, match="^" + re.escape(message) + "$"):
+        load_instance(_metric_doc(literal))
+
+
+@pytest.mark.parametrize("literal", ["1", "+1", " 1 ", "1.0", "2/2", "01"])
+def test_rationals_on_the_grammar_are_read(literal):
+    assert load_instance(_metric_doc(literal)).metric.dist == \
+        load_instance(fixture("z4_metric.json")).metric.dist
 
 
 def test_action_must_be_permutation():

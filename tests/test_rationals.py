@@ -59,6 +59,28 @@ def test_parse_round_trip_and_errors():
     assert parse_chain("{1/2, -1}").points == (F(-1), F(1, 2))
 
 
+# Literals outside the ASCII grammar [+-]?digits[/digits] or a decimal.
+# `Fraction` takes the first two on Python 3.11 and later, "1 / 2" on
+# 3.12, and the non-ASCII digits and space on every version.
+OFF_GRAMMAR = ["1_000", "1/2_0", "\u0661", "\u0663/4", "1 / 2", "\u00a01",
+               "1/-2", "--1", "0x10", ".", ""]
+
+
+@pytest.mark.parametrize("text", OFF_GRAMMAR)
+def test_parse_fraction_refuses_literals_off_the_grammar(text):
+    with pytest.raises(DocumentError, match="bad rational"):
+        parse_fraction(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1/2", F(1, 2)), ("-3/4", F(-3, 4)), ("+7", F(7)), ("007", F(7)),
+    ("0.25", F(1, 4)), (".5", F(1, 2)), ("5.", F(5)), ("-.5", F(-1, 2)),
+    (" 1/3\t", F(1, 3)),
+])
+def test_parse_fraction_reads_the_grammar(text, value):
+    assert parse_fraction(text) == value
+
+
 def test_orbit_space_shapes():
     two = orbit_space(Chain((F(0), F(1))))
     assert two.labels() == ("(-inf,0)", "{0}", "(0,1)", "{1}", "(1,inf)")

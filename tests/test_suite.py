@@ -125,3 +125,119 @@ def test_main_family_classifies_each_setting_value_once(monkeypatch):
         assert len(keys) == len(set(keys)), name
     # Every β_G table the chains reach is checked, under its own level.
     assert set(runs["axioms"]) == {id(p) for p in betag_tables}
+
+
+def _forward_masks(a, level):
+    masks = [0] * a.carrier.n
+    for v in level:
+        for x, y in enumerate(a.act[v]):
+            masks[x] |= 1 << y
+    return tuple(masks)
+
+
+def test_main_family_runs_each_scan_once_per_action_and_value(monkeypatch):
+    # A scan runs once per action and per value it reads: the basis for
+    # saturation and `from_uniformity`, the rows for invariance, and the
+    # rows or basis with the point masks of the levels read for the
+    # others.  `from_uniformity` takes no germ, so its action is that of
+    # the last `classify` call, which opens every setting.
+    runs = []
+    current = [None]
+
+    def action(a):
+        return (id(a.group), a.carrier.n, a.act)
+
+    def chain(a):
+        return tuple(_forward_masks(a, level) for level in a.ne.levels)
+
+    keys = {
+        "saturate_uniformity": lambda a, u: (action(a), u),
+        "nu_proximity": lambda a, u: (action(a), u, chain(a)),
+        "is_g_invariant": lambda p, a: (action(a), p.rows),
+        "is_action_compatible": lambda p, a: (action(a), p.rows,
+                                              chain(a)[-1]),
+        "semigroup_upgrade": lambda p, a: (action(a), p.rows, chain(a)),
+        "from_uniformity": lambda u: (current[0], u),
+    }
+
+    def wrap(name, real):
+        def counted(*args):
+            runs.append((name,) + keys[name](*args))
+            return real(*args)
+        return counted
+
+    for name in keys:
+        monkeypatch.setattr(suite, name, wrap(name, getattr(suite, name)))
+    real_classify = suite.classify
+
+    def classify(a, u):
+        current[0] = action(a)
+        return real_classify(a, u)
+
+    monkeypatch.setattr(suite, "classify", classify)
+    report = suite.run_suite(max_n=3, filters=["tgprox", "betag", "ugclaims",
+                                               "gprox", "semigr", "maximality",
+                                               "equinormal", "densesub"])
+    assert report.ok
+    assert {run[0] for run in runs} == set(keys)
+    assert len(runs) == len(set(runs))
+
+
+def test_cached_semigroup_upgrade_keeps_each_chains_verdict():
+    # Z4 rotating four points; the chains (Z4, {0, 2}) and ({0, 2}) share
+    # their deepest level and one cache.  The table is not P4: only the
+    # upper level separates ({0}, {1}), so the verdicts differ, and a key
+    # without the upper level would hand the first chain's to the second.
+    g = suite.FiniteGroup.cyclic(4)
+    c = suite.Carrier(range(4))
+    act = [tuple((x + k) % 4 for x in range(4)) for k in range(4)]
+    whole, half = frozenset(range(4)), frozenset({0, 2})
+    far = {(frozenset({0}), frozenset({1})), (whole, whole)}
+    p = suite.Prox.from_predicate(c, lambda s, t: (s, t) not in far)
+    chains = [suite.NeighborhoodBase(g, [whole, half]),
+              suite.NeighborhoodBase(g, [half])]
+    want = [(True, None), (False, (frozenset({0}), frozenset({1})))]
+    for order in ([0, 1], [1, 0]):
+        base = suite.GActionGerm(g, chains[order[0]], c, act)
+        for i in order:
+            germ = base.on_chain(chains[i])
+            assert germ._cache is base._cache
+            assert suite._semigroup(germ, p, suite._chain_masks(germ)) \
+                == want[i] == equivariant.semigroup_upgrade(p, germ)
+
+
+def test_cached_scans_match_fresh_calls_on_fresh_germs():
+    # Every setting of the family, its scans read through the action's
+    # shared cache, against the library on a germ with an empty cache.
+    # The scans run on nu, beta_G and every partition proximity, so both
+    # verdicts occur for invariance and compatibility.
+    settings = 0
+    outcomes = set()
+    for _label, germ, u in suite.iter_family(max_n=3):
+        if not suite.validate_basis(u).ok():
+            continue
+        fresh = suite.GActionGerm(germ.group, germ.ne, germ.carrier,
+                                  germ.act)
+        chain = suite._chain_masks(germ)
+        assert suite._saturated(germ, u) == suite.saturate_uniformity(fresh, u)
+        assert suite._induced(germ, u).rows == suite.from_uniformity(u).rows
+        nu = suite._nu(germ, u, chain)
+        assert nu.rows == suite.nu_proximity(fresh, u).rows
+        tables = [nu, suite.beta_g_proximity(germ)] + [
+            rho for _blocks, rho in
+            suite.enumerate_partition_proximities(germ.carrier)]
+        for p in tables:
+            inv = suite._invariant(germ, p)
+            comp = suite._compatible(germ, p, chain)
+            assert inv == suite.is_g_invariant(p, fresh)
+            assert comp == suite.is_action_compatible(p, fresh)
+            assert suite._semigroup(germ, p, chain) == \
+                suite.semigroup_upgrade(p, fresh)
+            outcomes.add((inv[0], comp[0]))
+        cached = suite._g_proximity_candidates(germ, chain)
+        assert [rho.rows for rho in cached] == [
+            rho.rows for rho in suite._g_proximity_candidates(fresh, chain)]
+        settings += 1
+    assert settings > 1000
+    assert outcomes == {(True, True), (True, False), (False, True),
+                        (False, False)}
