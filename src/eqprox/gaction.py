@@ -58,12 +58,13 @@ class FiniteGroup:
 
     __slots__ = ("names", "mul", "inv", "e", "name_index", "gens")
 
-    def __init__(self, names, mul, max_size=DEFAULT_MAX_GROUP):
+    def __init__(self, names, mul):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("group element names must be distinct")
-        if len(names) > max_size:
-            raise ValueError(f"group order {len(names)} exceeds the cap {max_size}")
+        if len(names) > DEFAULT_MAX_GROUP:
+            raise ValueError(
+                f"group order {len(names)} exceeds the cap {DEFAULT_MAX_GROUP}")
         k = len(names)
         mul = tuple(tuple(row) for row in mul)
         if len(mul) != k or any(len(row) != k for row in mul):

@@ -90,9 +90,9 @@ class FiniteMetric:
 class PseudometricFamily:
     """Finitely many bounded pseudometrics on a shared carrier."""
 
-    __slots__ = ("carrier", "members", "bound")
+    __slots__ = ("carrier", "members")
 
-    def __init__(self, carrier, members, bound=None):
+    def __init__(self, carrier, members):
         members = tuple(
             m if isinstance(m, FiniteMetric) else FiniteMetric(carrier, m, pseudo=True)
             for m in members)
@@ -101,15 +101,8 @@ class PseudometricFamily:
         for m in members:
             if m.carrier != carrier:
                 raise CarrierMismatch("family members live on different carriers")
-        top = max(m.values[-1] for m in members)
-        if bound is None:
-            bound = top
-        bound = Fraction(bound)
-        if top > bound:
-            raise ValueError("a member exceeds the stated bound")
         self.carrier = carrier
         self.members = members
-        self.bound = bound
 
 
 def _sublevels(m):

@@ -323,7 +323,7 @@ def _fmt_cex(cex):
     return repr(cex)
 
 
-def check_axioms(p, cap=AXIOM_CHECK_CAP):
+def check_axioms(p):
     """Exhaustively check P1-P6 and P5' over every subset pair.
 
     Counterexamples are the first violations in the fixed subset
@@ -375,8 +375,9 @@ def check_axioms(p, cap=AXIOM_CHECK_CAP):
     """
     carrier = p.carrier
     n = carrier.n
-    if n > cap:
-        raise ResourceCap(f"axiom check needs carrier size <= {cap}, got {n}")
+    if n > AXIOM_CHECK_CAP:
+        raise ResourceCap(f"axiom check needs carrier size <= "
+                          f"{AXIOM_CHECK_CAP}, got {n}")
     N = 1 << n
     full_bits = (1 << N) - 1
     rows = p.rows

@@ -16,13 +16,13 @@ chain no cell of which meets both sets; saturate re-verifies its witness.
 
 All arithmetic is exact (fractions.Fraction); no floats anywhere.
 
-The principal engineering decision is the witness search space of that
-search: chains are drawn from the endpoint set of the two inputs.  Any
-witness found is sound because saturations shrink as chains grow.  The
-restriction is complete by a lemma: every set is a union of cells of the
-chain of its own endpoints, so the chain of all endpoints of A and B
-saturates each of them to itself and separates them whenever they are
-disjoint.
+The witness search space is the chains drawn from the endpoint set of
+the two inputs.  Any witness found is sound because saturations shrink as
+chains grow.  The restriction is complete by a lemma: every set is a union
+of cells of the chain of its own endpoints, so the chain of all endpoints
+of A and B saturates each of them to itself and separates them whenever
+they are disjoint.  The search is one pass down the cells of that chain,
+cutting wherever the run of cells since the last cut would meet both sets.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import DocumentError, InternalCheckFailure, \
     PreconditionFailure, ResourceCap
@@ -39,10 +38,6 @@ from .errors import DocumentError, InternalCheckFailure, \
 # The union closure of k chains can have 2**k - 1 levels, and the bonding
 # maps grow with the square of the level count.
 TOWER_LEVEL_CAP = 64
-
-# Every chain over 12 endpoints: two suite sets of at most three atoms each
-# have at most that many, so each of their far searches ends within the cap.
-FAR_CHAIN_CAP = 4096
 
 
 class _Infinity:
@@ -343,20 +338,30 @@ def _cells_hit(points, s):
     return hit
 
 
-def _separating_chain(a, b, search):
+def _separating_chain(a, b):
     """The first chain over the endpoints of a and b, by size and then
-    lexicographically, no cell of which meets both sets, or None.  Raises
-    ResourceCap, naming the `search`, after FAR_CHAIN_CAP chains."""
-    pool = sorted(set(a.endpoints()) | set(b.endpoints()))
-    combos = (c for size in range(len(pool) + 1)
-              for c in combinations(pool, size))
-    for tried, combo in enumerate(combos):
-        if tried == FAR_CHAIN_CAP:
-            raise ResourceCap(
-                f"{search} search needs more than {FAR_CHAIN_CAP} chains")
-        if _cells_hit(combo, a).isdisjoint(_cells_hit(combo, b)):
-            return Chain(combo)
-    return None
+    lexicographically, no cell of which meets both sets, or None.
+
+    Each gap of a chain (rays included) is a run of cells of the chain of
+    all endpoints, and must meet at most one set.  The pass walks those
+    cells down from +inf and cuts at the lowest endpoint it can: at the
+    point cell that spoils the run, or just above a spoiling gap.  Each
+    cut is then at or below the point of the same rank from the top in
+    any separating chain, so the chain is the shortest and, among those,
+    the lexicographically first."""
+    pool = tuple(sorted(set(a.endpoints()) | set(b.endpoints())))
+    hits = (_cells_hit(pool, a), _cells_hit(pool, b))
+    cuts, run = [], set()
+    for c in reversed(range(2 * len(pool) + 1)):
+        met = {k for k, hit in enumerate(hits) if c in hit}
+        if len(run | met) < 2:
+            run |= met
+        elif len(met) == 2:
+            return None
+        else:
+            cuts.append(pool[c // 2])
+            run = set() if c % 2 else met
+    return Chain(tuple(reversed(cuts)))
 
 
 @dataclass(frozen=True)
@@ -377,12 +382,11 @@ def decide_far(a, b):
     all their endpoints separates them; the witness is the first chain
     over those endpoints, by size and then lexicographically, no cell of
     which meets both sets (saturate re-verifies it).  The search raises
-    ResourceCap after FAR_CHAIN_CAP chains, and InternalCheckFailure if no
-    endpoint chain separates.
+    InternalCheckFailure if no endpoint chain separates.
     """
     if a.intersects(b):
         return FarVerdict(False, None)
-    chain = _separating_chain(a, b, "far")
+    chain = _separating_chain(a, b)
     if chain is None:
         raise InternalCheckFailure(
             f"the endpoint chain does not separate disjoint sets {a} and {b}")
@@ -526,7 +530,7 @@ def check_ordcomp_claim(a, o):
         raise PreconditionFailure(f"target set {o} is not convex")
     if not a.issubset(o):
         raise PreconditionFailure(f"{a} is not contained in {o}")
-    chain = _separating_chain(a, _outside(o), "claim")
+    chain = _separating_chain(a, _outside(o))
     if chain is not None and not saturate(chain, a).issubset(o):
         raise InternalCheckFailure("witness re-verification failed")
     return ClaimResult(chain)

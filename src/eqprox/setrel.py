@@ -29,15 +29,15 @@ class Carrier:
 
     __slots__ = ("elements", "index", "n", "full_mask", "__dict__")
 
-    def __init__(self, elements, max_size=DEFAULT_MAX_CARRIER):
+    def __init__(self, elements):
         elements = tuple(elements)
         if not elements:
             raise ValueError("carrier must have at least one element")
         if len(set(elements)) != len(elements):
             raise ValueError("carrier elements must be pairwise distinct")
-        if len(elements) > max_size:
-            raise ValueError(
-                f"carrier size {len(elements)} exceeds the cap {max_size}")
+        if len(elements) > DEFAULT_MAX_CARRIER:
+            raise ValueError(f"carrier size {len(elements)} exceeds the cap "
+                             f"{DEFAULT_MAX_CARRIER}")
         self.elements = elements
         self.index = {e: i for i, e in enumerate(elements)}
         self.n = len(elements)

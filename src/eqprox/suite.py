@@ -9,9 +9,7 @@ byte-identical reports.
 
 Where a family is astronomically large as literally quantified (all
 reflexive entourages over five points, all towers over a grid), the suite
-exhausts the small strata and samples the rest with the given seed; the
-stratum sizes below were chosen to keep the default run in the tens of
-seconds.
+exhausts the small strata and samples the rest with the given seed.
 """
 
 from __future__ import annotations
@@ -825,9 +823,9 @@ def _metric_matrices(n):
 def _run_metric_family(result, max_group):
     groups = [g for g in suite_groups(max_group) if g[0] in ("Z2", "Z4", "S3")]
     # Chains are validated once.  Each matrix gets one fresh germ per
-    # (group, action), rebound to every chain by `on_chain`: the chains of
-    # an action share its cache within a matrix, and the caches do not
-    # grow with the number of matrices.
+    # (group, action), whose cache its chains share (`on_chain`), and one
+    # table per derived basis (`compute_ug` returns kept bases again);
+    # neither grows with the number of matrices.
     chains = {gname: [NeighborhoodBase(group, levels)
                       for levels in germ_chains(group)]
               for gname, group, _gens in groups}
@@ -840,6 +838,7 @@ def _run_metric_family(result, max_group):
         for mi, matrix in enumerate(_metric_matrices(n)):
             metric = FiniteMetric(carrier, matrix)
             u = metric_uniformity(metric)
+            tables = {}
             for name, group, nes, act in actions:
                 base = GActionGerm(group, nes[0], carrier, act)
                 for ci, ne in enumerate(nes):
@@ -856,8 +855,10 @@ def _run_metric_family(result, max_group):
                     if not cls.pi_uniform:
                         continue
                     mg = metric_g_proximity(metric, germ)
-                    derived = from_uniformity(compute_ug(germ, u))
-                    mismatch = _first_mismatch(mg, derived)
+                    ug = compute_ug(germ, u)
+                    if ug not in tables:
+                        tables[ug] = from_uniformity(ug)
+                    mismatch = _first_mismatch(mg, tables[ug])
                     result.record(mismatch is None, label, mismatch)
 
 

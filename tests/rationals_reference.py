@@ -21,7 +21,9 @@ indices: each tried chain is built as a ``Chain``, its saturations as
 ``rationals.saturate`` from that time), and a far witness is re-checked
 through ``ratset_intersection_reference`` (``RatSet.intersection`` with
 ``_atom_intersection_reference``).  They too are kept unchanged but for
-the suffix.  This is test-only code: nothing under ``src/`` may import it.
+the suffix, with ``FAR_CHAIN_CAP``, the cap of the far search at that time,
+now defined here.  This is test-only code: nothing under ``src/`` may
+import it.
 """
 
 from bisect import bisect_left, bisect_right
@@ -30,8 +32,10 @@ from itertools import combinations
 
 from eqprox.errors import InternalCheckFailure, PreconditionFailure, \
     ResourceCap
-from eqprox.rationals import FAR_CHAIN_CAP, TOWER_LEVEL_CAP, Chain, \
-    ClaimResult, FarVerdict, RatSet, Tower, _Infinity, _iv, orbit_space
+from eqprox.rationals import TOWER_LEVEL_CAP, Chain, ClaimResult, \
+    FarVerdict, RatSet, Tower, _Infinity, _iv, orbit_space
+
+FAR_CHAIN_CAP = 4096
 
 
 def chain_issubset_reference(f, g):

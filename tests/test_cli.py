@@ -378,21 +378,39 @@ def test_rat_far_and_near(capsys):
     assert code == 0 and out.strip() == "near"
 
 
-def test_rat_far_chain_cap_bounds_time(capsys):
+def points_text(values):
+    return ",".join(f"{{{k}}}" for k in values)
+
+
+def test_rat_far_interleaved_seven_point_sets(capsys):
     # Two interleaved 7-point sets have 14 endpoints, and no chain of
     # fewer than 7 of them separates: the first witness, {0,2,...,12}, is
-    # the 7,555th chain, so the search stops at the cap of 4,096.
+    # the 7,555th chain by size and then lexicographically.
     start = time.perf_counter()
-    code, out, err = run(capsys, "rat", "far",
-                         ",".join(f"{{{k}}}" for k in range(0, 14, 2)),
-                         ",".join(f"{{{k}}}" for k in range(1, 14, 2)))
-    assert (code, out) == (3, "")
-    assert err == "resource cap: far search needs more than 4096 chains\n"
+    code, out, err = run(capsys, "rat", "far", points_text(range(0, 14, 2)),
+                         points_text(range(1, 14, 2)))
+    assert (code, out, err) == (0, "far, witness F={0,2,4,6,8,10,12}\n", "")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_rat_far_interleaved_two_hundred_point_sets(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rat", "far", points_text(range(0, 400, 2)),
+                         points_text(range(1, 400, 2)))
+    want = "far, witness F={" + ",".join(map(str, range(0, 400, 2))) + "}\n"
+    assert (code, out, err) == (0, want, "")
     assert time.perf_counter() - start < 2.0
 
 
+def test_rat_far_many_endpoints_one_cut(capsys):
+    # 5,001 endpoints, but the one-point chain {4999} separates.
+    code, out, err = run(capsys, "rat", "far", points_text(range(5000)),
+                         "{99999}")
+    assert (code, out, err) == (0, "far, witness F={4999}\n", "")
+
+
 def test_rat_far_large_pool_with_an_early_witness(capsys):
-    # 15 endpoints, but the 15th chain tried already separates.
+    # 15 endpoints, but the one-point chain {13} separates.
     code, out, _ = run(capsys, "rat", "far",
                        "(0,1),(2,3),(4,5),(6,7),(8,9),(10,11),(12,13)",
                        "{20}")
@@ -496,14 +514,6 @@ def test_rat_claim(capsys):
     assert code == 0 and out.startswith("witness F=")
     code, _, err = run(capsys, "rat", "claim", "{0}", "(0,1),(2,3)")
     assert code == 2 and "not convex" in err
-
-
-def test_rat_claim_chain_cap_names_the_claim(capsys, monkeypatch):
-    # The third chain over {-1, 0, 1}, {0}, keeps {0} inside (-1,1).
-    monkeypatch.setattr("eqprox.rationals.FAR_CHAIN_CAP", 2)
-    code, out, err = run(capsys, "rat", "claim", "{0}", "(-1,1)")
-    assert (code, out) == (3, "")
-    assert err == "resource cap: claim search needs more than 2 chains\n"
 
 
 @pytest.mark.parametrize("a, o, message", [

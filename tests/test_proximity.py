@@ -193,9 +193,11 @@ def test_refinement_invariance_of_induced_proximity():
     assert from_uniformity(u1) == from_uniformity(u2)
 
 
-def test_axiom_check_resource_cap():
-    with pytest.raises(ResourceCap):
-        check_axioms(Prox.overlap(Carrier(range(4))), cap=3)
+def test_axiom_check_resource_cap(monkeypatch):
+    monkeypatch.setattr("eqprox.proximity.AXIOM_CHECK_CAP", 3)
+    with pytest.raises(ResourceCap,
+                       match="^axiom check needs carrier size <= 3, got 4$"):
+        check_axioms(Prox.overlap(Carrier(range(4))))
 
 
 def test_join_table_matches_per_subset_union():

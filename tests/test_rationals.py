@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from eqprox.errors import DocumentError, InternalCheckFailure, \
-    PreconditionFailure, ResourceCap
+    PreconditionFailure
 from eqprox.rationals import Chain, NEG_INF, POS_INF, RatSet, \
     _validate_tower, bonding_map, build_tower, check_ordcomp_claim, \
     decide_far, orbit_space, parse_chain, parse_fraction, parse_ratset, \
@@ -281,14 +281,3 @@ def test_claim_traps_a_witness_that_saturate_rejects(monkeypatch):
     with pytest.raises(InternalCheckFailure,
                        match="^witness re-verification failed$"):
         check_ordcomp_claim(RatSet.point(0), parse_ratset("(-1,1)"))
-
-
-def test_far_chain_cap_counts_the_chains_tried(monkeypatch):
-    # The empty chain does not separate {0} from {1}; {0}, the second
-    # chain tried, does.
-    monkeypatch.setattr("eqprox.rationals.FAR_CHAIN_CAP", 2)
-    assert decide_far(RatSet.point(0), RatSet.point(1)).witness == \
-        Chain((F(0),))
-    monkeypatch.setattr("eqprox.rationals.FAR_CHAIN_CAP", 1)
-    with pytest.raises(ResourceCap, match="more than 1 chains"):
-        decide_far(RatSet.point(0), RatSet.point(1))

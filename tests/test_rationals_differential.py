@@ -11,11 +11,12 @@ map tables.  `saturate` must give the union of the cells that hold a
 sample point of the set, the oracle that `_cells_hit` is checked against
 too.
 
-`decide_far` and `check_ordcomp_claim` share one search over cell indices
-(`_separating_chain`, which locates cells by bisection in `_cells_hit`);
-a claim searches A against `_outside(o)`, the complement of O.  Each must
-give the verdict, witness or exception of the chain-by-chain searches kept
-in `rationals_reference.py`.  A claim's pool drops the points at which O
+`decide_far` and `check_ordcomp_claim` share one pass over the cells of
+the chain of all endpoints (`_separating_chain`, which locates cells by
+bisection in `_cells_hit`); a claim searches A against `_outside(o)`, the
+complement of O.  Each must give the verdict, witness or exception of the
+chain-by-chain searches kept in `rationals_reference.py`, wherever those
+end within their chain cap.  A claim's pool drops the points at which O
 is split into atoms inside itself, which cannot change the first witness:
 a first witness holding such a point p can trade it for the nearest
 endpoint of A below p or for the lower end of O, a smaller chain of the
@@ -24,7 +25,7 @@ same size that also separates.
 
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from rationals_reference import _covers_reference, \
@@ -269,12 +270,46 @@ def test_decide_far_against_the_chain_by_chain_search():
 
 
 def test_decide_far_at_the_cap_against_the_chain_by_chain_search():
-    # No chain of fewer than 7 of the 14 endpoints separates these.
+    # No chain of fewer than 7 of the 14 endpoints separates these, so
+    # the chain-by-chain search stops at its cap; the pass does not.
     a = RatSet([("pt", F(k)) for k in range(0, 14, 2)])
     b = RatSet([("pt", F(k)) for k in range(1, 14, 2)])
-    got = outcome(decide_far, a, b)
-    assert got == outcome(decide_far_reference, a, b)
-    assert got == ("ResourceCap", "far search needs more than 4096 chains")
+    assert outcome(decide_far_reference, a, b) == (
+        "ResourceCap", "far search needs more than 4096 chains")
+    verdict = decide_far(a, b)
+    assert verdict.far and verdict.witness == Chain(tuple(a.endpoints()))
+    assert not saturate(verdict.witness, a).intersects(
+        saturate(verdict.witness, b))
+
+
+THREE_CELLS = orbit_space(Chain((F(-1), F(0), F(1, 2)))).cells
+
+
+def test_every_cell_assignment_over_three_endpoints():
+    # Each of the 7 cells goes to a, to b or to neither: 3**7 pairs.
+    witnesses = set()
+    for owners in product("ab-", repeat=len(THREE_CELLS)):
+        a, b = (RatSet([c for c, o in zip(THREE_CELLS, owners) if o == s])
+                for s in "ab")
+        got = outcome(decide_far, a, b)
+        assert got == outcome(decide_far_reference, a, b)
+        witnesses.add(len(got[1].witness))
+    assert witnesses == {0, 1, 2, 3}
+
+
+def test_every_claim_from_runs_of_cells_over_three_endpoints():
+    # O is a run of consecutive cells, A any union of cells inside it.
+    sizes = set()
+    n = len(THREE_CELLS)
+    for lo, hi in combinations(range(n + 1), 2):
+        run = THREE_CELLS[lo:hi]
+        o = RatSet(run)
+        for picks in product((False, True), repeat=len(run)):
+            a = RatSet([c for c, pick in zip(run, picks) if pick])
+            got = outcome(check_ordcomp_claim, a, o)
+            assert got == outcome(check_ordcomp_claim_reference, a, o)
+            sizes.add(len(got[1].witness))
+    assert sizes == {0, 1, 2}
 
 
 def test_claims_against_the_chain_by_chain_search():
@@ -295,19 +330,3 @@ def test_claims_against_the_chain_by_chain_search():
                 verdicts.add(got[0] if got[0] != "ok" else
                              len(got[1].witness))
     assert {"PreconditionFailure", 0, 1, 2} <= verdicts
-
-
-def test_claim_shares_the_far_chain_cap(monkeypatch):
-    # Pool {-1, 0, 1}: the empty chain and {-1} leave {0} free to reach
-    # the complement of (-1,1); {0}, the third chain tried, does not.
-    a, o = RatSet.point(0), parse_ratset("(-1,1)")
-    monkeypatch.setattr("eqprox.rationals.FAR_CHAIN_CAP", 3)
-    assert check_ordcomp_claim(a, o).witness == Chain((F(0),))
-    monkeypatch.setattr("eqprox.rationals.FAR_CHAIN_CAP", 2)
-    with pytest.raises(ResourceCap,
-                       match="^claim search needs more than 2 chains$"):
-        check_ordcomp_claim(a, o)
-    monkeypatch.setattr("eqprox.rationals.FAR_CHAIN_CAP", 1)
-    with pytest.raises(ResourceCap,
-                       match="^claim search needs more than 1 chains$"):
-        check_ordcomp_claim(a, o)

@@ -19,14 +19,15 @@ def random_rel(carrier, rng, p=0.4):
     return Rel(carrier, ((x, y) for x in els for y in els if rng.random() < p))
 
 
-def test_carrier_validation():
+def test_carrier_validation(monkeypatch):
     with pytest.raises(ValueError):
         Carrier([])
     with pytest.raises(ValueError):
         Carrier([1, 1, 2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^carrier size 13 exceeds the cap 12$"):
         Carrier(range(13))
-    Carrier(range(13), max_size=13)
+    monkeypatch.setattr("eqprox.setrel.DEFAULT_MAX_CARRIER", 13)
+    Carrier(range(13))
 
 
 def test_subset_indexing_is_little_endian():

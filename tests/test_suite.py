@@ -56,6 +56,23 @@ def test_metric_family_labels_name_the_failing_setting(monkeypatch):
     assert (metric.checked, metric.passed) == (639, 639 - 8)
 
 
+def test_metric_family_tabulates_each_derived_basis_once(monkeypatch):
+    # compute_ug returns the kept basis again for a repeated key, so one
+    # table per basis and matrix serves 4,290 checks.  The bases are kept
+    # in the list, so their ids are never reused.
+    built = []
+    real = suite.from_uniformity
+
+    def from_uniformity(u):
+        built.append(u)
+        return real(u)
+
+    monkeypatch.setattr(suite, "from_uniformity", from_uniformity)
+    (metric,) = suite.run_suite(filters=["metric"]).results
+    assert (metric.checked, metric.passed) == (4290, 4290)
+    assert len({id(u) for u in built}) == len(built) == 1106
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_sorted_equivalences_run_from_diagonal_to_full_relation(n):
     # basis_pool keeps these two ends without sorting all Bell(n).
