@@ -326,17 +326,9 @@ class GActionGerm:
 
     The cache of tables and verdicts (`_cached`) belongs to the action,
     not to the chain: its keys hold level and basis values, never a chain
-    position, so `on_chain` rebinds the chain and keeps the cache.  The
-    library keys are ("lem"|"ilem"|"trans", level), ("push", u),
-    ("cls", deepest level, u), ("betag", deepest level) and the suite's
-    ("equinormal", deepest level).  The suite's main family adds one key
-    per scan (`suite._once`), the scan function followed by the values it
-    reads: (saturate_uniformity, u), (nu_proximity, u, level masks),
-    (is_g_invariant, rows), (is_action_compatible, rows, deepest masks),
-    (semigroup_upgrade, rows, level masks), (from_uniformity, u),
-    (refinement_equivalent, u, v), (dominates, rows, rows) and the
-    G-proximity candidates per deepest masks; "level masks" is the tuple
-    of every level's forward point masks.
+    position, so `on_chain` rebinds the chain and keeps the cache.  Each
+    function that keeps a result here builds its own key from the values
+    it reads.
     """
 
     __slots__ = ("group", "ne", "carrier", "act", "deep", "_cache",
@@ -384,6 +376,14 @@ class GActionGerm:
         if key not in cache:
             cache[key] = build()
         return cache[key]
+
+    def chain_masks(self):
+        """The forward point masks of every chain level, deepest last: the
+        key part of a result that reads every level.  A level's inverse
+        point masks are the transpose of its forward ones, so they add
+        nothing to a key."""
+        return tuple(self.level_elem_masks(li)
+                     for li in range(len(self.ne.levels)))
 
     def level_elem_masks(self, level_index):
         """For chain level V: masks of the point translates {v.x : v in V}."""
@@ -666,13 +666,15 @@ def saturate_uniformity(a, u):
     from u: each new entourage is invariant under every translation, and
     the four basis conditions survive the intersection.  The intersections
     are the ANDs of the push table over the group (the table is shared
-    with `classify`), cut back into image masks.
+    with `classify`), cut back into image masks.  The push table reads no
+    chain, so the result is kept per basis value and every chain of the
+    action gets the same basis object back.
     """
     if u.carrier != a.carrier:
         raise CarrierMismatch("uniformity is not over the action's carrier")
     n = u.carrier.n
     full = u.carrier.full_mask
-    return UnifBase(u.carrier, [
+    return a._cached(("sat", u), lambda: UnifBase(u.carrier, [
         setrel.Rel.from_masks(u.carrier,
                               [bits >> i * n & full for i in range(n)])
-        for bits in _fold(and_, a.push_table(u))])
+        for bits in _fold(and_, a.push_table(u))]))

@@ -538,9 +538,12 @@ def from_uniformity(u):
 
     near(A, B) iff every basis entourage meets A x B.  A basis suffices:
     any filter element contains a basis element, which then also meets
-    A x B, so the generated filter gives the same verdict.
+    A x B, so the generated filter gives the same verdict.  The table is
+    kept on the basis object, so each basis is tabulated once.
     """
-    return meets_table(u.carrier, [eps.image_masks for eps in u.basis])
+    if u._prox is None:
+        u._prox = meets_table(u.carrier, [eps.image_masks for eps in u.basis])
+    return u._prox
 
 
 def _point_block(rows, n):

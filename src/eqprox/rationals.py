@@ -235,8 +235,11 @@ def _normalize(atoms):
                 merged[-1] = _iv(merged[-1][1], a[2])
         else:
             merged.append(a)
+    # The merged intervals are disjoint and sorted, so only the last one
+    # starting below q can hold it: one bisection per point.
+    lows = [iv[1] for iv in merged]
     kept = [_pt(q) for q in pts
-            if not any(iv[1] < q < iv[2] for iv in merged)]
+            if not (k := bisect_left(lows, q)) or merged[k - 1][2] <= q]
     out = merged + kept
     out.sort(key=lambda a: (_sort_key(_atom_start(a)), 0 if a[0] == "pt" else 1))
     return tuple(out)

@@ -308,10 +308,10 @@ def iter_family(max_n=5, seed=0, max_group=6):
     Each group's chains are validated once, and each action once: its
     germs over the chains are one germ rebound by `on_chain`, so they
     share one cache and a verdict that reads only the deepest level and
-    the basis is computed once per action.  A saturation reads the push
-    table, not the chain, so each (action, basis) is saturated once and
-    every chain gets the same basis object back (`_once`); the derived
-    bases `compute_ug` keeps on it are then shared by the chains too."""
+    the basis is computed once per action.  `saturate_uniformity` keeps
+    its result per action and basis value, so every chain gets the same
+    basis object back, and the derived bases `compute_ug` keeps on it are
+    shared by the chains too."""
     rng = random.Random(seed)
     pools = {n: basis_pool(Carrier(range(n)), rng) for n in range(1, max_n + 1)}
     for gname, group, gens in suite_groups(max_group):
@@ -330,7 +330,7 @@ def iter_family(max_n=5, seed=0, max_group=6):
                         if u.basis not in seen:
                             seen.add(u.basis)
                             yield label, germ, u
-                        sat = _saturated(germ, u)
+                        sat = saturate_uniformity(germ, u)
                         if sat.basis not in seen:
                             seen.add(sat.basis)
                             yield label + "s", germ, sat
@@ -391,9 +391,9 @@ def run_suite(max_n=5, seed=0, max_group=6, filters=None, inject=None):
 
 
 def _run_main_family(res, want, max_n, seed, max_group, inject):
-    # Every scan below runs once per action and per value it reads
-    # (`_once`); each label is still recorded, and the two sides of an
-    # identity are still computed apart.
+    # The library scans keep their results in the action's shared germ
+    # cache, keyed by the values they read; each label is still recorded,
+    # and the two sides of an identity are still computed apart.
     done_germs = set()
     for label, germ, u in iter_family(max_n, seed, max_group):
         if not validate_basis(u).ok():
@@ -404,19 +404,18 @@ def _run_main_family(res, want, max_n, seed, max_group, inject):
             res["gprox"].record(not cls.equiuniform or cls.pi_uniform,
                                 label + "/inclusion", None)
 
-        chain = _chain_masks(germ)
         germ_key = (id(germ.group), germ.ne.levels, germ.carrier.n, germ.act)
         if germ_key not in done_germs:
             done_germs.add(germ_key)
-            _per_germ_checks(res, want, label, germ, chain, inject)
+            _per_germ_checks(res, want, label, germ, inject)
 
         if not (cls.pi_uniform and cls.action_continuous):
             continue
 
-        nu = _nu(germ, u, chain)
+        nu = nu_proximity(germ, u)
         ug = compute_ug(germ, u)
         checked_ug = _corrupt_basis(ug) if inject == "bracket" else ug
-        derived = _induced(germ, checked_ug)
+        derived = from_uniformity(checked_ug)
         if inject == "nu":
             nu = _corrupt_prox(nu)
 
@@ -434,109 +433,56 @@ def _run_main_family(res, want, max_n, seed, max_group, inject):
                 detail = "derived basis not bounded"
             if ok and cls.saturated and not ug_cls.saturated:
                 ok, detail = False, "saturation not preserved"
-            if ok and not _once(germ, refinement_equivalent, u, checked_ug,
-                                key=(u, checked_ug)):
+            if ok and not refinement_equivalent(u, checked_ug):
                 ok, detail = False, "not refinement-equivalent under pi-uniformity"
             res["ugclaims"].record(ok, label, detail)
         base_gprox = want["gprox"] and cls.equiuniform
         maximality = want["maximality"] and germ.carrier.n <= 4
-        delta_u = _induced(germ, u) if base_gprox or maximality else None
+        delta_u = from_uniformity(u) if base_gprox or maximality else None
         if want["gprox"]:
-            inv, invw = _invariant(germ, nu)
-            comp, compw = _compatible(germ, nu, chain)
+            inv, invw = is_g_invariant(nu, germ)
+            comp, compw = is_action_compatible(nu, germ)
             res["gprox"].record(inv and comp, label, invw or compw)
             if base_gprox:
-                inv2, w2 = _invariant(germ, delta_u)
-                comp2, w22 = _compatible(germ, delta_u, chain)
+                inv2, w2 = is_g_invariant(delta_u, germ)
+                comp2, w22 = is_action_compatible(delta_u, germ)
                 res["gprox"].record(inv2 and comp2, label + "/base", w2 or w22)
         if want["semigr"]:
-            ok, wit = _semigroup(germ, nu, chain)
+            ok, wit = semigroup_upgrade(nu, germ)
             res["semigr"].record(ok, label, wit)
         if maximality:
-            for ri, rho in enumerate(_g_proximity_candidates(germ, chain)):
-                if _dominates(germ, delta_u, rho):
+            for ri, rho in enumerate(_g_proximity_candidates(germ)):
+                if dominates(delta_u, rho):
                     res["maximality"].record(
-                        _dominates(germ, nu, rho), f"{label}/cand{ri}", None)
+                        dominates(nu, rho), f"{label}/cand{ri}", None)
 
 
-def _once(germ, fn, *args, key):
-    """fn(*args), computed once per action and key.
-
-    The result is kept in the germ cache that the chains of an action
-    share (`GActionGerm.on_chain`), so it is freed with the action.  The
-    key holds every value fn reads besides the action, never a chain
-    position: a basis, a table's rows, or the forward point masks of the
-    levels read (`_chain_masks`).  A level's inverse point masks are the
-    transpose of its forward ones, so the forward masks name both.
-    """
-    return germ._cached((fn,) + key, lambda: fn(*args))
-
-
-def _chain_masks(germ):
-    """The forward point masks of every chain level, deepest last."""
-    return tuple(germ.level_elem_masks(li)
-                 for li in range(len(germ.ne.levels)))
-
-
-def _saturated(germ, u):
-    # The saturation reads the push table, not the chain.
-    return _once(germ, saturate_uniformity, germ, u, key=(u,))
-
-
-def _nu(germ, u, chain):
-    # nu reads every level: `nu_maps` and the `check_descending` trap.
-    return _once(germ, nu_proximity, germ, u, key=(u, chain))
-
-
-def _induced(germ, u):
-    return _once(germ, from_uniformity, u, key=(u,))
-
-
-def _invariant(germ, p):
-    return _once(germ, is_g_invariant, p, germ, key=(p.rows,))
-
-
-def _compatible(germ, p, chain):
-    # Compatibility reads β_G, which reads the deepest level only.
-    return _once(germ, is_action_compatible, p, germ,
-                 key=(p.rows, chain[-1]))
-
-
-def _semigroup(germ, p, chain):
-    # p need not satisfy P4, so the upgrade reads every level.
-    return _once(germ, semigroup_upgrade, p, germ, key=(p.rows, chain))
-
-
-def _dominates(germ, p1, p2):
-    return _once(germ, dominates, p1, p2, key=(p1.rows, p2.rows))
-
-
-def _g_proximity_candidates(germ, chain):
+def _g_proximity_candidates(germ):
     """Every proximity on the carrier that is invariant and compatible with
     this germ; finite proximities are exactly the partition ones, so the
     enumeration is complete.  Invariance reads no chain and compatibility
-    the deepest level, so one list serves every chain with that level."""
-    return germ._cached((_g_proximity_candidates, chain[-1]), lambda: [
+    the deepest level, so one list serves every chain with that level's
+    point masks."""
+    deepest = germ.level_elem_masks(germ.deep)
+    return germ._cached((_g_proximity_candidates, deepest), lambda: [
         rho for _blocks, rho in enumerate_partition_proximities(germ.carrier)
-        if _invariant(germ, rho)[0] and _compatible(germ, rho, chain)[0]])
+        if is_g_invariant(rho, germ)[0]
+        and is_action_compatible(rho, germ)[0]])
 
 
-def _per_germ_checks(res, want, label, germ, chain, inject):
+def _per_germ_checks(res, want, label, germ, inject):
     bg = beta_g_proximity(germ)
     if inject == "betag":
         bg = _corrupt_prox(bg)
     if want["betag"]:
-        nu_d = _nu(germ, discrete_basis(germ.carrier), chain)
+        nu_d = nu_proximity(germ, discrete_basis(germ.carrier))
         mismatch = _first_mismatch(bg, nu_d)
         res["betag"].record(mismatch is None, label, mismatch)
     if want["semigr"]:
-        ok, wit = _semigroup(germ, bg, chain)
+        ok, wit = semigroup_upgrade(bg, germ)
         res["semigr"].record(ok, label + "/betag", wit)
     if want["equinormal"]:
-        # The report reads the action at the deepest level only, so the
-        # chains sharing this germ's cache share one report per level.
-        rep = germ._cached(("equinormal", germ.ne.levels[germ.deep]),
-                           lambda: check_equinormal(germ))
+        rep = check_equinormal(germ)
         res["equinormal"].record(rep.equinormal and rep.agree, label, None)
     if want["densesub"]:
         group = germ.group
@@ -824,8 +770,8 @@ def _run_metric_family(result, max_group):
     groups = [g for g in suite_groups(max_group) if g[0] in ("Z2", "Z4", "S3")]
     # Chains are validated once.  Each matrix gets one fresh germ per
     # (group, action), whose cache its chains share (`on_chain`), and one
-    # table per derived basis (`compute_ug` returns kept bases again);
-    # neither grows with the number of matrices.
+    # table per derived basis (`compute_ug` returns kept bases again, and
+    # `from_uniformity` keeps its table on the basis).
     chains = {gname: [NeighborhoodBase(group, levels)
                       for levels in germ_chains(group)]
               for gname, group, _gens in groups}
@@ -838,7 +784,6 @@ def _run_metric_family(result, max_group):
         for mi, matrix in enumerate(_metric_matrices(n)):
             metric = FiniteMetric(carrier, matrix)
             u = metric_uniformity(metric)
-            tables = {}
             for name, group, nes, act in actions:
                 base = GActionGerm(group, nes[0], carrier, act)
                 for ci, ne in enumerate(nes):
@@ -856,9 +801,7 @@ def _run_metric_family(result, max_group):
                         continue
                     mg = metric_g_proximity(metric, germ)
                     ug = compute_ug(germ, u)
-                    if ug not in tables:
-                        tables[ug] = from_uniformity(ug)
-                    mismatch = _first_mismatch(mg, tables[ug])
+                    mismatch = _first_mismatch(mg, from_uniformity(ug))
                     result.record(mismatch is None, label, mismatch)
 
 

@@ -22,11 +22,11 @@ from .proximity import AxiomReport
 class UnifBase:
     """A nonempty list of entourages.  Stored unvalidated so that broken
     bases can serve as negative fixtures; run validate_basis to check (it
-    keeps its report on the basis).  `compute_ug` keeps the bracket bases
-    derived from this one in a dict keyed by the chain's level point
-    masks, made on first use."""
+    keeps its report on the basis, as from_uniformity keeps its table).
+    `compute_ug` keeps the bracket bases derived from this one in a dict
+    keyed by the chain's level point masks, made on first use."""
 
-    __slots__ = ("carrier", "basis", "_report", "_hash", "_derived")
+    __slots__ = ("carrier", "basis", "_report", "_prox", "_hash", "_derived")
 
     def __init__(self, carrier, basis):
         basis = tuple(basis)
@@ -38,8 +38,12 @@ class UnifBase:
         self.carrier = carrier
         self.basis = basis
         self._report = None  # validate_basis's report, once computed
+        self._prox = None  # from_uniformity's table, once computed
         self._hash = None
-        self._derived = None  # compute_ug's bracket bases, once one is built
+        # compute_ug's bracket bases, once one is built.  They stay here,
+        # not in a germ cache, because germs of different actions reach
+        # the same level point masks and so share them (see compute_ug).
+        self._derived = None
 
     def __eq__(self, other):
         # Listwise equality only; semantic equality is refinement_equivalent.

@@ -22,8 +22,10 @@ indices: each tried chain is built as a ``Chain``, its saturations as
 through ``ratset_intersection_reference`` (``RatSet.intersection`` with
 ``_atom_intersection_reference``).  They too are kept unchanged but for
 the suffix, with ``FAR_CHAIN_CAP``, the cap of the far search at that time,
-now defined here.  This is test-only code: nothing under ``src/`` may
-import it.
+now defined here.  ``normalize_reference`` is the body of
+``rationals._normalize`` from before it located each point by bisection,
+when it tested every point against every merged interval.  This is
+test-only code: nothing under ``src/`` may import it.
 """
 
 from bisect import bisect_left, bisect_right
@@ -33,9 +35,33 @@ from itertools import combinations
 from eqprox.errors import InternalCheckFailure, PreconditionFailure, \
     ResourceCap
 from eqprox.rationals import TOWER_LEVEL_CAP, Chain, ClaimResult, \
-    FarVerdict, RatSet, Tower, _Infinity, _iv, orbit_space
+    FarVerdict, RatSet, Tower, _Infinity, _atom_start, _iv, _pt, _sort_key, \
+    orbit_space
 
 FAR_CHAIN_CAP = 4096
+
+
+def normalize_reference(atoms):
+    ivs = []
+    pts = set()
+    for a in atoms:
+        if a[0] == "pt":
+            pts.add(a[1])
+        elif a[1] < a[2]:
+            ivs.append(a)
+    ivs.sort(key=lambda a: (_sort_key(a[1]), _sort_key(a[2])))
+    merged = []
+    for a in ivs:
+        if merged and a[1] < merged[-1][2]:
+            if a[2] > merged[-1][2]:
+                merged[-1] = _iv(merged[-1][1], a[2])
+        else:
+            merged.append(a)
+    kept = [_pt(q) for q in pts
+            if not any(iv[1] < q < iv[2] for iv in merged)]
+    out = merged + kept
+    out.sort(key=lambda a: (_sort_key(_atom_start(a)), 0 if a[0] == "pt" else 1))
+    return tuple(out)
 
 
 def chain_issubset_reference(f, g):

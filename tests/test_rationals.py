@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +26,18 @@ def test_normalization_merges_overlaps_and_keeps_adjacency():
     assert len(t.atoms) == 3  # the point bridge stays its own atom
     swallowed = RatSet([("iv", F(0), F(1)), ("pt", F(1, 2))])
     assert swallowed.atoms == (("iv", F(0), F(1)),)
+
+
+def test_parse_three_thousand_points_and_intervals():
+    # Each point is located among the merged intervals by bisection, not
+    # tested against all of them.
+    text = ",".join(f"{{{k}}},({k},{k + 1})" for k in range(3000))
+    start = time.perf_counter()
+    s = parse_ratset(text)
+    assert time.perf_counter() - start < 1.0
+    assert len(s.atoms) == 6000
+    inside = parse_ratset(text + ",{1/2},{2999/2}")
+    assert inside.atoms == s.atoms
 
 
 def test_semantic_equality_across_representations():

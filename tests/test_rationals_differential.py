@@ -30,13 +30,13 @@ from itertools import combinations, product
 import pytest
 from rationals_reference import _covers_reference, \
     _validate_tower_reference, bonding_map_reference, build_tower_reference, \
-    check_ordcomp_claim_reference, decide_far_reference, threads_reference, \
-    tower_dot_reference
+    check_ordcomp_claim_reference, decide_far_reference, \
+    normalize_reference, threads_reference, tower_dot_reference
 
 from eqprox import suite
 from eqprox.errors import ResourceCap
 from eqprox.rationals import NEG_INF, POS_INF, Chain, RatSet, _cells_hit, \
-    _covers, _outside, _validate_tower, bonding_map, build_tower, \
+    _covers, _normalize, _outside, _validate_tower, bonding_map, build_tower, \
     check_ordcomp_claim, decide_far, orbit_space, parse_ratset, saturate, \
     tower_dot
 
@@ -51,6 +51,24 @@ def outcome(fn, *args):
         return ("ok", fn(*args))
     except Exception as exc:  # noqa: BLE001 - the type is part of the verdict
         return (type(exc).__name__, str(exc))
+
+
+def test_normalize_against_the_point_by_interval_scan():
+    # Random atom lists over a small grid, so that points fall on
+    # endpoints and inside, and intervals nest, touch, overlap and run to
+    # the infinities.  Each point is located by bisection; the reference
+    # tests it against every merged interval.
+    rng = random.Random(11)
+    values = [NEG_INF] + [F(k, 2) for k in range(-4, 5)] + [POS_INF]
+    for _ in range(3000):
+        atoms = []
+        for _ in range(rng.randint(0, 8)):
+            if rng.random() < 0.5:
+                atoms.append(("pt", rng.choice(values[1:-1])))
+            else:
+                lo, hi = sorted(rng.sample(values, 2))
+                atoms.append(("iv", lo, hi))
+        assert _normalize(atoms) == normalize_reference(atoms)
 
 
 def test_bonding_map_on_every_pair_of_grid_chains():

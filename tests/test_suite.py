@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from eqprox import equivariant, gaction, suite
+from eqprox import equivariant, gaction, proximity, suite
 from eqprox.errors import InternalCheckFailure
 
 
@@ -56,21 +56,40 @@ def test_metric_family_labels_name_the_failing_setting(monkeypatch):
     assert (metric.checked, metric.passed) == (639, 639 - 8)
 
 
+def _count_tables(monkeypatch):
+    """Record each `from_uniformity` table build: patch the table builder
+    it reads and return the list that gets one entry per build."""
+    tables = []
+    real = proximity.meets_table
+
+    def meets_table(carrier, maps):
+        tables.append(carrier)
+        return real(carrier, maps)
+
+    monkeypatch.setattr(proximity, "meets_table", meets_table)
+    return tables
+
+
 def test_metric_family_tabulates_each_derived_basis_once(monkeypatch):
-    # compute_ug returns the kept basis again for a repeated key, so one
-    # table per basis and matrix serves 4,290 checks.  The bases are kept
-    # in the list, so their ids are never reused.
+    # compute_ug returns the kept basis again for a repeated key, and
+    # from_uniformity keeps its table on the basis, so one table per basis
+    # and matrix serves 4,290 checks.  The bases are kept in the list, so
+    # their ids are never reused.
+    tables = _count_tables(monkeypatch)
     built = []
     real = suite.from_uniformity
 
     def from_uniformity(u):
-        built.append(u)
-        return real(u)
+        before = len(tables)
+        out = real(u)
+        if len(tables) > before:
+            built.append(u)
+        return out
 
     monkeypatch.setattr(suite, "from_uniformity", from_uniformity)
     (metric,) = suite.run_suite(filters=["metric"]).results
     assert (metric.checked, metric.passed) == (4290, 4290)
-    assert len({id(u) for u in built}) == len(built) == 1106
+    assert len({id(u) for u in built}) == len(built) == len(tables) == 1106
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -153,13 +172,23 @@ def _forward_masks(a, level):
 
 
 def test_main_family_runs_each_scan_once_per_action_and_value(monkeypatch):
-    # A scan runs once per action and per value it reads: the basis for
-    # saturation and `from_uniformity`, the rows for invariance, and the
-    # rows or basis with the point masks of the levels read for the
-    # others.  `from_uniformity` takes no germ, so its action is that of
-    # the last `classify` call, which opens every setting.
+    # A scan builds its result once per action and per value it reads: the
+    # basis for saturation, the rows for invariance, and the rows or basis
+    # with the point masks of the levels read for the others.  A build is
+    # a run of the scan's body under its germ-cache key, which the calls
+    # below see as a new key of the scan's tag.  `from_uniformity` keeps
+    # its table on the basis object, so it builds once per object; the
+    # objects are kept in a list, so their ids are never reused.
     runs = []
-    current = [None]
+    built = []
+    tables = _count_tables(monkeypatch)
+    real_cached = gaction.GActionGerm._cached
+
+    def cached(self, key, build):
+        def counted():
+            built.append(key[0])
+            return build()
+        return real_cached(self, key, counted)
 
     def action(a):
         return (id(a.group), a.carrier.n, a.act)
@@ -167,36 +196,47 @@ def test_main_family_runs_each_scan_once_per_action_and_value(monkeypatch):
     def chain(a):
         return tuple(_forward_masks(a, level) for level in a.ne.levels)
 
-    keys = {
-        "saturate_uniformity": lambda a, u: (action(a), u),
-        "nu_proximity": lambda a, u: (action(a), u, chain(a)),
-        "is_g_invariant": lambda p, a: (action(a), p.rows),
-        "is_action_compatible": lambda p, a: (action(a), p.rows,
-                                              chain(a)[-1]),
-        "semigroup_upgrade": lambda p, a: (action(a), p.rows, chain(a)),
-        "from_uniformity": lambda u: (current[0], u),
+    scans = {
+        "saturate_uniformity": ("sat", lambda a, u: (action(a), u)),
+        "nu_proximity": ("nu", lambda a, u: (action(a), u, chain(a))),
+        "is_g_invariant": ("inv", lambda p, a: (action(a), p.rows)),
+        "is_action_compatible": ("compat", lambda p, a: (
+            action(a), p.rows, chain(a)[-1])),
+        "semigroup_upgrade": ("semigr", lambda p, a: (
+            action(a), p.rows, chain(a))),
     }
 
     def wrap(name, real):
+        tag, key = scans[name]
+
         def counted(*args):
-            runs.append((name,) + keys[name](*args))
-            return real(*args)
+            before = len(built)
+            out = real(*args)
+            if tag in built[before:]:
+                runs.append((name,) + key(*args))
+            return out
         return counted
 
-    for name in keys:
+    for name in scans:
         monkeypatch.setattr(suite, name, wrap(name, getattr(suite, name)))
-    real_classify = suite.classify
+    monkeypatch.setattr(gaction.GActionGerm, "_cached", cached)
+    real_from = suite.from_uniformity
+    kept = []
 
-    def classify(a, u):
-        current[0] = action(a)
-        return real_classify(a, u)
+    def from_uniformity(u):
+        before = len(tables)
+        out = real_from(u)
+        if len(tables) > before:
+            kept.append(u)
+            runs.append(("from_uniformity", id(u)))
+        return out
 
-    monkeypatch.setattr(suite, "classify", classify)
+    monkeypatch.setattr(suite, "from_uniformity", from_uniformity)
     report = suite.run_suite(max_n=3, filters=["tgprox", "betag", "ugclaims",
                                                "gprox", "semigr", "maximality",
                                                "equinormal", "densesub"])
     assert report.ok
-    assert {run[0] for run in runs} == set(keys)
+    assert {run[0] for run in runs} == set(scans) | {"from_uniformity"}
     assert len(runs) == len(set(runs))
 
 
@@ -218,15 +258,17 @@ def test_cached_semigroup_upgrade_keeps_each_chains_verdict():
         base = suite.GActionGerm(g, chains[order[0]], c, act)
         for i in order:
             germ = base.on_chain(chains[i])
+            fresh = suite.GActionGerm(g, chains[i], c, act)
             assert germ._cache is base._cache
-            assert suite._semigroup(germ, p, suite._chain_masks(germ)) \
-                == want[i] == equivariant.semigroup_upgrade(p, germ)
+            assert equivariant.semigroup_upgrade(p, germ) \
+                == want[i] == equivariant.semigroup_upgrade(p, fresh)
 
 
 def test_cached_scans_match_fresh_calls_on_fresh_germs():
     # Every setting of the family, its scans read through the action's
-    # shared cache, against the library on a germ with an empty cache.
-    # The scans run on nu, beta_G and every partition proximity, so both
+    # shared cache, against the library on a germ with an empty cache
+    # (and, for the table kept on the basis, a basis with none).  The
+    # scans run on nu, beta_G and every partition proximity, so both
     # verdicts occur for invariance and compatibility.
     settings = 0
     outcomes = set()
@@ -235,25 +277,26 @@ def test_cached_scans_match_fresh_calls_on_fresh_germs():
             continue
         fresh = suite.GActionGerm(germ.group, germ.ne, germ.carrier,
                                   germ.act)
-        chain = suite._chain_masks(germ)
-        assert suite._saturated(germ, u) == suite.saturate_uniformity(fresh, u)
-        assert suite._induced(germ, u).rows == suite.from_uniformity(u).rows
-        nu = suite._nu(germ, u, chain)
+        assert suite.saturate_uniformity(germ, u) == \
+            suite.saturate_uniformity(fresh, u)
+        assert suite.from_uniformity(u).rows == suite.from_uniformity(
+            suite.UnifBase(u.carrier, u.basis)).rows
+        nu = suite.nu_proximity(germ, u)
         assert nu.rows == suite.nu_proximity(fresh, u).rows
         tables = [nu, suite.beta_g_proximity(germ)] + [
             rho for _blocks, rho in
             suite.enumerate_partition_proximities(germ.carrier)]
         for p in tables:
-            inv = suite._invariant(germ, p)
-            comp = suite._compatible(germ, p, chain)
+            inv = suite.is_g_invariant(p, germ)
+            comp = suite.is_action_compatible(p, germ)
             assert inv == suite.is_g_invariant(p, fresh)
             assert comp == suite.is_action_compatible(p, fresh)
-            assert suite._semigroup(germ, p, chain) == \
+            assert suite.semigroup_upgrade(p, germ) == \
                 suite.semigroup_upgrade(p, fresh)
             outcomes.add((inv[0], comp[0]))
-        cached = suite._g_proximity_candidates(germ, chain)
+        cached = suite._g_proximity_candidates(germ)
         assert [rho.rows for rho in cached] == [
-            rho.rows for rho in suite._g_proximity_candidates(fresh, chain)]
+            rho.rows for rho in suite._g_proximity_candidates(fresh)]
         settings += 1
     assert settings > 1000
     assert outcomes == {(True, True), (True, False), (False, True),
