@@ -125,7 +125,7 @@ class FiniteGroup:
         return cls(names, mul)
 
     @classmethod
-    def from_permutations(cls, perms, max_size=DEFAULT_MAX_GROUP):
+    def from_permutations(cls, perms):
         """Close a set of permutations (tuples of images on 0..d-1) under
         composition and return (group, permutation per element index).
 
@@ -156,9 +156,9 @@ class FiniteGroup:
             for s, p in enumerate(perms):
                 r = tuple(map(q.__getitem__, p))
                 if r not in found:
-                    if len(found) >= max_size:
-                        raise ValueError(
-                            f"permutation closure exceeds the cap {max_size}")
+                    if len(found) >= DEFAULT_MAX_GROUP:
+                        raise ValueError("permutation closure exceeds the "
+                                         f"cap {DEFAULT_MAX_GROUP}")
                     found[r] = len(order)
                     order.append(r)
                     parent.append(i)

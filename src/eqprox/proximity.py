@@ -12,8 +12,8 @@ at most Theta(n * 4**n) bit operations carried out on whole 2**n-bit
 integers.  Tables repeat rows: one induced by a basis often holds only a
 few dozen distinct rows among its 2**n.  So symmetry is decided from the
 distinct rows when they are few, the axioms that read a row only through
-its value are decided once per distinct row, and the far-pair searches
-visit one pair per distinct (row, column) combination.
+its value are decided once per distinct row, and on a symmetric table
+the far-pair searches visit B only at the first copy of its row.
 
 The axioms checked are the classical ones:
 
@@ -25,8 +25,8 @@ The axioms checked are the classical ones:
   P5' a far pair has disjoint strong neighborhoods
   P6  distinct points are far (separatedness; optional)
 
-P5 and P5' are checked by independent searches and must agree on any
-relation satisfying P1-P4.
+P5 and P5' are checked by independent criteria, run through one far-pair
+search, and must agree on any relation satisfying P1-P4.
 """
 
 from __future__ import annotations
@@ -182,15 +182,6 @@ def _reverse_bits(x, width):
         x.to_bytes(width // 8, "big").translate(_REVERSED_BYTES), "little")
 
 
-@lru_cache(maxsize=None)
-def _delta_swap_mask(n, i, j):
-    """Bit p set iff p < 2**n has bit i set and bit j clear (i < j): the
-    lower position of each pair that trades places when index bits i and
-    j are exchanged; its partner is (2**j - 2**i) higher."""
-    lo = _low_half_masks(n)
-    return lo[j] & ~lo[i]
-
-
 def _index_bit_swaps(perm):
     """Delta swaps (shift, mask) that carry bit p of a 2**n-bit integer to
     the subset index sigma(p), where sigma moves bit k of p to bit perm[k].
@@ -200,6 +191,7 @@ def _index_bit_swaps(perm):
     masked swap (Warren, *Hacker's Delight*, ch. 7).
     """
     n = len(perm)
+    lo = _low_half_masks(n)
     at = list(range(n))  # at[k]: where index bit k has been moved so far
     swaps = []
     for k in range(n):
@@ -208,7 +200,9 @@ def _index_bit_swaps(perm):
             other = at.index(dst)
             at[k], at[other] = dst, src
             i, j = min(src, dst), max(src, dst)
-            swaps.append(((1 << j) - (1 << i), _delta_swap_mask(n, i, j)))
+            # The positions p with bit i set and bit j clear trade places
+            # with their partners (2**j - 2**i) higher.
+            swaps.append(((1 << j) - (1 << i), lo[j] & ~lo[i]))
     return swaps
 
 
@@ -364,14 +358,15 @@ def check_axioms(p):
     2**n-bit integers.  P4, P5 and P5' read row A only through its value,
     so they are decided once per distinct row value, and their first
     violation in index order is still found: it falls on the first copy
-    of its row.  For the same reason the far-pair searches visit B only at
-    the first copy of each distinct (row, column) pair.  With r distinct
-    rows and c distinct such pairs, the tables cost Theta(n * r) integer
-    operations, P2 on the class path Theta(r * log r + 2**n), and the
-    searches at most r * c far-pair tests (c = r on a symmetric table).
-    A table with more than half of its rows distinct, or an asymmetric
-    one, also pays the full transpose, Theta(n * 2**n); one with all rows
-    distinct (the finest, ``Prox.overlap``) still visits every far pair.
+    of its row.  On a symmetric table the far-pair verdict reads B only
+    through its row too, so B is searched at first copies only; an
+    asymmetric table is searched at every far pair.  With r distinct
+    rows, the tables cost Theta(n * r) integer operations, P2 on the class
+    path Theta(r * log r + 2**n), and the searches at most r**2 far-pair
+    tests (r * 2**n if asymmetric).  A table with more than half of its
+    rows distinct, or an asymmetric one, also pays the full transpose,
+    Theta(n * 2**n); one with all rows distinct (the finest,
+    ``Prox.overlap``) still visits every far pair.
     """
     carrier = p.carrier
     n = carrier.n
@@ -399,33 +394,24 @@ def check_axioms(p):
     # P4, P5 and P5' read row a only through its value rows[a] and tables
     # indexed by b, so a later copy of a row value passes exactly when its
     # first copy does: they run over first copies only.  rep[a] is the
-    # first index holding rows[a] and crep[b] the first holding cols[b].
-    # The far-pair verdict for (a, b) reads b only through rows[b] and
-    # cols[b], so the searches visit only the bits of `searched`, the
-    # first index of each distinct (row, column) pair.
+    # first index holding rows[a].
     first = {}
     rep = [first.setdefault(row, a) for a, row in enumerate(rows)]
     firsts = list(first.values())
 
-    # P2: symmetry.  A symmetric table is its own transpose: its columns,
-    # their first copies and its (row, column) pairs are its rows.
+    # P2: symmetry.  A symmetric table's rows are its columns; the
+    # transpose replaces them only on an asymmetric table.
     results["P2"] = (True, None)
-    if _symmetric_by_classes(rows, rep, firsts, n):
-        cols, crep = rows, rep
-        searched = sum(1 << a for a in firsts)
-    else:
-        cols = _transpose(rows, n)
+    cols = rows
+    if not _symmetric_by_classes(rows, rep, firsts, n):
+        transposed = _transpose(rows, n)
         for a in range(N):
-            viol = rows[a] & ~cols[a] & full_bits
+            viol = rows[a] & ~transposed[a] & full_bits
             if viol:
                 b = (viol & -viol).bit_length() - 1
                 results["P2"] = (False, (subset(a), subset(b)))
+                cols = transposed
                 break
-        cfirst, pfirst = {}, {}
-        crep = [cfirst.setdefault(col, b) for b, col in enumerate(cols)]
-        for b, pair in enumerate(zip(rep, crep)):
-            pfirst.setdefault(pair, b)
-        searched = sum(1 << b for b in pfirst.values())
 
     # P3: the empty set is near nothing.
     if rows[0]:
@@ -450,69 +436,43 @@ def check_axioms(p):
                 results["P4"] = (False, (subset(a), subset(b), frozenset()))
                 break
             continue
-        g = 0
-        for i in range(n):
-            g |= (row >> (1 << i) & 1) << i
-        diff = row ^ _intersectors(g, n)
+        diff = row ^ _intersectors(_point_bits(row, n), n)
         if diff:
             s = (diff & -diff).bit_length() - 1
             low = s & -s
             results["P4"] = (False, (subset(a), subset(s ^ low), subset(low)))
             break
 
-    # Strong-neighborhood masks, shared by P5 and P5', built for first
-    # copies and spread to every index by the representative lists, so the
-    # far-pair loops read them with one plain list index.
-    #   sn[a]   = {a1 : A is far from X \ A1}, the reversed complement of row a
-    #   cutb[b] = {c  : X \ C is far from B}, the reversed complement of column b
-    sn = {a: _reverse_bits(~rows[a] & full_bits, N) for a in firsts}
-    cut_of = sn if cols is rows else {
-        b: _reverse_bits(~cols[b] & full_bits, N) for b in cfirst.values()}
-    cutb = [cut_of[b] for b in crep]
-
-    # P5: every far pair admits a cut set C with A far C and X\C far B.
-    results["P5"] = (True, None)
-    done = False
-    for a in firsts:
-        far = ~rows[a] & full_bits
-        faror = far & searched
-        while faror:
-            low = faror & -faror
-            b = low.bit_length() - 1
-            if not far & cutb[b]:
-                results["P5"] = (False, (subset(a), subset(b)))
-                done = True
-                break
-            faror ^= low
-        if done:
-            break
-
-    # P5': every far pair has disjoint strong neighborhoods.  Searched
-    # independently of P5: reach[b] is the down-closure of the sets far
-    # from B, which is the OR of the submask rows of the complements of
-    # B's strong neighborhoods.
+    # The criterion tables of P5 and P5', built for first copies; cutb and
+    # reach hold an entry for every index, read with one list index:
+    #   far[a]   = the sets far from A, the complement of row a
+    #   sn[a]    = {a1 : A is far from X \ A1}, the reversal of far[a]
+    #   cutb[b]  = {c  : X \ C is far from B}, the reversed complement of column b
+    #   reach[b] = the down-closure of the sets far from B: the OR of the
+    #              submask rows of the complements of B's strong neighborhoods
+    # On a symmetric table column b is row b, and the verdict for (a, b)
+    # reads b only through rows[b], so B is searched at first copies.
+    far = {a: ~rows[a] & full_bits for a in firsts}
+    sn = {a: _reverse_bits(f, N) for a, f in far.items()}
+    if cols is rows:
+        cutb = [sn[a] for a in rep]
+        searched = sum(1 << a for a in firsts)
+    else:
+        cutb = [_reverse_bits(~col & full_bits, N) for col in cols]
+        searched = full_bits
     reach_of = {}
-    for a in firsts:
-        down = ~rows[a] & full_bits
+    for a, down in far.items():
         for j, lo in enumerate(_low_half_masks(n)):
             down |= down >> (1 << j) & lo
         reach_of[a] = down
     reach = [reach_of[a] for a in rep]
-    results["P5prime"] = (True, None)
-    done = False
-    for a in firsts:
-        sna = sn[a]
-        faror = ~rows[a] & searched
-        while faror:
-            low = faror & -faror
-            b = low.bit_length() - 1
-            if not sna & reach[b]:
-                results["P5prime"] = (False, (subset(a), subset(b)))
-                done = True
-                break
-            faror ^= low
-        if done:
-            break
+
+    # P5: every far pair admits a cut set C with A far C and X\C far B.
+    # P5': every far pair has disjoint strong neighborhoods.
+    for name, need, table in (("P5", far, cutb), ("P5prime", sn, reach)):
+        unmet = _first_unmet_far_pair(rows, firsts, searched, need, table)
+        results[name] = ((True, None) if unmet is None else
+                         (False, tuple(map(subset, unmet))))
 
     # P6: distinct points are far.
     near_points = _first_near_points(_point_block(rows, n))
@@ -546,11 +506,31 @@ def from_uniformity(u):
     return u._prox
 
 
+def _first_unmet_far_pair(rows, firsts, searched, need, table):
+    """The first pair (a, b), a in `firsts` in order and b a bit of
+    `searched` in index order with B far from A (bit b of rows[a] clear),
+    for which need[a] & table[b] is empty; None if there is none."""
+    for a in firsts:
+        need_a = need[a]
+        todo = ~rows[a] & searched
+        while todo:
+            low = todo & -todo
+            b = low.bit_length() - 1
+            if not need_a & table[b]:
+                return a, b
+            todo ^= low
+    return None
+
+
+def _point_bits(row, n):
+    """The row at the singletons: bit j is bit 2**j, nearness to {x_j}."""
+    return sum((row >> (1 << j) & 1) << j for j in range(n))
+
+
 def _point_block(rows, n):
     """The point block of a table: bit j of entry i is bit 2**j of row
     2**i, whether {x_i} is near {x_j}."""
-    return [sum((rows[1 << i] >> (1 << j) & 1) << j for j in range(n))
-            for i in range(n)]
+    return [_point_bits(rows[1 << i], n) for i in range(n)]
 
 
 def _first_near_points(points):

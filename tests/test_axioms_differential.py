@@ -9,8 +9,10 @@ import random
 from axioms_reference import check_axioms_reference
 from test_proximity import distinct_rows, union_of_classes_table
 
-from eqprox.proximity import Prox, _intersectors, _symmetric_by_classes, \
-    _transpose, check_axioms, from_uniformity, meets_table
+from eqprox import proximity
+from eqprox.proximity import Prox, _first_unmet_far_pair, _intersectors, \
+    _symmetric_by_classes, _transpose, check_axioms, from_uniformity, \
+    meets_table
 from eqprox.setrel import Carrier
 from eqprox.suite import _graph_proximity, _random_valid_basis, basis_pool
 
@@ -212,3 +214,72 @@ def test_half_and_one_more_distinct_rows_match_reference():
                 assert_same_report(Prox(carrier, rows))
                 assert_same_report(
                     Prox(carrier, flipped(rows, rng.randrange(N), rng)))
+
+
+def test_asymmetric_tables_with_few_distinct_rows_match_reference():
+    # A valid table repeats its rows; one off-diagonal flip makes it
+    # asymmetric while its rows stay few, so columns of equal value sit
+    # under rows of different value and the searches run over every far
+    # pair.
+    rng = random.Random(20)
+    seen = 0
+    for n in range(3, 8):
+        carrier = Carrier(range(n))
+        N = 1 << n
+        for u in basis_pool(carrier, rng):
+            rows = list(from_uniformity(u).rows)
+            if 2 * len(set(rows)) > N:
+                continue
+            for _ in range(3):
+                a, b = rng.sample(range(1, N), 2)
+                bad = list(rows)
+                bad[a] ^= 1 << b
+                assert bad != _transpose(bad, n)
+                assert_same_report(Prox(carrier, bad))
+                seen += 1
+    assert seen >= 100, seen
+
+
+def first_unmet_far_pair_per_bit(rows, firsts, searched, need, table):
+    """The literal double loop over a in firsts and b in index order."""
+    for a in firsts:
+        for b in range(len(rows)):
+            if (searched >> b & 1 and not rows[a] >> b & 1
+                    and not need[a] & table[b]):
+                return a, b
+    return None
+
+
+def test_first_unmet_far_pair_matches_double_loop():
+    rng = random.Random(21)
+    found = 0
+    for n in range(1, 6):
+        N = 1 << n
+        for _ in range(200):
+            rows = [rng.getrandbits(N) for _ in range(N)]
+            firsts = rng.sample(range(N), rng.randint(1, N))
+            searched = rng.getrandbits(N)
+            need = {a: rng.getrandbits(N) for a in firsts}
+            table = [rng.getrandbits(N) & rng.getrandbits(N)
+                     for _ in range(N)]
+            want = first_unmet_far_pair_per_bit(rows, firsts, searched,
+                                                need, table)
+            assert _first_unmet_far_pair(rows, firsts, searched, need,
+                                         table) == want
+            found += want is not None
+    assert 100 <= found <= 900, found
+
+
+def test_symmetric_table_reverses_each_distinct_row_once(monkeypatch):
+    # The 64 rows of the finest proximity on six points are all distinct
+    # and symmetric: the columns are the rows, so no column is reversed.
+    calls = []
+    real = proximity._reverse_bits
+
+    def counted(x, width):
+        calls.append(x)
+        return real(x, width)
+
+    monkeypatch.setattr(proximity, "_reverse_bits", counted)
+    assert check_axioms(Prox.overlap(Carrier(range(6)))).ok()
+    assert len(calls) == 64

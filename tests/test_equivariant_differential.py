@@ -124,8 +124,10 @@ def random_germ(rng, n):
     of two when it stays small, with a random chain of normal subgroups."""
     gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.choice((1, 2)))]
     try:
-        group, perms = FiniteGroup.from_permutations(gens, max_size=12)
-    except ValueError:
+        group, perms = FiniteGroup.from_permutations(gens)
+    except ValueError:  # past the cap of 48
+        group = None
+    if group is None or group.order > 12:
         group, perms = FiniteGroup.from_permutations(gens[:1])
     if group.order > 12:  # past the cap of FiniteGroup.subgroups
         return random_germ(rng, n)

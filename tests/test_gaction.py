@@ -2,6 +2,7 @@ import random
 
 import pytest
 from equivariant_reference import push_rel, translate_mask
+from group_reference import permutation_closure_reference
 
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
     check_action_continuity, classify, saturate_uniformity
@@ -78,9 +79,18 @@ def test_permutation_names_up_to_degree_ten_have_no_separator():
 
 
 def test_from_permutations_respects_cap():
-    with pytest.raises(ValueError, match="cap"):
-        FiniteGroup.from_permutations(
-            [tuple(list(range(1, 6)) + [0])], max_size=3)
+    # S4 x Z2 on six points closes at exactly the cap of 48 elements; a
+    # 49-cycle generates one element more.
+    at_cap = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)]
+    group, perms = FiniteGroup.from_permutations(at_cap)
+    assert group.order == 48
+    assert (group.names, perms) == permutation_closure_reference(at_cap)
+    above = [tuple(range(1, 49)) + (0,)]
+    with pytest.raises(ValueError, match="cap") as got:
+        FiniteGroup.from_permutations(above)
+    with pytest.raises(ValueError) as want:
+        permutation_closure_reference(above)
+    assert str(got.value) == str(want.value)
 
 
 def test_subgroups_of_s3():

@@ -69,8 +69,10 @@ def seeded_germs(rng, n):
     the indiscrete chain [G] and the discrete chain [G, {e}]."""
     gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.choice((1, 2)))]
     try:
-        group, perms = FiniteGroup.from_permutations(gens, max_size=24)
-    except ValueError:
+        group, perms = FiniteGroup.from_permutations(gens)
+    except ValueError:  # past the cap of 48
+        group = None
+    if group is None or group.order > 24:
         group, perms = FiniteGroup.from_permutations(gens[:1])
     whole = frozenset(range(group.order))
     return [GActionGerm(group, NeighborhoodBase(group, levels),
