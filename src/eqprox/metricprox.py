@@ -158,18 +158,6 @@ def family_uniformity(fam):
                     [kernel] + [eps for level in levels for eps in level])
 
 
-def xi_uniformity(fam, a, subsets_of_group):
-    """The uniformity of all worst-case pseudometrics d_{A,i} over the
-    given group subsets A and family members i."""
-    if not subsets_of_group:
-        raise PreconditionFailure("need at least one group subset")
-    sups = []
-    for s in subsets_of_group:
-        for i in range(len(fam.members)):
-            sups.append(sup_pseudometric(fam, a, s, i))
-    return family_uniformity(PseudometricFamily(fam.carrier, sups))
-
-
 @dataclass(frozen=True)
 class XiReport:
     """Per-conclusion outcomes for the worst-case-uniformity construction.
@@ -193,8 +181,10 @@ class XiReport:
         ]
 
 
-def xi_report(fam, a, subsets_of_group):
-    """Instance-check the three expected properties of the construction.
+def xi_report(fam, a, subsets_of_group, sups):
+    """Instance-check the three expected properties of the construction,
+    given the worst-case pseudometrics d_{A,i} (sup_pseudometric) over the
+    group subsets A and family members i; the derived uniformity is theirs.
 
     (1) if every subset acts equicontinuously, the derived uniformity
         induces the same topology;
@@ -205,7 +195,7 @@ def xi_report(fam, a, subsets_of_group):
         refines the base one.
     """
     base = family_uniformity(fam)
-    xi = xi_uniformity(fam, a, subsets_of_group)
+    xi = family_uniformity(PseudometricFamily(fam.carrier, sups))
     ids = [sorted(_group_indices(a.group, s)) for s in subsets_of_group]
 
     hyp1 = all(_acts_equicontinuously(a, base, s) for s in ids)

@@ -1,7 +1,7 @@
 """Symbolic model of the ordered rationals under order automorphisms.
 
 Points of the carrier are exact rationals; sets are finite unions of
-rational points and open intervals with symbolic infinite endpoints.  The
+rational points and open intervals, whose endpoints may be infinite.  The
 stabilizer of a finite chain F = {t1 < ... < tm} acts with exactly the
 2m+1 obvious orbits
 
@@ -14,7 +14,12 @@ sets in the maximal group proximity, and a saturation of A inside a convex
 O (farness of A from the complement of O), become one finite search for a
 chain no cell of which meets both sets; saturate re-verifies its witness.
 
-All arithmetic is exact (fractions.Fraction); no floats anywhere.
+All arithmetic is exact (fractions.Fraction).  The only floats are the
+two infinite endpoints NEG_INF = -math.inf and POS_INF = math.inf: Fraction
+compares with them exactly, and they are compared and never used in
+arithmetic.  An endpoint is tested for infinity by equality with them, or,
+in a normalized atom, by being a float; never by math.isinf or float(),
+which overflow on a Fraction of more than about 308 digits.
 
 The witness search space is the chains drawn from the endpoint set of
 the two inputs.  Any witness found is sound because saturations shrink as
@@ -27,6 +32,7 @@ cutting wherever the run of cells since the last cut would meet both sets.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -39,49 +45,8 @@ from .errors import DocumentError, InternalCheckFailure, \
 # maps grow with the square of the level count.
 TOWER_LEVEL_CAP = 64
 
-
-class _Infinity:
-    """Symbolic infinite endpoint, totally ordered against Fraction."""
-
-    __slots__ = ("sign",)
-
-    def __init__(self, sign):
-        self.sign = sign
-
-    def __lt__(self, other):
-        if isinstance(other, _Infinity):
-            return self.sign < other.sign
-        return self.sign < 0
-
-    def __gt__(self, other):
-        if isinstance(other, _Infinity):
-            return self.sign > other.sign
-        return self.sign > 0
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __ge__(self, other):
-        return self == other or self > other
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinity) and other.sign == self.sign
-
-    def __hash__(self):
-        return hash(("infinity", self.sign))
-
-    def __repr__(self):
-        return "inf" if self.sign > 0 else "-inf"
-
-
-NEG_INF = _Infinity(-1)
-POS_INF = _Infinity(1)
-
-
-def fmt_value(v):
-    if isinstance(v, _Infinity):
-        return repr(v)
-    return str(v)
+NEG_INF = -math.inf
+POS_INF = math.inf
 
 
 def _pt(q):
@@ -94,12 +59,8 @@ def _iv(lo, hi):
 
 def fmt_atom(atom):
     if atom[0] == "pt":
-        return "{" + fmt_value(atom[1]) + "}"
-    return f"({fmt_value(atom[1])},{fmt_value(atom[2])})"
-
-
-def _atom_start(atom):
-    return atom[1]
+        return "{" + str(atom[1]) + "}"
+    return f"({atom[1]},{atom[2]})"
 
 
 def _atoms_intersect(a, b):
@@ -136,8 +97,8 @@ class RatSet:
 
     @classmethod
     def interval(cls, lo, hi):
-        lo = lo if isinstance(lo, _Infinity) else Fraction(lo)
-        hi = hi if isinstance(hi, _Infinity) else Fraction(hi)
+        lo = lo if lo == NEG_INF else Fraction(lo)
+        hi = hi if hi == POS_INF else Fraction(hi)
         return cls([_iv(lo, hi)])
 
     @property
@@ -148,14 +109,14 @@ class RatSet:
         return any(_atoms_intersect(a, b) for a in self.atoms for b in other.atoms)
 
     def components(self):
-        """Fused maximal convex pieces as (lo, lo_closed, hi, hi_closed)."""
+        """Fused maximal convex pieces as (lo, lo_closed, hi, hi_closed),
+        read off the atoms in their normalized order."""
         comps = []
         for a in self.atoms:
             if a[0] == "pt":
                 comps.append([a[1], True, a[1], True])
             else:
                 comps.append([a[1], False, a[2], False])
-        comps.sort(key=lambda c: (_sort_key(c[0]), not c[1]))
         fused = []
         for c in comps:
             if fused:
@@ -182,15 +143,8 @@ class RatSet:
 
     def endpoints(self):
         """The finite endpoint values of all atoms, sorted."""
-        vals = set()
-        for a in self.atoms:
-            if a[0] == "pt":
-                vals.add(a[1])
-            else:
-                for v in (a[1], a[2]):
-                    if not isinstance(v, _Infinity):
-                        vals.add(v)
-        return tuple(sorted(vals))
+        return tuple(sorted({v for a in self.atoms for v in a[1:]
+                             if not isinstance(v, float)}))
 
     def __eq__(self, other):
         return isinstance(other, RatSet) and self.components() == other.components()
@@ -207,12 +161,6 @@ class RatSet:
         return f"RatSet({self})"
 
 
-def _sort_key(v):
-    if isinstance(v, _Infinity):
-        return (v.sign, Fraction(0))
-    return (0, v)
-
-
 def _component_inside(c, d):
     lo_ok = d[0] < c[0] or (d[0] == c[0] and (d[1] or not c[1]))
     hi_ok = d[2] > c[2] or (d[2] == c[2] and (d[3] or not c[3]))
@@ -227,7 +175,7 @@ def _normalize(atoms):
             pts.add(a[1])
         elif a[1] < a[2]:
             ivs.append(a)
-    ivs.sort(key=lambda a: (_sort_key(a[1]), _sort_key(a[2])))
+    ivs.sort(key=lambda a: (a[1], a[2]))
     merged = []
     for a in ivs:
         if merged and a[1] < merged[-1][2]:
@@ -240,8 +188,10 @@ def _normalize(atoms):
     lows = [iv[1] for iv in merged]
     kept = [_pt(q) for q in pts
             if not (k := bisect_left(lows, q)) or merged[k - 1][2] <= q]
+    # By start, a point before an interval opening at it: components()
+    # fuses the atoms in this order.
     out = merged + kept
-    out.sort(key=lambda a: (_sort_key(_atom_start(a)), 0 if a[0] == "pt" else 1))
+    out.sort(key=lambda a: (a[1], a[0] == "iv"))
     return tuple(out)
 
 
@@ -548,7 +498,7 @@ def _outside(o):
     (lo, lo_in, hi, hi_in), = o.components()
     atoms = [_iv(NEG_INF, lo), _iv(hi, POS_INF)]
     atoms += [_pt(t) for t, t_in in ((lo, lo_in), (hi, hi_in))
-              if not (t_in or isinstance(t, _Infinity))]
+              if not (t_in or isinstance(t, float))]
     return RatSet(atoms)
 
 

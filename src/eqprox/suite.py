@@ -732,7 +732,7 @@ def _random_subset_of(o, rng):
             atoms.append(("pt", lo))
         if hi_in and rng.random() < 0.5:
             atoms.append(("pt", hi))
-        if isinstance(lo, rat._Infinity) or isinstance(hi, rat._Infinity):
+        if lo == rat.NEG_INF or hi == rat.POS_INF:
             continue
         if hi - lo > 0 and rng.random() < 0.8:
             span = hi - lo
@@ -828,21 +828,22 @@ def _run_sigma_family(result, seed, max_group):
                 if len(germ.ne.deepest) > 1:
                     subs.append(germ.ne.deepest)
                 label = f"sigma/n{n}/{gname}/{t}"
-                # Worst-case matrices must stay pseudometrics (trap check).
+                # Worst-case matrices must stay pseudometrics (trap check);
+                # xi_report reads them, so a trap fails this instance with
+                # the first trap's message, not the run.
+                sups, traps = [], []
                 for si, s in enumerate(subs):
                     for i in range(len(fam.members)):
                         try:
-                            sup_pseudometric(fam, germ, s, i)
+                            sups.append(sup_pseudometric(fam, germ, s, i))
                         except InternalCheckFailure as exc:
+                            traps.append(str(exc))
                             result.record(False, f"{label}/sup{si}.{i}",
-                                          str(exc))
+                                          traps[-1])
                         else:
                             result.record(True, f"{label}/sup{si}.{i}", None)
-                # xi_report reads the same worst-case matrices, so a trap
-                # there is this instance's failure, not the run's.
-                try:
-                    rep = xi_report(fam, germ, subs)
-                except InternalCheckFailure as exc:
-                    result.record(False, label, str(exc))
+                if traps:
+                    result.record(False, label, traps[0])
                 else:
+                    rep = xi_report(fam, germ, subs, sups)
                     result.record(rep.ok(), label, rep.lines())

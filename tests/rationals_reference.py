@@ -24,8 +24,11 @@ through ``ratset_intersection_reference`` (``RatSet.intersection`` with
 the suffix, with ``FAR_CHAIN_CAP``, the cap of the far search at that time,
 now defined here.  ``normalize_reference`` is the body of
 ``rationals._normalize`` from before it located each point by bisection,
-when it tested every point against every merged interval.  This is
-test-only code: nothing under ``src/`` may import it.
+when it tested every point against every merged interval; it sorts with
+``_sort_key`` and ``_atom_start``, private copies of the ``rationals``
+helpers of that time, which placed an infinite endpoint by its sign (here
+read by equality with ``NEG_INF`` and ``POS_INF``).  This is test-only
+code: nothing under ``src/`` may import it.
 """
 
 from bisect import bisect_left, bisect_right
@@ -34,11 +37,22 @@ from itertools import combinations
 
 from eqprox.errors import InternalCheckFailure, PreconditionFailure, \
     ResourceCap
-from eqprox.rationals import TOWER_LEVEL_CAP, Chain, ClaimResult, \
-    FarVerdict, RatSet, Tower, _Infinity, _atom_start, _iv, _pt, _sort_key, \
-    orbit_space
+from eqprox.rationals import NEG_INF, POS_INF, TOWER_LEVEL_CAP, Chain, \
+    ClaimResult, FarVerdict, RatSet, Tower, _iv, _pt, orbit_space
 
 FAR_CHAIN_CAP = 4096
+
+
+def _sort_key(v):
+    if v == NEG_INF:
+        return (-1, Fraction(0))
+    if v == POS_INF:
+        return (1, Fraction(0))
+    return (0, v)
+
+
+def _atom_start(atom):
+    return atom[1]
 
 
 def normalize_reference(atoms):
@@ -87,11 +101,11 @@ def _cell_representative_reference(cell):
     if cell[0] == "pt":
         return cell[1]
     lo, hi = cell[1], cell[2]
-    if isinstance(lo, _Infinity) and isinstance(hi, _Infinity):
+    if lo == NEG_INF and hi == POS_INF:
         return Fraction(0)
-    if isinstance(lo, _Infinity):
+    if lo == NEG_INF:
         return hi - 1
-    if isinstance(hi, _Infinity):
+    if hi == POS_INF:
         return lo + 1
     return (lo + hi) / 2
 

@@ -382,6 +382,29 @@ def points_text(values):
     return ",".join(f"{{{k}}}" for k in values)
 
 
+BIG = 10 ** 400
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("far", f"(-inf,{-BIG})", f"({BIG},inf)"),
+     f"far, witness F={{{-BIG}}}\n"),
+    (("far", f"{{{BIG}}}", f"({BIG},inf)"), f"far, witness F={{{BIG}}}\n"),
+    (("far", f"(-inf,{BIG})", f"({BIG},inf)", "--json"),
+     '{\n  "schema": 1,\n  "verdict": "far",\n  "what": "far",\n'
+     f'  "witness": "{{{BIG}}}"\n}}\n'),
+    (("claim", f"{{{BIG - 1}}}", f"(-inf,{BIG})"),
+     f"witness F={{{BIG - 1}}}\n"),
+    (("claim", f"({-BIG},0)", f"(-inf,{BIG})", "--json"),
+     '{\n  "alarm": false,\n  "schema": 1,\n  "what": "claim",\n'
+     '  "witness": "{0}"\n}\n'),
+    (("claim", f"({-BIG},inf)", "(-inf,inf)"), "witness F={}\n"),
+], ids=["far-rays", "far-point-ray", "far-json", "claim-point", "claim-json",
+        "claim-ray"])
+def test_rat_400_digit_endpoint_beside_an_infinite_one(capsys, argv, out):
+    # 10**400 is past the float range, where math.isinf raises.
+    assert run(capsys, "rat", *argv) == (0, out, "")
+
+
 def test_rat_far_interleaved_seven_point_sets(capsys):
     # Two interleaved 7-point sets have 14 endpoints, and no chain of
     # fewer than 7 of them separates: the first witness, {0,2,...,12}, is

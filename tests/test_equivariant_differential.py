@@ -39,7 +39,7 @@ from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
     check_action_continuity, classify, saturate_uniformity
 from eqprox.metricprox import FiniteMetric, PseudometricFamily, \
     _acts_equicontinuously, family_uniformity, metric_uniformity, \
-    xi_uniformity
+    sup_pseudometric
 from eqprox.proximity import Prox, _point_block, from_uniformity, meets, \
     meets_points
 from eqprox.setrel import Carrier, Rel, _join_mask
@@ -702,7 +702,10 @@ def test_acts_equicontinuously_matches_reference_on_sigma_settings():
     settings = 0
     for fam, a in sigma_settings():
         whole = frozenset(range(a.group.order))
-        for u in (family_uniformity(fam), xi_uniformity(fam, a, [whole])):
+        xi = family_uniformity(PseudometricFamily(fam.carrier, [
+            sup_pseudometric(fam, a, whole, i)
+            for i in range(len(fam.members))]))
+        for u in (family_uniformity(fam), xi):
             assert_same_equicontinuity_on_subsets(a, u)
         settings += 1
     assert settings == 48

@@ -8,7 +8,7 @@ from eqprox.errors import PreconditionFailure
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify
 from eqprox.metricprox import FiniteMetric, PseudometricFamily, \
     family_uniformity, is_isometric, metric_g_proximity, metric_uniformity, \
-    sup_pseudometric, xi_report, xi_uniformity
+    sup_pseudometric, xi_report
 from eqprox.proximity import Prox, from_uniformity
 from eqprox.setrel import Carrier
 from eqprox.uniformity import refinement_equivalent, refines, validate_basis
@@ -107,10 +107,17 @@ def test_sup_pseudometric_monotone_in_the_subset():
         sup_pseudometric(fam, germ, set(), 0)
 
 
+def worst_cases(fam, germ, subsets):
+    """The worst-case pseudometrics d_{A,i}, subset-major."""
+    return [sup_pseudometric(fam, germ, s, i)
+            for s in subsets for i in range(len(fam.members))]
+
+
 def test_xi_uniformity_identity_family():
     metric, germ = four_cycle()
     fam = PseudometricFamily(metric.carrier, [metric])
-    xi = xi_uniformity(fam, germ, [frozenset({germ.group.e})])
+    xi = family_uniformity(PseudometricFamily(
+        fam.carrier, worst_cases(fam, germ, [frozenset({germ.group.e})])))
     assert validate_basis(xi).ok()
     assert refinement_equivalent(xi, family_uniformity(fam))
 
@@ -118,7 +125,8 @@ def test_xi_uniformity_identity_family():
 def test_xi_uniformity_invariant_whole_group():
     metric, germ = four_cycle()
     fam = PseudometricFamily(metric.carrier, [metric])
-    xi = xi_uniformity(fam, germ, [frozenset(range(4))])
+    xi = family_uniformity(PseudometricFamily(
+        fam.carrier, worst_cases(fam, germ, [frozenset(range(4))])))
     assert refinement_equivalent(xi, family_uniformity(fam))
     assert classify(germ, xi).quasibounded
     assert refines(xi, family_uniformity(fam))
@@ -127,10 +135,12 @@ def test_xi_uniformity_invariant_whole_group():
 def test_xi_report_cases():
     metric, germ = four_cycle()
     fam = PseudometricFamily(metric.carrier, [metric])
-    rep = xi_report(fam, germ, [frozenset(range(4))])
+    whole = [frozenset(range(4))]
+    rep = xi_report(fam, germ, whole, worst_cases(fam, germ, whole))
     assert rep.ok()
     assert rep.quasibounded == "pass"
-    rep2 = xi_report(fam, germ, [frozenset({germ.group.e})])
+    ident = [frozenset({germ.group.e})]
+    rep2 = xi_report(fam, germ, ident, worst_cases(fam, germ, ident))
     assert rep2.ok()
     assert rep2.quasibounded == "n/a"  # {e}.V = G is not inside {e}
     assert rep2.refinement == "pass"
@@ -139,7 +149,7 @@ def test_xi_report_cases():
     deep = GActionGerm(g, NeighborhoodBase(g, [frozenset(range(4)),
                                                frozenset({g.e})]),
                        germ.carrier, germ.act)
-    rep3 = xi_report(fam, deep, [frozenset({g.e})])
+    rep3 = xi_report(fam, deep, ident, worst_cases(fam, deep, ident))
     assert rep3.ok()
     assert rep3.quasibounded == "pass"
 

@@ -5,8 +5,12 @@ Strings are drawn over the grammar's alphabet plus "e", ".", "+" and
 spaces, which `Fraction` would accept in some positions, both as free
 character strings and as joins of grammar tokens (so that well-formed
 sets and chains are common).  Any other exception, or a value that does
-not print, would reach the CLI as a traceback instead of exit 2.
+not print, would reach the CLI as a traceback instead of exit 2.  Every
+endpoint of a parsed set is a Fraction or one of the two infinite
+endpoints, also on well-formed sets drawn from exact values.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +18,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from eqprox.errors import DocumentError  # noqa: E402
-from eqprox.rationals import parse_chain, parse_ratset  # noqa: E402
+from eqprox.rationals import (  # noqa: E402
+    NEG_INF, POS_INF, parse_chain, parse_ratset)
 
 ALPHABET = "0123456789/-{}(),inf" + "e.+ "
 TOKENS = ("{", "}", "(", ")", ",", "inf", "-inf", "-", "/", "0", "1", "2",
@@ -31,6 +36,22 @@ ratset_strings = st.lists(st.one_of(
     strings.map(lambda s: "{" + s + "}"),
     st.tuples(strings, strings).map(lambda p: f"({p[0]},{p[1]})"),
 ), max_size=3).map(",".join)
+
+# Well-formed sets over exact values, so that intervals are common: p/q,
+# integers to 400 digits and decimals, with the infinite endpoints.
+finite_endpoints = st.one_of(
+    st.fractions().map(lambda q: (q, str(q))),
+    st.integers(-10 ** 401, 10 ** 401).map(lambda k: (Fraction(k), str(k))),
+    st.decimals(places=3, allow_nan=False, allow_infinity=False).map(
+        lambda d: (Fraction(d), format(d, "f"))),
+)
+endpoints = finite_endpoints | st.sampled_from(
+    ((NEG_INF, "-inf"), (POS_INF, "inf")))
+well_formed_ratsets = st.lists(st.one_of(
+    finite_endpoints.map(lambda v: "{" + v[1] + "}"),
+    st.tuples(endpoints, endpoints).filter(lambda p: p[0][0] < p[1][0]).map(
+        lambda p: f"({p[0][1]},{p[1][1]})"),
+), max_size=5).map(",".join)
 
 SETTINGS = settings(max_examples=400, deadline=None, derandomize=True,
                     database=None)
@@ -49,6 +70,23 @@ def refuses_or_round_trips(parse, text):
 @given(ratset_strings)
 def test_parse_ratset_refuses_or_round_trips(text):
     refuses_or_round_trips(parse_ratset, text)
+
+
+@SETTINGS
+@given(well_formed_ratsets | ratset_strings)
+def test_parsed_endpoints_are_fractions_or_the_infinities(text):
+    # The infinite endpoints are the only floats: a finite float endpoint
+    # would be read as infinite by `endpoints` and `_outside`.
+    try:
+        value = parse_ratset(text)
+    except DocumentError:
+        return
+    for atom in value.atoms:
+        for v in atom[1:]:
+            assert type(v) is Fraction or v in (NEG_INF, POS_INF), (text, atom)
+    for lo, _, hi, _ in value.components():
+        assert type(lo) is Fraction or lo == NEG_INF, (text, lo)
+        assert type(hi) is Fraction or hi == POS_INF, (text, hi)
 
 
 @SETTINGS

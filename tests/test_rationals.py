@@ -12,11 +12,37 @@ from eqprox.rationals import Chain, NEG_INF, POS_INF, RatSet, \
     saturate, tower_dot
 
 
+BIG = 10 ** 400
+
+
 def test_infinity_ordering():
     assert NEG_INF < F(-100) < F(0) < F(100) < POS_INF
     assert not NEG_INF < NEG_INF
     assert POS_INF >= F(5)
     assert sorted([POS_INF, F(1), NEG_INF]) == [NEG_INF, F(1), POS_INF]
+    # Past the float range the order stays exact.
+    assert NEG_INF < F(-BIG) < F(BIG) < POS_INF
+    assert F(BIG) != POS_INF and F(-BIG) != NEG_INF
+    assert not POS_INF <= F(BIG) and not F(-BIG) <= NEG_INF
+    assert sorted([F(BIG), POS_INF, NEG_INF, F(-BIG)]) == \
+        [NEG_INF, F(-BIG), F(BIG), POS_INF]
+
+
+def test_a_400_digit_endpoint_beside_an_infinite_one():
+    # math.isinf(F(BIG)) would raise OverflowError: infinite endpoints are
+    # only ever compared.
+    below = RatSet.interval(NEG_INF, BIG)
+    assert below.atoms == (("iv", NEG_INF, F(BIG)),)
+    assert str(below) == f"(-inf,{BIG})"
+    assert below.endpoints() == (F(BIG),)
+    above = RatSet.interval(-BIG, POS_INF)
+    assert str(above) == f"({-BIG},inf)"
+    assert above.endpoints() == (F(-BIG),)
+    both = parse_ratset(f"({BIG},inf),{{{BIG}}},(-inf,{-BIG})")
+    assert str(both) == f"(-inf,{-BIG}),{{{BIG}}},({BIG},inf)"
+    assert both.endpoints() == (F(-BIG), F(BIG))
+    assert both.components() == ((NEG_INF, False, F(-BIG), False),
+                                 (F(BIG), True, POS_INF, False))
 
 
 def test_normalization_merges_overlaps_and_keeps_adjacency():

@@ -11,9 +11,9 @@ def test_sigma_trap_is_recorded_as_a_labelled_failure(monkeypatch):
     def broken(*args):
         raise InternalCheckFailure("sup over translates broke")
 
-    # xi_report reaches the same function through its own module.
+    # The sigma family builds every worst-case pseudometric in its own
+    # trap loop; xi_report only reads them.
     monkeypatch.setattr(suite, "sup_pseudometric", broken)
-    monkeypatch.setattr(metricprox, "sup_pseudometric", broken)
     report = suite.run_suite(filters=["sigma"])
     (sigma,) = [r for r in report.results if r.name == "sigma"]
     assert not sigma.ok
@@ -21,6 +21,25 @@ def test_sigma_trap_is_recorded_as_a_labelled_failure(monkeypatch):
     assert label.startswith("sigma/") and "/sup" in label
     assert detail == "sup over translates broke"
     assert not report.ok
+
+
+def test_sigma_family_builds_each_worst_case_pseudometric_once(monkeypatch):
+    # One call per (subset, member) of each instance, through either
+    # binding: xi_report reads the trap loop's pseudometrics.
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    real = suite.sup_pseudometric
+    monkeypatch.setattr(suite, "sup_pseudometric", counting)
+    monkeypatch.setattr(metricprox, "sup_pseudometric", counting)
+    report = suite.run_suite(filters=["sigma"])
+    (sigma,) = report.results
+    # 223 checks: one per (subset, member) and one for each of 48 instances.
+    assert (sigma.ok, sigma.checked, calls) == (True, 223, 223 - 48)
 
 
 def test_corrupt_basis_drops_the_least_diagonal_pair_of_the_first_entourage():
