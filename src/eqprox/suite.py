@@ -5,7 +5,8 @@ action, identity-neighborhood chain, entourage basis), runs every
 structural identity of the library against its independent oracle, and
 reports one line per invariant with pass counts and the first
 counterexample on failure.  Identical parameters and seed produce
-byte-identical reports.
+byte-identical reports.  Each family yields (invariant, ok, label,
+detail) records, and `run_suite` records them in one loop.
 
 Where a family is astronomically large as literally quantified (all
 reflexive entourages over five points, all towers over a grid), the suite
@@ -250,11 +251,6 @@ class InvariantResult:
                 f"first counterexample: {label}{extra}")
 
 
-INVARIANTS = ("tgprox", "betag", "ugclaims", "gprox", "semigr", "maximality",
-              "equinormal", "densesub", "axioms", "rationals", "ordcomp",
-              "metric", "sigma")
-
-
 @dataclass
 class SuiteReport:
     seed: int
@@ -299,7 +295,7 @@ class SuiteReport:
 def iter_family(max_n=5, seed=0, max_group=6):
     """The main instance family: every standard group, curated actions on
     carriers up to max_n, all subgroup chains, pooled bases and their
-    saturations.  Yields (label, germ, basis).
+    saturations.  Yields (label, germ, basis), each germ's bases in one run.
 
     Each group's chains are validated once, and each action once: its
     germs over the chains are one germ rebound by `on_chain`, so they
@@ -354,56 +350,47 @@ def run_suite(max_n=5, seed=0, max_group=6, filters=None, inject=None):
 
     `filters` restricts to a subset of invariant names; `inject` plants a
     deterministic defect ("bracket", "nu" or "betag") to prove the suite
-    catches corruption.
+    catches corruption.  A run that could check nothing (no carrier, or
+    no standard group) is refused.
     """
+    if max_n < 1 or max_group < 2:
+        raise ValueError("nothing to check: max_n must be at least 1 and "
+                         "max_group at least 2")
     if max_n > DEFAULT_MAX_CARRIER:
         raise ResourceCap(f"the family carrier cap is {DEFAULT_MAX_CARRIER}")
-    if filters:
-        unknown = set(filters) - set(INVARIANTS)
-        if unknown:
-            raise ValueError(f"unknown invariant filter: {sorted(unknown)[0]!r}")
-    want = {name: (not filters or name in filters) for name in INVARIANTS}
-    res = {name: InvariantResult(name) for name in INVARIANTS}
-
-    main_needed = any(want[k] for k in (
-        "tgprox", "betag", "ugclaims", "gprox", "semigr", "maximality",
-        "equinormal", "densesub"))
-    if main_needed:
-        _run_main_family(res, want, max_n, seed, max_group, inject)
-    if want["axioms"]:
-        _run_axiom_family(res["axioms"], max_n, seed)
-    if want["rationals"]:
-        _run_rationals_family(res["rationals"], seed)
-    if want["ordcomp"]:
-        _run_ordcomp_family(res["ordcomp"], seed)
-    if want["metric"]:
-        _run_metric_family(res["metric"], max_group)
-    if want["sigma"]:
-        _run_sigma_family(res["sigma"], seed, max_group)
-
-    report = SuiteReport(seed=seed, max_n=max_n, max_group=max_group)
-    report.results = [res[name] for name in INVARIANTS if want[name]]
-    return report
+    wanted = set(filters or INVARIANTS)
+    unknown = wanted - set(INVARIANTS)
+    if unknown:
+        raise ValueError(f"unknown invariant filter: {sorted(unknown)[0]!r}")
+    results = {name: InvariantResult(name) for name in INVARIANTS
+               if name in wanted}
+    settings = {"wanted": wanted, "max_n": max_n, "seed": seed,
+                "max_group": max_group, "inject": inject}
+    for family, names in FAMILIES:
+        if not wanted.isdisjoint(names):
+            for name, ok, label, detail in family(**settings):
+                results[name].record(ok, label, detail)
+    return SuiteReport(seed, max_n, max_group, list(results.values()))
 
 
-def _run_main_family(res, want, max_n, seed, max_group, inject):
+def _main_family(wanted, max_n, seed, max_group, inject):
     # The library scans keep their results in the action's shared germ
     # cache, keyed by the values they read; each label is still recorded,
-    # and the two sides of an identity are still computed apart.
-    done_germs = set()
+    # and the two sides of an identity are still computed apart.  A germ's
+    # bases come in one run, so its checks run at its first valid one.
+    last_germ = None
     for label, germ, u in iter_family(max_n, seed, max_group):
         if not validate_basis(u).ok():
             continue
         cls = classify(germ, u)
-        if want["gprox"]:
+        if "gprox" in wanted:
             # Composite-verdict inclusion: equiuniform is the stronger notion.
-            res["gprox"].record(not cls.equiuniform or cls.pi_uniform,
-                                label + "/inclusion", None)
+            yield ("gprox", not cls.equiuniform or cls.pi_uniform,
+                   label + "/inclusion", None)
 
-        germ_key = (id(germ.group), germ.ne.levels, germ.carrier.n, germ.act)
-        if germ_key not in done_germs:
-            done_germs.add(germ_key)
-            _per_germ_checks(res, want, label, germ, inject)
+        if germ is not last_germ:
+            last_germ = germ
+            yield from _per_germ_checks(wanted, label, germ, inject)
 
         if not (cls.pi_uniform and cls.action_continuous):
             continue
@@ -415,10 +402,10 @@ def _run_main_family(res, want, max_n, seed, max_group, inject):
         if inject == "nu":
             nu = _corrupt_prox(nu)
 
-        if want["tgprox"]:
+        if "tgprox" in wanted:
             mismatch = _first_mismatch(nu, derived)
-            res["tgprox"].record(mismatch is None, label, mismatch)
-        if want["ugclaims"]:
+            yield "tgprox", mismatch is None, label, mismatch
+        if "ugclaims" in wanted:
             vb = validate_basis(checked_ug)
             ug_cls = classify(germ, checked_ug)
             ok = vb.ok() and ug_cls.bounded
@@ -431,26 +418,26 @@ def _run_main_family(res, want, max_n, seed, max_group, inject):
                 ok, detail = False, "saturation not preserved"
             if ok and not refinement_equivalent(u, checked_ug):
                 ok, detail = False, "not refinement-equivalent under pi-uniformity"
-            res["ugclaims"].record(ok, label, detail)
-        base_gprox = want["gprox"] and cls.equiuniform
-        maximality = want["maximality"] and germ.carrier.n <= 4
+            yield "ugclaims", ok, label, detail
+        base_gprox = "gprox" in wanted and cls.equiuniform
+        maximality = "maximality" in wanted and germ.carrier.n <= 4
         delta_u = from_uniformity(u) if base_gprox or maximality else None
-        if want["gprox"]:
+        if "gprox" in wanted:
             inv, invw = is_g_invariant(nu, germ)
             comp, compw = is_action_compatible(nu, germ)
-            res["gprox"].record(inv and comp, label, invw or compw)
+            yield "gprox", inv and comp, label, invw or compw
             if base_gprox:
                 inv2, w2 = is_g_invariant(delta_u, germ)
                 comp2, w22 = is_action_compatible(delta_u, germ)
-                res["gprox"].record(inv2 and comp2, label + "/base", w2 or w22)
-        if want["semigr"]:
+                yield "gprox", inv2 and comp2, label + "/base", w2 or w22
+        if "semigr" in wanted:
             ok, wit = semigroup_upgrade(nu, germ)
-            res["semigr"].record(ok, label, wit)
+            yield "semigr", ok, label, wit
         if maximality:
             for ri, rho in enumerate(_g_proximity_candidates(germ)):
                 if dominates(delta_u, rho):
-                    res["maximality"].record(
-                        dominates(nu, rho), f"{label}/cand{ri}", None)
+                    yield ("maximality", dominates(nu, rho),
+                           f"{label}/cand{ri}", None)
 
 
 def _g_proximity_candidates(germ):
@@ -466,21 +453,21 @@ def _g_proximity_candidates(germ):
         and is_action_compatible(rho, germ)[0]])
 
 
-def _per_germ_checks(res, want, label, germ, inject):
+def _per_germ_checks(wanted, label, germ, inject):
     bg = beta_g_proximity(germ)
     if inject == "betag":
         bg = _corrupt_prox(bg)
-    if want["betag"]:
+    if "betag" in wanted:
         nu_d = nu_proximity(germ, discrete_basis(germ.carrier))
         mismatch = _first_mismatch(bg, nu_d)
-        res["betag"].record(mismatch is None, label, mismatch)
-    if want["semigr"]:
+        yield "betag", mismatch is None, label, mismatch
+    if "semigr" in wanted:
         ok, wit = semigroup_upgrade(bg, germ)
-        res["semigr"].record(ok, label + "/betag", wit)
-    if want["equinormal"]:
+        yield "semigr", ok, label + "/betag", wit
+    if "equinormal" in wanted:
         rep = check_equinormal(germ)
-        res["equinormal"].record(rep.equinormal and rep.agree, label, None)
-    if want["densesub"]:
+        yield "equinormal", rep.equinormal and rep.agree, label, None
+    if "densesub" in wanted:
         group = germ.group
         deep = germ.ne.deepest
         for h in group.subgroups():
@@ -489,8 +476,8 @@ def _per_germ_checks(res, want, label, germ, inject):
             if not deepest_orbits_coincide(germ, h):
                 continue
             agree, _full, _restr = betag_on_subgroup_agrees(germ, sorted(h))
-            res["densesub"].record(
-                agree, f"{label}/H={sorted(group.names[i] for i in h)}", None)
+            yield ("densesub", agree,
+                   f"{label}/H={sorted(group.names[i] for i in h)}", None)
 
 
 def _first_mismatch(p1, p2):
@@ -531,45 +518,41 @@ def _random_valid_basis(carrier, rng):
     return UnifBase(carrier, [theta, eps])
 
 
-def _run_axiom_family(result, max_n, seed):
+def _axiom_family(max_n, seed, **_):
     rng = random.Random(seed + 1)
     # Exhaustive tier: every pooled valid basis on small carriers.
     for n in range(1, min(max_n, 5) + 1):
-        carrier = Carrier(range(n))
-        for bi, u in enumerate(basis_pool(carrier, rng)):
-            label = f"axioms/n{n}/basis{bi}"
-            _axiom_checks(result, label, u)
+        for bi, u in enumerate(basis_pool(Carrier(range(n)), rng)):
+            ok, detail = _axiom_checks(u)
+            yield "axioms", ok, f"axioms/n{n}/basis{bi}", detail
     # Random tier: seeded instances on carriers 6..8.
     per_size = (334, 333, 333)
     for k, n in enumerate((6, 7, 8)):
         carrier = Carrier(range(n))
         for t in range(per_size[k]):
-            u = _random_valid_basis(carrier, rng)
-            _axiom_checks(result, f"axioms/n{n}/rand{t}", u)
+            ok, detail = _axiom_checks(_random_valid_basis(carrier, rng))
+            yield "axioms", ok, f"axioms/n{n}/rand{t}", detail
     # P5/P5' agreement on relations that may genuinely fail both.
     for n in (3, 4, 5):
         carrier = Carrier(range(n))
         for t in range(40):
-            p = _graph_proximity(carrier, rng)
-            rep = check_axioms(p)
-            label = f"axioms/graph/n{n}/{t}"
+            rep = check_axioms(_graph_proximity(carrier, rng))
             if rep.ok(("P1", "P2", "P3", "P4")):
-                result.record(rep.passed("P5") == rep.passed("P5prime"),
-                              label, "P5/P5' disagree")
+                yield ("axioms", rep.passed("P5") == rep.passed("P5prime"),
+                       f"axioms/graph/n{n}/{t}", "P5/P5' disagree")
 
 
-def _axiom_checks(result, label, u):
-    p = from_uniformity(u)
-    rep = check_axioms(p)
-    detail = None
-    ok = rep.ok(P1_P5)
-    if not ok:
-        detail = f"{rep.failures()[0]} fails"
-    if ok and rep.passed("P6") != is_hausdorff(u):
-        ok, detail = False, "P6 does not match the diagonal criterion"
-    if ok and rep.passed("P5") != rep.passed("P5prime"):
-        ok, detail = False, "P5/P5' disagree"
-    result.record(ok, label, detail)
+def _axiom_checks(u):
+    """(ok, detail): the axioms of u's proximity, P6 against the diagonal
+    criterion and P5 against P5'."""
+    rep = check_axioms(from_uniformity(u))
+    if not rep.ok(P1_P5):
+        return False, f"{rep.failures()[0]} fails"
+    if rep.passed("P6") != is_hausdorff(u):
+        return False, "P6 does not match the diagonal criterion"
+    if rep.passed("P5") != rep.passed("P5prime"):
+        return False, "P5/P5' disagree"
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -605,19 +588,19 @@ def _random_ratset(rng, max_atoms=3):
     return rat.RatSet(atoms)
 
 
-def _run_rationals_family(result, seed):
+def _rationals_family(seed, **_):
     rng = random.Random(seed + 2)
 
     # Cell-count law, exhaustive in chain length.
     for m in range(11):
         chain = rat.Chain(tuple(Fraction(k) for k in range(m)))
-        result.record(len(rat.orbit_space(chain).cells) == 2 * m + 1,
-                      f"rat/cells/{m}", None)
+        yield ("rationals", len(rat.orbit_space(chain).cells) == 2 * m + 1,
+               f"rat/cells/{m}", None)
     for t in range(50):
         chain = _random_chain(rng, max_len=10)
-        result.record(
-            len(rat.orbit_space(chain).cells) == 2 * len(chain) + 1,
-            f"rat/cells/rand{t}", None)
+        yield ("rationals",
+               len(rat.orbit_space(chain).cells) == 2 * len(chain) + 1,
+               f"rat/cells/rand{t}", None)
 
     # Towers over the small grid; build_tower raises on any bonding defect.
     fixed = [
@@ -630,17 +613,18 @@ def _run_rationals_family(result, seed):
     for ti, chains in enumerate(fixed):
         try:
             rat.build_tower(chains)
-            result.record(True, f"rat/tower/fixed{ti}", None)
         except Exception as exc:  # noqa: BLE001 - counterexample reporting
-            result.record(False, f"rat/tower/fixed{ti}", exc)
+            yield "rationals", False, f"rat/tower/fixed{ti}", exc
+        else:
+            yield "rationals", True, f"rat/tower/fixed{ti}", None
     for t in range(150):
         chains = [_random_chain(rng) for _ in range(rng.randint(1, 4))]
         try:
-            tower = rat.build_tower(chains)
-            tower.threads()
-            result.record(True, f"rat/tower/rand{t}", None)
+            rat.build_tower(chains).threads()
         except Exception as exc:  # noqa: BLE001
-            result.record(False, f"rat/tower/rand{t}", exc)
+            yield "rationals", False, f"rat/tower/rand{t}", exc
+        else:
+            yield "rationals", True, f"rat/tower/rand{t}", None
 
     # Farness fixtures with verified-disjoint saturations.
     fixtures = [
@@ -652,14 +636,14 @@ def _run_rationals_family(result, seed):
         verdict = rat.decide_far(a, b)
         ok = verdict.far and not rat.saturate(verdict.witness, a).intersects(
             rat.saturate(verdict.witness, b))
-        result.record(ok, f"rat/far/fixture{fi}", verdict)
+        yield "rationals", ok, f"rat/far/fixture{fi}", verdict
     for t in range(100):
-        a = _random_ratset(rng)
-        b = _random_ratset(rng)
+        a, b = _random_ratset(rng), _random_ratset(rng)
         if not a.intersects(b):
             continue
         verdict = rat.decide_far(a, b)
-        result.record(not verdict.far, f"rat/far/near{t}", (str(a), str(b)))
+        yield ("rationals", not verdict.far, f"rat/far/near{t}",
+               (str(a), str(b)))
 
     # Saturation monotonicity: bigger chains, smaller saturations.
     for t in range(1000):
@@ -668,7 +652,8 @@ def _run_rationals_family(result, seed):
             p for p in big.points if rng.random() < 0.6)))
         a = _random_ratset(rng)
         ok = rat.saturate(big, a).issubset(rat.saturate(small, a))
-        result.record(ok, f"rat/monotone/{t}", (str(small), str(big), str(a)))
+        yield ("rationals", ok, f"rat/monotone/{t}",
+               (str(small), str(big), str(a)))
 
     # Endpoint completeness: the chain of all endpoints of two disjoint
     # sets saturates each of them to itself.
@@ -683,10 +668,10 @@ def _run_rationals_family(result, seed):
         found += 1
         full = rat.Chain.of(a.endpoints() + b.endpoints())
         ok = rat.saturate(full, a) == a and rat.saturate(full, b) == b
-        result.record(ok, f"rat/endpoint/{found}", (str(a), str(b)))
+        yield "rationals", ok, f"rat/endpoint/{found}", (str(a), str(b))
 
 
-def _run_ordcomp_family(result, seed):
+def _ordcomp_family(seed, **_):
     rng = random.Random(seed + 3)
     done = 0
     tries = 0
@@ -699,7 +684,7 @@ def _run_ordcomp_family(result, seed):
         done += 1
         claim = rat.check_ordcomp_claim(a, o)
         ok = (not claim.alarm) and rat.saturate(claim.witness, a).issubset(o)
-        result.record(ok, f"ordcomp/{done}", (str(a), str(o)))
+        yield "ordcomp", ok, f"ordcomp/{done}", (str(a), str(o))
 
 
 def _random_convex(rng):
@@ -762,7 +747,7 @@ def _metric_matrices(n):
         yield m
 
 
-def _run_metric_family(result, max_group):
+def _metric_family(max_group, **_):
     groups = [g for g in suite_groups(max_group) if g[0] in ("Z2", "Z4", "S3")]
     # Chains are validated once.  Each matrix gets one fresh germ per
     # (group, action), whose cache its chains share (`on_chain`), and one
@@ -790,22 +775,22 @@ def _run_metric_family(result, max_group):
                             and is_isometric(metric, germ)):
                         # Isometric actions must pass without hypotheses.
                         if not cls.pi_uniform:
-                            result.record(False, label,
-                                          "isometric action not pi-uniform")
+                            yield ("metric", False, label,
+                                   "isometric action not pi-uniform")
                             continue
                     if not cls.pi_uniform:
                         continue
                     mg = metric_g_proximity(metric, germ)
                     ug = compute_ug(germ, u)
                     mismatch = _first_mismatch(mg, from_uniformity(ug))
-                    result.record(mismatch is None, label, mismatch)
+                    yield "metric", mismatch is None, label, mismatch
 
 
 # ---------------------------------------------------------------------------
 # Pseudometric family checks
 
 
-def _run_sigma_family(result, seed, max_group):
+def _sigma_family(seed, max_group, **_):
     rng = random.Random(seed + 4)
     groups = suite_groups(max_group)
     for n in (3, 4):
@@ -838,12 +823,26 @@ def _run_sigma_family(result, seed, max_group):
                             sups.append(sup_pseudometric(fam, germ, s, i))
                         except InternalCheckFailure as exc:
                             traps.append(str(exc))
-                            result.record(False, f"{label}/sup{si}.{i}",
-                                          traps[-1])
+                            yield ("sigma", False, f"{label}/sup{si}.{i}",
+                                   traps[-1])
                         else:
-                            result.record(True, f"{label}/sup{si}.{i}", None)
+                            yield "sigma", True, f"{label}/sup{si}.{i}", None
                 if traps:
-                    result.record(False, label, traps[0])
+                    yield "sigma", False, label, traps[0]
                 else:
                     rep = xi_report(fam, germ, subs, sups)
-                    result.record(rep.ok(), label, rep.lines())
+                    yield "sigma", rep.ok(), label, rep.lines()
+
+
+# Each family with the invariants it records, in report order.  A family
+# takes the run's settings by keyword and reads the ones it needs.
+FAMILIES = (
+    (_main_family, ("tgprox", "betag", "ugclaims", "gprox", "semigr",
+                    "maximality", "equinormal", "densesub")),
+    (_axiom_family, ("axioms",)),
+    (_rationals_family, ("rationals",)),
+    (_ordcomp_family, ("ordcomp",)),
+    (_metric_family, ("metric",)),
+    (_sigma_family, ("sigma",)),
+)
+INVARIANTS = tuple(name for _family, names in FAMILIES for name in names)

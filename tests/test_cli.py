@@ -612,6 +612,17 @@ def test_suite_unknown_filter(capsys):
     assert "unknown invariant" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--max-n", "-3"), ("--max-n", "0"),
+                                         ("--max-group", "1")])
+def test_suite_that_can_check_nothing_is_refused(capsys, flag, value):
+    # No carrier, or no standard group: the main family, or the metric and
+    # sigma families, would report "0 checks, all pass".
+    code, out, err = run(capsys, "suite", flag, value,
+                         "--filter", "tgprox,axioms,metric,sigma")
+    assert (code, out) == (2, "")
+    assert "nothing to check" in err
+
+
 def test_suite_negative_control_bracket(capsys):
     code, out, _ = run(capsys, "suite", "--max-n", "2",
                        "--filter", "tgprox", "--inject", "bracket")

@@ -663,7 +663,7 @@ def test_point_mask_translates_match_reference_on_random_actions():
 
 def sigma_settings():
     """The (family, germ) settings of the suite's sigma family at n = 3
-    and 4, drawn as `_run_sigma_family` draws them at seed 0."""
+    and 4, drawn as `_sigma_family` draws them at seed 0."""
     rng = random.Random(4)
     for n in (3, 4):
         carrier = Carrier(range(n))

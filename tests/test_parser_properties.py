@@ -5,9 +5,10 @@ Strings are drawn over the grammar's alphabet plus "e", ".", "+" and
 spaces, which `Fraction` would accept in some positions, both as free
 character strings and as joins of grammar tokens (so that well-formed
 sets and chains are common).  Any other exception, or a value that does
-not print, would reach the CLI as a traceback instead of exit 2.  Every
-endpoint of a parsed set is a Fraction or one of the two infinite
-endpoints, also on well-formed sets drawn from exact values.
+not print, would reach the CLI as a traceback instead of exit 2.  The set
+properties also draw well-formed sets over exact values, so that they see
+intervals: those sets round-trip, and every endpoint of a parsed set is a
+Fraction or one of the two infinite endpoints.
 """
 
 from fractions import Fraction
@@ -67,7 +68,7 @@ def refuses_or_round_trips(parse, text):
 
 
 @SETTINGS
-@given(ratset_strings)
+@given(well_formed_ratsets | ratset_strings)
 def test_parse_ratset_refuses_or_round_trips(text):
     refuses_or_round_trips(parse_ratset, text)
 

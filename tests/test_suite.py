@@ -42,6 +42,24 @@ def test_sigma_family_builds_each_worst_case_pseudometric_once(monkeypatch):
     assert (sigma.ok, sigma.checked, calls) == (True, 223, 223 - 48)
 
 
+MAIN_FAMILY = ("tgprox", "betag", "ugclaims", "gprox", "semigr", "maximality",
+               "equinormal", "densesub")
+
+
+@pytest.mark.parametrize("max_n, inject", [
+    (3, None), (2, "bracket"), (2, "nu"), (2, "betag")])
+def test_main_family_lines_do_not_depend_on_the_filter(max_n, inject):
+    # The main family runs one pass for all eight invariants and skips the
+    # work of those not asked for; no invariant may read another's work.
+    whole = suite.run_suite(max_n=max_n, filters=MAIN_FAMILY, inject=inject)
+    lines = {r.name: r.line() for r in whole.results}
+    assert list(lines) == list(MAIN_FAMILY)
+    for name in MAIN_FAMILY:
+        (alone,) = suite.run_suite(max_n=max_n, filters=[name],
+                                   inject=inject).results
+        assert alone.line() == lines[name]
+
+
 def test_corrupt_basis_drops_the_least_diagonal_pair_of_the_first_entourage():
     carrier = suite.Carrier(range(4))
     full = [(x, y) for x in range(4) for y in range(4)]
