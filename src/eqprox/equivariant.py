@@ -94,7 +94,7 @@ def compute_ug(a, u):
     if not cls.quasibounded:
         raise PreconditionFailure(
             "uniformity is not quasibounded",
-            witness=cls.witnesses.get("quasibounded"))
+            witness=cls.witness("quasibounded"))
     key = a.chain_masks()
     if u._derived is None:
         u._derived = {}

@@ -26,7 +26,6 @@ tabulates V.m for scans that need every subset.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
@@ -463,21 +462,52 @@ def _group_indices(group, subset):
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Verdicts for how a uniformity interacts with the action.
+# The verdicts of `classify`, in report order.
+VERDICTS = ("saturated", "bounded", "quasibounded", "equicontinuous",
+            "uniformly_equicontinuous", "action_continuous")
 
-    The two composite notions are definitional: equiuniform means bounded
-    and saturated, pi_uniform means quasibounded and saturated.
+
+def _verdict(name):
+    """The report property that reads verdict `name`."""
+    return property(lambda self: self.witness(name) is None)
+
+
+class ClassificationReport:
+    """Verdicts for how a uniformity interacts with the action, each
+    decided the first time it is read (see `classify`).
+
+    A verdict holds when its witness is None.  The two composite notions
+    are definitional and read only their two parts: equiuniform means
+    bounded and saturated, pi_uniform means quasibounded and saturated.
+    `witnesses`, `lines` and `==` decide all six verdicts.
     """
 
-    saturated: bool
-    bounded: bool
-    quasibounded: bool
-    equicontinuous: bool
-    uniformly_equicontinuous: bool
-    action_continuous: bool
-    witnesses: dict
+    __slots__ = ("germ", "uniformity")
+
+    def __init__(self, germ, uniformity):
+        self.germ = germ
+        self.uniformity = uniformity
+
+    saturated = _verdict("saturated")
+    bounded = _verdict("bounded")
+    quasibounded = _verdict("quasibounded")
+    equicontinuous = _verdict("equicontinuous")
+    uniformly_equicontinuous = _verdict("uniformly_equicontinuous")
+    action_continuous = _verdict("action_continuous")
+
+    def witness(self, name):
+        """The first failure witness of verdict `name`, or None when it
+        holds; searched once per key in the germ cache."""
+        a, u = self.germ, self.uniformity
+        reads_deep, search = _SEARCHES[name]
+        key = (name, a.ne.levels[a.deep], u) if reads_deep else (name, u)
+        return a._cached(key, lambda: search(a, u))
+
+    @property
+    def witnesses(self):
+        """The witness of every failing verdict, in verdict order."""
+        return {name: wit for name in VERDICTS
+                if (wit := self.witness(name)) is not None}
 
     @property
     def equiuniform(self):
@@ -487,21 +517,31 @@ class ClassificationReport:
     def pi_uniform(self):
         return self.quasibounded and self.saturated
 
+    def __eq__(self, other):
+        if not isinstance(other, ClassificationReport):
+            return NotImplemented
+        return self.witnesses == other.witnesses
+
+    def __repr__(self):
+        return f"ClassificationReport(witnesses={self.witnesses!r})"
+
     def lines(self):
         names = ("saturated", "bounded", "quasibounded", "equiuniform",
                  "pi_uniform", "equicontinuous", "uniformly_equicontinuous",
                  "action_continuous")
+        witnesses = self.witnesses
         out = []
         for name in names:
             good = getattr(self, name)
             mark = "pass" if good else "FAIL"
-            wit = self.witnesses.get(name)
+            wit = witnesses.get(name)
             out.append(f"{name}: {mark}" + (f"  witness={wit}" if wit else ""))
         return out
 
 
 def classify(a, u):
-    """Decide all action/uniformity verdicts by exhaustive quantifier search.
+    """The action/uniformity verdicts, each decided by exhaustive
+    quantifier search the first time it is read.
 
     Failure witnesses are the first violating tuples in the fixed scan
     order (basis index, group index, carrier index), so they are
@@ -512,62 +552,79 @@ def classify(a, u):
     one AND of packed pair bits per containment test: saturated asks each
     g.eps to contain a basis entourage, quasibounded ORs the table over
     the deepest level, and (uniform) equicontinuity ANDs it over the group
-    into the pairs that every translate keeps in eps.  The report is kept
-    per deepest level and basis value, shared by every chain of the action
-    (`GActionGerm.on_chain`), so a repeated setting is a lookup.
+    into the pairs that every translate keeps in eps.
+
+    Each verdict's witness (None when it holds) is kept in the action's
+    germ cache under its own key, built from the values its search reads:
+    saturated, equicontinuous and uniformly_equicontinuous read only the
+    push table and are keyed by (name, basis value); bounded, quasibounded
+    and action_continuous also read the deepest level and are keyed by
+    (name, deepest level, basis value).  So a verdict is searched once per
+    action and key, shared by every chain of the action
+    (`GActionGerm.on_chain`), and a verdict that is never read is never
+    searched.  The report holds only the germ and the basis and is not
+    kept in the cache, where it would hold its own germ in a cycle.
     """
     if u.carrier != a.carrier:
         raise CarrierMismatch("uniformity is not over the action's carrier")
-    return a._cached(("cls", a.ne.levels[a.deep], u),
-                     lambda: _classify(a, u))
+    return ClassificationReport(a, u)
 
 
-def _classify(a, u):
-    basis = u.basis
-    bits = [eps.pair_bits for eps in basis]
-    push = a.push_table(u)
-    witnesses = {}
-
-    for g, row in enumerate(push):
+def _saturation_witness(a, u):
+    """The first (g, k) with no basis entourage inside g.eps_k."""
+    bits = [eps.pair_bits for eps in u.basis]
+    for g, row in enumerate(a.push_table(u)):
         k = _first_uncovered(row, bits)
         if k is not None:
-            witnesses["saturated"] = (a.group.names[g], k)
-            break
+            return (a.group.names[g], k)
+    return None
 
-    for k, eps in enumerate(basis):
-        wit = _bounded_witness(a, eps)
+
+def _boundedness_witness(a, u):
+    """The first eps_k the deepest level does not bound, with its pair."""
+    for k, eps in enumerate(u.basis):
+        wit = _unbounded_pair(a, eps)
         if wit is not None:
-            witnesses["bounded"] = (k,) + wit
-            break
+            return (k,) + wit
+    return None
 
+
+def _quasiboundedness_witness(a, u):
+    """The first eps_k that no deepest-level spread of a basis entourage
+    fits in, with the first pair that moves basis[0] out of it."""
+    basis = u.basis
+    push = a.push_table(u)
     spread = _fold(or_, (push[v] for v in a.ne.levels[a.deep]))
-    k = _first_uncovered(bits, spread)
-    if k is not None:
-        witnesses["quasibounded"] = (k,) + _quasibounded_witness(
-            a, basis[0], basis[k])
+    k = _first_uncovered([eps.pair_bits for eps in basis], spread)
+    if k is None:
+        return None
+    return (k,) + _spread_pair(a, basis[0], basis[k])
 
-    kept = _fold(and_, push)
-    wit = _equicontinuity_witness(a, basis, kept)
-    if wit is not None:
-        witnesses["equicontinuous"] = wit
 
-    k = _first_uncovered(kept, bits)
-    if k is not None:
-        witnesses["uniformly_equicontinuous"] = (k,)
+def _uniform_equicontinuity_witness(a, u):
+    """(k,) for the first eps_k in which no basis entourage is kept by
+    every translate."""
+    k = _first_uncovered(_kept(a, u), [eps.pair_bits for eps in u.basis])
+    return None if k is None else (k,)
 
-    continuous, cwit = check_action_continuity(a, u)
-    if not continuous:
-        witnesses["action_continuous"] = cwit
 
-    return ClassificationReport(
-        saturated="saturated" not in witnesses,
-        bounded="bounded" not in witnesses,
-        quasibounded="quasibounded" not in witnesses,
-        equicontinuous="equicontinuous" not in witnesses,
-        uniformly_equicontinuous="uniformly_equicontinuous" not in witnesses,
-        action_continuous=continuous,
-        witnesses=witnesses,
-    )
+# Each verdict's search, and whether it reads the deepest level besides the
+# push table (and so keys its witness by that level).
+_SEARCHES = {
+    "saturated": (False, _saturation_witness),
+    "bounded": (True, _boundedness_witness),
+    "quasibounded": (True, _quasiboundedness_witness),
+    "equicontinuous": (False, lambda a, u: _equicontinuity_witness(
+        a, u.basis, _kept(a, u))),
+    "uniformly_equicontinuous": (False, _uniform_equicontinuity_witness),
+    "action_continuous": (True, lambda a, u: check_action_continuity(a, u)[1]),
+}
+
+
+def _kept(a, u):
+    """kept[k]: the pairs of eps_k that every translate keeps in eps_k, as
+    pair bits: the AND of the push table over the group."""
+    return _fold(and_, a.push_table(u))
 
 
 def _fold(op, rows):
@@ -592,7 +649,7 @@ def _equicontinuity_witness(a, basis, kept):
     return None
 
 
-def _bounded_witness(a, eps):
+def _unbounded_pair(a, eps):
     """The first (v, x) with (v.x, x) outside eps, v in the deepest level
     and x in index order, or None when that level is eps-bounded."""
     imgs = eps.image_masks
@@ -604,7 +661,7 @@ def _bounded_witness(a, eps):
     return None
 
 
-def _quasibounded_witness(a, delta, eps):
+def _spread_pair(a, delta, eps):
     """The first (v, x, y) with (v.x, v.y) outside eps, v in the deepest
     level and (x, y) in delta in index order, or None when v.delta lies
     inside eps for every v in that level."""
@@ -635,8 +692,8 @@ def check_action_continuity(a, u):
     translates V . delta(x0) are built once and folded into one 2**n-bit
     up-set table: bit full ^ t is set iff some translate lies inside t
     (the OR of their disjoint-set rows of `_submask_table`).  Each
-    (g0, x0, eps) is then one shift and AND.  `classify` keeps the verdict
-    in its report.
+    (g0, x0, eps) is then one shift and AND.  `classify` keeps the witness
+    in the germ cache.
     """
     if u.carrier != a.carrier:
         raise CarrierMismatch("uniformity is not over the action's carrier")
@@ -677,4 +734,4 @@ def saturate_uniformity(a, u):
     return a._cached(("sat", u), lambda: UnifBase(u.carrier, [
         setrel.Rel.from_masks(u.carrier,
                               [bits >> i * n & full for i in range(n)])
-        for bits in _fold(and_, a.push_table(u))]))
+        for bits in _kept(a, u)]))

@@ -255,7 +255,7 @@ def metric_g_proximity(m, a):
         missing = "quasibounded" if not cls.quasibounded else "saturated"
         raise PreconditionFailure(
             f"metric uniformity is not {missing}",
-            witness=cls.witnesses.get(missing))
+            witness=cls.witness(missing))
     # Zero-distance hull per point (rank 0); for a genuine metric this is
     # the point itself, for a pseudometric its kernel class.
     zero_of = [sum(1 << j for j, k in enumerate(row) if not k)

@@ -392,18 +392,20 @@ def _main_family(wanted, max_n, seed, max_group, inject):
             last_germ = germ
             yield from _per_germ_checks(wanted, label, germ, inject)
 
-        if not (cls.pi_uniform and cls.action_continuous):
+        if (wanted.isdisjoint(_NU_READERS + _UG_READERS)
+                or not (cls.pi_uniform and cls.action_continuous)):
             continue
 
-        nu = nu_proximity(germ, u)
-        ug = compute_ug(germ, u)
-        checked_ug = _corrupt_basis(ug) if inject == "bracket" else ug
-        derived = from_uniformity(checked_ug)
-        if inject == "nu":
-            nu = _corrupt_prox(nu)
+        if not wanted.isdisjoint(_NU_READERS):
+            nu = nu_proximity(germ, u)
+            if inject == "nu":
+                nu = _corrupt_prox(nu)
+        if not wanted.isdisjoint(_UG_READERS):
+            ug = compute_ug(germ, u)
+            checked_ug = _corrupt_basis(ug) if inject == "bracket" else ug
 
         if "tgprox" in wanted:
-            mismatch = _first_mismatch(nu, derived)
+            mismatch = _first_mismatch(nu, from_uniformity(checked_ug))
             yield "tgprox", mismatch is None, label, mismatch
         if "ugclaims" in wanted:
             vb = validate_basis(checked_ug)
@@ -438,6 +440,12 @@ def _main_family(wanted, max_n, seed, max_group, inject):
                 if dominates(delta_u, rho):
                     yield ("maximality", dominates(nu, rho),
                            f"{label}/cand{ri}", None)
+
+
+# The invariants that read a setting's nu table, and those that read its
+# derived basis.
+_NU_READERS = ("tgprox", "gprox", "semigr", "maximality")
+_UG_READERS = ("tgprox", "ugclaims")
 
 
 def _g_proximity_candidates(germ):
@@ -771,14 +779,12 @@ def _metric_family(max_group, **_):
                     label = f"metric/n{n}/m{mi}/{name}/chain{ci}"
                     germ = base.on_chain(ne)
                     cls = classify(germ, u)
-                    if (cls.uniformly_equicontinuous
-                            and is_isometric(metric, germ)):
+                    if not cls.pi_uniform:
                         # Isometric actions must pass without hypotheses.
-                        if not cls.pi_uniform:
+                        if (cls.uniformly_equicontinuous
+                                and is_isometric(metric, germ)):
                             yield ("metric", False, label,
                                    "isometric action not pi-uniform")
-                            continue
-                    if not cls.pi_uniform:
                         continue
                     mg = metric_g_proximity(metric, germ)
                     ug = compute_ug(germ, u)

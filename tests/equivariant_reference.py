@@ -9,13 +9,14 @@ at a time before they were built from point-mask join tables, and the
 ``classify`` (with its helpers) and ``validate_basis`` that tested
 containment on ``Rel`` pair sets before they worked on packed pair bits;
 ``classify_reference`` reads continuity from the scalar
-``check_action_continuity_reference`` above.  The last section keeps the
-point-at-a-time translates and pullbacks (``GActionGerm.translate_mask``,
-``set_translate_mask`` and ``push_rel`` as functions of the germ, the
-continuity scan and the ``nu_proximity`` that used them,
-``bracket_entourage``, ``deepest_orbits_coincide`` and the scalar
-``_acts_equicontinuously``) from before translates and pullbacks went
-through the one mask helper ``setrel._join_mask``.
+``check_action_continuity_reference`` above and returns its own record,
+a dict of (verdict, witness) per verdict name, not the library's report.
+The last section keeps the point-at-a-time translates and pullbacks
+(``GActionGerm.translate_mask``, ``set_translate_mask`` and ``push_rel``
+as functions of the germ, the continuity scan and the ``nu_proximity``
+that used them, ``bracket_entourage``, ``deepest_orbits_coincide`` and
+the scalar ``_acts_equicontinuously``) from before translates and
+pullbacks went through the one mask helper ``setrel._join_mask``.
 The bodies are kept unchanged, methods taking the germ as ``a``, so
 that ``test_equivariant_differential.py`` compares the production code
 with the originals, tables, verdicts and witnesses alike.  This is
@@ -26,7 +27,7 @@ from eqprox import setrel
 from eqprox.errors import CarrierMismatch, InternalCheckFailure, \
     PreconditionFailure
 from eqprox.equivariant import _bracket
-from eqprox.gaction import ClassificationReport, _group_indices
+from eqprox.gaction import _group_indices
 from eqprox.proximity import AxiomReport, Prox, _and_intersectors, \
     _intersectors, _join_table, _submask_table
 from eqprox.uniformity import _first_uncovered, validate_basis
@@ -247,7 +248,8 @@ def classify_reference(a, u):
 
     Failure witnesses are the first violating tuples in the fixed scan
     order (basis index, chain level, group index, carrier index), so they
-    are reproducible.
+    are reproducible.  Returns, per verdict name, (verdict, witness or
+    None).
     """
     if u.carrier != a.carrier:
         raise CarrierMismatch("uniformity is not over the action's carrier")
@@ -308,15 +310,16 @@ def classify_reference(a, u):
     if not continuous:
         witnesses["action_continuous"] = cwit
 
-    return ClassificationReport(
-        saturated=saturated,
-        bounded=bounded,
-        quasibounded=quasibounded,
-        equicontinuous=equicontinuous,
-        uniformly_equicontinuous=uniformly_equicontinuous,
-        action_continuous=continuous,
-        witnesses=witnesses,
-    )
+    verdicts = {
+        "saturated": saturated,
+        "bounded": bounded,
+        "quasibounded": quasibounded,
+        "equicontinuous": equicontinuous,
+        "uniformly_equicontinuous": uniformly_equicontinuous,
+        "action_continuous": continuous,
+    }
+    return {name: (good, witnesses.get(name))
+            for name, good in verdicts.items()}
 
 
 def _bounded_at_reference(a, level_index, eps):

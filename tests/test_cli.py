@@ -5,6 +5,7 @@ import time
 from pathlib import Path
 
 import pytest
+from equivariant_reference import classify_reference
 
 from eqprox import rationals as rat
 from eqprox.cli import EXIT_INTERNAL, _emit_table_json, _prox_json, \
@@ -14,6 +15,7 @@ from eqprox.equivariant import compute_ug, nu_proximity
 from eqprox.errors import InternalCheckFailure
 from eqprox.gaction import GActionGerm
 from eqprox.proximity import from_uniformity
+from eqprox.suite import iter_family
 from eqprox.uniformity import discrete_basis
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -292,6 +294,70 @@ def test_validate_bad_basis_exits_1_with_counterexample(capsys):
     assert code == 1
     assert "B1: FAIL" in out
     assert "counterexample" in out
+
+
+CLASSIFICATION_LINES = ("saturated", "bounded", "quasibounded", "equiuniform",
+                        "pi_uniform", "equicontinuous",
+                        "uniformly_equicontinuous", "action_continuous")
+
+
+def reference_classification_lines(germ, u):
+    """The classification section of `validate`, formatted from the
+    reference verdicts and witnesses."""
+    ref = classify_reference(germ, u)
+    good = {name: verdict for name, (verdict, _wit) in ref.items()}
+    good["equiuniform"] = good["bounded"] and good["saturated"]
+    good["pi_uniform"] = good["quasibounded"] and good["saturated"]
+    out = ["classification:"]
+    for name in CLASSIFICATION_LINES:
+        wit = ref.get(name, (None, None))[1]
+        out.append(f"  {name}: {'pass' if good[name] else 'FAIL'}"
+                   + ("" if wit is None else f"  witness={wit}"))
+    return out
+
+
+def setting_document(germ, u):
+    """An instance document for a suite setting, every name a string."""
+    names = germ.group.names
+    pts = [str(x) for x in germ.carrier.elements]
+    return {
+        "schema": 1,
+        "carrier": pts,
+        "group": {"elements": list(names),
+                  "table": [[names[c] for c in row]
+                            for row in germ.group.mul]},
+        "action": {names[g]: [pts[y] for y in p]
+                   for g, p in enumerate(germ.act)},
+        "neighborhood_base": [[names[v] for v in sorted(level)]
+                              for level in germ.ne.levels],
+        "uniformity": [[[pts[x], pts[y]] for x, y in sorted(eps.pairs)]
+                       for eps in u.basis],
+    }
+
+
+def test_validate_classification_matches_reference(tmp_path, capsys):
+    # Seeded suite settings up to four points, failing verdicts among
+    # them, and the z3_rotation fixture: the printed section must be the
+    # reference's verdicts and witnesses, line for line.
+    settings = list(iter_family(max_n=4, seed=0))
+    rng = random.Random(11)
+    paths = [fixture("z3_rotation.json")]
+    for k, (_label, germ, u) in enumerate(rng.sample(settings, 120)):
+        path = tmp_path / f"setting{k}.json"
+        path.write_text(json.dumps(setting_document(germ, u)),
+                        encoding="utf-8")
+        paths.append(str(path))
+    marks = set()
+    for path in paths:
+        code, out, err = run(capsys, "validate", path)
+        assert (code, err) == (0, "")
+        section = out.splitlines()[-len(CLASSIFICATION_LINES) - 1:]
+        inst = load_instance(path)
+        assert section == reference_classification_lines(inst.germ,
+                                                         inst.uniformity)
+        marks.update(line.split("  witness")[0] for line in section[1:])
+    assert marks == {f"  {name}: {mark}" for name in CLASSIFICATION_LINES
+                     for mark in ("pass", "FAIL")}
 
 
 def test_nu_sets_verdict(capsys):

@@ -35,8 +35,8 @@ from eqprox.equivariant import _separation_ok, beta_g_proximity, \
     enumerate_partition_proximities, is_action_compatible, is_g_invariant, \
     nu_proximity
 from eqprox.errors import InternalCheckFailure, PreconditionFailure
-from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
-    check_action_continuity, classify, saturate_uniformity
+from eqprox.gaction import VERDICTS, FiniteGroup, GActionGerm, \
+    NeighborhoodBase, check_action_continuity, classify, saturate_uniformity
 from eqprox.metricprox import FiniteMetric, PseudometricFamily, \
     _acts_equicontinuously, family_uniformity, metric_uniformity, \
     sup_pseudometric
@@ -72,11 +72,50 @@ def assert_same_basis_report(u):
         basis_report(validate_basis_reference, u), u.basis
 
 
+def verdicts(report, order=VERDICTS):
+    """(verdict, witness) per verdict name of a library report, each
+    verdict read in `order` before its witness."""
+    return {name: (getattr(report, name), report.witness(name))
+            for name in order}
+
+
+def assert_same_classification(a, u):
+    assert verdicts(classify(a, u)) == classify_reference(a, u), \
+        (a, u.basis)
+
+
 def assert_same_setting(a, u):
     """Basis report, classification and continuity, witnesses included."""
     assert_same_basis_report(u)
-    assert classify(a, u) == classify_reference(a, u), (a, u.basis)
+    assert_same_classification(a, u)
     assert_same_continuity(a, u)
+
+
+def assert_read_orders_agree(a, u):
+    """The verdicts and witnesses read from fresh germs over a's action
+    and chain: all six in forward order, all six in reverse order, and
+    each verdict and composite alone, against the reference, which is
+    returned."""
+    want = classify_reference(a, u)
+
+    def fresh():
+        return classify(GActionGerm(a.group, a.ne, a.carrier, a.act), u)
+
+    for order in (VERDICTS, VERDICTS[::-1]):
+        assert verdicts(fresh(), order) == want, (a, u.basis, order)
+    for name in VERDICTS:
+        report = fresh()
+        assert verdicts(report, (name,)) == {name: want[name]}, \
+            (a, u.basis, name)
+        assert [key[0] for key in report.germ._cache
+                if key[0] in VERDICTS] == [name]
+    saturated = want["saturated"][0]
+    assert fresh().pi_uniform == (want["quasibounded"][0] and saturated)
+    assert fresh().equiuniform == (want["bounded"][0] and saturated)
+    report = fresh()
+    assert report.witnesses == {name: wit for name, (_good, wit)
+                                in want.items() if wit is not None}
+    return want
 
 
 def nu_or_error(nu, a, u):
@@ -542,6 +581,17 @@ def test_classification_matches_reference_on_suite_germs():
     assert derived > 100
 
 
+def test_verdicts_read_in_any_order_match_reference_on_suite_germs():
+    # The suite's germs share their action's cache; each read here runs
+    # on a fresh germ, so the verdict it asks for is searched first.
+    outcomes = set()
+    for _label, germ, u in iter_family(max_n=3, seed=0):
+        want = assert_read_orders_agree(germ, u)
+        outcomes.update((name, good) for name, (good, _wit) in want.items())
+    assert outcomes == {(name, good) for name in VERDICTS
+                        for good in (True, False)}
+
+
 def test_classification_matches_reference_on_metric_uniformities():
     groups = [g for g in suite_groups(6) if g[0] in ("Z2", "Z4", "S3")]
     for n in (1, 2, 3):
@@ -555,9 +605,11 @@ def test_classification_matches_reference_on_metric_uniformities():
                         germ = GActionGerm(group, NeighborhoodBase(
                             group, levels), carrier, act)
                         assert_same_setting(germ, u)
-                        # A rebuilt, equal basis reads the kept report.
-                        assert classify(germ, metric_uniformity(metric)) == \
+                        # A rebuilt, equal basis reads the kept witnesses.
+                        assert verdicts(classify(
+                            germ, metric_uniformity(metric))) == \
                             classify_reference(germ, u)
+                        assert_read_orders_agree(germ, u)
 
 
 def test_classification_matches_reference_on_random_actions():
@@ -589,7 +641,7 @@ def test_basis_reports_match_reference_on_failing_relation_lists():
             if failures:
                 first_failures[failures[0]] += 1
             a = rng.choice(germs)
-            assert classify(a, u) == classify_reference(a, u), (a, u.basis)
+            assert_same_classification(a, u)
     assert all(count >= 10 for count in first_failures.values()), \
         first_failures
 

@@ -7,6 +7,7 @@ from group_reference import permutation_closure_reference
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
     check_action_continuity, classify, saturate_uniformity
 from eqprox.setrel import Carrier, Rel, _join_mask, diagonal, full_relation
+from eqprox.suite import iter_family
 from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis, \
     refinement_equivalent, validate_basis
 
@@ -232,6 +233,20 @@ def test_classification_is_kept_per_basis_value():
     assert "B1" in validate_basis(bad).failures()
     assert not classify(a, bad).bounded
     assert classify(a, ug).bounded
+
+
+def test_reports_are_equal_when_every_verdict_and_witness_is():
+    # `==` decides all six verdicts and compares their witnesses, so two
+    # settings failing the same verdicts at different tuples differ.
+    first = {}
+    differing = 0
+    for _label, germ, u in iter_family(max_n=3):
+        report = classify(germ, u)
+        wits = report.witnesses
+        other = first.setdefault(tuple(wits), report)
+        assert (report == other) == (wits == other.witnesses)
+        differing += wits != other.witnesses
+    assert differing
 
 
 def test_classify_trivial_group():

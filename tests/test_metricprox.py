@@ -11,6 +11,8 @@ from eqprox.metricprox import FiniteMetric, PseudometricFamily, \
     sup_pseudometric, xi_report
 from eqprox.proximity import Prox, from_uniformity
 from eqprox.setrel import Carrier
+from eqprox.suite import _metric_matrices, curated_actions, germ_chains, \
+    suite_groups
 from eqprox.uniformity import refinement_equivalent, refines, validate_basis
 
 
@@ -196,3 +198,30 @@ def test_isometric_shortcut():
     assert cls.uniformly_equicontinuous
     assert cls.pi_uniform
     metric_g_proximity(metric, germ)  # defined without further hypotheses
+
+
+def test_isometric_settings_of_the_metric_family_are_pi_uniform():
+    # The metric family reads its settings' pi-uniformity only, so the
+    # claim that an isometric action needs no further hypothesis is
+    # checked here, on the family's settings up to three points, with
+    # is_isometric against each element preserving the rational distances.
+    groups = [g for g in suite_groups(6) if g[0] in ("Z2", "Z4", "S3")]
+    isometric = set()
+    for n in (1, 2, 3):
+        c = Carrier(range(n))
+        for matrix in _metric_matrices(n):
+            metric = FiniteMetric(c, matrix)
+            u = metric_uniformity(metric)
+            d = metric.dist
+            for gname, group, gens in groups:
+                for act in curated_actions(gname, group, gens, n):
+                    literal = all(d[p[i]][p[j]] == d[i][j] for p in act
+                                  for i in range(n) for j in range(n))
+                    for levels in germ_chains(group):
+                        germ = GActionGerm(
+                            group, NeighborhoodBase(group, levels), c, act)
+                        assert is_isometric(metric, germ) == literal
+                        if literal:
+                            assert classify(germ, u).pi_uniform
+                        isometric.add(literal)
+    assert isometric == {True, False}

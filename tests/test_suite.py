@@ -160,19 +160,24 @@ def test_basis_pool_builds_at_twelve_points(seed):
 
 
 def test_main_family_classifies_each_setting_value_once(monkeypatch):
-    # The chains of an action share one germ cache, so a classification is
-    # computed once per (action, deepest level, basis), a push table once
+    # The chains of an action share one germ cache, so each verdict is
+    # searched at most once per action and key (its name and basis, and
+    # the deepest level for the three that read it), a push table once
     # per (action, basis) and the equinormal axiom check once per β_G
     # table, however many chains reach them.  The tables are kept in the
     # lists, so their ids are never reused.
-    runs = {"classify": [], "push": [], "axioms": []}
-    real_classify, real_push = gaction._classify, gaction._push_table
+    runs = {"verdicts": [], "push": [], "axioms": []}
+    real_cached, real_push = gaction.GActionGerm._cached, gaction._push_table
     real_axioms, real_betag = equivariant.check_axioms, suite.beta_g_proximity
     tables, betag_tables = [], []
 
-    def classify(a, u):
-        runs["classify"].append((id(a.group), a.act, a.ne.levels[a.deep], u))
-        return real_classify(a, u)
+    def cached(self, key, build):
+        def counted():
+            runs["verdicts"].append((id(self.group), self.act) + key)
+            return build()
+        if key[0] in gaction.VERDICTS:
+            return real_cached(self, key, counted)
+        return real_cached(self, key, build)
 
     def push_table(a, u):
         runs["push"].append((id(a.group), a.act, u))
@@ -187,7 +192,7 @@ def test_main_family_classifies_each_setting_value_once(monkeypatch):
         betag_tables.append(real_betag(a))
         return betag_tables[-1]
 
-    monkeypatch.setattr(gaction, "_classify", classify)
+    monkeypatch.setattr(gaction.GActionGerm, "_cached", cached)
     monkeypatch.setattr(equivariant, "check_axioms", check_axioms)
     monkeypatch.setattr(gaction, "_push_table", push_table)
     monkeypatch.setattr(suite, "beta_g_proximity", beta_g_proximity)
@@ -198,8 +203,64 @@ def test_main_family_classifies_each_setting_value_once(monkeypatch):
     for name, keys in runs.items():
         assert keys, name
         assert len(keys) == len(set(keys)), name
+    # The suite reads five verdicts and never asks for equicontinuity.
+    assert {key[2] for key in runs["verdicts"]} == set(gaction.VERDICTS) - {
+        "equicontinuous", "uniformly_equicontinuous"}
     # Every β_G table the chains reach is checked, under its own level.
     assert set(runs["axioms"]) == {id(p) for p in betag_tables}
+
+
+def _counting(monkeypatch, module, name, calls):
+    """Patch module.name with a wrapper that appends name to calls."""
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_metric_family_reads_only_pi_uniformity(monkeypatch):
+    # Every metric setting is pi-uniform, so the family searches only its
+    # two parts: it never decides continuity or equicontinuity and never
+    # asks whether the setting is isometric.
+    calls = []
+    for module, name in ((gaction, "check_action_continuity"),
+                         (gaction, "_equicontinuity_witness"),
+                         (suite, "is_isometric")):
+        _counting(monkeypatch, module, name, calls)
+    searched = set()
+    real_cached = gaction.GActionGerm._cached
+
+    def cached(self, key, build):
+        if key[0] in gaction.VERDICTS:
+            searched.add(key[0])
+        return real_cached(self, key, build)
+
+    monkeypatch.setattr(gaction.GActionGerm, "_cached", cached)
+    (metric,) = suite.run_suite(filters=["metric"]).results
+    assert (metric.checked, metric.passed) == (4290, 4290)
+    assert calls == []
+    assert searched == {"saturated", "quasibounded"}
+
+
+def test_filters_that_read_no_derived_basis_build_none(monkeypatch):
+    # semigr reads nu but no derived basis; the per-germ invariants read
+    # no setting's tables, so continuity is not decided for them either.
+    calls = []
+    for name in ("compute_ug", "from_uniformity", "nu_proximity"):
+        _counting(monkeypatch, suite, name, calls)
+    _counting(monkeypatch, gaction, "check_action_continuity", calls)
+    (semigr,) = suite.run_suite(filters=["semigr"]).results
+    assert semigr.ok and semigr.checked > 1000
+    assert set(calls) == {"nu_proximity", "check_action_continuity"}
+    calls.clear()
+    for name in ("betag", "equinormal", "densesub"):
+        (result,) = suite.run_suite(max_n=3, filters=[name]).results
+        assert result.ok and result.checked
+    assert "compute_ug" not in calls and "from_uniformity" not in calls
+    assert "check_action_continuity" not in calls
 
 
 def _forward_masks(a, level):
