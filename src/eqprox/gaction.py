@@ -623,8 +623,11 @@ _SEARCHES = {
 
 def _kept(a, u):
     """kept[k]: the pairs of eps_k that every translate keeps in eps_k, as
-    pair bits: the AND of the push table over the group."""
-    return _fold(and_, a.push_table(u))
+    pair bits: the AND of the push table over the group.  It reads only the
+    push table, so it is folded once per action and basis value, for both
+    equicontinuities and `saturate_uniformity`."""
+    return a._cached(("kept", u),
+                     lambda: tuple(_fold(and_, a.push_table(u))))
 
 
 def _fold(op, rows):

@@ -396,6 +396,9 @@ def _main_family(wanted, max_n, seed, max_group, inject):
                 or not (cls.pi_uniform and cls.action_continuous)):
             continue
 
+        # A reader missing from these tuples meets None, never the value
+        # of an earlier setting.
+        nu = checked_ug = None
         if not wanted.isdisjoint(_NU_READERS):
             nu = nu_proximity(germ, u)
             if inject == "nu":

@@ -249,6 +249,27 @@ def test_reports_are_equal_when_every_verdict_and_witness_is():
     assert differing
 
 
+def test_group_fold_of_the_push_table_runs_once_per_basis(monkeypatch):
+    # Both equicontinuities and the saturation read the push table ANDed
+    # over the group; it is folded once per action and basis value.
+    import eqprox.gaction as gaction
+
+    folds = []
+    real_fold = gaction._fold
+
+    def fold(op, rows):
+        folds.append(op)
+        return real_fold(op, rows)
+
+    monkeypatch.setattr(gaction, "_fold", fold)
+    a = z3_rotation()
+    u = discrete_basis(a.carrier)
+    report = classify(a, u)
+    assert report.equicontinuous and report.uniformly_equicontinuous
+    saturate_uniformity(a, u)
+    assert len(folds) == 1
+
+
 def test_classify_trivial_group():
     g = FiniteGroup.cyclic(2)
     c = Carrier(range(3))
