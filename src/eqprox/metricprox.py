@@ -1,12 +1,21 @@
 """Finite metric and pseudometric spaces under a group action.
 
 Distances are exact rationals, so entourage thresholds can enumerate the
-finitely many matrix values instead of juggling tolerances.  Each metric
-ranks its distinct values, and the checks work on that integer rank
-matrix; the rationals are kept for documents and output.  The basis of
-a (pseudo)metric uniformity consists of the sublevel relations d <= r at
-each distinct positive value r, together with the kernel relation d = 0
-(the diagonal, for a genuine metric).
+finitely many matrix values instead of juggling tolerances.  A metric is
+validated on its distances scaled to integers by the LCM of their
+denominators, which is exact: every comparison and triangle sum, and so
+every first violation, is that of the rationals.  Each metric ranks its
+distinct values, from the same integers, and the checks work on that
+integer rank matrix; the rationals are kept for documents and output.
+
+The basis of a (pseudo)metric uniformity consists of the sublevel
+relations d <= r at each distinct positive value r, together with the
+kernel relation d = 0 (the diagonal, for a genuine metric).  Such a basis
+and the bases derived from it under an action, whose brackets repeat, are
+checked by `uniformity.validate_basis` once per distinct entourage.  The
+translate-distance proximity reads only the zero hulls and the deepest
+chain level, so its table is kept in the action's germ cache under those
+two values.
 
 For a family of pseudometrics the same sublevel construction applies per
 member; the family kernel (simultaneous vanishing) is added so that the
@@ -18,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import and_
 
 from . import setrel
@@ -30,6 +40,10 @@ from .uniformity import UnifBase, induced_topology, refines
 
 
 def _validate_pseudometric(carrier, dist):
+    """Check the pseudometric axioms on dist, the distances scaled to
+    integers by a common positive denominator: every comparison and sum
+    is the one of the rationals, so the first violation and its message
+    are too."""
     n = carrier.n
     if len(dist) != n or any(len(row) != n for row in dist):
         raise ValueError("distance matrix must be n x n")
@@ -66,21 +80,27 @@ class FiniteMetric:
 
     def __init__(self, carrier, dist, pseudo=False):
         dist = tuple(tuple(Fraction(v) for v in row) for row in dist)
-        _validate_pseudometric(carrier, dist)
+        # The distances times D, the LCM of their denominators: exact
+        # integers, which every check and the ranks read.
+        scale = lcm(*{v.denominator for row in dist for v in row})
+        scaled = tuple(tuple(v.numerator * (scale // v.denominator)
+                             for v in row) for row in dist)
+        _validate_pseudometric(carrier, scaled)
         if not pseudo:
             n = carrier.n
             for i in range(n):
                 for j in range(n):
-                    if i != j and dist[i][j] == 0:
+                    if i != j and scaled[i][j] == 0:
                         raise ValueError(
                             "zero distance between distinct points "
                             f"({carrier.elements[i]!r}, {carrier.elements[j]!r})")
         self.carrier = carrier
         self.dist = dist
         self.pseudo = pseudo
-        self.values = tuple(sorted({v for row in dist for v in row}))
-        index = {v: k for k, v in enumerate(self.values)}
-        self.rank = tuple(tuple(index[v] for v in row) for row in dist)
+        distinct = sorted({v for row in scaled for v in row})
+        self.values = tuple(Fraction(v, scale) for v in distinct)
+        index = {v: k for k, v in enumerate(distinct)}
+        self.rank = tuple(tuple(index[v] for v in row) for row in scaled)
         self._uniformity = None  # metric_uniformity's basis, once built
 
     def __repr__(self):
@@ -244,10 +264,12 @@ def metric_g_proximity(m, a):
     """A and B are near when no chain level pushes their translates a
     positive distance apart: near(A, B) iff d(VA, VB) = 0 for every level V.
     d(VA, VB) only grows as V shrinks, so the deepest level decides, and
-    the table has one map.
+    the table has one map.  The table reads only the zero hulls and the
+    deepest level, so it is kept in the action's germ cache under those
+    two values, shared by every chain and metric that reach them.
 
     Requires the sublevel uniformity to be quasibounded and saturated; the
-    classifier witness is surfaced otherwise.
+    classifier witness is surfaced otherwise, on every call.
     """
     u = metric_uniformity(m)
     cls = classify(a, u)
@@ -258,10 +280,15 @@ def metric_g_proximity(m, a):
             witness=cls.witness(missing))
     # Zero-distance hull per point (rank 0); for a genuine metric this is
     # the point itself, for a pseudometric its kernel class.
-    zero_of = [sum(1 << j for j, k in enumerate(row) if not k)
-               for row in m.rank]
+    zero_of = tuple(sum(1 << j for j, k in enumerate(row) if not k)
+                    for row in m.rank)
+    return a._cached(("metricg", zero_of, a.ne.levels[a.deep]),
+                     lambda: _metric_table(a, zero_of))
+
+
+def _metric_table(a, zero_of):
     # B is near A iff VB meets the zero hull of VA, i.e. B meets its
     # pullback through the deepest level V.
     inv = a.level_inverse_elem_masks(a.deep)
-    return meets_table(m.carrier, [[_join_mask(inv, _join_mask(zero_of, t))
+    return meets_table(a.carrier, [[_join_mask(inv, _join_mask(zero_of, t))
                                     for t in a.level_elem_masks(a.deep)]])

@@ -89,13 +89,13 @@ def _and_intersectors(rows, masks, n):
 def meets_table(carrier, maps):
     """The table with near(A, B) iff B meets f(A) for every f in maps,
     each f a union-preserving map given by its n point values: one join
-    table and one AND per row for each map, Theta(|maps| * 2**n)
+    table and one AND per row for each distinct map, Theta(|maps| * 2**n)
     operations on 2**n-bit integers.  `meets` and `meets_points` read
     entries of the same table from the point values, without it."""
     n = carrier.n
     N = 1 << n
     rows = [(1 << N) - 1] * N
-    for values in maps:
+    for values in dict.fromkeys(map(tuple, maps)):
         _and_intersectors(rows, _join_table(values), n)
     return Prox(carrier, rows)
 

@@ -74,19 +74,28 @@ def validate_basis(u):
     """Check the four basis conditions; failures carry the offending entourages.
 
     Entourages are compared as packed pair bits (`Rel.pair_bits`), so each
-    containment test is one AND of n*n-bit integers: B1 is one test per
-    entourage, B2 and B4 take one converse and one square per entourage
-    and then |basis| tests each, and B3 takes |basis| tests per pair.  The
-    report is kept on the basis object, so each basis is checked once.
+    containment test is one AND of n*n-bit integers.  Each condition reads
+    only entourage values, so a repeated entourage fails exactly where its
+    first copy does, and the first violation in index order falls on first
+    copies: the r distinct entourages are checked, by their first indices.
+    B1 is one test per distinct entourage, B2 and B4 take one converse and
+    one square per distinct entourage and then r tests each, and B3 takes
+    r tests per pair.  The report is kept on the basis object, so each
+    basis is checked once.
     """
     if u._report is not None:
         return u._report
     n = u.carrier.n
     basis = u.basis
-    bits = [eps.pair_bits for eps in basis]
+    first = {}  # distinct pair bits -> index of the first copy, ascending
+    for k, eps in enumerate(basis):
+        first.setdefault(eps.pair_bits, k)
+    bits = list(first)
+    ks = list(first.values())
+    distinct = [basis[k] for k in ks]
     results = dict.fromkeys(("B1", "B2", "B3", "B4"), (True, None))
     diag = sum(1 << i * (n + 1) for i in range(n))
-    for k, b in enumerate(bits):
+    for b, k in first.items():
         missing = diag & ~b
         if missing:
             i = ((missing & -missing).bit_length() - 1) // (n + 1)
@@ -94,19 +103,21 @@ def validate_basis(u):
             results["B1"] = (False, (k, (x, x)))
             break
 
-    k = _first_uncovered((setrel.invert(eps).pair_bits for eps in basis), bits)
+    k = _first_uncovered((setrel.invert(eps).pair_bits for eps in distinct),
+                         bits)
     if k is not None:
-        results["B2"] = (False, (k,))
+        results["B2"] = (False, (ks[k],))
 
-    for i, b in enumerate(bits):
+    for b, i in first.items():
         j = _first_uncovered([b & c for c in bits], bits)
         if j is not None:
-            results["B3"] = (False, (i, j))
+            results["B3"] = (False, (i, ks[j]))
             break
 
-    k = _first_uncovered(bits, [setrel.compose(d, d).pair_bits for d in basis])
+    k = _first_uncovered(bits, [setrel.compose(d, d).pair_bits
+                                for d in distinct])
     if k is not None:
-        results["B4"] = (False, (k,))
+        results["B4"] = (False, (ks[k],))
 
     u._report = AxiomReport(results)
     return u._report

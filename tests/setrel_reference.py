@@ -6,7 +6,10 @@ as a frozen set of ordered pairs, and the ``metric_uniformity``,
 ``family_uniformity``, ``is_isometric``, ``sup_pseudometric`` and
 ``metric_g_proximity`` of ``eqprox.metricprox`` (with ``_sublevel``,
 ``_family_kernel`` and ``FiniteMetric.positive_values``) as they were when they compared ``Fraction`` distances, before relations
-became image masks and metrics integer rank matrices.  The bodies are
+became image masks and metrics integer rank matrices, and the checks and
+ranks of ``FiniteMetric`` as they were before it scaled its distances to
+integers (``validate_pseudometric_reference``, ``finite_metric_reference``).
+The bodies are
 kept unchanged apart from the names, so that ``test_setrel_differential.py``
 compares the production code with the originals.  This is test-only code:
 nothing under ``src/`` may import it.
@@ -257,3 +260,46 @@ def metric_g_proximity_reference(m, a):
         _and_intersectors(
             rows, [pullback[hull[t]] for t in a.level_translates(li)], n)
     return Prox(carrier, rows)
+
+
+def validate_pseudometric_reference(carrier, dist):
+    n = carrier.n
+    if len(dist) != n or any(len(row) != n for row in dist):
+        raise ValueError("distance matrix must be n x n")
+    for i in range(n):
+        if dist[i][i] != 0:
+            raise ValueError(f"nonzero self-distance at {carrier.elements[i]!r}")
+        for j in range(n):
+            if dist[i][j] < 0:
+                raise ValueError("negative distance")
+            if dist[i][j] != dist[j][i]:
+                raise ValueError(
+                    f"asymmetric distance at ({carrier.elements[i]!r}, "
+                    f"{carrier.elements[j]!r})")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if dist[i][k] > dist[i][j] + dist[j][k]:
+                    raise ValueError(
+                        "triangle inequality fails at "
+                        f"({carrier.elements[i]!r}, {carrier.elements[j]!r}, "
+                        f"{carrier.elements[k]!r})")
+
+
+def finite_metric_reference(carrier, dist, pseudo=False):
+    """The checks of ``FiniteMetric.__init__`` on the ``Fraction``
+    distances; returns (dist, values, rank) or raises its ValueError."""
+    dist = tuple(tuple(Fraction(v) for v in row) for row in dist)
+    validate_pseudometric_reference(carrier, dist)
+    if not pseudo:
+        n = carrier.n
+        for i in range(n):
+            for j in range(n):
+                if i != j and dist[i][j] == 0:
+                    raise ValueError(
+                        "zero distance between distinct points "
+                        f"({carrier.elements[i]!r}, {carrier.elements[j]!r})")
+    values = tuple(sorted({v for row in dist for v in row}))
+    index = {v: k for k, v in enumerate(values)}
+    rank = tuple(tuple(index[v] for v in row) for row in dist)
+    return dist, values, rank

@@ -201,6 +201,19 @@ def test_validate_bad_chain_exits_2_naming_levels(capsys):
     assert "levels 0 and 1" in err
 
 
+def test_validate_bad_metric_exits_2_naming_the_triangle(capsys):
+    code, out, err = run(capsys, "validate", fixture("bad_metric.json"))
+    assert (code, out) == (2, "")
+    assert err == ("input error: metric: triangle inequality fails at "
+                   "('0', '1', '2')\n")
+
+
+def test_validate_metric_document(capsys):
+    code, out, err = run(capsys, "validate", fixture("z4_metric.json"))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "metric: ok (4 points)"
+
+
 @pytest.mark.parametrize("name, field, value, message", [
     ("z3_rotation.json", "action", None, "action must be an object"),
     ("z3_rotation.json", "neighborhood_base", None,

@@ -646,6 +646,74 @@ def test_basis_reports_match_reference_on_failing_relation_lists():
         first_failures
 
 
+def repeated_and_permuted(rng, u):
+    """u's entourages in a random order, one to three of them repeated at
+    random places."""
+    basis = list(u.basis)
+    rng.shuffle(basis)
+    for _ in range(rng.randint(1, 3)):
+        basis.insert(rng.randrange(len(basis) + 1), rng.choice(basis))
+    return UnifBase(u.carrier, basis)
+
+
+def has_repeats(u):
+    return len(set(u.basis)) < len(u.basis)
+
+
+def test_basis_reports_match_reference_on_repeated_suite_bases():
+    # The suite's pool bases and derived bases (`compute_ug` lists each
+    # bracket of every level, so equal brackets repeat), as listed and
+    # repeated and permuted, and the derived bases of the metric family.
+    rng = random.Random(39)
+    bases = []
+    for _label, germ, u in iter_family(max_n=3, seed=0):
+        bases.append(u)
+        if validate_basis(u).ok() and classify(germ, u).quasibounded:
+            bases.append(compute_ug(germ, u))
+    groups = [g for g in suite_groups(6) if g[0] in ("Z2", "Z4", "S3")]
+    for n in (2, 3):
+        carrier = Carrier(range(n))
+        for matrix in _metric_matrices(n):
+            u = metric_uniformity(FiniteMetric(carrier, matrix))
+            for gname, group, gens in groups:
+                for act in curated_actions(gname, group, gens, n):
+                    for levels in germ_chains(group):
+                        germ = GActionGerm(group, NeighborhoodBase(
+                            group, levels), carrier, act)
+                        if classify(germ, u).pi_uniform:
+                            bases.append(compute_ug(germ, u))
+    assert sum(map(has_repeats, bases)) > 100
+    for u in bases:
+        assert_same_basis_report(u)
+        assert_same_basis_report(repeated_and_permuted(rng, u))
+
+
+def test_basis_reports_match_reference_with_witnesses_after_copies():
+    # Failing lists with each entourage doubled, and shuffled with copies
+    # inserted: the first violation's entourages then sit after copies of
+    # others, so their list index differs from their place among the
+    # distinct entourages, and each has a later copy of its own.
+    rng = random.Random(40)
+    shifted = dict.fromkeys(("B1", "B2", "B3", "B4"), 0)
+    for n in range(1, 6):
+        carrier = Carrier(range(n))
+        for _ in range(150):
+            u = random_relation_list(rng, carrier)
+            doubled = UnifBase(carrier, [eps for eps in u.basis
+                                         for _copy in (0, 1)])
+            for v in (doubled, repeated_and_permuted(rng, doubled)):
+                assert_same_basis_report(v)
+                rep = validate_basis_reference(v)
+                place = {eps: k for k, eps in
+                         enumerate(dict.fromkeys(v.basis))}
+                for name in rep.failures():
+                    wit = rep.counterexample(name)
+                    ks = wit[:1] if name == "B1" else wit
+                    if any(place[v.basis[k]] != k for k in ks):
+                        shifted[name] += 1
+    assert all(count >= 10 for count in shifted.values()), shifted
+
+
 def assert_same_germ_masks(a, rng):
     """Translates and pullbacks through the point masks, the translate
     table, set translates, the maximal group proximity and the

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -225,3 +226,80 @@ def test_isometric_settings_of_the_metric_family_are_pi_uniform():
                             assert classify(germ, u).pi_uniform
                         isometric.add(literal)
     assert isometric == {True, False}
+
+
+def translate_distance_rows(m, a):
+    """near(A, B) iff d(VA, VB) = 0 at every chain level V, read from the
+    rational distances: the least distance between VA and VB is 0 iff
+    some pair of them is at distance 0 (so never when either is empty).
+    Rows indexed by subset masks."""
+    n = m.carrier.n
+    d = m.dist
+    translates = [[{a.act[v][i] for v in level for i in range(n)
+                    if mask >> i & 1} for mask in range(1 << n)]
+                  for level in a.ne.levels]
+
+    def at_distance_zero(s, t):
+        return any(d[i][j] == 0 for i in s for j in t)
+
+    return tuple(
+        sum(1 << bm for bm in range(1 << n)
+            if all(at_distance_zero(va[am], va[bm]) for va in translates))
+        for am in range(1 << n))
+
+
+def test_metric_table_key_carries_the_zero_hull():
+    # Z2 swapping 0 and 1 on four points, its one chain level the whole
+    # group: the discrete metric and a pseudometric whose zero class is
+    # {2, 3} are both pi-uniform on this germ and share its deepest level,
+    # but not their tables.
+    c = Carrier(range(4))
+    g = FiniteGroup.cyclic(2)
+    germ = GActionGerm(g, NeighborhoodBase(g, [frozenset({0, 1})]), c,
+                       [(0, 1, 2, 3), (1, 0, 2, 3)])
+    metric = FiniteMetric(c, [[int(i != j) for j in range(4)]
+                              for i in range(4)])
+    pseudo = FiniteMetric(c, [[0, 2, 1, 1], [2, 0, 1, 1], [1, 1, 0, 0],
+                              [1, 1, 0, 0]], pseudo=True)
+    tables = [metric_g_proximity(m, germ) for m in (metric, pseudo)]
+    assert tables[0] != tables[1]
+    for m, table in zip((metric, pseudo), tables):
+        assert table.rows == translate_distance_rows(m, germ)
+        assert metric_g_proximity(m, germ) == table
+
+
+def test_metric_tables_on_shared_germs_match_translate_distances():
+    # {0, 1, 2}-valued pseudometrics through one germ per (group, action,
+    # chain) of the metric family, so tables kept for one matrix are read
+    # for the next: each table must be the one of its own zero hull.  All
+    # of them up to three points, a seeded sample of 40 at four.
+    rng = random.Random(43)
+    groups = [g for g in suite_groups(6) if g[0] in ("Z2", "Z4", "S3")]
+    tables_per_germ = {}  # each germ has one chain, so one deepest level
+    for n in (1, 2, 3, 4):
+        c = Carrier(range(n))
+        germs = [GActionGerm(group, NeighborhoodBase(group, levels), c, act)
+                 for gname, group, gens in groups
+                 for act in curated_actions(gname, group, gens, n)
+                 for levels in germ_chains(group)]
+        slots = list(itertools.combinations(range(n), 2))
+        matrices = []
+        for values in itertools.product((0, 1, 2), repeat=len(slots)):
+            dist = [[0] * n for _ in range(n)]
+            for (i, j), v in zip(slots, values):
+                dist[i][j] = dist[j][i] = v
+            try:
+                matrices.append(FiniteMetric(c, dist, pseudo=True))
+            except ValueError:
+                pass
+        if n == 4:
+            matrices = rng.sample(matrices, 40)
+        for m in matrices:
+            for germ in germs:
+                if not classify(germ, metric_uniformity(m)).pi_uniform:
+                    continue
+                table = metric_g_proximity(m, germ)
+                assert table.rows == translate_distance_rows(m, germ), \
+                    (germ, m.dist)
+                tables_per_germ.setdefault(id(germ), set()).add(table.rows)
+    assert max(map(len, tables_per_germ.values())) > 1

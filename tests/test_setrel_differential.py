@@ -5,19 +5,24 @@ the ``Fraction`` metric constructions as they were; the current code
 must give the same pair sets, the same verdicts and the same tables on
 random relations (n <= 6), on every {1, 2}-metric of the suite's metric
 family (n <= 4) and on random rational pseudometrics under the suite's
-actions.  ``Rel.from_masks`` is also checked by brute force.
+actions.  ``Rel.from_masks`` is also checked by brute force, and
+``FiniteMetric``'s integer-scaled checks against the ``Fraction`` ones.
 """
 
 import itertools
+import math
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from setrel_reference import RelReference, compose_reference, \
     diagonal_reference, family_uniformity_reference, \
     full_relation_reference, intersect_reference, invert_reference, \
-    is_isometric_reference, metric_g_proximity_reference, \
-    metric_uniformity_reference, sup_pseudometric_reference
+    finite_metric_reference, is_isometric_reference, \
+    metric_g_proximity_reference, metric_uniformity_reference, \
+    sup_pseudometric_reference
 
 from eqprox.errors import PreconditionFailure
 from eqprox.gaction import GActionGerm, NeighborhoodBase
@@ -188,3 +193,113 @@ def test_random_pseudometrics_under_suite_actions_match_reference():
                         assert sup.dist == ref.dist
                         assert pair_sets(metric_uniformity(sup)) == \
                             pair_sets(metric_uniformity_reference(ref))
+
+
+def metric_outcome(build, carrier, dist, pseudo):
+    """(dist, values, rank) of an accepted matrix, or the refusal message."""
+    try:
+        return build(carrier, dist, pseudo)
+    except ValueError as exc:
+        return str(exc)
+
+
+def library_metric(carrier, dist, pseudo):
+    m = FiniteMetric(carrier, dist, pseudo=pseudo)
+    assert all(type(v) is Fraction for v in m.values)
+    return m.dist, m.values, m.rank
+
+
+# The first words of each refusal, and of acceptance.
+OUTCOMES = ("accepted", "distance matrix must be n x n",
+            "nonzero self-distance", "negative distance",
+            "asymmetric distance", "triangle inequality fails",
+            "zero distance between distinct points")
+
+
+def outcome_kind(outcome):
+    if not isinstance(outcome, str):
+        return "accepted"
+    return next(kind for kind in OUTCOMES if outcome.startswith(kind))
+
+
+def broken_matrix(n, rng):
+    """A max-norm pseudometric on points with coordinates of mixed
+    denominators (distinct points at distance 0 half the time), then
+    left alone or broken in one of six ways."""
+    coords = [Fraction(rng.randrange(0, 13), rng.choice((1, 2, 3, 5, 7, 12)))
+              for _ in range(4)]
+    pool = [(rng.choice(coords), rng.choice(coords))
+            for _ in range(max(1, n - rng.choice((0, 1))))]
+    pts = [rng.choice(pool) for _ in range(n)]
+    d = [[max(abs(p[0] - q[0]), abs(p[1] - q[1])) for q in pts] for p in pts]
+    i, j, k = (rng.randrange(n) for _ in range(3))
+    eps = Fraction(1, rng.choice((2, 3, 4, 9, 11)))
+    how = rng.choice(("none", "shape", "self", "negative", "asymmetric",
+                      "triangle", "zero"))
+    if how == "shape":
+        d[i] = d[i][:-1] if rng.random() < 0.5 else d[i] + [eps]
+    elif how == "self":
+        d[i][i] = eps
+    elif how == "negative" and i != j:
+        d[i][j] = d[j][i] = -eps
+    elif how == "asymmetric" and i != j:
+        d[i][j] += eps
+    elif how == "triangle" and len({i, j, k}) == 3:
+        d[i][k] = d[k][i] = d[i][j] + d[j][k] + eps
+    elif how == "zero" and i != j:
+        d[i][j] = d[j][i] = Fraction(0)
+    return d
+
+
+def test_integer_scaled_checks_match_fraction_checks():
+    rng = random.Random(41)
+    kinds = Counter()
+    for _ in range(3000):
+        n = rng.randrange(1, 6)
+        carrier = Carrier([f"p{i}" for i in range(n)])
+        dist = broken_matrix(n, rng)
+        pseudo = rng.random() < 0.5
+        got = metric_outcome(library_metric, carrier, dist, pseudo)
+        assert got == metric_outcome(finite_metric_reference, carrier, dist,
+                                     pseudo), (dist, pseudo)
+        kinds[outcome_kind(got)] += 1
+    assert set(kinds) == set(OUTCOMES), kinds
+    assert min(kinds.values()) >= 40, kinds
+
+
+def pairwise_coprime_denominators(count, digits):
+    """count integers of `digits` digits, pairwise coprime: i * M + 1 for
+    count <= i < 2 * count, with M a multiple of every prime below count.
+    A prime dividing two of them divides (j - i) * M but not M, so it
+    divides j - i < count; yet every prime below count divides M."""
+    primes = [p for p in range(2, count) if all(p % q for q in range(2, p))]
+    step = math.prod(primes)
+    m = (10 ** (digits - 1) // count // step + 1) * step
+    out = [i * m + 1 for i in range(count, 2 * count)]
+    assert all(len(str(q)) == digits for q in out)
+    return out
+
+
+def test_twelve_points_with_coprime_forty_digit_denominators():
+    n = 12
+    carrier = Carrier(range(n))
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    dens = pairwise_coprime_denominators(len(slots), 40)
+    assert all(math.gcd(p, q) == 1 for p, q in itertools.combinations(dens, 2))
+    # Every distance lies in (1, 2], so the triangle inequality holds.
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), q in zip(slots, dens):
+        dist[i][j] = dist[j][i] = Fraction(q + 1, q)
+    start = time.perf_counter()
+    got = library_metric(carrier, dist, False)
+    assert time.perf_counter() - start < 1.0
+    assert got == finite_metric_reference(carrier, dist)
+    # d(0, 2) exceeds d(0, 1) + d(1, 2) by 10**-40: the scan meets the
+    # violation at j = 1 first.
+    dist[0][2] = dist[2][0] = dist[0][1] + dist[1][2] + Fraction(1, 10 ** 40)
+    start = time.perf_counter()
+    refusal = metric_outcome(library_metric, carrier, dist, False)
+    assert time.perf_counter() - start < 1.0
+    assert refusal == "triangle inequality fails at (0, 1, 2)"
+    assert refusal == metric_outcome(finite_metric_reference, carrier, dist,
+                                     False)
