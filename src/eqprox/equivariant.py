@@ -19,9 +19,10 @@ each row with the intersectors of its entry, Theta(levels * |basis| *
 2**n) operations on 2**n-bit integers for nu and Theta(2**n) for beta_G;
 one entry or the point block is read from the point values alone
 (`proximity.meets`, `meets_points`).  The point values pull back through
-V^{-1} by the germ's inverse point masks (`level_inverse_elem_masks`);
-the bracket side reads only the forward point masks, so the two sides of
-the identity share no pullback code.
+V^{-1} by the germ's inverse point masks (`inverse_masks(i)`); the
+bracket side reads only the forward point masks bound on the germ
+(`masks`, and `deepest` for the deepest level), so the two sides of the
+identity share no pullback code.
 
 The group-action scans work on whole rows of the 2**n-bit tables.
 Equinormality runs the axiom check on the translate-overlap table, then
@@ -78,7 +79,7 @@ def compute_ug(a, u):
     The preconditions are checked for each germ, since quasiboundedness
     reads the group elements.  The brackets read only u and the level
     point masks V_i.x, so a derived basis that passed its check is kept on
-    u, keyed by the tuple of those masks (`GActionGerm.chain_masks`), and
+    u, keyed by the tuple of those masks (`GActionGerm.masks`), and
     another germ or call with the same masks gets the same object back.
     It is kept on u and not in the germ cache because different actions
     reach the same masks: kept per action, suite seed 0 builds 4,410
@@ -95,7 +96,7 @@ def compute_ug(a, u):
         raise PreconditionFailure(
             "uniformity is not quasibounded",
             witness=cls.witness("quasibounded"))
-    key = a.chain_masks()
+    key = a.masks
     if u._derived is None:
         u._derived = {}
     out = u._derived.get(key)
@@ -119,17 +120,19 @@ def nu_maps(a, u):
     V^{-1} eps(V A).  That map of A is a composite of three
     union-preserving maps (translate, entourage image, level pullback), so
     it is given by its n point values V^{-1} eps(V x), each pulled back
-    through the inverse point masks.  The basis must be valid.
+    through the inverse point masks.  The basis must be valid and over the
+    action's carrier.
     """
+    if u.carrier != a.carrier:
+        raise CarrierMismatch("uniformity is not over the action's carrier")
     report = validate_basis(u)
     if not report.ok():
         raise PreconditionFailure(
             f"input basis fails condition {report.failures()[0]}",
             witness=report)
     levels = []
-    for li in range(len(a.ne.levels)):
-        lem = a.level_elem_masks(li)
-        inv = a.level_inverse_elem_masks(li)
+    for li, lem in enumerate(a.masks):
+        inv = a.inverse_masks(li)
         levels.append([[_join_mask(inv, eps.image_mask(t)) for t in lem]
                        for eps in u.basis])
     return levels
@@ -158,7 +161,7 @@ def nu_proximity(a, u):
     maps and the trap read every level, so the result is kept per basis
     value and the point masks of every level.
     """
-    return a._cached(("nu", u, a.chain_masks()), lambda: _nu_proximity(a, u))
+    return a._cached(("nu", u, a.masks), lambda: _nu_proximity(a, u))
 
 
 def _nu_proximity(a, u):
@@ -177,8 +180,8 @@ def beta_g_maps(a):
     so it is given by its n point pullbacks V^{-1}Vx.  Overlap at every
     level is overlap at the deepest, the only level read.
     """
-    inv = a.level_inverse_elem_masks(a.deep)
-    return [[_join_mask(inv, t) for t in a.level_elem_masks(a.deep)]]
+    inv = a.inverse_masks(-1)
+    return [[_join_mask(inv, t) for t in a.masks[-1]]]
 
 
 def beta_g_proximity(a):
@@ -189,7 +192,7 @@ def beta_g_proximity(a):
     shared by every chain of the action: the compatibility and separation
     verdicts read it too.
     """
-    return a._cached(("betag", a.ne.levels[a.deep]),
+    return a._cached(("betag", a.deepest),
                      lambda: meets_table(a.carrier, beta_g_maps(a)))
 
 
@@ -239,7 +242,7 @@ def is_action_compatible(p, a):
     level only, so the verdict is kept per table and deepest point masks.
     """
     _check_carrier(p, a)
-    return a._cached(("compat", p.rows, a.level_elem_masks(a.deep)),
+    return a._cached(("compat", p.rows, a.masks[-1]),
                      lambda: _compatible(p.rows, a))
 
 
@@ -270,7 +273,7 @@ def semigroup_upgrade(p, a):
     is kept per table and the point masks of every level.
     """
     _check_carrier(p, a)
-    return a._cached(("semigr", p.rows, a.chain_masks()),
+    return a._cached(("semigr", p.rows, a.masks),
                      lambda: _semigroup_upgrade(p.rows, a))
 
 
@@ -331,7 +334,7 @@ def check_equinormal(a):
     through the other mask route.  Both read the deepest level only, so
     the report is kept per deepest level.
     """
-    return a._cached(("equinormal", a.ne.levels[a.deep]),
+    return a._cached(("equinormal", a.deepest),
                      lambda: _equinormal(a))
 
 
@@ -353,17 +356,17 @@ def _separation_ok(a):
 
     Disjointness of translates is antitone in V, so the pi-disjoint
     partners of row A are those at the deepest level V: the submasks of
-    {x : Vx misses VA}, read through level_elem_masks.  The partners whose
-    canonical neighborhood pair (A, B) is disjoint are the pairs far from
-    A in the maximal group proximity, whose table pulls back through
-    level_inverse_elem_masks.  The scan costs Theta(n * 2**n) mask
+    {x : Vx misses VA}, read through the forward point masks.  The
+    partners whose canonical neighborhood pair (A, B) is disjoint are the
+    pairs far from A in the maximal group proximity, whose table pulls back
+    through `inverse_masks`.  The scan costs Theta(n * 2**n) mask
     operations and one 2**n-bit AND per row, where a pair by pair scan
     costs Theta(n * 4**n).
     """
     n = a.carrier.n
     table = _submask_table(n)
-    trans = a.level_translates(a.deep)
-    lem = a.level_elem_masks(a.deep)
+    trans = a.level_translates(-1)
+    lem = a.masks[-1]
     for am, near in enumerate(beta_g_proximity(a).rows):
         t = trans[am]
         free = 0
@@ -450,9 +453,8 @@ def deepest_orbits_coincide(a, subgroup):
     the orbit of its intersection with the subgroup.  When these coincide
     the translate-overlap proximity cannot tell the two groups apart.
     """
-    deep = a.ne.deepest
-    inter = deep & _group_indices(a.group, subgroup)
-    return a._point_masks(deep) == a._point_masks(inter)
+    inter = a.deepest & _group_indices(a.group, subgroup)
+    return a.masks[-1] == a._point_masks(inter)
 
 
 def betag_on_subgroup_agrees(a, subgroup):

@@ -14,13 +14,13 @@ I/O edge.
 
 The chain is validated as descending, so its deepest level generates the
 identity neighbourhoods and decides every "for some V" quantifier that a
-smaller V can only help; the germ names that level once, by its index
-`deep`.
-
-A germ keeps, per chain level V, the point masks of V.x and of V^{-1}.x.
-The translate V.m or the pullback V^{-1}.m of one subset mask is the OR
-of the point masks over m (`setrel._join_mask`); `level_translates`
-tabulates V.m for scans that need every subset.
+smaller V can only help.  A germ binds its chain once: `deepest` is that
+level, and `masks[i]` holds the point masks of V.x for level i, deepest
+last.  The point masks of V^{-1}.x, which pull sets back through V, are
+a separate route (`inverse_masks(i)`).  The translate V.m or the
+pullback V^{-1}.m of one subset mask is the OR of the point masks over m
+(`setrel._join_mask`); `level_translates` tabulates V.m for scans that
+need every subset.
 """
 
 from __future__ import annotations
@@ -303,10 +303,6 @@ class NeighborhoodBase:
         self.group = group
         self.levels = levels
 
-    @property
-    def deepest(self):
-        return self.levels[-1]
-
     def __repr__(self):
         return f"NeighborhoodBase({[sorted(v) for v in self.levels]!r})"
 
@@ -330,11 +326,10 @@ class GActionGerm:
     it reads.
     """
 
-    __slots__ = ("group", "ne", "carrier", "act", "deep", "_cache",
-                 "__dict__")
+    __slots__ = ("group", "ne", "carrier", "act", "deepest", "masks",
+                 "_cache", "__dict__")
 
     def __init__(self, group, ne, carrier, act):
-        deep = _deepest_index(group, ne)
         act = tuple(tuple(p) for p in act)
         if len(act) != group.order:
             raise ValueError("need one permutation per group element")
@@ -352,21 +347,30 @@ class GActionGerm:
                         "action law fails at pair "
                         f"({group.names[g]!r}, {group.names[h]!r})")
         self.group = group
-        self.ne = ne
         self.carrier = carrier
         self.act = act
-        self.deep = deep
         self._cache = {}
+        self._bind(ne)
 
     def on_chain(self, ne):
         """This action with the chain ne of the same group in place of its
         own, sharing this germ's cache.  The action law is not checked
         again; a chain of another group raises as the constructor does."""
-        deep = _deepest_index(self.group, ne)
         out = copy(self)
-        out.ne = ne
-        out.deep = deep
+        out._bind(ne)
         return out
+
+    def _bind(self, ne):
+        """Take ne as the chain: `deepest` is its deepest level and
+        `masks[i]` the point masks {v.x : v in level i} of every level,
+        deepest last, each built once per level value in the cache."""
+        if ne.group is not self.group:
+            raise ValueError("neighborhood chain belongs to a different group")
+        self.ne = ne
+        self.deepest = ne.levels[-1]
+        self.masks = tuple(self._cached(("lem", level),
+                                        lambda: self._point_masks(level))
+                           for level in ne.levels)
 
     def _cached(self, key, build):
         """build(), computed once per key for all the germs that share this
@@ -376,21 +380,9 @@ class GActionGerm:
             cache[key] = build()
         return cache[key]
 
-    def chain_masks(self):
-        """The forward point masks of every chain level, deepest last: the
-        key part of a result that reads every level.  A level's inverse
-        point masks are the transpose of its forward ones, so they add
-        nothing to a key."""
-        return tuple(self.level_elem_masks(li)
-                     for li in range(len(self.ne.levels)))
-
-    def level_elem_masks(self, level_index):
-        """For chain level V: masks of the point translates {v.x : v in V}."""
-        level = self.ne.levels[level_index]
-        return self._cached(("lem", level), lambda: self._point_masks(level))
-
-    def level_inverse_elem_masks(self, level_index):
-        """Masks of {v^{-1}.x : v in V}, used to pull sets back through a level."""
+    def inverse_masks(self, level_index):
+        """Masks of {v^{-1}.x : v in V} for chain level V, used to pull sets
+        back through V: the transpose of `masks[level_index]`."""
         level = self.ne.levels[level_index]
         inv = self.group.inv
         return self._cached(("ilem", level), lambda: self._point_masks(
@@ -413,7 +405,7 @@ class GActionGerm:
         """
         level = self.ne.levels[level_index]
         return self._cached(("trans", level), lambda: tuple(
-            _join_table(self.level_elem_masks(level_index))))
+            _join_table(self.masks[level_index])))
 
     def push_table(self, u):
         """push[g][k] = g.eps_k as pair bits (`Rel.pair_bits`), for every
@@ -429,13 +421,6 @@ class GActionGerm:
     def __repr__(self):
         return (f"GActionGerm(group={self.group.order}, n={self.carrier.n}, "
                 f"chain={[len(v) for v in self.ne.levels]})")
-
-
-def _deepest_index(group, ne):
-    """The index of the deepest level of ne, a chain that must be of group."""
-    if ne.group is not group:
-        raise ValueError("neighborhood chain belongs to a different group")
-    return len(ne.levels) - 1
 
 
 def _push_table(a, u):
@@ -500,7 +485,7 @@ class ClassificationReport:
         holds; searched once per key in the germ cache."""
         a, u = self.germ, self.uniformity
         reads_deep, search = _SEARCHES[name]
-        key = (name, a.ne.levels[a.deep], u) if reads_deep else (name, u)
+        key = (name, a.deepest, u) if reads_deep else (name, u)
         return a._cached(key, lambda: search(a, u))
 
     @property
@@ -545,7 +530,7 @@ def classify(a, u):
 
     Failure witnesses are the first violating tuples in the fixed scan
     order (basis index, group index, carrier index), so they are
-    reproducible; the chain quantifiers read the deepest level (`deep`).
+    reproducible; the chain quantifiers read the deepest level (`deepest`).
 
     The quantifiers run on the push table of the setting
     (`GActionGerm.push_table`, Theta(|G| * |basis| * n**2) bit operations),
@@ -594,7 +579,7 @@ def _quasiboundedness_witness(a, u):
     fits in, with the first pair that moves basis[0] out of it."""
     basis = u.basis
     push = a.push_table(u)
-    spread = _fold(or_, (push[v] for v in a.ne.levels[a.deep]))
+    spread = _fold(or_, (push[v] for v in a.deepest))
     k = _first_uncovered([eps.pair_bits for eps in basis], spread)
     if k is None:
         return None
@@ -623,11 +608,8 @@ _SEARCHES = {
 
 def _kept(a, u):
     """kept[k]: the pairs of eps_k that every translate keeps in eps_k, as
-    pair bits: the AND of the push table over the group.  It reads only the
-    push table, so it is folded once per action and basis value, for both
-    equicontinuities and `saturate_uniformity`."""
-    return a._cached(("kept", u),
-                     lambda: tuple(_fold(and_, a.push_table(u))))
+    pair bits: the AND of the push table over the group."""
+    return _fold(and_, a.push_table(u))
 
 
 def _fold(op, rows):
@@ -656,7 +638,7 @@ def _unbounded_pair(a, eps):
     """The first (v, x) with (v.x, x) outside eps, v in the deepest level
     and x in index order, or None when that level is eps-bounded."""
     imgs = eps.image_masks
-    for v in sorted(a.ne.levels[a.deep]):
+    for v in sorted(a.deepest):
         p = a.act[v]
         for x in range(a.carrier.n):
             if not imgs[p[x]] >> x & 1:
@@ -670,7 +652,7 @@ def _spread_pair(a, delta, eps):
     inside eps for every v in that level."""
     n = a.carrier.n
     els = a.carrier.elements
-    for v in sorted(a.ne.levels[a.deep]):
+    for v in sorted(a.deepest):
         p = a.act[v]
         cells = delta.pair_bits
         while cells:
@@ -704,7 +686,7 @@ def check_action_continuity(a, u):
     full = a.carrier.full_mask
     push = a.push_table(u)
     table = _submask_table(n)
-    lem = a.level_elem_masks(a.deep)
+    lem = a.masks[-1]
     inside = [reduce(or_, (table[full ^ _join_mask(lem, delta.image_masks[x0])]
                            for delta in u.basis))
               for x0 in range(n)]

@@ -225,8 +225,8 @@ def xi_report(fam, a, subsets_of_group, sups):
                   else "fail")
 
     group = a.group
-    deep = a.ne.levels[a.deep]
-    hyp2 = all(any(group.product_set(s, deep) <= frozenset(t) for t in ids)
+    hyp2 = all(any(group.product_set(s, a.deepest) <= frozenset(t)
+                   for t in ids)
                for s in ids)
     concl2 = "n/a"
     if hyp2:
@@ -252,6 +252,8 @@ def _acts_equicontinuously(a, u, subset_ids):
 
 def is_isometric(m, a):
     """Whether every group element acts by distance-preserving maps."""
+    if m.carrier != a.carrier:
+        raise CarrierMismatch("metric is not over the action's carrier")
     rank = m.rank
     for p in a.act:
         for i, row in enumerate(rank):
@@ -282,13 +284,13 @@ def metric_g_proximity(m, a):
     # the point itself, for a pseudometric its kernel class.
     zero_of = tuple(sum(1 << j for j, k in enumerate(row) if not k)
                     for row in m.rank)
-    return a._cached(("metricg", zero_of, a.ne.levels[a.deep]),
+    return a._cached(("metricg", zero_of, a.deepest),
                      lambda: _metric_table(a, zero_of))
 
 
 def _metric_table(a, zero_of):
     # B is near A iff VB meets the zero hull of VA, i.e. B meets its
     # pullback through the deepest level V.
-    inv = a.level_inverse_elem_masks(a.deep)
+    inv = a.inverse_masks(-1)
     return meets_table(a.carrier, [[_join_mask(inv, _join_mask(zero_of, t))
-                                    for t in a.level_elem_masks(a.deep)]])
+                                    for t in a.masks[-1]]])

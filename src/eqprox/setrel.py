@@ -27,7 +27,7 @@ class Carrier:
     which test fixtures and reported witnesses depend on.
     """
 
-    __slots__ = ("elements", "index", "n", "full_mask", "__dict__")
+    __slots__ = ("elements", "index", "n", "full_mask")
 
     def __init__(self, elements):
         elements = tuple(elements)

@@ -457,8 +457,7 @@ def _g_proximity_candidates(germ):
     enumeration is complete.  Invariance reads no chain and compatibility
     the deepest level, so one list serves every chain with that level's
     point masks."""
-    deepest = germ.level_elem_masks(germ.deep)
-    return germ._cached((_g_proximity_candidates, deepest), lambda: [
+    return germ._cached((_g_proximity_candidates, germ.masks[-1]), lambda: [
         rho for _blocks, rho in enumerate_partition_proximities(germ.carrier)
         if is_g_invariant(rho, germ)[0]
         and is_action_compatible(rho, germ)[0]])
@@ -480,9 +479,9 @@ def _per_germ_checks(wanted, label, germ, inject):
         yield "equinormal", rep.equinormal and rep.agree, label, None
     if "densesub" in wanted:
         group = germ.group
-        deep = germ.ne.deepest
         for h in group.subgroups():
-            if group.product_set(h, deep) != frozenset(range(group.order)):
+            if (group.product_set(h, germ.deepest)
+                    != frozenset(range(group.order))):
                 continue
             if not deepest_orbits_coincide(germ, h):
                 continue
@@ -819,8 +818,8 @@ def _sigma_family(seed, max_group, **_):
                                    carrier, act)
                 subs = [frozenset({group.e}),
                         frozenset(range(group.order))]
-                if len(germ.ne.deepest) > 1:
-                    subs.append(germ.ne.deepest)
+                if len(germ.deepest) > 1:
+                    subs.append(germ.deepest)
                 label = f"sigma/n{n}/{gname}/{t}"
                 # Worst-case matrices must stay pseudometrics (trap check);
                 # xi_report reads them, so a trap fails this instance with

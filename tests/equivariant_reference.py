@@ -129,7 +129,7 @@ def _find_pi_disjoint_neighborhoods(a, am, bm):
 def _level_pullback(a, level_index, mask):
     """V^{-1} m: points whose V-translate meets m."""
     out = 0
-    masks = a.level_inverse_elem_masks(level_index)
+    masks = a.inverse_masks(level_index)
     while mask:
         low = mask & -mask
         out |= masks[low.bit_length() - 1]
@@ -216,18 +216,18 @@ def separation_ok_reference(a):
     """Whether every pi-disjoint pair is witnessed, scanned as whole rows.
 
     For row A and level V, the pi-disjoint partners are the submasks of
-    {x : Vx misses VA}, read through level_elem_masks; the partners whose
-    canonical neighborhood pair (A, B) is disjoint are the submasks of the
-    complement of the pullback V^{-1}VA, read through
-    level_inverse_elem_masks.  The scan costs Theta(levels * n * 2**n)
+    {x : Vx misses VA}, read through the forward point masks; the partners
+    whose canonical neighborhood pair (A, B) is disjoint are the submasks
+    of the complement of the pullback V^{-1}VA, read through
+    inverse_masks.  The scan costs Theta(levels * n * 2**n)
     mask operations and one 2**n-bit OR per row and level, where a pair by
     pair scan costs Theta(levels * n * 4**n).
     """
     n = a.carrier.n
     N = 1 << n
     table = _submask_table(n)
-    routes = [(li, a.level_translates(li), a.level_elem_masks(li))
-              for li in range(len(a.ne.levels))]
+    routes = [(li, a.level_translates(li), lem)
+              for li, lem in enumerate(a.masks)]
     for am in range(N):
         disjoint = witnessed = 0
         for li, trans, lem in routes:
@@ -437,7 +437,7 @@ def validate_basis_reference(u):
 
 def translate_mask(a, level_index, mask):
     out = 0
-    masks = a.level_elem_masks(level_index)
+    masks = a.masks[level_index]
     while mask:
         low = mask & -mask
         out |= masks[low.bit_length() - 1]
@@ -511,7 +511,7 @@ def nu_proximity_point_pullback_reference(a, u):
     full_bits = (1 << N) - 1
 
     def and_level(li, rows):
-        lem = a.level_elem_masks(li)
+        lem = a.masks[li]
         for eps in u.basis:
             pull = _join_table([_level_pullback(a, li, eps.image_mask(t))
                                 for t in lem])
@@ -548,7 +548,7 @@ def deepest_orbits_coincide_reference(a, subgroup):
     """
     group = a.group
     H = _group_indices(group, subgroup)
-    deep = a.ne.deepest
+    deep = a.deepest
     inter = deep & H
     n = a.carrier.n
     for x in range(n):

@@ -256,7 +256,7 @@ def metric_g_proximity_reference(m, a):
     for li in range(len(a.ne.levels)):
         # B is near A at this level iff VB meets the zero hull of VA,
         # i.e. B meets its pullback through the level.
-        pullback = _join_table(a.level_inverse_elem_masks(li))
+        pullback = _join_table(a.inverse_masks(li))
         _and_intersectors(
             rows, [pullback[hull[t]] for t in a.level_translates(li)], n)
     return Prox(carrier, rows)

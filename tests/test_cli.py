@@ -177,13 +177,13 @@ def test_table_json_writer_matches_json_dumps(capsys):
 def test_equinormal_exits_1_when_a_mask_route_disagrees(capsys, monkeypatch):
     # Pulling point 0 back to the whole carrier breaks the inverse route,
     # so the pairs split off from point 0 are no longer witnessed.
-    real = GActionGerm.level_inverse_elem_masks
+    real = GActionGerm.inverse_masks
 
     def corrupt(self, level_index):
         masks = real(self, level_index)
         return ((1 << self.carrier.n) - 1,) + masks[1:]
 
-    monkeypatch.setattr(GActionGerm, "level_inverse_elem_masks", corrupt)
+    monkeypatch.setattr(GActionGerm, "inverse_masks", corrupt)
     code, out, _ = run(capsys, "equinormal", fixture("s3_generators.json"))
     assert code == 1
     assert "pi-disjoint pairs admit pi-disjoint neighborhoods: FAIL" in out

@@ -9,7 +9,7 @@ from eqprox import equivariant
 from eqprox.equivariant import beta_g_proximity, betag_on_subgroup_agrees, \
     bracket_entourage, check_equinormal, compute_ug, deepest_orbits_coincide, \
     enumerate_partition_proximities, is_action_compatible, is_g_invariant, \
-    is_massive, nu_proximity, semigroup_upgrade, subgroup_germ
+    is_massive, nu_maps, nu_proximity, semigroup_upgrade, subgroup_germ
 from eqprox.errors import CarrierMismatch, InternalCheckFailure, \
     PreconditionFailure
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify
@@ -163,7 +163,7 @@ def test_compute_ug_checks_quasiboundedness_per_germ_on_a_kept_basis():
         germs.append(GActionGerm(g, NeighborhoodBase(g, [range(g.order)]), c,
                                  act))
     z2, klein = germs
-    assert z2.level_elem_masks(0) == klein.level_elem_masks(0)
+    assert z2.masks[0] == klein.masks[0]
     u = UnifBase(c, [Rel(c, set(diagonal(c).pairs)
                          | {(0, 2), (2, 0), (1, 3), (3, 1)})])
     derived = compute_ug(z2, u)
@@ -182,8 +182,7 @@ def test_kept_derived_bases_are_fresh_bracket_bases():
     for _label, germ, u in iter_family(max_n=4, seed=0):
         if not (validate_basis(u).ok() and classify(germ, u).quasibounded):
             continue
-        key = tuple(germ.level_elem_masks(li)
-                    for li in range(len(germ.ne.levels)))
+        key = germ.masks
         kept_from_other_germs += u._derived is not None and key in u._derived
         out = compute_ug(germ, u)
         assert compute_ug(germ, u) is out
@@ -324,6 +323,17 @@ def test_group_action_scans_reject_a_table_over_another_carrier(
         scan(Prox.overlap(Carrier(elements)), a)
 
 
+@pytest.mark.parametrize("build", [nu_proximity, nu_maps, compute_ug])
+@pytest.mark.parametrize("elements", [["a", "b"], ["a", "b", "c", "d"],
+                                      ["a", "c", "b"]])
+def test_basis_readers_reject_a_basis_over_another_carrier(build, elements):
+    # Each side of the identity reads the basis through the germ's point
+    # masks, which only index the action's own carrier.
+    a = z2_swap_fixing_c()
+    with pytest.raises(CarrierMismatch, match="action's carrier"):
+        build(a, discrete_basis(Carrier(elements)))
+
+
 def semigroup_upgrade_oracle(p, a):
     """The strengthened compatibility read literally: each chain level V
     is applied to the points of A through the action to give VA, and
@@ -375,8 +385,7 @@ def test_semigroup_upgrade_matches_oracle_on_tables_without_p4():
     rng = random.Random(52)
     germs = {}
     for _label, germ, _u in iter_family(max_n=4, seed=0):
-        moved = any(m != 1 << x for x, m in
-                    enumerate(germ.level_elem_masks(germ.deep)))
+        moved = any(m != 1 << x for x, m in enumerate(germ.masks[-1]))
         if moved:
             germs[(id(germ.group), germ.ne.levels, germ.carrier.n,
                    germ.act)] = germ
@@ -426,9 +435,9 @@ def test_separation_scan_fails_when_a_mask_route_is_corrupt(monkeypatch):
     # inverse route pulls point 0 back to every point, no partner of {0}
     # but the empty set is witnessed.
     a = z3_rotation(levels=[frozenset({0})])
-    masks = a.level_inverse_elem_masks(0)
+    masks = a.inverse_masks(0)
     corrupt = (masks[0] | 0b110,) + masks[1:]
-    monkeypatch.setattr(a, "level_inverse_elem_masks", lambda li: corrupt)
+    monkeypatch.setattr(a, "inverse_masks", lambda li: corrupt)
     rep = check_equinormal(a)
     assert not rep.separation_ok
     assert "pi-disjoint pairs admit pi-disjoint neighborhoods: FAIL" \
@@ -484,13 +493,13 @@ def test_subgroup_germ_restriction():
     a3 = next(s for s in g.subgroups() if len(s) == 3)
     sub = subgroup_germ(germ, a3)
     assert sub.group.order == 3
-    assert len(sub.ne.levels) == 1 and len(sub.ne.deepest) == 3
+    assert len(sub.ne.levels) == 1 and len(sub.deepest) == 3
 
 
 def test_dense_subgroup_agreement_when_deep_orbits_coincide():
     germ, g = s3_natural([frozenset(range(6))])
     a3 = next(s for s in g.subgroups() if len(s) == 3)
-    assert g.product_set(a3, germ.ne.deepest) == frozenset(range(6))
+    assert g.product_set(a3, germ.deepest) == frozenset(range(6))
     assert deepest_orbits_coincide(germ, a3)
     agree, _, _ = betag_on_subgroup_agrees(germ, a3)
     assert agree
@@ -505,7 +514,7 @@ def test_dense_subgroup_condition_alone_is_insufficient():
     act = [tuple((x + k) % 4 for x in range(4)) for k in range(4)]
     germ = GActionGerm(g, NeighborhoodBase(g, [frozenset(range(4))]), c, act)
     h = frozenset({0, 2})
-    assert g.product_set(h, germ.ne.deepest) == frozenset(range(4))
+    assert g.product_set(h, germ.deepest) == frozenset(range(4))
     assert not deepest_orbits_coincide(germ, h)
     agree, full, restricted = betag_on_subgroup_agrees(germ, h)
     assert not agree

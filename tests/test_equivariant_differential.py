@@ -140,8 +140,8 @@ def with_corrupt_pullbacks(a):
     the whole carrier at every level, so that the two mask routes of the
     separation scan can disagree."""
     b = GActionGerm(a.group, a.ne, a.carrier, a.act)
-    b.level_inverse_elem_masks = lambda li: \
-        (a.carrier.full_mask,) + a.level_inverse_elem_masks(li)[1:]
+    b.inverse_masks = lambda li: \
+        (a.carrier.full_mask,) + a.inverse_masks(li)[1:]
     return b
 
 
@@ -186,7 +186,7 @@ def with_random_upper_levels(a, rng):
     level, descending.  A superset of a normal subgroup is always a valid
     level, and most of these are not closed under inverses."""
     group = a.group
-    levels = [a.ne.deepest]
+    levels = [a.deepest]
     for _ in range(rng.randint(1, 2)):
         extra = {g for g in range(group.order) if rng.random() < 0.4}
         levels.insert(0, levels[0] | extra)
@@ -395,7 +395,7 @@ def test_nu_traps_a_chain_that_is_not_descending(nu):
     ascending = NeighborhoodBase(g, [whole])
     ascending.levels = (frozenset({g.e}), whole)
     a = a.on_chain(ascending)
-    assert a.deep == 1
+    assert a.deepest == whole
     with pytest.raises(InternalCheckFailure, match="not descending"):
         nu(a, discrete_basis(a.carrier))
 
@@ -417,9 +417,9 @@ def assert_same_as_fresh(shared, fresh, u):
         shared
     assert ug_or_error(shared, u) == ug_or_error(fresh, u), (shared, u.basis)
     for li in range(len(shared.ne.levels)):
-        assert shared.level_elem_masks(li) == fresh.level_elem_masks(li)
-        assert shared.level_inverse_elem_masks(li) == \
-            fresh.level_inverse_elem_masks(li)
+        assert shared.masks[li] == fresh.masks[li]
+        assert shared.inverse_masks(li) == \
+            fresh.inverse_masks(li)
         assert shared.level_translates(li) == fresh.level_translates(li)
 
 
@@ -723,8 +723,8 @@ def assert_same_germ_masks(a, rng):
     subset = frozenset(g for g in range(group.order) if rng.random() < 0.5)
     for li, level in enumerate(a.ne.levels):
         trans = a.level_translates(li)
-        lem = a.level_elem_masks(li)
-        inv = a.level_inverse_elem_masks(li)
+        lem = a.masks[li]
+        inv = a.inverse_masks(li)
         for m in range(N):
             assert trans[m] == _join_mask(lem, m) == \
                 translate_mask(a, li, m), (a, li, m)

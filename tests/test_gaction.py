@@ -1,15 +1,19 @@
 import random
+from pathlib import Path
 
 import pytest
 from equivariant_reference import push_rel, translate_mask
 from group_reference import permutation_closure_reference
 
+from eqprox.document import load_instance
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
     check_action_continuity, classify, saturate_uniformity
 from eqprox.setrel import Carrier, Rel, _join_mask, diagonal, full_relation
-from eqprox.suite import iter_family
+from eqprox.suite import germ_chains, iter_family
 from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis, \
     refinement_equivalent, validate_basis
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def z3_rotation(levels=None):
@@ -162,6 +166,59 @@ def test_translate_is_action_of_products():
             a._point_masks(v), _join_mask(a._point_masks(w), m))
 
 
+def actions_with_their_chains():
+    """(action, chains): each distinct action of iter_family(max_n=4) and
+    of the 12-point fixtures, with its own chain first, then every suite
+    chain of its group, and then, when the group has an element g outside
+    the deepest level N with g != g^{-1}, the chain (N + {g}, N), whose
+    upper level is not closed under inverses."""
+    found = {}
+    for _label, germ, _u in iter_family(max_n=4, seed=0):
+        found.setdefault((id(germ.group), germ.carrier.n, germ.act), germ)
+    for name in ("twelve_points_s3.json", "twelve_points_s3_orbits.json",
+                 "twelve_points_s3_generators.json"):
+        found[name] = load_instance(str(FIXTURES / name)).germ
+    for germ in found.values():
+        group, deep = germ.group, germ.deepest
+        chains = [germ.ne] + [NeighborhoodBase(group, levels)
+                              for levels in germ_chains(group)]
+        chains += [NeighborhoodBase(group, [deep | {g}, deep])
+                   for g in range(group.order)
+                   if g not in deep and group.inv[g] != g][:1]
+        yield germ, chains
+
+
+def test_chain_binding_matches_its_definition(monkeypatch):
+    # masks[i][x] is the mask of {v.x : v in level i}, inverse_masks(i) its
+    # transpose, deepest the last level; binding every chain twice on one
+    # action builds the forward masks once per distinct level value.
+    built = []
+    real = GActionGerm._point_masks
+
+    def point_masks(self, elems):
+        built.append(1)
+        return real(self, elems)
+
+    monkeypatch.setattr(GActionGerm, "_point_masks", point_masks)
+    for germ, chains in actions_with_their_chains():
+        del built[:]
+        base = GActionGerm(germ.group, chains[0], germ.carrier, germ.act)
+        bound = [base.on_chain(ne) for ne in chains + chains]
+        assert len(built) == len({v for ne in chains for v in ne.levels})
+        n = germ.carrier.n
+        for a in bound:
+            assert a._cache is base._cache
+            assert a.deepest == a.ne.levels[-1]
+            assert len(a.masks) == len(a.ne.levels)
+            for i, level in enumerate(a.ne.levels):
+                assert a.masks[i] == tuple(
+                    sum(1 << y for y in {a.act[v][x] for v in level})
+                    for x in range(n)), (a, i)
+                assert a.inverse_masks(i) == tuple(
+                    sum(1 << y for y in range(n) if a.masks[i][y] >> x & 1)
+                    for x in range(n)), (a, i)
+
+
 def test_level_translates_match_translate_mask():
     s3, perms = FiniteGroup.from_permutations([(1, 0, 2, 4, 3, 5),
                                                (1, 2, 0, 4, 5, 3)])
@@ -178,8 +235,8 @@ def test_level_translates_match_translate_mask():
         c = a.carrier
         for li, level in enumerate(a.ne.levels):
             trans = a.level_translates(li)
-            lem = a.level_elem_masks(li)
-            inv = a.level_inverse_elem_masks(li)
+            lem = a.masks[li]
+            inv = a.inverse_masks(li)
             assert len(trans) == 1 << c.n
             assert lem == tuple(c.subset_mask({a.act[v][x] for v in level})
                                 for x in range(c.n))
@@ -247,27 +304,6 @@ def test_reports_are_equal_when_every_verdict_and_witness_is():
         assert (report == other) == (wits == other.witnesses)
         differing += wits != other.witnesses
     assert differing
-
-
-def test_group_fold_of_the_push_table_runs_once_per_basis(monkeypatch):
-    # Both equicontinuities and the saturation read the push table ANDed
-    # over the group; it is folded once per action and basis value.
-    import eqprox.gaction as gaction
-
-    folds = []
-    real_fold = gaction._fold
-
-    def fold(op, rows):
-        folds.append(op)
-        return real_fold(op, rows)
-
-    monkeypatch.setattr(gaction, "_fold", fold)
-    a = z3_rotation()
-    u = discrete_basis(a.carrier)
-    report = classify(a, u)
-    assert report.equicontinuous and report.uniformly_equicontinuous
-    saturate_uniformity(a, u)
-    assert len(folds) == 1
 
 
 def test_classify_trivial_group():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from eqprox.equivariant import compute_ug
-from eqprox.errors import PreconditionFailure
+from eqprox.errors import CarrierMismatch, PreconditionFailure
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify
 from eqprox.metricprox import FiniteMetric, PseudometricFamily, \
     family_uniformity, is_isometric, metric_g_proximity, metric_uniformity, \
@@ -199,6 +199,19 @@ def test_isometric_shortcut():
     assert cls.uniformly_equicontinuous
     assert cls.pi_uniform
     metric_g_proximity(metric, germ)  # defined without further hypotheses
+
+
+@pytest.mark.parametrize("check", [is_isometric, metric_g_proximity])
+@pytest.mark.parametrize("elements", [range(3), range(5), [0, 2, 1, 3]])
+def test_metric_readers_reject_a_metric_over_another_carrier(check, elements):
+    # The discrete metric is kept by every permutation, so only the carrier
+    # check can turn it away.
+    _metric, germ = four_cycle()
+    c = Carrier(elements)
+    other = FiniteMetric(c, [[int(i != j) for j in range(c.n)]
+                             for i in range(c.n)])
+    with pytest.raises(CarrierMismatch, match="action's carrier"):
+        check(other, germ)
 
 
 def test_isometric_settings_of_the_metric_family_are_pi_uniform():

@@ -1,4 +1,5 @@
 """Every function, class and method of the library has a caller in the
+library, every `__slots__` entry and dataclass field is read in the
 library, and every name a library module imports is read in it.
 
 A definition counts as reached when its name is read anywhere in another
@@ -6,6 +7,8 @@ module of the package (``__init__`` aside, whose re-exports reach
 nothing) or anywhere in its own module besides the definition.  Matching
 by name can miss dead code (an unrelated name may shadow it) but never
 flags live code.  Dunder methods are reached by the interpreter and are
+not collected.  A slot or field counts as read when some library module
+loads an attribute of that name; dunder slots such as ``__dict__`` are
 not collected.  The import check leaves out ``__init__``, whose imports
 are re-exports, and ``__future__`` features.
 """
@@ -23,6 +26,13 @@ ALLOWED = {
     "FiniteGroup.symmetric": "S_m fixtures for group and action tests",
     "indiscrete_basis": "the coarsest uniformity, a fixture and oracle",
     "bracket_entourage": "production side of the bracket differential test",
+}
+
+# Stored values kept for callers outside the library, one line of reason
+# each.
+ALLOWED_FIELDS = {
+    "FiniteMetric.dist": "the metric's defining matrix, read by callers "
+                         "and oracles",
 }
 
 
@@ -81,6 +91,54 @@ def test_every_definition_has_a_library_caller():
 def test_allowlist_names_only_unreached_definitions():
     reached_anyway = set(ALLOWED) - {d.split(".", 1)[1] for d in unreached()}
     assert reached_anyway == set()
+
+
+def _is_dataclass(node):
+    """Whether the class is decorated `@dataclass` or `@dataclass(...)`."""
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def fields(tree):
+    """(qualified name, name) for the non-dunder `__slots__` entries and
+    the dataclass fields of the module's classes."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if (isinstance(item, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                            for t in item.targets)):
+                names = [elt.value for elt in item.value.elts]
+            elif (_is_dataclass(node) and isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                names = [item.target.id]
+            else:
+                continue
+            for name in names:
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield f"{node.name}.{name}", name
+
+
+def unread_fields():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    loaded = {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    return [qualified for tree in trees
+            for qualified, name in fields(tree) if name not in loaded]
+
+
+def test_every_field_is_read_in_the_library():
+    assert [f for f in unread_fields() if f not in ALLOWED_FIELDS] == []
+
+
+def test_field_allowlist_names_only_unread_fields():
+    assert set(ALLOWED_FIELDS) - set(unread_fields()) == set()
 
 
 def unread_imports():

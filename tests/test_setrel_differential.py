@@ -178,7 +178,7 @@ def test_random_pseudometrics_under_suite_actions_match_reference():
                 assert pair_sets(family_uniformity(fam)) == \
                     pair_sets(family_uniformity_reference(fam))
                 subsets = [frozenset({group.e}), frozenset(range(group.order)),
-                           germ.ne.deepest]
+                           germ.deepest]
                 for m in members:
                     assert pair_sets(metric_uniformity(m)) == \
                         pair_sets(metric_uniformity_reference(m))
