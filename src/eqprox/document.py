@@ -2,8 +2,8 @@
 
 An instance is a single UTF-8 JSON object describing a carrier, a group
 (full table or permutation generators), an identity-neighborhood chain, an
-action, at most one of an entourage basis / a metric / an order, and any
-named subsets.  Rational numbers travel as strings "p/q" so no float ever
+action, at most one of an entourage basis and a metric, an optional order
+(which may accompany either), and any named subsets.  Rational numbers travel as strings "p/q" so no float ever
 enters the pipeline.  All referential-integrity failures raise
 DocumentError naming the offending field and datum.
 """
@@ -108,6 +108,8 @@ def _build(doc):
         except ValueError as exc:
             raise DocumentError(f"action: {exc}") from None
 
+    if "uniformity" in doc and "metric" in doc:
+        raise DocumentError("uniformity and metric: give at most one of them")
     uniformity = None
     if "uniformity" in doc:
         basis = []

@@ -96,20 +96,19 @@ def compute_ug(a, u):
         raise PreconditionFailure(
             "uniformity is not quasibounded",
             witness=cls.witness("quasibounded"))
-    key = a.masks
-    if u._derived is None:
-        u._derived = {}
-    out = u._derived.get(key)
-    if out is None:
-        out = UnifBase(u.carrier, [_bracket(a.carrier, lem, eps)
-                                   for lem in key for eps in u.basis])
-        check = validate_basis(out)
-        if not check.ok():
-            name = check.failures()[0]
-            raise InternalCheckFailure(
-                f"derived bracket basis fails condition {name}: "
-                f"{check.counterexample(name)}")
-        u._derived[key] = out
+    return u._cached(("ug", a.masks), lambda: _checked_brackets(a, u))
+
+
+def _checked_brackets(a, u):
+    """The derived basis that `compute_ug` keeps once it passes its check."""
+    out = UnifBase(u.carrier, [_bracket(a.carrier, lem, eps)
+                               for lem in a.masks for eps in u.basis])
+    check = validate_basis(out)
+    if not check.ok():
+        name = check.failures()[0]
+        raise InternalCheckFailure(
+            f"derived bracket basis fails condition {name}: "
+            f"{check.counterexample(name)}")
     return out
 
 

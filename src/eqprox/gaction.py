@@ -307,7 +307,7 @@ class NeighborhoodBase:
         return f"NeighborhoodBase({[sorted(v) for v in self.levels]!r})"
 
 
-class GActionGerm:
+class GActionGerm(setrel.Memo):
     """A finite group acting on a carrier, together with an identity germ.
 
     `act` maps each group element index to a permutation of carrier
@@ -326,8 +326,7 @@ class GActionGerm:
     it reads.
     """
 
-    __slots__ = ("group", "ne", "carrier", "act", "deepest", "masks",
-                 "_cache", "__dict__")
+    __slots__ = ("group", "ne", "carrier", "act", "deepest", "masks")
 
     def __init__(self, group, ne, carrier, act):
         act = tuple(tuple(p) for p in act)
@@ -349,7 +348,7 @@ class GActionGerm:
         self.group = group
         self.carrier = carrier
         self.act = act
-        self._cache = {}
+        super().__init__()
         self._bind(ne)
 
     def on_chain(self, ne):
@@ -371,14 +370,6 @@ class GActionGerm:
         self.masks = tuple(self._cached(("lem", level),
                                         lambda: self._point_masks(level))
                            for level in ne.levels)
-
-    def _cached(self, key, build):
-        """build(), computed once per key for all the germs that share this
-        cache; a key names every level and basis value that build reads."""
-        cache = self._cache
-        if key not in cache:
-            cache[key] = build()
-        return cache[key]
 
     def inverse_masks(self, level_index):
         """Masks of {v^{-1}.x : v in V} for chain level V, used to pull sets

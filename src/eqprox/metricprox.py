@@ -67,7 +67,7 @@ def _validate_pseudometric(carrier, dist):
                         f"{carrier.elements[k]!r})")
 
 
-class FiniteMetric:
+class FiniteMetric(setrel.Memo):
     """An exact rational metric on a carrier (pseudometric with pseudo=True).
 
     ``values`` lists the distinct distances in increasing order, 0 first,
@@ -76,7 +76,7 @@ class FiniteMetric:
     themselves are kept for output.
     """
 
-    __slots__ = ("carrier", "dist", "pseudo", "values", "rank", "_uniformity")
+    __slots__ = ("carrier", "dist", "pseudo", "values", "rank")
 
     def __init__(self, carrier, dist, pseudo=False):
         dist = tuple(tuple(Fraction(v) for v in row) for row in dist)
@@ -101,7 +101,7 @@ class FiniteMetric:
         self.values = tuple(Fraction(v, scale) for v in distinct)
         index = {v: k for k, v in enumerate(distinct)}
         self.rank = tuple(tuple(index[v] for v in row) for row in scaled)
-        self._uniformity = None  # metric_uniformity's basis, once built
+        super().__init__()
 
     def __repr__(self):
         return f"FiniteMetric(n={self.carrier.n}, pseudo={self.pseudo})"
@@ -140,9 +140,7 @@ def metric_uniformity(m):
     a metric, playing the below-minimum threshold level).  The basis is
     kept on the metric, so every caller shares one object.
     """
-    if m._uniformity is None:
-        m._uniformity = UnifBase(m.carrier, _sublevels(m))
-    return m._uniformity
+    return m._cached(("basis",), lambda: UnifBase(m.carrier, _sublevels(m)))
 
 
 def sup_pseudometric(fam, a, group_subset, member_index):

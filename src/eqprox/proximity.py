@@ -501,9 +501,8 @@ def from_uniformity(u):
     A x B, so the generated filter gives the same verdict.  The table is
     kept on the basis object, so each basis is tabulated once.
     """
-    if u._prox is None:
-        u._prox = meets_table(u.carrier, [eps.image_masks for eps in u.basis])
-    return u._prox
+    return u._cached(("prox",), lambda: meets_table(
+        u.carrier, [eps.image_masks for eps in u.basis]))
 
 
 def _first_unmet_far_pair(rows, firsts, searched, need, table):

@@ -12,12 +12,29 @@ pair set is derived only when asked for.
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import and_
 
 from .errors import CarrierMismatch
 
 DEFAULT_MAX_CARRIER = 12
+
+
+class Memo:
+    """An object that keeps values computed from it: `_cached(key, build)`
+    runs build() once per key and keeps the result as long as the object.
+    A key is a tuple: a tag naming what is kept, then every other value
+    build reads.  A build that raises keeps nothing."""
+
+    __slots__ = ("_cache",)
+
+    def __init__(self):
+        self._cache = {}
+
+    def _cached(self, key, build):
+        cache = self._cache
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
 
 class Carrier:
@@ -69,9 +86,11 @@ class Rel:
 
     ``image_masks[i]`` is the mask of {y : (e_i, y) in R}; equality and
     hashing compare the masks, and the pair set is derived on demand.
+    ``pair_bits`` packs the relation into one n*n-bit integer: bit i*n + j
+    is the pair (e_i, e_j), so containment of two relations is one AND.
     """
 
-    __slots__ = ("carrier", "image_masks", "_hash", "_bits", "__dict__")
+    __slots__ = ("carrier", "image_masks", "pair_bits", "_hash")
 
     def __init__(self, carrier, pairs):
         idx = carrier.index
@@ -80,9 +99,7 @@ class Rel:
             if x not in idx or y not in idx:
                 raise ValueError(f"pair ({x!r}, {y!r}) is not over the carrier")
             masks[idx[x]] |= 1 << idx[y]
-        self.carrier = carrier
-        self.image_masks = tuple(masks)
-        self._hash = self._bits = None
+        self._set(carrier, tuple(masks))
 
     @classmethod
     def from_masks(cls, carrier, masks):
@@ -92,10 +109,15 @@ class Rel:
                 or max(masks) > carrier.full_mask):
             raise ValueError("image masks must be n masks over the carrier")
         rel = cls.__new__(cls)
-        rel.carrier = carrier
-        rel.image_masks = masks
-        rel._hash = rel._bits = None
+        rel._set(carrier, masks)
         return rel
+
+    def _set(self, carrier, masks):
+        n = carrier.n
+        self.carrier = carrier
+        self.image_masks = masks
+        self.pair_bits = sum(m << i * n for i, m in enumerate(masks))
+        self._hash = None
 
     def _ordered_pairs(self):
         """The pairs in (index of x, index of y) order."""
@@ -106,12 +128,12 @@ class Rel:
                 yield els[i], els[low.bit_length() - 1]
                 m ^= low
 
-    @cached_property
+    @property
     def pairs(self):
         """The relation as a frozen set of ordered pairs."""
         return frozenset(self._ordered_pairs())
 
-    @cached_property
+    @property
     def preimage_masks(self):
         """Per-element predecessor sets: preimage_masks[i] = mask of {x : (x, e_i) in R}."""
         masks = [0] * self.carrier.n
@@ -122,15 +144,6 @@ class Rel:
                 masks[low.bit_length() - 1] |= bit
                 m ^= low
         return tuple(masks)
-
-    @property
-    def pair_bits(self):
-        """The relation packed into one n*n-bit integer: bit i*n + j is the
-        pair (e_i, e_j), so containment of two relations is one AND."""
-        if self._bits is None:
-            n = self.carrier.n
-            self._bits = sum(m << i * n for i, m in enumerate(self.image_masks))
-        return self._bits
 
     def image_mask(self, mask):
         """Successors of any element in `mask`, as a mask."""

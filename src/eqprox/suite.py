@@ -348,9 +348,9 @@ def _corrupt_prox(p):
 def run_suite(max_n=5, seed=0, max_group=6, filters=None, inject=None):
     """Run every invariant family and aggregate the report.
 
-    `filters` restricts to a subset of invariant names; `inject` plants a
-    deterministic defect ("bracket", "nu" or "betag") to prove the suite
-    catches corruption.  A run that could check nothing (no carrier, or
+    `filters` restricts to a nonempty subset of invariant names (None runs
+    them all); `inject` plants a deterministic defect ("bracket", "nu" or
+    "betag") to prove the suite catches corruption.  A run that could check nothing (no carrier, or
     no standard group) is refused.
     """
     if max_n < 1 or max_group < 2:
@@ -358,7 +358,9 @@ def run_suite(max_n=5, seed=0, max_group=6, filters=None, inject=None):
                          "max_group at least 2")
     if max_n > DEFAULT_MAX_CARRIER:
         raise ResourceCap(f"the family carrier cap is {DEFAULT_MAX_CARRIER}")
-    wanted = set(filters or INVARIANTS)
+    wanted = set(INVARIANTS if filters is None else filters)
+    if not wanted:
+        raise ValueError("empty invariant filter: name at least one invariant")
     unknown = wanted - set(INVARIANTS)
     if unknown:
         raise ValueError(f"unknown invariant filter: {sorted(unknown)[0]!r}")

@@ -19,14 +19,12 @@ from .errors import CarrierMismatch
 from .proximity import AxiomReport
 
 
-class UnifBase:
+class UnifBase(setrel.Memo):
     """A nonempty list of entourages.  Stored unvalidated so that broken
-    bases can serve as negative fixtures; run validate_basis to check (it
-    keeps its report on the basis, as from_uniformity keeps its table).
-    `compute_ug` keeps the bracket bases derived from this one in a dict
-    keyed by the chain's level point masks, made on first use."""
+    bases can serve as negative fixtures; run validate_basis to check.
+    The functions that read a basis keep their results on it (`_cached`)."""
 
-    __slots__ = ("carrier", "basis", "_report", "_prox", "_hash", "_derived")
+    __slots__ = ("carrier", "basis", "_hash")
 
     def __init__(self, carrier, basis):
         basis = tuple(basis)
@@ -37,13 +35,8 @@ class UnifBase:
                 raise CarrierMismatch("entourage is not over the stated carrier")
         self.carrier = carrier
         self.basis = basis
-        self._report = None  # validate_basis's report, once computed
-        self._prox = None  # from_uniformity's table, once computed
         self._hash = None
-        # compute_ug's bracket bases, once one is built.  They stay here,
-        # not in a germ cache, because germs of different actions reach
-        # the same level point masks and so share them (see compute_ug).
-        self._derived = None
+        super().__init__()
 
     def __eq__(self, other):
         # Listwise equality only; semantic equality is refinement_equivalent.
@@ -83,8 +76,11 @@ def validate_basis(u):
     r tests per pair.  The report is kept on the basis object, so each
     basis is checked once.
     """
-    if u._report is not None:
-        return u._report
+    return u._cached(("report",), lambda: _basis_report(u))
+
+
+def _basis_report(u):
+    """The report that `validate_basis` keeps."""
     n = u.carrier.n
     basis = u.basis
     first = {}  # distinct pair bits -> index of the first copy, ascending
@@ -119,8 +115,7 @@ def validate_basis(u):
     if k is not None:
         results["B4"] = (False, (ks[k],))
 
-    u._report = AxiomReport(results)
-    return u._report
+    return AxiomReport(results)
 
 
 def _first_uncovered(targets, parts):

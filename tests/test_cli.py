@@ -443,6 +443,21 @@ def test_massive_and_ug_exit_paths(tmp_path, capsys, what, flags):
                                   "uniformity nor a metric\n")
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["ug"], ["massive"],
+                                  ["nu", "--sets", "A", "B"]])
+def test_uniformity_and_metric_together_are_refused(tmp_path, capsys, argv):
+    # Each command would read the uniformity and ignore the metric.  An
+    # order may accompany either, so it is no part of the refusal.
+    doc = json.loads(Path(fixture("z4_metric.json")).read_text("utf-8"))
+    doc["uniformity"] = [[[x, x] for x in doc["carrier"]]]
+    doc["order"] = doc["carrier"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, argv[0], str(path), *argv[1:]) == (
+        2, "", "input error: uniformity and metric: give at most one of "
+               "them\n")
+
+
 def test_metric_instance_nu(capsys):
     code, out, _ = run(capsys, "nu", fixture("z4_metric.json"),
                        "--sets", "A", "B")
@@ -689,6 +704,14 @@ def test_suite_unknown_filter(capsys):
     code, _, err = run(capsys, "suite", "--filter", "nonsense")
     assert code == 2
     assert "unknown invariant" in err
+
+
+@pytest.mark.parametrize("value", [",", "", ",,"])
+def test_suite_filter_naming_no_invariant_is_refused(capsys, value):
+    # An empty filter is not "no filter": it would run the whole suite.
+    assert run(capsys, "suite", "--filter", value) == (
+        2, "", "input error: empty invariant filter: name at least one "
+               "invariant\n")
 
 
 @pytest.mark.parametrize("flag, value", [("--max-n", "-3"), ("--max-n", "0"),

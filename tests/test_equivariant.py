@@ -174,18 +174,27 @@ def test_compute_ug_checks_quasiboundedness_per_germ_on_a_kept_basis():
     assert compute_ug(z2, u) is derived
 
 
-def test_kept_derived_bases_are_fresh_bracket_bases():
+def test_kept_derived_bases_are_fresh_bracket_bases(monkeypatch):
     # Every setting of the main family at max_n = 4, twice: the bracket
     # bases built from scratch by the point-at-a-time reference equal the
     # kept basis, whether it was built for this germ or an earlier one.
+    builds = []
+    real = equivariant._checked_brackets
+
+    def checked_brackets(a, u):
+        builds.append(a)
+        return real(a, u)
+
+    monkeypatch.setattr(equivariant, "_checked_brackets", checked_brackets)
     kept_from_other_germs = 0
     for _label, germ, u in iter_family(max_n=4, seed=0):
         if not (validate_basis(u).ok() and classify(germ, u).quasibounded):
             continue
-        key = germ.masks
-        kept_from_other_germs += u._derived is not None and key in u._derived
+        before = len(builds)
         out = compute_ug(germ, u)
+        kept_from_other_germs += len(builds) == before
         assert compute_ug(germ, u) is out
+        assert len(builds) <= before + 1
         assert out.basis == tuple(
             bracket_entourage_reference(germ, level, eps)
             for level in germ.ne.levels for eps in u.basis), (germ, u.basis)
@@ -437,7 +446,7 @@ def test_separation_scan_fails_when_a_mask_route_is_corrupt(monkeypatch):
     a = z3_rotation(levels=[frozenset({0})])
     masks = a.inverse_masks(0)
     corrupt = (masks[0] | 0b110,) + masks[1:]
-    monkeypatch.setattr(a, "inverse_masks", lambda li: corrupt)
+    monkeypatch.setattr(GActionGerm, "inverse_masks", lambda self, li: corrupt)
     rep = check_equinormal(a)
     assert not rep.separation_ok
     assert "pi-disjoint pairs admit pi-disjoint neighborhoods: FAIL" \

@@ -135,14 +135,21 @@ def assert_same_compatibility(p, a):
         is_action_compatible_reference(p, a), (a, p.rows)
 
 
+class CorruptPullbacks(GActionGerm):
+    """A germ whose inverse point masks pull point 0 back to the whole
+    carrier at every level, so that the two mask routes of the separation
+    scan can disagree."""
+
+    __slots__ = ()
+
+    def inverse_masks(self, level_index):
+        return ((self.carrier.full_mask,)
+                + super().inverse_masks(level_index)[1:])
+
+
 def with_corrupt_pullbacks(a):
-    """A copy of the germ whose inverse point masks pull point 0 back to
-    the whole carrier at every level, so that the two mask routes of the
-    separation scan can disagree."""
-    b = GActionGerm(a.group, a.ne, a.carrier, a.act)
-    b.inverse_masks = lambda li: \
-        (a.carrier.full_mask,) + a.inverse_masks(li)[1:]
-    return b
+    """A copy of the germ a, with a fresh cache, as a `CorruptPullbacks`."""
+    return CorruptPullbacks(a.group, a.ne, a.carrier, a.act)
 
 
 def assert_same_germ_tables(a, rng):

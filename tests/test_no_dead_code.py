@@ -1,6 +1,7 @@
 """Every function, class and method of the library has a caller in the
 library, every `__slots__` entry and dataclass field is read in the
-library, and every name a library module imports is read in it.
+library, no `__slots__` lists an instance ``__dict__``, and every name a
+library module imports is read in it.
 
 A definition counts as reached when its name is read anywhere in another
 module of the package (``__init__`` aside, whose re-exports reach
@@ -102,6 +103,15 @@ def _is_dataclass(node):
     return False
 
 
+def _slots(item):
+    """The names a class-body statement assigns to `__slots__`, if any."""
+    if (isinstance(item, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in item.targets)):
+        return [elt.value for elt in item.value.elts]
+    return []
+
+
 def fields(tree):
     """(qualified name, name) for the non-dunder `__slots__` entries and
     the dataclass fields of the module's classes."""
@@ -109,15 +119,10 @@ def fields(tree):
         if not isinstance(node, ast.ClassDef):
             continue
         for item in node.body:
-            if (isinstance(item, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "__slots__"
-                            for t in item.targets)):
-                names = [elt.value for elt in item.value.elts]
-            elif (_is_dataclass(node) and isinstance(item, ast.AnnAssign)
+            names = _slots(item)
+            if (_is_dataclass(node) and isinstance(item, ast.AnnAssign)
                     and isinstance(item.target, ast.Name)):
                 names = [item.target.id]
-            else:
-                continue
             for name in names:
                 if not (name.startswith("__") and name.endswith("__")):
                     yield f"{node.name}.{name}", name
@@ -139,6 +144,18 @@ def test_every_field_is_read_in_the_library():
 
 def test_field_allowlist_names_only_unread_fields():
     assert set(ALLOWED_FIELDS) - set(unread_fields()) == set()
+
+
+def test_no_slots_list_an_instance_dict():
+    # Every kept value goes through `setrel.Memo._cached`; an instance
+    # dict would let a class keep values (or a test shadow a method) past
+    # its declared slots.
+    with_dict = [f"{path.stem}.{node.name}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.ClassDef)
+                 for item in node.body if "__dict__" in _slots(item)]
+    assert with_dict == []
 
 
 def unread_imports():

@@ -1,9 +1,10 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from eqprox import equivariant, gaction, metricprox, proximity, suite
+from eqprox import equivariant, gaction, metricprox, setrel, suite
 from eqprox.errors import InternalCheckFailure
 
 
@@ -95,18 +96,19 @@ def test_metric_family_labels_name_the_failing_setting(monkeypatch):
     assert (metric.checked, metric.passed) == (639, 639 - 8)
 
 
-def _count_tables(monkeypatch):
-    """Record each `from_uniformity` table build: patch the table builder
-    it reads and return the list that gets one entry per build."""
-    tables = []
-    real = proximity.meets_table
+def _count_builds(monkeypatch, record):
+    """Patch the one shared `_cached`, so that record(owner, key) runs at
+    each build of a kept value, whether a germ, a basis or a metric keeps
+    it."""
+    real = setrel.Memo._cached
 
-    def meets_table(carrier, maps):
-        tables.append(carrier)
-        return real(carrier, maps)
+    def cached(self, key, build):
+        def counted():
+            record(self, key)
+            return build()
+        return real(self, key, counted)
 
-    monkeypatch.setattr(proximity, "meets_table", meets_table)
-    return tables
+    monkeypatch.setattr(setrel.Memo, "_cached", cached)
 
 
 def test_metric_family_tabulates_each_derived_basis_once(monkeypatch):
@@ -114,21 +116,47 @@ def test_metric_family_tabulates_each_derived_basis_once(monkeypatch):
     # from_uniformity keeps its table on the basis, so one table per basis
     # and matrix serves 4,290 checks.  The bases are kept in the list, so
     # their ids are never reused.
-    tables = _count_tables(monkeypatch)
     built = []
-    real = suite.from_uniformity
 
-    def from_uniformity(u):
-        before = len(tables)
-        out = real(u)
-        if len(tables) > before:
-            built.append(u)
-        return out
+    def record(owner, key):
+        if key == ("prox",):
+            built.append(owner)
 
-    monkeypatch.setattr(suite, "from_uniformity", from_uniformity)
+    _count_builds(monkeypatch, record)
     (metric,) = suite.run_suite(filters=["metric"]).results
     assert (metric.checked, metric.passed) == (4290, 4290)
-    assert len({id(u) for u in built}) == len(built) == len(tables) == 1106
+    assert len({id(u) for u in built}) == len(built) == 1106
+
+
+def test_bases_and_metrics_keep_each_value_through_the_shared_cache(
+        monkeypatch):
+    # A basis keeps its validate_basis report, its from_uniformity table
+    # and its derived bases, and a metric its sublevel basis, all through
+    # the one `_cached`: each is built once per owner and key, and read
+    # again it is the kept object.  Every owner is kept in the list, so
+    # its id is never reused.
+    builds = Counter()
+    owners = []
+
+    def record(owner, key):
+        if not isinstance(owner, suite.GActionGerm):
+            owners.append(owner)
+            builds[id(owner), key] += 1
+
+    _count_builds(monkeypatch, record)
+    report = suite.run_suite(max_n=3, filters=["tgprox", "ugclaims", "metric"])
+    assert report.ok
+    assert {key[0] for _owner, key in builds} == {"report", "prox", "ug",
+                                                  "basis"}
+    for owner in owners:
+        if isinstance(owner, suite.UnifBase):
+            assert suite.validate_basis(owner) is suite.validate_basis(owner)
+            assert suite.from_uniformity(owner) is \
+                suite.from_uniformity(owner)
+        else:
+            assert suite.metric_uniformity(owner) is \
+                suite.metric_uniformity(owner)
+    assert set(builds.values()) == {1}
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -167,21 +195,14 @@ def test_main_family_classifies_each_setting_value_once(monkeypatch):
     # table, however many chains reach them.  The tables are kept in the
     # lists, so their ids are never reused.
     runs = {"verdicts": [], "push": [], "axioms": []}
-    real_cached, real_push = gaction.GActionGerm._cached, gaction._push_table
     real_axioms, real_betag = equivariant.check_axioms, suite.beta_g_proximity
     tables, betag_tables = [], []
 
-    def cached(self, key, build):
-        def counted():
-            runs["verdicts"].append((id(self.group), self.act) + key)
-            return build()
+    def record(owner, key):
         if key[0] in gaction.VERDICTS:
-            return real_cached(self, key, counted)
-        return real_cached(self, key, build)
-
-    def push_table(a, u):
-        runs["push"].append((id(a.group), a.act, u))
-        return real_push(a, u)
+            runs["verdicts"].append((id(owner.group), owner.act) + key)
+        elif key[0] == "push":
+            runs["push"].append((id(owner.group), owner.act) + key)
 
     def check_axioms(p):
         tables.append(p)
@@ -192,9 +213,8 @@ def test_main_family_classifies_each_setting_value_once(monkeypatch):
         betag_tables.append(real_betag(a))
         return betag_tables[-1]
 
-    monkeypatch.setattr(gaction.GActionGerm, "_cached", cached)
+    _count_builds(monkeypatch, record)
     monkeypatch.setattr(equivariant, "check_axioms", check_axioms)
-    monkeypatch.setattr(gaction, "_push_table", push_table)
     monkeypatch.setattr(suite, "beta_g_proximity", beta_g_proximity)
     report = suite.run_suite(max_n=3, filters=["tgprox", "betag", "ugclaims",
                                                "gprox", "semigr", "maximality",
@@ -231,14 +251,12 @@ def test_metric_family_reads_only_pi_uniformity(monkeypatch):
                          (suite, "is_isometric")):
         _counting(monkeypatch, module, name, calls)
     searched = set()
-    real_cached = gaction.GActionGerm._cached
 
-    def cached(self, key, build):
+    def record(owner, key):
         if key[0] in gaction.VERDICTS:
             searched.add(key[0])
-        return real_cached(self, key, build)
 
-    monkeypatch.setattr(gaction.GActionGerm, "_cached", cached)
+    _count_builds(monkeypatch, record)
     (metric,) = suite.run_suite(filters=["metric"]).results
     assert (metric.checked, metric.passed) == (4290, 4290)
     assert calls == []
@@ -275,20 +293,18 @@ def test_main_family_runs_each_scan_once_per_action_and_value(monkeypatch):
     # A scan builds its result once per action and per value it reads: the
     # basis for saturation, the rows for invariance, and the rows or basis
     # with the point masks of the levels read for the others.  A build is
-    # a run of the scan's body under its germ-cache key, which the calls
-    # below see as a new key of the scan's tag.  `from_uniformity` keeps
-    # its table on the basis object, so it builds once per object; the
-    # objects are kept in a list, so their ids are never reused.
+    # a run of the scan's body under its key, which the calls below see as
+    # a new key of the scan's tag.  `from_uniformity` and `compute_ug` keep
+    # their results on the basis object, so they build once per object
+    # (and, for `compute_ug`, per level point masks); every owner is kept
+    # in a list, so its id is never reused.
     runs = []
     built = []
-    tables = _count_tables(monkeypatch)
-    real_cached = gaction.GActionGerm._cached
+    owners = []
 
-    def cached(self, key, build):
-        def counted():
-            built.append(key[0])
-            return build()
-        return real_cached(self, key, counted)
+    def record(owner, key):
+        owners.append(owner)
+        built.append(key[0])
 
     def action(a):
         return (id(a.group), a.carrier.n, a.act)
@@ -304,6 +320,8 @@ def test_main_family_runs_each_scan_once_per_action_and_value(monkeypatch):
             action(a), p.rows, chain(a)[-1])),
         "semigroup_upgrade": ("semigr", lambda p, a: (
             action(a), p.rows, chain(a))),
+        "from_uniformity": ("prox", lambda u: (id(u),)),
+        "compute_ug": ("ug", lambda a, u: (id(u), chain(a))),
     }
 
     def wrap(name, real):
@@ -319,24 +337,12 @@ def test_main_family_runs_each_scan_once_per_action_and_value(monkeypatch):
 
     for name in scans:
         monkeypatch.setattr(suite, name, wrap(name, getattr(suite, name)))
-    monkeypatch.setattr(gaction.GActionGerm, "_cached", cached)
-    real_from = suite.from_uniformity
-    kept = []
-
-    def from_uniformity(u):
-        before = len(tables)
-        out = real_from(u)
-        if len(tables) > before:
-            kept.append(u)
-            runs.append(("from_uniformity", id(u)))
-        return out
-
-    monkeypatch.setattr(suite, "from_uniformity", from_uniformity)
+    _count_builds(monkeypatch, record)
     report = suite.run_suite(max_n=3, filters=["tgprox", "betag", "ugclaims",
                                                "gprox", "semigr", "maximality",
                                                "equinormal", "densesub"])
     assert report.ok
-    assert {run[0] for run in runs} == set(scans) | {"from_uniformity"}
+    assert {run[0] for run in runs} == set(scans)
     assert len(runs) == len(set(runs))
 
 
