@@ -173,9 +173,8 @@ def _entry_reader(what, germ, u):
     the entry over the whole chain and over the deepest level, which must
     agree (`check_descending`)."""
     if what == "nu":
-        levels = nu_maps(germ, u)
-        maps = [f for level in levels for f in level]
-        return lambda entry: check_descending(entry(maps), entry(levels[-1]))
+        maps = nu_maps(germ, u)
+        return lambda entry: check_descending(entry(maps), entry(maps[-1:]))
     maps = beta_g_maps(germ)
     return lambda entry: entry(maps)
 

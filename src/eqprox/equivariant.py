@@ -12,17 +12,17 @@ computed through independent code paths precisely so that this equality is
 a meaningful machine check rather than a tautology of shared code.
 
 Translate nearness and the maximal group proximity are built from point
-masks: each (level, entourage) pair of nu, and the deepest level of
-beta_G, gives a union-preserving map of subsets, given by its n point
-values (`nu_maps`, `beta_g_maps`).  The table tabulates each map and ANDs
-each row with the intersectors of its entry, Theta(levels * |basis| *
-2**n) operations on 2**n-bit integers for nu and Theta(2**n) for beta_G;
-one entry or the point block is read from the point values alone
-(`proximity.meets`, `meets_points`).  The point values pull back through
-V^{-1} by the germ's inverse point masks (`inverse_masks(i)`); the
-bracket side reads only the forward point masks bound on the germ
-(`masks`, and `deepest` for the deepest level), so the two sides of the
-identity share no pullback code.
+masks: each chain level of nu, read through the least entourage θ of the
+basis, and the deepest level of beta_G, give union-preserving maps of
+subsets, each fixed by its n point values (`nu_maps`, `beta_g_maps`).  The
+table ANDs each row with the intersectors of its entry under each map,
+Theta(levels * 2**n) operations on 2**n-bit integers for nu and
+Theta(2**n) for beta_G; one entry or the point block is read from the
+point values alone (`proximity.meets`, `meets_points`).  The point values
+pull back through V^{-1} by the germ's inverse point masks
+(`inverse_masks(i)`); the bracket side reads only the forward point masks
+(`masks`, and `deepest` for the deepest level), so the two sides share no
+pullback code; both read `setrel.least_entourage`, tested on its own.
 
 The group-action scans work on whole rows of the 2**n-bit tables.
 Equinormality runs the axiom check on the translate-overlap table, then
@@ -113,14 +113,14 @@ def _checked_brackets(a, u):
 
 
 def nu_maps(a, u):
-    """The maps defining translate nearness, one list per chain level.
+    """The maps defining translate nearness, one per chain level.
 
-    For level V and entourage eps, VA is near VB iff B meets
-    V^{-1} eps(V A).  That map of A is a composite of three
-    union-preserving maps (translate, entourage image, level pullback), so
-    it is given by its n point values V^{-1} eps(V x), each pulled back
-    through the inverse point masks.  The basis must be valid and over the
-    action's carrier.
+    At level V, VA is near VB iff B meets V^{-1} eps(V A) for every
+    entourage eps, that is, for the least one θ of the basis, which must
+    be valid and over the action's carrier.  That map of A is a composite
+    of three union-preserving maps (translate, entourage image, level
+    pullback), so it is given by its n point values V^{-1} θ(V x), each
+    pulled back through the inverse point masks.
     """
     if u.carrier != a.carrier:
         raise CarrierMismatch("uniformity is not over the action's carrier")
@@ -129,12 +129,11 @@ def nu_maps(a, u):
         raise PreconditionFailure(
             f"input basis fails condition {report.failures()[0]}",
             witness=report)
-    levels = []
-    for li, lem in enumerate(a.masks):
-        inv = a.inverse_masks(li)
-        levels.append([[_join_mask(inv, eps.image_mask(t)) for t in lem]
-                       for eps in u.basis])
-    return levels
+    theta = setrel.least_entourage(u)
+    if theta is None:
+        raise InternalCheckFailure("valid basis without a least entourage")
+    return [[_join_mask(a.inverse_masks(li), theta.image_mask(t))
+             for t in lem] for li, lem in enumerate(a.masks)]
 
 
 def check_descending(full, deepest):
@@ -152,24 +151,22 @@ def nu_proximity(a, u):
     """Translate nearness: A and B are near when at every chain level the
     level translates are near in the proximity induced by u.
 
-    The table of the `nu_maps`: each (level, eps) pair costs n pullbacks
-    plus one join table and one AND of 2**n-bit integers per row,
-    Theta(levels * |basis| * 2**n) operations on 2**n-bit integers in all.
-    The deepest level's table is kept apart, and the whole chain's is its
-    AND with the table of the other levels (`check_descending`).  The
-    maps and the trap read every level, so the result is kept per basis
-    value and the point masks of every level.
+    The table of the `nu_maps`: n pullbacks, one join table and one AND
+    per row for each level, Theta(levels * 2**n) operations on 2**n-bit
+    integers in all.  The deepest level's table is kept apart, and the
+    whole chain's is its AND with the table of the other levels
+    (`check_descending`).  The maps and the trap read every level, so the
+    result is kept per basis value and the point masks of every level.
     """
     return a._cached(("nu", u, a.masks), lambda: _nu_proximity(a, u))
 
 
 def _nu_proximity(a, u):
-    carrier = a.carrier
-    levels = nu_maps(a, u)
-    deepest = meets_table(carrier, levels[-1]).rows
-    upper = meets_table(carrier, [f for maps in levels[:-1] for f in maps])
-    return Prox(carrier, check_descending(
-        tuple(r & d for r, d in zip(upper.rows, deepest)), deepest))
+    maps = nu_maps(a, u)
+    deepest = meets_table(a.carrier, maps[-1:]).rows
+    upper = meets_table(a.carrier, maps[:-1]).rows
+    return Prox(a.carrier, check_descending(
+        tuple(r & d for r, d in zip(upper, deepest)), deepest))
 
 
 def beta_g_maps(a):

@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import CarrierMismatch, ResourceCap
-from .setrel import _join_mask
+from .setrel import _join_mask, least_entourage
 
 AXIOM_CHECK_CAP = 12
 
@@ -498,11 +498,15 @@ def from_uniformity(u):
 
     near(A, B) iff every basis entourage meets A x B.  A basis suffices:
     any filter element contains a basis element, which then also meets
-    A x B, so the generated filter gives the same verdict.  The table is
-    kept on the basis object, so each basis is tabulated once.
+    A x B, so the generated filter gives the same verdict, and so does a
+    member inside all others (`least_entourage`), tabulated alone when the
+    list has one.  The table is kept on the basis object.
     """
-    return u._cached(("prox",), lambda: meets_table(
-        u.carrier, [eps.image_masks for eps in u.basis]))
+    def build():
+        least = least_entourage(u)
+        members = u.basis if least is None else (least,)
+        return meets_table(u.carrier, [eps.image_masks for eps in members])
+    return u._cached(("prox",), build)
 
 
 def _first_unmet_far_pair(rows, firsts, searched, need, table):

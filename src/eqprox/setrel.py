@@ -12,6 +12,7 @@ pair set is derived only when asked for.
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import and_
 
 from .errors import CarrierMismatch
@@ -212,3 +213,10 @@ def invert(r):
 def intersect(r, s):
     _check_same_carrier(r, s)
     return Rel.from_masks(r.carrier, map(and_, r.image_masks, s.image_masks))
+
+
+def least_entourage(u):
+    """The first member of the basis u inside every member (the AND of
+    their pair bits), or None.  One passing B1-B4 has one, an equivalence."""
+    bits = reduce(and_, (eps.pair_bits for eps in u.basis))
+    return next((eps for eps in u.basis if eps.pair_bits == bits), None)

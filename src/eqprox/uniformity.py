@@ -1,8 +1,8 @@
 """Entourage bases for uniformities on a finite carrier.
 
 A uniformity is represented only by a finite basis of entourages, never by
-the generated filter; all semantic comparison goes through mutual
-refinement.  The four basis conditions checked are:
+the generated filter.  A valid basis has a least member θ, which the
+topology and refinement read alone.  The four basis conditions checked are:
 
   B1  every entourage contains the diagonal
   B2  every entourage's converse contains a basis entourage
@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import reduce
 
 from . import setrel
-from .errors import CarrierMismatch
+from .errors import CarrierMismatch, PreconditionFailure
 from .proximity import AxiomReport
 
 
@@ -126,40 +126,32 @@ def _first_uncovered(targets, parts):
 
 
 def induced_topology(u):
-    """Open sets of the uniformity: A is open iff each a in A has some
-    entourage neighborhood eps(a) inside A.  Returned as a tuple of
-    frozensets in subset-index order."""
-    carrier = u.carrier
-    n = carrier.n
-    elem_nbhds = []
-    for i in range(n):
-        elem_nbhds.append(tuple(eps.image_masks[i] for eps in u.basis))
-    opens = []
-    for a in range(1 << n):
-        rest = a
-        good = True
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            if not any(nb | a == a for nb in elem_nbhds[i]):
-                good = False
-                break
-            rest ^= low
-        if good:
-            opens.append(carrier.mask_subset(a))
-    return tuple(opens)
+    """Open sets of the uniformity, frozensets in subset-index order: A is
+    open iff each a in A has some eps(a) inside A, that is, θ(A) ⊆ A."""
+    theta = _least(u)
+    return tuple(u.carrier.mask_subset(a) for a in range(1 << u.carrier.n)
+                 if theta.image_mask(a) | a == a)
 
 
 def refines(u1, u2):
-    """True iff u1 is finer: every entourage of u2 contains a basis
-    entourage of u1 (so the filter of u2 sits inside the filter of u1)."""
+    """True iff u1 is finer: every entourage of u2 contains the least
+    entourage θ of u1 (so the filter of u2 sits inside that of u1)."""
     if u1.carrier != u2.carrier:
         raise CarrierMismatch("bases live on different carriers")
-    return all(any(eps.contains(d) for d in u1.basis) for eps in u2.basis)
+    theta = _least(u1)
+    return all(eps.contains(theta) for eps in u2.basis)
 
 
 def refinement_equivalent(u1, u2):
+    """Whether the bases refine each other: they generate one uniformity."""
     return refines(u1, u2) and refines(u2, u1)
+
+
+def _least(u):
+    """`setrel.least_entourage(u)`, which must exist."""
+    if (theta := setrel.least_entourage(u)) is None:
+        raise PreconditionFailure("the basis has no member inside all others")
+    return theta
 
 
 def basis_intersection(u):

@@ -108,10 +108,12 @@ def test_table_json_at_the_cap_is_the_table_payload(capsys, what, name):
 
 
 def twelve_point_documents(tmp_path):
-    """The two 12-point fixtures with eight seeded subsets each; the one
-    without a uniformity gets the diagonal basis."""
+    """The three 12-point fixtures with eight seeded subsets each; the one
+    without a uniformity gets the diagonal basis, and the nested one lists
+    three entourages, its least last."""
     rng = random.Random(6)
-    for name in ("twelve_points_s3.json", "twelve_points_s3_orbits.json"):
+    for name in ("twelve_points_s3.json", "twelve_points_s3_orbits.json",
+                 "twelve_points_s3_nested.json"):
         doc = json.loads(Path(fixture(name)).read_text(encoding="utf-8"))
         carrier = doc["carrier"]
         doc.setdefault("uniformity", [[[x, x] for x in carrier]])
