@@ -15,9 +15,9 @@ Translate nearness and the maximal group proximity are built from point
 masks: each chain level of nu, read through the least entourage θ of the
 basis, and the deepest level of beta_G, give union-preserving maps of
 subsets, each fixed by its n point values (`nu_maps`, `beta_g_maps`).  The
-table ANDs each row with the intersectors of its entry under each map,
-Theta(levels * 2**n) operations on 2**n-bit integers for nu and
-Theta(2**n) for beta_G; one entry or the point block is read from the
+table (`meets_table`) builds one 2**n-bit row per distinct image of A, or
+tuple of images over the levels, Theta(levels * 2**n) small-integer
+operations; one entry or the point block is read from the
 point values alone (`proximity.meets`, `meets_points`).  The point values
 pull back through V^{-1} by the germ's inverse point masks
 (`inverse_masks(i)`); the bracket side reads only the forward point masks
@@ -44,7 +44,7 @@ from . import setrel
 from .errors import CarrierMismatch, InternalCheckFailure, PreconditionFailure
 from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify, \
     _group_indices
-from .proximity import P1_P5, Prox, _index_bit_swaps, _join_table, \
+from .proximity import P1_P5, _index_bit_swaps, _join_table, \
     _permute_index_bits, _submask_table, check_axioms, meets_table
 from .setrel import _join_mask
 from .uniformity import UnifBase, validate_basis
@@ -122,6 +122,13 @@ def nu_maps(a, u):
     pullback), so it is given by its n point values V^{-1} θ(V x), each
     pulled back through the inverse point masks.
     """
+    theta = _valid_theta(a, u)
+    return [[_join_mask(a.inverse_masks(li), theta.image_mask(t))
+             for t in lem] for li, lem in enumerate(a.masks)]
+
+
+def _valid_theta(a, u):
+    """θ of u, once u is checked to be a valid basis over the carrier."""
     if u.carrier != a.carrier:
         raise CarrierMismatch("uniformity is not over the action's carrier")
     report = validate_basis(u)
@@ -132,8 +139,7 @@ def nu_maps(a, u):
     theta = setrel.least_entourage(u)
     if theta is None:
         raise InternalCheckFailure("valid basis without a least entourage")
-    return [[_join_mask(a.inverse_masks(li), theta.image_mask(t))
-             for t in lem] for li, lem in enumerate(a.masks)]
+    return theta
 
 
 def check_descending(full, deepest):
@@ -151,22 +157,22 @@ def nu_proximity(a, u):
     """Translate nearness: A and B are near when at every chain level the
     level translates are near in the proximity induced by u.
 
-    The table of the `nu_maps`: n pullbacks, one join table and one AND
-    per row for each level, Theta(levels * 2**n) operations on 2**n-bit
-    integers in all.  The deepest level's table is kept apart, and the
-    whole chain's is its AND with the table of the other levels
-    (`check_descending`).  The maps and the trap read every level, so the
-    result is kept per basis value and the point masks of every level.
+    The table of the `nu_maps` (`meets_table`), checked against the
+    deepest level's table, built apart (`check_descending`), unless every
+    level has the deepest level's map and the two are one computation.
+    The basis is checked on every call; the table is kept per θ and the
+    point masks of every level, all it reads.
     """
-    return a._cached(("nu", u, a.masks), lambda: _nu_proximity(a, u))
+    theta = _valid_theta(a, u)
+    return a._cached(("nu", theta, a.masks), lambda: _nu_proximity(a, u))
 
 
 def _nu_proximity(a, u):
     maps = nu_maps(a, u)
-    deepest = meets_table(a.carrier, maps[-1:]).rows
-    upper = meets_table(a.carrier, maps[:-1]).rows
-    return Prox(a.carrier, check_descending(
-        tuple(r & d for r, d in zip(upper, deepest)), deepest))
+    full = meets_table(a.carrier, maps)
+    if maps.count(maps[-1]) == len(maps):
+        return full
+    return check_descending(full, meets_table(a.carrier, maps[-1:]))
 
 
 def beta_g_maps(a):

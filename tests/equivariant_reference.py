@@ -23,13 +23,15 @@ with the originals, tables, verdicts and witnesses alike.  This is
 test-only code: nothing under ``src/`` may import it.
 """
 
+from proximity_reference import and_intersectors
+
 from eqprox import setrel
 from eqprox.errors import CarrierMismatch, InternalCheckFailure, \
     PreconditionFailure
 from eqprox.equivariant import _bracket
 from eqprox.gaction import _group_indices
-from eqprox.proximity import AxiomReport, Prox, _and_intersectors, \
-    _intersectors, _join_table, _submask_table
+from eqprox.proximity import AxiomReport, Prox, _intersectors, \
+    _join_table, _submask_table
 from eqprox.uniformity import _first_uncovered, validate_basis
 
 
@@ -515,7 +517,7 @@ def nu_proximity_point_pullback_reference(a, u):
         for eps in u.basis:
             pull = _join_table([_level_pullback(a, li, eps.image_mask(t))
                                 for t in lem])
-            _and_intersectors(rows, pull, n)
+            and_intersectors(rows, pull, n)
         return rows
 
     deepest = len(a.ne.levels) - 1

@@ -1,0 +1,39 @@
+"""The nearness table builder of `eqprox.proximity` before it shared rows,
+kept as a reference.
+
+``and_intersectors`` is the in-place row pass that ``meets_table`` ran
+once per distinct map, ANDing every row with the intersectors of its
+image, and ``meets_table_reference`` is ``meets_table`` over it, as they
+were before the builder made one row per distinct image and let equal
+rows share one int object.  The bodies are kept unchanged apart from the
+names, so that ``test_proximity.py`` compares the production builder
+with the original, and ``equivariant_reference.py`` and
+``setrel_reference.py`` build their tables through the original pass.
+This is test-only code: nothing under ``src/`` may import it.
+"""
+
+from eqprox.proximity import Prox, _join_table, _submask_table
+
+
+def and_intersectors(rows, masks, n):
+    """rows[m] &= _intersectors(masks[m], n) for every subset mask m, in
+    place: afterwards B is near A only if B meets masks[A]."""
+    N = 1 << n
+    full_bits = (1 << N) - 1
+    table = _submask_table(n)
+    for m in range(N):
+        rows[m] &= full_bits ^ table[(N - 1) ^ masks[m]]
+
+
+def meets_table_reference(carrier, maps):
+    """The table with near(A, B) iff B meets f(A) for every f in maps,
+    each f a union-preserving map given by its n point values: one join
+    table and one AND per row for each distinct map, Theta(|maps| * 2**n)
+    operations on 2**n-bit integers.  `meets` and `meets_points` read
+    entries of the same table from the point values, without it."""
+    n = carrier.n
+    N = 1 << n
+    rows = [(1 << N) - 1] * N
+    for values in dict.fromkeys(map(tuple, maps)):
+        and_intersectors(rows, _join_table(values), n)
+    return Prox(carrier, rows)

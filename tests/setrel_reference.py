@@ -18,11 +18,13 @@ nothing under ``src/`` may import it.
 from fractions import Fraction
 from functools import cached_property
 
+from proximity_reference import and_intersectors
+
 from eqprox.errors import CarrierMismatch, InternalCheckFailure, \
     PreconditionFailure
 from eqprox.gaction import _group_indices, classify
 from eqprox.metricprox import FiniteMetric
-from eqprox.proximity import Prox, _and_intersectors, _join_table
+from eqprox.proximity import Prox, _join_table
 from eqprox.uniformity import UnifBase
 
 
@@ -257,7 +259,7 @@ def metric_g_proximity_reference(m, a):
         # B is near A at this level iff VB meets the zero hull of VA,
         # i.e. B meets its pullback through the level.
         pullback = _join_table(a.inverse_masks(li))
-        _and_intersectors(
+        and_intersectors(
             rows, [pullback[hull[t]] for t in a.level_translates(li)], n)
     return Prox(carrier, rows)
 

@@ -6,15 +6,18 @@ from pathlib import Path
 
 import pytest
 from equivariant_reference import classify_reference
+from proximity_reference import meets_table_reference
 
 from eqprox import rationals as rat
 from eqprox.cli import EXIT_INTERNAL, _emit_table_json, _prox_json, \
     build_parser, main
 from eqprox.document import load_instance
-from eqprox.equivariant import compute_ug, nu_proximity
+from eqprox.equivariant import beta_g_maps, compute_ug, nu_maps, \
+    nu_proximity
 from eqprox.errors import InternalCheckFailure
 from eqprox.gaction import GActionGerm
-from eqprox.proximity import from_uniformity
+from eqprox.proximity import Prox, from_uniformity
+from eqprox.setrel import Carrier
 from eqprox.suite import iter_family
 from eqprox.uniformity import discrete_basis
 
@@ -105,6 +108,48 @@ def test_table_json_at_the_cap_is_the_table_payload(capsys, what, name):
     payload = {"schema": 1, "what": what, **_prox_json(expected)}
     assert json.loads(out) == payload
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("what, name, distinct, digest", [
+    ("nu", "twelve_points_s3_nested.json", 16,
+     "98f30a0dfd5c550cf377bfb70127a4e10a7476be8f2adf09d2e90cb58e5cae3f"),
+    ("betag", "twelve_points_s3_generators.json", 4096,
+     "7ccc6ae34218fa8fd3e65f50753ec749cbae54e7d5eb2ecf162c344a117baaa9"),
+])
+def test_table_json_writes_every_row_as_the_per_row_writer(
+        capsys, what, name, distinct, digest):
+    # The writer formats each row object once; the text must still be
+    # `format(r, "x")` of every row, here of the table the in-place
+    # builder makes from the same maps, and the bytes those of the
+    # per-row writer (the digest CI pins too).
+    path = fixture(name)
+    code, out, _ = run(capsys, what, path, "--json")
+    assert code == 0
+    inst = load_instance(path)
+    maps = (nu_maps(inst.germ, inst.uniformity) if what == "nu" else
+            beta_g_maps(inst.germ))
+    expected = meets_table_reference(inst.germ.carrier, maps)
+    assert len(set(expected.rows)) == distinct
+    assert json.loads(out)["rows_hex"] == rows_hex(expected)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_prox_json_writes_equal_rows_held_by_distinct_objects():
+    # Rows are found by identity, so equal rows that are distinct objects
+    # are written twice, to the same text.  Sixteen-bit rows, past the
+    # small ints an interpreter may keep as one object each.
+    c = Carrier(range(4))
+    shared = Prox.nonempty_pairs(c)
+    rows = [r if a % 2 else int(str(r)) for a, r in enumerate(shared.rows)]
+    assert rows[1] == rows[2] and rows[1] is not rows[2]
+    p = Prox(c, rows)
+    assert _prox_json(p)["rows_hex"] == rows_hex(p) == rows_hex(shared)
+
+
+def test_prox_json_writes_the_empty_row_as_zero():
+    # One point: the empty set is near nothing, and {a} is near {a}.
+    p = Prox.overlap(Carrier(["a"]))
+    assert _prox_json(p)["rows_hex"] == ["0", "2"] == rows_hex(p)
 
 
 def twelve_point_documents(tmp_path):

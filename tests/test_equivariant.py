@@ -343,6 +343,38 @@ def test_basis_readers_reject_a_basis_over_another_carrier(build, elements):
         build(a, discrete_basis(Carrier(elements)))
 
 
+def test_nu_is_built_once_per_least_entourage(monkeypatch):
+    # Two different valid lists with one least entourage θ: ν reads only
+    # θ and the level masks, so the second list reads the first's table.
+    a = z2_swap_fixing_c()
+    c = a.carrier
+    built = []
+    real = equivariant._nu_proximity
+    monkeypatch.setattr(equivariant, "_nu_proximity",
+                        lambda a, u: built.append(u) or real(a, u))
+    u1 = discrete_basis(c)
+    u2 = UnifBase(c, [full_relation(c), diagonal(c)])
+    assert u1 != u2 and validate_basis(u2).ok()
+    assert nu_proximity(a, u1) is nu_proximity(a, u2)
+    assert built == [u1]
+
+
+def test_nu_checks_the_basis_before_the_table_of_its_theta(monkeypatch):
+    # No invalid list shares θ with a valid one (B1-B4 hold exactly when
+    # θ is an equivalence), so a stricter check stands in: it refuses the
+    # second list, and the table kept for the first must not answer.
+    a = z2_swap_fixing_c()
+    c = a.carrier
+    nu_proximity(a, discrete_basis(c))
+    u = UnifBase(c, [full_relation(c), diagonal(c)])
+    refused = validate_basis(UnifBase(c, [Rel(c, [])]))
+    real = equivariant.validate_basis
+    monkeypatch.setattr(equivariant, "validate_basis",
+                        lambda v: refused if v is u else real(v))
+    with pytest.raises(PreconditionFailure, match="fails condition B1"):
+        nu_proximity(a, u)
+
+
 def semigroup_upgrade_oracle(p, a):
     """The strengthened compatibility read literally: each chain level V
     is applied to the points of A through the action to give VA, and

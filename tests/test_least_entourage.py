@@ -17,6 +17,7 @@ agree with the earlier bodies.
 """
 
 import random
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -110,6 +111,28 @@ def test_least_entourage_is_the_literal_least_member(lists):
         assert least_entourage(u) is least, u.basis
         found += least is not None
     assert 0 < found < len(lists)
+
+
+@pytest.mark.parametrize("lists", [SMALL, SEEDED], ids=["all", "seeded"])
+def test_a_least_member_decides_validity(lists):
+    # A list with a least member θ passes B1-B4 exactly when θ is an
+    # equivalence, read from the pair sets: θ alone decides, so no valid
+    # list shares θ with an invalid one and `nu_proximity` may keep its
+    # table per θ.
+    verdicts = Counter()
+    for u in lists:
+        least = literal_least(u)
+        if least is None:
+            continue
+        pairs = least.pairs
+        equivalence = (
+            all((x, x) in pairs for x in u.carrier.elements)
+            and all((y, x) in pairs for x, y in pairs)
+            and all((x, z) in pairs for x, y in pairs
+                    for w, z in pairs if y == w))
+        assert validate_basis(u).ok() == equivalence, u.basis
+        verdicts[equivalence] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 @pytest.mark.parametrize("lists", [SMALL, SEEDED], ids=["all", "seeded"])

@@ -3,14 +3,14 @@ from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
+from proximity_reference import and_intersectors, meets_table_reference
 
 from eqprox.equivariant import beta_g_proximity, \
     enumerate_partition_proximities, nu_proximity
 from eqprox.errors import ResourceCap
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase
 from eqprox.metricprox import FiniteMetric, metric_g_proximity
-from eqprox.proximity import P1_P5, Prox, _and_intersectors, \
-    _first_near_points, _index_bit_swaps, _join_table, _permute_index_bits, \
+from eqprox.proximity import P1_P5, Prox, _first_near_points, _index_bit_swaps, _join_table, _permute_index_bits, \
     _point_block, _reverse_bits, _symmetric_by_classes, _transpose, \
     check_axioms, dominates, from_uniformity, is_separated, meets, \
     meets_points, meets_table
@@ -226,8 +226,48 @@ def test_and_intersectors_matches_per_bit_meets():
         expected = [sum(1 << b for b in range(N)
                         if rows[a] >> b & 1 and b & masks[a])
                     for a in range(N)]
-        _and_intersectors(rows, masks, n)
+        and_intersectors(rows, masks, n)
         assert rows == expected
+
+
+def assert_rows_shared(rows):
+    """Equal rows are one object, the sharing `cli._prox_json` reads."""
+    assert len({id(r) for r in rows}) == len(set(rows))
+
+
+def test_meets_table_matches_the_in_place_builder():
+    # The row-per-key builder against the in-place pass it replaced, on
+    # random maps at n = 0..8: no map, one, two and three, the last two
+    # sometimes with a repeated map.  Distinct tuples of images often give
+    # one row, which must then be one object too.
+    rng = random.Random(23)
+    merged = 0
+    for n in range(0, 9):
+        carrier = Carrier(range(n)) if n else SimpleNamespace(n=0)
+        for trial in range(12):
+            count = trial % 4
+            maps = [[rng.getrandbits(n) for _ in range(n)]
+                    for _ in range(count)]
+            if count > 1 and trial % 3 == 0:
+                maps[-1] = list(maps[0])
+            p = meets_table(carrier, maps)
+            assert p.rows == meets_table_reference(carrier, maps).rows, \
+                (n, maps)
+            assert_rows_shared(p.rows)
+            keys = set(zip(*map(_join_table, maps)))
+            merged += len(set(p.rows)) < len(keys)
+    assert merged > 10
+
+
+def test_fixture_tables_match_the_in_place_builder():
+    for n in range(1, 9):
+        c = Carrier(range(n))
+        for build, maps in (
+                (Prox.overlap, [[1 << x for x in range(n)]]),
+                (Prox.nonempty_pairs, [[c.full_mask] * n])):
+            p = build(c)
+            assert p.rows == meets_table_reference(c, maps).rows
+            assert_rows_shared(p.rows)
 
 
 def test_meets_table_matches_per_pair_meets():

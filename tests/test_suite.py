@@ -291,8 +291,9 @@ def _forward_masks(a, level):
 
 def test_main_family_runs_each_scan_once_per_action_and_value(monkeypatch):
     # A scan builds its result once per action and per value it reads: the
-    # basis for saturation, the rows for invariance, and the rows or basis
-    # with the point masks of the levels read for the others.  A build is
+    # basis for saturation, its least entourage for nu, the rows for
+    # invariance, and the rows with the point masks of the levels read
+    # for the others.  A build is
     # a run of the scan's body under its key, which the calls below see as
     # a new key of the scan's tag.  `from_uniformity` and `compute_ug` keep
     # their results on the basis object, so they build once per object
@@ -314,7 +315,8 @@ def test_main_family_runs_each_scan_once_per_action_and_value(monkeypatch):
 
     scans = {
         "saturate_uniformity": ("sat", lambda a, u: (action(a), u)),
-        "nu_proximity": ("nu", lambda a, u: (action(a), u, chain(a))),
+        "nu_proximity": ("nu", lambda a, u: (
+            action(a), setrel.least_entourage(u), chain(a))),
         "is_g_invariant": ("inv", lambda p, a: (action(a), p.rows)),
         "is_action_compatible": ("compat", lambda p, a: (
             action(a), p.rows, chain(a)[-1])),
