@@ -17,13 +17,14 @@ from functools import cache
 
 from . import rationals as rat
 from .document import load_instance, rel_to_json, subset_to_json
-from .equivariant import beta_g_maps, beta_g_proximity, check_descending, \
+from .equivariant import beta_g_map, beta_g_proximity, check_descending, \
     check_equinormal, compute_ug, is_massive, nu_maps, nu_proximity
 from .errors import DocumentError, InternalCheckFailure, \
     PreconditionFailure, ResourceCap
 from .gaction import classify
 from .proximity import P1_P5, _first_near_points, check_axioms, \
-    from_uniformity, is_separated, meets, meets_points
+    from_uniformity, is_separated
+from .setrel import _join_mask
 from .suite import run_suite
 from .uniformity import validate_basis
 
@@ -174,29 +175,21 @@ def _classify_in_full(germ, u):
     return classify(germ, u).witnesses
 
 
-def _entry_reader(what, germ, u):
-    """read(entry) = entry(maps) on the maps defining the `nu` table (u
-    its uniformity) or the `betag` table, for an entry that is one pair's
-    verdict (`meets`) or the point block (`meets_points`).  `nu` evaluates
-    the entry over the whole chain and over the deepest level, which must
-    agree (`check_descending`)."""
-    if what == "nu":
-        maps = nu_maps(germ, u)
-        return lambda entry: check_descending(entry(maps), entry(maps[-1:]))
-    maps = beta_g_maps(germ)
-    return lambda entry: entry(maps)
-
-
 def _query(args, instance, germ):
     """A plain or `--sets` request for `nu` or `betag`: it prints only the
     point block or one verdict, so it reads those entries of the table
-    without building it."""
-    read = _entry_reader(args.what, germ, instance.require_uniformity()
-                         if args.what == "nu" else None)
+    from its one map (`meets_table`) without building it.  The `nu` map is
+    the deepest level's, checked against every level's
+    (`check_descending`)."""
+    if args.what == "nu":
+        points = check_descending(
+            nu_maps(germ, instance.require_uniformity()))
+    else:
+        points = beta_g_map(germ)
     carrier = germ.carrier
     if args.sets:
         a, b = map(carrier.subset_mask, _resolve_sets(instance, args.sets))
-        verdict = "near" if read(lambda fs: meets(fs, a, b)) else "far"
+        verdict = "near" if b & _join_mask(points, a) else "far"
         if args.json:
             _emit_json({"schema": 1, "what": args.what,
                         "sets": list(args.sets), "verdict": verdict})
@@ -204,7 +197,6 @@ def _query(args, instance, germ):
             print(verdict)
         return EXIT_OK
 
-    points = read(lambda fs: meets_points(fs, carrier.n))
     separated = _first_near_points(points) is None
     print(f"proximity on {list(carrier.elements)}; "
           f"separated: {'yes' if separated else 'no'}")

@@ -14,11 +14,12 @@ a meaningful machine check rather than a tautology of shared code.
 Translate nearness and the maximal group proximity are built from point
 masks: each chain level of nu, read through the least entourage θ of the
 basis, and the deepest level of beta_G, give union-preserving maps of
-subsets, each fixed by its n point values (`nu_maps`, `beta_g_maps`).  The
-table (`meets_table`) builds one 2**n-bit row per distinct image of A, or
-tuple of images over the levels, Theta(levels * 2**n) small-integer
-operations; one entry or the point block is read from the
-point values alone (`proximity.meets`, `meets_points`).  The point values
+subsets, each fixed by its n point values (`nu_maps`, `beta_g_map`).  On a
+descending chain the deepest level's nu map lies inside every level's, so
+it alone decides nu; `check_descending` asserts that point by point, in
+Theta(levels * n) mask operations.  The table of one map (`meets_table`)
+builds one 2**n-bit row per distinct image of A, its point block is the
+map itself, and one entry is one join of point values.  The point values
 pull back through V^{-1} by the germ's inverse point masks
 (`inverse_masks(i)`); the bracket side reads only the forward point masks
 (`masks`, and `deepest` for the deepest level), so the two sides share no
@@ -76,21 +77,18 @@ def compute_ug(a, u):
     square condition is exactly what quasiboundedness buys), so a failure
     there is an internal error, not an input error.
 
-    The preconditions are checked for each germ, since quasiboundedness
-    reads the group elements.  The brackets read only u and the level
-    point masks V_i.x, so a derived basis that passed its check is kept on
-    u, keyed by the tuple of those masks (`GActionGerm.masks`), and
-    another germ or call with the same masks gets the same object back.
+    The preconditions are checked for each germ, the basis through ν's gate
+    (`_valid_theta`), since quasiboundedness reads the group elements.
+    The brackets read only u and the level point masks V_i.x, so a derived
+    basis that passed its check is kept on u, keyed by the tuple of those
+    masks (`GActionGerm.masks`), and another germ or call with the same
+    masks gets the same object back.
     It is kept on u and not in the germ cache because different actions
     reach the same masks: kept per action, suite seed 0 builds 4,410
     brackets instead of 2,289 in the main family and 11,563 instead of
     5,297 in the metric family.
     """
-    report = validate_basis(u)
-    if not report.ok():
-        raise PreconditionFailure(
-            f"input basis fails condition {report.failures()[0]}",
-            witness=report)
+    _valid_theta(a, u)
     cls = classify(a, u)
     if not cls.quasibounded:
         raise PreconditionFailure(
@@ -142,60 +140,57 @@ def _valid_theta(a, u):
     return theta
 
 
-def check_descending(full, deepest):
-    """Return translate nearness over the whole chain after checking it
-    against the deepest level's alone: by monotonicity of translation the
-    two agree, and that reduction is asserted rather than assumed."""
-    if full != deepest:
-        raise InternalCheckFailure(
-            "translate nearness differs between the full chain and the "
-            "deepest level; the chain is not descending")
-    return full
+def check_descending(maps):
+    """The deepest level's map, once checked to lie inside every level's
+    map point by point.  On a descending chain it always does, and then B
+    meets every f(A) iff it meets the deepest one; a y in deepest[x] but
+    not in f[x] makes ({x}, {y}) a pair on which the whole chain's table
+    and the deepest level's differ, so the reduction is asserted rather
+    than assumed."""
+    deepest = maps[-1]
+    for f in maps:
+        if any(d & ~v for d, v in zip(deepest, f)):
+            raise InternalCheckFailure(
+                "translate nearness differs between the full chain and the "
+                "deepest level; the chain is not descending")
+    return deepest
 
 
 def nu_proximity(a, u):
     """Translate nearness: A and B are near when at every chain level the
     level translates are near in the proximity induced by u.
 
-    The table of the `nu_maps` (`meets_table`), checked against the
-    deepest level's table, built apart (`check_descending`), unless every
-    level has the deepest level's map and the two are one computation.
-    The basis is checked on every call; the table is kept per θ and the
-    point masks of every level, all it reads.
+    The table of the deepest level's map of `nu_maps` (`meets_table`),
+    once `check_descending` has checked it against every level's.  The
+    basis is checked on every call; the table is kept per θ and the point
+    masks of every level, all it reads, so the check sees every level.
     """
     theta = _valid_theta(a, u)
-    return a._cached(("nu", theta, a.masks), lambda: _nu_proximity(a, u))
+    return a._cached(("nu", theta, a.masks), lambda: meets_table(
+        a.carrier, check_descending(nu_maps(a, u))))
 
 
-def _nu_proximity(a, u):
-    maps = nu_maps(a, u)
-    full = meets_table(a.carrier, maps)
-    if maps.count(maps[-1]) == len(maps):
-        return full
-    return check_descending(full, meets_table(a.carrier, maps[-1:]))
-
-
-def beta_g_maps(a):
-    """The map defining the maximal group proximity, as a list of one.
+def beta_g_map(a):
+    """The map defining the maximal group proximity.
 
     VA meets VB iff B meets V^{-1}VA, and A -> V^{-1}VA preserves unions,
     so it is given by its n point pullbacks V^{-1}Vx.  Overlap at every
     level is overlap at the deepest, the only level read.
     """
     inv = a.inverse_masks(-1)
-    return [[_join_mask(inv, t) for t in a.masks[-1]]]
+    return [_join_mask(inv, t) for t in a.masks[-1]]
 
 
 def beta_g_proximity(a):
     """The maximal group proximity on a finite discrete carrier:
     A and B are near when their translates overlap at every chain level.
 
-    The table of the one `beta_g_maps` map, kept per deepest level and
-    shared by every chain of the action: the compatibility and separation
-    verdicts read it too.
+    The table of the `beta_g_map`, kept per deepest level and shared by
+    every chain of the action: the compatibility and separation verdicts
+    read it too.
     """
     return a._cached(("betag", a.deepest),
-                     lambda: meets_table(a.carrier, beta_g_maps(a)))
+                     lambda: meets_table(a.carrier, beta_g_map(a)))
 
 
 def is_g_invariant(p, a):
@@ -418,7 +413,7 @@ def enumerate_partition_proximities(carrier):
         blocks = tuple(sorted((frozenset(b) for b in part),
                               key=lambda b: min(carrier.index[x] for x in b)))
         block_of = {x: carrier.subset_mask(b) for b in blocks for x in b}
-        yield blocks, meets_table(carrier, [[block_of[x] for x in els]])
+        yield blocks, meets_table(carrier, [block_of[x] for x in els])
 
 
 def subgroup_germ(a, subgroup):

@@ -290,5 +290,5 @@ def _metric_table(a, zero_of):
     # B is near A iff VB meets the zero hull of VA, i.e. B meets its
     # pullback through the deepest level V.
     inv = a.inverse_masks(-1)
-    return meets_table(a.carrier, [[_join_mask(inv, _join_mask(zero_of, t))
-                                    for t in a.masks[-1]]])
+    return meets_table(a.carrier, [_join_mask(inv, _join_mask(zero_of, t))
+                                   for t in a.masks[-1]])

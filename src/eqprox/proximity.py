@@ -9,9 +9,12 @@ checks cheap integer algebra even when the quantifiers range over all
 matrix: it transposes it by block swaps and reverses rows and columns a
 byte at a time (Warren, *Hacker's Delight*, ch. 7), so its table work is
 at most Theta(n * 4**n) bit operations carried out on whole 2**n-bit
-integers.  Tables repeat rows: one induced by a basis often holds only a
-few dozen distinct rows among its 2**n.  So symmetry is decided from the
-distinct rows when they are few, the axioms that read a row only through
+integers.  Every table built from an action, a metric or a valid basis is
+that of one union-preserving map f, near(A, B) iff B meets f(A)
+(`meets_table`); a list without a least member ANDs its members' tables.
+Tables repeat rows: one induced by a basis often holds only a few dozen
+distinct rows among its 2**n.  So symmetry is decided from the distinct
+rows when they are few, the axioms that read a row only through
 its value are decided once per distinct row, and on a symmetric table
 the far-pair searches visit B only at the first copy of its row.
 
@@ -31,10 +34,11 @@ search, and must agree on any relation satisfying P1-P4.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 
 from .errors import CarrierMismatch, ResourceCap
-from .setrel import _join_mask, least_entourage
+from .setrel import least_entourage
 
 AXIOM_CHECK_CAP = 12
 
@@ -77,48 +81,17 @@ def _intersectors(mask, n):
     return full_bits ^ _submask_table(n)[((1 << n) - 1) ^ mask]
 
 
-def meets_table(carrier, maps):
-    """The table with near(A, B) iff B meets f(A) for every f in maps,
-    union-preserving maps given by their n point values (none: the full
-    table).  Row A reads A only through its images, so after a join table
-    per distinct map, one 2**n-bit row is built per distinct image (one
-    map) or tuple of images (several); equal rows are one int object,
-    merged by value across tuples.  `meets` and `meets_points` read its
-    entries from the maps alone."""
-    n = carrier.n
-    N = 1 << n
-    full_bits = (1 << N) - 1
-    joins = list(map(_join_table, dict.fromkeys(map(tuple, maps))))
-    if not joins:
-        return Prox(carrier, [full_bits] * N)
-    table = _submask_table(n)
-    if len(joins) == 1:
-        keys = joins[0]
-        row_of = {m: full_bits ^ table[~m] for m in set(keys)}
-    else:
-        keys = list(zip(*joins))
-        row_of, shared = {}, {}
-        for key in set(keys):
-            row = full_bits
-            for m in key:
-                row &= full_bits ^ table[~m]
-            row_of[key] = shared.setdefault(row, row)
-    return Prox(carrier, map(row_of.__getitem__, keys))
-
-
-def meets(maps, a, b):
-    """near(A, B) in `meets_table` over the same maps, for subset masks a
-    and b: one table entry, read from the point values directly."""
-    return all(b & _join_mask(f, a) for f in maps)
-
-
-def meets_points(maps, n):
-    """The point block of `meets_table` over the same maps: bit j of entry
-    i says whether {x_i} is near {x_j}, the AND of f[i] over the maps."""
-    points = [(1 << n) - 1] * n
-    for f in maps:
-        points = [p & v for p, v in zip(points, f)]
-    return points
+def meets_table(carrier, f):
+    """The table with near(A, B) iff B meets f(A), for a union-preserving
+    map f given by its n point values.  Row A reads A only through f(A),
+    so after the join table one 2**n-bit row is built per distinct image,
+    and equal rows are one int object.  The point block of the table is f
+    itself."""
+    full_bits = (1 << (1 << carrier.n)) - 1
+    table = _submask_table(carrier.n)
+    images = _join_table(f)
+    row_of = {m: full_bits ^ table[~m] for m in set(images)}
+    return Prox(carrier, map(row_of.__getitem__, images))
 
 
 @lru_cache(maxsize=None)
@@ -252,12 +225,12 @@ class Prox:
     @classmethod
     def overlap(cls, carrier):
         """near(A, B) iff A and B intersect (the discrete/finest proximity)."""
-        return meets_table(carrier, [[1 << x for x in range(carrier.n)]])
+        return meets_table(carrier, [1 << x for x in range(carrier.n)])
 
     @classmethod
     def nonempty_pairs(cls, carrier):
         """near(A, B) iff both are nonempty (the indiscrete/coarsest proximity)."""
-        return meets_table(carrier, [[carrier.full_mask] * carrier.n])
+        return meets_table(carrier, [carrier.full_mask] * carrier.n)
 
     def near(self, a, b):
         am = self.carrier.subset_mask(a)
@@ -506,12 +479,17 @@ def from_uniformity(u):
     any filter element contains a basis element, which then also meets
     A x B, so the generated filter gives the same verdict, and so does a
     member inside all others (`least_entourage`), tabulated alone when the
-    list has one.  The table is kept on the basis object.
+    list has one, as every valid list does.  Otherwise the member tables
+    are ANDed row by row, the definition read literally.  The table is
+    kept on the basis object.
     """
     def build():
         least = least_entourage(u)
-        members = u.basis if least is None else (least,)
-        return meets_table(u.carrier, [eps.image_masks for eps in members])
+        if least is not None:
+            return meets_table(u.carrier, least.image_masks)
+        tables = [meets_table(u.carrier, eps.image_masks).rows
+                  for eps in u.basis]
+        return Prox(u.carrier, [reduce(and_, row) for row in zip(*tables)])
     return u._cached(("prox",), build)
 
 
@@ -544,8 +522,8 @@ def _point_block(rows, n):
 
 def _first_near_points(points):
     """The first pair (i, j) of distinct points with {i} near {j}, i before
-    j in index order, or None, from a point block (`_point_block`,
-    `meets_points`)."""
+    j in index order, or None, from a point block (`_point_block`, or the
+    map of a `meets_table` table)."""
     for i, row in enumerate(points):
         near = row & ~(1 << i)
         if near:

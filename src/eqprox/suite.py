@@ -519,7 +519,7 @@ def _graph_proximity(carrier, rng):
             if rng.random() < 0.4:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return meets_table(carrier, [adj])
+    return meets_table(carrier, adj)
 
 
 def _random_valid_basis(carrier, rng):

@@ -17,18 +17,23 @@ as functions of the germ, the continuity scan and the ``nu_proximity``
 that used them, ``bracket_entourage``, ``deepest_orbits_coincide`` and
 the scalar ``_acts_equicontinuously``) from before translates and
 pullbacks went through the one mask helper ``setrel._join_mask``.
+The closing section keeps the ``nu_proximity`` body that built the table
+of every level's map and compared it with the deepest level's table, and
+the CLI's ``_entry_reader``, which read an entry over the whole chain and
+over the deepest level and compared the two, from before ν became the
+table of its deepest level's map, checked point by point.
 The bodies are kept unchanged, methods taking the germ as ``a``, so
 that ``test_equivariant_differential.py`` compares the production code
 with the originals, tables, verdicts and witnesses alike.  This is
 test-only code: nothing under ``src/`` may import it.
 """
 
-from proximity_reference import and_intersectors
+from proximity_reference import and_intersectors, meets_table_reference
 
 from eqprox import setrel
 from eqprox.errors import CarrierMismatch, InternalCheckFailure, \
     PreconditionFailure
-from eqprox.equivariant import _bracket
+from eqprox.equivariant import _bracket, beta_g_map, nu_maps
 from eqprox.gaction import _group_indices
 from eqprox.proximity import AxiomReport, Prox, _intersectors, \
     _join_table, _submask_table
@@ -591,3 +596,40 @@ def acts_equicontinuously_reference(a, u, subset_ids):
             if not good:
                 return False
     return True
+
+
+def check_descending_reference(full, deepest):
+    """Return translate nearness over the whole chain after checking it
+    against the deepest level's alone: by monotonicity of translation the
+    two agree, and that reduction is asserted rather than assumed."""
+    if full != deepest:
+        raise InternalCheckFailure(
+            "translate nearness differs between the full chain and the "
+            "deepest level; the chain is not descending")
+    return full
+
+
+def nu_proximity_two_tables_reference(a, u):
+    """The table of every level's `nu_maps` map, checked against the
+    deepest level's table, built apart, unless every level has the
+    deepest level's map and the two are one computation."""
+    maps = nu_maps(a, u)
+    full = meets_table_reference(a.carrier, maps)
+    if maps.count(maps[-1]) == len(maps):
+        return full
+    return check_descending_reference(
+        full, meets_table_reference(a.carrier, maps[-1:]))
+
+
+def entry_reader_reference(what, germ, u):
+    """read(entry) = entry(maps) on the maps defining the `nu` table (u
+    its uniformity) or the `betag` table, for an entry that is one pair's
+    verdict (`meets`) or the point block (`meets_points`).  `nu` evaluates
+    the entry over the whole chain and over the deepest level, which must
+    agree (`check_descending`)."""
+    if what == "nu":
+        maps = nu_maps(germ, u)
+        return lambda entry: check_descending_reference(entry(maps),
+                                                        entry(maps[-1:]))
+    maps = [beta_g_map(germ)]
+    return lambda entry: entry(maps)

@@ -1,18 +1,24 @@
-"""The nearness table builder of `eqprox.proximity` before it shared rows,
-kept as a reference.
+"""The nearness table builder of `eqprox.proximity` before it shared rows
+and took one map, and the readers of single entries that went with it,
+kept as references.
 
 ``and_intersectors`` is the in-place row pass that ``meets_table`` ran
 once per distinct map, ANDing every row with the intersectors of its
-image, and ``meets_table_reference`` is ``meets_table`` over it, as they
-were before the builder made one row per distinct image and let equal
-rows share one int object.  The bodies are kept unchanged apart from the
-names, so that ``test_proximity.py`` compares the production builder
-with the original, and ``equivariant_reference.py`` and
+image, and ``meets_table_reference`` is ``meets_table`` over a list of
+maps through it, as they were before the builder made one row per
+distinct image and let equal rows share one int object.  ``meets`` and
+``meets_points`` read one entry and the point block of that several-map
+table from the point values, as the ``nu`` and ``betag`` queries did
+before a table became one map.  The bodies are kept unchanged apart from
+the names, so that ``test_proximity.py`` compares the production builder
+with the original, ``test_equivariant_differential.py`` the queries with
+the old entry readers, and ``equivariant_reference.py`` and
 ``setrel_reference.py`` build their tables through the original pass.
 This is test-only code: nothing under ``src/`` may import it.
 """
 
 from eqprox.proximity import Prox, _join_table, _submask_table
+from eqprox.setrel import _join_mask
 
 
 def and_intersectors(rows, masks, n):
@@ -37,3 +43,18 @@ def meets_table_reference(carrier, maps):
     for values in dict.fromkeys(map(tuple, maps)):
         and_intersectors(rows, _join_table(values), n)
     return Prox(carrier, rows)
+
+
+def meets(maps, a, b):
+    """near(A, B) in `meets_table` over the same maps, for subset masks a
+    and b: one table entry, read from the point values directly."""
+    return all(b & _join_mask(f, a) for f in maps)
+
+
+def meets_points(maps, n):
+    """The point block of `meets_table` over the same maps: bit j of entry
+    i says whether {x_i} is near {x_j}, the AND of f[i] over the maps."""
+    points = [(1 << n) - 1] * n
+    for f in maps:
+        points = [p & v for p, v in zip(points, f)]
+    return points

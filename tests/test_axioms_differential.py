@@ -174,7 +174,7 @@ def block_relation_table(rng, carrier, k):
                for c in range(k)]
     point_masks = [sum(members[d] for d in range(k) if related[block[x]][d])
                    for x in range(n)]
-    return meets_table(carrier, [point_masks])
+    return meets_table(carrier, point_masks)
 
 
 def test_asymmetric_repeated_rows_match_reference():

@@ -12,7 +12,7 @@ from eqprox import rationals as rat
 from eqprox.cli import EXIT_INTERNAL, _emit_table_json, _prox_json, \
     build_parser, main
 from eqprox.document import load_instance
-from eqprox.equivariant import beta_g_maps, compute_ug, nu_maps, \
+from eqprox.equivariant import beta_g_map, compute_ug, nu_maps, \
     nu_proximity
 from eqprox.errors import InternalCheckFailure
 from eqprox.gaction import GActionGerm
@@ -127,7 +127,7 @@ def test_table_json_writes_every_row_as_the_per_row_writer(
     assert code == 0
     inst = load_instance(path)
     maps = (nu_maps(inst.germ, inst.uniformity) if what == "nu" else
-            beta_g_maps(inst.germ))
+            [beta_g_map(inst.germ)])
     expected = meets_table_reference(inst.germ.carrier, maps)
     assert len(set(expected.rows)) == distinct
     assert json.loads(out)["rows_hex"] == rows_hex(expected)
@@ -153,12 +153,14 @@ def test_prox_json_writes_the_empty_row_as_zero():
 
 
 def twelve_point_documents(tmp_path):
-    """The three 12-point fixtures with eight seeded subsets each; the one
-    without a uniformity gets the diagonal basis, and the nested one lists
-    three entourages, its least last."""
+    """The four 12-point fixtures with eight seeded subsets each; the one
+    without a uniformity gets the diagonal basis, the nested one lists
+    three entourages, its least last, and the paired one has ν maps that
+    differ by level."""
     rng = random.Random(6)
     for name in ("twelve_points_s3.json", "twelve_points_s3_orbits.json",
-                 "twelve_points_s3_nested.json"):
+                 "twelve_points_s3_nested.json",
+                 "twelve_points_s3_paired.json"):
         doc = json.loads(Path(fixture(name)).read_text(encoding="utf-8"))
         carrier = doc["carrier"]
         doc.setdefault("uniformity", [[[x, x] for x in carrier]])

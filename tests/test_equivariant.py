@@ -337,26 +337,34 @@ def test_group_action_scans_reject_a_table_over_another_carrier(
                                       ["a", "c", "b"]])
 def test_basis_readers_reject_a_basis_over_another_carrier(build, elements):
     # Each side of the identity reads the basis through the germ's point
-    # masks, which only index the action's own carrier.
+    # masks, which only index the action's own carrier.  The carrier is
+    # checked before the basis conditions, so an invalid basis over
+    # another carrier is refused for its carrier too.
     a = z2_swap_fixing_c()
-    with pytest.raises(CarrierMismatch, match="action's carrier"):
-        build(a, discrete_basis(Carrier(elements)))
+    other = Carrier(elements)
+    for u in (discrete_basis(other), UnifBase(other, [Rel(other, [])])):
+        with pytest.raises(CarrierMismatch, match="action's carrier"):
+            build(a, u)
 
 
 def test_nu_is_built_once_per_least_entourage(monkeypatch):
     # Two different valid lists with one least entourage θ: ν reads only
-    # θ and the level masks, so the second list reads the first's table.
+    # θ and the level masks, so the second list reads the first's table,
+    # and that table is the one table built, though the two levels' maps
+    # differ.
     a = z2_swap_fixing_c()
     c = a.carrier
     built = []
-    real = equivariant._nu_proximity
-    monkeypatch.setattr(equivariant, "_nu_proximity",
-                        lambda a, u: built.append(u) or real(a, u))
+    real = equivariant.meets_table
+    monkeypatch.setattr(equivariant, "meets_table",
+                        lambda carrier, f: built.append(f) or real(carrier, f))
     u1 = discrete_basis(c)
     u2 = UnifBase(c, [full_relation(c), diagonal(c)])
     assert u1 != u2 and validate_basis(u2).ok()
+    maps = nu_maps(a, u1)
+    assert maps[0] != maps[-1]
     assert nu_proximity(a, u1) is nu_proximity(a, u2)
-    assert built == [u1]
+    assert built == [maps[-1]]
 
 
 def test_nu_checks_the_basis_before_the_table_of_its_theta(monkeypatch):

@@ -5,16 +5,21 @@ the scalar references.
 ``is_action_compatible`` must return the reference's verdict and first
 witness; the equinormal separation scans must return the reference scans'
 verdicts; ``nu_proximity`` and ``beta_g_proximity`` must return the
-reference's tables, or raise the same error, and the entries that plain
-and ``--sets`` requests read from the defining maps must be those tables'
-entries.  Translates and pullbacks through the germ's point masks, and
-the functions built on them, must agree with the point-at-a-time
-references.  Failing inputs are included on purpose, so that witnesses,
-not only verdicts, are compared.
+reference's tables, or raise the same error, and the plain and
+``--sets`` requests, which read one map, must print what the tables and
+the entry reader of the several-map tables print.  Translates and
+pullbacks through the germ's point masks, and the functions built on
+them, must agree with the point-at-a-time references.  Failing inputs
+are included on purpose, so that witnesses, not only verdicts, are
+compared.
 """
 
+import io
 import random
+from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from equivariant_reference import _level_pullback, \
@@ -22,26 +27,27 @@ from equivariant_reference import _level_pullback, \
     acts_equicontinuously_reference, beta_g_proximity_reference, \
     bracket_entourage_reference, check_action_continuity_reference, \
     classify_reference, deepest_orbits_coincide_reference, \
-    equinormal_separation_reference, is_action_compatible_reference, \
-    is_g_invariant_reference, nu_proximity_point_pullback_reference, \
-    nu_proximity_reference, push_rel, separation_ok_reference, \
+    entry_reader_reference, equinormal_separation_reference, \
+    is_action_compatible_reference, is_g_invariant_reference, \
+    nu_proximity_point_pullback_reference, nu_proximity_reference, \
+    nu_proximity_two_tables_reference, push_rel, separation_ok_reference, \
     set_translate_mask, translate_mask, validate_basis_reference
+from proximity_reference import meets, meets_points, meets_table_reference
 
-from eqprox import equivariant
-from eqprox.cli import _entry_reader
-from eqprox.document import load_instance
+from eqprox import cli, equivariant
+from eqprox.document import load_instance, subset_to_json
 from eqprox.equivariant import _separation_ok, beta_g_proximity, \
-    bracket_entourage, check_equinormal, compute_ug, deepest_orbits_coincide, \
-    enumerate_partition_proximities, is_action_compatible, is_g_invariant, \
-    nu_proximity
-from eqprox.errors import InternalCheckFailure, PreconditionFailure
+    bracket_entourage, check_descending, check_equinormal, compute_ug, \
+    deepest_orbits_coincide, enumerate_partition_proximities, \
+    is_action_compatible, is_g_invariant, nu_proximity
+from eqprox.errors import DocumentError, InternalCheckFailure, \
+    PreconditionFailure
 from eqprox.gaction import VERDICTS, FiniteGroup, GActionGerm, \
     NeighborhoodBase, check_action_continuity, classify, saturate_uniformity
 from eqprox.metricprox import FiniteMetric, PseudometricFamily, \
     _acts_equicontinuously, family_uniformity, metric_uniformity, \
     sup_pseudometric
-from eqprox.proximity import Prox, _point_block, from_uniformity, meets, \
-    meets_points
+from eqprox.proximity import Prox, _point_block, from_uniformity
 from eqprox.setrel import Carrier, Rel, _join_mask
 from eqprox.suite import _metric_matrices, _random_valid_basis, \
     curated_actions, germ_chains, iter_family, suite_groups
@@ -376,15 +382,56 @@ def test_join_table_proximities_match_reference_at_the_cap(name):
     assert_same_germ_tables(a, random.Random(35))
 
 
+def run_query(what, a, u, sets=None):
+    """The stdout of the CLI's plain `what` request on the germ a (and for
+    `nu` the basis u), or of its `--sets` request on the pair of subset
+    masks `sets`."""
+    c = a.carrier
+    instance = SimpleNamespace(
+        require_uniformity=lambda: u,
+        subsets=dict(zip("AB", map(c.mask_subset, sets or ()))))
+    args = SimpleNamespace(what=what, json=False,
+                           sets=None if sets is None else ["A", "B"])
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli._query(args, instance, a) == 0
+    return out.getvalue()
+
+
+def plain_text(carrier, points):
+    """The plain `nu` or `betag` output of a point block."""
+    els = carrier.elements
+    separated = all(not row & ~(1 << i) for i, row in enumerate(points))
+    lines = [f"proximity on {list(els)}; "
+             f"separated: {'yes' if separated else 'no'}",
+             "point nearness classes:"]
+    seen = set()
+    for i, x in enumerate(els):
+        if x not in seen:
+            cls = [y for j, y in enumerate(els)
+                   if i == j or points[i] >> j & 1]
+            seen.update(cls)
+            lines.append(f"  {subset_to_json(carrier, cls)}")
+    return "\n".join(lines) + "\n"
+
+
+def outcome(read):
+    """read(), or the type and message of the error it raises as a
+    tuple."""
+    try:
+        return read()
+    except (PreconditionFailure, InternalCheckFailure) as err:
+        return type(err), str(err)
+
+
 def nu_point_block(a, u):
-    """The point block of plain `nu` output, read from the maps."""
-    return _entry_reader("nu", a, u)(
-        lambda fs: meets_points(fs, a.carrier.n))
+    """The plain `nu` output, read from the map."""
+    return run_query("nu", a, u)
 
 
 def nu_sets_entry(a, u):
-    """The `nu --sets` verdict on the first two points, from the maps."""
-    return _entry_reader("nu", a, u)(lambda fs: meets(fs, 0b01, 0b10))
+    """The `nu --sets` verdict on the first two points, from the map."""
+    return run_query("nu", a, u, (0b01, 0b10))
 
 
 @pytest.mark.parametrize("nu", [nu_proximity, nu_proximity_reference,
@@ -470,25 +517,25 @@ def test_on_chain_rejects_a_chain_of_another_group():
 
 
 def assert_entries_read_the_table(what, a, u, table):
-    """The entry reader of the plain and `--sets` requests against the
-    table: every (A, B) verdict and the point block, or the same
-    precondition message."""
-    try:
-        rows = table().rows
-    except PreconditionFailure as err:
-        with pytest.raises(PreconditionFailure) as got:
-            _entry_reader(what, a, u)
-        assert str(got.value) == str(err), (a, u.basis)
-        return "precondition"
-    read = _entry_reader(what, a, u)
+    """The plain and `--sets` requests against the table: the point block
+    and the (A, B) verdicts, or the same error.  Each request is a CLI
+    call, so every pair is asked up to two points and 32 seeded pairs
+    past that; the brute-force tests of `meets_table` cover one entry of
+    a map at every pair."""
+    rows = outcome(lambda: list(table().rows))
+    if isinstance(rows, tuple):
+        assert outcome(lambda: run_query(what, a, u)) == rows, (a, u)
+        return rows[0].__name__
     n = a.carrier.n
-    assert read(lambda fs: meets_points(fs, n)) == _point_block(rows, n), \
-        (what, a)
+    assert run_query(what, a, u) == \
+        plain_text(a.carrier, _point_block(rows, n)), (what, a)
     N = 1 << n
-    for am in range(N):
-        for bm in range(N):
-            assert read(lambda fs: meets(fs, am, bm)) == \
-                bool(rows[am] >> bm & 1), (what, a, am, bm)
+    pairs = ([(am, bm) for am in range(N) for bm in range(N)] if n <= 2 else
+             random_pairs(random.Random(N ^ len(a.masks)), n, 32))
+    for am, bm in pairs:
+        verdict = "near" if rows[am] >> bm & 1 else "far"
+        assert run_query(what, a, u, (am, bm)) == verdict + "\n", \
+            (what, a, am, bm)
     return "table"
 
 
@@ -527,7 +574,140 @@ def test_entries_read_the_tables_on_random_actions():
                               discrete_basis(a.carrier),
                               random_relation_list(rng, a.carrier)):
                     outcomes.add(assert_same_entries(germ, basis))
-    assert outcomes == {"precondition", "table"}
+    assert outcomes == {"PreconditionFailure", "table"}
+
+
+def ascending(a):
+    """The germ a on its chain reversed, deepest level first: valid levels
+    in an order that is not descending, set past the chain's check."""
+    ne = NeighborhoodBase(a.group, [frozenset(range(a.group.order))])
+    ne.levels = a.ne.levels[::-1]
+    return a.on_chain(ne)
+
+
+def random_pairs(rng, n, count=8):
+    N = 1 << n
+    return [(rng.randrange(N), rng.randrange(N)) for _ in range(count)]
+
+
+def assert_queries_match_the_entry_reader(what, a, u, pairs):
+    """The plain and `--sets` requests, which read one map, against the
+    entry reader of the several-map table that they replaced: the same
+    text and verdicts, or the same error.  The reader trapped a chain that
+    is not descending only at an entry where the whole chain and the
+    deepest level differ; the requests trap at any point, exactly where
+    the reader's point block trapped.  Returns the outcome."""
+    n = a.carrier.n
+    read = outcome(lambda: entry_reader_reference(what, a, u))
+    points = read if isinstance(read, tuple) else \
+        outcome(lambda: read(lambda fs: meets_points(fs, n)))
+    if isinstance(points, tuple):
+        assert outcome(lambda: run_query(what, a, u)) == points, (a, u)
+        for pair in pairs:
+            assert outcome(lambda: run_query(what, a, u, pair)) == points
+        return points[0].__name__
+    assert run_query(what, a, u) == plain_text(a.carrier, points), (a, u)
+    for am, bm in pairs:
+        verdict = "near" if read(lambda fs: meets(fs, am, bm)) else "far"
+        assert run_query(what, a, u, (am, bm)) == verdict + "\n", \
+            (what, a, am, bm)
+    return "table"
+
+
+def assert_nu_matches_two_tables(a, u):
+    """ν against the table of every level's map, checked against the
+    deepest level's table: the same rows, or the same error."""
+    assert outcome(lambda: nu_proximity(a, u).rows) == \
+        outcome(lambda: nu_proximity_two_tables_reference(a, u).rows), \
+        (a, u.basis)
+
+
+def test_queries_match_the_entry_reader_on_tgprox_settings():
+    # Every setting whose ν the suite's tgprox invariant reads, on its own
+    # chain and on that chain reversed, where the levels' maps differ.
+    rng = random.Random(42)
+    outcomes = Counter()
+    for _label, germ, u in iter_family(max_n=5, seed=0):
+        if not validate_basis(u).ok():
+            continue
+        cls = classify(germ, u)
+        if not (cls.pi_uniform and cls.action_continuous):
+            continue
+        for a in (germ, ascending(germ)):
+            assert_nu_matches_two_tables(a, u)
+            outcomes[assert_queries_match_the_entry_reader(
+                "nu", a, u, random_pairs(rng, a.carrier.n))] += 1
+        outcomes[assert_queries_match_the_entry_reader(
+            "betag", germ, None, random_pairs(rng, germ.carrier.n))] += 1
+    assert outcomes["InternalCheckFailure"] >= 100, outcomes
+    assert outcomes["table"] >= 5000, outcomes
+
+
+def germ_fixtures():
+    """The names of the fixtures that load with an action."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            if load_instance(str(path)).germ is not None:
+                yield path.name
+        except DocumentError:
+            pass
+
+
+@pytest.mark.parametrize("name", list(germ_fixtures()))
+def test_queries_match_the_entry_reader_on_fixtures(name):
+    # Every named pair of the fixture and the first two points, for `nu`
+    # on the fixture's basis and on the discrete one, and for `betag`.
+    inst = load_instance(str(FIXTURES / name))
+    a = inst.germ
+    c = a.carrier
+    masks = [c.subset_mask(s) for s in inst.subsets.values()]
+    pairs = [(x, y) for x in masks for y in masks] + [(0b01, 0b10)]
+    outcomes = set()
+    for u in (inst.uniformity, discrete_basis(c)):
+        if u is not None:
+            assert_nu_matches_two_tables(a, u)
+            outcomes.add(assert_queries_match_the_entry_reader(
+                "nu", a, u, pairs))
+    assert outcomes == ({"PreconditionFailure", "table"}
+                        if name == "bad_basis.json" else {"table"})
+    assert assert_queries_match_the_entry_reader(
+        "betag", a, None, pairs) == "table"
+
+
+def test_check_descending_traps_exactly_when_the_tables_differ():
+    # Lists of one to three maps at n = 0..5, the last one deepest.  The
+    # upper maps are supersets of the deepest point by point, random maps,
+    # or supersets missing one bit of the deepest: most random lists and
+    # every list with a missing bit fail.  The point check must raise exactly when the
+    # table of the whole list differs from the deepest map's table, and
+    # return the deepest map otherwise.
+    rng = random.Random(43)
+    outcomes = Counter()
+    for n in range(6):
+        carrier = Carrier(range(n)) if n else SimpleNamespace(n=0)
+        for trial in range(60):
+            deepest = [rng.getrandbits(n) for _ in range(n)]
+            maps = []
+            for _ in range(trial % 3):
+                upper = [d | rng.getrandbits(n) for d in deepest]
+                if trial % 4 == 1:
+                    upper = [rng.getrandbits(n) for _ in range(n)]
+                elif trial % 4 == 2 and any(deepest):
+                    x = rng.choice([x for x in range(n) if deepest[x]])
+                    upper[x] &= ~(deepest[x] & -deepest[x])
+                maps.append(upper)
+            maps.append(deepest)
+            differ = (meets_table_reference(carrier, maps).rows
+                      != meets_table_reference(carrier, maps[-1:]).rows)
+            if differ:
+                with pytest.raises(InternalCheckFailure,
+                                   match="not descending"):
+                    check_descending(maps)
+            else:
+                assert check_descending(maps) is deepest, (n, maps)
+            outcomes[differ, len(maps)] += 1
+    assert min(outcomes[True, k] for k in (2, 3)) >= 20, outcomes
+    assert min(outcomes[False, k] for k in (1, 2, 3)) >= 20, outcomes
 
 
 def random_relation_list(rng, carrier):

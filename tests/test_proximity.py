@@ -3,7 +3,8 @@ from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
-from proximity_reference import and_intersectors, meets_table_reference
+from proximity_reference import and_intersectors, meets, meets_points, \
+    meets_table_reference
 
 from eqprox.equivariant import beta_g_proximity, \
     enumerate_partition_proximities, nu_proximity
@@ -12,9 +13,8 @@ from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase
 from eqprox.metricprox import FiniteMetric, metric_g_proximity
 from eqprox.proximity import P1_P5, Prox, _first_near_points, _index_bit_swaps, _join_table, _permute_index_bits, \
     _point_block, _reverse_bits, _symmetric_by_classes, _transpose, \
-    check_axioms, dominates, from_uniformity, is_separated, meets, \
-    meets_points, meets_table
-from eqprox.setrel import Carrier, Rel, diagonal, full_relation
+    check_axioms, dominates, from_uniformity, is_separated, meets_table
+from eqprox.setrel import Carrier, Rel, _join_mask, diagonal, full_relation
 from eqprox.suite import _random_valid_basis
 from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis
 
@@ -236,27 +236,23 @@ def assert_rows_shared(rows):
 
 
 def test_meets_table_matches_the_in_place_builder():
-    # The row-per-key builder against the in-place pass it replaced, on
-    # random maps at n = 0..8: no map, one, two and three, the last two
-    # sometimes with a repeated map.  Distinct tuples of images often give
-    # one row, which must then be one object too.
+    # The row-per-image builder against the in-place pass it replaced, on
+    # random maps at n = 0..8, some with repeated point values.  Distinct
+    # subsets often have one image, whose row must then be one object.
     rng = random.Random(23)
-    merged = 0
+    shared = 0
     for n in range(0, 9):
         carrier = Carrier(range(n)) if n else SimpleNamespace(n=0)
         for trial in range(12):
-            count = trial % 4
-            maps = [[rng.getrandbits(n) for _ in range(n)]
-                    for _ in range(count)]
-            if count > 1 and trial % 3 == 0:
-                maps[-1] = list(maps[0])
-            p = meets_table(carrier, maps)
-            assert p.rows == meets_table_reference(carrier, maps).rows, \
-                (n, maps)
+            f = [rng.getrandbits(n) for _ in range(n)]
+            if n > 1 and trial % 3 == 0:
+                f[-1] = f[0]
+            p = meets_table(carrier, f)
+            assert p.rows == meets_table_reference(carrier, [f]).rows, \
+                (n, f)
             assert_rows_shared(p.rows)
-            keys = set(zip(*map(_join_table, maps)))
-            merged += len(set(p.rows)) < len(keys)
-    assert merged > 10
+            shared += len(set(p.rows)) < len(p.rows)
+    assert shared > 10
 
 
 def test_fixture_tables_match_the_in_place_builder():
@@ -272,8 +268,10 @@ def test_fixture_tables_match_the_in_place_builder():
 
 def test_meets_table_matches_per_pair_meets():
     # Carrier refuses the empty set; the table reads only carrier.n, so a
-    # stand-in covers n = 0.  `meets` and `meets_points` must read the
-    # table's entries and point block from the same maps.
+    # stand-in covers n = 0.  The table of one map has that map as its
+    # point block, and one entry is one join of its point values, as the
+    # `nu` and `betag` queries read them.  The reference readers of a list
+    # of maps must read the AND over the list.
     rng = random.Random(22)
     for n in range(0, 7):
         carrier = Carrier(range(n)) if n else SimpleNamespace(n=0)
@@ -288,18 +286,28 @@ def test_meets_table_matches_per_pair_meets():
                     if a >> x & 1:
                         out |= f[x]
                 return out
-            expected = [sum(1 << b for b in range(N)
-                            if all(b & image(f, a) for f in maps))
+
+            def table_of(fs):
+                return [sum(1 << b for b in range(N)
+                            if all(b & image(f, a) for f in fs))
                         for a in range(N)]
-            p = meets_table(carrier, maps)
-            assert p.carrier is carrier
-            assert list(p.rows) == expected, (n, maps)
+            expected = table_of(maps)
             for a in range(N):
                 for b in range(N):
                     assert meets(maps, a, b) == bool(expected[a] >> b & 1), \
                         (n, maps, a, b)
             assert meets_points(maps, n) == _point_block(expected, n), \
                 (n, maps)
+            for f in maps:
+                expected = table_of([f])
+                p = meets_table(carrier, f)
+                assert p.carrier is carrier
+                assert list(p.rows) == expected, (n, f)
+                assert _point_block(p.rows, n) == f
+                for a in range(N):
+                    for b in range(N):
+                        assert bool(b & _join_mask(f, a)) == \
+                            bool(expected[a] >> b & 1), (n, f, a, b)
 
 
 def test_transpose_matches_per_bit_transpose():

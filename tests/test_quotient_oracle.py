@@ -49,10 +49,11 @@ def test_beta_g_and_nu_are_partition_proximities_on_suite_settings():
 def test_beta_g_and_nu_are_partition_proximities_on_fixtures():
     checked = 0
     for name in ("z3_rotation.json", "twelve_points_s3_orbits.json",
-                 "twelve_points_s3_nested.json"):
+                 "twelve_points_s3_nested.json",
+                 "twelve_points_s3_paired.json"):
         inst = load_instance(str(FIXTURES / name))
         germ, u = inst.germ, inst.uniformity
         assert beta_g_proximity(germ).rows == beta_g_rows(germ), name
         assert nu_proximity(germ, u).rows == nu_rows(germ, u), name
         checked += 1
-    assert checked == 3
+    assert checked == 4

@@ -10,8 +10,9 @@ member.  The bodies are kept unchanged apart from their names, so that
 originals.  This is test-only code: nothing under ``src/`` may import it.
 """
 
+from proximity_reference import meets_table_reference
+
 from eqprox.errors import CarrierMismatch, PreconditionFailure
-from eqprox.proximity import meets_table
 from eqprox.setrel import _join_mask
 from eqprox.uniformity import validate_basis
 
@@ -51,7 +52,8 @@ def refines_reference(u1, u2):
 
 def from_uniformity_reference(u):
     """The table of every member: near(A, B) iff each meets A x B."""
-    return meets_table(u.carrier, [eps.image_masks for eps in u.basis])
+    return meets_table_reference(u.carrier,
+                                 [eps.image_masks for eps in u.basis])
 
 
 def nu_maps_reference(a, u):
