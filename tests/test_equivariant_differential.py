@@ -36,10 +36,10 @@ from proximity_reference import meets, meets_points, meets_table_reference
 
 from eqprox import cli, equivariant
 from eqprox.document import load_instance, subset_to_json
-from eqprox.equivariant import _separation_ok, beta_g_proximity, \
-    bracket_entourage, check_descending, check_equinormal, compute_ug, \
-    deepest_orbits_coincide, enumerate_partition_proximities, \
-    is_action_compatible, is_g_invariant, nu_proximity
+from eqprox.equivariant import _separation_ok, beta_g_map, \
+    beta_g_proximity, bracket_entourage, check_descending, check_equinormal, \
+    compute_ug, deepest_orbits_coincide, enumerate_partition_proximities, \
+    is_action_compatible, is_g_invariant, nu_maps, nu_proximity
 from eqprox.errors import DocumentError, InternalCheckFailure, \
     PreconditionFailure
 from eqprox.gaction import VERDICTS, FiniteGroup, GActionGerm, \
@@ -516,23 +516,35 @@ def test_on_chain_rejects_a_chain_of_another_group():
     assert str(rebound.value) == str(built.value)
 
 
+def query_map(what, a, u):
+    """The one map that the plain and `--sets` requests read."""
+    if what == "nu":
+        return check_descending(nu_maps(a, u))
+    return beta_g_map(a)
+
+
 def assert_entries_read_the_table(what, a, u, table):
     """The plain and `--sets` requests against the table: the point block
-    and the (A, B) verdicts, or the same error.  Each request is a CLI
-    call, so every pair is asked up to two points and 32 seeded pairs
-    past that; the brute-force tests of `meets_table` cover one entry of
-    a map at every pair."""
+    and the (A, B) verdicts, or the same error.  The verdict that the map
+    the requests read gives, B meets f(A), is checked at every pair; 32
+    pairs, seeded by the germ and the table, are also asked of the CLI
+    end to end."""
     rows = outcome(lambda: list(table().rows))
     if isinstance(rows, tuple):
+        assert outcome(lambda: query_map(what, a, u)) == rows, (a, u)
         assert outcome(lambda: run_query(what, a, u)) == rows, (a, u)
         return rows[0].__name__
     n = a.carrier.n
     assert run_query(what, a, u) == \
         plain_text(a.carrier, _point_block(rows, n)), (what, a)
+    f = query_map(what, a, u)
     N = 1 << n
-    pairs = ([(am, bm) for am in range(N) for bm in range(N)] if n <= 2 else
-             random_pairs(random.Random(N ^ len(a.masks)), n, 32))
+    pairs = [(am, bm) for am in range(N) for bm in range(N)]
     for am, bm in pairs:
+        assert bool(bm & _join_mask(f, am)) == bool(rows[am] >> bm & 1), \
+            (what, a, am, bm)
+    rng = random.Random(repr((what, a.masks, rows)))
+    for am, bm in rng.sample(pairs, min(32, len(pairs))):
         verdict = "near" if rows[am] >> bm & 1 else "far"
         assert run_query(what, a, u, (am, bm)) == verdict + "\n", \
             (what, a, am, bm)
