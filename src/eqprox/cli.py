@@ -22,8 +22,8 @@ from .equivariant import beta_g_map, beta_g_proximity, check_descending, \
 from .errors import DocumentError, InternalCheckFailure, \
     PreconditionFailure, ResourceCap
 from .gaction import classify
-from .proximity import P1_P5, _first_near_points, check_axioms, \
-    from_uniformity, is_separated
+from .proximity import P1_P5, _first_near_points, _join_table, \
+    check_axioms, from_uniformity, is_separated, meets_hex
 from .setrel import _join_mask
 from .suite import run_suite
 from .uniformity import validate_basis
@@ -52,11 +52,11 @@ def _emit_table_json(payload):
     text = json.dumps({**payload, "rows_hex": []}, indent=2, sort_keys=True)
     head, tail = text.split('\n  "rows_hex": []', 1)
     *rows, last = payload["rows_hex"]
-    out = sys.stdout
-    out.write(head + '\n  "rows_hex": [\n    "')
+    write = sys.stdout.write
+    write(head + '\n  "rows_hex": [\n    "')
     for row in rows:
-        out.write(row)
-        out.write('",\n    "')
+        write(row)
+        write('",\n    "')
     print(last, '"\n  ]', tail, sep="")
 
 
@@ -70,16 +70,14 @@ def _resolve_sets(instance, names):
 
 
 def _prox_json(p):
-    """The JSON fields of a table.  Each row object is written in hex once
-    (`"%x"`, a little faster than `format`), found by `id` (kept valid by
-    `p.rows`), not by hashing 2**n bits: a `meets_table` table is written
-    once per distinct row, equal rows of distinct objects twice."""
-    hexes = {}
+    """The JSON fields of a one-map table (`meets_table`), written from
+    its map without deriving a row: the join table of the map gives each
+    subset's image, `meets_hex` the text of each image's row, and
+    `separated` reads the map as the point block."""
     return {
         "carrier": list(p.carrier.elements),
         "subset_indexing": "little-endian bitmask over the carrier order",
-        "rows_hex": [hexes[i] if (i := id(r)) in hexes
-                     else hexes.setdefault(i, "%x" % r) for r in p.rows],
+        "rows_hex": meets_hex(p.carrier.n, _join_table(p.map)),
         "separated": is_separated(p),
     }
 

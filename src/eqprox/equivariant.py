@@ -18,28 +18,31 @@ subsets, each fixed by its n point values (`nu_maps`, `beta_g_map`).  On a
 descending chain the deepest level's nu map lies inside every level's, so
 it alone decides nu; `check_descending` asserts that point by point, in
 Theta(levels * n) mask operations.  The table of one map (`meets_table`)
-builds one 2**n-bit row per distinct image of A, its point block is the
-map itself, and one entry is one join of point values.  The point values
-pull back through V^{-1} by the germ's inverse point masks
-(`inverse_masks(i)`); the bracket side reads only the forward point masks
-(`masks`, and `deepest` for the deepest level), so the two sides share no
-pullback code; both read `setrel.least_entourage`, tested on its own.
+holds the map, its point block, and builds one 2**n-bit row per distinct
+image of A when its rows are first read; one entry is one join of point
+values.  The point values pull back through V^{-1} by the germ's inverse
+point masks (`inverse_masks(i)`); the bracket side reads only the forward
+point masks (`masks`, and `deepest` for the deepest level), so the two
+sides share no pullback code; both read `setrel.least_entourage`, tested
+on its own and kept on the basis (`kept_least_entourage`).
 
 The group-action scans work on whole rows of the 2**n-bit tables.
 Equinormality runs the axiom check on the translate-overlap table, then
 a separation scan that, for each row, compares two bitsets built from the
 two mask routes (forward translates and inverse pullbacks) at the deepest
-level.  The scan costs Theta(n * 2**n) mask operations, so the axiom check
-dominates.  Invariance permutes each row's bit positions by delta
-swaps, at most n - 1 per row and generator of the group: the first
-element that breaks invariance is always a generator.  The semigroup
-upgrade ANDs each row's far sets with one pullback per level of the row
-of its translate, the OR of the preimage masks of the translate map.
+level.  The scan builds one bitset per distinct translate and ANDs it with
+each row, so the axiom check dominates.  Invariance permutes each row's
+bit positions by delta swaps, at most n - 1 per row and generator of the
+group: the first element that breaks invariance is always a generator.
+The semigroup upgrade ANDs each row's far sets with one pullback per
+level of the row of its translate, the OR of the preimage masks of the
+translate map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_
 
 from . import setrel
 from .errors import CarrierMismatch, InternalCheckFailure, PreconditionFailure
@@ -134,7 +137,7 @@ def _valid_theta(a, u):
         raise PreconditionFailure(
             f"input basis fails condition {report.failures()[0]}",
             witness=report)
-    theta = setrel.least_entourage(u)
+    theta = setrel.kept_least_entourage(u)
     if theta is None:
         raise InternalCheckFailure("valid basis without a least entourage")
     return theta
@@ -356,23 +359,19 @@ def _separation_ok(a):
     {x : Vx misses VA}, read through the forward point masks.  The
     partners whose canonical neighborhood pair (A, B) is disjoint are the
     pairs far from A in the maximal group proximity, whose table pulls back
-    through `inverse_masks`.  The scan costs Theta(n * 2**n) mask
-    operations and one 2**n-bit AND per row, where a pair by pair scan
-    costs Theta(n * 4**n).
+    through `inverse_masks`.  The partners read A only through its
+    translate VA, so they are built once per distinct translate, n mask
+    tests each, and the scan then costs one 2**n-bit AND per row, where a
+    pair by pair scan costs Theta(n * 4**n).
     """
     n = a.carrier.n
     table = _submask_table(n)
     trans = a.level_translates(-1)
     lem = a.masks[-1]
-    for am, near in enumerate(beta_g_proximity(a).rows):
-        t = trans[am]
-        free = 0
-        for x in range(n):
-            if not lem[x] & t:
-                free |= 1 << x
-        if table[free] & near:
-            return False
-    return True
+    partners = {t: table[sum(1 << x for x in range(n) if not lem[x] & t)]
+                for t in set(trans)}
+    return not any(map(and_, map(partners.__getitem__, trans),
+                       beta_g_proximity(a).rows))
 
 
 def is_massive(a, u):

@@ -12,6 +12,9 @@ at most Theta(n * 4**n) bit operations carried out on whole 2**n-bit
 integers.  Every table built from an action, a metric or a valid basis is
 that of one union-preserving map f, near(A, B) iff B meets f(A)
 (`meets_table`); a list without a least member ANDs its members' tables.
+A table of one map holds f and derives its rows when they are first read,
+so a reader of f alone (the point block, one entry, or the hex text of
+the rows through `meets_hex`) never builds them.
 Tables repeat rows: one induced by a basis often holds only a few dozen
 distinct rows among its 2**n.  So symmetry is decided from the distinct
 rows when they are few, the axioms that read a row only through
@@ -38,7 +41,7 @@ from functools import lru_cache, reduce
 from operator import and_
 
 from .errors import CarrierMismatch, ResourceCap
-from .setrel import least_entourage
+from .setrel import kept_least_entourage
 
 AXIOM_CHECK_CAP = 12
 
@@ -83,15 +86,62 @@ def _intersectors(mask, n):
 
 def meets_table(carrier, f):
     """The table with near(A, B) iff B meets f(A), for a union-preserving
-    map f given by its n point values.  Row A reads A only through f(A),
+    map f given by its n point values.  The table holds f, which is its
+    point block, and derives its rows on first read (`Prox.rows`)."""
+    f = tuple(f)
+    if len(f) != carrier.n:
+        raise ValueError("a map needs one point value per point")
+    p = Prox.__new__(Prox)
+    p.carrier, p.map, p._rows = carrier, f, None
+    return p
+
+
+def _meets_rows(n, f):
+    """The rows of `meets_table` of f.  Row A reads A only through f(A),
     so after the join table one 2**n-bit row is built per distinct image,
-    and equal rows are one int object.  The point block of the table is f
-    itself."""
-    full_bits = (1 << (1 << carrier.n)) - 1
-    table = _submask_table(carrier.n)
+    and equal rows are one int object."""
+    full_bits = (1 << (1 << n)) - 1
+    table = _submask_table(n)
     images = _join_table(f)
     row_of = {m: full_bits ^ table[~m] for m in set(images)}
-    return Prox(carrier, map(row_of.__getitem__, images))
+    return tuple(map(row_of.__getitem__, images))
+
+
+def meets_hex(n, images):
+    """The "%x" text of the row {B : B meets y} over the 2**n subsets B of
+    n points, for each image y of the list `images` in order, built
+    without the 2**n-bit rows; equal images get one string object.
+
+    The text doubles: over k + 1 points the subsets holding point k are
+    the high half of the row, all of them in it if y holds point k, and
+    otherwise the same pattern as the low half.  So for k >= 2 the text
+    over k + 1 points is "f" * 2**(k-2) or the text over k points,
+    followed by the text over k points; texts below the top keep their
+    leading zeros.  At the top none is stripped, since the full set meets
+    every nonempty y, and the empty image is "0".  The levels are built
+    from the lowest: a list over every subset of the low k points while
+    those are no more than the distinct images, then a dict over the low
+    parts of the images alone.  Each level holds at most one string per
+    distinct image, so d distinct images copy at most d * 2**(n-1)
+    characters, and nothing is kept between calls.
+    """
+    distinct = set(images)
+    k = min(n, 2)
+    text = ["%x" % sum(1 << b for b in range(1 << k) if b & y)
+            for y in range(1 << k)]
+    while k < n and 2 << k <= len(distinct):
+        ones = "f" * (1 << k - 2)
+        text = [t + t for t in text] + [ones + t for t in text]
+        k += 1
+    need = [distinct]
+    for j in range(n - 1, k, -1):
+        need.append({y & ((1 << j) - 1) for y in need[-1]})
+    for j in range(k, n):
+        ones, low = "f" * (1 << j - 2), (1 << j) - 1
+        text = {y: (ones if y >> j & 1 else text[y & low]) + text[y & low]
+                for y in need.pop()}
+    text[0] = "0"
+    return list(map(text.__getitem__, images))
 
 
 @lru_cache(maxsize=None)
@@ -197,17 +247,28 @@ class Prox:
     """A materialized proximity table over all subset pairs of a carrier.
 
     The rows are stored as given, defects included, so that deliberately
-    broken relations can serve as negative fixtures for check_axioms.
+    broken relations can serve as negative fixtures for check_axioms.  A
+    table of one union-preserving map (`meets_table`) holds the map as
+    `map`, its point block, and builds its rows when they are first read;
+    a table given by its rows has no map (None).
     """
 
-    __slots__ = ("carrier", "rows")
+    __slots__ = ("carrier", "map", "_rows")
 
     def __init__(self, carrier, rows):
         rows = tuple(rows)
         if len(rows) != 1 << carrier.n:
             raise ValueError("row count must be 2**n")
         self.carrier = carrier
-        self.rows = rows
+        self.map = None
+        self._rows = rows
+
+    @property
+    def rows(self):
+        """The 2**n row integers: bit b of rows[a] is near(A, B)."""
+        if self._rows is None:
+            self._rows = _meets_rows(self.carrier.n, self.map)
+        return self._rows
 
     @classmethod
     def from_predicate(cls, carrier, pred):
@@ -484,7 +545,7 @@ def from_uniformity(u):
     kept on the basis object.
     """
     def build():
-        least = least_entourage(u)
+        least = kept_least_entourage(u)
         if least is not None:
             return meets_table(u.carrier, least.image_masks)
         tables = [meets_table(u.carrier, eps.image_masks).rows
@@ -532,5 +593,8 @@ def _first_near_points(points):
 
 
 def is_separated(p):
-    """Whether distinct points are always far (axiom P6 alone)."""
-    return _first_near_points(_point_block(p.rows, p.carrier.n)) is None
+    """Whether distinct points are always far (axiom P6 alone), read from
+    the point block: the map of a one-map table, no row derived."""
+    points = (p.map if p.map is not None
+              else _point_block(p.rows, p.carrier.n))
+    return _first_near_points(points) is None

@@ -220,3 +220,9 @@ def least_entourage(u):
     their pair bits), or None.  One passing B1-B4 has one, an equivalence."""
     bits = reduce(and_, (eps.pair_bits for eps in u.basis))
     return next((eps for eps in u.basis if eps.pair_bits == bits), None)
+
+
+def kept_least_entourage(u):
+    """`least_entourage(u)`, kept on the basis object u: the basis checks,
+    the induced proximity and the uniformity readers all read it."""
+    return u._cached(("least",), lambda: least_entourage(u))

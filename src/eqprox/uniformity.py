@@ -148,8 +148,8 @@ def refinement_equivalent(u1, u2):
 
 
 def _least(u):
-    """`setrel.least_entourage(u)`, which must exist."""
-    if (theta := setrel.least_entourage(u)) is None:
+    """`setrel.least_entourage(u)`, which must exist, kept on u."""
+    if (theta := setrel.kept_least_entourage(u)) is None:
         raise PreconditionFailure("the basis has no member inside all others")
     return theta
 

@@ -16,7 +16,8 @@ from eqprox.equivariant import beta_g_map, compute_ug, nu_maps, \
     nu_proximity
 from eqprox.errors import InternalCheckFailure
 from eqprox.gaction import GActionGerm
-from eqprox.proximity import Prox, from_uniformity
+from eqprox.proximity import Prox, from_uniformity, is_separated, \
+    meets_table
 from eqprox.setrel import Carrier
 from eqprox.suite import iter_family
 from eqprox.uniformity import discrete_basis
@@ -105,7 +106,12 @@ def test_table_json_at_the_cap_is_the_table_payload(capsys, what, name):
     expected = nu_proximity(germ, discrete_basis(germ.carrier)
                             if what == "betag" else
                             load_instance(path).uniformity)
-    payload = {"schema": 1, "what": what, **_prox_json(expected)}
+    payload = {"schema": 1, "what": what,
+               "carrier": list(germ.carrier.elements),
+               "subset_indexing": "little-endian bitmask over the carrier "
+                                  "order",
+               "rows_hex": rows_hex(expected),
+               "separated": is_separated(Prox(germ.carrier, expected.rows))}
     assert json.loads(out) == payload
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -118,7 +124,7 @@ def test_table_json_at_the_cap_is_the_table_payload(capsys, what, name):
 ])
 def test_table_json_writes_every_row_as_the_per_row_writer(
         capsys, what, name, distinct, digest):
-    # The writer formats each row object once; the text must still be
+    # The writer builds each distinct image's text once; it must still be
     # `format(r, "x")` of every row, here of the table the in-place
     # builder makes from the same maps, and the bytes those of the
     # per-row writer (the digest CI pins too).
@@ -135,15 +141,38 @@ def test_table_json_writes_every_row_as_the_per_row_writer(
 
 
 def test_prox_json_writes_equal_rows_held_by_distinct_objects():
-    # Rows are found by identity, so equal rows that are distinct objects
-    # are written twice, to the same text.  Sixteen-bit rows, past the
-    # small ints an interpreter may keep as one object each.
+    # Rows are written from the map, so subsets with one image get one
+    # text object, and the text is that of the same table given by its
+    # rows, equal rows there being distinct int objects.  Sixteen-bit
+    # rows, past the small ints an interpreter may keep as one object each.
     c = Carrier(range(4))
-    shared = Prox.nonempty_pairs(c)
-    rows = [r if a % 2 else int(str(r)) for a, r in enumerate(shared.rows)]
-    assert rows[1] == rows[2] and rows[1] is not rows[2]
-    p = Prox(c, rows)
-    assert _prox_json(p)["rows_hex"] == rows_hex(p) == rows_hex(shared)
+    p = meets_table(c, [0b0011, 0b0011, 0b1100, 0b1100])
+    copy = Prox(c, [int(str(r)) for r in p.rows])
+    assert copy.rows[1] == copy.rows[2] and copy.rows[1] is not copy.rows[2]
+    text = _prox_json(p)["rows_hex"]
+    assert text == rows_hex(copy) == rows_hex(p)
+    assert text[1] is text[2] is text[3] and len(set(map(id, text))) == 4
+
+
+@pytest.mark.parametrize("what, name, digest", [
+    ("nu", "twelve_points_s3_nested.json",
+     "98f30a0dfd5c550cf377bfb70127a4e10a7476be8f2adf09d2e90cb58e5cae3f"),
+    ("betag", "twelve_points_s3_generators.json",
+     "7ccc6ae34218fa8fd3e65f50753ec749cbae54e7d5eb2ecf162c344a117baaa9"),
+    ("nu", "twelve_points_s3_paired.json",
+     "02259b5a7d93eafb41c58a362e4c25436c9736b5e897b5efa2500653eed3c8e0"),
+])
+def test_table_json_at_the_cap_derives_no_row(capsys, monkeypatch, what,
+                                               name, digest):
+    # `--json` writes the 4096 rows of the table from its map: deriving a
+    # row fails the request, and the bytes are those CI pins.
+    def derive(n, f):
+        raise AssertionError("a row was derived")
+    monkeypatch.setattr("eqprox.proximity._meets_rows", derive)
+    code, out, err = run(capsys, what, fixture(name), "--json")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["rows_hex"]) == 4096
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_prox_json_writes_the_empty_row_as_zero():
@@ -173,7 +202,7 @@ def twelve_point_documents(tmp_path):
 
 @pytest.mark.parametrize("what", ["nu", "betag"])
 def test_queries_at_the_cap_read_the_json_table(tmp_path, capsys, what):
-    # Plain output and `--sets` read the maps; `--json` builds the table.
+    # Plain output and `--sets` read the maps; `--json` writes the table.
     verdicts = set()
     for path, carrier, names in twelve_point_documents(tmp_path):
         code, out, _ = run(capsys, what, path, "--json")
@@ -838,7 +867,7 @@ def test_one_parser_serves_consecutive_commands(capsys):
 ], ids=["table-json", "query-plain", "query-sets"])
 def test_bug_trap_exits_4_not_as_a_failed_check(capsys, monkeypatch, target,
                                                 flags):
-    # `--json` builds the table; plain output and `--sets` read the maps.
+    # `--json` writes the table; plain output and `--sets` read the maps.
     def trap(a, u):
         raise InternalCheckFailure("planted trap")
 

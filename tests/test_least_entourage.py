@@ -33,7 +33,7 @@ from eqprox.errors import DocumentError, InternalCheckFailure, \
 from eqprox.metricprox import metric_uniformity
 from eqprox.proximity import from_uniformity, meets_table
 from eqprox.setrel import Carrier, Rel, least_entourage
-from eqprox.suite import iter_family
+from eqprox.suite import iter_family, run_suite
 from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis, \
     induced_topology, refinement_equivalent, refines, validate_basis
 
@@ -259,3 +259,22 @@ def test_nu_maps_traps_a_valid_basis_without_a_least_member(monkeypatch):
     monkeypatch.setattr("eqprox.setrel.least_entourage", lambda u: None)
     with pytest.raises(InternalCheckFailure, match="without a least entourage"):
         nu_maps(germ, discrete_basis(germ.carrier))
+
+
+def test_least_entourage_is_computed_once_per_basis_object(monkeypatch):
+    # θ is kept on the basis object: a suite run that reads it through the
+    # basis checks of ν and the derived basis, the induced proximity and
+    # the uniformity readers computes it once per basis object.  Every
+    # basis is kept alive, so no id is reused.
+    calls = Counter()
+    bases = []
+    real = least_entourage
+
+    def counted(u):
+        calls[id(u)] += 1
+        bases.append(u)
+        return real(u)
+    monkeypatch.setattr("eqprox.setrel.least_entourage", counted)
+    assert run_suite(max_n=3, seed=0).ok
+    assert len(calls) > 2000
+    assert set(calls.values()) == {1}

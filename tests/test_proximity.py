@@ -6,17 +6,19 @@ import pytest
 from proximity_reference import and_intersectors, meets, meets_points, \
     meets_table_reference
 
-from eqprox.equivariant import beta_g_proximity, \
-    enumerate_partition_proximities, nu_proximity
+from eqprox.equivariant import beta_g_map, beta_g_proximity, \
+    enumerate_partition_proximities, nu_maps, nu_proximity
 from eqprox.errors import ResourceCap
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase
 from eqprox.metricprox import FiniteMetric, metric_g_proximity
 from eqprox.proximity import P1_P5, Prox, _first_near_points, _index_bit_swaps, _join_table, _permute_index_bits, \
     _point_block, _reverse_bits, _symmetric_by_classes, _transpose, \
-    check_axioms, dominates, from_uniformity, is_separated, meets_table
+    check_axioms, dominates, from_uniformity, is_separated, meets_hex, \
+    meets_table
 from eqprox.setrel import Carrier, Rel, _join_mask, diagonal, full_relation
-from eqprox.suite import _random_valid_basis
-from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis
+from eqprox.suite import _random_valid_basis, iter_family
+from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis, \
+    validate_basis
 
 
 def brute_near_from_basis(u, a, b):
@@ -231,7 +233,7 @@ def test_and_intersectors_matches_per_bit_meets():
 
 
 def assert_rows_shared(rows):
-    """Equal rows are one object, the sharing `cli._prox_json` reads."""
+    """Equal rows are one object: one row is built per distinct image."""
     assert len({id(r) for r in rows}) == len(set(rows))
 
 
@@ -253,6 +255,62 @@ def test_meets_table_matches_the_in_place_builder():
             assert_rows_shared(p.rows)
             shared += len(set(p.rows)) < len(p.rows)
     assert shared > 10
+
+
+def literal_hex(n, y):
+    """The "%x" text of the row {b : b & y}, built bit by bit."""
+    return format(sum(1 << b for b in range(1 << n) if b & y), "x")
+
+
+def test_meets_hex_matches_the_literal_rows():
+    # Every image at n = 0..10 against the literal row; the empty image is
+    # "0".  All images distinct: every level is a full list.
+    for n in range(0, 11):
+        N = 1 << n
+        assert meets_hex(n, range(N)) == [literal_hex(n, y)
+                                          for y in range(N)], n
+        assert meets_hex(n, [0]) == ["0"]
+
+
+def test_meets_hex_on_sets_of_images_of_every_size():
+    # Seeded image lists of 1 to 2**n distinct values, with repeats, at
+    # n = 1..8 and, a few values each, at the cap: the levels switch from
+    # full lists to the images' low parts at the number of distinct
+    # images.  Equal images share one text object.
+    rng = random.Random(26)
+    for n in list(range(1, 9)) + [11, 12]:
+        N = 1 << n
+        sizes = ([1, 2, 3, 5, 17] if n > 8 else
+                 {1, 2, 3, N // 4 + 1, N // 2, N // 2 + 1, N})
+        for size in sorted(s for s in sizes if s <= N):
+            distinct = rng.sample(range(N), size)
+            images = [rng.choice(distinct) for _ in range(2 * size)]
+            text = meets_hex(n, images)
+            assert text == [literal_hex(n, y) for y in images], (n, size)
+            assert len({id(t) for t in text}) == len(set(images))
+
+
+def test_derived_rows_match_the_reference_on_suite_tables():
+    # Every table of the main family at n <= 5: ν, β_G and the proximity
+    # of each valid basis hold their map and derive their rows on first
+    # read; the rows must be those of the literal AND over every level's
+    # map (ν) or every member's (the basis), and the map the point block.
+    checked = {}
+    for _label, germ, u in iter_family(max_n=5, seed=0):
+        c = germ.carrier
+        tables = [(beta_g_proximity(germ), [beta_g_map(germ)])]
+        if validate_basis(u).ok():
+            tables.append((nu_proximity(germ, u), nu_maps(germ, u)))
+            tables.append((from_uniformity(u),
+                           [eps.image_masks for eps in u.basis]))
+        for p, maps in tables:
+            if id(p) in checked:
+                continue
+            checked[id(p)] = p
+            assert p.map is not None
+            assert p.rows == meets_table_reference(c, maps).rows, _label
+            assert list(p.map) == _point_block(p.rows, c.n)
+    assert len(checked) > 900
 
 
 def test_fixture_tables_match_the_in_place_builder():
@@ -466,3 +524,18 @@ def test_first_near_points_matches_double_loop():
                 (n, rows)
             p = Prox(Carrier(range(n)), rows)
             assert is_separated(p) == (want is None)
+
+
+def test_is_separated_reads_the_map_of_a_one_map_table():
+    # The identity map with one more pair (i, j): separated exactly when
+    # i == j, read from the map without deriving a row, as from the rows.
+    for n in range(1, 7):
+        c = Carrier(range(n))
+        for i in range(n):
+            for j in range(n):
+                f = [1 << x for x in range(n)]
+                f[i] |= 1 << j
+                p = meets_table(c, f)
+                assert is_separated(p) == (i == j), (n, i, j)
+                assert p._rows is None
+                assert is_separated(Prox(c, p.rows)) == (i == j)

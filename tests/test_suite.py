@@ -130,8 +130,9 @@ def test_metric_family_tabulates_each_derived_basis_once(monkeypatch):
 
 def test_bases_and_metrics_keep_each_value_through_the_shared_cache(
         monkeypatch):
-    # A basis keeps its validate_basis report, its from_uniformity table
-    # and its derived bases, and a metric its sublevel basis, all through
+    # A basis keeps its validate_basis report, its least entourage, its
+    # from_uniformity table and its derived bases, and a metric its
+    # sublevel basis, all through
     # the one `_cached`: each is built once per owner and key, and read
     # again it is the kept object.  Every owner is kept in the list, so
     # its id is never reused.
@@ -146,11 +147,13 @@ def test_bases_and_metrics_keep_each_value_through_the_shared_cache(
     _count_builds(monkeypatch, record)
     report = suite.run_suite(max_n=3, filters=["tgprox", "ugclaims", "metric"])
     assert report.ok
-    assert {key[0] for _owner, key in builds} == {"report", "prox", "ug",
-                                                  "basis"}
+    assert {key[0] for _owner, key in builds} == {"report", "least", "prox",
+                                                  "ug", "basis"}
     for owner in owners:
         if isinstance(owner, suite.UnifBase):
             assert suite.validate_basis(owner) is suite.validate_basis(owner)
+            assert setrel.kept_least_entourage(owner) is \
+                setrel.kept_least_entourage(owner)
             assert suite.from_uniformity(owner) is \
                 suite.from_uniformity(owner)
         else:
