@@ -112,16 +112,8 @@ def _build(doc):
         raise DocumentError("uniformity and metric: give at most one of them")
     uniformity = None
     if "uniformity" in doc:
-        basis = []
-        for k, ent in enumerate(_typed(doc["uniformity"], list, "uniformity")):
-            pairs = []
-            for pair in _typed(ent, list, f"uniformity entourage {k}"):
-                if (not isinstance(pair, list) or len(pair) != 2
-                        or not all(_known(p, carrier.index) for p in pair)):
-                    raise DocumentError(
-                        f"uniformity entourage {k}: bad pair {pair!r}")
-                pairs.append(tuple(pair))
-            basis.append(Rel(carrier, pairs))
+        basis = [_entourage(carrier, k, ent) for k, ent in
+                 enumerate(_typed(doc["uniformity"], list, "uniformity"))]
         if not basis:
             raise DocumentError("uniformity must list at least one entourage")
         uniformity = UnifBase(carrier, basis)
@@ -166,6 +158,25 @@ def _typed(value, kind, what):
 def _known(name, index):
     # Only strings name keys; a list or object would raise in `in`.
     return isinstance(name, str) and name in index
+
+
+def _entourage(carrier, k, pairs):
+    """Entourage k of the document, each pair checked once: here that it
+    is a list, and in the one pass of `Rel` that it unpacks to two carrier
+    names, as it is read into the image masks.  A refused entourage is
+    scanned again in order to name its first bad pair."""
+    pairs = _typed(pairs, list, f"uniformity entourage {k}")
+    try:
+        if all(isinstance(pair, list) for pair in pairs):
+            return Rel(carrier, pairs)
+    except (TypeError, ValueError):
+        # A name that is no carrier element, unhashable, or a pair of
+        # another length.
+        pass
+    bad = next(pair for pair in pairs
+               if not isinstance(pair, list) or len(pair) != 2
+               or not all(_known(p, carrier.index) for p in pair))
+    raise DocumentError(f"uniformity entourage {k}: bad pair {bad!r}")
 
 
 def _rational(v):

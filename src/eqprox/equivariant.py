@@ -199,18 +199,19 @@ def beta_g_proximity(a):
 def is_g_invariant(p, a):
     """Whether near(A, B) implies near(gA, gB) for every group element.
 
-    The g that keep nearness are closed under the product (the action law
-    holds), and each index outside the group's generating set `gens` lies
-    in the closure of the indices before it.  So the first g in index
-    order that breaks nearness is a generator, and only the generators are
-    scanned, once per distinct permutation other than the identity.  For
-    each such g and row A, the row of gA is carried back to the set of B
-    with near(gA, gB) by permuting its bit positions with the subset-index
-    permutation of g^{-1}: at most n - 1 delta swaps of one 2**n-bit
-    integer, so 2**n rows of at most n - 1 swaps per generator.  The
-    violators are the bits of row A outside it, and the witness is the
-    first (g, A, B) in ascending order.  The verdict reads no chain, so it
-    is kept per table.
+    The g that keep nearness hold the identity and are closed under the
+    product (the action law holds), and each other index outside the
+    group's generating set `gens` lies in the closure of the indices
+    before it.  So the first g in index order that breaks nearness is a
+    generator, and only the generators are scanned, once per distinct
+    permutation other than the identity.  For each such g and row A, the
+    row of gA is carried back to the set of B with near(gA, gB) by
+    permuting its bit positions with the subset-index permutation of
+    g^{-1}: at most n - 1 delta swaps of one 2**n-bit integer, so 2**n
+    rows of at most n - 1 swaps per generator.  The violators are the
+    bits of row A outside it, and the witness is the first (g, A, B) in
+    ascending order.  The verdict reads no chain, so it is kept per
+    table.
     """
     _check_carrier(p, a)
     return a._cached(("inv", p.rows), lambda: _g_invariant(p.rows, a))

@@ -46,13 +46,16 @@ class FiniteGroup:
     errors name the offending triple.
 
     `gens` is a generating set of the table: greedy in index order, each
-    index not yet in the closure of the earlier ones under the product
-    (no group law is assumed).  Associativity is decided by Light's test
-    (Clifford & Preston, The Algebraic Theory of Semigroups, vol. 1):
-    the middle elements b with (ab)c = a(bc) for all a, c are closed
-    under the product, so checking b over `gens` decides the table in
-    k^2 * |gens| steps.  Only when that test fails does the full k^3 scan
-    run, so the reported triple is the first one in (a, b, c) order.
+    index other than the identity not yet in the closure of the earlier
+    ones under the product (no group law is assumed).  The identity is
+    checked first and is never in `gens`: every test that scans `gens`
+    (Light's test, the action law, `is_g_invariant`) holds at it anyway.
+    Associativity is decided by Light's test (Clifford & Preston, The
+    Algebraic Theory of Semigroups, vol. 1): the middle elements b with
+    (ab)c = a(bc) for all a, c hold the identity and are closed under the
+    product, so checking b over `gens` decides the table in k^2 * |gens|
+    steps.  Only when that test fails does the full k^3 scan run, so the
+    reported triple is the first one in (a, b, c) order.
     """
 
     __slots__ = ("names", "mul", "inv", "e", "name_index", "gens")
@@ -68,18 +71,14 @@ class FiniteGroup:
         mul = tuple(tuple(row) for row in mul)
         if len(mul) != k or any(len(row) != k for row in mul):
             raise ValueError("multiplication table must be k x k")
-        for row in mul:
-            for v in row:
-                if not 0 <= v < k:
-                    raise ValueError("multiplication table entry out of range")
-        e = None
-        for i in range(k):
-            if all(mul[i][j] == j and mul[j][i] == j for j in range(k)):
-                e = i
-                break
+        if k and (min(map(min, mul)) < 0 or max(map(max, mul)) >= k):
+            raise ValueError("multiplication table entry out of range")
+        ident = tuple(range(k))
+        e = next((i for i, row in enumerate(mul) if row == ident
+                  and tuple(col[i] for col in mul) == ident), None)
         if e is None:
             raise ValueError("table has no identity element")
-        gens = _generators(mul)
+        gens = _generators(mul, e)
         if not _light_test(mul, gens):
             for a in range(k):
                 for b in range(k):
@@ -88,14 +87,13 @@ class FiniteGroup:
                             raise ValueError(
                                 "table is not associative at triple "
                                 f"({names[a]!r}, {names[b]!r}, {names[c]!r})")
-        inv = [None] * k
-        for a in range(k):
-            for b in range(k):
-                if mul[a][b] == e and mul[b][a] == e:
-                    inv[a] = b
-                    break
-            if inv[a] is None:
+        # In a finite associative table with an identity, ab = e forces
+        # ba = e, so the first b with ab = e is a's inverse.
+        inv = []
+        for a, row in enumerate(mul):
+            if e not in row:
                 raise ValueError(f"element {names[a]!r} has no inverse")
+            inv.append(row.index(e))
         self.names = names
         self.mul = mul
         self.inv = tuple(inv)
@@ -130,10 +128,12 @@ class FiniteGroup:
 
         Elements are discovered breadth-first from the identity, so the
         numbering is deterministic.  The product table is filled along the
-        edges the search finds: k * len(perms) compositions and k**2
-        lookups for a closure of k elements.  Names are "p" followed by the
-        one-line images, the identity being "e"; above degree 10 the
-        images are joined with "." so that no two names coincide.
+        edges the search finds, a column at a time: k * len(perms)
+        compositions, then one `map` of k lookups per column for a closure
+        of k elements, and one `zip` turns the columns into rows.  Names
+        are "p" followed by the one-line images, the identity being "e";
+        above degree 10 the images are joined with "." so that no two
+        names coincide.
         """
         perms = [tuple(p) for p in perms]
         if not perms:
@@ -165,14 +165,14 @@ class FiniteGroup:
                 row.append(found[r])
             right.append(row)
         # p then q as functions acting on the left: (p*q)(x) = p(q(x)), and
-        # i*j = (i*parent[j])*perms[gen[j]] along the tree of first finds.
-        k = len(order)
-        mul = []
-        for i in range(k):
-            row = [i]
-            for j in range(1, k):
-                row.append(right[row[parent[j]]][gen[j]])
-            mul.append(row)
+        # i*j = (i*parent[j])*perms[gen[j]] along the tree of first finds:
+        # column j is column parent[j] moved by right multiplication with
+        # perms[gen[j]], whose column of `right` is by_gen[gen[j]].
+        by_gen = [col.__getitem__ for col in zip(*right)]
+        cols = [range(len(order))]
+        for j in range(1, len(order)):
+            cols.append(tuple(map(by_gen[gen[j]], cols[parent[j]])))
+        mul = zip(*cols)
 
         sep = "." if d > 10 else ""
 
@@ -227,15 +227,17 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _generators(mul):
-    """A generating set of the table `mul` under its product, greedy in
-    index order: each index not yet in the closure of the earlier ones.
+def _generators(mul, e):
+    """A generating set of the table `mul` with two-sided identity e,
+    greedy in index order: each index other than e not yet in the closure
+    of e and the earlier ones.
 
     The closure is built as for any groupoid: every member is multiplied
     on both sides with every member found up to it, so no group law is
     assumed.
     """
     inside = [False] * len(mul)
+    inside[e] = True
     closed = []
     gens = []
     for g in range(len(mul)):
@@ -314,10 +316,11 @@ class GActionGerm(setrel.Memo):
     indices; the homomorphism law and bijectivity are validated.  The law
     act[gh] = act[g] o act[h] is checked for g in the group's generating
     set `gens` and every h: the g it holds for (for all h) are closed
-    under the product, by associativity.  Each index outside `gens` lies
-    in the closure of the indices before it, so the first g in index order
-    that breaks the law is a generator, and the first failing pair of the
-    `gens` scan is the first one of the full (g, h) scan.
+    under the product, by associativity, and hold the identity, which is
+    checked to act as the identity first.  Each other index outside `gens`
+    lies in the closure of the indices before it, so the first g in index
+    order that breaks the law is a generator, and the first failing pair
+    of the `gens` scan is the first one of the full (g, h) scan.
 
     The cache of tables and verdicts (`_cached`) belongs to the action,
     not to the chain: its keys hold level and basis values, never a chain

@@ -17,9 +17,10 @@ so a reader of f alone (the point block, one entry, or the hex text of
 the rows through `meets_hex`) never builds them.
 Tables repeat rows: one induced by a basis often holds only a few dozen
 distinct rows among its 2**n.  So symmetry is decided from the distinct
-rows when they are few, the axioms that read a row only through
-its value are decided once per distinct row, and on a symmetric table
-the far-pair searches visit B only at the first copy of its row.
+rows when they are few, P1 once per class of equal rows, the axioms that
+read a row only through its value once per distinct row, and on a
+symmetric table the far-pair searches visit B only at the first copy of
+its row.
 
 The axioms checked are the classical ones:
 
@@ -37,6 +38,7 @@ search, and must agree on any relation satisfying P1-P4.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache, reduce
 from operator import and_
 
@@ -180,19 +182,37 @@ def _symmetric_by_classes(rows, rep, firsts, n):
     """Whether the table is symmetric, decided from its distinct rows (by
     their first indices ``firsts`` and each index's first copy ``rep``) as
     `check_axioms` says; False, undecided, when the rows padded to a power
-    of two are more than half of the 2**n rows."""
-    m = (len(firsts) - 1).bit_length()
-    M = 1 << m
-    if 2 * M > 1 << n:
+    of two are more than half of the 2**n rows.  From 16 rows on the
+    padding is at least 8, so that signatures are whole bytes."""
+    N = 1 << n
+    M = 1 << (len(firsts) - 1).bit_length()
+    if N >= 16:
+        M = max(M, 8)
+    if 2 * M > N:
         return False
+    full_bits = (1 << N) - 1
     pad = [0] * (M - len(firsts))
-    t = _transpose([rows[f] for f in firsts] + pad, n)
-    low, width = M - 1, (1 << M) - 1
-    sig = [t[b & low] >> (b & ~low) & width for b in range(1 << n)]
-    if sig != [sig[a] for a in rep]:
+    t = _transpose([rows[f] & full_bits for f in firsts] + pad, n)
+    # Signature b = c*M + k is chunk c of t[k].
+    sig = [0] * N
+    for k, x in enumerate(t):
+        sig[k::M] = _chunks(x, M, N // M)
+    if sig != list(map(sig.__getitem__, rep)):
         return False
     q = [sig[f] for f in firsts] + pad
-    return _transpose(q, m) == q
+    return _transpose(q, M.bit_length() - 1) == q
+
+
+def _chunks(x, width, count):
+    """The `count` width-bit chunks of x, lowest first: at widths 8-64 the
+    bytes of x read at once as native unsigned ints ("BHIQ" by width),
+    at other widths by shifts."""
+    if 8 <= width <= 64:
+        view = memoryview(x.to_bytes(width // 8 * count, sys.byteorder))
+        view = view.cast("BHIQ"[width.bit_length() - 4])
+        return view if sys.byteorder == "little" else view[::-1]
+    mask = (1 << width) - 1
+    return [x >> i & mask for i in range(0, width * count, width)]
 
 
 # _REVERSED_BYTES[b] is the byte b with its 8 bits in reverse order.
@@ -368,13 +388,18 @@ def check_axioms(p):
     so each quantifier over subsets becomes a whole-integer operation
     (Warren, *Hacker's Delight*, ch. 7):
 
-    * P1 ORs each row with the sets that miss its index, one row of the
-      reversed submask table; the row passes when the OR is full.
+    * P1 ORs a row with the sets that miss its index, one row of the
+      submask table; the row passes when the OR is full.  With at most
+      half of the rows distinct, each class of equal rows is checked
+      once, against the OR of its indices, and the rows are scanned one
+      by one only to name the first violation.
     * P2 is decided from the r distinct rows v_0..v_{r-1} (first copies
-      f_0..f_{r-1}) when r, padded to a power of two R, is at most half
-      of the rows (``_symmetric_by_classes``).  One block transpose of
-      the padded rows gives each index b its signature K_b = {k : v_k
-      holds b}.  The table is symmetric iff (S) K_b = K_{f_k} for every
+      f_0..f_{r-1}) when r, padded to a power of two R (at least 8 from
+      16 rows on), is at most half of the rows
+      (``_symmetric_by_classes``).  One block transpose of the padded
+      rows gives each index b its signature K_b = {k : v_k holds b}, an
+      R-bit chunk of a transposed row (``_chunks``).  The table is
+      symmetric iff (S) K_b = K_{f_k} for every
       b in the class of v_k, so every row is a union of classes, and
       (Q) the r x r matrix with rows K_{f_l} is symmetric, which one more
       block transpose at width R decides: symmetry makes K_b the set of
@@ -394,19 +419,22 @@ def check_axioms(p):
       the OR is the down-closure of the far sets of A: n shift-ORs.
     * P6 ANDs each point row once with the bits of the other singletons.
 
-    P1 and the representative list cost Theta(2**n) integer operations on
-    2**n-bit integers.  P4, P5 and P5' read row A only through its value,
+    One pass over the 2**n indices finds the classes of equal rows,
+    keyed by the n-bit images on a table of one map; with the class ORs
+    of P1 and the signatures of P2 it is the only Theta(2**n) work on
+    small integers.  P4, P5 and P5' read row A only through its value,
     so they are decided once per distinct row value, and their first
     violation in index order is still found: it falls on the first copy
     of its row.  On a symmetric table the far-pair verdict reads B only
     through its row too, so B is searched at first copies only; an
     asymmetric table is searched at every far pair.  With r distinct
-    rows, the tables cost Theta(n * r) integer operations, P2 on the class
-    path Theta(r * log r + 2**n), and the searches at most r**2 far-pair
-    tests (r * 2**n if asymmetric).  A table with more than half of its
-    rows distinct, or an asymmetric one, also pays the full transpose,
-    Theta(n * 2**n); one with all rows distinct (the finest,
-    ``Prox.overlap``) still visits every far pair.
+    rows, P1 costs Theta(r) operations on 2**n-bit integers, the tables
+    Theta(n * r), P2 on the class path Theta(r * log r), and the searches
+    at most r**2 far-pair tests (r * 2**n if asymmetric).  A table with
+    more than half of its rows distinct ORs every row for P1; it, and an
+    asymmetric table, also pays the full transpose, Theta(n * 2**n); one
+    with all rows distinct (the finest, ``Prox.overlap``) still visits
+    every far pair.
     """
     carrier = p.carrier
     n = carrier.n
@@ -420,24 +448,37 @@ def check_axioms(p):
 
     results = {}
 
-    # P1: intersecting pairs must be near.  misses[a] holds the sets
-    # disjoint from a, so a row passes when it holds every other set.
-    misses = _submask_table(n)[::-1]
-    results["P1"] = (True, None)
-    for a, row in enumerate(rows):
-        viol = full_bits ^ (row | misses[a])
-        if viol:
-            b = (viol & -viol).bit_length() - 1
-            results["P1"] = (False, (subset(a), subset(b)))
-            break
-
     # P4, P5 and P5' read row a only through its value rows[a] and tables
     # indexed by b, so a later copy of a row value passes exactly when its
     # first copy does: they run over first copies only.  rep[a] is the
-    # first index holding rows[a].
+    # first index holding rows[a].  The rows of a one-map table are equal
+    # exactly where their images are, so no 2**n-bit row is hashed.
     first = {}
-    rep = [first.setdefault(row, a) for a, row in enumerate(rows)]
+    rep = [first.setdefault(key, a) for a, key in
+           enumerate(rows if p.map is None else _join_table(p.map))]
     firsts = list(first.values())
+
+    # P1: intersecting pairs must be near.  submasks[full ^ a] holds the
+    # sets disjoint from a, so row a passes when it holds every other set.
+    # The sets that meet some index of a class meet the OR of its indices.
+    submasks = _submask_table(n)
+    full = N - 1
+    if 2 * len(firsts) <= N:
+        union = dict.fromkeys(firsts, 0)
+        for a, f in enumerate(rep):
+            union[f] |= a
+        classes_pass = all(rows[f] | submasks[full ^ u] == full_bits
+                           for f, u in union.items())
+    else:
+        classes_pass = False
+    results["P1"] = (True, None)
+    if not classes_pass:
+        for a, row in enumerate(rows):
+            viol = full_bits ^ (row | submasks[full ^ a])
+            if viol:
+                b = (viol & -viol).bit_length() - 1
+                results["P1"] = (False, (subset(a), subset(b)))
+                break
 
     # P2: symmetry.  A symmetric table's rows are its columns; the
     # transpose replaces them only on an asymmetric table.
@@ -483,8 +524,8 @@ def check_axioms(p):
             results["P4"] = (False, (subset(a), subset(s ^ low), subset(low)))
             break
 
-    # The criterion tables of P5 and P5', built for first copies; cutb and
-    # reach hold an entry for every index, read with one list index:
+    # The criterion tables of P5 and P5', built for first copies (sn and
+    # reach are lists indexed by the first copies, 0 elsewhere):
     #   far[a]   = the sets far from A, the complement of row a
     #   sn[a]    = {a1 : A is far from X \ A1}, the reversal of far[a]
     #   cutb[b]  = {c  : X \ C is far from B}, the reversed complement of column b
@@ -493,19 +534,19 @@ def check_axioms(p):
     # On a symmetric table column b is row b, and the verdict for (a, b)
     # reads b only through rows[b], so B is searched at first copies.
     far = {a: ~rows[a] & full_bits for a in firsts}
-    sn = {a: _reverse_bits(f, N) for a, f in far.items()}
+    sn, reach = [0] * N, [0] * N
+    for a, down in far.items():
+        sn[a] = _reverse_bits(down, N)
+        for j, lo in enumerate(_low_half_masks(n)):
+            down |= down >> (1 << j) & lo
+        reach[a] = down
     if cols is rows:
-        cutb = [sn[a] for a in rep]
+        cutb = sn
         searched = sum(1 << a for a in firsts)
     else:
         cutb = [_reverse_bits(~col & full_bits, N) for col in cols]
+        reach = [reach[a] for a in rep]
         searched = full_bits
-    reach_of = {}
-    for a, down in far.items():
-        for j, lo in enumerate(_low_half_masks(n)):
-            down |= down >> (1 << j) & lo
-        reach_of[a] = down
-    reach = [reach_of[a] for a in rep]
 
     # P5: every far pair admits a cut set C with A far C and X\C far B.
     # P5': every far pair has disjoint strong neighborhoods.

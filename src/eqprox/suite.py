@@ -480,8 +480,10 @@ def _per_germ_checks(wanted, label, germ, inject):
         rep = check_equinormal(germ)
         yield "equinormal", rep.equinormal and rep.agree, label, None
     if "densesub" in wanted:
+        # The subgroups read only the group: listed once per action, in
+        # the cache its germs share.
         group = germ.group
-        for h in group.subgroups():
+        for h in germ._cached(("subgroups",), group.subgroups):
             if (group.product_set(h, germ.deepest)
                     != frozenset(range(group.order))):
                 continue

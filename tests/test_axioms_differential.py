@@ -283,3 +283,97 @@ def test_symmetric_table_reverses_each_distinct_row_once(monkeypatch):
     monkeypatch.setattr(proximity, "_reverse_bits", counted)
     assert check_axioms(Prox.overlap(Carrier(range(6)))).ok()
     assert len(calls) == 64
+
+
+def later_copy_p1_tables(rng, sizes):
+    """Valid tables with one set b taken out of every copy of one repeated
+    row value, where b misses the value's first copy and meets a later
+    one: P1 then fails only at later copies, which a check of first copies
+    alone would pass."""
+    for n in sizes:
+        carrier = Carrier(range(n))
+        for u in basis_pool(carrier, rng):
+            rows = list(from_uniformity(u).rows)
+            for idx in repeated_value_indices(rows):
+                f, later = idx[0], idx[1:]
+                choices = [b for b in range(1, 1 << n) if not b & f
+                           and rows[f] >> b & 1
+                           and any(b & a for a in later)]
+                if choices:
+                    b = rng.choice(choices)
+                    v = rows[f]
+                    yield carrier, [row ^ (1 << b) if row == v else row
+                                    for row in rows], later
+                    break
+
+
+def test_p1_violation_at_a_later_copy_matches_reference():
+    rng = random.Random(22)
+    seen = 0
+    for carrier, rows, later in later_copy_p1_tables(rng, range(2, 8)):
+        p = Prox(carrier, rows)
+        want = check_axioms_reference(p)
+        assert carrier.subset_mask(want.counterexample("P1")[0]) in later
+        assert_same_report(p)
+        seen += 1
+    assert seen >= 40, seen
+
+
+def distinct_objects(rows):
+    """The rows as new int objects, equal rows no longer shared (but for
+    the small ints, which CPython keeps one object each)."""
+    out = [int(str(row)) for row in rows]
+    big = [row for row in out if row > 256]
+    assert len(set(map(id, big))) == len(big)
+    return out
+
+
+def test_equal_rows_held_by_distinct_objects_match_reference():
+    # A one-map table keys its classes by its images; the same rows given
+    # one object each are keyed by their values and must report the same.
+    rng = random.Random(23)
+    seen = 0
+    for carrier, rows in repeated_row_tables(rng, range(1, 8), 8):
+        p = Prox(carrier, distinct_objects(rows))
+        assert_same_report(p)
+        seen += 1
+    for p in valid_tables(rng, range(3, 8)):
+        q = Prox(p.carrier, distinct_objects(p.rows))
+        assert check_axioms(q)._results == check_axioms(p)._results
+        assert_same_report(q)
+        seen += 1
+    assert seen >= 200, seen
+
+
+def partition_table(rng, n, blocks):
+    """near(A, B) iff B meets a block that A meets, for a random partition
+    of n points into `blocks` blocks: 2**blocks distinct rows."""
+    cells = list(range(blocks)) + [rng.randrange(blocks)
+                                   for _ in range(n - blocks)]
+    rng.shuffle(cells)
+    return meets_table(Carrier(range(n)), [
+        sum(1 << y for y in range(n) if cells[y] == cells[x])
+        for x in range(n)])
+
+
+def test_partition_tables_at_the_cap_match_reference():
+    # The cap-checks shape: partition tables at n = 9-11 with 2 to 64
+    # distinct rows, padded to signatures of 8 to 64 bits, as they are or
+    # with one bit flipped at a later copy of a row.  Bit a of row a
+    # breaks P1 and keeps the table symmetric, with one more distinct row
+    # (65 at n = 10, past the 64-bit signatures); any other bit breaks P2.
+    rng = random.Random(24)
+    for n, blocks, flip in ((9, 1, None), (9, 3, "diagonal"),
+                            (9, 5, "other"), (9, 6, None),
+                            (10, 4, "diagonal"), (10, 6, "diagonal"),
+                            (11, 5, "diagonal")):
+        p = partition_table(rng, n, blocks)
+        assert len(set(p.rows)) == 1 << blocks
+        if flip:
+            rows = list(p.rows)
+            a = rng.choice(repeated_value_indices(rows)[-1][1:])
+            b = a if flip == "diagonal" else rng.randrange(1, 1 << n)
+            rows[a] ^= 1 << b
+            p = Prox(p.carrier, rows)
+            assert (rows == _transpose(rows, n)) == (flip == "diagonal")
+        assert_same_report(p)

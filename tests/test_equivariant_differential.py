@@ -261,7 +261,7 @@ def test_random_non_invariant_tables_match_reference():
 
 def z6_germs():
     """Z6 by its multiplication table, element 3a + b standing for (a, b)
-    in Z2 x Z3, so that its generating set is (0, 1, 3).  It acts through
+    in Z2 x Z3, so that its generating set is (1, 3).  It acts through
     its Z2 quotient (on 2 and 4 points), its Z3 quotient (on 3 points) and
     both (on 5 points), on chains ending at e, at Z3, at Z2 and at the
     whole group.  The quotient actions are not faithful: one generator
@@ -269,7 +269,7 @@ def z6_germs():
     mul = [[3 * ((i // 3 + j // 3) % 2) + (i + j) % 3 for j in range(6)]
            for i in range(6)]
     group = FiniteGroup([f"{i // 3}{i % 3}" for i in range(6)], mul)
-    assert group.gens == (0, 1, 3)
+    assert group.gens == (1, 3)
     whole = frozenset(range(6))
     chains = [[whole], [whole, {0}], [whole, {0, 1, 2}], [whole, {0, 3}]]
 
@@ -323,7 +323,7 @@ def test_invariance_scans_each_distinct_generator_permutation_once(
     # generator acting as the identity.
     mul = [[i ^ j for j in range(4)] for i in range(4)]
     klein = FiniteGroup(["e", "a", "b", "ab"], mul)
-    assert klein.gens == (0, 1, 2)
+    assert klein.gens == (1, 2)
     summed = GActionGerm(klein, NeighborhoodBase(klein, [frozenset({0})]),
                          Carrier(range(2)),
                          [(0, 1), (1, 0), (1, 0), (0, 1)])

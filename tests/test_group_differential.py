@@ -123,23 +123,60 @@ def test_group_tables_match_full_scan():
     assert all(kinds[kind] >= 50 for kind in ("ok",) + REJECTIONS), kinds
 
 
+def test_out_of_range_entries_match_full_scan():
+    # Entries just past either end of 0..k-1, anywhere in the table.
+    rng = random.Random(25)
+    for _ in range(200):
+        mul = [list(row) for row in relabel(rng, rng.choice(GROUPS))]
+        k = len(mul)
+        mul[rng.randrange(k)][rng.randrange(k)] = rng.choice((-1, k, k + 3))
+        names = [f"x{i}" for i in range(k)]
+        want = verdict(finite_group_reference, names, mul)
+        assert want == ("error", "multiplication table entry out of range")
+        assert group_verdict(names, mul) == want, mul
+
+
+def identity(mul):
+    """The two-sided identity of a table, or None."""
+    k = len(mul)
+    return next((i for i in range(k) if all(
+        mul[i][j] == j and mul[j][i] == j for j in range(k))), None)
+
+
+def tables_with_identity(rng, count):
+    """(mul, e) for the random tables that have an identity e, the only
+    tables `FiniteGroup` takes on to `_generators` and Light's test."""
+    for mul in random_tables(rng, count):
+        e = identity(mul)
+        if e is not None:
+            yield tuple(map(tuple, mul)), e
+
+
 def test_generators_close_to_the_whole_table():
     rng = random.Random(22)
-    for mul in random_tables(rng, 600):
-        gens = _generators(mul)
-        assert closure(mul, gens) == set(range(len(mul)))
-        # Greedy in index order: each index is a generator exactly when
-        # the earlier generators do not reach it.
+    seen = 0
+    for mul, e in tables_with_identity(rng, 600):
+        gens = _generators(mul, e)
+        assert e not in gens
+        assert closure(mul, gens) | {e} == set(range(len(mul)))
+        # Greedy in index order over the indices other than the identity:
+        # each is a generator exactly when the identity and the earlier
+        # generators do not reach it.
         for g in range(len(mul)):
             earlier = [x for x in gens if x < g]
-            assert (g in gens) == (g not in closure(mul, earlier))
+            assert (g in gens) == (g not in closure(mul, [e] + earlier))
+        seen += 1
+    assert seen >= 300, seen
 
 
 def test_light_test_decides_associativity():
     rng = random.Random(23)
-    for mul in random_tables(rng, 600):
-        mul = tuple(map(tuple, mul))
-        assert _light_test(mul, _generators(mul)) == is_associative(mul)
+    seen = Counter()
+    for mul, e in tables_with_identity(rng, 600):
+        associative = is_associative(mul)
+        assert _light_test(mul, _generators(mul, e)) == associative
+        seen[associative] += 1
+    assert seen[True] >= 100 and seen[False] >= 50, seen
 
 
 def block_action(gen_perms, degree, n_points):
@@ -253,7 +290,7 @@ def test_groups_at_the_cap():
         ref = finite_group_reference(group.names, group.mul)
         assert (group.names, group.mul, group.inv, group.e) == ref
         assert closure(group.mul, group.gens) == set(range(group.order))
-    assert FiniteGroup.cyclic(48).gens == (0, 1)
+    assert FiniteGroup.cyclic(48).gens == (1,)
     with pytest.raises(ValueError, match="exceeds the cap 48"):
         FiniteGroup.cyclic(49)
 

@@ -351,6 +351,29 @@ def test_main_family_runs_each_scan_once_per_action_and_value(monkeypatch):
     assert len(runs) == len(set(runs))
 
 
+def test_densesub_lists_the_subgroups_once_per_action(monkeypatch):
+    # The densesub check reads every subgroup of the group at each germ;
+    # the list is kept in the cache an action's germs share, so besides
+    # the one call per group that builds the chains, subgroups() runs once
+    # per action, not once per chain.
+    calls = Counter()
+    real = gaction.FiniteGroup.subgroups
+
+    def counted(group):
+        calls[group.order] += 1
+        return real(group)
+
+    monkeypatch.setattr(gaction.FiniteGroup, "subgroups", counted)
+    report = suite.run_suite(max_n=3, filters=["densesub"])
+    assert report.ok
+    # The standard groups have distinct orders.
+    groups = suite.suite_groups()
+    actions = Counter({group.order: sum(
+        len(suite.curated_actions(gname, group, gens, n))
+        for n in range(1, 4)) for gname, group, gens in groups})
+    assert calls == actions + Counter(group.order for _, group, _ in groups)
+
+
 def test_cached_semigroup_upgrade_keeps_each_chains_verdict():
     # Z4 rotating four points; the chains (Z4, {0, 2}) and ({0, 2}) share
     # their deepest level and one cache.  The table is not P4: only the
