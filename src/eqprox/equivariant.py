@@ -31,9 +31,10 @@ Equinormality runs the axiom check on the translate-overlap table, then
 a separation scan that, for each row, compares two bitsets built from the
 two mask routes (forward translates and inverse pullbacks) at the deepest
 level.  The scan builds one bitset per distinct translate and ANDs it with
-each row, so the axiom check dominates.  Invariance permutes each row's
-bit positions by delta swaps, at most n - 1 per row and generator of the
-group: the first element that breaks invariance is always a generator.
+each row; the axiom check reads only the map of beta_G unless an axiom
+fails.  Invariance permutes each row's bit positions by delta swaps, at
+most n - 1 per row and generator of the group: the first element that
+breaks invariance is always a generator.
 The semigroup upgrade ANDs each row's far sets with one pullback per
 level of the row of its translate, the OR of the preimage masks of the
 translate map.

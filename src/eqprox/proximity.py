@@ -13,27 +13,35 @@ integers.  Every table built from an action, a metric or a valid basis is
 that of one union-preserving map f, near(A, B) iff B meets f(A)
 (`meets_table`); a list without a least member ANDs its members' tables.
 A table of one map holds f and derives its rows when they are first read,
-so a reader of f alone (the point block, one entry, or the hex text of
-the rows through `meets_hex`) never builds them.
+so a reader of f alone (the point block, one entry, the hex text of the
+rows through `meets_hex`, the axiom verdicts or domination) never builds
+them.
 Tables repeat rows: one induced by a basis often holds only a few dozen
-distinct rows among its 2**n.  So symmetry is decided from the distinct
-rows when they are few, P1 once per class of equal rows, the axioms that
-read a row only through its value once per distinct row, and on a
-symmetric table the far-pair searches visit B only at the first copy of
-its row.
+distinct rows among its 2**n.  So the row scan decides symmetry from the
+distinct rows when they are few, P1 once per class of equal rows, the
+axioms that read a row only through its value once per distinct row, and
+on a symmetric table the far-pair searches visit B only at the first copy
+of its row.
 
-The axioms checked are the classical ones:
+The axioms checked are the classical ones, and on a one-map table each
+is a property of the relation x R y iff y in f(x) (proved at
+`check_axioms`):
 
-  P1  overlapping sets are near
-  P2  symmetry
-  P3  nothing is near the empty set
-  P4  near(A, B u C)  iff  near(A, B) or near(A, C)
-  P5  a far pair is separated by a cut set C (A far C and X\\C far B)
-  P5' a far pair has disjoint strong neighborhoods
-  P6  distinct points are far (separatedness; optional)
+  P1  overlapping sets are near                       R reflexive
+  P2  symmetry                                        R symmetric
+  P3  nothing is near the empty set                   always
+  P4  near(A, B u C) iff near(A, B) or near(A, C)     always
+  P5  a far pair is separated by a cut set C          R o R inside R
+      (A far C and X\\C far B)
+  P5' a far pair has disjoint strong neighborhoods    f(a) misses f(b) if
+                                                      b is not in f(a)
+  P6  distinct points are far (separatedness;         f(x) inside {x}
+      optional)
 
 P5 and P5' are checked by independent criteria, run through one far-pair
-search, and must agree on any relation satisfying P1-P4.
+search on rows and by their own map criterion, and must agree on any
+relation satisfying P1-P4.  The table of f dominates that of g iff f(x)
+is inside g(x) for every x (take B = {y}).
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from functools import lru_cache, reduce
 from operator import and_
 
 from .errors import CarrierMismatch, ResourceCap
-from .setrel import kept_least_entourage
+from .setrel import _join_mask, kept_least_entourage
 
 AXIOM_CHECK_CAP = 12
 
@@ -381,8 +389,72 @@ def check_axioms(p):
     """Exhaustively check P1-P6 and P5' over every subset pair.
 
     Counterexamples are the first violations in the fixed subset
-    enumeration order, so reports are reproducible.  The check is
-    Theta(8**n) in quantifier volume, hence the cap.
+    enumeration order, so reports are reproducible.  A table given by its
+    rows is scanned as a bit matrix (`_scan_rows`), at most
+    Theta(n * 4**n) bit operations on whole 2**n-bit integers, hence the
+    cap.
+
+    A one-map table (`meets_table`: near(A, B) iff B meets f(A)) is
+    decided on its map first.  Write x R y for y in f(x): B meets f(A)
+    iff x R y for some x in A and y in B, so each axiom is a property of
+    R, and A = {x}, B = {y} shows each condition below is necessary:
+
+    * P1 iff R is reflexive: if A and B share x, then x is in f(x),
+      inside f(A).
+    * P2 iff R is symmetric: then x R y iff y R x for x in A and y in
+      B, which is B meets f(A) iff A meets f(B).
+    * P3 and P4 always hold: f(empty) is empty, and B u C meets f(A) iff
+      B or C does.
+    * P5 iff R o R is inside R, f(f(x)) inside f(x): C is far from A iff
+      C misses f(A), so the best cut for a far pair is X \\ f(A), and it
+      works iff B misses f(f(A)); every B that misses f(A) does so iff
+      f(f(A)) is inside f(A).
+    * P5' iff f(a) misses f(b) whenever b is not in f(a): A1 is a strong
+      neighborhood of A iff it holds f(A), so a far pair has disjoint
+      ones iff f(A) misses f(B), and for a far pair every a in A and b
+      in B are a far pair of points.
+    * P6 iff f(x) is inside {x}: the point block of the table is f.
+
+    P1 and P5' imply P2 and P5 (`_map_passes`), so the check is O(n**2)
+    mask operations.  When P1, P2, P5 and P5' pass, the report is made
+    without a row; when one fails, the row scan runs and names every
+    counterexample, so the report is that of the same table given by its
+    rows.
+    """
+    n = p.carrier.n
+    if n > AXIOM_CHECK_CAP:
+        raise ResourceCap(f"axiom check needs carrier size <= "
+                          f"{AXIOM_CHECK_CAP}, got {n}")
+    if p.map is not None and _map_passes(p.map):
+        results = dict.fromkeys(P1_P5 + ("P5prime",), (True, None))
+    else:
+        results = _scan_rows(p)
+
+    # P6: distinct points are far.
+    near_points = _first_near_points(_points(p))
+    results["P6"] = ((True, None) if near_points is None else
+                     (False, tuple(p.carrier.mask_subset(1 << i)
+                                   for i in near_points)))
+    return AxiomReport(results)
+
+
+def _map_passes(f):
+    """Whether the table of the union-preserving map with point values f
+    passes P1, P2, P5 and P5' (see `check_axioms`), which is whether R is
+    reflexive (P1) and f(a) misses f(b) whenever b is not in f(a) (P5'):
+    these two give the others.  If x R y but not y R x, then y is in f(y)
+    and in f(x) while x is not in f(y); if x R y R z but not x R z, then
+    y is in f(x) and, by symmetry, in f(z) while z is not in f(x).
+    Either breaks P5'.  So R is
+    an equivalence relation: the table is a partition proximity."""
+    full = (1 << len(f)) - 1
+    return (all(fx >> x & 1 for x, fx in enumerate(f))
+            and all(not _join_mask(f, full ^ fx) & fx for fx in f))
+
+
+def _scan_rows(p):
+    """The verdicts and first counterexamples of P1-P5 and P5' from the
+    rows of the table, every counterexample named.
 
     The table is handled as a bit matrix whose rows are 2**n-bit integers,
     so each quantifier over subsets becomes a whole-integer operation
@@ -417,7 +489,6 @@ def check_axioms(p):
     * P5' reads, for each row A, the OR of the submasks of X \\ C over the
       strong neighborhoods C of A.  C is one iff X \\ C is far from A, so
       the OR is the down-closure of the far sets of A: n shift-ORs.
-    * P6 ANDs each point row once with the bits of the other singletons.
 
     One pass over the 2**n indices finds the classes of equal rows,
     keyed by the n-bit images on a table of one map; with the class ORs
@@ -433,14 +504,11 @@ def check_axioms(p):
     at most r**2 far-pair tests (r * 2**n if asymmetric).  A table with
     more than half of its rows distinct ORs every row for P1; it, and an
     asymmetric table, also pays the full transpose, Theta(n * 2**n); one
-    with all rows distinct (the finest, ``Prox.overlap``) still visits
+    with all rows distinct (the rows of ``Prox.overlap``) still visits
     every far pair.
     """
     carrier = p.carrier
     n = carrier.n
-    if n > AXIOM_CHECK_CAP:
-        raise ResourceCap(f"axiom check needs carrier size <= "
-                          f"{AXIOM_CHECK_CAP}, got {n}")
     N = 1 << n
     full_bits = (1 << N) - 1
     rows = p.rows
@@ -554,13 +622,7 @@ def check_axioms(p):
         unmet = _first_unmet_far_pair(rows, firsts, searched, need, table)
         results[name] = ((True, None) if unmet is None else
                          (False, tuple(map(subset, unmet))))
-
-    # P6: distinct points are far.
-    near_points = _first_near_points(_point_block(rows, n))
-    results["P6"] = ((True, None) if near_points is None else
-                     (False, tuple(subset(1 << i) for i in near_points)))
-
-    return AxiomReport(results)
+    return results
 
 
 def dominates(p1, p2):
@@ -571,6 +633,8 @@ def dominates(p1, p2):
     """
     if p1.carrier != p2.carrier:
         raise CarrierMismatch("proximities live on different carriers")
+    if p1.map is not None and p2.map is not None:
+        return all(f & ~g == 0 for f, g in zip(p1.map, p2.map))
     return all(r1 & ~r2 == 0 for r1, r2 in zip(p1.rows, p2.rows))
 
 
@@ -633,9 +697,13 @@ def _first_near_points(points):
     return None
 
 
+def _points(p):
+    """The point block of a table: the map of a one-map table, no row
+    derived."""
+    return p.map if p.map is not None else _point_block(p.rows, p.carrier.n)
+
+
 def is_separated(p):
     """Whether distinct points are always far (axiom P6 alone), read from
-    the point block: the map of a one-map table, no row derived."""
-    points = (p.map if p.map is not None
-              else _point_block(p.rows, p.carrier.n))
-    return _first_near_points(points) is None
+    the point block."""
+    return _first_near_points(_points(p)) is None

@@ -18,9 +18,14 @@ from eqprox.suite import _graph_proximity, _random_valid_basis, basis_pool
 
 
 def assert_same_report(p):
+    """check_axioms against the reference, and on a one-map table also
+    the row scan of its rows-given copy against the same report."""
     got = check_axioms(p)._results
-    want = check_axioms_reference(p)._results
-    assert list(got.items()) == list(want.items()), (p.carrier.n, p.rows)
+    want = list(check_axioms_reference(p)._results.items())
+    assert list(got.items()) == want, (p.carrier.n, p.rows)
+    if p.map is not None:
+        rows_given = check_axioms(Prox(p.carrier, p.rows))._results
+        assert list(rows_given.items()) == want, (p.carrier.n, p.rows)
 
 
 def valid_tables(rng, sizes):
@@ -273,6 +278,7 @@ def test_first_unmet_far_pair_matches_double_loop():
 def test_symmetric_table_reverses_each_distinct_row_once(monkeypatch):
     # The 64 rows of the finest proximity on six points are all distinct
     # and symmetric: the columns are the rows, so no column is reversed.
+    # Its one-map table passes on the map and reverses nothing.
     calls = []
     real = proximity._reverse_bits
 
@@ -281,7 +287,10 @@ def test_symmetric_table_reverses_each_distinct_row_once(monkeypatch):
         return real(x, width)
 
     monkeypatch.setattr(proximity, "_reverse_bits", counted)
-    assert check_axioms(Prox.overlap(Carrier(range(6)))).ok()
+    finest = Prox.overlap(Carrier(range(6)))
+    assert check_axioms(finest).ok()
+    assert calls == []
+    assert check_axioms(Prox(finest.carrier, finest.rows)).ok()
     assert len(calls) == 64
 
 
