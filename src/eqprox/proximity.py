@@ -17,11 +17,11 @@ so a reader of f alone (the point block, one entry, the hex text of the
 rows through `meets_hex`, the axiom verdicts or domination) never builds
 them.
 Tables repeat rows: one induced by a basis often holds only a few dozen
-distinct rows among its 2**n.  So the row scan decides symmetry from the
-distinct rows when they are few, P1 once per class of equal rows, the
-axioms that read a row only through its value once per distinct row, and
-on a symmetric table the far-pair searches visit B only at the first copy
-of its row.
+distinct rows among its 2**n.  The row scan ORs every row with its
+submask row for P1, Theta(2**n) row ORs, and compares the rows with one
+full transpose for P2; it decides P4, P5 and P5', which read a row only
+through its value, once per distinct row, and on a symmetric table the
+far-pair searches visit B only at the first copy of its row.
 
 The axioms checked are the classical ones, and on a one-map table each
 is a property of the relation x R y iff y in f(x) (proved at
@@ -46,7 +46,6 @@ is inside g(x) for every x (take B = {y}).
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache, reduce
 from operator import and_
 
@@ -163,64 +162,24 @@ def _low_half_masks(n):
 
 
 def _transpose(rows, n):
-    """A 2**m x 2**n bit matrix, given by its 2**m row integers (m <= n),
-    with each aligned 2**m x 2**m block transposed; with m = n, the
-    columns of the matrix.
+    """The columns of a 2**n x 2**n bit matrix given by its 2**n row
+    integers: bit i of column k is bit k of row i.
 
-    Bit c*2**m + i of result k is bit c*2**m + k of row i.  Round j swaps,
-    between rows r and r | 2**j (bit j of r clear), the bits whose column
-    has bit j clear in the lower row with their partners 2**j higher in the
-    upper row; after m rounds every bit has had its row index and the low
-    m bits of its column index exchanged.
+    Round j swaps, between rows r and r | 2**j (bit j of r clear), the
+    bits whose column has bit j clear in the lower row with their partners
+    2**j higher in the upper row; after n rounds every bit has had its row
+    and column indices exchanged.
     """
     cols = list(rows)
-    M = len(rows)
-    for j, lo in enumerate(_low_half_masks(n)[:M.bit_length() - 1]):
+    for j, lo in enumerate(_low_half_masks(n)):
         s = 1 << j
-        for r in range(M):
+        for r in range(1 << n):
             if r & s:
                 continue
             t = ((cols[r] >> s) ^ cols[r | s]) & lo
             cols[r | s] ^= t
             cols[r] ^= t << s
     return cols
-
-
-def _symmetric_by_classes(rows, rep, firsts, n):
-    """Whether the table is symmetric, decided from its distinct rows (by
-    their first indices ``firsts`` and each index's first copy ``rep``) as
-    `check_axioms` says; False, undecided, when the rows padded to a power
-    of two are more than half of the 2**n rows.  From 16 rows on the
-    padding is at least 8, so that signatures are whole bytes."""
-    N = 1 << n
-    M = 1 << (len(firsts) - 1).bit_length()
-    if N >= 16:
-        M = max(M, 8)
-    if 2 * M > N:
-        return False
-    full_bits = (1 << N) - 1
-    pad = [0] * (M - len(firsts))
-    t = _transpose([rows[f] & full_bits for f in firsts] + pad, n)
-    # Signature b = c*M + k is chunk c of t[k].
-    sig = [0] * N
-    for k, x in enumerate(t):
-        sig[k::M] = _chunks(x, M, N // M)
-    if sig != list(map(sig.__getitem__, rep)):
-        return False
-    q = [sig[f] for f in firsts] + pad
-    return _transpose(q, M.bit_length() - 1) == q
-
-
-def _chunks(x, width, count):
-    """The `count` width-bit chunks of x, lowest first: at widths 8-64 the
-    bytes of x read at once as native unsigned ints ("BHIQ" by width),
-    at other widths by shifts."""
-    if 8 <= width <= 64:
-        view = memoryview(x.to_bytes(width // 8 * count, sys.byteorder))
-        view = view.cast("BHIQ"[width.bit_length() - 4])
-        return view if sys.byteorder == "little" else view[::-1]
-    mask = (1 << width) - 1
-    return [x >> i & mask for i in range(0, width * count, width)]
 
 
 # _REVERSED_BYTES[b] is the byte b with its 8 bits in reverse order.
@@ -460,27 +419,11 @@ def _scan_rows(p):
     so each quantifier over subsets becomes a whole-integer operation
     (Warren, *Hacker's Delight*, ch. 7):
 
-    * P1 ORs a row with the sets that miss its index, one row of the
-      submask table; the row passes when the OR is full.  With at most
-      half of the rows distinct, each class of equal rows is checked
-      once, against the OR of its indices, and the rows are scanned one
-      by one only to name the first violation.
-    * P2 is decided from the r distinct rows v_0..v_{r-1} (first copies
-      f_0..f_{r-1}) when r, padded to a power of two R (at least 8 from
-      16 rows on), is at most half of the rows
-      (``_symmetric_by_classes``).  One block transpose of the padded
-      rows gives each index b its signature K_b = {k : v_k holds b}, an
-      R-bit chunk of a transposed row (``_chunks``).  The table is
-      symmetric iff (S) K_b = K_{f_k} for every
-      b in the class of v_k, so every row is a union of classes, and
-      (Q) the r x r matrix with rows K_{f_l} is symmetric, which one more
-      block transpose at width R decides: symmetry makes K_b the set of
-      k with f_k in row b, so S, and Q is symmetry at the first copies;
-      conversely S and Q carry bit b of row a to bit a of row b through
-      the first copies of both rows.  A symmetric table is its own
-      transpose.  Otherwise the rows are compared with the columns of the
-      full transpose, n rounds of block swaps, which also gives the first
-      asymmetric pair.
+    * P1 ORs each row, in index order, with the sets that miss its index,
+      one row of the submask table; the row passes when the OR is full.
+    * P2 compares the rows with the columns of the full transpose, n
+      rounds of block swaps, which also gives the first asymmetric pair.
+      A symmetric table is its own transpose.
     * P4 compares each row with the intersectors of the points it is near;
       the lowest differing bit is the first violation.
     * The strong-neighborhood tables of P5 and P5' are bit reversals of
@@ -490,22 +433,14 @@ def _scan_rows(p):
       strong neighborhoods C of A.  C is one iff X \\ C is far from A, so
       the OR is the down-closure of the far sets of A: n shift-ORs.
 
-    One pass over the 2**n indices finds the classes of equal rows,
-    keyed by the n-bit images on a table of one map; with the class ORs
-    of P1 and the signatures of P2 it is the only Theta(2**n) work on
-    small integers.  P4, P5 and P5' read row A only through its value,
-    so they are decided once per distinct row value, and their first
-    violation in index order is still found: it falls on the first copy
-    of its row.  On a symmetric table the far-pair verdict reads B only
-    through its row too, so B is searched at first copies only; an
-    asymmetric table is searched at every far pair.  With r distinct
-    rows, P1 costs Theta(r) operations on 2**n-bit integers, the tables
-    Theta(n * r), P2 on the class path Theta(r * log r), and the searches
-    at most r**2 far-pair tests (r * 2**n if asymmetric).  A table with
-    more than half of its rows distinct ORs every row for P1; it, and an
-    asymmetric table, also pays the full transpose, Theta(n * 2**n); one
-    with all rows distinct (the rows of ``Prox.overlap``) still visits
-    every far pair.
+    P4, P5 and P5' read row A only through its value, so they run once
+    per distinct row value, at its first copy, where their first violation
+    in index order falls.  On a symmetric table the far-pair verdict reads
+    B only through its row too, so B is searched at first copies only.
+    With r distinct rows, on 2**n-bit integers: P1 costs Theta(2**n) row
+    ORs, P2 Theta(n * 2**n) operations, the P5 and P5' tables
+    Theta(n * r), and the searches at most r**2 far-pair tests (r * 2**n
+    if asymmetric).
     """
     carrier = p.carrier
     n = carrier.n
@@ -519,48 +454,35 @@ def _scan_rows(p):
     # P4, P5 and P5' read row a only through its value rows[a] and tables
     # indexed by b, so a later copy of a row value passes exactly when its
     # first copy does: they run over first copies only.  rep[a] is the
-    # first index holding rows[a].  The rows of a one-map table are equal
-    # exactly where their images are, so no 2**n-bit row is hashed.
+    # first index holding rows[a].
     first = {}
-    rep = [first.setdefault(key, a) for a, key in
-           enumerate(rows if p.map is None else _join_table(p.map))]
+    rep = [first.setdefault(row, a) for a, row in enumerate(rows)]
     firsts = list(first.values())
 
     # P1: intersecting pairs must be near.  submasks[full ^ a] holds the
     # sets disjoint from a, so row a passes when it holds every other set.
-    # The sets that meet some index of a class meet the OR of its indices.
     submasks = _submask_table(n)
     full = N - 1
-    if 2 * len(firsts) <= N:
-        union = dict.fromkeys(firsts, 0)
-        for a, f in enumerate(rep):
-            union[f] |= a
-        classes_pass = all(rows[f] | submasks[full ^ u] == full_bits
-                           for f, u in union.items())
-    else:
-        classes_pass = False
     results["P1"] = (True, None)
-    if not classes_pass:
-        for a, row in enumerate(rows):
-            viol = full_bits ^ (row | submasks[full ^ a])
-            if viol:
-                b = (viol & -viol).bit_length() - 1
-                results["P1"] = (False, (subset(a), subset(b)))
-                break
+    for a, row in enumerate(rows):
+        viol = full_bits ^ (row | submasks[full ^ a])
+        if viol:
+            b = (viol & -viol).bit_length() - 1
+            results["P1"] = (False, (subset(a), subset(b)))
+            break
 
     # P2: symmetry.  A symmetric table's rows are its columns; the
     # transpose replaces them only on an asymmetric table.
     results["P2"] = (True, None)
     cols = rows
-    if not _symmetric_by_classes(rows, rep, firsts, n):
-        transposed = _transpose(rows, n)
-        for a in range(N):
-            viol = rows[a] & ~transposed[a] & full_bits
-            if viol:
-                b = (viol & -viol).bit_length() - 1
-                results["P2"] = (False, (subset(a), subset(b)))
-                cols = transposed
-                break
+    transposed = _transpose(rows, n)
+    for a in range(N):
+        viol = rows[a] & ~transposed[a] & full_bits
+        if viol:
+            b = (viol & -viol).bit_length() - 1
+            results["P2"] = (False, (subset(a), subset(b)))
+            cols = transposed
+            break
 
     # P3: the empty set is near nothing.
     if rows[0]:

@@ -7,12 +7,11 @@ counterexample for counterexample, in the same axiom order.
 import random
 
 from axioms_reference import check_axioms_reference
-from test_proximity import distinct_rows, union_of_classes_table
+from test_proximity import union_of_classes_table
 
 from eqprox import proximity
 from eqprox.proximity import Prox, _first_unmet_far_pair, _intersectors, \
-    _symmetric_by_classes, _transpose, check_axioms, from_uniformity, \
-    meets_table
+    _transpose, check_axioms, from_uniformity, meets_table
 from eqprox.setrel import Carrier
 from eqprox.suite import _graph_proximity, _random_valid_basis, basis_pool
 
@@ -161,11 +160,6 @@ def test_one_repeated_value_matches_reference():
                     Prox(carrier, flipped(rows, a, rng)))
 
 
-def takes_class_path(rows, n):
-    """Whether check_axioms decides P2 from the distinct rows alone."""
-    return _symmetric_by_classes(rows, *distinct_rows(rows), n)
-
-
 def block_relation_table(rng, carrier, k):
     """near(A, B) iff B meets the blocks related to a block A meets, for
     a random partition into at most k blocks and a random reflexive block
@@ -183,8 +177,8 @@ def block_relation_table(rng, carrier, k):
 
 
 def test_asymmetric_repeated_rows_match_reference():
-    # The class path says no on these, so the transposed table gives the
-    # P2 witness and the columns of the P5 and P5' searches.
+    # The transposed table gives the P2 witness and the columns of the P5
+    # and P5' searches.
     rng = random.Random(18)
     seen = 0
     for n in range(2, 8):
@@ -196,15 +190,13 @@ def test_asymmetric_repeated_rows_match_reference():
                          class_map_table(rng, n, rng.randint(2, 6))):
                 if 2 * len(set(rows)) > N or rows == _transpose(rows, n):
                     continue
-                assert not takes_class_path(rows, n)
                 assert_same_report(Prox(carrier, rows))
                 seen += 1
     assert seen > 200, seen
 
 
 def test_half_and_one_more_distinct_rows_match_reference():
-    # N/2 distinct rows is the largest count decided from the rows; one
-    # more pads to N rows and takes the transpose.
+    # Half of the rows distinct, and one more, symmetric or not.
     rng = random.Random(19)
     for n in range(1, 8):
         carrier = Carrier(range(n))
@@ -213,9 +205,6 @@ def test_half_and_one_more_distinct_rows_match_reference():
             for t in range(6):
                 rows = union_of_classes_table(rng, n, r, t % 3 != 2)
                 assert len(set(rows)) == r
-                symmetric = rows == _transpose(rows, n)
-                assert takes_class_path(rows, n) == \
-                    (symmetric and r == N // 2)
                 assert_same_report(Prox(carrier, rows))
                 assert_same_report(
                     Prox(carrier, flipped(rows, rng.randrange(N), rng)))
@@ -338,8 +327,9 @@ def distinct_objects(rows):
 
 
 def test_equal_rows_held_by_distinct_objects_match_reference():
-    # A one-map table keys its classes by its images; the same rows given
-    # one object each are keyed by their values and must report the same.
+    # A one-map table shares one int object per distinct row; the same
+    # rows given one object each are matched to their first copies by
+    # value and must report the same.
     rng = random.Random(23)
     seen = 0
     for carrier, rows in repeated_row_tables(rng, range(1, 8), 8):
@@ -367,10 +357,9 @@ def partition_table(rng, n, blocks):
 
 def test_partition_tables_at_the_cap_match_reference():
     # The cap-checks shape: partition tables at n = 9-11 with 2 to 64
-    # distinct rows, padded to signatures of 8 to 64 bits, as they are or
-    # with one bit flipped at a later copy of a row.  Bit a of row a
-    # breaks P1 and keeps the table symmetric, with one more distinct row
-    # (65 at n = 10, past the 64-bit signatures); any other bit breaks P2.
+    # distinct rows, as they are or with one bit flipped at a later copy
+    # of a row.  Bit a of row a breaks P1 and keeps the table symmetric,
+    # with one more distinct row; any other bit breaks P2.
     rng = random.Random(24)
     for n, blocks, flip in ((9, 1, None), (9, 3, "diagonal"),
                             (9, 5, "other"), (9, 6, None),

@@ -73,6 +73,22 @@ def test_corrupt_basis_drops_the_least_diagonal_pair_of_the_first_entourage():
         assert bad.basis[1:] == u.basis[1:]
 
 
+def test_first_mismatch_of_equal_one_map_tables_builds_no_row():
+    carrier = suite.Carrier(range(5))
+    f = [0b00011, 0b00011, 0b11100, 0b11100, 0b11100]
+    p, q = suite.meets_table(carrier, f), suite.meets_table(carrier, list(f))
+    assert suite._first_mismatch(p, q) is None
+    assert p._rows is None and q._rows is None
+    # Different maps, or a table given by its rows, are compared on rows.
+    g = [0b00011, 0b00011, 0b11100, 0b11100, 0b10000]
+    r = suite.meets_table(carrier, g)
+    a, b = suite._first_mismatch(p, r)
+    assert p.near(a, b) != r.near(a, b)
+    assert suite._first_mismatch(p, suite._corrupt_prox(p)) == \
+        (frozenset({0}), frozenset({0}))
+    assert suite._first_mismatch(suite.Prox(carrier, q.rows), p) is None
+
+
 def test_metric_family_labels_name_the_failing_setting(monkeypatch):
     # Chains and actions are built once per n; the label must still name
     # the matrix, action and chain of the setting that failed.
