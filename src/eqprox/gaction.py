@@ -53,9 +53,11 @@ class FiniteGroup:
     Associativity is decided by Light's test (Clifford & Preston, The
     Algebraic Theory of Semigroups, vol. 1): the middle elements b with
     (ab)c = a(bc) for all a, c hold the identity and are closed under the
-    product, so checking b over `gens` decides the table in k^2 * |gens|
-    steps.  Only when that test fails does the full k^3 scan run, so the
-    reported triple is the first one in (a, b, c) order.
+    product, so checking b over `gens` decides the table in k * |gens|
+    byte translates of k bytes (`_light_test`).  Only when that test fails
+    does the full k^3 scan run, so the reported triple is the first one in
+    (a, b, c) order.  `mul`, `inv` and `gens` are tuples of ints; byte
+    rows live only inside the checks.
     """
 
     __slots__ = ("names", "mul", "inv", "e", "name_index", "gens")
@@ -127,22 +129,28 @@ class FiniteGroup:
         composition and return (group, permutation per element index).
 
         Elements are discovered breadth-first from the identity, so the
-        numbering is deterministic.  The product table is filled along the
-        edges the search finds, a column at a time: k * len(perms)
-        compositions, then one `map` of k lookups per column for a closure
-        of k elements, and one `zip` turns the columns into rows.  Names
-        are "p" followed by the one-line images, the identity being "e";
-        above degree 10 the images are joined with "." so that no two
-        names coincide.
+        numbering is deterministic.  Each element is held as a byte row
+        while the closure runs, so a composition is one `bytes.translate`
+        of d bytes, and the degree d is refused above 256.  The product
+        table is filled along the edges the search finds, a column at a
+        time: k * len(perms) byte translates of d bytes, then one of k
+        bytes per column for a closure of k elements, and one `zip` turns
+        the columns into rows.  Names are "p" followed by the one-line
+        images, the identity being "e"; above degree 10 the images are
+        joined with "." so that no two names coincide.
         """
         perms = [tuple(p) for p in perms]
         if not perms:
             raise ValueError("need at least one permutation")
         d = len(perms[0])
+        if d > 256:
+            raise ValueError(
+                f"permutation degree {d} exceeds the limit 256 (one byte "
+                "per image)")
         for p in perms:
             if sorted(p) != list(range(d)):
                 raise ValueError(f"not a permutation of 0..{d - 1}: {p!r}")
-        ident = tuple(range(d))
+        ident = bytes(range(d))
         found = {ident: 0}
         order = [ident]
         # `order` is also the search queue.  right[i][s] is the element
@@ -150,10 +158,12 @@ class FiniteGroup:
         # the generator gen[j], so j = parent[j]*perms[gen[j]].
         right = []
         parent, gen = [0], [0]
+        perms = [bytes(p) for p in perms]
         for i, q in enumerate(order):
+            table = _translate_table(q)
             row = []
             for s, p in enumerate(perms):
-                r = tuple(map(q.__getitem__, p))
+                r = p.translate(table)
                 if r not in found:
                     if len(found) >= DEFAULT_MAX_GROUP:
                         raise ValueError("permutation closure exceeds the "
@@ -168,10 +178,10 @@ class FiniteGroup:
         # i*j = (i*parent[j])*perms[gen[j]] along the tree of first finds:
         # column j is column parent[j] moved by right multiplication with
         # perms[gen[j]], whose column of `right` is by_gen[gen[j]].
-        by_gen = [col.__getitem__ for col in zip(*right)]
-        cols = [range(len(order))]
+        by_gen = list(map(_translate_table, zip(*right)))
+        cols = [bytes(range(len(order)))]
         for j in range(1, len(order)):
-            cols.append(tuple(map(by_gen[gen[j]], cols[parent[j]])))
+            cols.append(cols[parent[j]].translate(by_gen[gen[j]]))
         mul = zip(*cols)
 
         sep = "." if d > 10 else ""
@@ -179,7 +189,8 @@ class FiniteGroup:
         def name(p):
             return "e" if p == ident else "p" + sep.join(map(str, p))
 
-        return cls(tuple(name(p) for p in order), mul), tuple(order)
+        return (cls(tuple(name(p) for p in order), mul),
+                tuple(map(tuple, order)))
 
     @classmethod
     def symmetric(cls, m):
@@ -260,14 +271,25 @@ def _generators(mul, e):
 
 
 def _light_test(mul, gens):
-    """Whether (a.b).c == a.(b.c) for every b in gens and all a, c, one
-    comparison of tuple rows per (a, b)."""
+    """Whether (a.b).c == a.(b.c) for every b in gens and all a, c: per
+    (a, b), the row of b translated through the row of a as bytes, which
+    is the row c -> a.(b.c), against the row of a.b.  k * |gens| byte
+    translates of k bytes; every entry is below the order cap 48."""
+    rows = [bytes(row) for row in mul]
+    tables = list(map(_translate_table, mul))
     for b in gens:
-        right = mul[b]
-        for row in mul:
-            if mul[row[b]] != tuple(map(row.__getitem__, right)):
+        right = rows[b]
+        for row, table in zip(mul, tables):
+            if rows[row[b]] != right.translate(table):
                 return False
     return True
+
+
+def _translate_table(row):
+    """The 256-byte `bytes.translate` table of a row of indices below 256,
+    padded with zeros: p.translate(_translate_table(q)) is the row
+    x -> q[p[x]], the composition q o p."""
+    return bytes(row).ljust(256, b"\0")
 
 
 class NeighborhoodBase:
@@ -320,7 +342,10 @@ class GActionGerm(setrel.Memo):
     checked to act as the identity first.  Each other index outside `gens`
     lies in the closure of the indices before it, so the first g in index
     order that breaks the law is a generator, and the first failing pair
-    of the `gens` scan is the first one of the full (g, h) scan.
+    of the `gens` scan is the first one of the full (g, h) scan.  Each
+    composed row act[g] o act[h] is one `bytes.translate` of n bytes, so
+    the law costs k * |gens| byte translates for a group of order k; `act`
+    stays a tuple of int tuples.
 
     The cache of tables and verdicts (`_cached`) belongs to the action,
     not to the chain: its keys hold level and basis values, never a chain
@@ -342,9 +367,11 @@ class GActionGerm(setrel.Memo):
                     f"action of {group.names[g]!r} is not a carrier permutation")
         if act[group.e] != tuple(range(n)):
             raise ValueError("identity must act as the identity permutation")
+        rows = [bytes(p) for p in act]
         for g in group.gens:
+            table = _translate_table(act[g])
             for h, gh in enumerate(group.mul[g]):
-                if tuple(map(act[g].__getitem__, act[h])) != act[gh]:
+                if rows[h].translate(table) != rows[gh]:
                     raise ValueError(
                         "action law fails at pair "
                         f"({group.names[g]!r}, {group.names[h]!r})")

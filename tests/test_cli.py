@@ -60,6 +60,53 @@ def test_validate_twelve_point_generator_document(capsys):
                    "neighborhood_base: ok (2 levels)\naction: ok\n")
 
 
+ORDER48 = "twelve_points_order48_generators.json"
+
+
+def test_order48_generator_document_is_s4_times_z2(capsys):
+    # r and s act as S4 on x0-x3 and on x4-x7 alike; w swaps those two
+    # blocks and the points of the pairs x8, x9 and x10, x11, and commutes
+    # with both, so the closure has the cap order 48 and {e, w} is normal.
+    inst = load_instance(fixture(ORDER48))
+    group, act = inst.germ.group, inst.germ.act
+    assert group.order == 48 and len(set(act)) == 48
+    assert all(type(x) is int for p in act for x in p)
+    w = group.name_index["w"]
+    assert all(group.mul[w][g] == group.mul[g][w] for g in range(48))
+    assert inst.germ.deepest == {group.e, w}
+    code, out, err = run(capsys, "validate", fixture(ORDER48))
+    assert (code, err) == (0, "")
+    assert out.startswith("document: ok\ngroup: ok (order 48)\n"
+                          "neighborhood_base: ok (1 levels)\naction: ok\n")
+    assert ("  saturated: pass\n"
+            "  bounded: FAIL  witness=(0, 'w', 'x0')\n") in out
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["validate"],
+     "3b05696f46ed12e5d55ae94e2c91b28f2d7b4879ab643183d14ce89fa622a63d"),
+    (["equinormal", "--json"],
+     "c502939bde4d933d556283408ebf59cd07b729ef1e0b321e7a8d03a6bb7ea354"),
+    (["nu"],
+     "3f01927a5ef5b0183fd44002f0d7df2d5af59d1c412ea192b5d325993c3e4cdc"),
+    (["betag", "--json"],
+     "e1910a0646d6cc2841600a456252779da6876be37953b8e5187c8701636075b4"),
+    (["nu", "--sets", "A", "B"],
+     "f62df300790349ebe729af5c59057a15b208dd0c980229ab5c8d9efeed2ac045"),
+    (["ug", "--json"],
+     "5b6309767c2fdf2c2e540fee90aefb4e2e9fbf6ff96c3dfe1eefc4c778c148ce"),
+    (["massive"],
+     "6d0451aa233b4085aff6e4cdcc5dba503ce05a8b3f36cd37fa88dd319db88b0d"),
+], ids=["validate", "equinormal-json", "nu", "betag-json", "nu-sets",
+        "ug-json", "massive"])
+def test_order48_generator_document_outputs(capsys, argv, digest):
+    # The bytes the requests wrote before permutation rows were composed
+    # as bytes (the first two are pinned in CI as well).
+    code, out, err = run(capsys, argv[0], fixture(ORDER48), *argv[1:])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_equinormal_twelve_points_at_the_cap(capsys):
     # The separation scan goes row by row over all 2**12 subsets.
     code, out, _ = run(capsys, "equinormal", fixture("twelve_points_s3.json"))

@@ -10,6 +10,7 @@ groups, where the generators are not the first indices.
 
 import random
 from collections import Counter
+from functools import partial
 from itertools import permutations
 
 import pytest
@@ -169,6 +170,35 @@ def test_generators_close_to_the_whole_table():
     assert seen >= 300, seen
 
 
+def dihedral(m):
+    """The rotation and the reflection of an m-gon, as permutations."""
+    return [tuple((i + 1) % m for i in range(m)),
+            tuple(-i % m for i in range(m))]
+
+
+# S4 x Z2 on twelve points as in `twelve_points_order48_generators.json`:
+# r and s act as S4 on 0-3 and on 4-7 alike, w swaps the two blocks and
+# the points of the pairs 8, 9 and 10, 11.
+S4_Z2_ON_12 = [(1, 2, 3, 0, 5, 6, 7, 4, 8, 9, 10, 11),
+               (1, 0, 2, 3, 5, 4, 6, 7, 8, 9, 10, 11),
+               (4, 5, 6, 7, 0, 1, 2, 3, 9, 8, 11, 10)]
+
+# Groups of order 48, the cap.
+CAP_GROUPS = [cyclic_table(48)] + [perm_table(perms) for perms in (
+    S4_Z2_ON_12,
+    dihedral(24),                                          # D24
+    [(1, 0, 2, 3, 4, 5), (1, 2, 3, 0, 4, 5),
+     (0, 1, 2, 3, 5, 4)],                                  # S4 x Z2
+    [(1, 0) + tuple(range(2, 26)),
+     (0, 1) + tuple(range(3, 26)) + (2,)],                 # Z2 x Z24
+    [(1, 2, 0, 3, 4, 5, 6, 7), (1, 0, 3, 2, 4, 5, 6, 7),
+     (0, 1, 2, 3, 5, 6, 7, 4)],                            # A4 x Z4
+    [(1, 0, 2) + tuple(range(3, 11)),
+     (1, 2, 0) + tuple(range(3, 11)),
+     (0, 1, 2) + tuple(range(4, 11)) + (3,)],              # S3 x Z8
+)]
+
+
 def test_light_test_decides_associativity():
     rng = random.Random(23)
     seen = Counter()
@@ -177,6 +207,29 @@ def test_light_test_decides_associativity():
         assert _light_test(mul, _generators(mul, e)) == associative
         seen[associative] += 1
     assert seen[True] >= 100 and seen[False] >= 50, seen
+    # At the order cap: each group renumbered, then with one entry other
+    # than in the identity's row and column changed, so that Light's test
+    # is reached; the verdict and the triple named are the k^3 scan's.
+    seen.clear()
+    for base in CAP_GROUPS:
+        assert len(base) == 48
+        for flips in (0, 1, 1, 1):
+            mul = relabel(rng, base)
+            e = identity(mul)
+            if flips:
+                a, b = rng.choice([(a, b) for a in range(48)
+                                   for b in range(48) if e not in (a, b)])
+                mul[a][b] = rng.choice([c for c in range(48)
+                                        if c != mul[a][b]])
+            mul = tuple(map(tuple, mul))
+            associative = is_associative(mul)
+            assert _light_test(mul, _generators(mul, e)) == associative
+            names = [f"x{i}" for i in range(48)]
+            want = verdict(finite_group_reference, names, mul)
+            assert group_verdict(names, mul) == want, mul
+            seen[want[1].split(" at ")[0] if not associative
+                 else want[0]] += 1
+    assert seen == {"ok": 7, "table is not associative": 21}, seen
 
 
 def block_action(gen_perms, degree, n_points):
@@ -193,19 +246,33 @@ def block_action(gen_perms, degree, n_points):
     return group, act
 
 
+def folded_action(gen_perms, n_points):
+    """The group generated by `gen_perms`, acting on 0..n_points-1 by
+    x -> p(x) mod n_points: an action when every generator maps residues
+    mod n_points to residues, and not faithful when the degree is larger."""
+    group, perms = FiniteGroup.from_permutations(gen_perms)
+    return group, [tuple(p[x] % n_points for x in range(n_points))
+                   for p in perms]
+
+
 ACTIONS = {
-    "Z2": ([(1, 0)], 2),
-    "Z4": ([(1, 2, 3, 0)], 4),
-    "S3": ([(1, 0, 2), (1, 2, 0)], 3),
-    "S4": ([(1, 0, 2, 3), (1, 2, 3, 0)], 4),
+    "Z2": partial(block_action, [(1, 0)], 2),
+    "Z4": partial(block_action, [(1, 2, 3, 0)], 4),
+    "S3": partial(block_action, [(1, 0, 2), (1, 2, 0)], 3),
+    "S4": partial(block_action, [(1, 0, 2, 3), (1, 2, 3, 0)], 4),
+    # Order 48 on twelve points: S4 x Z2 as in the fixture, and D24
+    # through the 12-gon, with the kernel {e, r^12}.
+    "S4xZ2": partial(block_action, S4_Z2_ON_12, 12),
+    "D24": partial(folded_action, dihedral(24)),
 }
 
 
 @pytest.mark.parametrize("kind,n_points", [
-    ("Z2", 3), ("Z4", 5), ("S3", 3), ("S3", 7), ("S4", 4), ("S4", 9)])
+    ("Z2", 3), ("Z4", 5), ("S3", 3), ("S3", 7), ("S4", 4), ("S4", 9),
+    ("S4xZ2", 12), ("D24", 12)])
 def test_actions_match_full_scan(kind, n_points):
     rng = random.Random(f"{kind}/{n_points}")
-    group, act = block_action(*ACTIONS[kind], n_points)
+    group, act = ACTIONS[kind](n_points)
     carrier = Carrier(range(n_points))
     ne = NeighborhoodBase(group, [frozenset(range(group.order))])
     kinds = Counter()
@@ -244,14 +311,18 @@ def law_failure(group, act):
 
 def test_action_law_message_matches_the_pair_oracle():
     # Valid actions of Z2-Z6 (regular, h -> gh), S3 and S4 (on 3 and 4
-    # points) with their elements renumbered at random, so that the
-    # identity and the generators sit anywhere; then one or two elements
-    # other than the identity are moved off the law.
+    # points) and of the order-48 groups S4 x Z2 and D24 (on 12 points)
+    # with their elements renumbered at random, so that the identity and
+    # the generators sit anywhere; then one or two elements other than
+    # the identity are moved off the law.
     rng = random.Random(24)
     actions = [(cyclic_table(k), cyclic_table(k)) for k in range(2, 7)]
     for perms in ([(1, 0, 2), (1, 2, 0)], [(1, 0, 2, 3), (1, 2, 3, 0)]):
         group, elems = FiniteGroup.from_permutations(perms)
         actions.append((group.mul, elems))
+    for kind in ("S4xZ2", "D24"):
+        group, act = ACTIONS[kind](12)
+        actions.append((group.mul, act))
     kinds = Counter()
     for _ in range(400):
         mul, elems = rng.choice(actions)
@@ -282,7 +353,9 @@ def test_action_law_message_matches_the_pair_oracle():
                       Carrier(range(n)), act)
         assert got[1] == want if want else got[0] == "ok", (table, act)
         kinds["law" if want else "ok"] += 1
+        kinds["cap"] += k == 48
     assert kinds["ok"] >= 50 and kinds["law"] >= 200, kinds
+    assert kinds["cap"] >= 50, kinds
 
 
 def test_groups_at_the_cap():
@@ -360,3 +433,18 @@ def test_from_permutations_products_match_composition():
         closure_outcome(random_generators(rng, rng.randint(1, 12)))
         for _ in range(500))
     assert outcomes["cap"] >= 30 and outcomes["closed"] >= 100, outcomes
+
+
+def test_from_permutations_refuses_degree_above_256():
+    # Elements are byte rows while the closure runs: degree 256 is the
+    # largest taken, and a larger one is refused before the permutations
+    # are checked.
+    swap = (1, 0) + tuple(range(2, 256))
+    group, elems = FiniteGroup.from_permutations([swap])
+    assert group.order == 2 and elems == (tuple(range(256)), swap)
+    assert group.names[1] == "p" + ".".join(map(str, swap))
+    for perms in ([swap + (256,)], [(0,) * 257]):
+        with pytest.raises(ValueError) as err:
+            FiniteGroup.from_permutations(perms)
+        assert str(err.value) == ("permutation degree 257 exceeds the limit "
+                                  "256 (one byte per image)")
