@@ -18,12 +18,13 @@ from functools import cache
 from . import rationals as rat
 from .document import load_instance, rel_to_json, subset_to_json
 from .equivariant import beta_g_map, beta_g_proximity, check_descending, \
-    check_equinormal, compute_ug, is_massive, nu_maps, nu_proximity
+    check_equinormal, compute_ug, is_massive, nu_maps, nu_proximity, \
+    require_quasibounded
 from .errors import DocumentError, InternalCheckFailure, \
     PreconditionFailure, ResourceCap
 from .gaction import classify
 from .proximity import P1_P5, _first_near_points, _join_table, \
-    check_axioms, from_uniformity, is_separated, meets_hex
+    _map_passes, check_axioms, from_uniformity, is_separated, meets_hex
 from .setrel import _join_mask
 from .suite import run_suite
 from .uniformity import validate_basis
@@ -178,7 +179,8 @@ def _query(args, instance, germ):
     point block or one verdict, so it reads those entries of the table
     from its one map (`meets_table`) without building it.  The `nu` map is
     the deepest level's, checked against every level's
-    (`check_descending`)."""
+    (`check_descending`).  A plain `nu` request whose map is no proximity
+    (`_map_passes`) is refused as `ug` refuses it, or trapped."""
     if args.what == "nu":
         points = check_descending(
             nu_maps(germ, instance.require_uniformity()))
@@ -195,6 +197,10 @@ def _query(args, instance, germ):
             print(verdict)
         return EXIT_OK
 
+    if args.what == "nu" and not _map_passes(points):
+        require_quasibounded(germ, instance.require_uniformity())
+        raise InternalCheckFailure(
+            "translate nearness of a quasibounded uniformity is no proximity")
     separated = _first_near_points(points) is None
     print(f"proximity on {list(carrier.elements)}; "
           f"separated: {'yes' if separated else 'no'}")

@@ -26,31 +26,30 @@ point masks (`masks`, and `deepest` for the deepest level), so the two
 sides share no pullback code; both read `setrel.least_entourage`, tested
 on its own and kept on the basis (`kept_least_entourage`).
 
-The group-action scans work on whole rows of the 2**n-bit tables.
-Equinormality runs the axiom check on the translate-overlap table, then
-a separation scan that, for each row, compares two bitsets built from the
-two mask routes (forward translates and inverse pullbacks) at the deepest
-level.  The scan builds one bitset per distinct translate and ANDs it with
-each row; the axiom check reads only the map of beta_G unless an axiom
-fails.  Invariance permutes each row's bit positions by delta swaps, at
-most n - 1 per row and generator of the group: the first element that
-breaks invariance is always a generator.
-The semigroup upgrade ANDs each row's far sets with one pullback per
-level of the row of its translate, the OR of the preimage masks of the
-translate map.
+Every group-action verdict compares two tables: it asks
+`proximity.first_pair` for the first pair near in one and far in the
+other, which on two one-map tables is a pair of points read off their
+maps.  The tables compared are pullbacks, q(A, B) = p(VA, VB) for a chain
+level or one group element V (`_pullback`), and the pullback of a one-map
+table is one map again.  Invariance compares p with its pullback by each
+distinct moved generator, compatibility beta_G with p, and the semigroup
+upgrade the meet of p's level pullbacks with p.  Equinormality runs the
+axiom check on beta_G, and its separation check compares beta_G with the
+table of x -> {y : Vy meets Vx} read through the forward point masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import and_
+from functools import reduce
+from operator import and_, xor
 
 from . import setrel
 from .errors import CarrierMismatch, InternalCheckFailure, PreconditionFailure
 from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify, \
     _group_indices
-from .proximity import P1_P5, _index_bit_swaps, _join_table, \
-    _permute_index_bits, _submask_table, check_axioms, meets_table
+from .proximity import P1_P5, Prox, _join_table, and_not, check_axioms, \
+    dominates, first_pair, meets_table
 from .setrel import _join_mask
 from .uniformity import UnifBase, validate_basis
 
@@ -93,12 +92,17 @@ def compute_ug(a, u):
     5,297 in the metric family.
     """
     _valid_theta(a, u)
+    require_quasibounded(a, u)
+    return u._cached(("ug", a.masks), lambda: _checked_brackets(a, u))
+
+
+def require_quasibounded(a, u):
+    """Raise `PreconditionFailure`, with the classifier's witness, unless
+    u is quasibounded under the action, the hypothesis of the identity."""
     cls = classify(a, u)
     if not cls.quasibounded:
-        raise PreconditionFailure(
-            "uniformity is not quasibounded",
-            witness=cls.witness("quasibounded"))
-    return u._cached(("ug", a.masks), lambda: _checked_brackets(a, u))
+        raise PreconditionFailure("uniformity is not quasibounded",
+                                  witness=cls.witness("quasibounded"))
 
 
 def _checked_brackets(a, u):
@@ -197,6 +201,43 @@ def beta_g_proximity(a):
                      lambda: meets_table(a.carrier, beta_g_map(a)))
 
 
+def _table_key(p, a):
+    """What a verdict reads of the table p, once p is checked to be over
+    the action's carrier: its map, or its rows if it has none (n entries
+    against 2**n, so the two never collide)."""
+    if p.carrier != a.carrier:
+        raise CarrierMismatch("proximity is not over the action's carrier")
+    return p.rows if p.map is None else p.map
+
+
+def _verdict(pair):
+    """(passes, witness) from the first bad pair of `first_pair`."""
+    return pair is None, pair
+
+
+def _pullback(p, fwd, inv):
+    """The table q(A, B) = p(VA, VB), where VA is the OR of the forward
+    point masks fwd (V.x) over A and inv holds their transpose (V^{-1}.y).
+
+    For the table of one map F, VB meets F(VA) iff B meets V^{-1}F(VA), so
+    q is the table of the map x -> V^{-1}F(Vx).  For a table given by rows,
+    row A of q is the set of B with VB in row VA: the OR of the preimage
+    masks {m : Vm = t} of the translates t in that row, computed once per
+    distinct row value.
+    """
+    if p.map is not None:
+        return meets_table(p.carrier, [_join_mask(inv, _join_mask(p.map, t))
+                                       for t in fwd])
+    trans = _join_table(fwd)
+    preimage = {}
+    for m, t in enumerate(trans):
+        preimage[t] = preimage.get(t, 0) | 1 << m
+    rows = p.rows
+    pulled = {r: sum(mask for t, mask in preimage.items() if r >> t & 1)
+              for r in {rows[t] for t in preimage}}
+    return Prox(p.carrier, [pulled[rows[t]] for t in trans])
+
+
 def is_g_invariant(p, a):
     """Whether near(A, B) implies near(gA, gB) for every group element.
 
@@ -205,108 +246,66 @@ def is_g_invariant(p, a):
     group's generating set `gens` lies in the closure of the indices
     before it.  So the first g in index order that breaks nearness is a
     generator, and only the generators are scanned, once per distinct
-    permutation other than the identity.  For each such g and row A, the
-    row of gA is carried back to the set of B with near(gA, gB) by
-    permuting its bit positions with the subset-index permutation of
-    g^{-1}: at most n - 1 delta swaps of one 2**n-bit integer, so 2**n
-    rows of at most n - 1 swaps per generator.  The violators are the
-    bits of row A outside it, and the witness is the first (g, A, B) in
-    ascending order.  The verdict reads no chain, so it is kept per
-    table.
+    permutation other than the identity: p must dominate its pullback by
+    g, and the witness is the first (g, A, B) in ascending order.  The
+    verdict reads no chain, so it is kept per table.
     """
-    _check_carrier(p, a)
-    return a._cached(("inv", p.rows), lambda: _g_invariant(p.rows, a))
+    return a._cached(("inv", _table_key(p, a)), lambda: _g_invariant(p, a))
 
 
-def _g_invariant(rows, a):
-    carrier = a.carrier
+def _g_invariant(p, a):
     group = a.group
-    seen = {tuple(range(carrier.n))}
+    seen = {tuple(range(a.carrier.n))}
     for g in group.gens:
-        perm = a.act[g]
-        if perm in seen:
+        if a.act[g] in seen:
             continue
-        seen.add(perm)
-        maskmap = _join_table([1 << x for x in perm])
-        swaps = _index_bit_swaps(a.act[group.inv[g]])
-        for am, row in enumerate(rows):
-            viol = row & ~_permute_index_bits(rows[maskmap[am]], swaps)
-            if viol:
-                b = (viol & -viol).bit_length() - 1
-                return False, (group.names[g], carrier.mask_subset(am),
-                               carrier.mask_subset(b))
+        seen.add(a.act[g])
+        pulled = _pullback(p, a._point_masks([g]),
+                           a._point_masks([group.inv[g]]))
+        pair = first_pair(p, pulled, and_not)
+        if pair is not None:
+            return False, (group.names[g],) + pair
     return True, None
 
 
 def is_action_compatible(p, a):
     """Whether every far pair has disjoint translates at some chain level,
-    that is, is far in the maximal group proximity.  beta_G reads the deepest
-    level only, so the verdict is kept per table and deepest point masks.
+    that is, is far in the maximal group proximity: whether beta_G
+    dominates p.  beta_G reads the deepest level only, so the verdict is
+    kept per table and deepest point masks.
     """
-    _check_carrier(p, a)
-    return a._cached(("compat", p.rows, a.masks[-1]),
-                     lambda: _compatible(p.rows, a))
-
-
-def _compatible(rows, a):
-    carrier = a.carrier
-    bg = beta_g_proximity(a).rows
-    for am, row in enumerate(rows):
-        viol = bg[am] & ~row
-        if viol:
-            b = (viol & -viol).bit_length() - 1
-            return False, (carrier.mask_subset(am), carrier.mask_subset(b))
-    return True, None
+    return a._cached(("compat", _table_key(p, a), a.masks[-1]),
+                     lambda: _verdict(first_pair(beta_g_proximity(a), p,
+                                                 and_not)))
 
 
 def semigroup_upgrade(p, a):
     """The strengthened compatibility: every far pair has translates that
-    are far (not merely disjoint) at some chain level.  Every level is
-    scanned: p need not satisfy P4, so farness need not pass down to the
-    deepest level's smaller translates.
+    are far (not merely disjoint) at some chain level, so the meet of the
+    level pullbacks of p (`_pullback`) must dominate p.
 
-    The scan runs on whole rows.  At level V, B is near A's translate
-    exactly when VB is in row VA, so the B with near(VA, VB) are the
-    pullback of that row through the translate map m -> Vm: the OR of the
-    preimage masks of the translates in the row.  The violators of row A
-    are its far sets that lie in the pullback at every level, and the
-    witness is the first (A, B) in ascending order.  A pullback is
-    computed once per level and row value within the call, and the verdict
-    is kept per table and the point masks of every level.
+    For the table of one map the pullbacks are nested, the deeper level's
+    map inside the upper's, so the meet is the deepest pullback; that is
+    asserted point by point (`check_descending`).  A table given by rows
+    need not satisfy P4, so farness need not pass down to the deepest
+    level's smaller translates: the pullback rows of every level are
+    ANDed.  The verdict is kept per table and the point masks of every
+    level.
     """
-    _check_carrier(p, a)
-    return a._cached(("semigr", p.rows, a.masks),
-                     lambda: _semigroup_upgrade(p.rows, a))
+    return a._cached(("semigr", _table_key(p, a), a.masks),
+                     lambda: _semigroup_upgrade(p, a))
 
 
-def _semigroup_upgrade(rows, a):
-    carrier = a.carrier
-    full_bits = (1 << len(rows)) - 1
-    levels = []
-    for li in range(len(a.ne.levels)):
-        trans = a.level_translates(li)
-        preimage = {}
-        for m, t in enumerate(trans):
-            preimage[t] = preimage.get(t, 0) | 1 << m
-        levels.append((trans, tuple(preimage.items()), {}))
-    for am, row in enumerate(rows):
-        viol = ~row & full_bits
-        for trans, preimage, pulled in levels:
-            if not viol:
-                break
-            r = rows[trans[am]]
-            if r not in pulled:
-                pulled[r] = sum(mask for t, mask in preimage if r >> t & 1)
-            viol &= pulled[r]
-        if viol:
-            b = (viol & -viol).bit_length() - 1
-            return False, (carrier.mask_subset(am), carrier.mask_subset(b))
-    return True, None
-
-
-def _check_carrier(p, a):
-    if p.carrier != a.carrier:
-        raise CarrierMismatch("proximity is not over the action's carrier")
+def _semigroup_upgrade(p, a):
+    pulled = [_pullback(p, lem, a.inverse_masks(li))
+              for li, lem in enumerate(a.masks)]
+    if p.map is not None:
+        meet = meets_table(p.carrier,
+                           check_descending([q.map for q in pulled]))
+    else:
+        meet = Prox(p.carrier, [reduce(and_, rows)
+                                for rows in zip(*(q.rows for q in pulled))])
+    return _verdict(first_pair(meet, p, and_not))
 
 
 @dataclass(frozen=True)
@@ -354,26 +353,20 @@ def _equinormal(a):
 
 
 def _separation_ok(a):
-    """Whether every pi-disjoint pair is witnessed, scanned as whole rows.
+    """Whether every pi-disjoint pair is witnessed: whether beta_G
+    dominates the table of x -> {y : Vy meets Vx} at the deepest level V.
 
-    Disjointness of translates is antitone in V, so the pi-disjoint
-    partners of row A are those at the deepest level V: the submasks of
-    {x : Vx misses VA}, read through the forward point masks.  The
-    partners whose canonical neighborhood pair (A, B) is disjoint are the
-    pairs far from A in the maximal group proximity, whose table pulls back
-    through `inverse_masks`.  The partners read A only through its
-    translate VA, so they are built once per distinct translate, n mask
-    tests each, and the scan then costs one 2**n-bit AND per row, where a
-    pair by pair scan costs Theta(n * 4**n).
+    Disjointness of translates is antitone in V, so (A, B) is pi-disjoint
+    exactly when VA misses VB, that is, when it is far in that table, read
+    through the forward point masks.  Its canonical neighborhood pair
+    (A, B) is disjoint when the pair is far in beta_G, whose map pulls
+    back through `inverse_masks`, so the two mask routes stay apart.
     """
-    n = a.carrier.n
-    table = _submask_table(n)
-    trans = a.level_translates(-1)
     lem = a.masks[-1]
-    partners = {t: table[sum(1 << x for x in range(n) if not lem[x] & t)]
-                for t in set(trans)}
-    return not any(map(and_, map(partners.__getitem__, trans),
-                       beta_g_proximity(a).rows))
+    n = a.carrier.n
+    met = meets_table(a.carrier, [sum(1 << y for y in range(n) if lem[y] & t)
+                                  for t in lem])
+    return dominates(beta_g_proximity(a), met)
 
 
 def is_massive(a, u):
@@ -460,4 +453,4 @@ def betag_on_subgroup_agrees(a, subgroup):
     restricting to a subgroup carrying the subspace germ."""
     full = beta_g_proximity(a)
     restricted = beta_g_proximity(subgroup_germ(a, subgroup))
-    return full.rows == restricted.rows, full, restricted
+    return first_pair(full, restricted, xor) is None, full, restricted

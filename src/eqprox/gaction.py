@@ -19,8 +19,7 @@ level, and `masks[i]` holds the point masks of V.x for level i, deepest
 last.  The point masks of V^{-1}.x, which pull sets back through V, are
 a separate route (`inverse_masks(i)`).  The translate V.m or the
 pullback V^{-1}.m of one subset mask is the OR of the point masks over m
-(`setrel._join_mask`); `level_translates` tabulates V.m for scans that
-need every subset.
+(`setrel._join_mask`).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from operator import and_, or_
 
 from . import setrel
 from .errors import CarrierMismatch
-from .proximity import _join_table, _submask_table
+from .proximity import _submask_table
 from .setrel import _join_mask
 from .uniformity import UnifBase, _first_uncovered
 
@@ -417,16 +416,6 @@ class GActionGerm(setrel.Memo):
             for x in range(n):
                 masks[x] |= 1 << p[x]
         return tuple(masks)
-
-    def level_translates(self, level_index):
-        """For chain level V: trans[m] = mask of V.m for every subset mask m.
-
-        Translation preserves unions, so the table is the join table of the
-        point translate masks, one OR per subset.
-        """
-        level = self.ne.levels[level_index]
-        return self._cached(("trans", level), lambda: tuple(
-            _join_table(self.masks[level_index])))
 
     def push_table(self, u):
         """push[g][k] = g.eps_k as pair bits (`Rel.pair_bits`), for every

@@ -40,8 +40,10 @@ is a property of the relation x R y iff y in f(x) (proved at
 
 P5 and P5' are checked by independent criteria, run through one far-pair
 search on rows and by their own map criterion, and must agree on any
-relation satisfying P1-P4.  The table of f dominates that of g iff f(x)
-is inside g(x) for every x (take B = {y}).
+relation satisfying P1-P4.  Domination and equality, and every verdict
+that compares two tables, ask `first_pair` for the first pair on which
+they compare badly; on two one-map tables it is a pair of points read
+off the maps.
 """
 
 from __future__ import annotations
@@ -196,38 +198,6 @@ def _reverse_bits(x, width):
         return _REVERSED_BYTES[x] >> (8 - width)
     return int.from_bytes(
         x.to_bytes(width // 8, "big").translate(_REVERSED_BYTES), "little")
-
-
-def _index_bit_swaps(perm):
-    """Delta swaps (shift, mask) that carry bit p of a 2**n-bit integer to
-    the subset index sigma(p), where sigma moves bit k of p to bit perm[k].
-
-    perm is written as at most n - 1 transpositions of index bits, applied
-    in order; each moves the positions of one index bit pair with a single
-    masked swap (Warren, *Hacker's Delight*, ch. 7).
-    """
-    n = len(perm)
-    lo = _low_half_masks(n)
-    at = list(range(n))  # at[k]: where index bit k has been moved so far
-    swaps = []
-    for k in range(n):
-        src, dst = at[k], perm[k]
-        if src != dst:
-            other = at.index(dst)
-            at[k], at[other] = dst, src
-            i, j = min(src, dst), max(src, dst)
-            # The positions p with bit i set and bit j clear trade places
-            # with their partners (2**j - 2**i) higher.
-            swaps.append(((1 << j) - (1 << i), lo[j] & ~lo[i]))
-    return swaps
-
-
-def _permute_index_bits(x, swaps):
-    """Apply the delta swaps of _index_bit_swaps to the bits of x."""
-    for shift, mask in swaps:
-        t = (x ^ (x >> shift)) & mask
-        x ^= t | (t << shift)
-    return x
 
 
 class Prox:
@@ -547,17 +517,48 @@ def _scan_rows(p):
     return results
 
 
+def and_not(a, b):
+    """The `first_pair` op of domination: near in the first table and far
+    in the second."""
+    return a & ~b
+
+
+def first_pair(p1, p2, op):
+    """The first subset pair (A, B), A then B in index order, with
+    op(near_1(A, B), near_2(A, B)), or None; op is `and_not` (a pair that
+    breaks domination) or `operator.xor` (a pair where the tables differ).
+
+    On two one-map tables, of maps f and g, it is ({x}, {y}) for the first
+    point x with op(f(x), g(x)) nonempty and y its lowest point, found
+    without a row.  For both ops a bad pair (A, B) has in B a point of
+    op(f(A), g(A)), which lies inside the union of op(f(x), g(x)) over x
+    in A.  So a bad row holds a bad point, which no row below 2**x holds,
+    and in row {x} every B below 2**y misses op(f(x), g(x)); ({x}, {y}) is
+    bad, as near_i({x}, {y}) is bit y of f(x) or g(x).  Any other pair of
+    tables is scanned row by row.
+    """
+    carrier = p1.carrier
+    if carrier != p2.carrier:
+        raise CarrierMismatch("proximities live on different carriers")
+    one_map = p1.map is not None and p2.map is not None
+    pairs = zip(p1.map, p2.map) if one_map else zip(p1.rows, p2.rows)
+    for a, (r1, r2) in enumerate(pairs):
+        bad = op(r1, r2)
+        if bad:
+            b = (bad & -bad).bit_length() - 1
+            if one_map:
+                a, b = 1 << a, 1 << b
+            return carrier.mask_subset(a), carrier.mask_subset(b)
+    return None
+
+
 def dominates(p1, p2):
     """True iff near_1(A, B) implies near_2(A, B) for all subset pairs.
 
     This is the domination order: p1 dominates p2 (p2 is coarser, having at
     least the near pairs of p1).
     """
-    if p1.carrier != p2.carrier:
-        raise CarrierMismatch("proximities live on different carriers")
-    if p1.map is not None and p2.map is not None:
-        return all(f & ~g == 0 for f, g in zip(p1.map, p2.map))
-    return all(r1 & ~r2 == 0 for r1, r2 in zip(p1.rows, p2.rows))
+    return first_pair(p1, p2, and_not) is None
 
 
 def from_uniformity(u):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, xor
 
 from . import rationals as rat
 from .equivariant import beta_g_proximity, betag_on_subgroup_agrees, \
@@ -31,7 +31,7 @@ from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify, \
 from .metricprox import FiniteMetric, PseudometricFamily, is_isometric, \
     metric_g_proximity, metric_uniformity, xi_report, \
     sup_pseudometric
-from .proximity import P1_P5, Prox, check_axioms, dominates, \
+from .proximity import P1_P5, Prox, check_axioms, dominates, first_pair, \
     from_uniformity, meets_table
 from .setrel import DEFAULT_MAX_CARRIER, Carrier, Rel, diagonal, \
     full_relation
@@ -410,7 +410,7 @@ def _main_family(wanted, max_n, seed, max_group, inject):
             checked_ug = _corrupt_basis(ug) if inject == "bracket" else ug
 
         if "tgprox" in wanted:
-            mismatch = _first_mismatch(nu, from_uniformity(checked_ug))
+            mismatch = first_pair(nu, from_uniformity(checked_ug), xor)
             yield "tgprox", mismatch is None, label, mismatch
         if "ugclaims" in wanted:
             vb = validate_basis(checked_ug)
@@ -471,7 +471,7 @@ def _per_germ_checks(wanted, label, germ, inject):
         bg = _corrupt_prox(bg)
     if "betag" in wanted:
         nu_d = nu_proximity(germ, discrete_basis(germ.carrier))
-        mismatch = _first_mismatch(bg, nu_d)
+        mismatch = first_pair(bg, nu_d, xor)
         yield "betag", mismatch is None, label, mismatch
     if "semigr" in wanted:
         ok, wit = semigroup_upgrade(bg, germ)
@@ -492,23 +492,6 @@ def _per_germ_checks(wanted, label, germ, inject):
             agree, _full, _restr = betag_on_subgroup_agrees(germ, sorted(h))
             yield ("densesub", agree,
                    f"{label}/H={sorted(group.names[i] for i in h)}", None)
-
-
-def _first_mismatch(p1, p2):
-    """The first subset pair on which the two tables differ, None if they
-    are equal.  Two one-map tables are equal exactly when their maps are,
-    each map being its table's point block, so their rows are read only
-    to name a mismatch."""
-    if p1.map is not None and p1.map == p2.map:
-        return None
-    if p1.rows == p2.rows:
-        return None
-    for am, (r1, r2) in enumerate(zip(p1.rows, p2.rows)):
-        diff = r1 ^ r2
-        if diff:
-            b = (diff & -diff).bit_length() - 1
-            return (p1.carrier.mask_subset(am), p1.carrier.mask_subset(b))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +783,7 @@ def _metric_family(max_group, **_):
                         continue
                     mg = metric_g_proximity(metric, germ)
                     ug = compute_ug(germ, u)
-                    mismatch = _first_mismatch(mg, from_uniformity(ug))
+                    mismatch = first_pair(mg, from_uniformity(ug), xor)
                     yield "metric", mismatch is None, label, mismatch
 
 

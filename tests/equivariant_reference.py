@@ -40,6 +40,13 @@ from eqprox.proximity import AxiomReport, Prox, _intersectors, \
 from eqprox.uniformity import _first_uncovered, validate_basis
 
 
+def level_translates(a, level_index):
+    """trans[m] = mask of V.m for every subset mask m, for chain level V:
+    the join table of the level's point masks, the germ method the
+    references below read before it was removed."""
+    return tuple(_join_table(a.masks[level_index]))
+
+
 def is_g_invariant_reference(p, a):
     """Whether near(A, B) implies near(gA, gB) for every group element."""
     carrier = a.carrier
@@ -166,7 +173,7 @@ def nu_proximity_reference(a, u):
     def rows_for(level_list):
         rows = [full_bits] * N
         for li in level_list:
-            trans = a.level_translates(li)
+            trans = level_translates(a, li)
             for eps in u.basis:
                 for m in range(N):
                     pull = _level_pullback(a, li, eps.image_mask(trans[m]))
@@ -191,7 +198,7 @@ def beta_g_proximity_reference(a):
     full_bits = (1 << N) - 1
     rows = [full_bits] * N
     for li in range(len(a.ne.levels)):
-        trans = a.level_translates(li)
+        trans = level_translates(a, li)
         for m in range(N):
             rows[m] &= _intersectors(_level_pullback(a, li, trans[m]), n)
     return Prox(carrier, rows)
@@ -207,7 +214,7 @@ def is_action_compatible_reference(p, a):
     fulln = N - 1
     disjoint_or = [0] * N
     for li in range(len(a.ne.levels)):
-        trans = a.level_translates(li)
+        trans = level_translates(a, li)
         for m in range(N):
             pull = _level_pullback(a, li, trans[m])
             disjoint_or[m] |= table[fulln ^ pull]
@@ -233,7 +240,7 @@ def separation_ok_reference(a):
     n = a.carrier.n
     N = 1 << n
     table = _submask_table(n)
-    routes = [(li, a.level_translates(li), lem)
+    routes = [(li, level_translates(a, li), lem)
               for li, lem in enumerate(a.masks)]
     for am in range(N):
         disjoint = witnessed = 0

@@ -260,7 +260,7 @@ def metric_g_proximity_reference(m, a):
         # i.e. B meets its pullback through the level.
         pullback = _join_table(a.inverse_masks(li))
         and_intersectors(
-            rows, [pullback[hull[t]] for t in a.level_translates(li)], n)
+            rows, [pullback[hull[t]] for t in _join_table(a.masks[li])], n)
     return Prox(carrier, rows)
 
 

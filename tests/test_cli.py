@@ -3,11 +3,13 @@ import json
 import random
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from equivariant_reference import classify_reference
 from proximity_reference import meets_table_reference
 
+from eqprox import equivariant
 from eqprox import rationals as rat
 from eqprox.cli import EXIT_INTERNAL, _emit_table_json, _prox_json, \
     build_parser, main
@@ -16,8 +18,8 @@ from eqprox.equivariant import beta_g_map, compute_ug, nu_maps, \
     nu_proximity
 from eqprox.errors import InternalCheckFailure
 from eqprox.gaction import GActionGerm
-from eqprox.proximity import Prox, from_uniformity, is_separated, \
-    meets_table
+from eqprox.proximity import Prox, check_axioms, from_uniformity, \
+    is_separated, meets_table
 from eqprox.setrel import Carrier
 from eqprox.suite import iter_family
 from eqprox.uniformity import discrete_basis
@@ -107,8 +109,53 @@ def test_order48_generator_document_outputs(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def order48_with_mod4_blocks(tmp_path):
+    """The order-48 document with its uniformity replaced by the partition
+    {x0, x4, x8}, {x1, x5, x9}, {x2, x6, x10}, {x3, x7, x11}, which the
+    action does not keep quasibounded."""
+    doc = json.loads((FIXTURES / ORDER48).read_text())
+    doc["uniformity"] = [[[f"x{i}", f"x{j}"] for i in range(12)
+                          for j in range(12) if i % 4 == j % 4]]
+    path = tmp_path / "order48_mod4.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_plain_nu_refuses_a_uniformity_that_is_not_quasibounded(
+        capsys, tmp_path):
+    # Its translate nearness is no proximity (P5, P5' and P6 fail), so the
+    # point classes would overlap; plain nu refuses it as ug and massive
+    # do, with the classifier's witness.  The table and one verdict are
+    # still written.
+    path = order48_with_mod4_blocks(tmp_path)
+    inst = load_instance(path)
+    assert check_axioms(nu_proximity(inst.germ, inst.uniformity)).failures() \
+        == ("P5", "P5prime", "P6")
+    code, out, err = run(capsys, "nu", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("precondition failed: uniformity is not "
+                          "quasibounded\nwitness: ")
+    for command in ("ug", "massive"):
+        assert run(capsys, command, path) == (1, "", err)
+    assert run(capsys, "nu", path, "--sets", "A", "B")[0] == 0
+    assert run(capsys, "nu", path, "--json")[0] == 0
+
+
+def test_plain_nu_traps_a_quasibounded_uniformity_without_a_proximity(
+        capsys, tmp_path, monkeypatch):
+    # If the classifier called that uniformity quasibounded, the failing
+    # map would be a defect of eqprox.
+    path = order48_with_mod4_blocks(tmp_path)
+    monkeypatch.setattr(equivariant, "classify", lambda a, u: SimpleNamespace(
+        quasibounded=True))
+    code, out, err = run(capsys, "nu", path)
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == ("internal error: translate nearness of a quasibounded "
+                   "uniformity is no proximity\n")
+
+
 def test_equinormal_twelve_points_at_the_cap(capsys):
-    # The separation scan goes row by row over all 2**12 subsets.
+    # The separation check compares two maps of the 12 points.
     code, out, _ = run(capsys, "equinormal", fixture("twelve_points_s3.json"))
     assert code == 0
     assert "equinormal: yes" in out

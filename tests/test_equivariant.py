@@ -1,11 +1,13 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from equivariant_reference import bracket_entourage_reference
 from test_equivariant_differential import flip_one_bit
 
 from eqprox import equivariant
+from eqprox.document import load_instance
 from eqprox.equivariant import beta_g_proximity, betag_on_subgroup_agrees, \
     bracket_entourage, check_equinormal, compute_ug, deepest_orbits_coincide, \
     enumerate_partition_proximities, is_action_compatible, is_g_invariant, \
@@ -14,11 +16,13 @@ from eqprox.errors import CarrierMismatch, InternalCheckFailure, \
     PreconditionFailure
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify
 from eqprox.proximity import Prox, check_axioms, dominates, from_uniformity, \
-    is_separated
+    is_separated, meets_table
 from eqprox.setrel import Carrier, Rel, diagonal, full_relation
 from eqprox.suite import iter_family
 from eqprox.uniformity import UnifBase, discrete_basis, refinement_equivalent, \
     validate_basis
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def z3_rotation(levels=None):
@@ -568,3 +572,68 @@ def test_dense_subgroup_condition_alone_is_insufficient():
     agree, full, restricted = betag_on_subgroup_agrees(germ, h)
     assert not agree
     assert full.near({0}, {1}) and not restricted.near({0}, {1})
+
+
+def pullback_literal(p, a, elems):
+    """The rows of p(VA, VB) for V = elems, VA = {v.x : v in V, x in A}
+    read through the action one point at a time."""
+    n = a.carrier.n
+    N = 1 << n
+    trans = [sum({1 << a.act[v][x] for v in elems for x in range(n)
+                  if m >> x & 1}) for m in range(N)]
+    return [sum(1 << bm for bm in range(N)
+                if p.rows[trans[am]] >> trans[bm] & 1) for am in range(N)]
+
+
+def test_pullback_matches_the_translates_read_literally():
+    # Every germ of the family, through each chain level and each
+    # generator alone; the tables are beta_G and a random map's, each as
+    # one map and given by rows (P4 holds), and random rows (P4 fails).
+    rng = random.Random(54)
+    germs = {}
+    for _label, germ, _u in iter_family(max_n=3, seed=0):
+        germs[(id(germ.group), germ.ne.levels, germ.carrier.n,
+               germ.act)] = germ
+    no_p4 = 0
+    for a in germs.values():
+        c, group = a.carrier, a.group
+        N = 1 << c.n
+        routes = [(level, a.masks[li], a.inverse_masks(li))
+                  for li, level in enumerate(a.ne.levels)]
+        routes += [([g], a._point_masks([g]), a._point_masks([group.inv[g]]))
+                   for g in group.gens]
+        f = meets_table(c, [rng.getrandbits(c.n) for _ in range(c.n)])
+        wild = Prox(c, [rng.getrandbits(N) for _ in range(N)])
+        no_p4 += not check_axioms(wild).ok(("P4",))
+        for p in (beta_g_proximity(a), f, Prox(c, f.rows), wild):
+            for elems, fwd, inv in routes:
+                q = equivariant._pullback(p, fwd, inv)
+                assert (q.map is None) == (p.map is None)
+                assert list(q.rows) == pullback_literal(p, a, elems), \
+                    (a, elems, p.rows)
+    assert len(germs) >= 30 and no_p4 >= 20, (len(germs), no_p4)
+
+
+def test_group_action_verdicts_on_one_map_tables_build_no_row():
+    # S3 on 12 points: every verdict that compares tables reads one-map
+    # tables through their maps alone, and agrees with the same verdict
+    # on copies given by rows.
+    instance = load_instance(FIXTURES / "twelve_points_s3_nested.json")
+    a, u = instance.germ, instance.uniformity
+    nu, bg = nu_proximity(a, u), beta_g_proximity(a)
+    scans = (is_g_invariant, is_action_compatible, semigroup_upgrade)
+    verdicts = [scan(p, a) for p in (nu, bg) for scan in scans]
+    assert check_equinormal(a).equinormal
+    tables = [nu, bg]
+    agree = []
+    for h in a.group.subgroups():
+        ok, full, restricted = betag_on_subgroup_agrees(a, sorted(h))
+        agree.append(ok)
+        tables += [full, restricted]
+    assert [t._rows for t in tables] == [None] * len(tables)
+    assert True in agree and False in agree
+    fresh = GActionGerm(a.group, a.ne, a.carrier, a.act)
+    assert verdicts == [scan(Prox(a.carrier, p.rows), fresh)
+                        for p in (nu, bg) for scan in scans]
+    assert agree == [tables[2 * i + 2].rows == tables[2 * i + 3].rows
+                     for i in range(len(agree))]

@@ -328,15 +328,17 @@ def test_invariance_scans_each_distinct_generator_permutation_once(
                          Carrier(range(2)),
                          [(0, 1), (1, 0), (1, 0), (0, 1)])
     calls = []
-    swaps = equivariant._index_bit_swaps
-    monkeypatch.setattr(equivariant, "_index_bit_swaps",
-                        lambda perm: calls.append(perm) or swaps(perm))
+    pullback = equivariant._pullback
+    monkeypatch.setattr(equivariant, "_pullback", lambda p, fwd, inv:
+                        calls.append(fwd) or pullback(p, fwd, inv))
     counts = []
     for a in [summed] + list(z6_germs()) + list(s4_germs()):
         calls.clear()
         assert is_g_invariant(beta_g_proximity(a), a) == (True, None)
         moved = {a.act[g] for g in a.group.gens} - {tuple(range(a.carrier.n))}
         assert len(calls) == len(moved), a
+        assert {tuple(m.bit_length() - 1 for m in fwd)
+                for fwd in calls} == moved, a
         counts.append(len(calls))
     assert counts[0] == 1 and min(counts) == 1 and max(counts) == 2, counts
 
@@ -474,7 +476,6 @@ def assert_same_as_fresh(shared, fresh, u):
         assert shared.masks[li] == fresh.masks[li]
         assert shared.inverse_masks(li) == \
             fresh.inverse_masks(li)
-        assert shared.level_translates(li) == fresh.level_translates(li)
 
 
 def test_shared_cache_matches_fresh_germs_on_suite_germs():
@@ -914,18 +915,17 @@ def test_basis_reports_match_reference_with_witnesses_after_copies():
 
 
 def assert_same_germ_masks(a, rng):
-    """Translates and pullbacks through the point masks, the translate
-    table, set translates, the maximal group proximity and the
-    deepest-orbit test against the point-at-a-time references."""
+    """Translates and pullbacks through the point masks, set translates,
+    the maximal group proximity and the deepest-orbit test against the
+    point-at-a-time references."""
     group = a.group
     N = 1 << a.carrier.n
     subset = frozenset(g for g in range(group.order) if rng.random() < 0.5)
     for li, level in enumerate(a.ne.levels):
-        trans = a.level_translates(li)
         lem = a.masks[li]
         inv = a.inverse_masks(li)
         for m in range(N):
-            assert trans[m] == _join_mask(lem, m) == \
+            assert _join_mask(lem, m) == \
                 translate_mask(a, li, m), (a, li, m)
             assert _join_mask(inv, m) == _level_pullback(a, li, m), (a, li, m)
             for ids in (level, subset):

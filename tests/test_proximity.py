@@ -1,5 +1,7 @@
 import random
-from itertools import permutations
+from collections import Counter
+from itertools import product
+from operator import xor
 from types import SimpleNamespace
 
 import pytest
@@ -8,12 +10,12 @@ from proximity_reference import and_intersectors, meets, meets_points, \
 
 from eqprox.equivariant import beta_g_map, beta_g_proximity, \
     enumerate_partition_proximities, nu_maps, nu_proximity
-from eqprox.errors import ResourceCap
+from eqprox.errors import CarrierMismatch, ResourceCap
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase
 from eqprox.metricprox import FiniteMetric, metric_g_proximity
-from eqprox.proximity import P1_P5, Prox, _first_near_points, _index_bit_swaps, _join_table, _permute_index_bits, \
-    _point_block, _reverse_bits, _transpose, \
-    check_axioms, dominates, from_uniformity, is_separated, meets_hex, \
+from eqprox.proximity import P1_P5, Prox, _first_near_points, _join_table, \
+    _point_block, _reverse_bits, _transpose, and_not, check_axioms, \
+    dominates, first_pair, from_uniformity, is_separated, meets_hex, \
     meets_table
 from eqprox.setrel import Carrier, Rel, _join_mask, diagonal, full_relation
 from eqprox.suite import _random_valid_basis, iter_family
@@ -166,6 +168,73 @@ def test_dominates_examples_and_partial_order():
     assert not dominates(ne, ov)
     # Antisymmetry under extensional equality.
     assert not (dominates(ov, ne) and dominates(ne, ov))
+
+
+def first_pair_double_loop(p1, p2, op):
+    """The first (A, B) with op(near_1, near_2), read literally: every A
+    in index order, then every B."""
+    c = p1.carrier
+    for am in range(1 << c.n):
+        for bm in range(1 << c.n):
+            if op(p1.rows[am] >> bm & 1, p2.rows[am] >> bm & 1):
+                return c.mask_subset(am), c.mask_subset(bm)
+    return None
+
+
+def map_pairs():
+    """Every pair of maps on n <= 2 points, then seeded pairs at n = 3-8:
+    independent maps, a map against itself with one point value changed,
+    and a map against one that contains it point by point."""
+    for n in (1, 2):
+        maps = list(product(range(1 << n), repeat=n))
+        yield from ((n, f, g) for f in maps for g in maps)
+    rng = random.Random(41)
+    for n in range(3, 9):
+        for _ in range(4):
+            f = [rng.getrandbits(n) for _ in range(n)]
+            g = [rng.getrandbits(n) for _ in range(n)]
+            changed = list(f)
+            changed[rng.randrange(n)] ^= 1 << rng.randrange(n)
+            yield n, f, g
+            yield n, f, changed
+            yield n, f, [v | w for v, w in zip(f, g)]
+            yield n, f, f
+
+
+@pytest.mark.parametrize("op", [and_not, xor])
+def test_first_pair_of_two_maps_matches_rows_and_double_loop(op):
+    outcomes = Counter()
+    for n, f, g in map_pairs():
+        c = Carrier(range(n))
+        p, q = meets_table(c, f), meets_table(c, g)
+        got = first_pair(p, q, op)
+        assert p._rows is None and q._rows is None
+        rows_p, rows_q = Prox(c, p.rows), Prox(c, q.rows)
+        assert got == first_pair(rows_p, rows_q, op) == \
+            first_pair(p, rows_q, op) == first_pair(rows_p, q, op) == \
+            first_pair_double_loop(p, q, op), (n, f, g)
+        if got is not None:
+            assert len(got[0]) == len(got[1]) == 1
+        outcomes[got is None] += 1
+    assert outcomes[True] >= 40 and outcomes[False] >= 100, outcomes
+
+
+@pytest.mark.parametrize("op", [and_not, xor])
+def test_first_pair_of_rows_matches_double_loop(op):
+    rng = random.Random(42)
+    for n in range(1, 5):
+        c = Carrier(range(n))
+        N = 1 << n
+        for density in (0.1, 0.5, 0.9):
+            p = Prox(c, [sum(1 << b for b in range(N) if rng.random() < density)
+                         for _ in range(N)])
+            for q in (p, Prox(c, [r | rng.getrandbits(N) for r in p.rows]),
+                      Prox(c, [rng.getrandbits(N) for _ in range(N)])):
+                assert first_pair(p, q, op) == \
+                    first_pair_double_loop(p, q, op), (p.rows, q.rows)
+    with pytest.raises(CarrierMismatch):
+        first_pair(Prox.overlap(Carrier(range(2))),
+                   Prox.overlap(Carrier(range(3))), op)
 
 
 def test_from_uniformity_examples():
@@ -411,29 +480,6 @@ def test_reverse_bits_matches_string_reversal():
         values += [rng.getrandbits(N) for _ in range(20)]
         for x in values:
             assert _reverse_bits(x, N) == int(format(x, f"0{N}b")[::-1], 2)
-
-
-def permute_per_bit(x, perm):
-    """Move each bit p of x to the subset index perm makes of p."""
-    n = len(perm)
-    out = 0
-    for p in range(1 << n):
-        if x >> p & 1:
-            out |= 1 << sum(1 << perm[k] for k in range(n) if p >> k & 1)
-    return out
-
-
-def test_delta_swaps_match_per_bit_index_permutation():
-    rng = random.Random(23)
-    perms = [q for n in range(1, 5) for q in permutations(range(n))]
-    perms += [tuple(rng.sample(range(n), n)) for n in range(5, 9)
-              for _ in range(6)]
-    for perm in perms:
-        swaps = _index_bit_swaps(perm)
-        assert len(swaps) <= len(perm) - 1
-        N = 1 << len(perm)
-        for x in [0, (1 << N) - 1] + [rng.getrandbits(N) for _ in range(4)]:
-            assert _permute_index_bits(x, swaps) == permute_per_bit(x, perm)
 
 
 def first_near_points_per_bit(rows, n):

@@ -1,6 +1,7 @@
 import random
 import time
 from collections import Counter
+from operator import xor
 
 import pytest
 
@@ -74,19 +75,22 @@ def test_corrupt_basis_drops_the_least_diagonal_pair_of_the_first_entourage():
 
 
 def test_first_mismatch_of_equal_one_map_tables_builds_no_row():
+    # The suite names a mismatch by the first pair under xor.
     carrier = suite.Carrier(range(5))
     f = [0b00011, 0b00011, 0b11100, 0b11100, 0b11100]
     p, q = suite.meets_table(carrier, f), suite.meets_table(carrier, list(f))
-    assert suite._first_mismatch(p, q) is None
+    assert suite.first_pair(p, q, xor) is None
     assert p._rows is None and q._rows is None
-    # Different maps, or a table given by its rows, are compared on rows.
+    # Different maps are compared on their maps too; a table given by its
+    # rows is compared on rows.
     g = [0b00011, 0b00011, 0b11100, 0b11100, 0b10000]
     r = suite.meets_table(carrier, g)
-    a, b = suite._first_mismatch(p, r)
+    a, b = suite.first_pair(p, r, xor)
+    assert p._rows is None and r._rows is None
     assert p.near(a, b) != r.near(a, b)
-    assert suite._first_mismatch(p, suite._corrupt_prox(p)) == \
+    assert suite.first_pair(p, suite._corrupt_prox(p), xor) == \
         (frozenset({0}), frozenset({0}))
-    assert suite._first_mismatch(suite.Prox(carrier, q.rows), p) is None
+    assert suite.first_pair(suite.Prox(carrier, q.rows), p, xor) is None
 
 
 def test_metric_family_labels_name_the_failing_setting(monkeypatch):
