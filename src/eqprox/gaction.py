@@ -31,7 +31,6 @@ from operator import and_, or_
 
 from . import setrel
 from .errors import CarrierMismatch
-from .proximity import _submask_table
 from .setrel import _join_mask
 from .uniformity import UnifBase, _first_uncovered
 
@@ -682,30 +681,29 @@ def check_action_continuity(a, u):
     helps, so the deepest level decides and is the only one built.
 
     The inclusion is tested as V . delta(x0) inside g0^{-1} eps(g0 x0),
-    whose target is row x0 of g0^{-1}.eps in the push table
+    whose target t is row x0 of g0^{-1}.eps in the push table
     (`GActionGerm.push_table`, shared with `classify`).  For each x0 the
-    translates V . delta(x0) are built once and folded into one 2**n-bit
-    up-set table: bit full ^ t is set iff some translate lies inside t
-    (the OR of their disjoint-set rows of `_submask_table`).  Each
-    (g0, x0, eps) is then one shift and AND.  `classify` keeps the witness
-    in the germ cache.
+    parts V . delta(x0) are built once; (g0, x0, eps) fails when every
+    part meets the complement of t, one AND per part.  `classify` keeps
+    the witness in the germ cache.
     """
     if u.carrier != a.carrier:
         raise CarrierMismatch("uniformity is not over the action's carrier")
     n = a.carrier.n
-    full = a.carrier.full_mask
     push = a.push_table(u)
-    table = _submask_table(n)
     lem = a.masks[-1]
-    inside = [reduce(or_, (table[full ^ _join_mask(lem, delta.image_masks[x0])]
-                           for delta in u.basis))
-              for x0 in range(n)]
+    parts = [[_join_mask(lem, delta.image_masks[x0]) for delta in u.basis]
+             for x0 in range(n)]
     for g0 in range(a.group.order):
         pulled = push[a.group.inv[g0]]
         for x0 in range(n):
-            up, shift = inside[x0], x0 * n
+            shift = x0 * n
             for k, b in enumerate(pulled):
-                if not up >> (full ^ (b >> shift & full)) & 1:
+                outside = ~(b >> shift)
+                for part in parts[x0]:
+                    if not part & outside:
+                        break
+                else:
                     return False, (a.group.names[g0], a.carrier.elements[x0],
                                    k)
     return True, None

@@ -17,11 +17,13 @@ so a reader of f alone (the point block, one entry, the hex text of the
 rows through `meets_hex`, the axiom verdicts or domination) never builds
 them.
 Tables repeat rows: one induced by a basis often holds only a few dozen
-distinct rows among its 2**n.  The row scan ORs every row with its
-submask row for P1, Theta(2**n) row ORs, and compares the rows with one
-full transpose for P2; it decides P4, P5 and P5', which read a row only
-through its value, once per distinct row, and on a symmetric table the
-far-pair searches visit B only at the first copy of its row.
+distinct rows among its 2**n.  The row scan tests every row for P1
+against the sets that meet its index, a row of the join table of the
+point rows (`_point_rows`), Theta(2**n) row operations, and compares the
+rows with one full transpose for P2; it decides P4, P5 and P5', which
+read a row only through its value, once per distinct row, and on a
+symmetric table the far-pair searches visit B only at the first copy of
+its row.
 
 The axioms checked are the classical ones, and on a one-map table each
 is a property of the relation x R y iff y in f(x) (proved at
@@ -59,21 +61,6 @@ AXIOM_CHECK_CAP = 12
 P1_P5 = ("P1", "P2", "P3", "P4", "P5")
 
 
-@lru_cache(maxsize=None)
-def _submask_table(n):
-    """table[c] = integer with bit s set for every submask s of c.
-
-    Built by doubling: adjoining bit i to c shifts every submask pattern up
-    by 2**i.  Entry c is a 2**n-bit integer.  Kept per process, not per
-    carrier: each CLI request would rebuild it, 1.5-1.7 ms at n = 12.
-    """
-    table = [1] * (1 << n)
-    for c in range(1, 1 << n):
-        low = c & -c
-        table[c] = table[c ^ low] | (table[c ^ low] << low)
-    return tuple(table)
-
-
 def _join_table(point_masks):
     """table[m] = OR of point_masks[x] over the points x of m, for every
     subset mask m of the n = len(point_masks) points.
@@ -89,12 +76,6 @@ def _join_table(point_masks):
     return table
 
 
-def _intersectors(mask, n):
-    """Bitmask over subset indices b with b & mask != 0."""
-    full_bits = (1 << (1 << n)) - 1
-    return full_bits ^ _submask_table(n)[((1 << n) - 1) ^ mask]
-
-
 def meets_table(carrier, f):
     """The table with near(A, B) iff B meets f(A), for a union-preserving
     map f given by its n point values.  The table holds f, which is its
@@ -108,14 +89,11 @@ def meets_table(carrier, f):
 
 
 def _meets_rows(n, f):
-    """The rows of `meets_table` of f.  Row A reads A only through f(A),
-    so after the join table one 2**n-bit row is built per distinct image,
-    and equal rows are one int object."""
-    full_bits = (1 << (1 << n)) - 1
-    table = _submask_table(n)
-    images = _join_table(f)
-    row_of = {m: full_bits ^ table[~m] for m in set(images)}
-    return tuple(map(row_of.__getitem__, images))
+    """The rows of `meets_table` of f: row A is {B : B meets f(A)}, the
+    entry of f(A) in the join table of `_point_rows`, so equal rows are
+    one int object."""
+    meeting = _join_table(_point_rows(n))
+    return tuple(map(meeting.__getitem__, _join_table(f)))
 
 
 def meets_hex(n, images):
@@ -163,6 +141,13 @@ def _low_half_masks(n):
                  for j in range(n))
 
 
+def _point_rows(n):
+    """rows[j] = 2**n-bit integer with bit b set iff subset b holds point
+    j; their join table gives, for every subset m, the sets that meet m."""
+    full_bits = (1 << (1 << n)) - 1
+    return [full_bits ^ low for low in _low_half_masks(n)]
+
+
 def _transpose(rows, n):
     """The columns of a 2**n x 2**n bit matrix given by its 2**n row
     integers: bit i of column k is bit k of row i.
@@ -204,7 +189,8 @@ class Prox:
     """A materialized proximity table over all subset pairs of a carrier.
 
     The rows are stored as given, defects included, so that deliberately
-    broken relations can serve as negative fixtures for check_axioms.  A
+    broken relations can serve as negative fixtures for check_axioms;
+    each must be a 2**n-bit integer.  A
     table of one union-preserving map (`meets_table`) holds the map as
     `map`, its point block, and builds its rows when they are first read;
     a table given by its rows has no map (None).
@@ -216,6 +202,8 @@ class Prox:
         rows = tuple(rows)
         if len(rows) != 1 << carrier.n:
             raise ValueError("row count must be 2**n")
+        if min(rows) < 0 or max(rows) >> len(rows):
+            raise ValueError("a row must be a 2**n-bit integer")
         self.carrier = carrier
         self.map = None
         self._rows = rows
@@ -253,6 +241,8 @@ class Prox:
     def near(self, a, b):
         am = self.carrier.subset_mask(a)
         bm = self.carrier.subset_mask(b)
+        if self.map is not None:
+            return bool(bm & _join_mask(self.map, am))
         return bool(self.rows[am] >> bm & 1)
 
     def __eq__(self, other):
@@ -389,13 +379,15 @@ def _scan_rows(p):
     so each quantifier over subsets becomes a whole-integer operation
     (Warren, *Hacker's Delight*, ch. 7):
 
-    * P1 ORs each row, in index order, with the sets that miss its index,
-      one row of the submask table; the row passes when the OR is full.
+    * P1 compares each row, in index order, with the sets that meet its
+      index, one row of the join table of `_point_rows`; the row passes
+      when it holds them all.
     * P2 compares the rows with the columns of the full transpose, n
       rounds of block swaps, which also gives the first asymmetric pair.
       A symmetric table is its own transpose.
-    * P4 compares each row with the intersectors of the points it is near;
-      the lowest differing bit is the first violation.
+    * P4 compares each row with the sets that meet the points it is
+      near, a row of the same join table; the lowest differing bit is the
+      first violation.
     * The strong-neighborhood tables of P5 and P5' are bit reversals of
       complemented rows and columns, done a byte at a time through a
       256-entry table (``_reverse_bits``).
@@ -408,7 +400,7 @@ def _scan_rows(p):
     in index order falls.  On a symmetric table the far-pair verdict reads
     B only through its row too, so B is searched at first copies only.
     With r distinct rows, on 2**n-bit integers: P1 costs Theta(2**n) row
-    ORs, P2 Theta(n * 2**n) operations, the P5 and P5' tables
+    ORs and ANDs, P2 Theta(n * 2**n) operations, the P5 and P5' tables
     Theta(n * r), and the searches at most r**2 far-pair tests (r * 2**n
     if asymmetric).
     """
@@ -429,13 +421,12 @@ def _scan_rows(p):
     rep = [first.setdefault(row, a) for a, row in enumerate(rows)]
     firsts = list(first.values())
 
-    # P1: intersecting pairs must be near.  submasks[full ^ a] holds the
-    # sets disjoint from a, so row a passes when it holds every other set.
-    submasks = _submask_table(n)
-    full = N - 1
+    # P1: intersecting pairs must be near.  meeting[a] holds the sets that
+    # meet a, so row a passes when it holds them all.
+    meeting = _join_table(_point_rows(n))
     results["P1"] = (True, None)
     for a, row in enumerate(rows):
-        viol = full_bits ^ (row | submasks[full ^ a])
+        viol = meeting[a] & ~row
         if viol:
             b = (viol & -viol).bit_length() - 1
             results["P1"] = (False, (subset(a), subset(b)))
@@ -463,7 +454,7 @@ def _scan_rows(p):
 
     # P4: near(A, BuC) iff near(A,B) or near(A,C).  Equivalent to: the row is
     # determined by its singleton bits (all-near if the empty bit is set).
-    # With the empty bit clear, the row must be the intersectors of the
+    # With the empty bit clear, the row must be the sets that meet the
     # points it is near; the lowest differing bit s is the first subset at
     # which the union law breaks, split as (s minus its lowest point, that
     # point).
@@ -477,7 +468,7 @@ def _scan_rows(p):
                 results["P4"] = (False, (subset(a), subset(b), frozenset()))
                 break
             continue
-        diff = row ^ _intersectors(_point_bits(row, n), n)
+        diff = row ^ meeting[_point_bits(row, n)]
         if diff:
             s = (diff & -diff).bit_length() - 1
             low = s & -s
@@ -489,15 +480,16 @@ def _scan_rows(p):
     #   far[a]   = the sets far from A, the complement of row a
     #   sn[a]    = {a1 : A is far from X \ A1}, the reversal of far[a]
     #   cutb[b]  = {c  : X \ C is far from B}, the reversed complement of column b
-    #   reach[b] = the down-closure of the sets far from B: the OR of the
-    #              submask rows of the complements of B's strong neighborhoods
+    #   reach[b] = the down-closure of the sets far from B: every submask
+    #              of the complement of one of B's strong neighborhoods
     # On a symmetric table column b is row b, and the verdict for (a, b)
     # reads b only through rows[b], so B is searched at first copies.
     far = {a: ~rows[a] & full_bits for a in firsts}
     sn, reach = [0] * N, [0] * N
+    low_halves = list(enumerate(_low_half_masks(n)))
     for a, down in far.items():
         sn[a] = _reverse_bits(down, N)
-        for j, lo in enumerate(_low_half_masks(n)):
+        for j, lo in low_halves:
             down |= down >> (1 << j) & lo
         reach[a] = down
     if cols is rows:

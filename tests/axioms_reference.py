@@ -8,9 +8,10 @@ counterexample alike.  It is test-only code: nothing under ``src/`` may
 import it.
 """
 
+from proximity_reference import _intersectors, _submask_table
+
 from eqprox.errors import ResourceCap
-from eqprox.proximity import AXIOM_CHECK_CAP, AxiomReport, _intersectors, \
-    _submask_table
+from eqprox.proximity import AXIOM_CHECK_CAP, AxiomReport
 
 
 def check_axioms_reference(p, cap=AXIOM_CHECK_CAP):

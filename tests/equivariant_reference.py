@@ -28,15 +28,15 @@ with the originals, tables, verdicts and witnesses alike.  This is
 test-only code: nothing under ``src/`` may import it.
 """
 
-from proximity_reference import and_intersectors, meets_table_reference
+from proximity_reference import _intersectors, _submask_table, \
+    and_intersectors, meets_table_reference
 
 from eqprox import setrel
 from eqprox.errors import CarrierMismatch, InternalCheckFailure, \
     PreconditionFailure
 from eqprox.equivariant import _bracket, beta_g_map, nu_maps
 from eqprox.gaction import _group_indices
-from eqprox.proximity import AxiomReport, Prox, _intersectors, \
-    _join_table, _submask_table
+from eqprox.proximity import AxiomReport, Prox, _join_table
 from eqprox.uniformity import _first_uncovered, validate_basis
 
 

@@ -7,11 +7,12 @@ counterexample for counterexample, in the same axiom order.
 import random
 
 from axioms_reference import check_axioms_reference
+from proximity_reference import _intersectors
 from test_proximity import union_of_classes_table
 
 from eqprox import proximity
-from eqprox.proximity import Prox, _first_unmet_far_pair, _intersectors, \
-    _transpose, check_axioms, from_uniformity, meets_table
+from eqprox.proximity import Prox, _first_unmet_far_pair, _transpose, \
+    check_axioms, from_uniformity, meets_table
 from eqprox.setrel import Carrier
 from eqprox.suite import _graph_proximity, _random_valid_basis, basis_pool
 

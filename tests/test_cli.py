@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -267,6 +269,32 @@ def test_table_json_at_the_cap_derives_no_row(capsys, monkeypatch, what,
     assert (code, err) == (0, "")
     assert len(json.loads(out)["rows_hex"]) == 4096
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def module_cache_values():
+    """Every value held by a `functools` cache of an `eqprox` module."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "eqprox":
+            continue
+        for f in vars(module).values():
+            if hasattr(f, "cache_info"):
+                for ref in gc.get_referents(f):
+                    if isinstance(ref, dict) and ref is not f.__dict__:
+                        yield from ref.values()
+
+
+def test_twelve_point_requests_keep_no_subset_table(capsys):
+    # The paired fixture is the 12-point one whose continuity witness has
+    # g0 != e.  After a `validate` and a `ug --json` on it no module cache
+    # keeps a table with an entry per subset.
+    doc = fixture("twelve_points_s3_paired.json")
+    code, out, err = run(capsys, "validate", doc)
+    assert (code, err) == (0, "")
+    assert "  action_continuous: FAIL  witness=('c', 'x0', 0)\n" in out
+    code, out, err = run(capsys, "ug", doc, "--json")
+    assert (code, err) == (0, "")
+    sizes = [len(v) for v in module_cache_values() if hasattr(v, "__len__")]
+    assert 1 << 12 not in sizes
 
 
 def test_prox_json_writes_the_empty_row_as_zero():

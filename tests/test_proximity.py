@@ -14,9 +14,9 @@ from eqprox.errors import CarrierMismatch, ResourceCap
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase
 from eqprox.metricprox import FiniteMetric, metric_g_proximity
 from eqprox.proximity import P1_P5, Prox, _first_near_points, _join_table, \
-    _point_block, _reverse_bits, _transpose, and_not, check_axioms, \
-    dominates, first_pair, from_uniformity, is_separated, meets_hex, \
-    meets_table
+    _point_block, _point_rows, _reverse_bits, _transpose, and_not, \
+    check_axioms, dominates, first_pair, from_uniformity, is_separated, \
+    meets_hex, meets_table
 from eqprox.setrel import Carrier, Rel, _join_mask, diagonal, full_relation
 from eqprox.suite import _random_valid_basis, iter_family
 from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis, \
@@ -286,6 +286,47 @@ def test_join_table_matches_per_subset_union():
                         out |= points[x]
                 expected.append(out)
             assert _join_table(points) == expected
+
+
+def test_point_rows_and_their_join_table_match_the_literal_sets():
+    # Row j holds the sets that contain point j, and entry m of the join
+    # table the sets that meet m.
+    for n in range(1, 7):
+        N = 1 << n
+        rows = _point_rows(n)
+        assert rows == [sum(1 << b for b in range(N) if b >> j & 1)
+                        for j in range(n)]
+        meeting = _join_table(rows)
+        for m in range(N):
+            assert meeting[m] == sum(1 << b for b in range(N) if b & m)
+
+
+def test_rows_must_be_two_to_the_n_bit_integers():
+    # A bit above 2**n, or a negative row, would make the row scan name
+    # pairs that are no counterexamples (P1 at ({0}, {}) and at
+    # ({0, 1}, {})).
+    c = Carrier(range(2))
+    rows = list(Prox.overlap(c).rows)
+    for a, bad in ((1, rows[1] | 1 << 20), (3, -1)):
+        broken = rows[:a] + [bad] + rows[a + 1:]
+        with pytest.raises(ValueError, match="^a row must be a 2\\*\\*n-bit "
+                                             "integer$"):
+            Prox(c, broken)
+    assert check_axioms(Prox(c, rows)).ok()
+
+
+def test_near_on_a_one_map_table_reads_the_map():
+    # Every pair at n <= 4 against the rows-given copy; no row is built.
+    rng = random.Random(41)
+    for n in range(1, 5):
+        c = Carrier(range(n))
+        subsets = [c.mask_subset(m) for m in range(1 << n)]
+        for _ in range(6):
+            p = meets_table(c, [rng.getrandbits(n) for _ in range(n)])
+            given = Prox(c, meets_table(c, p.map).rows)
+            for a, b in product(subsets, repeat=2):
+                assert p.near(a, b) == given.near(a, b)
+            assert p._rows is None
 
 
 def test_and_intersectors_matches_per_bit_meets():
