@@ -17,10 +17,9 @@ basis, and the deepest level of beta_G, give union-preserving maps of
 subsets, each fixed by its n point values (`nu_maps`, `beta_g_map`).  On a
 descending chain the deepest level's nu map lies inside every level's, so
 it alone decides nu; `check_descending` asserts that point by point, in
-Theta(levels * n) mask operations.  The table of one map (`meets_table`)
-holds the map, its point block, and builds one 2**n-bit row per distinct
-image of A when its rows are first read; one entry is one join of point
-values.  The point values pull back through V^{-1} by the germ's inverse
+Theta(levels * n) mask operations.  A table (`meets_table`) holds its
+map, which is its point block; one entry is one join of point values.
+The point values pull back through V^{-1} by the germ's inverse
 point masks (`inverse_masks(i)`); the bracket side reads only the forward
 point masks (`masks`, and `deepest` for the deepest level), so the two
 sides share no pullback code; both read `setrel.least_entourage`, tested
@@ -28,10 +27,10 @@ on its own and kept on the basis (`kept_least_entourage`).
 
 Every group-action verdict compares two tables: it asks
 `proximity.first_pair` for the first pair near in one and far in the
-other, which on two one-map tables is a pair of points read off their
-maps.  The tables compared are pullbacks, q(A, B) = p(VA, VB) for a chain
-level or one group element V (`_pullback`), and the pullback of a one-map
-table is one map again.  Invariance compares p with its pullback by each
+other, a pair of points read off their maps.  The tables compared are
+pullbacks, q(A, B) = p(VA, VB) for a chain level or one group element V
+(`_pullback`), and the pullback of the table of one map is the table of
+one map again.  Invariance compares p with its pullback by each
 distinct moved generator, compatibility beta_G with p, and the semigroup
 upgrade the meet of p's level pullbacks with p.  Equinormality runs the
 axiom check on beta_G, and its separation check compares beta_G with the
@@ -41,15 +40,14 @@ table of x -> {y : Vy meets Vx} read through the forward point masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_, xor
+from operator import xor
 
 from . import setrel
 from .errors import CarrierMismatch, InternalCheckFailure, PreconditionFailure
 from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify, \
     _group_indices
-from .proximity import P1_P5, Prox, _join_table, and_not, check_axioms, \
-    dominates, first_pair, meets_table
+from .proximity import P1_P5, and_not, check_axioms, dominates, \
+    first_pair, meets_table
 from .setrel import _join_mask
 from .uniformity import UnifBase, validate_basis
 
@@ -202,12 +200,11 @@ def beta_g_proximity(a):
 
 
 def _table_key(p, a):
-    """What a verdict reads of the table p, once p is checked to be over
-    the action's carrier: its map, or its rows if it has none (n entries
-    against 2**n, so the two never collide)."""
+    """What a verdict reads of the table p, its map, once p is checked to
+    be over the action's carrier."""
     if p.carrier != a.carrier:
         raise CarrierMismatch("proximity is not over the action's carrier")
-    return p.rows if p.map is None else p.map
+    return p.map
 
 
 def _verdict(pair):
@@ -220,22 +217,10 @@ def _pullback(p, fwd, inv):
     point masks fwd (V.x) over A and inv holds their transpose (V^{-1}.y).
 
     For the table of one map F, VB meets F(VA) iff B meets V^{-1}F(VA), so
-    q is the table of the map x -> V^{-1}F(Vx).  For a table given by rows,
-    row A of q is the set of B with VB in row VA: the OR of the preimage
-    masks {m : Vm = t} of the translates t in that row, computed once per
-    distinct row value.
+    q is the table of the map x -> V^{-1}F(Vx).
     """
-    if p.map is not None:
-        return meets_table(p.carrier, [_join_mask(inv, _join_mask(p.map, t))
-                                       for t in fwd])
-    trans = _join_table(fwd)
-    preimage = {}
-    for m, t in enumerate(trans):
-        preimage[t] = preimage.get(t, 0) | 1 << m
-    rows = p.rows
-    pulled = {r: sum(mask for t, mask in preimage.items() if r >> t & 1)
-              for r in {rows[t] for t in preimage}}
-    return Prox(p.carrier, [pulled[rows[t]] for t in trans])
+    return meets_table(p.carrier, [_join_mask(inv, _join_mask(p.map, t))
+                                   for t in fwd])
 
 
 def is_g_invariant(p, a):
@@ -284,13 +269,10 @@ def semigroup_upgrade(p, a):
     are far (not merely disjoint) at some chain level, so the meet of the
     level pullbacks of p (`_pullback`) must dominate p.
 
-    For the table of one map the pullbacks are nested, the deeper level's
-    map inside the upper's, so the meet is the deepest pullback; that is
-    asserted point by point (`check_descending`).  A table given by rows
-    need not satisfy P4, so farness need not pass down to the deepest
-    level's smaller translates: the pullback rows of every level are
-    ANDed.  The verdict is kept per table and the point masks of every
-    level.
+    The pullbacks are nested, the deeper level's map inside the upper's,
+    so the meet is the deepest pullback; that is asserted point by point
+    (`check_descending`).  The verdict is kept per table and the point
+    masks of every level.
     """
     return a._cached(("semigr", _table_key(p, a), a.masks),
                      lambda: _semigroup_upgrade(p, a))
@@ -299,12 +281,7 @@ def semigroup_upgrade(p, a):
 def _semigroup_upgrade(p, a):
     pulled = [_pullback(p, lem, a.inverse_masks(li))
               for li, lem in enumerate(a.masks)]
-    if p.map is not None:
-        meet = meets_table(p.carrier,
-                           check_descending([q.map for q in pulled]))
-    else:
-        meet = Prox(p.carrier, [reduce(and_, rows)
-                                for rows in zip(*(q.rows for q in pulled))])
+    meet = meets_table(p.carrier, check_descending([q.map for q in pulled]))
     return _verdict(first_pair(meet, p, and_not))
 
 

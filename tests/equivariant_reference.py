@@ -28,7 +28,7 @@ with the originals, tables, verdicts and witnesses alike.  This is
 test-only code: nothing under ``src/`` may import it.
 """
 
-from proximity_reference import _intersectors, _submask_table, \
+from proximity_reference import RowsTable, _intersectors, _submask_table, \
     and_intersectors, meets_table_reference
 
 from eqprox import setrel
@@ -36,7 +36,7 @@ from eqprox.errors import CarrierMismatch, InternalCheckFailure, \
     PreconditionFailure
 from eqprox.equivariant import _bracket, beta_g_map, nu_maps
 from eqprox.gaction import _group_indices
-from eqprox.proximity import AxiomReport, Prox, _join_table
+from eqprox.proximity import AxiomReport, _join_table
 from eqprox.uniformity import _first_uncovered, validate_basis
 
 
@@ -186,7 +186,7 @@ def nu_proximity_reference(a, u):
         raise InternalCheckFailure(
             "translate nearness differs between the full chain and the "
             "deepest level; the chain is not descending")
-    return Prox(carrier, rows)
+    return RowsTable(carrier, rows)
 
 
 def beta_g_proximity_reference(a):
@@ -201,7 +201,7 @@ def beta_g_proximity_reference(a):
         trans = level_translates(a, li)
         for m in range(N):
             rows[m] &= _intersectors(_level_pullback(a, li, trans[m]), n)
-    return Prox(carrier, rows)
+    return RowsTable(carrier, rows)
 
 
 def is_action_compatible_reference(p, a):
@@ -541,7 +541,7 @@ def nu_proximity_point_pullback_reference(a, u):
         raise InternalCheckFailure(
             "translate nearness differs between the full chain and the "
             "deepest level; the chain is not descending")
-    return Prox(carrier, rows)
+    return RowsTable(carrier, rows)
 
 
 def bracket_entourage_reference(a, group_subset, eps):

@@ -18,13 +18,13 @@ nothing under ``src/`` may import it.
 from fractions import Fraction
 from functools import cached_property
 
-from proximity_reference import and_intersectors
+from proximity_reference import RowsTable, and_intersectors
 
 from eqprox.errors import CarrierMismatch, InternalCheckFailure, \
     PreconditionFailure
 from eqprox.gaction import _group_indices, classify
 from eqprox.metricprox import FiniteMetric
-from eqprox.proximity import Prox, _join_table
+from eqprox.proximity import _join_table
 from eqprox.uniformity import UnifBase
 
 
@@ -261,7 +261,7 @@ def metric_g_proximity_reference(m, a):
         pullback = _join_table(a.inverse_masks(li))
         and_intersectors(
             rows, [pullback[hull[t]] for t in _join_table(a.masks[li])], n)
-    return Prox(carrier, rows)
+    return RowsTable(carrier, rows)
 
 
 def validate_pseudometric_reference(carrier, dist):

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 from equivariant_reference import bracket_entourage_reference
-from test_equivariant_differential import flip_one_bit
+from proximity_reference import RowsTable, _point_block
+from test_equivariant_differential import flip_one_bit, random_map_table
 
 from eqprox import equivariant
 from eqprox.document import load_instance
@@ -15,8 +16,8 @@ from eqprox.equivariant import beta_g_proximity, betag_on_subgroup_agrees, \
 from eqprox.errors import CarrierMismatch, InternalCheckFailure, \
     PreconditionFailure
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify
-from eqprox.proximity import Prox, check_axioms, dominates, from_uniformity, \
-    is_separated, meets_table
+from eqprox.proximity import P1_P5, Prox, check_axioms, dominates, \
+    from_uniformity, is_separated, meets_table
 from eqprox.setrel import Carrier, Rel, diagonal, full_relation
 from eqprox.suite import iter_family
 from eqprox.uniformity import UnifBase, discrete_basis, refinement_equivalent, \
@@ -314,10 +315,18 @@ def test_g_invariance_and_compatibility_of_nu():
     assert semigroup_upgrade(nu, a)[0]
 
 
+def one_map_table(given):
+    """The table of the map that is the point block of a table given by
+    rows, which must be its rows: the relation is a table of one map."""
+    p = meets_table(given.carrier, _point_block(given.rows, given.carrier.n))
+    assert p.rows == given.rows
+    return p
+
+
 def test_g_invariance_witness_on_asymmetric_relation():
     a = z3_rotation()
-    skew = Prox.from_predicate(
-        a.carrier, lambda s, t: bool(s) and bool(t) and (0 in s or 0 in t))
+    skew = one_map_table(RowsTable.from_predicate(
+        a.carrier, lambda s, t: bool(s) and bool(t) and (0 in s or 0 in t)))
     ok, witness = is_g_invariant(skew, a)
     assert not ok
     assert witness is not None
@@ -412,27 +421,26 @@ def semigroup_upgrade_oracle(p, a):
 
 def test_semigroup_upgrade_matches_oracle_on_suite_germs():
     # Every germ of the family, with beta_G and every distinct nu table,
-    # each as it is and with one bit flipped.
+    # each as it is and with one bit of its map flipped.
     rng = random.Random(51)
     tables = {}
     for _label, germ, u in iter_family(max_n=4, seed=0):
         key = (id(germ.group), germ.ne.levels, germ.carrier.n, germ.act)
-        nus = tables.setdefault(key, (germ, {beta_g_proximity(germ).rows}))[1]
-        nus.add(nu_proximity(germ, u).rows)
+        nus = tables.setdefault(key, (germ, {beta_g_proximity(germ).map}))[1]
+        nus.add(nu_proximity(germ, u).map)
     outcomes = Counter()
-    for germ, rows in tables.values():
-        for r in sorted(rows):
-            p = Prox(germ.carrier, r)
+    for germ, maps in tables.values():
+        for f in sorted(maps):
+            p = meets_table(germ.carrier, f)
             for q in (p, flip_one_bit(p, rng), flip_one_bit(p, rng)):
                 want = semigroup_upgrade_oracle(q, germ)
-                assert semigroup_upgrade(q, germ) == want, (germ, q.rows)
+                assert semigroup_upgrade(q, germ) == want, (germ, q.map)
                 outcomes[want[0]] += 1
     assert outcomes[True] >= 1000 and outcomes[False] >= 40, outcomes
 
 
-def test_semigroup_upgrade_matches_oracle_on_tables_without_p4():
-    # Random rows break P4 on most carriers, so farness of a pair need not
-    # pass to the smaller translates of a deeper level.  A deepest level
+def test_semigroup_upgrade_matches_oracle_on_random_maps():
+    # Random maps break P1, P2 and P5 on most carriers.  A deepest level
     # that fixes every point separates each far pair by itself, so only
     # germs whose deepest level moves a point are drawn.
     rng = random.Random(52)
@@ -444,36 +452,39 @@ def test_semigroup_upgrade_matches_oracle_on_tables_without_p4():
                    germ.act)] = germ
     outcomes = Counter()
     for germ in germs.values():
-        N = 1 << germ.carrier.n
+        n = germ.carrier.n
         for density in (0.02, 0.02, 0.1, 0.5, 0.9):
-            rows = [sum(1 << b for b in range(N) if rng.random() < density)
-                    for _ in range(N)]
-            p = Prox(germ.carrier, rows)
+            f = [sum(1 << y for y in range(n) if rng.random() < density)
+                 for _ in range(n)]
+            p = meets_table(germ.carrier, f)
             want = semigroup_upgrade_oracle(p, germ)
-            assert semigroup_upgrade(p, germ) == want, (germ, rows)
+            assert semigroup_upgrade(p, germ) == want, (germ, f)
             outcomes[want[0]] += 1
-            outcomes["P4"] += check_axioms(p).ok(("P4",))
+            outcomes["axioms"] += check_axioms(p).ok(P1_P5)
     assert outcomes[True] >= 30 and outcomes[False] >= 40, outcomes
-    assert outcomes["P4"] * 4 < outcomes[True] + outcomes[False], outcomes
+    assert outcomes["axioms"] * 4 < outcomes[True] + outcomes[False], \
+        outcomes
 
 
-def test_semigroup_upgrade_reads_the_upper_level():
-    # Z4 rotating four points, chain (Z4, {0, 2}).  The table is near
-    # everywhere except ({0}, {1}) and (X, X) for the whole carrier X.  At
-    # the deepest level {0} and {1} become {0, 2} and {1, 3}, which are
-    # near; only the upper level, which makes both X, separates them.
+def test_semigroup_upgrade_of_a_map_is_decided_at_the_deepest_level():
+    # Z4 rotating four points, chains (Z4, {0, 2}) and ({0, 2}).  The
+    # pullbacks of a table of one map are nested, so the upper level
+    # never changes the verdict, which the oracle reads at every level.
     g = FiniteGroup.cyclic(4)
     c = Carrier(range(4))
     act = [tuple((x + k) % 4 for x in range(4)) for k in range(4)]
     whole, half = frozenset(range(4)), frozenset({0, 2})
-    far = {(frozenset({0}), frozenset({1})), (whole, whole)}
-    p = Prox.from_predicate(c, lambda s, t: (s, t) not in far)
     two = GActionGerm(g, NeighborhoodBase(g, [whole, half]), c, act)
     deep = two.on_chain(NeighborhoodBase(g, [half]))
-    assert semigroup_upgrade(p, two) == semigroup_upgrade_oracle(p, two) \
-        == (True, None)
-    assert semigroup_upgrade(p, deep) == semigroup_upgrade_oracle(p, deep) \
-        == (False, (frozenset({0}), frozenset({1})))
+    rng = random.Random(53)
+    outcomes = Counter()
+    for _ in range(120):
+        p = random_map_table(rng, c)
+        want = semigroup_upgrade_oracle(p, deep)
+        assert semigroup_upgrade(p, two) == semigroup_upgrade(p, deep) == \
+            semigroup_upgrade_oracle(p, two) == want, p.map
+        outcomes[want[0]] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_equinormal_on_standard_instances():
@@ -500,11 +511,10 @@ def test_separation_scan_fails_when_a_mask_route_is_corrupt(monkeypatch):
 def test_equinormal_axiom_checker_catches_corruption():
     a = z2_swap_fixing_c()
     dpi = beta_g_proximity(a)
-    rows = list(dpi.rows)
-    am = a.carrier.subset_mask({"a"})
-    bm = a.carrier.subset_mask({"a", "c"})
-    rows[am] &= ~(1 << bm)  # break P1/P2 deliberately
-    corrupted = Prox(a.carrier, rows)
+    f = list(dpi.map)
+    x = a.carrier.index["a"]
+    f[x] &= ~(1 << x)  # break P1 deliberately: {a} far from itself
+    corrupted = meets_table(a.carrier, f)
     rep = check_axioms(corrupted)
     assert not rep.ok(("P1", "P2", "P3", "P4", "P5"))
 
@@ -587,37 +597,31 @@ def pullback_literal(p, a, elems):
 
 def test_pullback_matches_the_translates_read_literally():
     # Every germ of the family, through each chain level and each
-    # generator alone; the tables are beta_G and a random map's, each as
-    # one map and given by rows (P4 holds), and random rows (P4 fails).
+    # generator alone; the tables are beta_G's and two random maps'.
     rng = random.Random(54)
     germs = {}
     for _label, germ, _u in iter_family(max_n=3, seed=0):
         germs[(id(germ.group), germ.ne.levels, germ.carrier.n,
                germ.act)] = germ
-    no_p4 = 0
     for a in germs.values():
         c, group = a.carrier, a.group
-        N = 1 << c.n
         routes = [(level, a.masks[li], a.inverse_masks(li))
                   for li, level in enumerate(a.ne.levels)]
         routes += [([g], a._point_masks([g]), a._point_masks([group.inv[g]]))
                    for g in group.gens]
-        f = meets_table(c, [rng.getrandbits(c.n) for _ in range(c.n)])
-        wild = Prox(c, [rng.getrandbits(N) for _ in range(N)])
-        no_p4 += not check_axioms(wild).ok(("P4",))
-        for p in (beta_g_proximity(a), f, Prox(c, f.rows), wild):
+        for p in (beta_g_proximity(a), random_map_table(rng, c),
+                  random_map_table(rng, c)):
             for elems, fwd, inv in routes:
                 q = equivariant._pullback(p, fwd, inv)
-                assert (q.map is None) == (p.map is None)
                 assert list(q.rows) == pullback_literal(p, a, elems), \
-                    (a, elems, p.rows)
-    assert len(germs) >= 30 and no_p4 >= 20, (len(germs), no_p4)
+                    (a, elems, p.map)
+    assert len(germs) >= 30, len(germs)
 
 
 def test_group_action_verdicts_on_one_map_tables_build_no_row():
-    # S3 on 12 points: every verdict that compares tables reads one-map
-    # tables through their maps alone, and agrees with the same verdict
-    # on copies given by rows.
+    # S3 on 12 points: every verdict that compares tables reads the tables
+    # through their maps alone, and agrees with the same verdict on fresh
+    # tables of the same maps over a fresh germ.
     instance = load_instance(FIXTURES / "twelve_points_s3_nested.json")
     a, u = instance.germ, instance.uniformity
     nu, bg = nu_proximity(a, u), beta_g_proximity(a)
@@ -633,7 +637,7 @@ def test_group_action_verdicts_on_one_map_tables_build_no_row():
     assert [t._rows for t in tables] == [None] * len(tables)
     assert True in agree and False in agree
     fresh = GActionGerm(a.group, a.ne, a.carrier, a.act)
-    assert verdicts == [scan(Prox(a.carrier, p.rows), fresh)
+    assert verdicts == [scan(meets_table(a.carrier, p.map), fresh)
                         for p in (nu, bg) for scan in scans]
     assert agree == [tables[2 * i + 2].rows == tables[2 * i + 3].rows
                      for i in range(len(agree))]

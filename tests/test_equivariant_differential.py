@@ -32,7 +32,8 @@ from equivariant_reference import _level_pullback, \
     nu_proximity_point_pullback_reference, nu_proximity_reference, \
     nu_proximity_two_tables_reference, push_rel, separation_ok_reference, \
     set_translate_mask, translate_mask, validate_basis_reference
-from proximity_reference import meets, meets_points, meets_table_reference
+from proximity_reference import _point_block, meets, meets_points, \
+    meets_table_reference
 
 from eqprox import cli, equivariant
 from eqprox.document import load_instance, subset_to_json
@@ -47,7 +48,7 @@ from eqprox.gaction import VERDICTS, FiniteGroup, GActionGerm, \
 from eqprox.metricprox import FiniteMetric, PseudometricFamily, \
     _acts_equicontinuously, family_uniformity, metric_uniformity, \
     sup_pseudometric
-from eqprox.proximity import Prox, _point_block, from_uniformity
+from eqprox.proximity import from_uniformity, meets_table
 from eqprox.setrel import Carrier, Rel, _join_mask
 from eqprox.suite import _metric_matrices, _random_valid_basis, \
     curated_actions, germ_chains, iter_family, suite_groups
@@ -208,10 +209,17 @@ def with_random_upper_levels(a, rng):
 
 
 def flip_one_bit(p, rng):
-    rows = list(p.rows)
-    N = len(rows)
-    rows[rng.randrange(1, N)] ^= 1 << rng.randrange(1, N)
-    return Prox(p.carrier, rows)
+    """The table of p's map with one bit of one point value flipped."""
+    f = list(p.map)
+    n = len(f)
+    f[rng.randrange(n)] ^= 1 << rng.randrange(n)
+    return meets_table(p.carrier, f)
+
+
+def random_map_table(rng, carrier):
+    """The table of a map with random point values."""
+    return meets_table(carrier, [rng.getrandbits(carrier.n)
+                                 for _ in range(carrier.n)])
 
 
 def test_suite_germs_match_reference():
@@ -252,9 +260,7 @@ def test_random_non_invariant_tables_match_reference():
     for n in range(1, 8):
         for _ in range(6):
             a = random_germ(rng, n)
-            N = 1 << n
-            rows = [rng.getrandbits(N) for _ in range(N)]
-            assert_same_invariance(Prox(a.carrier, rows), a)
+            assert_same_invariance(random_map_table(rng, a.carrier), a)
             # One flipped bit of an invariant table fails deep in the scan.
             assert_same_invariance(flip_one_bit(beta_g_proximity(a), rng), a)
 
@@ -309,9 +315,7 @@ def test_quotient_and_permutation_group_actions_match_reference():
         assert_same_invariance(bg, a)
         for _ in range(3):
             assert_same_invariance(flip_one_bit(bg, rng), a)
-        N = 1 << a.carrier.n
-        assert_same_invariance(
-            Prox(a.carrier, [rng.getrandbits(N) for _ in range(N)]), a)
+        assert_same_invariance(random_map_table(rng, a.carrier), a)
         for _blocks, rho in enumerate_partition_proximities(a.carrier):
             assert_same_invariance(rho, a)
 

@@ -138,8 +138,18 @@ def test_a_least_member_decides_validity(lists):
 
 @pytest.mark.parametrize("lists", [SMALL, SEEDED], ids=["all", "seeded"])
 def test_from_uniformity_is_every_member_meeting(lists):
+    # A list without a least member is refused, as `refines` refuses it.
+    refused = 0
     for u in lists:
+        if literal_least(u) is None:
+            with pytest.raises(PreconditionFailure,
+                               match="^the basis has no member inside all "
+                                     "others$"):
+                from_uniformity(u)
+            refused += 1
+            continue
         assert from_uniformity(u).rows == literal_rows(u), u.basis
+    assert 0 < refused < len(lists)
 
 
 def assert_readers_match_reference(u1, partners):

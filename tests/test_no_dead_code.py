@@ -21,7 +21,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "eqprox"
 
 # Builders kept for the tests of other code, one line of reason each.
 ALLOWED = {
-    "Prox.from_predicate": "materializes fixture relations from a predicate",
     "Prox.overlap": "the finest proximity, a fixture and oracle",
     "Prox.nonempty_pairs": "the coarsest proximity, a fixture and oracle",
     "FiniteGroup.symmetric": "S_m fixtures for group and action tests",

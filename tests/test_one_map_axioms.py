@@ -1,17 +1,19 @@
-"""The map path of check_axioms and dominates against the row scan.
+"""The closed forms of check_axioms and dominates against the row scan.
 
-A one-map table (near(A, B) iff B meets f(A)) is decided on its n point
-values when it passes, and by the row scan when it fails.  Every report
-must equal that of the same table given by its rows, and, at n <= 5, the
-scalar reference's.
+A table of one map (near(A, B) iff B meets f(A)) is decided, and its
+counterexamples named, on its n point values.  Every report must equal
+the frozen row scan's on the same table given by its rows
+(`proximity_reference.check_rows`), and, at n <= 5, the scalar
+reference's; no row of the table is read.
 """
 
 import random
 from itertools import product
 
 from axioms_reference import check_axioms_reference
+from proximity_reference import RowsTable, check_rows
 
-from eqprox.proximity import Prox, check_axioms, dominates, meets_table
+from eqprox.proximity import check_axioms, dominates, meets_table
 from eqprox.setrel import Carrier
 
 MAP_AXIOMS = ("P1", "P2", "P5", "P5prime")
@@ -34,21 +36,18 @@ def seeded_map(rng, n):
 
 
 def map_failures(carrier, f):
-    """Check the one-map table of f against its rows-given copy (and the
-    reference at n <= 5); the set of map axioms it fails."""
+    """Check the one-map table of f against the row scan of its rows (and
+    the reference at n <= 5); the set of map axioms it fails."""
     p = meets_table(carrier, f)
     got = list(check_axioms(p)._results.items())
-    decided_on_map = p._rows is None
-    rows = meets_table(carrier, f).rows
-    want = check_axioms(Prox(carrier, rows))._results
+    assert p._rows is None, (carrier.n, f)
+    rows = RowsTable(carrier, meets_table(carrier, f).rows)
+    want = check_rows(rows)._results
     assert got == list(want.items()), (carrier.n, f)
     if carrier.n <= 5:
-        ref = check_axioms_reference(Prox(carrier, rows))._results
+        ref = check_axioms_reference(rows)._results
         assert got == list(ref.items()), (carrier.n, f)
-    failed = frozenset(name for name in MAP_AXIOMS if not want[name][0])
-    # A passing table is decided without a row; a failing one is scanned.
-    assert decided_on_map == (not failed), (carrier.n, f)
-    return failed
+    return frozenset(name for name in MAP_AXIOMS if not want[name][0])
 
 
 def test_every_small_map_matches_the_row_scan():
@@ -79,6 +78,18 @@ def test_seeded_maps_match_the_row_scan():
         assert passed >= 5 and min(seen.values()) >= 5, (n, passed, seen)
 
 
+def test_failing_maps_at_the_cap_match_the_row_scan():
+    # At n = 12 the row scan reads 4,096 rows of 4,096 bits; seeded maps
+    # that fail, and the neighbour cycle, which fails P2, P5 and P5'.
+    rng = random.Random(38)
+    carrier = Carrier(range(12))
+    cycle = [1 << x | 1 << (x + 1) % 12 for x in range(12)]
+    assert map_failures(carrier, cycle) == {"P2", "P5", "P5prime"}
+    failing = 0
+    while failing < 4:
+        failing += bool(map_failures(carrier, seeded_map(rng, 12)))
+
+
 def rows_dominate(rows1, rows2):
     """near_1(A, B) implies near_2(A, B), row by row."""
     return all(r1 & ~r2 == 0 for r1, r2 in zip(rows1, rows2))
@@ -100,7 +111,5 @@ def test_dominates_on_maps_matches_the_rows():
             p, q = meets_table(carrier, f), meets_table(carrier, g)
             assert dominates(p, q) == want, (n, f, g)
             assert p._rows is None and q._rows is None
-            assert dominates(Prox(carrier, rf), q) == want
-            assert dominates(p, Prox(carrier, rg)) == want
             held += want
     assert held >= 200, held

@@ -5,22 +5,24 @@ from operator import xor
 from types import SimpleNamespace
 
 import pytest
-from proximity_reference import and_intersectors, meets, meets_points, \
-    meets_table_reference
+from axioms_reference import check_axioms_reference
+from proximity_reference import RowsTable, _point_block, _reverse_bits, \
+    _transpose, and_intersectors, check_rows, first_row_pair, meets, \
+    meets_points, meets_table_reference
 
 from eqprox.equivariant import beta_g_map, beta_g_proximity, \
     enumerate_partition_proximities, nu_maps, nu_proximity
-from eqprox.errors import CarrierMismatch, ResourceCap
+from eqprox.errors import CarrierMismatch, PreconditionFailure, \
+    ResourceCap
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase
 from eqprox.metricprox import FiniteMetric, metric_g_proximity
 from eqprox.proximity import P1_P5, Prox, _first_near_points, _join_table, \
-    _point_block, _point_rows, _reverse_bits, _transpose, and_not, \
-    check_axioms, dominates, first_pair, from_uniformity, is_separated, \
-    meets_hex, meets_table
+    _point_rows, and_not, check_axioms, dominates, first_pair, \
+    from_uniformity, is_separated, meets_hex, meets_table
 from eqprox.setrel import Carrier, Rel, _join_mask, diagonal, full_relation
 from eqprox.suite import _random_valid_basis, iter_family
 from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis, \
-    validate_basis
+    refines, validate_basis
 
 
 def brute_near_from_basis(u, a, b):
@@ -45,15 +47,25 @@ def test_nonempty_pairs_fails_only_p6():
     assert a != b and len(a) == len(b) == 1
 
 
+def scanned_like_reference(p):
+    """The frozen row scan's report on a table given by rows, checked
+    against the scalar reference."""
+    rep = check_rows(p)
+    assert rep._results == check_axioms_reference(p)._results
+    return rep
+
+
 def test_corrupted_symmetry_is_caught_with_counterexample():
+    # Rows that break P4 are no table of one map: the row scan, the
+    # oracle of the closed forms, must still name every failure.
     c = Carrier(range(3))
     p = Prox.overlap(c)
     rows = list(p.rows)
     am = c.subset_mask({0})
     bm = c.subset_mask({0, 1})
     rows[am] &= ~(1 << bm)  # delete one direction of a symmetric pair
-    broken = Prox(c, rows)
-    rep = check_axioms(broken)
+    broken = RowsTable(c, rows)
+    rep = scanned_like_reference(broken)
     assert not rep.passed("P2") or not rep.passed("P1")
     for name in rep.failures():
         assert rep.counterexample(name) is not None
@@ -63,7 +75,7 @@ def test_p3_violation_needs_raw_rows():
     c = Carrier(range(2))
     rows = [0] * 4
     rows[0] = 0b10  # empty set near {0}
-    rep = check_axioms(Prox(c, rows))
+    rep = scanned_like_reference(RowsTable(c, rows))
     assert not rep.passed("P3")
     assert rep.counterexample("P3") == (frozenset(), frozenset({0}))
 
@@ -98,8 +110,8 @@ def invariant_metrics(a, rng):
 
 
 def test_tables_keep_the_empty_row_clear():
-    # Prox stores rows as given, so every builder clears the empty row
-    # itself: nothing is near the empty set.
+    # Every builder gives the table of one map, whose image of the empty
+    # set is empty: nothing is near the empty set.
     rng = random.Random(41)
     for n in range(1, 7):
         c = Carrier(range(n))
@@ -121,19 +133,28 @@ def test_p4_violation_counterexample_is_concrete():
     rows = list(p.rows)
     am = c.subset_mask({0})
     rows[am] &= ~(1 << c.subset_mask({0, 1}))  # near singletons, far union
-    broken = Prox(c, rows)
-    rep = check_axioms(broken)
+    broken = RowsTable(c, rows)
+    rep = scanned_like_reference(broken)
     assert not rep.passed("P4")
     a, b, cc = rep.counterexample("P4")
     assert broken.near(a, b | cc) != (broken.near(a, b) or broken.near(a, cc))
+
+
+def graph_table(c, adj):
+    """The table of the point graph adj, near(A, B) iff an edge joins
+    them: the map of its neighbourhoods, whose rows must be those of the
+    predicate read literally."""
+    p = meets_table(c, [c.subset_mask(adj[x]) for x in c.elements])
+    assert p.rows == RowsTable.from_predicate(
+        c, lambda a, b: any(y in adj[x] for x in a for y in b)).rows
+    return p
 
 
 def test_transitivity_failure_breaks_p5_and_p5prime_alike():
     # Point graph 0-1-2 without 0-2: P1..P4 hold, P5 and P5' both fail.
     c = Carrier(range(3))
     adj = {0: {0, 1}, 1: {0, 1, 2}, 2: {1, 2}}
-    p = Prox.from_predicate(
-        c, lambda a, b: any(y in adj[x] for x in a for y in b))
+    p = graph_table(c, adj)
     rep = check_axioms(p)
     assert rep.ok(("P1", "P2", "P3", "P4"))
     assert not rep.passed("P5")
@@ -152,8 +173,7 @@ def test_p5_p5prime_agree_on_random_graph_relations():
                     if rng.random() < 0.5:
                         adj[i].add(j)
                         adj[j].add(i)
-            p = Prox.from_predicate(
-                c, lambda a, b: any(y in adj[x] for x in a for y in b))
+            p = graph_table(c, adj)
             rep = check_axioms(p)
             assert rep.ok(("P1", "P2", "P3", "P4"))
             assert rep.passed("P5") == rep.passed("P5prime")
@@ -209,9 +229,8 @@ def test_first_pair_of_two_maps_matches_rows_and_double_loop(op):
         p, q = meets_table(c, f), meets_table(c, g)
         got = first_pair(p, q, op)
         assert p._rows is None and q._rows is None
-        rows_p, rows_q = Prox(c, p.rows), Prox(c, q.rows)
-        assert got == first_pair(rows_p, rows_q, op) == \
-            first_pair(p, rows_q, op) == first_pair(rows_p, q, op) == \
+        rows_p, rows_q = RowsTable(c, p.rows), RowsTable(c, q.rows)
+        assert got == first_row_pair(rows_p, rows_q, op) == \
             first_pair_double_loop(p, q, op), (n, f, g)
         if got is not None:
             assert len(got[0]) == len(got[1]) == 1
@@ -221,16 +240,19 @@ def test_first_pair_of_two_maps_matches_rows_and_double_loop(op):
 
 @pytest.mark.parametrize("op", [and_not, xor])
 def test_first_pair_of_rows_matches_double_loop(op):
+    # The frozen rows branch, the oracle of the map search above.
     rng = random.Random(42)
     for n in range(1, 5):
         c = Carrier(range(n))
         N = 1 << n
         for density in (0.1, 0.5, 0.9):
-            p = Prox(c, [sum(1 << b for b in range(N) if rng.random() < density)
-                         for _ in range(N)])
-            for q in (p, Prox(c, [r | rng.getrandbits(N) for r in p.rows]),
-                      Prox(c, [rng.getrandbits(N) for _ in range(N)])):
-                assert first_pair(p, q, op) == \
+            p = RowsTable(c, [sum(1 << b for b in range(N)
+                                  if rng.random() < density)
+                              for _ in range(N)])
+            for q in (p, RowsTable(c, [r | rng.getrandbits(N)
+                                       for r in p.rows]),
+                      RowsTable(c, [rng.getrandbits(N) for _ in range(N)])):
+                assert first_row_pair(p, q, op) == \
                     first_pair_double_loop(p, q, op), (p.rows, q.rows)
     with pytest.raises(CarrierMismatch):
         first_pair(Prox.overlap(Carrier(range(2))),
@@ -257,6 +279,21 @@ def test_from_uniformity_matches_brute_force():
                 a, b = c.mask_subset(am), c.mask_subset(bm)
                 expected = bool(a) and bool(b) and brute_near_from_basis(u, a, b)
                 assert p.near(a, b) == expected
+
+
+def test_from_uniformity_refuses_a_list_without_a_least_member():
+    # Two entourages, neither inside the other: the induced nearness is
+    # no table of one map, and the list is refused as `refines` refuses
+    # it, each time it is asked.
+    c = Carrier(range(2))
+    u = UnifBase(c, [Rel(c, [(0, 0), (1, 1), (0, 1)]),
+                     Rel(c, [(0, 0), (1, 1), (1, 0)])])
+    for call in (from_uniformity, from_uniformity,
+                 lambda u: refines(u, u)):
+        with pytest.raises(PreconditionFailure, match="^the basis has no "
+                                                      "member inside all "
+                                                      "others$"):
+            call(u)
 
 
 def test_refinement_invariance_of_induced_proximity():
@@ -311,8 +348,8 @@ def test_rows_must_be_two_to_the_n_bit_integers():
         broken = rows[:a] + [bad] + rows[a + 1:]
         with pytest.raises(ValueError, match="^a row must be a 2\\*\\*n-bit "
                                              "integer$"):
-            Prox(c, broken)
-    assert check_axioms(Prox(c, rows)).ok()
+            RowsTable(c, broken)
+    assert scanned_like_reference(RowsTable(c, rows)).ok()
 
 
 def test_near_on_a_one_map_table_reads_the_map():
@@ -323,7 +360,7 @@ def test_near_on_a_one_map_table_reads_the_map():
         subsets = [c.mask_subset(m) for m in range(1 << n)]
         for _ in range(6):
             p = meets_table(c, [rng.getrandbits(n) for _ in range(n)])
-            given = Prox(c, meets_table(c, p.map).rows)
+            given = RowsTable(c, meets_table(c, p.map).rows)
             for a, b in product(subsets, repeat=2):
                 assert p.near(a, b) == given.near(a, b)
             assert p._rows is None
@@ -546,9 +583,9 @@ def test_first_near_points_matches_double_loop():
                     if rng.random() < 0.85:
                         rows[1 << i] &= ~(1 << (1 << j))
             want = first_near_points_per_bit(rows, n)
-            assert _first_near_points(_point_block(rows, n)) == want, \
-                (n, rows)
-            p = Prox(Carrier(range(n)), rows)
+            points = _point_block(rows, n)
+            assert _first_near_points(points) == want, (n, rows)
+            p = meets_table(Carrier(range(n)), points)
             assert is_separated(p) == (want is None)
 
 
@@ -564,4 +601,5 @@ def test_is_separated_reads_the_map_of_a_one_map_table():
                 p = meets_table(c, f)
                 assert is_separated(p) == (i == j), (n, i, j)
                 assert p._rows is None
-                assert is_separated(Prox(c, p.rows)) == (i == j)
+                assert (first_near_points_per_bit(p.rows, n) is None) == \
+                    (i == j)

@@ -81,8 +81,7 @@ def test_first_mismatch_of_equal_one_map_tables_builds_no_row():
     p, q = suite.meets_table(carrier, f), suite.meets_table(carrier, list(f))
     assert suite.first_pair(p, q, xor) is None
     assert p._rows is None and q._rows is None
-    # Different maps are compared on their maps too; a table given by its
-    # rows is compared on rows.
+    # Different maps are compared on their maps too.
     g = [0b00011, 0b00011, 0b11100, 0b11100, 0b10000]
     r = suite.meets_table(carrier, g)
     a, b = suite.first_pair(p, r, xor)
@@ -90,7 +89,6 @@ def test_first_mismatch_of_equal_one_map_tables_builds_no_row():
     assert p.near(a, b) != r.near(a, b)
     assert suite.first_pair(p, suite._corrupt_prox(p), xor) == \
         (frozenset({0}), frozenset({0}))
-    assert suite.first_pair(suite.Prox(carrier, q.rows), p, xor) is None
 
 
 def test_metric_family_labels_name_the_failing_setting(monkeypatch):
@@ -340,11 +338,11 @@ def test_main_family_runs_each_scan_once_per_action_and_value(monkeypatch):
         "saturate_uniformity": ("sat", lambda a, u: (action(a), u)),
         "nu_proximity": ("nu", lambda a, u: (
             action(a), setrel.least_entourage(u), chain(a))),
-        "is_g_invariant": ("inv", lambda p, a: (action(a), p.rows)),
+        "is_g_invariant": ("inv", lambda p, a: (action(a), p.map)),
         "is_action_compatible": ("compat", lambda p, a: (
-            action(a), p.rows, chain(a)[-1])),
+            action(a), p.map, chain(a)[-1])),
         "semigroup_upgrade": ("semigr", lambda p, a: (
-            action(a), p.rows, chain(a))),
+            action(a), p.map, chain(a))),
         "from_uniformity": ("prox", lambda u: (id(u),)),
         "compute_ug": ("ug", lambda a, u: (id(u), chain(a))),
     }
@@ -396,26 +394,33 @@ def test_densesub_lists_the_subgroups_once_per_action(monkeypatch):
 
 def test_cached_semigroup_upgrade_keeps_each_chains_verdict():
     # Z4 rotating four points; the chains (Z4, {0, 2}) and ({0, 2}) share
-    # their deepest level and one cache.  The table is not P4: only the
-    # upper level separates ({0}, {1}), so the verdicts differ, and a key
-    # without the upper level would hand the first chain's to the second.
+    # their deepest level and one cache, and the verdict is kept per
+    # chain: read in either order through the shared cache, each chain's
+    # verdict on every partition table and on seeded maps is that of a
+    # germ with an empty cache.
     g = suite.FiniteGroup.cyclic(4)
     c = suite.Carrier(range(4))
     act = [tuple((x + k) % 4 for x in range(4)) for k in range(4)]
     whole, half = frozenset(range(4)), frozenset({0, 2})
-    far = {(frozenset({0}), frozenset({1})), (whole, whole)}
-    p = suite.Prox.from_predicate(c, lambda s, t: (s, t) not in far)
     chains = [suite.NeighborhoodBase(g, [whole, half]),
               suite.NeighborhoodBase(g, [half])]
-    want = [(True, None), (False, (frozenset({0}), frozenset({1})))]
-    for order in ([0, 1], [1, 0]):
-        base = suite.GActionGerm(g, chains[order[0]], c, act)
-        for i in order:
-            germ = base.on_chain(chains[i])
-            fresh = suite.GActionGerm(g, chains[i], c, act)
-            assert germ._cache is base._cache
-            assert equivariant.semigroup_upgrade(p, germ) \
-                == want[i] == equivariant.semigroup_upgrade(p, fresh)
+    rng = random.Random(45)
+    tables = [rho for _blocks, rho
+              in equivariant.enumerate_partition_proximities(c)]
+    tables += [suite.meets_table(c, [rng.getrandbits(4) for _ in range(4)])
+               for _ in range(15)]
+    verdicts = set()
+    for p in tables:
+        for order in ([0, 1], [1, 0]):
+            base = suite.GActionGerm(g, chains[order[0]], c, act)
+            for i in order:
+                germ = base.on_chain(chains[i])
+                fresh = suite.GActionGerm(g, chains[i], c, act)
+                assert germ._cache is base._cache
+                got = equivariant.semigroup_upgrade(p, germ)
+                assert got == equivariant.semigroup_upgrade(p, fresh), p.map
+                verdicts.add(got[0])
+    assert verdicts == {True, False}
 
 
 def test_cached_scans_match_fresh_calls_on_fresh_germs():
