@@ -17,14 +17,13 @@ from functools import cache
 
 from . import rationals as rat
 from .document import load_instance, rel_to_json, subset_to_json
-from .equivariant import beta_g_map, beta_g_proximity, check_descending, \
-    check_equinormal, compute_ug, is_massive, nu_maps, nu_proximity, \
-    require_quasibounded
+from .equivariant import beta_g_proximity, check_equinormal, compute_ug, \
+    is_massive, nu_proximity, require_quasibounded
 from .errors import DocumentError, InternalCheckFailure, \
     PreconditionFailure, ResourceCap
 from .gaction import classify
-from .proximity import P1_P5, _first_near_points, _join_table, \
-    _map_passes, check_axioms, from_uniformity, is_separated, meets_hex
+from .proximity import P1_P5, _join_table, _map_passes, check_axioms, \
+    from_uniformity, is_separated, meets_hex
 from .setrel import _join_mask
 from .suite import run_suite
 from .uniformity import validate_basis
@@ -134,12 +133,6 @@ def cmd_compute(args):
         return EXIT_OK
 
     if args.what in ("nu", "betag"):
-        if args.json and not args.sets:
-            prox = (nu_proximity(germ, instance.require_uniformity())
-                    if args.what == "nu" else beta_g_proximity(germ))
-            _emit_table_json({"schema": 1, "what": args.what,
-                              **_prox_json(prox)})
-            return EXIT_OK
         return _query(args, instance, germ)
     if args.what == "equinormal":
         rep = check_equinormal(germ)
@@ -169,23 +162,24 @@ def _classify_in_full(germ, u):
     once, and the benchmark's layer map (`EXERCISED` in
     `perfbench/test_perfbench.py`) still lists action continuity among the
     layers that `instance-queries` reaches.  The call goes when that entry
-    does (ROADMAP item 11).
+    does (ROADMAP item 4).
     """
     return classify(germ, u).witnesses
 
 
 def _query(args, instance, germ):
-    """A plain or `--sets` request for `nu` or `betag`: it prints only the
-    point block or one verdict, so it reads those entries of the table
-    from its one map (`meets_table`) without building it.  The `nu` map is
-    the deepest level's, checked against every level's
-    (`check_descending`).  A plain `nu` request whose map is no proximity
-    (`_map_passes`) is refused as `ug` refuses it, or trapped."""
-    if args.what == "nu":
-        points = check_descending(
-            nu_maps(germ, instance.require_uniformity()))
-    else:
-        points = beta_g_map(germ)
+    """A `nu` or `betag` request.  `--json` alone writes the table; plain
+    output prints only its point block and `--sets` one verdict, read
+    from its one map (`meets_table`) without a row.  A plain `nu` request
+    whose map is no proximity (`_map_passes`) is refused as `ug` refuses
+    it, or trapped."""
+    prox = (nu_proximity(germ, instance.require_uniformity())
+            if args.what == "nu" else beta_g_proximity(germ))
+    if args.json and not args.sets:
+        _emit_table_json({"schema": 1, "what": args.what,
+                          **_prox_json(prox)})
+        return EXIT_OK
+    points = prox.map
     carrier = germ.carrier
     if args.sets:
         a, b = map(carrier.subset_mask, _resolve_sets(instance, args.sets))
@@ -201,9 +195,8 @@ def _query(args, instance, germ):
         require_quasibounded(germ, instance.require_uniformity())
         raise InternalCheckFailure(
             "translate nearness of a quasibounded uniformity is no proximity")
-    separated = _first_near_points(points) is None
     print(f"proximity on {list(carrier.elements)}; "
-          f"separated: {'yes' if separated else 'no'}")
+          f"separated: {'yes' if is_separated(prox) else 'no'}")
     print("point nearness classes:")
     seen = set()
     for i, x in enumerate(carrier.elements):

@@ -11,19 +11,15 @@ translate-nearness relation computed by nu_proximity.  The two sides are
 computed through independent code paths precisely so that this equality is
 a meaningful machine check rather than a tautology of shared code.
 
-Translate nearness and the maximal group proximity are built from point
-masks: each chain level of nu, read through the least entourage θ of the
-basis, and the deepest level of beta_G, give union-preserving maps of
-subsets, each fixed by its n point values (`nu_maps`, `beta_g_map`).  On a
-descending chain the deepest level's nu map lies inside every level's, so
-it alone decides nu; `check_descending` asserts that point by point, in
-Theta(levels * n) mask operations.  A table (`meets_table`) holds its
-map, which is its point block; one entry is one join of point values.
-The point values pull back through V^{-1} by the germ's inverse
-point masks (`inverse_masks(i)`); the bracket side reads only the forward
-point masks (`masks`, and `deepest` for the deepest level), so the two
-sides share no pullback code; both read `setrel.least_entourage`, tested
-on its own and kept on the basis (`kept_least_entourage`).
+Translate nearness and the maximal group proximity are the tables
+(`meets_table`) of union-preserving maps of subsets, each fixed by its n
+point values, pulled back through V^{-1} by the inverse point masks of
+the deepest level (`inverse_masks`); nu reads the basis through its least
+entourage θ (`setrel.least_entourage`, tested on its own).  On a
+descending chain the deepest level's nu map lies inside every level's,
+which `check_descending` asserts point by point.  The bracket side reads
+only the forward point masks (`masks`), so the two sides share no
+pullback code.
 
 Every group-action verdict compares two tables: it asks
 `proximity.first_pair` for the first pair near in one and far in the
@@ -79,19 +75,15 @@ def compute_ug(a, u):
     there is an internal error, not an input error.
 
     The preconditions are checked for each germ, the basis through ν's gate
-    (`_valid_theta`), since quasiboundedness reads the group elements.
-    The brackets read only u and the level point masks V_i.x, so a derived
-    basis that passed its check is kept on u, keyed by the tuple of those
-    masks (`GActionGerm.masks`), and another germ or call with the same
-    masks gets the same object back.
-    It is kept on u and not in the germ cache because different actions
-    reach the same masks: kept per action, suite seed 0 builds 4,410
-    brackets instead of 2,289 in the main family and 11,563 instead of
-    5,297 in the metric family.
+    (`_valid_theta`), since quasiboundedness reads the group elements.  A
+    derived basis that passed its check is kept on u, not in the germ
+    cache: different actions reach the same level point masks, and kept
+    per action, suite seed 0 built 4,410 brackets instead of 2,289 in the
+    main family and 11,563 instead of 5,297 in the metric family.
     """
     _valid_theta(a, u)
     require_quasibounded(a, u)
-    return u._cached(("ug", a.masks), lambda: _checked_brackets(a, u))
+    return u._kept(_checked_brackets, a.masks)
 
 
 def require_quasibounded(a, u):
@@ -103,10 +95,10 @@ def require_quasibounded(a, u):
                                   witness=cls.witness("quasibounded"))
 
 
-def _checked_brackets(a, u):
+def _checked_brackets(u, masks):
     """The derived basis that `compute_ug` keeps once it passes its check."""
-    out = UnifBase(u.carrier, [_bracket(a.carrier, lem, eps)
-                               for lem in a.masks for eps in u.basis])
+    out = UnifBase(u.carrier, [_bracket(u.carrier, lem, eps)
+                               for lem in masks for eps in u.basis])
     check = validate_basis(out)
     if not check.ok():
         name = check.failures()[0]
@@ -114,21 +106,6 @@ def _checked_brackets(a, u):
             f"derived bracket basis fails condition {name}: "
             f"{check.counterexample(name)}")
     return out
-
-
-def nu_maps(a, u):
-    """The maps defining translate nearness, one per chain level.
-
-    At level V, VA is near VB iff B meets V^{-1} eps(V A) for every
-    entourage eps, that is, for the least one θ of the basis, which must
-    be valid and over the action's carrier.  That map of A is a composite
-    of three union-preserving maps (translate, entourage image, level
-    pullback), so it is given by its n point values V^{-1} θ(V x), each
-    pulled back through the inverse point masks.
-    """
-    theta = _valid_theta(a, u)
-    return [[_join_mask(a.inverse_masks(li), theta.image_mask(t))
-             for t in lem] for li, lem in enumerate(a.masks)]
 
 
 def _valid_theta(a, u):
@@ -166,45 +143,56 @@ def nu_proximity(a, u):
     """Translate nearness: A and B are near when at every chain level the
     level translates are near in the proximity induced by u.
 
-    The table of the deepest level's map of `nu_maps` (`meets_table`),
-    once `check_descending` has checked it against every level's.  The
-    basis is checked on every call; the table is kept per θ and the point
-    masks of every level, all it reads, so the check sees every level.
+    At level V, VA is near VB iff B meets V^{-1} eps(V A) for every
+    entourage eps, that is, for the least one θ of the basis, which must
+    be valid and over the action's carrier.  That map of A is a composite
+    of three union-preserving maps (translate, entourage image, level
+    pullback), so it is given by its n point values V^{-1} θ(V x).  The
+    table is the deepest level's, once `check_descending` has checked
+    its map against every level's.  The basis is checked on every call.
     """
     theta = _valid_theta(a, u)
-    return a._cached(("nu", theta, a.masks), lambda: meets_table(
-        a.carrier, check_descending(nu_maps(a, u))))
+    return a._kept(_nu_table, theta, a.masks, _inverse_chain(a))
 
 
-def beta_g_map(a):
-    """The map defining the maximal group proximity.
+def _inverse_chain(a):
+    """The inverse point masks of every level, deepest last."""
+    return tuple(map(a.inverse_masks, range(len(a.masks))))
 
-    VA meets VB iff B meets V^{-1}VA, and A -> V^{-1}VA preserves unions,
-    so it is given by its n point pullbacks V^{-1}Vx.  Overlap at every
-    level is overlap at the deepest, the only level read.
-    """
-    inv = a.inverse_masks(-1)
-    return [_join_mask(inv, t) for t in a.masks[-1]]
+
+def _nu_table(a, theta, masks, invs):
+    """The table that `nu_proximity` keeps."""
+    maps = [[_join_mask(v, theta.image_mask(t)) for t in lem]
+            for lem, v in zip(masks, invs)]
+    return meets_table(a.carrier, check_descending(maps))
 
 
 def beta_g_proximity(a):
     """The maximal group proximity on a finite discrete carrier:
     A and B are near when their translates overlap at every chain level.
 
-    The table of the `beta_g_map`, kept per deepest level and shared by
-    every chain of the action: the compatibility and separation verdicts
-    read it too.
+    VA meets VB iff B meets V^{-1}VA, and A -> V^{-1}VA preserves unions,
+    so the table has one map, given by its n point pullbacks V^{-1}Vx.
+    Overlap at every level is overlap at the deepest, the only level
+    read.  The compatibility and separation verdicts read the table too.
     """
-    return a._cached(("betag", a.deepest),
-                     lambda: meets_table(a.carrier, beta_g_map(a)))
+    return _betag(a, a.masks[-1], a.inverse_masks(-1))
 
 
-def _table_key(p, a):
-    """What a verdict reads of the table p, its map, once p is checked to
-    be over the action's carrier."""
+def _betag(a, lem, inv):
+    """β_G of the deepest forward and inverse point masks lem and inv."""
+    return a._kept(_betag_table, lem, inv)
+
+
+def _betag_table(a, lem, inv):
+    """The table that `beta_g_proximity` keeps: V.x is lem[x]."""
+    return meets_table(a.carrier, [_join_mask(inv, t) for t in lem])
+
+
+def _check_table(p, a):
+    """Refuse a table p that is not over the action's carrier."""
     if p.carrier != a.carrier:
         raise CarrierMismatch("proximity is not over the action's carrier")
-    return p.map
 
 
 def _verdict(pair):
@@ -232,13 +220,15 @@ def is_g_invariant(p, a):
     before it.  So the first g in index order that breaks nearness is a
     generator, and only the generators are scanned, once per distinct
     permutation other than the identity: p must dominate its pullback by
-    g, and the witness is the first (g, A, B) in ascending order.  The
-    verdict reads no chain, so it is kept per table.
+    g, and the witness is the first (g, A, B) in ascending order.
     """
-    return a._cached(("inv", _table_key(p, a)), lambda: _g_invariant(p, a))
+    _check_table(p, a)
+    return a._kept(_g_invariant, p.map)
 
 
-def _g_invariant(p, a):
+def _g_invariant(a, f):
+    """The verdict that `is_g_invariant` keeps for the table of the map f."""
+    p = meets_table(a.carrier, f)
     group = a.group
     seen = {tuple(range(a.carrier.n))}
     for g in group.gens:
@@ -256,12 +246,29 @@ def _g_invariant(p, a):
 def is_action_compatible(p, a):
     """Whether every far pair has disjoint translates at some chain level,
     that is, is far in the maximal group proximity: whether beta_G
-    dominates p.  beta_G reads the deepest level only, so the verdict is
-    kept per table and deepest point masks.
-    """
-    return a._cached(("compat", _table_key(p, a), a.masks[-1]),
-                     lambda: _verdict(first_pair(beta_g_proximity(a), p,
-                                                 and_not)))
+    dominates p."""
+    _check_table(p, a)
+    return a._kept(_compatibility, p.map, a.masks[-1], a.inverse_masks(-1))
+
+
+def _compatibility(a, f, lem, inv):
+    """The verdict that `is_action_compatible` keeps for the map f."""
+    return _verdict(first_pair(_betag(a, lem, inv),
+                               meets_table(a.carrier, f), and_not))
+
+
+def g_proximity_candidates(a):
+    """Every proximity on the carrier (each a partition one) that is
+    invariant and compatible with the action, kept for every chain with
+    the deepest level's point masks, the only level compatibility reads."""
+    return a._kept(_candidates, a.masks[-1], a.inverse_masks(-1))
+
+
+def _candidates(a, lem, inv):
+    """The list that `g_proximity_candidates` keeps: V.x is lem[x]."""
+    return [rho for _blocks, rho in enumerate_partition_proximities(a.carrier)
+            if is_g_invariant(rho, a)[0]
+            and a._kept(_compatibility, rho.map, lem, inv)[0]]
 
 
 def semigroup_upgrade(p, a):
@@ -271,16 +278,16 @@ def semigroup_upgrade(p, a):
 
     The pullbacks are nested, the deeper level's map inside the upper's,
     so the meet is the deepest pullback; that is asserted point by point
-    (`check_descending`).  The verdict is kept per table and the point
-    masks of every level.
+    (`check_descending`).
     """
-    return a._cached(("semigr", _table_key(p, a), a.masks),
-                     lambda: _semigroup_upgrade(p, a))
+    _check_table(p, a)
+    return a._kept(_semigroup_upgrade, p.map, a.masks, _inverse_chain(a))
 
 
-def _semigroup_upgrade(p, a):
-    pulled = [_pullback(p, lem, a.inverse_masks(li))
-              for li, lem in enumerate(a.masks)]
+def _semigroup_upgrade(a, f, masks, invs):
+    """The verdict that `semigroup_upgrade` keeps for the map f."""
+    p = meets_table(a.carrier, f)
+    pulled = [_pullback(p, lem, v) for lem, v in zip(masks, invs)]
     meet = meets_table(p.carrier, check_descending([q.map for q in pulled]))
     return _verdict(first_pair(meet, p, and_not))
 
@@ -309,17 +316,16 @@ def check_equinormal(a):
     (pi-disjoint) must have neighborhoods with the same property.  On a
     discrete carrier every set is an open neighborhood of itself, so the
     pair itself is the canonical witness; _separation_ok re-verifies it
-    through the other mask route.  Both read the deepest level only, so
-    the report is kept per deepest level.
+    through the other mask route.  Both read the deepest level only.
     """
-    return a._cached(("equinormal", a.deepest),
-                     lambda: _equinormal(a))
+    return a._kept(_equinormal, a.masks[-1], a.inverse_masks(-1))
 
 
-def _equinormal(a):
-    dpi = beta_g_proximity(a)
+def _equinormal(a, lem, inv):
+    """The report that `check_equinormal` keeps."""
+    dpi = _betag(a, lem, inv)
     axioms = check_axioms(dpi)
-    separation_ok = _separation_ok(a)
+    separation_ok = _separation_ok(dpi, lem)
     equinormal = axioms.ok(P1_P5)
     return EquinormalReport(
         equinormal=equinormal,
@@ -329,9 +335,10 @@ def _equinormal(a):
     )
 
 
-def _separation_ok(a):
-    """Whether every pi-disjoint pair is witnessed: whether beta_G
-    dominates the table of x -> {y : Vy meets Vx} at the deepest level V.
+def _separation_ok(dpi, lem):
+    """Whether every pi-disjoint pair is witnessed: whether beta_G, the
+    table dpi, dominates the table of x -> {y : Vy meets Vx} at the
+    deepest level V, V.x being lem[x].
 
     Disjointness of translates is antitone in V, so (A, B) is pi-disjoint
     exactly when VA misses VB, that is, when it is far in that table, read
@@ -339,11 +346,8 @@ def _separation_ok(a):
     (A, B) is disjoint when the pair is far in beta_G, whose map pulls
     back through `inverse_masks`, so the two mask routes stay apart.
     """
-    lem = a.masks[-1]
-    n = a.carrier.n
-    met = meets_table(a.carrier, [sum(1 << y for y in range(n) if lem[y] & t)
-                                  for t in lem])
-    return dominates(beta_g_proximity(a), met)
+    met = [sum(1 << y for y, s in enumerate(lem) if s & t) for t in lem]
+    return dominates(dpi, meets_table(dpi.carrier, met))
 
 
 def is_massive(a, u):

@@ -345,11 +345,10 @@ class GActionGerm(setrel.Memo):
     the law costs k * |gens| byte translates for a group of order k; `act`
     stays a tuple of int tuples.
 
-    The cache of tables and verdicts (`_cached`) belongs to the action,
-    not to the chain: its keys hold level and basis values, never a chain
-    position, so `on_chain` rebinds the chain and keeps the cache.  Each
-    function that keeps a result here builds its own key from the values
-    it reads.
+    The cache of tables and verdicts (`_kept`) belongs to the action, not
+    to the chain: a function kept here reads no chain field of the germ
+    and takes what it reads of the chain as arguments, which are its key,
+    so `on_chain` rebinds the chain and keeps the cache.
     """
 
     __slots__ = ("group", "ne", "carrier", "act", "deepest", "masks")
@@ -395,17 +394,13 @@ class GActionGerm(setrel.Memo):
             raise ValueError("neighborhood chain belongs to a different group")
         self.ne = ne
         self.deepest = ne.levels[-1]
-        self.masks = tuple(self._cached(("lem", level),
-                                        lambda: self._point_masks(level))
+        self.masks = tuple(self._kept(_level_masks, level)
                            for level in ne.levels)
 
     def inverse_masks(self, level_index):
         """Masks of {v^{-1}.x : v in V} for chain level V, used to pull sets
         back through V: the transpose of `masks[level_index]`."""
-        level = self.ne.levels[level_index]
-        inv = self.group.inv
-        return self._cached(("ilem", level), lambda: self._point_masks(
-            inv[v] for v in level))
+        return self._kept(_inverse_level_masks, self.ne.levels[level_index])
 
     def _point_masks(self, elems):
         n = self.carrier.n
@@ -425,11 +420,22 @@ class GActionGerm(setrel.Memo):
         entourage is the OR of its moved cells.  The table does not read
         the chain.
         """
-        return self._cached(("push", u), lambda: _push_table(self, u))
+        return self._kept(_push_table, u)
 
     def __repr__(self):
         return (f"GActionGerm(group={self.group.order}, n={self.carrier.n}, "
                 f"chain={[len(v) for v in self.ne.levels]})")
+
+
+def _level_masks(a, level):
+    """The point masks {v.x : v in level} that `masks` holds."""
+    return a._point_masks(level)
+
+
+def _inverse_level_masks(a, level):
+    """The point masks {v^{-1}.x : v in level} of `inverse_masks`."""
+    inv = a.group.inv
+    return a._point_masks(inv[v] for v in level)
 
 
 def _push_table(a, u):
@@ -491,11 +497,8 @@ class ClassificationReport:
 
     def witness(self, name):
         """The first failure witness of verdict `name`, or None when it
-        holds; searched once per key in the germ cache."""
-        a, u = self.germ, self.uniformity
-        reads_deep, search = _SEARCHES[name]
-        key = (name, a.deepest, u) if reads_deep else (name, u)
-        return a._cached(key, lambda: search(a, u))
+        holds; searched once per action and the values its search reads."""
+        return _SEARCHES[name](self.germ, self.uniformity)
 
     @property
     def witnesses(self):
@@ -549,12 +552,8 @@ def classify(a, u):
     into the pairs that every translate keeps in eps.
 
     Each verdict's witness (None when it holds) is kept in the action's
-    germ cache under its own key, built from the values its search reads:
-    saturated, equicontinuous and uniformly_equicontinuous read only the
-    push table and are keyed by (name, basis value); bounded, quasibounded
-    and action_continuous also read the deepest level and are keyed by
-    (name, deepest level, basis value).  So a verdict is searched once per
-    action and key, shared by every chain of the action
+    germ cache, so a verdict is searched once per action and the values
+    its search reads, shared by every chain of the action
     (`GActionGerm.on_chain`), and a verdict that is never read is never
     searched.  The report holds only the germ and the basis and is not
     kept in the cache, where it would hold its own germ in a cycle.
@@ -574,48 +573,54 @@ def _saturation_witness(a, u):
     return None
 
 
-def _boundedness_witness(a, u):
+def _boundedness_witness(a, u, deepest):
     """The first eps_k the deepest level does not bound, with its pair."""
     for k, eps in enumerate(u.basis):
-        wit = _unbounded_pair(a, eps)
+        wit = _unbounded_pair(a, deepest, eps)
         if wit is not None:
             return (k,) + wit
     return None
 
 
-def _quasiboundedness_witness(a, u):
+def _quasiboundedness_witness(a, u, deepest):
     """The first eps_k that no deepest-level spread of a basis entourage
     fits in, with the first pair that moves basis[0] out of it."""
     basis = u.basis
     push = a.push_table(u)
-    spread = _fold(or_, (push[v] for v in a.deepest))
+    spread = _fold(or_, (push[v] for v in deepest))
     k = _first_uncovered([eps.pair_bits for eps in basis], spread)
     if k is None:
         return None
-    return (k,) + _spread_pair(a, basis[0], basis[k])
+    return (k,) + _spread_pair(a, deepest, basis[0], basis[k])
+
+
+def _group_equicontinuity_witness(a, u):
+    """The equicontinuity witness of the whole group."""
+    return _equicontinuity_witness(a, u.basis, _kept_pairs(a, u))
 
 
 def _uniform_equicontinuity_witness(a, u):
     """(k,) for the first eps_k in which no basis entourage is kept by
     every translate."""
-    k = _first_uncovered(_kept(a, u), [eps.pair_bits for eps in u.basis])
+    k = _first_uncovered(_kept_pairs(a, u),
+                         [eps.pair_bits for eps in u.basis])
     return None if k is None else (k,)
 
 
-# Each verdict's search, and whether it reads the deepest level besides the
-# push table (and so keys its witness by that level).
+# Each verdict's witness for the germ a and the basis u, kept in the cache.
 _SEARCHES = {
-    "saturated": (False, _saturation_witness),
-    "bounded": (True, _boundedness_witness),
-    "quasibounded": (True, _quasiboundedness_witness),
-    "equicontinuous": (False, lambda a, u: _equicontinuity_witness(
-        a, u.basis, _kept(a, u))),
-    "uniformly_equicontinuous": (False, _uniform_equicontinuity_witness),
-    "action_continuous": (True, lambda a, u: check_action_continuity(a, u)[1]),
+    "saturated": lambda a, u: a._kept(_saturation_witness, u),
+    "bounded": lambda a, u: a._kept(_boundedness_witness, u, a.deepest),
+    "quasibounded": lambda a, u: a._kept(_quasiboundedness_witness, u,
+                                         a.deepest),
+    "equicontinuous": lambda a, u: a._kept(_group_equicontinuity_witness, u),
+    "uniformly_equicontinuous": lambda a, u: a._kept(
+        _uniform_equicontinuity_witness, u),
+    "action_continuous": lambda a, u: check_action_continuity(a, u)[1],
 }
 
 
-def _kept(a, u):
+def _kept_pairs(a, u):
     """kept[k]: the pairs of eps_k that every translate keeps in eps_k, as
     pair bits: the AND of the push table over the group."""
     return _fold(and_, a.push_table(u))
@@ -643,11 +648,11 @@ def _equicontinuity_witness(a, basis, kept):
     return None
 
 
-def _unbounded_pair(a, eps):
+def _unbounded_pair(a, deepest, eps):
     """The first (v, x) with (v.x, x) outside eps, v in the deepest level
     and x in index order, or None when that level is eps-bounded."""
     imgs = eps.image_masks
-    for v in sorted(a.deepest):
+    for v in sorted(deepest):
         p = a.act[v]
         for x in range(a.carrier.n):
             if not imgs[p[x]] >> x & 1:
@@ -655,13 +660,13 @@ def _unbounded_pair(a, eps):
     return None
 
 
-def _spread_pair(a, delta, eps):
+def _spread_pair(a, deepest, delta, eps):
     """The first (v, x, y) with (v.x, v.y) outside eps, v in the deepest
     level and (x, y) in delta in index order, or None when v.delta lies
     inside eps for every v in that level."""
     n = a.carrier.n
     els = a.carrier.elements
-    for v in sorted(a.deepest):
+    for v in sorted(deepest):
         p = a.act[v]
         cells = delta.pair_bits
         while cells:
@@ -684,14 +689,18 @@ def check_action_continuity(a, u):
     whose target t is row x0 of g0^{-1}.eps in the push table
     (`GActionGerm.push_table`, shared with `classify`).  For each x0 the
     parts V . delta(x0) are built once; (g0, x0, eps) fails when every
-    part meets the complement of t, one AND per part.  `classify` keeps
-    the witness in the germ cache.
+    part meets the complement of t, one AND per part.  `classify` reads
+    the verdict, which is kept in the germ cache.
     """
     if u.carrier != a.carrier:
         raise CarrierMismatch("uniformity is not over the action's carrier")
+    return a._kept(_action_continuity, u, a.masks[-1])
+
+
+def _action_continuity(a, u, lem):
+    """The verdict that `check_action_continuity` keeps, V.x being lem[x]."""
     n = a.carrier.n
     push = a.push_table(u)
-    lem = a.masks[-1]
     parts = [[_join_mask(lem, delta.image_masks[x0]) for delta in u.basis]
              for x0 in range(n)]
     for g0 in range(a.group.order):
@@ -717,14 +726,18 @@ def saturate_uniformity(a, u):
     the four basis conditions survive the intersection.  The intersections
     are the ANDs of the push table over the group (the table is shared
     with `classify`), cut back into image masks.  The push table reads no
-    chain, so the result is kept per basis value and every chain of the
-    action gets the same basis object back.
+    chain, so every chain of the action gets the same basis object back.
     """
     if u.carrier != a.carrier:
         raise CarrierMismatch("uniformity is not over the action's carrier")
+    return a._kept(_saturated_basis, u)
+
+
+def _saturated_basis(a, u):
+    """The basis that `saturate_uniformity` keeps."""
     n = u.carrier.n
     full = u.carrier.full_mask
-    return a._cached(("sat", u), lambda: UnifBase(u.carrier, [
+    return UnifBase(u.carrier, [
         setrel.Rel.from_masks(u.carrier,
                               [bits >> i * n & full for i in range(n)])
-        for bits in _kept(a, u)]))
+        for bits in _kept_pairs(a, u)])

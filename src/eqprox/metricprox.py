@@ -12,10 +12,7 @@ The basis of a (pseudo)metric uniformity consists of the sublevel
 relations d <= r at each distinct positive value r, together with the
 kernel relation d = 0 (the diagonal, for a genuine metric).  Such a basis
 and the bases derived from it under an action, whose brackets repeat, are
-checked by `uniformity.validate_basis` once per distinct entourage.  The
-translate-distance proximity reads only the zero hulls and the deepest
-chain level, so its table is kept in the action's germ cache under those
-two values.
+checked by `uniformity.validate_basis` once per distinct entourage.
 
 For a family of pseudometrics the same sublevel construction applies per
 member; the family kernel (simultaneous vanishing) is added so that the
@@ -125,13 +122,6 @@ class PseudometricFamily:
         self.members = members
 
 
-def _sublevels(m):
-    """The entourages {rank <= k} for every k, from the kernel {d = 0} up."""
-    return [setrel.Rel.from_masks(m.carrier, [
-        sum(1 << j for j, r in enumerate(row) if r <= k) for row in m.rank])
-        for k in range(len(m.values))]
-
-
 def metric_uniformity(m):
     """Sublevel basis of a finite (pseudo)metric.
 
@@ -140,7 +130,19 @@ def metric_uniformity(m):
     a metric, playing the below-minimum threshold level).  The basis is
     kept on the metric, so every caller shares one object.
     """
-    return m._cached(("basis",), lambda: UnifBase(m.carrier, _sublevels(m)))
+    return m._kept(_sublevel_basis)
+
+
+def _sublevel_basis(m):
+    """The basis that `metric_uniformity` keeps."""
+    return UnifBase(m.carrier, _sublevels(m))
+
+
+def _sublevels(m):
+    """The entourages {rank <= k} for every k, from the kernel {d = 0} up."""
+    return [setrel.Rel.from_masks(m.carrier, [
+        sum(1 << j for j, r in enumerate(row) if r <= k) for row in m.rank])
+        for k in range(len(m.values))]
 
 
 def sup_pseudometric(fam, a, group_subset, member_index):
@@ -264,9 +266,8 @@ def metric_g_proximity(m, a):
     """A and B are near when no chain level pushes their translates a
     positive distance apart: near(A, B) iff d(VA, VB) = 0 for every level V.
     d(VA, VB) only grows as V shrinks, so the deepest level decides, and
-    the table has one map.  The table reads only the zero hulls and the
-    deepest level, so it is kept in the action's germ cache under those
-    two values, shared by every chain and metric that reach them.
+    the table has one map, kept in the action's germ cache and shared by
+    every chain and metric with its zero hulls and deepest point masks.
 
     Requires the sublevel uniformity to be quasibounded and saturated; the
     classifier witness is surfaced otherwise, on every call.
@@ -282,13 +283,11 @@ def metric_g_proximity(m, a):
     # the point itself, for a pseudometric its kernel class.
     zero_of = tuple(sum(1 << j for j, k in enumerate(row) if not k)
                     for row in m.rank)
-    return a._cached(("metricg", zero_of, a.deepest),
-                     lambda: _metric_table(a, zero_of))
+    return a._kept(_metric_table, zero_of, a.masks[-1], a.inverse_masks(-1))
 
 
-def _metric_table(a, zero_of):
+def _metric_table(a, zero_of, lem, inv):
     # B is near A iff VB meets the zero hull of VA, i.e. B meets its
-    # pullback through the deepest level V.
-    inv = a.inverse_masks(-1)
+    # pullback through the deepest level V (V.x is lem[x], V^{-1}.x inv[x]).
     return meets_table(a.carrier, [_join_mask(inv, _join_mask(zero_of, t))
-                                   for t in a.masks[-1]])
+                                   for t in lem])

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import CarrierMismatch, PreconditionFailure, ResourceCap
-from .setrel import _join_mask, kept_least_entourage
+from .errors import CarrierMismatch, ResourceCap
+from .setrel import _join_mask, required_least_entourage
 
 AXIOM_CHECK_CAP = 12
 
@@ -353,16 +353,15 @@ def from_uniformity(u):
     A x B, so the generated filter gives the same verdict, and so does a
     member inside all others (`least_entourage`), whose image masks are
     the table's map.  Every valid basis has one; a list without one is
-    refused (`PreconditionFailure`), as `uniformity.refines` refuses it.
-    The table is kept on the basis object.
+    refused (`setrel.required_least_entourage`), as `uniformity.refines`
+    refuses it.  The table is kept on the basis object.
     """
-    def build():
-        least = kept_least_entourage(u)
-        if least is None:
-            raise PreconditionFailure(
-                "the basis has no member inside all others")
-        return meets_table(u.carrier, least.image_masks)
-    return u._cached(("prox",), build)
+    return u._kept(_induced_table)
+
+
+def _induced_table(u):
+    """The table that `from_uniformity` keeps."""
+    return meets_table(u.carrier, required_least_entourage(u).image_masks)
 
 
 def _first_near_points(points):

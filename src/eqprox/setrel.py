@@ -15,26 +15,28 @@ from __future__ import annotations
 from functools import reduce
 from operator import and_
 
-from .errors import CarrierMismatch
+from .errors import CarrierMismatch, PreconditionFailure
 
 DEFAULT_MAX_CARRIER = 12
 
 
 class Memo:
-    """An object that keeps values computed from it: `_cached(key, build)`
-    runs build() once per key and keeps the result as long as the object.
-    A key is a tuple: a tag naming what is kept, then every other value
-    build reads.  A build that raises keeps nothing."""
+    """An object that keeps values computed from it: `_kept(fn, *args)`
+    returns fn(self, *args), computed once per key (fn,) + args and kept
+    as long as the object.  fn is a module-level function and args are
+    exactly the values it reads that can differ between calls, so the key
+    is the call.  A call that raises keeps nothing."""
 
     __slots__ = ("_cache",)
 
     def __init__(self):
         self._cache = {}
 
-    def _cached(self, key, build):
+    def _kept(self, fn, *args):
+        key = (fn, *args)
         cache = self._cache
         if key not in cache:
-            cache[key] = build()
+            cache[key] = fn(self, *args)
         return cache[key]
 
 
@@ -225,4 +227,11 @@ def least_entourage(u):
 def kept_least_entourage(u):
     """`least_entourage(u)`, kept on the basis object u: the basis checks,
     the induced proximity and the uniformity readers all read it."""
-    return u._cached(("least",), lambda: least_entourage(u))
+    return u._kept(least_entourage)
+
+
+def required_least_entourage(u):
+    """`kept_least_entourage(u)`, refused (`PreconditionFailure`) if None."""
+    if (theta := kept_least_entourage(u)) is None:
+        raise PreconditionFailure("the basis has no member inside all others")
+    return theta

@@ -24,7 +24,7 @@ from operator import attrgetter, or_, xor
 from . import rationals as rat
 from .equivariant import beta_g_proximity, betag_on_subgroup_agrees, \
     check_equinormal, compute_ug, deepest_orbits_coincide, \
-    enumerate_partition_proximities, is_action_compatible, is_g_invariant, \
+    g_proximity_candidates, is_action_compatible, is_g_invariant, \
     nu_proximity, semigroup_upgrade, set_partitions
 from .errors import InternalCheckFailure, ResourceCap
 from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify, \
@@ -300,11 +300,8 @@ def iter_family(max_n=5, seed=0, max_group=6):
 
     Each group's chains are validated once, and each action once: its
     germs over the chains are one germ rebound by `on_chain`, so they
-    share one cache and a verdict that reads only the deepest level and
-    the basis is computed once per action.  `saturate_uniformity` keeps
-    its result per action and basis value, so every chain gets the same
-    basis object back, and the derived bases `compute_ug` keeps on it are
-    shared by the chains too."""
+    share one cache, and the bases that `saturate_uniformity` and
+    `compute_ug` keep are shared by the chains too."""
     rng = random.Random(seed)
     pools = {n: basis_pool(Carrier(range(n)), rng) for n in range(1, max_n + 1)}
     for gname, group, gens in suite_groups(max_group):
@@ -448,7 +445,7 @@ def _main_family(wanted, max_n, seed, max_group, inject):
             ok, wit = semigroup_upgrade(nu, germ)
             yield "semigr", ok, label, wit
         if maximality:
-            for ri, rho in enumerate(_g_proximity_candidates(germ)):
+            for ri, rho in enumerate(g_proximity_candidates(germ)):
                 if dominates(delta_u, rho):
                     yield ("maximality", dominates(nu, rho),
                            f"{label}/cand{ri}", None)
@@ -458,18 +455,6 @@ def _main_family(wanted, max_n, seed, max_group, inject):
 # derived basis.
 _NU_READERS = ("tgprox", "gprox", "semigr", "maximality")
 _UG_READERS = ("tgprox", "ugclaims")
-
-
-def _g_proximity_candidates(germ):
-    """Every proximity on the carrier that is invariant and compatible with
-    this germ; finite proximities are exactly the partition ones, so the
-    enumeration is complete.  Invariance reads no chain and compatibility
-    the deepest level, so one list serves every chain with that level's
-    point masks."""
-    return germ._cached((_g_proximity_candidates, germ.masks[-1]), lambda: [
-        rho for _blocks, rho in enumerate_partition_proximities(germ.carrier)
-        if is_g_invariant(rho, germ)[0]
-        and is_action_compatible(rho, germ)[0]])
 
 
 def _per_germ_checks(wanted, label, germ, inject):
@@ -490,7 +475,7 @@ def _per_germ_checks(wanted, label, germ, inject):
         # The subgroups read only the group: listed once per action, in
         # the cache its germs share.
         group = germ.group
-        for h in germ._cached(("subgroups",), group.subgroups):
+        for h in germ._kept(_subgroups):
             if (group.product_set(h, germ.deepest)
                     != frozenset(range(group.order))):
                 continue
@@ -499,6 +484,11 @@ def _per_germ_checks(wanted, label, germ, inject):
             agree, _full, _restr = betag_on_subgroup_agrees(germ, sorted(h))
             yield ("densesub", agree,
                    f"{label}/H={sorted(group.names[i] for i in h)}", None)
+
+
+def _subgroups(a):
+    """The subgroups of the action's group, which `_per_germ_checks` keeps."""
+    return a.group.subgroups()
 
 
 # ---------------------------------------------------------------------------

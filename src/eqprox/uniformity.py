@@ -15,14 +15,14 @@ from __future__ import annotations
 from functools import reduce
 
 from . import setrel
-from .errors import CarrierMismatch, PreconditionFailure
+from .errors import CarrierMismatch
 from .proximity import AxiomReport
 
 
 class UnifBase(setrel.Memo):
     """A nonempty list of entourages.  Stored unvalidated so that broken
     bases can serve as negative fixtures; run validate_basis to check.
-    The functions that read a basis keep their results on it (`_cached`)."""
+    The functions that read a basis keep their results on it (`_kept`)."""
 
     __slots__ = ("carrier", "basis", "_hash")
 
@@ -76,7 +76,7 @@ def validate_basis(u):
     r tests per pair.  The report is kept on the basis object, so each
     basis is checked once.
     """
-    return u._cached(("report",), lambda: _basis_report(u))
+    return u._kept(_basis_report)
 
 
 def _basis_report(u):
@@ -128,7 +128,7 @@ def _first_uncovered(targets, parts):
 def induced_topology(u):
     """Open sets of the uniformity, frozensets in subset-index order: A is
     open iff each a in A has some eps(a) inside A, that is, θ(A) ⊆ A."""
-    theta = _least(u)
+    theta = setrel.required_least_entourage(u)
     return tuple(u.carrier.mask_subset(a) for a in range(1 << u.carrier.n)
                  if theta.image_mask(a) | a == a)
 
@@ -138,20 +138,13 @@ def refines(u1, u2):
     entourage θ of u1 (so the filter of u2 sits inside that of u1)."""
     if u1.carrier != u2.carrier:
         raise CarrierMismatch("bases live on different carriers")
-    theta = _least(u1)
+    theta = setrel.required_least_entourage(u1)
     return all(eps.contains(theta) for eps in u2.basis)
 
 
 def refinement_equivalent(u1, u2):
     """Whether the bases refine each other: they generate one uniformity."""
     return refines(u1, u2) and refines(u2, u1)
-
-
-def _least(u):
-    """`setrel.least_entourage(u)`, which must exist, kept on u."""
-    if (theta := setrel.kept_least_entourage(u)) is None:
-        raise PreconditionFailure("the basis has no member inside all others")
-    return theta
 
 
 def basis_intersection(u):

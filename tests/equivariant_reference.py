@@ -21,7 +21,10 @@ The closing section keeps the ``nu_proximity`` body that built the table
 of every level's map and compared it with the deepest level's table, and
 the CLI's ``_entry_reader``, which read an entry over the whole chain and
 over the deepest level and compared the two, from before ν became the
-table of its deepest level's map, checked point by point.
+table of its deepest level's map, checked point by point, and the
+``nu_maps`` and ``beta_g_map`` that gave the maps of the ν and β_G
+tables to the CLI and to these references before the tables became
+values kept by their call.
 The bodies are kept unchanged, methods taking the germ as ``a``, so
 that ``test_equivariant_differential.py`` compares the production code
 with the originals, tables, verdicts and witnesses alike.  This is
@@ -34,9 +37,10 @@ from proximity_reference import RowsTable, _intersectors, _submask_table, \
 from eqprox import setrel
 from eqprox.errors import CarrierMismatch, InternalCheckFailure, \
     PreconditionFailure
-from eqprox.equivariant import _bracket, beta_g_map, nu_maps
+from eqprox.equivariant import _bracket, _valid_theta
 from eqprox.gaction import _group_indices
 from eqprox.proximity import AxiomReport, _join_table
+from eqprox.setrel import _join_mask
 from eqprox.uniformity import _first_uncovered, validate_basis
 
 
@@ -640,3 +644,29 @@ def entry_reader_reference(what, germ, u):
                                                         entry(maps[-1:]))
     maps = [beta_g_map(germ)]
     return lambda entry: entry(maps)
+
+
+def nu_maps(a, u):
+    """The maps defining translate nearness, one per chain level.
+
+    At level V, VA is near VB iff B meets V^{-1} eps(V A) for every
+    entourage eps, that is, for the least one θ of the basis, which must
+    be valid and over the action's carrier.  That map of A is a composite
+    of three union-preserving maps (translate, entourage image, level
+    pullback), so it is given by its n point values V^{-1} θ(V x), each
+    pulled back through the inverse point masks.
+    """
+    theta = _valid_theta(a, u)
+    return [[_join_mask(a.inverse_masks(li), theta.image_mask(t))
+             for t in lem] for li, lem in enumerate(a.masks)]
+
+
+def beta_g_map(a):
+    """The map defining the maximal group proximity.
+
+    VA meets VB iff B meets V^{-1}VA, and A -> V^{-1}VA preserves unions,
+    so it is given by its n point pullbacks V^{-1}Vx.  Overlap at every
+    level is overlap at the deepest, the only level read.
+    """
+    inv = a.inverse_masks(-1)
+    return [_join_mask(inv, t) for t in a.masks[-1]]

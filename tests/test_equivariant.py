@@ -1,9 +1,11 @@
 import random
 from collections import Counter
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 import pytest
-from equivariant_reference import bracket_entourage_reference
+from equivariant_reference import bracket_entourage_reference, nu_maps
 from proximity_reference import RowsTable, _point_block
 from test_equivariant_differential import flip_one_bit, random_map_table
 
@@ -12,7 +14,7 @@ from eqprox.document import load_instance
 from eqprox.equivariant import beta_g_proximity, betag_on_subgroup_agrees, \
     bracket_entourage, check_equinormal, compute_ug, deepest_orbits_coincide, \
     enumerate_partition_proximities, is_action_compatible, is_g_invariant, \
-    is_massive, nu_maps, nu_proximity, semigroup_upgrade, subgroup_germ
+    is_massive, nu_proximity, semigroup_upgrade, subgroup_germ
 from eqprox.errors import CarrierMismatch, InternalCheckFailure, \
     PreconditionFailure
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify
@@ -186,9 +188,9 @@ def test_kept_derived_bases_are_fresh_bracket_bases(monkeypatch):
     builds = []
     real = equivariant._checked_brackets
 
-    def checked_brackets(a, u):
-        builds.append(a)
-        return real(a, u)
+    def checked_brackets(u, masks):
+        builds.append(masks)
+        return real(u, masks)
 
     monkeypatch.setattr(equivariant, "_checked_brackets", checked_brackets)
     kept_from_other_germs = 0
@@ -485,6 +487,37 @@ def test_semigroup_upgrade_of_a_map_is_decided_at_the_deepest_level():
             semigroup_upgrade_oracle(p, two) == want, p.map
         outcomes[want[0]] += 1
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_semigroup_upgrade_checks_the_pullback_of_every_level(monkeypatch):
+    # Z5 rotating five points over {e, g} > {e}: the upper level is not
+    # closed under inverses, so its pullback differs from one through its
+    # forward point masks, which the suite's subgroup chains cannot show.
+    # The maps handed to `check_descending` must be, level by level,
+    # x -> {y : some w.y in f(V.x)}, read off the action.
+    g = FiniteGroup.cyclic(5)
+    c = Carrier(range(5))
+    act = [tuple((x + k) % 5 for x in range(5)) for k in range(5)]
+    levels = [frozenset({0, 1}), frozenset({0})]
+    germ = GActionGerm(g, NeighborhoodBase(g, levels), c, act)
+    handed = []
+    real = equivariant.check_descending
+    monkeypatch.setattr(equivariant, "check_descending",
+                        lambda maps: real(handed.append(maps) or maps))
+    rng = random.Random(54)
+    maps = {tuple(random_map_table(rng, c).map) for _ in range(40)}
+    for f in sorted(maps):
+        handed.clear()
+        semigroup_upgrade(meets_table(c, list(f)), germ)
+        want = []
+        for level in levels:
+            image = [reduce(or_, (f[act[v][x]] for v in level))
+                     for x in range(5)]
+            want.append([sum(1 << y for y in range(5)
+                             if any(image[x] >> act[w][y] & 1
+                                    for w in level)) for x in range(5)])
+        assert [[list(m) for m in h] for h in handed] == [want], f
+    assert len(maps) > 30
 
 
 def test_equinormal_on_standard_instances():

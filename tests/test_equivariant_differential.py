@@ -24,23 +24,23 @@ from types import SimpleNamespace
 import pytest
 from equivariant_reference import _level_pullback, \
     action_continuity_translate_reference, \
-    acts_equicontinuously_reference, beta_g_proximity_reference, \
+    acts_equicontinuously_reference, beta_g_map, beta_g_proximity_reference, \
     bracket_entourage_reference, check_action_continuity_reference, \
     classify_reference, deepest_orbits_coincide_reference, \
     entry_reader_reference, equinormal_separation_reference, \
-    is_action_compatible_reference, is_g_invariant_reference, \
+    is_action_compatible_reference, is_g_invariant_reference, nu_maps, \
     nu_proximity_point_pullback_reference, nu_proximity_reference, \
     nu_proximity_two_tables_reference, push_rel, separation_ok_reference, \
     set_translate_mask, translate_mask, validate_basis_reference
 from proximity_reference import _point_block, meets, meets_points, \
     meets_table_reference
 
-from eqprox import cli, equivariant
+from eqprox import cli, equivariant, gaction
 from eqprox.document import load_instance, subset_to_json
-from eqprox.equivariant import _separation_ok, beta_g_map, \
+from eqprox.equivariant import _separation_ok, \
     beta_g_proximity, bracket_entourage, check_descending, check_equinormal, \
     compute_ug, deepest_orbits_coincide, enumerate_partition_proximities, \
-    is_action_compatible, is_g_invariant, nu_maps, nu_proximity
+    is_action_compatible, is_g_invariant, nu_proximity
 from eqprox.errors import DocumentError, InternalCheckFailure, \
     PreconditionFailure
 from eqprox.gaction import VERDICTS, FiniteGroup, GActionGerm, \
@@ -56,6 +56,17 @@ from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis, \
     validate_basis
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# The function that keeps each verdict's witness in the germ cache, or,
+# for action continuity, the verdict its witness is read from.
+VERDICT_OF = {
+    gaction._saturation_witness: "saturated",
+    gaction._boundedness_witness: "bounded",
+    gaction._quasiboundedness_witness: "quasibounded",
+    gaction._group_equicontinuity_witness: "equicontinuous",
+    gaction._uniform_equicontinuity_witness: "uniformly_equicontinuous",
+    gaction._action_continuity: "action_continuous",
+}
 
 
 def assert_same_invariance(p, a):
@@ -114,8 +125,8 @@ def assert_read_orders_agree(a, u):
         report = fresh()
         assert verdicts(report, (name,)) == {name: want[name]}, \
             (a, u.basis, name)
-        assert [key[0] for key in report.germ._cache
-                if key[0] in VERDICTS] == [name]
+        assert [VERDICT_OF[key[0]] for key in report.germ._cache
+                if key[0] in VERDICT_OF] == [name]
     saturated = want["saturated"][0]
     assert fresh().pi_uniform == (want["quasibounded"][0] and saturated)
     assert fresh().equiuniform == (want["bounded"][0] and saturated)
@@ -165,9 +176,10 @@ def assert_same_germ_tables(a, rng):
     copy of it."""
     bg = beta_g_proximity(a)
     assert bg.rows == beta_g_proximity_reference(a).rows, a
-    assert _separation_ok(a) == separation_ok_reference(a), a
+    assert _separation_ok(bg, a.masks[-1]) == separation_ok_reference(a), a
     bad = with_corrupt_pullbacks(a)
-    assert _separation_ok(bad) == separation_ok_reference(bad), a
+    assert _separation_ok(beta_g_proximity(bad), bad.masks[-1]) == \
+        separation_ok_reference(bad), a
     assert_same_compatibility(bg, a)
     assert_same_compatibility(flip_one_bit(bg, rng), a)
 

@@ -26,14 +26,16 @@ from proximity_reference import meets_table_reference
 from uniformity_reference import from_uniformity_reference, \
     induced_topology_reference, nu_maps_reference, refines_reference
 
+from eqprox import equivariant
 from eqprox.document import load_instance
-from eqprox.equivariant import compute_ug, nu_maps
+from eqprox.equivariant import compute_ug, nu_proximity
 from eqprox.errors import DocumentError, InternalCheckFailure, \
     PreconditionFailure
+from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase
 from eqprox.metricprox import metric_uniformity
 from eqprox.proximity import from_uniformity, meets_table
 from eqprox.setrel import Carrier, Rel, least_entourage
-from eqprox.suite import iter_family, run_suite
+from eqprox.suite import basis_pool, iter_family, run_suite
 from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis, \
     induced_topology, refinement_equivalent, refines, validate_basis
 
@@ -197,24 +199,45 @@ def fixture_bases():
                 metric_uniformity(inst.metric)
 
 
+def lopsided_settings():
+    """(label, germ, basis): Z_k rotating k points, k = 4 and 5, over the
+    chain {e, g} > {e}, with every basis of a seeded pool.  The upper
+    level is not closed under inverses, so its inverse point masks are
+    not its forward ones; the suite's chains are all subgroups."""
+    for k in (4, 5):
+        group = FiniteGroup.cyclic(k)
+        carrier = Carrier(range(k))
+        act = [tuple((x + g) % k for x in range(k)) for g in range(k)]
+        germ = GActionGerm(group, NeighborhoodBase(
+            group, [frozenset({0, 1}), frozenset({0})]), carrier, act)
+        for u in basis_pool(carrier, random.Random(k)):
+            yield f"Z{k}/lopsided", germ, u
+
+
 def differential_settings():
     """(label, germ, basis): every setting of iter_family(max_n=5,
-    seed=0), then every fixture basis."""
+    seed=0), then the lopsided chains, then every fixture basis."""
     yield from iter_family(max_n=5, seed=0)
+    yield from lopsided_settings()
     yield from fixture_bases()
 
 
-def assert_same_nu_levels(a, u):
-    """Each level's one map against the earlier list of maps, one per
-    member: the same table, or the same precondition message."""
+def assert_same_nu_levels(a, u, handed):
+    """Each level's one map, as `nu_proximity` hands them to
+    `check_descending` (recorded in handed) on a germ with an empty cache,
+    against the earlier list of maps, one per member: the same table, or
+    the same precondition message."""
+    fresh = GActionGerm(a.group, a.ne, a.carrier, a.act)
     try:
         earlier = nu_maps_reference(a, u)
     except PreconditionFailure as err:
         with pytest.raises(PreconditionFailure) as got:
-            nu_maps(a, u)
+            nu_proximity(fresh, u)
         assert str(got.value) == str(err)
         return
-    maps = nu_maps(a, u)
+    handed.clear()
+    nu_proximity(fresh, u)
+    (maps,) = handed
     assert len(maps) == len(earlier) == len(a.masks)
     for f, level in zip(maps, earlier):
         assert meets_table(a.carrier, f).rows == \
@@ -237,12 +260,17 @@ def assert_basis_matches_reference(u, partners):
     return True
 
 
-def test_rewritten_readers_match_the_reference_on_suite_and_fixture_bases():
+def test_rewritten_readers_match_the_reference_on_suite_and_fixture_bases(
+        monkeypatch):
     checked = {}  # id -> basis, kept alive so that no id is reused
     valid = []
+    handed = []
+    real = equivariant.check_descending
+    monkeypatch.setattr(equivariant, "check_descending",
+                        lambda maps: real(handed.append(maps) or maps))
     for _label, germ, u in differential_settings():
         if germ is not None:
-            assert_same_nu_levels(germ, u)
+            assert_same_nu_levels(germ, u, handed)
         if id(u) not in checked:
             checked[id(u)] = u
             if assert_basis_matches_reference(
@@ -268,7 +296,7 @@ def test_nu_maps_traps_a_valid_basis_without_a_least_member(monkeypatch):
     germ = load_instance(str(FIXTURES / "z3_rotation.json")).germ
     monkeypatch.setattr("eqprox.setrel.least_entourage", lambda u: None)
     with pytest.raises(InternalCheckFailure, match="without a least entourage"):
-        nu_maps(germ, discrete_basis(germ.carrier))
+        nu_proximity(germ, discrete_basis(germ.carrier))
 
 
 def test_least_entourage_is_computed_once_per_basis_object(monkeypatch):

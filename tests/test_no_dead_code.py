@@ -146,7 +146,7 @@ def test_field_allowlist_names_only_unread_fields():
 
 
 def test_no_slots_list_an_instance_dict():
-    # Every kept value goes through `setrel.Memo._cached`; an instance
+    # Every kept value goes through `setrel.Memo._kept`; an instance
     # dict would let a class keep values (or a test shadow a method) past
     # its declared slots.
     with_dict = [f"{path.stem}.{node.name}"

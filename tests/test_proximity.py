@@ -6,12 +6,13 @@ from types import SimpleNamespace
 
 import pytest
 from axioms_reference import check_axioms_reference
+from equivariant_reference import beta_g_map, nu_maps
 from proximity_reference import RowsTable, _point_block, _reverse_bits, \
     _transpose, and_intersectors, check_rows, first_row_pair, meets, \
     meets_points, meets_table_reference
 
-from eqprox.equivariant import beta_g_map, beta_g_proximity, \
-    enumerate_partition_proximities, nu_maps, nu_proximity
+from eqprox.equivariant import beta_g_proximity, \
+    enumerate_partition_proximities, nu_proximity
 from eqprox.errors import CarrierMismatch, PreconditionFailure, \
     ResourceCap
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase

@@ -4,8 +4,10 @@ from collections import Counter
 from operator import xor
 
 import pytest
+from test_equivariant_differential import VERDICT_OF
 
-from eqprox import equivariant, gaction, metricprox, setrel, suite
+from eqprox import equivariant, gaction, metricprox, proximity, setrel, \
+    suite, uniformity
 from eqprox.errors import InternalCheckFailure
 
 
@@ -115,18 +117,18 @@ def test_metric_family_labels_name_the_failing_setting(monkeypatch):
 
 
 def _count_builds(monkeypatch, record):
-    """Patch the one shared `_cached`, so that record(owner, key) runs at
-    each build of a kept value, whether a germ, a basis or a metric keeps
-    it."""
-    real = setrel.Memo._cached
+    """Patch the one shared `_kept`, so that record(owner, key) runs at
+    each build of a kept value, key being (fn,) + args, whether a germ, a
+    basis or a metric keeps it."""
+    real = setrel.Memo._kept
 
-    def cached(self, key, build):
-        def counted():
+    def kept(self, fn, *args):
+        key = (fn, *args)
+        if key not in self._cache:
             record(self, key)
-            return build()
-        return real(self, key, counted)
+        return real(self, fn, *args)
 
-    monkeypatch.setattr(setrel.Memo, "_cached", cached)
+    monkeypatch.setattr(setrel.Memo, "_kept", kept)
 
 
 def test_metric_family_tabulates_each_derived_basis_once(monkeypatch):
@@ -137,7 +139,7 @@ def test_metric_family_tabulates_each_derived_basis_once(monkeypatch):
     built = []
 
     def record(owner, key):
-        if key == ("prox",):
+        if key == (proximity._induced_table,):
             built.append(owner)
 
     _count_builds(monkeypatch, record)
@@ -151,7 +153,7 @@ def test_bases_and_metrics_keep_each_value_through_the_shared_cache(
     # A basis keeps its validate_basis report, its least entourage, its
     # from_uniformity table and its derived bases, and a metric its
     # sublevel basis, all through
-    # the one `_cached`: each is built once per owner and key, and read
+    # the one `_kept`: each is built once per owner and key, and read
     # again it is the kept object.  Every owner is kept in the list, so
     # its id is never reused.
     builds = Counter()
@@ -165,8 +167,10 @@ def test_bases_and_metrics_keep_each_value_through_the_shared_cache(
     _count_builds(monkeypatch, record)
     report = suite.run_suite(max_n=3, filters=["tgprox", "ugclaims", "metric"])
     assert report.ok
-    assert {key[0] for _owner, key in builds} == {"report", "least", "prox",
-                                                  "ug", "basis"}
+    assert {key[0] for _owner, key in builds} == {
+        uniformity._basis_report, setrel.least_entourage,
+        proximity._induced_table, equivariant._checked_brackets,
+        metricprox._sublevel_basis}
     for owner in owners:
         if isinstance(owner, suite.UnifBase):
             assert suite.validate_basis(owner) is suite.validate_basis(owner)
@@ -220,9 +224,10 @@ def test_main_family_classifies_each_setting_value_once(monkeypatch):
     tables, betag_tables = [], []
 
     def record(owner, key):
-        if key[0] in gaction.VERDICTS:
-            runs["verdicts"].append((id(owner.group), owner.act) + key)
-        elif key[0] == "push":
+        if key[0] in VERDICT_OF:
+            runs["verdicts"].append((id(owner.group), owner.act,
+                                     VERDICT_OF[key[0]]) + key[1:])
+        elif key[0] is gaction._push_table:
             runs["push"].append((id(owner.group), owner.act) + key)
 
     def check_axioms(p):
@@ -274,8 +279,8 @@ def test_metric_family_reads_only_pi_uniformity(monkeypatch):
     searched = set()
 
     def record(owner, key):
-        if key[0] in gaction.VERDICTS:
-            searched.add(key[0])
+        if key[0] in VERDICT_OF:
+            searched.add(VERDICT_OF[key[0]])
 
     _count_builds(monkeypatch, record)
     (metric,) = suite.run_suite(filters=["metric"]).results
@@ -319,14 +324,19 @@ def test_main_family_runs_each_scan_once_per_action_and_value(monkeypatch):
     # a new key of the scan's tag.  `from_uniformity` and `compute_ug` keep
     # their results on the basis object, so they build once per object
     # (and, for `compute_ug`, per level point masks); every owner is kept
-    # in a list, so its id is never reused.
+    # in a list, so its id is never reused.  The G-proximity candidates
+    # reach the compatibility verdict without `is_action_compatible`, so
+    # its builds are also counted per action and key directly.
     runs = []
     built = []
     owners = []
+    compat = []
 
     def record(owner, key):
         owners.append(owner)
         built.append(key[0])
+        if key[0] is equivariant._compatibility:
+            compat.append((action(owner),) + key[1:])
 
     def action(a):
         return (id(a.group), a.carrier.n, a.act)
@@ -335,16 +345,19 @@ def test_main_family_runs_each_scan_once_per_action_and_value(monkeypatch):
         return tuple(_forward_masks(a, level) for level in a.ne.levels)
 
     scans = {
-        "saturate_uniformity": ("sat", lambda a, u: (action(a), u)),
-        "nu_proximity": ("nu", lambda a, u: (
+        "saturate_uniformity": (gaction._saturated_basis,
+                                lambda a, u: (action(a), u)),
+        "nu_proximity": (equivariant._nu_table, lambda a, u: (
             action(a), setrel.least_entourage(u), chain(a))),
-        "is_g_invariant": ("inv", lambda p, a: (action(a), p.map)),
-        "is_action_compatible": ("compat", lambda p, a: (
+        "is_g_invariant": (equivariant._g_invariant,
+                           lambda p, a: (action(a), p.map)),
+        "is_action_compatible": (equivariant._compatibility, lambda p, a: (
             action(a), p.map, chain(a)[-1])),
-        "semigroup_upgrade": ("semigr", lambda p, a: (
+        "semigroup_upgrade": (equivariant._semigroup_upgrade, lambda p, a: (
             action(a), p.map, chain(a))),
-        "from_uniformity": ("prox", lambda u: (id(u),)),
-        "compute_ug": ("ug", lambda a, u: (id(u), chain(a))),
+        "from_uniformity": (proximity._induced_table, lambda u: (id(u),)),
+        "compute_ug": (equivariant._checked_brackets,
+                       lambda a, u: (id(u), chain(a))),
     }
 
     def wrap(name, real):
@@ -367,6 +380,8 @@ def test_main_family_runs_each_scan_once_per_action_and_value(monkeypatch):
     assert report.ok
     assert {run[0] for run in runs} == set(scans)
     assert len(runs) == len(set(runs))
+    assert len(compat) == len(set(compat)) > sum(
+        run[0] == "is_action_compatible" for run in runs)
 
 
 def test_densesub_lists_the_subgroups_once_per_action(monkeypatch):
@@ -444,7 +459,7 @@ def test_cached_scans_match_fresh_calls_on_fresh_germs():
         assert nu.rows == suite.nu_proximity(fresh, u).rows
         tables = [nu, suite.beta_g_proximity(germ)] + [
             rho for _blocks, rho in
-            suite.enumerate_partition_proximities(germ.carrier)]
+            equivariant.enumerate_partition_proximities(germ.carrier)]
         for p in tables:
             inv = suite.is_g_invariant(p, germ)
             comp = suite.is_action_compatible(p, germ)
@@ -453,9 +468,9 @@ def test_cached_scans_match_fresh_calls_on_fresh_germs():
             assert suite.semigroup_upgrade(p, germ) == \
                 suite.semigroup_upgrade(p, fresh)
             outcomes.add((inv[0], comp[0]))
-        cached = suite._g_proximity_candidates(germ)
+        cached = suite.g_proximity_candidates(germ)
         assert [rho.rows for rho in cached] == [
-            rho.rows for rho in suite._g_proximity_candidates(fresh)]
+            rho.rows for rho in suite.g_proximity_candidates(fresh)]
         settings += 1
     assert settings > 1000
     assert outcomes == {(True, True), (True, False), (False, True),
