@@ -13,6 +13,7 @@ therefore means taking the union of the cells it meets.  Farness of two
 sets in the maximal group proximity, and a saturation of A inside a convex
 O (farness of A from the complement of O), become one finite search for a
 chain no cell of which meets both sets; saturate re-verifies its witness.
+`intersects`, `issubset` and `saturate` each merge two sorted lists.
 
 All arithmetic is exact (fractions.Fraction).  The only floats are the
 two infinite endpoints NEG_INF = -math.inf and POS_INF = math.inf: Fraction
@@ -63,16 +64,12 @@ def fmt_atom(atom):
     return f"({atom[1]},{atom[2]})"
 
 
-def _atoms_intersect(a, b):
-    if a[0] == "pt" and b[0] == "pt":
-        return a[1] == b[1]
-    if a[0] == "pt":
-        a, b = b, a
-    if b[0] == "pt":
-        return a[1] < b[1] < a[2]
-    lo = a[1] if a[1] > b[1] else b[1]
-    hi = a[2] if a[2] < b[2] else b[2]
-    return lo < hi
+def _below(x, y):
+    """Whether atom x lies wholly below atom y: x's top end is under y's
+    bottom end, or equal to it with either end open.  Two atoms are
+    convex, so they meet iff neither lies wholly below the other."""
+    top, bottom = x[-1], y[1]
+    return top < bottom or (top == bottom and (x[0] == "iv" or y[0] == "iv"))
 
 
 class RatSet:
@@ -106,38 +103,45 @@ class RatSet:
         return not self.atoms
 
     def intersects(self, other):
-        return any(_atoms_intersect(a, b) for a in self.atoms for b in other.atoms)
+        """One merge of the sorted atoms: step past the one wholly below."""
+        xs, ys = self.atoms, other.atoms
+        i = j = 0
+        while i < len(xs) and j < len(ys):
+            if _below(xs[i], ys[j]):
+                i += 1
+            elif _below(ys[j], xs[i]):
+                j += 1
+            else:
+                return True
+        return False
 
     def components(self):
         """Fused maximal convex pieces as (lo, lo_closed, hi, hi_closed),
-        read off the atoms in their normalized order."""
-        comps = []
-        for a in self.atoms:
-            if a[0] == "pt":
-                comps.append([a[1], True, a[1], True])
-            else:
-                comps.append([a[1], False, a[2], False])
+        read off the disjoint atoms in order: an atom extends the last piece
+        iff it starts where that ends and one of the two holds that point."""
         fused = []
-        for c in comps:
-            if fused:
-                p = fused[-1]
-                touches = c[0] < p[2] or (c[0] == p[2] and (c[1] or p[3]))
-                if touches:
-                    if c[2] > p[2] or (c[2] == p[2] and c[3]):
-                        p[2], p[3] = c[2], c[3]
-                    continue
-            fused.append(c)
-        return tuple(tuple(c) for c in fused)
+        for a in self.atoms:
+            pt = a[0] == "pt"
+            if fused and fused[-1][2] == a[1] and (pt or fused[-1][3]):
+                fused[-1][2:] = a[-1], pt
+            else:
+                fused.append([a[1], pt, a[-1], pt])
+        return tuple(map(tuple, fused))
 
     @property
     def is_convex(self):
         return len(self.components()) <= 1
 
     def issubset(self, other):
-        mine = self.components()
-        theirs = other.components()
-        for c in mine:
-            if not any(_component_inside(c, d) for d in theirs):
+        """One merge of the sorted components: each lies inside the first
+        of other's that does not end before it, or in none.  Ends compare
+        as (value, closed) and starts as (value, open)."""
+        theirs, j = other.components(), 0
+        for lo, lo_in, hi, hi_in in self.components():
+            while j < len(theirs) and theirs[j][2:] < (hi, hi_in):
+                j += 1
+            if j == len(theirs) or (theirs[j][0], not theirs[j][1]) > (
+                    lo, not lo_in):
                 return False
         return True
 
@@ -161,37 +165,18 @@ class RatSet:
         return f"RatSet({self})"
 
 
-def _component_inside(c, d):
-    lo_ok = d[0] < c[0] or (d[0] == c[0] and (d[1] or not c[1]))
-    hi_ok = d[2] > c[2] or (d[2] == c[2] and (d[3] or not c[3]))
-    return lo_ok and hi_ok
-
-
 def _normalize(atoms):
-    ivs = []
-    pts = set()
-    for a in atoms:
-        if a[0] == "pt":
-            pts.add(a[1])
-        elif a[1] < a[2]:
-            ivs.append(a)
-    ivs.sort(key=lambda a: (a[1], a[2]))
-    merged = []
-    for a in ivs:
-        if merged and a[1] < merged[-1][2]:
-            if a[2] > merged[-1][2]:
-                merged[-1] = _iv(merged[-1][1], a[2])
+    """One pass by start, a point before an interval opening at it (the
+    order components() fuses in): an atom can only overlap the last atom
+    kept, and then that one is an interval, which it extends or lies in."""
+    out = []
+    for a in sorted(atoms, key=lambda a: (a[1], a[0] == "iv")):
+        if (a[0] == "iv" and not a[1] < a[2]) or (out and a == out[-1]):
+            continue
+        if out and a[1] < out[-1][-1]:
+            out[-1] = _iv(out[-1][1], max(out[-1][2], a[-1]))
         else:
-            merged.append(a)
-    # The merged intervals are disjoint and sorted, so only the last one
-    # starting below q can hold it: one bisection per point.
-    lows = [iv[1] for iv in merged]
-    kept = [_pt(q) for q in pts
-            if not (k := bisect_left(lows, q)) or merged[k - 1][2] <= q]
-    # By start, a point before an interval opening at it: components()
-    # fuses the atoms in this order.
-    out = merged + kept
-    out.sort(key=lambda a: (a[1], a[0] == "iv"))
+            out.append(a)
     return tuple(out)
 
 
@@ -202,7 +187,8 @@ class Chain:
     points: tuple
 
     def __post_init__(self):
-        pts = tuple(Fraction(p) for p in self.points)
+        pts = tuple(p if type(p) is Fraction else Fraction(p)
+                    for p in self.points)
         if any(pts[i] >= pts[i + 1] for i in range(len(pts) - 1)):
             raise ValueError("chain points must be strictly increasing")
         object.__setattr__(self, "points", pts)
@@ -267,10 +253,19 @@ def bonding_map(fbig, fsmall):
 
 
 def saturate(chain, ratset):
-    """Union of the stabilizer cells that meet the set, by definition:
-    each cell against each atom, sharing no code with _cells_hit."""
-    return RatSet([c for c in orbit_space(chain).cells
-                   if any(_atoms_intersect(c, x) for x in ratset.atoms)])
+    """Union of the stabilizer cells that meet the set, by one merge that
+    shares no code with _cells_hit: a cell is kept iff the first atom not
+    wholly below it is not wholly above it.  The kept cells are in normal
+    form, so the set is built from them as they are."""
+    atoms, kept, i = ratset.atoms, [], 0
+    for c in orbit_space(chain).cells:
+        while i < len(atoms) and _below(atoms[i], c):
+            i += 1
+        if i < len(atoms) and not _below(c, atoms[i]):
+            kept.append(c)
+    out = RatSet()
+    out.atoms = tuple(kept)
+    return out
 
 
 def _cells_hit(points, s):
@@ -530,9 +525,7 @@ def parse_fraction(text):
 
 
 def _split_atoms(text):
-    parts = []
-    depth = 0
-    cur = ""
+    parts, depth, start = [], 0, 0
     for pos, ch in enumerate(text):
         if ch in "({":
             depth += 1
@@ -540,14 +533,12 @@ def _split_atoms(text):
             depth -= 1
             if depth < 0:
                 raise DocumentError(f"unbalanced bracket at position {pos}")
-        if ch == "," and depth == 0:
-            parts.append(cur)
-            cur = ""
-        else:
-            cur += ch
+        elif ch == "," and depth == 0:
+            parts.append(text[start:pos])
+            start = pos + 1
     if depth != 0:
         raise DocumentError("unbalanced brackets")
-    parts.append(cur)
+    parts.append(text[start:])
     return [p.strip() for p in parts if p.strip()]
 
 

@@ -385,6 +385,7 @@ def _main_family(wanted, max_n, seed, max_group, inject):
     # and the two sides of an identity are still computed apart.  A germ's
     # bases come in one run, so its checks run at its first valid one.
     last_germ = None
+    discrete = {}  # one discrete basis per carrier, so its report is kept
     for label, germ, u in iter_family(max_n, seed, max_group):
         if not validate_basis(u).ok():
             continue
@@ -396,7 +397,7 @@ def _main_family(wanted, max_n, seed, max_group, inject):
 
         if germ is not last_germ:
             last_germ = germ
-            yield from _per_germ_checks(wanted, label, germ, inject)
+            yield from _per_germ_checks(wanted, label, germ, inject, discrete)
 
         if (wanted.isdisjoint(_NU_READERS + _UG_READERS)
                 or not (cls.pi_uniform and cls.action_continuous)):
@@ -457,12 +458,15 @@ _NU_READERS = ("tgprox", "gprox", "semigr", "maximality")
 _UG_READERS = ("tgprox", "ugclaims")
 
 
-def _per_germ_checks(wanted, label, germ, inject):
+def _per_germ_checks(wanted, label, germ, inject, discrete):
     bg = beta_g_proximity(germ)
     if inject == "betag":
         bg = _corrupt_prox(bg)
     if "betag" in wanted:
-        nu_d = nu_proximity(germ, discrete_basis(germ.carrier))
+        carrier = germ.carrier
+        if carrier not in discrete:
+            discrete[carrier] = discrete_basis(carrier)
+        nu_d = nu_proximity(germ, discrete[carrier])
         mismatch = first_pair(bg, nu_d, xor)
         yield "betag", mismatch is None, label, mismatch
     if "semigr" in wanted:
@@ -631,10 +635,15 @@ def _defined_counterexamples(p):
 # Rationals family
 
 
+# num/den at index num + 2 * den, for den 1 and 2 and |num| <= 2 * den.
+_FRACTIONS = {d: [Fraction(n, d) for n in range(-2 * d, 2 * d + 1)]
+              for d in (1, 2)}
+
+
 def _random_fraction(rng):
     den = rng.choice((1, 2))
     num = rng.randint(-2 * den, 2 * den)
-    return Fraction(num, den)
+    return _FRACTIONS[den][num + 2 * den]
 
 
 def _random_chain(rng, max_len=4):

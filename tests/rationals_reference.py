@@ -27,8 +27,18 @@ now defined here.  ``normalize_reference`` is the body of
 when it tested every point against every merged interval; it sorts with
 ``_sort_key`` and ``_atom_start``, private copies of the ``rationals``
 helpers of that time, which placed an infinite endpoint by its sign (here
-read by equality with ``NEG_INF`` and ``POS_INF``).  This is test-only
-code: nothing under ``src/`` may import it.
+read by equality with ``NEG_INF`` and ``POS_INF``).
+
+``atoms_intersect_reference``, ``intersects_reference``,
+``issubset_reference`` and ``saturate_reference`` are the all-pairs bodies
+of ``rationals._atoms_intersect``, ``RatSet.intersects``,
+``RatSet.issubset`` and ``rationals.saturate`` from before each became one
+merge of two sorted lists: every atom against every atom, every component
+against every component, every cell against every atom.
+``_component_inside`` and ``components_reference`` are the bodies of
+``rationals._component_inside`` and ``RatSet.components`` of that time,
+which fused the atoms in two passes.  This is test-only code: nothing
+under ``src/`` may import it.
 """
 
 from bisect import bisect_left, bisect_right
@@ -329,3 +339,63 @@ def check_ordcomp_claim_reference(a, o):
             if saturate_by_bisection_reference(chain, a).issubset(o):
                 return ClaimResult(chain)
     return ClaimResult(None)
+
+
+def atoms_intersect_reference(a, b):
+    if a[0] == "pt" and b[0] == "pt":
+        return a[1] == b[1]
+    if a[0] == "pt":
+        a, b = b, a
+    if b[0] == "pt":
+        return a[1] < b[1] < a[2]
+    lo = a[1] if a[1] > b[1] else b[1]
+    hi = a[2] if a[2] < b[2] else b[2]
+    return lo < hi
+
+
+def intersects_reference(self, other):
+    return any(atoms_intersect_reference(a, b)
+               for a in self.atoms for b in other.atoms)
+
+
+def _component_inside(c, d):
+    lo_ok = d[0] < c[0] or (d[0] == c[0] and (d[1] or not c[1]))
+    hi_ok = d[2] > c[2] or (d[2] == c[2] and (d[3] or not c[3]))
+    return lo_ok and hi_ok
+
+
+def components_reference(self):
+    comps = []
+    for a in self.atoms:
+        if a[0] == "pt":
+            comps.append([a[1], True, a[1], True])
+        else:
+            comps.append([a[1], False, a[2], False])
+    fused = []
+    for c in comps:
+        if fused:
+            p = fused[-1]
+            touches = c[0] < p[2] or (c[0] == p[2] and (c[1] or p[3]))
+            if touches:
+                if c[2] > p[2] or (c[2] == p[2] and c[3]):
+                    p[2], p[3] = c[2], c[3]
+                continue
+        fused.append(c)
+    return tuple(tuple(c) for c in fused)
+
+
+def issubset_reference(self, other):
+    mine = components_reference(self)
+    theirs = components_reference(other)
+    for c in mine:
+        if not any(_component_inside(c, d) for d in theirs):
+            return False
+    return True
+
+
+def saturate_reference(chain, ratset):
+    """Union of the stabilizer cells that meet the set, by definition:
+    each cell against each atom, sharing no code with _cells_hit."""
+    return RatSet([c for c in orbit_space(chain).cells
+                   if any(atoms_intersect_reference(c, x)
+                          for x in ratset.atoms)])

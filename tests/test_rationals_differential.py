@@ -11,6 +11,13 @@ map tables.  `saturate` must give the union of the cells that hold a
 sample point of the set, the oracle that `_cells_hit` is checked against
 too.
 
+`intersects`, `issubset` and `saturate` are merges of sorted lists that
+share `_below`, which is checked on every pair of grid atoms; each merge
+must agree with the all-pairs body kept in `rationals_reference.py`, on
+the grid sets and on seeded interleaved sets of up to 2,000 atoms, and
+the one-pass `components` that `issubset` merges over must equal the
+two-pass fusion kept there.
+
 `decide_far` and `check_ordcomp_claim` share one pass over the cells of
 the chain of all endpoints (`_separating_chain`, which locates cells by
 bisection in `_cells_hit`); a claim searches A against `_outside(o)`, the
@@ -29,16 +36,19 @@ from itertools import combinations, product
 
 import pytest
 from rationals_reference import _covers_reference, \
-    _validate_tower_reference, bonding_map_reference, build_tower_reference, \
-    check_ordcomp_claim_reference, decide_far_reference, \
-    normalize_reference, threads_reference, tower_dot_reference
+    _validate_tower_reference, atoms_intersect_reference, \
+    bonding_map_reference, build_tower_reference, \
+    check_ordcomp_claim_reference, components_reference, \
+    decide_far_reference, intersects_reference, issubset_reference, \
+    normalize_reference, saturate_reference, threads_reference, \
+    tower_dot_reference
 
 from eqprox import suite
 from eqprox.errors import ResourceCap
-from eqprox.rationals import NEG_INF, POS_INF, Chain, RatSet, _cells_hit, \
-    _covers, _normalize, _outside, _validate_tower, bonding_map, build_tower, \
-    check_ordcomp_claim, decide_far, orbit_space, parse_ratset, saturate, \
-    tower_dot
+from eqprox.rationals import NEG_INF, POS_INF, Chain, RatSet, _below, \
+    _cells_hit, _covers, _normalize, _outside, _validate_tower, bonding_map, \
+    build_tower, check_ordcomp_claim, decide_far, orbit_space, parse_ratset, \
+    saturate, tower_dot
 
 GRID = (F(-3, 2), F(-1), F(-1, 2), F(0), F(1, 2), F(1))
 GRID_CHAINS = [Chain(c) for k in range(len(GRID) + 1)
@@ -56,8 +66,9 @@ def outcome(fn, *args):
 def test_normalize_against_the_point_by_interval_scan():
     # Random atom lists over a small grid, so that points fall on
     # endpoints and inside, and intervals nest, touch, overlap and run to
-    # the infinities.  Each point is located by bisection; the reference
-    # tests it against every merged interval.
+    # the infinities.  One pass by start keeps each atom against the last
+    # one kept; the reference tests each point against every merged
+    # interval.
     rng = random.Random(11)
     values = [NEG_INF] + [F(k, 2) for k in range(-4, 5)] + [POS_INF]
     for _ in range(3000):
@@ -237,6 +248,72 @@ def test_cells_hit_are_the_cells_meeting_the_set():
             want = {i for i, c in enumerate(cells)
                     if any(member(RatSet([c]), q) for q in qs)}
             assert _cells_hit(chain.points, s) == want
+
+
+def test_below_on_every_pair_of_grid_atoms():
+    # Two convex atoms meet iff neither lies wholly below the other, and
+    # x lies wholly below y iff every point of x is less than every point
+    # of y.
+    qs = samples(Chain(tuple(GRID_VALUES)))
+    held = {x: [q for q in qs if member(RatSet([x]), q)] for x in GRID_ATOMS}
+    kinds = set()
+    for x in GRID_ATOMS:
+        for y in GRID_ATOMS:
+            below = _below(x, y)
+            meets = atoms_intersect_reference(x, y)
+            assert meets == (not below and not _below(y, x))
+            assert below == (not meets and max(held[x]) < min(held[y]))
+            kinds.add((below, meets))
+    assert kinds == {(True, False), (False, False), (False, True)}
+
+
+def test_intersects_and_issubset_on_the_grid_sets():
+    verdicts = set()
+    for a in GRID_SETS:
+        assert a.components() == components_reference(a)
+        for b in GRID_SETS:
+            meets, inside = a.intersects(b), a.issubset(b)
+            assert meets == intersects_reference(a, b)
+            assert inside == issubset_reference(a, b)
+            verdicts.add((meets, inside))
+    assert len(verdicts) == 4
+
+
+def interleaved_sets(rng, size):
+    """Two disjoint sets of `size` atoms in all over `size + 1` sorted
+    values: each atom a value or the gap above it, dealt to either set,
+    so that the sets interleave and a point and the gap it opens are
+    often fused into one component."""
+    values = sorted(F(v, 3) for v in rng.sample(range(-4 * size, 4 * size),
+                                                size + 1))
+    a, b = [], []
+    for lo, hi in zip(values, values[1:]):
+        rng.choice((a, b)).append(
+            ("pt", lo) if rng.random() < 0.5 else ("iv", lo, hi))
+    return RatSet(a), RatSet(b)
+
+
+@pytest.mark.parametrize("size", [1, 2, 10, 100, 2000])
+def test_merges_on_interleaved_sets(size):
+    rng = random.Random(29 + size)
+    a, b = interleaved_sets(rng, size)
+    # One shared grid atom makes them meet, a sample of a's atoms is
+    # inside a, and one more atom of b takes it out again.
+    c = RatSet(b.atoms + (rng.choice(GRID_ATOMS),))
+    sub = RatSet(rng.sample(a.atoms, len(a.atoms) // 2))
+    out = RatSet(sub.atoms + b.atoms[:1])
+    for x, y in ((a, b), (a, c), (sub, a), (out, a), (a, sub),
+                 (b, RatSet(a.atoms + b.atoms))):
+        assert x.components() == components_reference(x)
+        assert x.intersects(y) == intersects_reference(x, y)
+        assert x.issubset(y) == issubset_reference(x, y)
+    assert not a.intersects(b) and sub.issubset(a)
+    pool = sorted(set(a.endpoints() + b.endpoints()))
+    for k in (0, 1, 50):
+        chain = Chain(tuple(sorted(rng.sample(pool, min(k, len(pool))))))
+        for s in (a, b, c):
+            assert saturate(chain, s).atoms == \
+                saturate_reference(chain, s).atoms
 
 
 def convex_targets(rng):
