@@ -24,7 +24,6 @@ pullback V^{-1}.m of one subset mask is the OR of the point masks over m
 
 from __future__ import annotations
 
-from copy import copy
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
@@ -106,8 +105,9 @@ class FiniteGroup:
         names = tuple(names)
         if len(names) != self.order or len(set(names)) != len(names):
             raise ValueError("group element names must be distinct")
-        out = copy(self)
-        out.names = names
+        out = object.__new__(FiniteGroup)
+        out.mul, out.inv, out.e = self.mul, self.inv, self.e
+        out.gens, out.names = self.gens, names
         out.name_index = {nm: i for i, nm in enumerate(names)}
         return out
 
@@ -382,7 +382,8 @@ class GActionGerm(setrel.Memo):
         """This action with the chain ne of the same group in place of its
         own, sharing this germ's cache.  The action law is not checked
         again; a chain of another group raises as the constructor does."""
-        out = copy(self)
+        out = self._sharing()
+        out.group, out.carrier, out.act = self.group, self.carrier, self.act
         out._bind(ne)
         return out
 
@@ -549,7 +550,9 @@ def classify(a, u):
     one AND of packed pair bits per containment test: saturated asks each
     g.eps to contain a basis entourage, quasibounded ORs the table over
     the deepest level, and (uniform) equicontinuity ANDs it over the group
-    into the pairs that every translate keeps in eps.
+    into the pairs that every translate keeps in eps.  Every member of a
+    list with a least entourage θ contains it, so there "contains some
+    basis entourage" is "contains θ", one test (`_fitting`).
 
     Each verdict's witness (None when it holds) is kept in the action's
     germ cache, so a verdict is searched once per action and the values
@@ -565,7 +568,7 @@ def classify(a, u):
 
 def _saturation_witness(a, u):
     """The first (g, k) with no basis entourage inside g.eps_k."""
-    bits = [eps.pair_bits for eps in u.basis]
+    bits = [u.basis[k].pair_bits for k in _fitting(u)]
     for g, row in enumerate(a.push_table(u)):
         k = _first_uncovered(row, bits)
         if k is not None:
@@ -587,7 +590,8 @@ def _quasiboundedness_witness(a, u, deepest):
     fits in, with the first pair that moves basis[0] out of it."""
     basis = u.basis
     push = a.push_table(u)
-    spread = _fold(or_, (push[v] for v in deepest))
+    spread = [reduce(or_, (push[v][j] for v in deepest))
+              for j in _fitting(u)]
     k = _first_uncovered([eps.pair_bits for eps in basis], spread)
     if k is None:
         return None
@@ -596,15 +600,25 @@ def _quasiboundedness_witness(a, u, deepest):
 
 def _group_equicontinuity_witness(a, u):
     """The equicontinuity witness of the whole group."""
-    return _equicontinuity_witness(a, u.basis, _kept_pairs(a, u))
+    return _equicontinuity_witness(
+        a, [u.basis[k] for k in _fitting(u)], _kept_pairs(a, u))
 
 
 def _uniform_equicontinuity_witness(a, u):
     """(k,) for the first eps_k in which no basis entourage is kept by
     every translate."""
     k = _first_uncovered(_kept_pairs(a, u),
-                         [eps.pair_bits for eps in u.basis])
+                         [u.basis[j].pair_bits for j in _fitting(u)])
     return None if k is None else (k,)
+
+
+def _fitting(u):
+    """The indices of the members that a "some basis entourage fits"
+    search tries: the least entourage θ alone when the list has one, since
+    every member contains it, and every member otherwise.  The first
+    target that no member fits is the same either way."""
+    theta = setrel.kept_least_entourage(u)
+    return range(len(u.basis)) if theta is None else (u.basis.index(theta),)
 
 
 # Each verdict's witness for the germ a and the basis u, kept in the cache.
@@ -631,9 +645,10 @@ def _fold(op, rows):
     return [reduce(op, col) for col in zip(*rows)]
 
 
-def _equicontinuity_witness(a, basis, kept):
-    """The first (x0, k) in index order such that no basis delta has
-    {x0} x delta(x0) inside kept[k], or None.
+def _equicontinuity_witness(a, deltas, kept):
+    """The first (x0, k) in index order such that no delta of `deltas`
+    (the basis, or its least entourage alone) has {x0} x delta(x0) inside
+    kept[k], or None.
 
     kept[k] holds, as pair bits, the pairs of eps_k that a set of
     translates keeps in eps_k: the AND of the push-table entries of the
@@ -642,7 +657,7 @@ def _equicontinuity_witness(a, basis, kept):
     n = a.carrier.n
     for x0 in range(n):
         k = _first_uncovered([core >> x0 * n for core in kept],
-                             [delta.image_masks[x0] for delta in basis])
+                             [delta.image_masks[x0] for delta in deltas])
         if k is not None:
             return (a.carrier.elements[x0], k)
     return None
@@ -688,7 +703,8 @@ def check_action_continuity(a, u):
     The inclusion is tested as V . delta(x0) inside g0^{-1} eps(g0 x0),
     whose target t is row x0 of g0^{-1}.eps in the push table
     (`GActionGerm.push_table`, shared with `classify`).  For each x0 the
-    parts V . delta(x0) are built once; (g0, x0, eps) fails when every
+    parts V . delta(x0) are built once, one part V . θ(x0) when the basis
+    has a least entourage θ (`_fitting`); (g0, x0, eps) fails when every
     part meets the complement of t, one AND per part.  `classify` reads
     the verdict, which is kept in the germ cache.
     """
@@ -701,7 +717,8 @@ def _action_continuity(a, u, lem):
     """The verdict that `check_action_continuity` keeps, V.x being lem[x]."""
     n = a.carrier.n
     push = a.push_table(u)
-    parts = [[_join_mask(lem, delta.image_masks[x0]) for delta in u.basis]
+    deltas = [u.basis[k] for k in _fitting(u)]
+    parts = [[_join_mask(lem, delta.image_masks[x0]) for delta in deltas]
              for x0 in range(n)]
     for g0 in range(a.group.order):
         pulled = push[a.group.inv[g0]]

@@ -29,7 +29,7 @@ from operator import and_
 
 from . import setrel
 from .errors import CarrierMismatch, InternalCheckFailure, PreconditionFailure
-from .gaction import classify, _equicontinuity_witness, _fold, \
+from .gaction import classify, _equicontinuity_witness, _fitting, _fold, \
     _group_indices
 from .proximity import meets_table
 from .setrel import _join_mask
@@ -247,7 +247,8 @@ def _acts_equicontinuously(a, u, subset_ids):
     push = a.push_table(u)
     inv = a.group.inv
     kept = _fold(and_, (push[inv[g]] for g in subset_ids))
-    return _equicontinuity_witness(a, u.basis, kept) is None
+    return _equicontinuity_witness(
+        a, [u.basis[k] for k in _fitting(u)], kept) is None
 
 
 def is_isometric(m, a):
@@ -279,11 +280,16 @@ def metric_g_proximity(m, a):
         raise PreconditionFailure(
             f"metric uniformity is not {missing}",
             witness=cls.witness(missing))
-    # Zero-distance hull per point (rank 0); for a genuine metric this is
-    # the point itself, for a pseudometric its kernel class.
-    zero_of = tuple(sum(1 << j for j, k in enumerate(row) if not k)
-                    for row in m.rank)
-    return a._kept(_metric_table, zero_of, a.masks[-1], a.inverse_masks(-1))
+    return a._kept(_metric_table, m._kept(_zero_hulls), a.masks[-1],
+                   a.inverse_masks(-1))
+
+
+def _zero_hulls(m):
+    """The zero-distance hull of each point (rank 0), kept on the metric:
+    for a genuine metric the point itself, for a pseudometric its kernel
+    class."""
+    return tuple(sum(1 << j for j, k in enumerate(row) if not k)
+                 for row in m.rank)
 
 
 def _metric_table(a, zero_of, lem, inv):

@@ -39,6 +39,13 @@ class Memo:
             cache[key] = fn(self, *args)
         return cache[key]
 
+    def _sharing(self):
+        """A new object of this class, with no field but this object's
+        cache, which the two share; the caller sets the other fields."""
+        out = object.__new__(type(self))
+        out._cache = self._cache
+        return out
+
 
 class Carrier:
     """An ordered tuple of distinct element identifiers.
@@ -139,14 +146,7 @@ class Rel:
     @property
     def preimage_masks(self):
         """Per-element predecessor sets: preimage_masks[i] = mask of {x : (x, e_i) in R}."""
-        masks = [0] * self.carrier.n
-        for i, m in enumerate(self.image_masks):
-            bit = 1 << i
-            while m:
-                low = m & -m
-                masks[low.bit_length() - 1] |= bit
-                m ^= low
-        return tuple(masks)
+        return _transpose(self.image_masks)
 
     def image_mask(self, mask):
         """Successors of any element in `mask`, as a mask."""
@@ -184,6 +184,19 @@ def _join_mask(point_masks, mask):
         out |= point_masks[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def _transpose(point_masks):
+    """The transpose of n point masks over n points: bit x of out[y] is
+    bit y of point_masks[x]."""
+    out = [0] * len(point_masks)
+    for x, m in enumerate(point_masks):
+        bit = 1 << x
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= bit
+            m ^= low
+    return tuple(out)
 
 
 def _check_same_carrier(r, s):

@@ -833,7 +833,10 @@ def _metric_family(max_group, **_):
     # Chains are validated once.  Each matrix gets one fresh germ per
     # (group, action), whose cache its chains share (`on_chain`), and one
     # table per derived basis (`compute_ug` returns kept bases again, and
-    # `from_uniformity` keeps its table on the basis).
+    # `from_uniformity` keeps its table on the basis).  The sublevel basis
+    # keeps each level's brackets by that level's point masks, so chains
+    # and actions that reach a level share its brackets, and the metric
+    # keeps its zero hulls.
     chains = {gname: [NeighborhoodBase(group, levels)
                       for levels in germ_chains(group)]
               for gname, group, _gens in groups}

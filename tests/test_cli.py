@@ -511,6 +511,15 @@ def test_validate_bad_basis_exits_1_with_counterexample(capsys):
     assert "counterexample" in out
 
 
+def test_validate_intransitive_basis_fails_only_b4(capsys):
+    # One reflexive, symmetric entourage that is not transitive: the least
+    # member is no equivalence, so the scan runs and names B4 alone.
+    code, out, _ = run(capsys, "validate", fixture("intransitive_basis.json"))
+    assert code == 1
+    assert out.splitlines()[-4:] == ["  B1: pass", "  B2: pass", "  B3: pass",
+                                     "  B4: FAIL  counterexample=(0)"]
+
+
 CLASSIFICATION_LINES = ("saturated", "bounded", "quasibounded", "equiuniform",
                         "pi_uniform", "equicontinuous",
                         "uniformly_equicontinuous", "action_continuous")

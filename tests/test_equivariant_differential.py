@@ -49,7 +49,7 @@ from eqprox.metricprox import FiniteMetric, PseudometricFamily, \
     _acts_equicontinuously, family_uniformity, metric_uniformity, \
     sup_pseudometric
 from eqprox.proximity import from_uniformity, meets_table
-from eqprox.setrel import Carrier, Rel, _join_mask
+from eqprox.setrel import Carrier, Rel, _join_mask, least_entourage
 from eqprox.suite import _metric_matrices, _random_valid_basis, \
     curated_actions, germ_chains, iter_family, suite_groups
 from eqprox.uniformity import UnifBase, discrete_basis, indiscrete_basis, \
@@ -698,7 +698,8 @@ def test_queries_match_the_entry_reader_on_fixtures(name):
             outcomes.add(assert_queries_match_the_entry_reader(
                 "nu", a, u, pairs))
     assert outcomes == ({"PreconditionFailure", "table"}
-                        if name == "bad_basis.json" else {"table"})
+                        if name in ("bad_basis.json", "intransitive_basis.json")
+                        else {"table"})
     assert assert_queries_match_the_entry_reader(
         "betag", a, None, pairs) == "table"
 
@@ -902,6 +903,43 @@ def test_basis_reports_match_reference_on_repeated_suite_bases():
     for u in bases:
         assert_same_basis_report(u)
         assert_same_basis_report(repeated_and_permuted(rng, u))
+
+
+def theta_not_first(rng, u):
+    """u's entourages repeated and permuted (u lists at least two distinct
+    ones), then rotated so that its first member is not its least one."""
+    v = repeated_and_permuted(rng, u)
+    theta = least_entourage(v)
+    k = next(k for k, eps in enumerate(v.basis) if eps != theta)
+    return UnifBase(u.carrier, v.basis[k:] + v.basis[:k])
+
+
+def test_classification_matches_reference_when_theta_is_not_first():
+    # Where a list has a least entourage θ, every "contains some basis
+    # entourage" search tries θ alone.  On the suite's bases and their
+    # derived bases, repeated and permuted so that θ sits after other
+    # members, and on seeded lists without a least member, the verdicts,
+    # witnesses and continuity match the reference, which tries every
+    # member.
+    rng = random.Random(41)
+    outcomes = Counter()
+    for _label, germ, u in iter_family(max_n=3, seed=0):
+        bases = [u]
+        if validate_basis(u).ok() and classify(germ, u).quasibounded:
+            bases.append(compute_ug(germ, u))
+        bases.append(random_relation_list(rng, germ.carrier))
+        for w in bases:
+            if len(set(w.basis)) < 2:
+                continue
+            v = theta_not_first(rng, w) if least_entourage(w) else w
+            assert_same_setting(germ, v)
+            want = classify_reference(germ, v)
+            outcomes.update((name, good) for name, (good, _wit)
+                            in want.items())
+            outcomes["no least member"] += least_entourage(v) is None
+    assert outcomes["no least member"] > 100
+    assert all(outcomes[name, good] > 10 for name in VERDICTS
+               for good in (True, False)), outcomes
 
 
 def test_basis_reports_match_reference_with_witnesses_after_copies():

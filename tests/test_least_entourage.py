@@ -22,6 +22,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from equivariant_reference import validate_basis_reference
 from proximity_reference import meets_table_reference
 from uniformity_reference import from_uniformity_reference, \
     induced_topology_reference, nu_maps_reference, refines_reference
@@ -100,6 +101,97 @@ def literal_rows(u):
                      if all(any(x in a and y in b for x, y in eps.pairs)
                             for eps in u.basis))
                  for a in subsets)
+
+
+def is_reflexive(r):
+    return all((x, x) in r.pairs for x in r.carrier.elements)
+
+
+def is_symmetric(r):
+    return all((y, x) in r.pairs for x, y in r.pairs)
+
+
+def is_transitive(r):
+    return all((x, z) in r.pairs for x, y in r.pairs
+               for w, z in r.pairs if y == w)
+
+
+def least_kind(u):
+    """How the list's least member fails to be an equivalence, read from
+    the pair sets: "none" without a least member, else the first of
+    "not reflexive", "not symmetric", "not transitive", or "equivalence"."""
+    least = literal_least(u)
+    if least is None:
+        return "none"
+    for kind, holds in (("not reflexive", is_reflexive),
+                        ("not symmetric", is_symmetric),
+                        ("not transitive", is_transitive)):
+        if not holds(least):
+            return kind
+    return "equivalence"
+
+
+def closed_form_lists(rng, n, count):
+    """Lists of one to four relations on n points, cycling through five
+    shapes of the least member: a random partition (an equivalence); the
+    partition with one pair added one way (not symmetric, for blocks
+    apart) or both ways (not transitive, for two blocks apart of which
+    one has two points); the partition without one diagonal pair (not
+    reflexive); and two to four random relations above the partition
+    (mostly no least member).  The other members lie above the least one,
+    some equal to it, and the list is shuffled."""
+    carrier = Carrier(range(n))
+    full = carrier.full_mask
+    out = []
+    for k in range(count):
+        block = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        low = [sum(1 << y for y in range(n) if block[y] == block[x])
+               for x in range(n)]
+        shape = k % 5
+        x, y = rng.randrange(n), rng.randrange(n)
+        if shape in (1, 2):
+            low[x] |= 1 << y
+        if shape == 2:
+            low[y] |= 1 << x
+        if shape == 3:
+            low[x] &= ~(1 << x)
+        masks = [low] + [[m | (rng.randint(0, full) if rng.random() < 0.7
+                               else 0) for m in low]
+                         for _ in range(rng.randint(0, 3))]
+        if shape == 4:
+            masks = [[m | rng.randint(0, full) for m in low]
+                     for _ in range(rng.randint(2, 4))]
+        rng.shuffle(masks)
+        out.append(UnifBase(carrier, [Rel.from_masks(carrier, m)
+                                      for m in masks]))
+    return out
+
+
+CLOSED_FORM = [u for n in range(3, 9)
+               for u in closed_form_lists(random.Random(100 + n), n, 500)]
+
+
+@pytest.mark.parametrize("lists", [SMALL, CLOSED_FORM],
+                         ids=["all", "seeded"])
+def test_basis_report_matches_the_reference(lists):
+    # A list passes B1-B4 iff its least member is an equivalence, which
+    # three tests on it decide; any other list runs the first-copy scan,
+    # whose report, witnesses included, must be the reference's.
+    kinds = Counter()
+    for u in lists:
+        got, want = validate_basis(u), validate_basis_reference(u)
+        assert [(name, got.passed(name), got.counterexample(name))
+                for name in got.names] == \
+            [(name, want.passed(name), want.counterexample(name))
+             for name in want.names], u.basis
+        kind = least_kind(u)
+        assert got.ok() == (kind == "equivalence"), u.basis
+        kinds[kind] += 1
+    assert kinds["none"] and kinds["not reflexive"], kinds
+    assert kinds["not symmetric"] and kinds["equivalence"], kinds
+    if lists is CLOSED_FORM:
+        assert len(lists) == 3000
+        assert min(kinds.values()) > 100, kinds
 
 
 def test_every_small_list_is_enumerated():

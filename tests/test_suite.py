@@ -148,14 +148,26 @@ def test_metric_family_tabulates_each_derived_basis_once(monkeypatch):
     assert len({id(u) for u in built}) == len(built) == 1106
 
 
+def test_metric_family_builds_each_level_bracket_once(monkeypatch):
+    # Each level's brackets are kept on the basis by that level's point
+    # masks, so the metric family at seed 0 builds one bracket per
+    # distinct (basis, level, entourage): 1,639, where keying by the whole
+    # chain built 5,297.
+    calls = []
+    _counting(monkeypatch, equivariant, "_bracket", calls)
+    (metric,) = suite.run_suite(filters=["metric"], seed=0).results
+    assert (metric.checked, metric.passed) == (4290, 4290)
+    assert len(calls) <= 1639
+
+
 def test_bases_and_metrics_keep_each_value_through_the_shared_cache(
         monkeypatch):
     # A basis keeps its validate_basis report, its least entourage, its
-    # from_uniformity table and its derived bases, and a metric its
-    # sublevel basis, all through
-    # the one `_kept`: each is built once per owner and key, and read
-    # again it is the kept object.  Every owner is kept in the list, so
-    # its id is never reused.
+    # from_uniformity table, its derived bases and the brackets of each
+    # level, and a metric its sublevel basis and its zero hulls, all
+    # through the one `_kept`: each is built once per owner and key, and
+    # read again it is the kept object.  Every owner is kept in the list,
+    # so its id is never reused.
     builds = Counter()
     owners = []
 
@@ -170,7 +182,8 @@ def test_bases_and_metrics_keep_each_value_through_the_shared_cache(
     assert {key[0] for _owner, key in builds} == {
         uniformity._basis_report, setrel.least_entourage,
         proximity._induced_table, equivariant._checked_brackets,
-        metricprox._sublevel_basis}
+        equivariant._level_brackets, metricprox._sublevel_basis,
+        metricprox._zero_hulls}
     for owner in owners:
         if isinstance(owner, suite.UnifBase):
             assert suite.validate_basis(owner) is suite.validate_basis(owner)
