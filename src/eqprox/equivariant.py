@@ -264,15 +264,12 @@ def _compatibility(a, f, lem, inv):
                                meets_table(a.carrier, f), and_not))
 
 
-def g_proximity_candidates(a):
-    """Every proximity on the carrier (each a partition one) that is
-    invariant and compatible with the action, kept for every chain with
-    the deepest level's point masks, the only level compatibility reads."""
-    return a._kept(_candidates, a.masks[-1], a.inverse_masks(-1))
-
-
 def _candidates(a, lem, inv):
-    """The list that `g_proximity_candidates` keeps: V.x is lem[x]."""
+    """Every proximity on the carrier (each a partition one) that is
+    invariant and compatible with the action, for a chain whose deepest
+    level V has the point masks lem (V.x) and inv (V^{-1}.x), the only
+    level compatibility reads.  Kept in the germ cache by those masks, so
+    every chain with that deepest level shares the list."""
     return [rho for _blocks, rho in enumerate_partition_proximities(a.carrier)
             if is_g_invariant(rho, a)[0]
             and a._kept(_compatibility, rho.map, lem, inv)[0]]
@@ -403,9 +400,26 @@ def subgroup_germ(a, subgroup):
 
     The chain levels become V_i intersect H; the deepest level stays a
     normal subgroup of H, so the restricted chain is always a valid germ.
+    The restricted group and action are checked and built once per action
+    and subgroup (`_restricted_action`), and each chain's restriction is
+    bound to them by `on_chain`, so the restricted germs of the chains
+    share one cache.
     """
+    H = _group_indices(a.group, subgroup)
+    base = a._kept(_restricted_action, H)
+    back = {g: i for i, g in enumerate(sorted(H))}
+    levels = [frozenset(back[g] for g in level if g in back)
+              for level in a.ne.levels]
+    return base.on_chain(NeighborhoodBase(base.group, levels))
+
+
+def _restricted_action(a, H):
+    """The action of the subgroup H (element indices) on the carrier, H's
+    elements renumbered in ascending order, over the whole-H chain: the
+    germ that `subgroup_germ` keeps.  Refuses an H that misses the
+    identity or is not closed under the product."""
     group = a.group
-    H = sorted(_group_indices(group, subgroup))
+    H = sorted(H)
     if group.e not in H:
         raise ValueError("subgroup must contain the identity")
     back = {g: i for i, g in enumerate(H)}
@@ -418,11 +432,8 @@ def subgroup_germ(a, subgroup):
     names = tuple(group.names[g] for g in H)
     mul = [[back[group.mul[g][h]] for h in H] for g in H]
     sub = FiniteGroup(names, mul)
-    levels = [frozenset(back[g] for g in level if g in back)
-              for level in a.ne.levels]
-    ne = NeighborhoodBase(sub, levels)
-    act = [a.act[g] for g in H]
-    return GActionGerm(sub, ne, a.carrier, act)
+    ne = NeighborhoodBase(sub, [range(len(H))])
+    return GActionGerm(sub, ne, a.carrier, [a.act[g] for g in H])
 
 
 def deepest_orbits_coincide(a, subgroup):

@@ -293,7 +293,11 @@ def _translate_table(row):
 class NeighborhoodBase:
     """A descending chain of identity neighborhoods in a finite group.
 
-    Validation errors name the offending level(s).
+    Validation errors name the offending level(s).  The witness
+    conditions are tested against the deepest level alone, which
+    witnesses a level whenever any level does, in O(levels * order)
+    subset tests; the first message is that of the scan over every
+    witness level (kept in the tests).
     """
 
     __slots__ = ("group", "levels")
@@ -312,13 +316,18 @@ class NeighborhoodBase:
             if not levels[li] >= levels[li + 1]:
                 raise ValueError(
                     f"chain is not descending between levels {li} and {li + 1}")
+        # The chain descends, so its deepest level d lies inside every
+        # level w, and d.d, d^{-1} and g d g^{-1} lie inside w.w, w^{-1}
+        # and g w g^{-1}: d witnesses every level that some level does.
+        d = levels[-1]
+        square = group.product_set(d, d) | group.inverse_set(d)
+        conjugates = [group.conjugate_set(g, d) for g in range(group.order)]
         for li, v in enumerate(levels):
-            if not any(group.product_set(w, w) <= v and group.inverse_set(w) <= v
-                       for w in levels):
+            if not square <= v:
                 raise ValueError(
                     f"chain level {li} has no square/inverse witness level")
-            for g in range(group.order):
-                if not any(group.conjugate_set(g, w) <= v for w in levels):
+            for g, conjugate in enumerate(conjugates):
+                if not conjugate <= v:
                     raise ValueError(
                         f"chain level {li} has no conjugation witness for "
                         f"element {group.names[g]!r}")

@@ -66,10 +66,12 @@ def fmt_atom(atom):
 
 def _below(x, y):
     """Whether atom x lies wholly below atom y: x's top end is under y's
-    bottom end, or equal to it with either end open.  Two atoms are
+    bottom end, or equal to it with either end open, which it is when
+    either atom is an interval; so one comparison decides.  Two atoms are
     convex, so they meet iff neither lies wholly below the other."""
-    top, bottom = x[-1], y[1]
-    return top < bottom or (top == bottom and (x[0] == "iv" or y[0] == "iv"))
+    if x[0] == "iv" or y[0] == "iv":
+        return x[-1] <= y[1]
+    return x[-1] < y[1]
 
 
 class RatSet:

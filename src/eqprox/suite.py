@@ -22,9 +22,9 @@ from functools import reduce
 from operator import attrgetter, or_, xor
 
 from . import rationals as rat
-from .equivariant import beta_g_proximity, betag_on_subgroup_agrees, \
-    check_equinormal, compute_ug, deepest_orbits_coincide, \
-    g_proximity_candidates, is_action_compatible, is_g_invariant, \
+from .equivariant import _candidates, beta_g_proximity, \
+    betag_on_subgroup_agrees, check_equinormal, compute_ug, \
+    deepest_orbits_coincide, is_action_compatible, is_g_invariant, \
     nu_proximity, semigroup_upgrade, set_partitions
 from .errors import InternalCheckFailure, ResourceCap
 from .gaction import FiniteGroup, GActionGerm, NeighborhoodBase, classify, \
@@ -446,10 +446,10 @@ def _main_family(wanted, max_n, seed, max_group, inject):
             ok, wit = semigroup_upgrade(nu, germ)
             yield "semigr", ok, label, wit
         if maximality:
-            for ri, rho in enumerate(g_proximity_candidates(germ)):
-                if dominates(delta_u, rho):
-                    yield ("maximality", dominates(nu, rho),
-                           f"{label}/cand{ri}", None)
+            verdicts = germ._kept(_maximality, delta_u.map, nu.map,
+                                  germ.masks[-1], germ.inverse_masks(-1))
+            for ri, ok in verdicts:
+                yield "maximality", ok, f"{label}/cand{ri}", None
 
 
 # The invariants that read a setting's nu table, and those that read its
@@ -488,6 +488,19 @@ def _per_germ_checks(wanted, label, germ, inject, discrete):
             agree, _full, _restr = betag_on_subgroup_agrees(germ, sorted(h))
             yield ("densesub", agree,
                    f"{label}/H={sorted(group.names[i] for i in h)}", None)
+
+
+def _maximality(a, base_map, nu_map, lem, inv):
+    """(index, whether ν dominates it) for each G-proximity candidate
+    (`equivariant._candidates`, by the deepest point masks lem and inv)
+    that δ_U dominates, ν and δ_U being the tables of nu_map and
+    base_map; kept per action, since the settings of its chains repeat
+    these maps."""
+    base = meets_table(a.carrier, base_map)
+    nu = meets_table(a.carrier, nu_map)
+    return [(ri, dominates(nu, rho))
+            for ri, rho in enumerate(a._kept(_candidates, lem, inv))
+            if dominates(base, rho)]
 
 
 def _subgroups(a):

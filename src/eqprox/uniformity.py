@@ -76,10 +76,14 @@ def validate_basis(u):
     AND per containment test.  Each condition reads only entourage
     values, so the first violation in index order falls on first copies:
     the r distinct entourages are checked, by their first indices.  B1 is
-    one test per distinct entourage, B2 and B4 take one converse and one
-    square per distinct entourage and then r tests each, and B3 takes r
-    tests per pair.  The report is kept on the basis object, so each
-    basis is checked once.
+    one test per distinct entourage.  On a list with a least member θ
+    that is no equivalence, a set of pairs holds some member iff it holds
+    θ, so B2 is one converse and one test per distinct entourage, B3
+    holds, and B4 is one test per distinct entourage against θ∘θ.  On a
+    list without one, B2 and B4 take one converse and one square per
+    distinct entourage and then r tests each, and B3 takes r tests per
+    pair.  The report is kept on the basis object, so each basis is
+    checked once.
     """
     return u._kept(_basis_report)
 
@@ -107,19 +111,29 @@ def _basis_report(u):
             results["B1"] = (False, (k, (x, x)))
             break
 
+    # θ lies inside every member, so a set of pairs holds some member iff
+    # it holds θ, some b ∩ c always does, and a member holds some d∘d iff
+    # it holds θ∘θ, which lies inside every other.
+    if theta is None:
+        parts = bits
+        squares = [setrel.compose(d, d).pair_bits for d in distinct]
+    else:
+        parts = [theta.pair_bits]
+        squares = [setrel.compose(theta, theta).pair_bits]
+
     k = _first_uncovered((setrel.invert(eps).pair_bits for eps in distinct),
-                         bits)
+                         parts)
     if k is not None:
         results["B2"] = (False, (ks[k],))
 
-    for b, i in first.items():
-        j = _first_uncovered([b & c for c in bits], bits)
-        if j is not None:
-            results["B3"] = (False, (i, ks[j]))
-            break
+    if theta is None:
+        for b, i in first.items():
+            j = _first_uncovered([b & c for c in bits], bits)
+            if j is not None:
+                results["B3"] = (False, (i, ks[j]))
+                break
 
-    k = _first_uncovered(bits, [setrel.compose(d, d).pair_bits
-                                for d in distinct])
+    k = _first_uncovered(bits, squares)
     if k is not None:
         results["B4"] = (False, (ks[k],))
 

@@ -24,7 +24,9 @@ over the deepest level and compared the two, from before ν became the
 table of its deepest level's map, checked point by point, and the
 ``nu_maps`` and ``beta_g_map`` that gave the maps of the ν and β_G
 tables to the CLI and to these references before the tables became
-values kept by their call.
+values kept by their call, and the ``subgroup_germ`` that checked and
+built the restricted group and action once per chain, before they were
+kept once per action and subgroup.
 The bodies are kept unchanged, methods taking the germ as ``a``, so
 that ``test_equivariant_differential.py`` compares the production code
 with the originals, tables, verdicts and witnesses alike.  This is
@@ -38,7 +40,8 @@ from eqprox import setrel
 from eqprox.errors import CarrierMismatch, InternalCheckFailure, \
     PreconditionFailure
 from eqprox.equivariant import _bracket, _valid_theta
-from eqprox.gaction import _group_indices
+from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
+    _group_indices
 from eqprox.proximity import AxiomReport, _join_table
 from eqprox.setrel import _join_mask
 from eqprox.uniformity import _first_uncovered, validate_basis
@@ -670,3 +673,30 @@ def beta_g_map(a):
     """
     inv = a.inverse_masks(-1)
     return [_join_mask(inv, t) for t in a.masks[-1]]
+
+
+def subgroup_germ_reference(a, subgroup):
+    """Restrict an action germ to a subgroup, with the subspace chain.
+
+    The chain levels become V_i intersect H; the deepest level stays a
+    normal subgroup of H, so the restricted chain is always a valid germ.
+    """
+    group = a.group
+    H = sorted(_group_indices(group, subgroup))
+    if group.e not in H:
+        raise ValueError("subgroup must contain the identity")
+    back = {g: i for i, g in enumerate(H)}
+    for g in H:
+        for h in H:
+            if group.mul[g][h] not in back:
+                raise ValueError(
+                    f"not a subgroup: {group.names[g]!r} * {group.names[h]!r} "
+                    "falls outside")
+    names = tuple(group.names[g] for g in H)
+    mul = [[back[group.mul[g][h]] for h in H] for g in H]
+    sub = FiniteGroup(names, mul)
+    levels = [frozenset(back[g] for g in level if g in back)
+              for level in a.ne.levels]
+    ne = NeighborhoodBase(sub, levels)
+    act = [a.act[g] for g in H]
+    return GActionGerm(sub, ne, a.carrier, act)

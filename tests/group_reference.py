@@ -9,8 +9,11 @@ constructors store, so that ``test_group_differential.py`` compares the
 constructors with the originals, verdict and message alike.  The
 breadth-first closure of ``FiniteGroup.from_permutations``, from before
 its product table was filled along the closure's edges, is kept the same
-way for its element order, names and cap error.  This is test-only code:
-nothing under ``src/`` may import it.
+way for its element order, names and cap error.  The chain validation of
+``NeighborhoodBase.__init__`` from before it tested the deepest level
+alone, which tried every level as the square/inverse and conjugation
+witness of every level, is kept for its messages.  This is test-only
+code: nothing under ``src/`` may import it.
 """
 
 from eqprox.gaction import DEFAULT_MAX_GROUP
@@ -107,3 +110,31 @@ def permutation_closure_reference(perms, max_size=DEFAULT_MAX_GROUP):
     names = tuple("e" if p == ident else "p" + sep.join(map(str, p))
                   for p in order)
     return names, tuple(order)
+
+
+def neighborhood_base_reference(group, levels):
+    """The validated levels of a chain, or ValueError."""
+    levels = tuple(frozenset(v) for v in levels)
+    if not levels:
+        raise ValueError("neighborhood chain must be nonempty")
+    for li, v in enumerate(levels):
+        for g in v:
+            if not 0 <= g < group.order:
+                raise ValueError(f"chain level {li} contains a non-element")
+        if group.e not in v:
+            raise ValueError(f"chain level {li} does not contain the identity")
+    for li in range(len(levels) - 1):
+        if not levels[li] >= levels[li + 1]:
+            raise ValueError(
+                f"chain is not descending between levels {li} and {li + 1}")
+    for li, v in enumerate(levels):
+        if not any(group.product_set(w, w) <= v and group.inverse_set(w) <= v
+                   for w in levels):
+            raise ValueError(
+                f"chain level {li} has no square/inverse witness level")
+        for g in range(group.order):
+            if not any(group.conjugate_set(g, w) <= v for w in levels):
+                raise ValueError(
+                    f"chain level {li} has no conjugation witness for "
+                    f"element {group.names[g]!r}")
+    return levels

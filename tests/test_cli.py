@@ -4,7 +4,7 @@ import json
 import random
 import sys
 import time
-from itertools import permutations
+from itertools import combinations, islice, permutations
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -708,6 +708,76 @@ BIG = 10 ** 400
 def test_rat_400_digit_endpoint_beside_an_infinite_one(capsys, argv, out):
     # 10**400 is past the float range, where math.isinf raises.
     assert run(capsys, "rat", *argv) == (0, out, "")
+
+
+def long_chain_document(path, levels):
+    """twelve_points_s3.json with its two levels each repeated to fill
+    the given number of levels."""
+    doc = json.loads((FIXTURES / "twelve_points_s3.json").read_text())
+    top, deep = doc["neighborhood_base"]
+    half = levels // 2
+    doc["neighborhood_base"] = [top] * half + [deep] * (levels - half)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def long_basis_document(path, members):
+    """Twelve points under Z2 and the given number of distinct
+    entourages: θ, the diagonal with 0-1 and 1-2 both ways, which is not
+    transitive, listed last, and θ with two more pairs before it."""
+    pts = [f"p{i}" for i in range(12)]
+    theta = [[x, x] for x in pts] + [["p0", "p1"], ["p1", "p0"],
+                                     ["p1", "p2"], ["p2", "p1"]]
+    extra = [[x, y] for x in pts for y in pts
+             if x != y and [x, y] not in theta]
+    pairs = islice(combinations(extra, 2), members - 1)
+    doc = {"schema": 1, "carrier": pts,
+           "group": {"elements": ["e", "g"],
+                     "table": [["e", "g"], ["g", "e"]]},
+           "action": {"e": pts, "g": pts[6:] + pts[:6]},
+           "neighborhood_base": [["e", "g"]],
+           "uniformity": [theta + [a, b] for a, b in pairs] + [theta]}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_validate_a_two_thousand_level_chain(tmp_path, capsys):
+    # The deepest level witnesses every level: 0.2 s on 2 shared cores
+    # under Python 3.11.7, where trying every level took 9-11 s.
+    path = long_chain_document(tmp_path / "chain.json", 2000)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", path)
+    assert (code, err) == (0, "")
+    assert out == ("document: ok\ngroup: ok (order 6)\n"
+                   "neighborhood_base: ok (2000 levels)\naction: ok\n")
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("what", ["betag", "equinormal"])
+def test_a_two_thousand_level_chain_reads_like_its_two_levels(
+        tmp_path, capsys, what):
+    # The repeated levels change nothing that the deepest level decides.
+    want = run(capsys, what, fixture("twelve_points_s3.json"))
+    path = long_chain_document(tmp_path / "chain.json", 2000)
+    start = time.perf_counter()
+    assert run(capsys, what, path) == want
+    assert time.perf_counter() - start < 5.0
+    assert want[0] == 0
+
+
+def test_validate_eight_hundred_entourages_with_a_least_member(
+        tmp_path, capsys):
+    # B2 and B4 read θ alone and B3 holds: 0.3 s on 2 shared cores under
+    # Python 3.11.7, where the scan over every pair of members took 59 s.
+    path = long_basis_document(tmp_path / "basis.json", 800)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", path)
+    assert (code, err) == (1, "")
+    assert out == ("document: ok\ngroup: ok (order 2)\n"
+                   "neighborhood_base: ok (1 levels)\naction: ok\n"
+                   "basis conditions:\n  B1: pass\n  B2: pass\n"
+                   "  B3: pass\n  B4: FAIL  counterexample=(0)\n")
+    assert time.perf_counter() - start < 5.0
 
 
 def test_rat_far_interleaved_seven_point_sets(capsys):

@@ -31,16 +31,17 @@ from equivariant_reference import _level_pullback, \
     is_action_compatible_reference, is_g_invariant_reference, nu_maps, \
     nu_proximity_point_pullback_reference, nu_proximity_reference, \
     nu_proximity_two_tables_reference, push_rel, separation_ok_reference, \
-    set_translate_mask, translate_mask, validate_basis_reference
+    set_translate_mask, subgroup_germ_reference, translate_mask, \
+    validate_basis_reference
 from proximity_reference import _point_block, meets, meets_points, \
     meets_table_reference
 
-from eqprox import cli, equivariant, gaction
+from eqprox import cli, equivariant, gaction, setrel
 from eqprox.document import load_instance, subset_to_json
 from eqprox.equivariant import _separation_ok, \
     beta_g_proximity, bracket_entourage, check_descending, check_equinormal, \
     compute_ug, deepest_orbits_coincide, enumerate_partition_proximities, \
-    is_action_compatible, is_g_invariant, nu_proximity
+    is_action_compatible, is_g_invariant, nu_proximity, subgroup_germ
 from eqprox.errors import DocumentError, InternalCheckFailure, \
     PreconditionFailure
 from eqprox.gaction import VERDICTS, FiniteGroup, GActionGerm, \
@@ -966,6 +967,92 @@ def test_basis_reports_match_reference_with_witnesses_after_copies():
                     if any(place[v.basis[k]] != k for k in ks):
                         shifted[name] += 1
     assert all(count >= 10 for count in shifted.values()), shifted
+
+
+def least_member_list(rng, carrier):
+    """Two to six relations that all hold one of them, θ, which is mostly
+    reflexive and seldom an equivalence: the others add random pairs, and
+    some of them θ's converse or θ∘θ, so that B2 and B4 fail at members
+    after the first, or hold."""
+    els = carrier.elements
+    p = rng.random()
+    theta = {(x, y) for x in els for y in els if rng.random() < p / 2}
+    if rng.random() < 0.9:
+        theta |= {(x, x) for x in els}
+    if rng.random() < 0.3:
+        theta |= {(y, x) for x, y in theta}
+    theta = Rel(carrier, theta)
+    rels = []
+    for _ in range(rng.randint(1, 5)):
+        pairs = set(theta.pairs) | {(x, y) for x in els for y in els
+                                    if rng.random() < 0.15}
+        if rng.random() < 0.5:
+            pairs |= set(setrel.invert(theta).pairs)
+        if rng.random() < 0.4:
+            pairs |= set(setrel.compose(theta, theta).pairs)
+        rels.append(Rel(carrier, pairs))
+    rels.insert(rng.randint(0, len(rels)), theta)
+    return UnifBase(carrier, rels)
+
+
+def test_basis_reports_match_reference_with_a_least_member():
+    # Lists whose least member θ is no equivalence: B2 and B4 read θ
+    # alone and B3 holds, with the scan's witnesses, copies included.
+    rng = random.Random(46)
+    late = Counter()
+    for n in range(1, 6):
+        carrier = Carrier(range(n))
+        for _ in range(200):
+            u = least_member_list(rng, carrier)
+            for v in (u, repeated_and_permuted(rng, u)):
+                assert least_entourage(v) is not None
+                assert_same_basis_report(v)
+                rep = validate_basis_reference(v)
+                assert rep.passed("B3")
+                for name in rep.failures():
+                    late[name, rep.counterexample(name)[0] > 0] += 1
+    assert all(late[name, after_first] >= 20 for name in ("B2", "B4")
+               for after_first in (False, True)), late
+    assert late["B1", False] + late["B1", True] >= 20, late
+
+
+def germ_fields(a):
+    """What a germ holds, and its beta_G map."""
+    g = a.group
+    return (g.names, g.mul, g.inv, g.e, g.gens, a.ne.levels, a.carrier,
+            a.act, a.deepest, a.masks, beta_g_proximity(a).map)
+
+
+def test_subgroup_germs_match_reference_on_suite_germs():
+    # Every germ of the suite family, each action's chains in turn
+    # through their shared cache, restricted to every subgroup of its
+    # group and to some sets that are not subgroups.
+    rng = random.Random(46)
+    outcomes = Counter()
+    last = None
+    for _label, germ, _u in iter_family(max_n=5, seed=0):
+        if germ is last:
+            continue
+        last = germ
+        group = germ.group
+        subsets = list(group.subgroups())
+        subsets += [[g for g in range(group.order) if rng.random() < 0.5]
+                    for _ in range(3)]
+        for h in subsets:
+            try:
+                want = "ok", germ_fields(subgroup_germ_reference(germ, h))
+            except ValueError as exc:
+                want = "error", str(exc)
+            try:
+                got = "ok", germ_fields(subgroup_germ(germ, h))
+            except ValueError as exc:
+                got = "error", str(exc)
+            assert got == want, (germ, h)
+            outcomes[want[0] if want[0] == "ok"
+                     else want[1].split(":")[0]] += 1
+    assert outcomes["ok"] >= 500, outcomes
+    assert outcomes["not a subgroup"] >= 20, outcomes
+    assert outcomes["subgroup must contain the identity"] >= 20, outcomes
 
 
 def assert_same_germ_masks(a, rng):

@@ -1,25 +1,29 @@
-"""Group and action validation against the full scans.
+"""Group, action and chain validation against the full scans.
 
-`FiniteGroup` decides associativity by Light's test on a generating set
-and `GActionGerm` checks the action law on the generators only; both
-must give the verdict and the message of the k^3 triple scan and the
-(g, h) pair scan kept in `group_reference.py`.  The action law message is
+`FiniteGroup` decides associativity by Light's test on a generating set,
+`GActionGerm` checks the action law on the generators only, and
+`NeighborhoodBase` tests the deepest level alone as the witness of every
+level; each must give the verdict and the message of the k^3 triple
+scan, the (g, h) pair scan and the every-witness-level scan kept in
+`group_reference.py`.  The action law message is
 also compared with the law read literally (`law_failure`) on renumbered
 groups, where the generators are not the first indices.
 """
 
 import random
+import time
 from collections import Counter
 from functools import partial
 from itertools import permutations
 
 import pytest
 from group_reference import action_reference, finite_group_reference, \
-    permutation_closure_reference
+    neighborhood_base_reference, permutation_closure_reference
 
 from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
     _generators, _light_test
 from eqprox.setrel import Carrier
+from eqprox.suite import germ_chains, suite_groups
 
 
 def perm_table(perms):
@@ -448,3 +452,72 @@ def test_from_permutations_refuses_degree_above_256():
             FiniteGroup.from_permutations(perms)
         assert str(err.value) == ("permutation degree 257 exceeds the limit "
                                   "256 (one byte per image)")
+
+
+def chain_verdict(group, levels):
+    ok, out = verdict(NeighborhoodBase, group, levels)
+    return (ok, out.levels) if ok == "ok" else (ok, out)
+
+
+def random_chain(rng, group):
+    """Levels that hold the identity, mostly descending: each level adds
+    random elements to the one below it, or, now and then, to a random
+    subgroup, and a few chains are shuffled or get a stray element."""
+    k = group.order
+    subs = group.subgroups()
+    deep = set(rng.choice(subs)) if rng.random() < 0.5 else {group.e}
+    deep |= {g for g in range(k) if rng.random() < 0.15}
+    levels = [frozenset(deep)]
+    for _ in range(rng.randrange(4)):
+        up = set(levels[0]) | {g for g in range(k) if rng.random() < 0.3}
+        if rng.random() < 0.3:
+            up |= rng.choice(subs)
+        levels.insert(0, frozenset(up))
+    if rng.random() < 0.1:
+        rng.shuffle(levels)
+    if rng.random() < 0.05:
+        levels[rng.randrange(len(levels))] -= {group.e}
+    return levels
+
+
+CHAIN_FAILURES = ("identity", "descending", "square/inverse", "conjugation")
+
+
+def test_chain_messages_match_every_witness_level_scan():
+    # Every suite chain, repeated and padded with the whole group above
+    # it, and seeded chains, which are valid or fail each check in turn.
+    groups = [group for _name, group, _gens in suite_groups()]
+    groups.append(FiniteGroup.from_permutations([(1, 2, 3, 0),
+                                                  (3, 2, 1, 0)])[0])  # D4
+    rng = random.Random(46)
+    kinds = Counter()
+    for group in groups:
+        whole = frozenset(range(group.order))
+        chains = [list(levels) for levels in germ_chains(group)]
+        chains += [[whole] + levels + levels[-1:] for levels in chains]
+        chains += [random_chain(rng, group) for _ in range(300)]
+        for levels in chains:
+            want = verdict(neighborhood_base_reference, group, levels)
+            assert chain_verdict(group, levels) == want, levels
+            kinds[want[0] if want[0] == "ok" else next(
+                word for word in CHAIN_FAILURES if word in want[1])] += 1
+    assert kinds["ok"] >= 100, kinds
+    assert kinds["square/inverse"] >= 100 and kinds["conjugation"] >= 20, \
+        kinds
+    assert kinds["descending"] >= 10 and kinds["identity"] >= 10, kinds
+
+
+def test_a_long_chain_is_validated_in_linear_time():
+    # The two levels of S3 and A3, each repeated 1,000 times: the
+    # every-witness-level scan takes L**2 * |G| conjugations, the deepest
+    # level L * |G|.
+    s3 = suite_groups()[-1][1]
+    a3 = next(h for h in s3.subgroups() if len(h) == 3)
+    start = time.perf_counter()
+    ne = NeighborhoodBase(s3, [range(6)] * 1000 + [a3] * 1000)
+    assert time.perf_counter() - start < 1.0
+    assert ne.levels[-1] == a3
+    flip = next(h for h in s3.subgroups() if len(h) == 2)
+    with pytest.raises(ValueError, match="^chain level 1000 has no "
+                       "conjugation witness for element"):
+        NeighborhoodBase(s3, [range(6)] * 1000 + [flip] * 1000)
