@@ -162,7 +162,7 @@ def _classify_in_full(germ, u):
     once, and the benchmark's layer map (`EXERCISED` in
     `perfbench/test_perfbench.py`) still lists action continuity among the
     layers that `instance-queries` reaches.  The call goes when that entry
-    does (ROADMAP item 4).
+    does (ROADMAP item 22).
     """
     return classify(germ, u).witnesses
 

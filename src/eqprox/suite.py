@@ -6,7 +6,8 @@ structural identity of the library against its independent oracle, and
 reports one line per invariant with pass counts and the first
 counterexample on failure.  Identical parameters and seed produce
 byte-identical reports.  Each family yields (invariant, ok, label,
-detail) records, and `run_suite` records them in one loop.
+detail) records, and `run_suite` records them in one loop.  The filter
+selects records; a family runs whole or not at all.
 
 Where a family is astronomically large as literally quantified (all
 reflexive entourages over five points, all towers over a grid), the suite
@@ -354,7 +355,9 @@ def run_suite(max_n=5, seed=0, max_group=6, filters=None, inject=None):
 
     `filters` restricts to a nonempty subset of invariant names (None runs
     them all); `inject` plants a deterministic defect ("bracket", "nu" or
-    "betag") to prove the suite catches corruption.  A run that could check nothing (no carrier, or
+    "betag") to prove the suite catches corruption.  The filter selects
+    records; a family runs whole or not at all, and one with no wanted
+    invariant is skipped.  A run that could check nothing (no carrier, or
     no standard group) is refused.
     """
     if max_n < 1 or max_group < 2:
@@ -370,16 +373,17 @@ def run_suite(max_n=5, seed=0, max_group=6, filters=None, inject=None):
         raise ValueError(f"unknown invariant filter: {sorted(unknown)[0]!r}")
     results = {name: InvariantResult(name) for name in INVARIANTS
                if name in wanted}
-    settings = {"wanted": wanted, "max_n": max_n, "seed": seed,
-                "max_group": max_group, "inject": inject}
+    settings = {"max_n": max_n, "seed": seed, "max_group": max_group,
+                "inject": inject}
     for family, names in FAMILIES:
         if not wanted.isdisjoint(names):
             for name, ok, label, detail in family(**settings):
-                results[name].record(ok, label, detail)
+                if name in results:
+                    results[name].record(ok, label, detail)
     return SuiteReport(seed, max_n, max_group, list(results.values()))
 
 
-def _main_family(wanted, max_n, seed, max_group, inject):
+def _main_family(max_n, seed, max_group, inject):
     # The library scans keep their results in the action's shared germ
     # cache, keyed by the values they read; each label is still recorded,
     # and the two sides of an identity are still computed apart.  A germ's
@@ -390,104 +394,81 @@ def _main_family(wanted, max_n, seed, max_group, inject):
         if not validate_basis(u).ok():
             continue
         cls = classify(germ, u)
-        if "gprox" in wanted:
-            # Composite-verdict inclusion: equiuniform is the stronger notion.
-            yield ("gprox", not cls.equiuniform or cls.pi_uniform,
-                   label + "/inclusion", None)
+        # Composite-verdict inclusion: equiuniform is the stronger notion.
+        yield ("gprox", not cls.equiuniform or cls.pi_uniform,
+               label + "/inclusion", None)
 
         if germ is not last_germ:
             last_germ = germ
-            yield from _per_germ_checks(wanted, label, germ, inject, discrete)
+            yield from _per_germ_checks(label, germ, inject, discrete)
 
-        if (wanted.isdisjoint(_NU_READERS + _UG_READERS)
-                or not (cls.pi_uniform and cls.action_continuous)):
+        if not (cls.pi_uniform and cls.action_continuous):
             continue
 
-        # A reader missing from these tuples meets None, never the value
-        # of an earlier setting.
-        nu = checked_ug = None
-        if not wanted.isdisjoint(_NU_READERS):
-            nu = nu_proximity(germ, u)
-            if inject == "nu":
-                nu = _corrupt_prox(nu)
-        if not wanted.isdisjoint(_UG_READERS):
-            ug = compute_ug(germ, u)
-            checked_ug = _corrupt_basis(ug) if inject == "bracket" else ug
+        nu = nu_proximity(germ, u)
+        if inject == "nu":
+            nu = _corrupt_prox(nu)
+        ug = compute_ug(germ, u)
+        if inject == "bracket":
+            ug = _corrupt_basis(ug)
 
-        if "tgprox" in wanted:
-            mismatch = first_pair(nu, from_uniformity(checked_ug), xor)
-            yield "tgprox", mismatch is None, label, mismatch
-        if "ugclaims" in wanted:
-            vb = validate_basis(checked_ug)
-            ug_cls = classify(germ, checked_ug)
-            ok = vb.ok() and ug_cls.bounded
-            detail = None
-            if not vb.ok():
-                detail = f"basis {vb.failures()[0]}"
-            elif not ug_cls.bounded:
-                detail = "derived basis not bounded"
-            if ok and cls.saturated and not ug_cls.saturated:
-                ok, detail = False, "saturation not preserved"
-            if ok and not refinement_equivalent(u, checked_ug):
-                ok, detail = False, "not refinement-equivalent under pi-uniformity"
-            yield "ugclaims", ok, label, detail
-        base_gprox = "gprox" in wanted and cls.equiuniform
-        maximality = "maximality" in wanted and germ.carrier.n <= 4
-        delta_u = from_uniformity(u) if base_gprox or maximality else None
-        if "gprox" in wanted:
-            inv, invw = is_g_invariant(nu, germ)
-            comp, compw = is_action_compatible(nu, germ)
-            yield "gprox", inv and comp, label, invw or compw
-            if base_gprox:
-                inv2, w2 = is_g_invariant(delta_u, germ)
-                comp2, w22 = is_action_compatible(delta_u, germ)
-                yield "gprox", inv2 and comp2, label + "/base", w2 or w22
-        if "semigr" in wanted:
-            ok, wit = semigroup_upgrade(nu, germ)
-            yield "semigr", ok, label, wit
-        if maximality:
-            verdicts = germ._kept(_maximality, delta_u.map, nu.map,
+        mismatch = first_pair(nu, from_uniformity(ug), xor)
+        yield "tgprox", mismatch is None, label, mismatch
+        vb = validate_basis(ug)
+        ug_cls = classify(germ, ug)
+        ok = vb.ok() and ug_cls.bounded
+        detail = None
+        if not vb.ok():
+            detail = f"basis {vb.failures()[0]}"
+        elif not ug_cls.bounded:
+            detail = "derived basis not bounded"
+        if ok and cls.saturated and not ug_cls.saturated:
+            ok, detail = False, "saturation not preserved"
+        if ok and not refinement_equivalent(u, ug):
+            ok, detail = False, "not refinement-equivalent under pi-uniformity"
+        yield "ugclaims", ok, label, detail
+        inv, invw = is_g_invariant(nu, germ)
+        comp, compw = is_action_compatible(nu, germ)
+        yield "gprox", inv and comp, label, invw or compw
+        if cls.equiuniform:
+            delta_u = from_uniformity(u)
+            inv2, w2 = is_g_invariant(delta_u, germ)
+            comp2, w22 = is_action_compatible(delta_u, germ)
+            yield "gprox", inv2 and comp2, label + "/base", w2 or w22
+        ok, wit = semigroup_upgrade(nu, germ)
+        yield "semigr", ok, label, wit
+        if germ.carrier.n <= 4:
+            verdicts = germ._kept(_maximality, from_uniformity(u).map, nu.map,
                                   germ.masks[-1], germ.inverse_masks(-1))
             for ri, ok in verdicts:
                 yield "maximality", ok, f"{label}/cand{ri}", None
 
 
-# The invariants that read a setting's nu table, and those that read its
-# derived basis.
-_NU_READERS = ("tgprox", "gprox", "semigr", "maximality")
-_UG_READERS = ("tgprox", "ugclaims")
-
-
-def _per_germ_checks(wanted, label, germ, inject, discrete):
+def _per_germ_checks(label, germ, inject, discrete):
     bg = beta_g_proximity(germ)
     if inject == "betag":
         bg = _corrupt_prox(bg)
-    if "betag" in wanted:
-        carrier = germ.carrier
-        if carrier not in discrete:
-            discrete[carrier] = discrete_basis(carrier)
-        nu_d = nu_proximity(germ, discrete[carrier])
-        mismatch = first_pair(bg, nu_d, xor)
-        yield "betag", mismatch is None, label, mismatch
-    if "semigr" in wanted:
-        ok, wit = semigroup_upgrade(bg, germ)
-        yield "semigr", ok, label + "/betag", wit
-    if "equinormal" in wanted:
-        rep = check_equinormal(germ)
-        yield "equinormal", rep.equinormal and rep.agree, label, None
-    if "densesub" in wanted:
-        # The subgroups read only the group: listed once per action, in
-        # the cache its germs share.
-        group = germ.group
-        for h in germ._kept(_subgroups):
-            if (group.product_set(h, germ.deepest)
-                    != frozenset(range(group.order))):
-                continue
-            if not deepest_orbits_coincide(germ, h):
-                continue
-            agree, _full, _restr = betag_on_subgroup_agrees(germ, sorted(h))
-            yield ("densesub", agree,
-                   f"{label}/H={sorted(group.names[i] for i in h)}", None)
+    carrier = germ.carrier
+    if carrier not in discrete:
+        discrete[carrier] = discrete_basis(carrier)
+    mismatch = first_pair(bg, nu_proximity(germ, discrete[carrier]), xor)
+    yield "betag", mismatch is None, label, mismatch
+    ok, wit = semigroup_upgrade(bg, germ)
+    yield "semigr", ok, label + "/betag", wit
+    rep = check_equinormal(germ)
+    yield "equinormal", rep.equinormal and rep.agree, label, None
+    # The subgroups read only the group: listed once per action, in the
+    # cache its germs share.
+    group = germ.group
+    for h in germ._kept(_subgroups):
+        if (group.product_set(h, germ.deepest)
+                != frozenset(range(group.order))):
+            continue
+        if not deepest_orbits_coincide(germ, h):
+            continue
+        agree, _full, _restr = betag_on_subgroup_agrees(germ, sorted(h))
+        yield ("densesub", agree,
+               f"{label}/H={sorted(group.names[i] for i in h)}", None)
 
 
 def _maximality(a, base_map, nu_map, lem, inv):

@@ -82,8 +82,9 @@ def validate_basis(u):
     holds, and B4 is one test per distinct entourage against θ∘θ.  On a
     list without one, B2 and B4 take one converse and one square per
     distinct entourage and then r tests each, and B3 takes r tests per
-    pair.  The report is kept on the basis object, so each basis is
-    checked once.
+    entourage, for the members inside it, and then one AND per pair:
+    b ∩ c holds a member iff some member lies inside both.  The report
+    is kept on the basis object, so each basis is checked once.
     """
     return u._kept(_basis_report)
 
@@ -127,11 +128,13 @@ def _basis_report(u):
         results["B2"] = (False, (ks[k],))
 
     if theta is None:
-        for b, i in first.items():
-            j = _first_uncovered([b & c for c in bits], bits)
-            if j is not None:
-                results["B3"] = (False, (i, ks[j]))
-                break
+        # b ∩ c holds a member iff some member lies inside both.
+        inside = [sum(1 << d for d, part in enumerate(bits) if not part & ~b)
+                  for b in bits]
+        results["B3"] = next(((False, (ks[i], ks[j]))
+                              for i, a in enumerate(inside)
+                              for j, c in enumerate(inside) if not a & c),
+                             (True, None))
 
     k = _first_uncovered(bits, squares)
     if k is not None:

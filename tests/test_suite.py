@@ -51,10 +51,10 @@ MAIN_FAMILY = ("tgprox", "betag", "ugclaims", "gprox", "semigr", "maximality",
 
 
 @pytest.mark.parametrize("max_n, inject", [
-    (3, None), (2, "bracket"), (2, "nu"), (2, "betag")])
+    (5, None), (3, None), (2, "bracket"), (2, "nu"), (2, "betag")])
 def test_main_family_lines_do_not_depend_on_the_filter(max_n, inject):
-    # The main family runs one pass for all eight invariants and skips the
-    # work of those not asked for; no invariant may read another's work.
+    # The main family runs whole under any filter, and run_suite records
+    # only the names asked for, so each line is its line in the whole run.
     whole = suite.run_suite(max_n=max_n, filters=MAIN_FAMILY, inject=inject)
     lines = {r.name: r.line() for r in whole.results}
     assert list(lines) == list(MAIN_FAMILY)
@@ -302,22 +302,23 @@ def test_metric_family_reads_only_pi_uniformity(monkeypatch):
     assert searched == {"saturated", "quasibounded"}
 
 
-def test_filters_that_read_no_derived_basis_build_none(monkeypatch):
-    # semigr reads nu but no derived basis; the per-germ invariants read
-    # no setting's tables, so continuity is not decided for them either.
-    calls = []
-    for name in ("compute_ug", "from_uniformity", "nu_proximity"):
-        _counting(monkeypatch, suite, name, calls)
-    _counting(monkeypatch, gaction, "check_action_continuity", calls)
-    (semigr,) = suite.run_suite(filters=["semigr"]).results
-    assert semigr.ok and semigr.checked > 1000
-    assert set(calls) == {"nu_proximity", "check_action_continuity"}
-    calls.clear()
-    for name in ("betag", "equinormal", "densesub"):
-        (result,) = suite.run_suite(max_n=3, filters=[name]).results
-        assert result.ok and result.checked
-    assert "compute_ug" not in calls and "from_uniformity" not in calls
-    assert "check_action_continuity" not in calls
+def test_each_main_family_filter_makes_the_builds_of_the_whole_family(
+        monkeypatch):
+    # The filter selects records, not work: a filter naming one main-family
+    # invariant builds the same kept values, counted by function, as the
+    # filter naming all eight.
+    def builds(filters):
+        built = Counter()
+        _count_builds(monkeypatch, lambda owner, key: built.update(key[:1]))
+        report = suite.run_suite(max_n=3, filters=filters)
+        monkeypatch.undo()
+        assert report.ok and all(r.checked for r in report.results)
+        return built
+
+    whole = builds(MAIN_FAMILY)
+    assert whole[equivariant._checked_brackets]
+    for name in MAIN_FAMILY:
+        assert builds([name]) == whole, name
 
 
 def _forward_masks(a, level):
