@@ -24,7 +24,6 @@ from .errors import DocumentError, InternalCheckFailure, \
 from .gaction import classify
 from .proximity import P1_P5, _join_table, _map_passes, check_axioms, \
     from_uniformity, is_separated, meets_hex
-from .setrel import _join_mask
 from .suite import run_suite
 from .uniformity import validate_basis
 
@@ -179,11 +178,9 @@ def _query(args, instance, germ):
         _emit_table_json({"schema": 1, "what": args.what,
                           **_prox_json(prox)})
         return EXIT_OK
-    points = prox.map
-    carrier = germ.carrier
     if args.sets:
-        a, b = map(carrier.subset_mask, _resolve_sets(instance, args.sets))
-        verdict = "near" if b & _join_mask(points, a) else "far"
+        verdict = ("near" if prox.near(*_resolve_sets(instance, args.sets))
+                   else "far")
         if args.json:
             _emit_json({"schema": 1, "what": args.what,
                         "sets": list(args.sets), "verdict": verdict})
@@ -191,6 +188,8 @@ def _query(args, instance, germ):
             print(verdict)
         return EXIT_OK
 
+    points = prox.map
+    carrier = germ.carrier
     if args.what == "nu" and not _map_passes(points):
         require_quasibounded(germ, instance.require_uniformity())
         raise InternalCheckFailure(

@@ -11,6 +11,7 @@ DocumentError naming the offending field and datum.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,12 +47,17 @@ class Instance:
 
 
 def load_instance(source):
-    """Parse an instance from a path, a JSON string, or a dict."""
+    """Parse an instance from a path, a JSON string, or a dict.
+
+    A string with no newline is a path when it names an existing file or
+    ends in ".json", and JSON text otherwise."""
     if isinstance(source, dict):
         doc = source
     else:
         text = source
-        if "\n" not in str(source) and str(source).endswith(".json"):
+        name = str(source)
+        if "\n" not in name and (name.endswith(".json")
+                                 or os.path.isfile(name)):
             try:
                 with open(source, encoding="utf-8") as fh:
                     text = fh.read()

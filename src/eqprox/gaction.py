@@ -609,8 +609,7 @@ def _quasiboundedness_witness(a, u, deepest):
 
 def _group_equicontinuity_witness(a, u):
     """The equicontinuity witness of the whole group."""
-    return _equicontinuity_witness(
-        a, [u.basis[k] for k in _fitting(u)], _kept_pairs(a, u))
+    return _equicontinuity_witness(a, u, range(a.group.order))
 
 
 def _uniform_equicontinuity_witness(a, u):
@@ -654,19 +653,23 @@ def _fold(op, rows):
     return [reduce(op, col) for col in zip(*rows)]
 
 
-def _equicontinuity_witness(a, deltas, kept):
-    """The first (x0, k) in index order such that no delta of `deltas`
-    (the basis, or its least entourage alone) has {x0} x delta(x0) inside
-    kept[k], or None.
+def _equicontinuity_witness(a, u, elements):
+    """The first (x0, k) in index order such that no delta that
+    `_fitting` tries has {x0} x delta(x0) inside kept[k], or None when the
+    group elements `elements` act equicontinuously.
 
-    kept[k] holds, as pair bits, the pairs of eps_k that a set of
-    translates keeps in eps_k: the AND of the push-table entries of the
-    set's inverses.  None means the set acts equicontinuously.
+    kept[k] holds, as pair bits, the pairs of eps_k that every element's
+    translate keeps in eps_k: the AND of the push-table entries of the
+    elements' inverses.
     """
+    push = a.push_table(u)
+    inv = a.group.inv
+    kept = _fold(and_, (push[inv[g]] for g in elements))
+    deltas = [u.basis[k].image_masks for k in _fitting(u)]
     n = a.carrier.n
     for x0 in range(n):
         k = _first_uncovered([core >> x0 * n for core in kept],
-                             [delta.image_masks[x0] for delta in deltas])
+                             [delta[x0] for delta in deltas])
         if k is not None:
             return (a.carrier.elements[x0], k)
     return None

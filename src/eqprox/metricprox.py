@@ -25,12 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import and_
 
 from . import setrel
 from .errors import CarrierMismatch, InternalCheckFailure, PreconditionFailure
-from .gaction import classify, _equicontinuity_witness, _fitting, _fold, \
-    _group_indices
+from .gaction import classify, _equicontinuity_witness, _group_indices
 from .proximity import meets_table
 from .setrel import _join_mask
 from .uniformity import UnifBase, induced_topology, refines
@@ -242,13 +240,8 @@ def xi_report(fam, a, subsets_of_group, sups):
 
 def _acts_equicontinuously(a, u, subset_ids):
     """Equicontinuity of a fixed set of group elements, at basis level:
-    the check `classify` runs, on the AND of the push-table entries
-    g^{-1}.eps over the g in the set."""
-    push = a.push_table(u)
-    inv = a.group.inv
-    kept = _fold(and_, (push[inv[g]] for g in subset_ids))
-    return _equicontinuity_witness(
-        a, [u.basis[k] for k in _fitting(u)], kept) is None
+    the search `classify` runs for the whole group, on the set."""
+    return _equicontinuity_witness(a, u, subset_ids) is None
 
 
 def is_isometric(m, a):

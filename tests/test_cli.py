@@ -410,6 +410,34 @@ def test_validate_bad_metric_exits_2_naming_the_triangle(capsys):
                    "('0', '1', '2')\n")
 
 
+@pytest.mark.parametrize("name", ["doc", "doc.JSON"])
+def test_validate_reads_a_document_file_whatever_its_name(tmp_path, capsys,
+                                                          name):
+    path = tmp_path / name
+    path.write_bytes(Path(fixture("z3_rotation.json")).read_bytes())
+    assert run(capsys, "validate", str(path)) == \
+        run(capsys, "validate", fixture("z3_rotation.json"))
+    assert load_instance(path).carrier.n == 3
+
+
+def test_validate_a_missing_json_path_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot read {path}: ")
+
+
+def test_validate_reads_json_text_as_the_file_that_holds_it(tmp_path,
+                                                             capsys):
+    # A one-line document on argv, as the benchmark passes it.
+    text = json.dumps(json.loads(Path(fixture("z3_rotation.json")).read_text()))
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", text)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, "validate", str(path))
+
+
 def test_validate_metric_document(capsys):
     code, out, err = run(capsys, "validate", fixture("z4_metric.json"))
     assert (code, err) == (0, "")

@@ -532,3 +532,57 @@ def test_cached_scans_match_fresh_calls_on_fresh_germs():
     assert settings > 1000
     assert outcomes == {(True, True), (True, False), (False, True),
                         (False, False)}
+
+
+# The suite records every instance its generators draw: these are the facts
+# that let it skip none of them.
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_every_main_family_basis_is_valid(seed):
+    # Pooled bases are {θ} or {θ, ε ⊇ θ} with θ an equivalence, and
+    # saturation keeps B1-B4, so the main family checks every setting.
+    bases = {id(u): u for _label, _germ, u in suite.iter_family(seed=seed)}
+    assert bases
+    assert all(suite.validate_basis(u).ok() for u in bases.values())
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_subset_of_a_convex_set_is_a_subset(seed):
+    # The draws of the ordcomp family at this seed, in its order.
+    rng = random.Random(seed + 3)
+    for _ in range(500):
+        o = suite._random_convex(rng)
+        a = suite._random_subset_of(o, rng)
+        assert a.issubset(o), (str(a), str(o))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_graph_proximities_satisfy_p1_to_p4(seed):
+    rng = random.Random(seed)
+    for n in (3, 4, 5):
+        carrier = suite.Carrier(range(n))
+        for _ in range(40):
+            p = suite._graph_proximity(carrier, rng)
+            assert suite.check_axioms(p).ok(("P1", "P2", "P3", "P4")), p.map
+
+
+def test_graph_tier_fails_a_table_reported_to_fail_p1(monkeypatch):
+    # A verdict that breaks P1 on the graph tables fails each of them; at
+    # n = 5, past the definition check, with the failing axiom named.
+    real = suite.check_axioms
+
+    def p1_fails(p):
+        rep = real(p)
+        return proximity.AxiomReport(
+            {name: (rep.passed(name), rep.counterexample(name))
+             for name in rep.names} | {"P1": (False, None)})
+
+    monkeypatch.setattr(suite, "check_axioms", p1_fails)
+    graph = [(label, ok, detail)
+             for _name, ok, label, detail in suite._axiom_family(5, 0)
+             if label.startswith("axioms/graph/")]
+    assert len(graph) == 120
+    assert not any(ok for _label, ok, _detail in graph)
+    assert {detail for label, _ok, detail in graph
+            if label.startswith("axioms/graph/n5/")} == {"P1 fails"}
