@@ -49,15 +49,16 @@ class Instance:
 def load_instance(source):
     """Parse an instance from a path, a JSON string, or a dict.
 
-    A string with no newline is a path when it names an existing file or
-    ends in ".json", and JSON text otherwise."""
+    A path-like source is a path.  A string with no newline is a path
+    when it names an existing file or ends in ".json", and JSON text
+    otherwise."""
     if isinstance(source, dict):
         doc = source
     else:
         text = source
         name = str(source)
-        if "\n" not in name and (name.endswith(".json")
-                                 or os.path.isfile(name)):
+        if isinstance(source, os.PathLike) or "\n" not in name and (
+                name.endswith(".json") or os.path.isfile(name)):
             try:
                 with open(source, encoding="utf-8") as fh:
                     text = fh.read()

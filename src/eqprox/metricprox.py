@@ -12,7 +12,8 @@ The basis of a (pseudo)metric uniformity consists of the sublevel
 relations d <= r at each distinct positive value r, together with the
 kernel relation d = 0 (the diagonal, for a genuine metric).  Such a basis
 and the bases derived from it under an action, whose brackets repeat, are
-checked by `uniformity.validate_basis` once per distinct entourage.
+checked by `uniformity.validate_basis`, which decides a valid list by three
+tests on its least member.
 
 For a family of pseudometrics the same sublevel construction applies per
 member; the family kernel (simultaneous vanishing) is added so that the

@@ -682,6 +682,25 @@ def test_massive_and_ug_exit_paths(tmp_path, capsys, what, flags):
                                   "uniformity nor a metric\n")
 
 
+def test_ug_plain_lists_the_derived_basis_it_writes_as_json(capsys):
+    # The bytes are pinned in CI as well.
+    paired = fixture("twelve_points_s3_paired.json")
+    code, out, err = run(capsys, "ug", paired)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "45e3a7d79ff566b953c7e97472c818c5467587f4b08984fc76b767949842011c")
+    basis = json.loads(run(capsys, "ug", paired, "--json")[1])["basis"]
+    assert len(basis) == 2
+    assert out.splitlines() == [f"derived basis: {len(basis)} entourages"] + [
+        f"  [{k}] {r}" for k, r in enumerate(basis)]
+
+
+def test_massive_json_writes_the_verdict(capsys):
+    assert run(capsys, "massive", fixture("twelve_points_s3_orbits.json"),
+               "--json") == (0, '{\n  "massive": true,\n  "schema": 1,\n'
+                                '  "what": "massive"\n}\n', "")
+
+
 @pytest.mark.parametrize("argv", [["validate"], ["ug"], ["massive"],
                                   ["nu", "--sets", "A", "B"]])
 def test_uniformity_and_metric_together_are_refused(tmp_path, capsys, argv):

@@ -41,6 +41,21 @@ def test_order_is_the_listed_tuple():
         load_instance(doc)
 
 
+def test_a_path_object_reads_the_file_whatever_its_name(tmp_path):
+    doc = tmp_path / "doc"
+    doc.write_bytes((FIXTURES / "z3_rotation.json").read_bytes())
+    inst = load_instance(doc)
+    assert inst.germ.group.order == 3
+    assert inst.subsets["A"] == frozenset({"0"})
+
+
+def test_a_path_object_to_a_missing_file_is_a_document_error(tmp_path):
+    missing = tmp_path / "doc"
+    with pytest.raises(DocumentError,
+                       match=f"^cannot read {re.escape(str(missing))}: "):
+        load_instance(missing)
+
+
 def test_metric_instance_and_derived_uniformity():
     inst = load_instance(fixture("z4_metric.json"))
     assert inst.metric is not None

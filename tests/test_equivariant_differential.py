@@ -996,8 +996,8 @@ def least_member_list(rng, carrier):
 
 
 def test_basis_reports_match_reference_with_a_least_member():
-    # Lists whose least member θ is no equivalence: B2 and B4 read θ
-    # alone and B3 holds, with the scan's witnesses, copies included.
+    # Lists whose least member θ is no equivalence: B3 holds, and the
+    # witness scan names the reference's witnesses, copies included.
     rng = random.Random(46)
     late = Counter()
     for n in range(1, 6):

@@ -27,12 +27,13 @@ from proximity_reference import meets_table_reference
 from uniformity_reference import from_uniformity_reference, \
     induced_topology_reference, nu_maps_reference, refines_reference
 
-from eqprox import equivariant
+from eqprox import equivariant, setrel
 from eqprox.document import load_instance
 from eqprox.equivariant import compute_ug, nu_proximity
 from eqprox.errors import DocumentError, InternalCheckFailure, \
     PreconditionFailure
-from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase
+from eqprox.gaction import FiniteGroup, GActionGerm, NeighborhoodBase, \
+    saturate_uniformity
 from eqprox.metricprox import metric_uniformity
 from eqprox.proximity import from_uniformity, meets_table
 from eqprox.setrel import Carrier, Rel, least_entourage
@@ -175,7 +176,7 @@ CLOSED_FORM = [u for n in range(3, 9)
                          ids=["all", "seeded"])
 def test_basis_report_matches_the_reference(lists):
     # A list passes B1-B4 iff its least member is an equivalence, which
-    # three tests on it decide; any other list runs the first-copy scan,
+    # three tests on it decide; any other list runs the witness scan,
     # whose report, witnesses included, must be the reference's.
     kinds = Counter()
     for u in lists:
@@ -382,6 +383,32 @@ def test_rewritten_readers_match_the_reference_on_suite_and_fixture_bases(
     # Not vacuous: most bases list more than their least member.
     assert len(valid) > 1000
     assert sum(len(set(u.basis)) > 1 for u in valid) > len(valid) // 2
+
+
+def test_every_valid_suite_basis_is_decided_by_the_fast_pass(monkeypatch):
+    # Every list the suite and the CLI requests validate is valid, so each
+    # must be decided by the three tests on θ, one converse and one square,
+    # and never reach the witness scan, which takes a converse and a square
+    # per member.  Each basis is copied, so no kept report answers.
+    bases = []
+    for _label, germ, u in iter_family(max_n=5, seed=0):
+        bases += [u, saturate_uniformity(germ, u)]
+        try:
+            bases.append(compute_ug(germ, u))
+        except PreconditionFailure:
+            pass
+    calls = Counter()
+    for name in ("invert", "compose"):
+        real = getattr(setrel, name)
+        monkeypatch.setattr(setrel, name, lambda *rels, name=name, real=real:
+                            calls.update([name]) or real(*rels))
+    for u in bases:
+        calls.clear()
+        assert validate_basis(UnifBase(u.carrier, u.basis)).ok(), u.basis
+        assert calls == {"invert": 1, "compose": 1}, u.basis
+    # Not vacuous: most bases list more than one member.
+    assert len(bases) > 1000
+    assert sum(len(set(u.basis)) > 1 for u in bases) > len(bases) // 2
 
 
 def test_nu_maps_traps_a_valid_basis_without_a_least_member(monkeypatch):
